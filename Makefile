@@ -6,7 +6,7 @@ DATE := $(shell date +%Y%m%d)
 # stack of PRs landing together) never clobbers an earlier measurement.
 SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo nogit)
 
-.PHONY: all build vet lint test race bench bench-smoke bench-compare cover fuzz-smoke serve-smoke profile clean
+.PHONY: all build vet lint test race bench bench-smoke bench-compare bench-e2e-check cover fuzz-smoke serve-smoke profile clean
 
 all: build vet lint test
 
@@ -99,15 +99,25 @@ FUZZTIME = 10s
 
 # fuzz-smoke runs every fuzz target briefly (one -fuzz regex per package
 # invocation, as the toolchain requires): the scenario configuration
-# surface, the CLI epoch syntax, the fault-plan syntax, the strategy
-# registry, the onion codec, and the anonlint suppression parser.
+# surface, the CLI epoch syntax, the timeline schedule against its
+# map-based reference walk, the fault-plan syntax, the strategy registry,
+# the onion codec, and the anonlint suppression parser.
 fuzz-smoke:
 	$(GO) test ./internal/analysis/allow -run '^$$' -fuzz '^FuzzParseAllow$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzParseTimeline$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzPhaseSchedule$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/faults -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pathsel -run '^$$' -fuzz '^FuzzStrategyLookup$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/onion -run '^$$' -fuzz '^FuzzBuildPeel$$' -fuzztime $(FUZZTIME)
+
+# bench-e2e-check runs the end-to-end benchmark's own checks. bench/ is a
+# separate module (see bench/README.md), so the root targets above never
+# build, test, or lint it: this vets it, runs its tests — including the
+# checked smoke of every workload at 1/100 of the benchmark's length — and
+# runs anonlint over it. CI runs exactly this target.
+bench-e2e-check:
+	cd bench && $(GO) vet . && $(GO) test . && $(GO) run anonmix/cmd/anonlint .
 
 # serve-smoke boots the anond daemon on an ephemeral port and exercises
 # the HTTP surface end to end over a real socket: every /v1 endpoint's

@@ -17,12 +17,18 @@
 // gate: near-zero footprints — the point of the arena fast path — would
 // otherwise turn one stray allocation into a 2x "regression".
 //
-// With fewer than two snapshots available the command reports that there
-// is nothing to compare and exits 0 — the first snapshot of a trajectory
-// is never a failure. The opposite degradation is loud: when an explicit
-// -smoke pattern is given, a gated benchmark that is absent from either
-// snapshot, carries NaN metrics, or matches nothing at all fails the
-// comparison instead of silently dropping out of the gate.
+// "Newest" is the Time of a snapshot's first test2json record — when its
+// run started — not the file's modification time, which a fresh checkout
+// sets to the same instant for every file, and not git history, which a
+// shallow clone lacks. A snapshot whose stream does not end in the
+// package's "pass" record (a truncated or failed run) is skipped and named.
+//
+// With fewer than two complete snapshots available the command reports
+// that there is nothing to compare and exits 0 — the first snapshot of a
+// trajectory is never a failure. The opposite degradation is loud: when
+// an explicit -smoke pattern is given, a gated benchmark that is absent
+// from either snapshot, carries NaN metrics, or matches nothing at all
+// fails the comparison instead of silently dropping out of the gate.
 package main
 
 import (
@@ -38,6 +44,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 func main() {
@@ -76,9 +83,13 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("pass exactly two files (baseline, candidate), have %d", len(files))
 		}
 	} else {
-		files, err = newestSnapshots(*dir)
+		var skipped []string
+		files, skipped, err = newestSnapshots(*dir)
 		if err != nil {
 			return err
+		}
+		for _, f := range skipped {
+			fmt.Fprintf(w, "benchcompare: skipping %s: no terminal package pass record (truncated or failed run)\n", f)
 		}
 		if len(files) < 2 {
 			// The first snapshot of a trajectory is never a failure.
@@ -236,39 +247,76 @@ func memRatio(old, new float64) float64 {
 	return new / old
 }
 
-// newestSnapshots returns the two most recent BENCH_*.json files (by
-// modification time, then name), oldest first; fewer if not available.
-func newestSnapshots(dir string) ([]string, error) {
+// newestSnapshots returns the two most recently started complete
+// BENCH_*.json files, oldest first (fewer if not available), and the
+// incomplete ones it skipped. Snapshots order by the Time of their first
+// test2json record, then by name.
+func newestSnapshots(dir string) (files, skipped []string, err error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	type f struct {
-		path string
-		mod  int64
+	type snap struct {
+		path  string
+		start time.Time
 	}
-	infos := make([]f, 0, len(matches))
+	var snaps []snap
 	for _, m := range matches {
-		st, err := os.Stat(m)
+		start, complete, err := snapshotSpan(m)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		infos = append(infos, f{m, st.ModTime().UnixNano()})
+		if !complete {
+			skipped = append(skipped, m)
+			continue
+		}
+		snaps = append(snaps, snap{m, start})
 	}
-	sort.Slice(infos, func(i, j int) bool {
-		if infos[i].mod != infos[j].mod {
-			return infos[i].mod < infos[j].mod
+	sort.Slice(snaps, func(i, j int) bool {
+		if !snaps[i].start.Equal(snaps[j].start) {
+			return snaps[i].start.Before(snaps[j].start)
 		}
-		return infos[i].path < infos[j].path
+		return snaps[i].path < snaps[j].path
 	})
-	if len(infos) > 2 {
-		infos = infos[len(infos)-2:]
+	if len(snaps) > 2 {
+		snaps = snaps[len(snaps)-2:]
 	}
-	out := make([]string, len(infos))
-	for i, inf := range infos {
-		out[i] = inf.path
+	for _, s := range snaps {
+		files = append(files, s.path)
 	}
-	return out, nil
+	return files, skipped, nil
+}
+
+// snapshotSpan reads a test2json stream's start, the Time of its first
+// record, and whether it is complete: its last record is the package's
+// terminal "pass" (a test2json record without a Test field).
+func snapshotSpan(path string) (start time.Time, complete bool, err error) {
+	file, err := os.Open(path)
+	if err != nil {
+		return time.Time{}, false, err
+	}
+	defer file.Close()
+	sc := bufio.NewScanner(file)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	first := true
+	for sc.Scan() {
+		var ev struct {
+			Time   time.Time `json:"Time"`
+			Action string    `json:"Action"`
+			Test   string    `json:"Test"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			continue // tolerate non-JSON noise in the stream
+		}
+		if first {
+			start, first = ev.Time, false
+		}
+		complete = ev.Action == "pass" && ev.Test == ""
+	}
+	if err := sc.Err(); err != nil {
+		return time.Time{}, false, fmt.Errorf("%s: %w", path, err)
+	}
+	return start, complete && !first, nil
 }
 
 // result carries one benchmark's parsed metrics. hasMem marks lines that

@@ -10,18 +10,25 @@ import (
 	"time"
 )
 
-// snapshot writes a minimal go-test-json bench stream.
-func snapshot(t *testing.T, dir, name string, ns map[string]float64) string {
+// baseStart stamps the snapshots of tests that do not depend on order.
+var baseStart = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// writeStream writes a complete go-test-json bench stream: a start record
+// stamped at start, one output record per line, and the package's
+// terminal pass record.
+func writeStream(t *testing.T, dir, name string, start time.Time, lines []string) string {
 	t.Helper()
 	var sb strings.Builder
-	for bench, v := range ns {
-		line := fmt.Sprintf("Benchmark%s-4 \t       1\t%10.0f ns/op\n", bench, v)
-		b, err := json.Marshal(map[string]string{"Action": "output", "Output": line})
-		if err != nil {
+	enc := json.NewEncoder(&sb)
+	records := []any{map[string]any{"Time": start, "Action": "start", "Package": "anonmix"}}
+	for _, line := range lines {
+		records = append(records, map[string]string{"Action": "output", "Output": line + "\n"})
+	}
+	records = append(records, map[string]string{"Action": "pass", "Package": "anonmix"})
+	for _, r := range records {
+		if err := enc.Encode(r); err != nil {
 			t.Fatal(err)
 		}
-		sb.Write(b)
-		sb.WriteByte('\n')
 	}
 	path := filepath.Join(dir, name)
 	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
@@ -30,26 +37,32 @@ func snapshot(t *testing.T, dir, name string, ns map[string]float64) string {
 	return path
 }
 
+// snapshot writes a minimal bench stream.
+func snapshot(t *testing.T, dir, name string, ns map[string]float64) string {
+	t.Helper()
+	return timedSnapshot(t, dir, name, baseStart, ns)
+}
+
+// timedSnapshot writes a minimal bench stream whose run started at start.
+func timedSnapshot(t *testing.T, dir, name string, start time.Time, ns map[string]float64) string {
+	t.Helper()
+	var lines []string
+	for bench, v := range ns {
+		lines = append(lines, fmt.Sprintf("Benchmark%s-4 \t       1\t%10.0f ns/op", bench, v))
+	}
+	return writeStream(t, dir, name, start, lines)
+}
+
 // memSnapshot writes a bench stream with -benchmem columns and a custom
 // ReportMetric column between ns/op and B/op, mirroring real output.
 func memSnapshot(t *testing.T, dir, name string, res map[string][3]float64) string {
 	t.Helper()
-	var sb strings.Builder
+	var lines []string
 	for bench, v := range res {
-		line := fmt.Sprintf("Benchmark%s-4 \t       1\t%10.0f ns/op\t         2.908 H16_bits\t%8.0f B/op\t%8.0f allocs/op\n",
-			bench, v[0], v[1], v[2])
-		b, err := json.Marshal(map[string]string{"Action": "output", "Output": line})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb.Write(b)
-		sb.WriteByte('\n')
+		lines = append(lines, fmt.Sprintf("Benchmark%s-4 \t       1\t%10.0f ns/op\t         2.908 H16_bits\t%8.0f B/op\t%8.0f allocs/op",
+			bench, v[0], v[1], v[2]))
 	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return writeStream(t, dir, name, baseStart, lines)
 }
 
 // smokeSet mirrors the Makefile's SMOKE variable for tests that exercise
@@ -137,20 +150,7 @@ func TestCompareAllocFloorToleratesNoise(t *testing.T) {
 // map-based helpers cannot express (e.g. -count=N duplicate samples).
 func rawSnapshot(t *testing.T, dir, name string, lines []string) string {
 	t.Helper()
-	var sb strings.Builder
-	for _, line := range lines {
-		b, err := json.Marshal(map[string]string{"Action": "output", "Output": line + "\n"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb.Write(b)
-		sb.WriteByte('\n')
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return writeStream(t, dir, name, baseStart, lines)
 }
 
 func TestCompareMinOfCountSamples(t *testing.T) {
@@ -190,11 +190,13 @@ func TestCompareMixedMemColumns(t *testing.T) {
 
 func TestCompareGlobNewestTwo(t *testing.T) {
 	dir := t.TempDir()
-	oldest := snapshot(t, dir, "BENCH_20260101_aaaa.json", map[string]float64{"Fig3a": 99999})
-	mid := snapshot(t, dir, "BENCH_20260102_bbbb.json", map[string]float64{"Fig3a": 1000})
-	newest := snapshot(t, dir, "BENCH_20260103_cccc.json", map[string]float64{"Fig3a": 1050})
+	oldest := timedSnapshot(t, dir, "BENCH_20260101_aaaa.json", baseStart, map[string]float64{"Fig3a": 99999})
+	mid := timedSnapshot(t, dir, "BENCH_20260102_bbbb.json", baseStart.Add(time.Hour), map[string]float64{"Fig3a": 1000})
+	newest := timedSnapshot(t, dir, "BENCH_20260103_cccc.json", baseStart.Add(2*time.Hour), map[string]float64{"Fig3a": 1050})
+	// Modification times run against the runs' start times: only the
+	// latter count.
 	for i, p := range []string{oldest, mid, newest} {
-		mt := time.Now().Add(time.Duration(i-3) * time.Hour)
+		mt := time.Now().Add(-time.Duration(i) * time.Hour)
 		if err := os.Chtimes(p, mt, mt); err != nil {
 			t.Fatal(err)
 		}
@@ -206,6 +208,63 @@ func TestCompareGlobNewestTwo(t *testing.T) {
 	out := sb.String()
 	if strings.Contains(out, "aaaa") || !strings.Contains(out, "bbbb") || !strings.Contains(out, "cccc") {
 		t.Errorf("wrong snapshot pair:\n%s", out)
+	}
+}
+
+// TestCompareOrdersByRunStart is a fresh checkout: every snapshot has the
+// same modification time, and name order is the reverse of run order. The
+// gate must still diff the earlier run against the later one.
+func TestCompareOrdersByRunStart(t *testing.T) {
+	dir := t.TempDir()
+	older := timedSnapshot(t, dir, "BENCH_20260807_e06b7fc.json", baseStart, map[string]float64{"Fig3a": 1000})
+	newer := timedSnapshot(t, dir, "BENCH_20260807_2db607c.json", baseStart.Add(time.Hour), map[string]float64{"Fig3a": 1500})
+	mt := time.Now()
+	for _, p := range []string{older, newer} {
+		if err := os.Chtimes(p, mt, mt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sb strings.Builder
+	err := run([]string{"-dir", dir}, &sb)
+	// 1000 → 1500 ns/op is a regression only in run order.
+	if err == nil || !strings.Contains(err.Error(), "Fig3a") {
+		t.Fatalf("err = %v\n%s", err, sb.String())
+	}
+	if !strings.Contains(sb.String(), "baseline  "+older) || !strings.Contains(sb.String(), "candidate "+newer) {
+		t.Errorf("wrong order:\n%s", sb.String())
+	}
+}
+
+// TestCompareSkipsIncompleteSnapshot: a run that stopped before its
+// package's pass record is named and left out, so the gate compares the
+// two newest complete runs.
+func TestCompareSkipsIncompleteSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	old := timedSnapshot(t, dir, "BENCH_20260101_aaaa.json", baseStart, map[string]float64{"Fig3a": 1000})
+	cand := timedSnapshot(t, dir, "BENCH_20260102_bbbb.json", baseStart.Add(time.Hour), map[string]float64{"Fig3a": 1050})
+	truncated := filepath.Join(dir, "BENCH_20260103_cccc.json")
+	stream := fmt.Sprintf(`{"Time":%q,"Action":"start","Package":"anonmix"}
+{"Action":"output","Package":"anonmix","Test":"BenchmarkFig3a","Output":"BenchmarkFig3a\n"}
+`, baseStart.Add(2*time.Hour).Format(time.RFC3339Nano))
+	failed := filepath.Join(dir, "BENCH_20260104_dddd.json")
+	failedStream := fmt.Sprintf(`{"Time":%q,"Action":"start","Package":"anonmix"}
+{"Action":"output","Package":"anonmix","Output":"BenchmarkFig3a-4 \t 1\t 10 ns/op\n"}
+{"Action":"fail","Package":"anonmix"}
+`, baseStart.Add(3*time.Hour).Format(time.RFC3339Nano))
+	for path, body := range map[string]string{truncated: stream, failed: failedStream} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sb strings.Builder
+	if err := run([]string{"-dir", dir}, &sb); err != nil {
+		t.Fatalf("%v\n%s", err, sb.String())
+	}
+	out := sb.String()
+	for _, want := range []string{"skipping " + truncated, "skipping " + failed, "baseline  " + old, "candidate " + cand} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
 	}
 }
 

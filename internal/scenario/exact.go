@@ -241,12 +241,12 @@ func runExactTimeline(cfg Config, deliveryRate float64) (Result, error) {
 			// weight in the mixture and, like the sampled backends, no
 			// per-epoch H (EpochResult.H is defined as the entropy of the
 			// phase's analyzed traffic).
-			er := EpochResult{Index: i, N: p.n(), C: p.c()}
+			er := EpochResult{Index: i, N: p.n, C: p.c}
 			res.Epochs = append(res.Epochs, er)
 			cfg.emitProgress(i+1, len(cfg.phases), &er)
 			continue
 		}
-		e, err := Engine(p.n(), p.c(), engineOptions(cfg)...)
+		e, err := Engine(p.n, p.c, engineOptions(cfg)...)
 		if err != nil {
 			return Result{}, err
 		}
@@ -254,19 +254,19 @@ func runExactTimeline(cfg Config, deliveryRate float64) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		compShare := float64(p.c()) / float64(p.n())
+		compShare := float64(p.c) / float64(p.n)
 		if cfg.Workload.FixedSender {
 			// The per-phase honest-conditional rescale of the static model
 			// (see Run above); normalizeTimeline guarantees the pinned
 			// sender is an honest member of every phase.
 			if e.SenderSelfReport() {
-				h *= float64(p.n()) / float64(p.n()-p.c())
+				h *= float64(p.n) / float64(p.n-p.c)
 			}
 			compShare = 0
 		}
 		res.H += weights[i] * h
 		res.CompromisedSenderShare += weights[i] * compShare
-		er := EpochResult{Index: i, N: p.n(), C: p.c(), Messages: p.epoch.Messages, H: h}
+		er := EpochResult{Index: i, N: p.n, C: p.c, Messages: p.epoch.Messages, H: h}
 		res.Epochs = append(res.Epochs, er)
 		cfg.emitProgress(i+1, len(cfg.phases), &er)
 	}

@@ -117,9 +117,8 @@ func runMCTimeline(cfg Config) (Result, error) {
 	}
 	var variance float64
 	var doneMsgs int
-	for i := range cfg.phases {
-		p := &cfg.phases[i]
-		er := EpochResult{Index: i, N: p.n(), C: p.c(), Messages: p.epoch.Messages}
+	for i, p := range cfg.members() {
+		er := EpochResult{Index: i, N: p.n, C: p.c, Messages: p.epoch.Messages}
 		if p.epoch.Messages == 0 {
 			// A phase without traffic only moves the population.
 			res.Epochs = append(res.Epochs, er)
@@ -129,12 +128,12 @@ func runMCTimeline(cfg Config) (Result, error) {
 		if err := cfg.checkCanceled(); err != nil {
 			return Result{}, err
 		}
-		engine, err := Engine(p.n(), p.c(), engineOptions(cfg)...)
+		engine, err := Engine(p.n, p.c, engineOptions(cfg)...)
 		if err != nil {
 			return Result{}, err
 		}
 		mcCfg := montecarlo.Config{
-			N:             p.n(),
+			N:             p.n,
 			Compromised:   p.denseComp,
 			Strategy:      cfg.Strategy,
 			Trials:        p.epoch.Messages,
@@ -151,7 +150,8 @@ func runMCTimeline(cfg Config) (Result, error) {
 		}
 		if cfg.Workload.FixedSender {
 			mcCfg.FixedSender = true
-			mcCfg.Sender = trace.NodeID(p.denseOf[cfg.Workload.Sender])
+			d, _ := p.dense(cfg.Workload.Sender)
+			mcCfg.Sender = trace.NodeID(d)
 		}
 		pr, err := montecarlo.EstimateH(mcCfg)
 		if err != nil {

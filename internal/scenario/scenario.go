@@ -326,8 +326,9 @@ type Config struct {
 	// analysis happens after the network settles).
 	Progress func(Progress)
 
-	// phases is the normalized membership schedule derived from Timeline
-	// (computed by normalize; backends read it, callers never set it).
+	// phases is the normalized schedule's per-phase counts, derived from
+	// Timeline (computed by normalize; backends read it, and build the
+	// identity view from it when they need one; callers never set it).
 	phases []phase
 	// ctx carries RunContext's cancellation (nil for plain Run; backends
 	// poll it between work units, callers never set it directly).

@@ -338,13 +338,13 @@ func analyzeRouted(cfg Config, analyst *adversary.Analyst,
 // boundary, so every message's observations fall entirely inside one
 // phase and are analyzed with that phase's adversary.
 func runRoutedTimeline(cfg Config) (Result, error) {
-	analysts, sels, err := phasedMachinery(cfg, string(BackendTestbed))
+	phases := cfg.members()
+	analysts, sels, err := phasedMachinery(cfg, phases, string(BackendTestbed))
 	if err != nil {
 		return Result{}, err
 	}
-	phases := cfg.phases
 	totalIDs := unionSize(cfg.N, cfg.Timeline)
-	rounds := timelineRounds(phases)
+	rounds := timelineRounds(cfg.phases)
 	sessions := cfg.Workload.Messages
 
 	// Phase windows: wide enough that every event of phase e has a logical
@@ -367,35 +367,29 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 	// ordered join → recover → compromise → leave per boundary so the
 	// kernel's per-node state machine sees only legal transitions.
 	p0 := &phases[0]
-	var down []trace.NodeID
-	for g := 0; g < totalIDs; g++ {
-		if _, live := p0.denseOf[trace.NodeID(g)]; !live {
-			down = append(down, trace.NodeID(g))
+	down := make([]trace.NodeID, 0, totalIDs-p0.n)
+	for g, j := 0, 0; g < totalIDs; g++ {
+		if j < p0.n && p0.live[j] == trace.NodeID(g) {
+			j++
+			continue
 		}
+		down = append(down, trace.NodeID(g))
 	}
 	var churn []simnet.ChurnEvent
 	for e := 1; e < len(phases); e++ {
 		prev, cur := &phases[e-1], &phases[e]
 		at := T[e]
-		for _, g := range cur.live {
-			if _, was := prev.denseOf[g]; !was {
-				churn = append(churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnJoin, Node: g})
-			}
+		for g := range missing(cur.live, prev.live) {
+			churn = append(churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnJoin, Node: g})
 		}
-		for _, g := range prev.comp {
-			if !cur.compSet[g] {
-				churn = append(churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnRecover, Node: g})
-			}
+		for g := range missing(prev.comp, cur.comp) {
+			churn = append(churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnRecover, Node: g})
 		}
-		for _, g := range cur.comp {
-			if !prev.compSet[g] {
-				churn = append(churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnCompromise, Node: g})
-			}
+		for g := range missing(cur.comp, prev.comp) {
+			churn = append(churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnCompromise, Node: g})
 		}
-		for _, g := range prev.live {
-			if _, still := cur.denseOf[g]; !still {
-				churn = append(churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnLeave, Node: g})
-			}
+		for g := range missing(prev.live, cur.live) {
+			churn = append(churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnLeave, Node: g})
 		}
 	}
 
@@ -523,7 +517,7 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 				rng := stats.NewStream(phaseSeed(cfg.Workload.Seed, e), int64(m))
 				sender := cfg.Workload.Sender
 				if !cfg.Workload.FixedSender {
-					sender = p.live[rng.Intn(p.n())]
+					sender = p.live[rng.Intn(p.n)]
 				}
 				id, err := inject(e, &rng, sender)
 				if err != nil {
@@ -550,18 +544,18 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 		if err := checkUnexpectedDrops(nw); err != nil {
 			return Result{}, err
 		}
-		if fa, err = newTimelineFaultAnalysis(cfg, nw); err != nil {
+		if fa, err = newTimelineFaultAnalysis(cfg, phases, nw); err != nil {
 			return Result{}, err
 		}
 	}
 	traces := trace.Collate(nw.Tuples())
 
-	maxH := timelineMaxH(phases)
+	maxH := timelineMaxH(cfg.phases)
 	var res Result
 	if rounds {
-		res, err = analyzeRoutedTimeline(cfg, analysts, traces, senders, ids)
+		res, err = analyzeRoutedTimeline(cfg, phases, analysts, traces, senders, ids)
 	} else {
-		res, err = analyzeSingleShotTimeline(cfg, analysts, traces, phaseSenders, phaseIDs, fa)
+		res, err = analyzeSingleShotTimeline(phases, analysts, traces, phaseSenders, phaseIDs, fa)
 	}
 	if err != nil {
 		return Result{}, err
@@ -578,7 +572,7 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 // pooled empirical mean. A non-nil faultAnalysis restricts H to delivered
 // messages and folds the retransmission evidence into HDegraded, exactly
 // as the static faulted path does (see runRoutedFaulty).
-func analyzeSingleShotTimeline(cfg Config, analysts []*adversary.Analyst,
+func analyzeSingleShotTimeline(phases []members, analysts []*adversary.Analyst,
 	traces map[trace.MessageID]*trace.MessageTrace,
 	phaseSenders [][]trace.NodeID, phaseIDs [][]trace.MessageID,
 	fa *faultAnalysis) (Result, error) {
@@ -591,8 +585,8 @@ func analyzeSingleShotTimeline(cfg Config, analysts []*adversary.Analyst,
 		sc           adversary.Scratch
 		partials     []*trace.MessageTrace
 	)
-	for e := range cfg.phases {
-		p := &cfg.phases[e]
+	for e := range phases {
+		p := &phases[e]
 		var pSum stats.Summary
 		var acc *adversary.Accumulator
 		if fa != nil {
@@ -607,7 +601,7 @@ func analyzeSingleShotTimeline(cfg Config, analysts []*adversary.Analyst,
 			if fa != nil && !fa.delivered[id] {
 				continue // undelivered: excluded from H, counted in delivery stats
 			}
-			if p.compSet[sender] {
+			if p.compromised(sender) {
 				sum.Add(0)
 				pSum.Add(0)
 				sumDeg.Add(0)
@@ -640,7 +634,7 @@ func analyzeSingleShotTimeline(cfg Config, analysts []*adversary.Analyst,
 			// observer, analyzed in the phase's dense space.
 			partials = partials[:0]
 			for _, rt := range fa.retries[id] {
-				do, ok := p.denseOf[rt.Observer]
+				do, ok := p.dense(rt.Observer)
 				if !ok {
 					continue
 				}
@@ -656,7 +650,7 @@ func analyzeSingleShotTimeline(cfg Config, analysts []*adversary.Analyst,
 			}
 			sumDeg.Add(hd)
 		}
-		er := EpochResult{Index: e, N: p.n(), C: p.c(), Messages: p.epoch.Messages}
+		er := EpochResult{Index: e, N: p.n, C: p.c, Messages: p.epoch.Messages}
 		if pSum.N() > 0 {
 			er.H = pSum.Mean()
 		}
@@ -687,16 +681,15 @@ func analyzeSingleShotTimeline(cfg Config, analysts []*adversary.Analyst,
 // analyzeRoutedTimeline folds a Rounds timeline's collected traces through
 // the union-space accumulator, session by session in injection order — the
 // empirical counterpart of runPhasedRounds.
-func analyzeRoutedTimeline(cfg Config, analysts []*adversary.Analyst,
+func analyzeRoutedTimeline(cfg Config, phases []members, analysts []*adversary.Analyst,
 	traces map[trace.MessageID]*trace.MessageTrace,
 	senders []trace.NodeID, ids []trace.MessageID) (Result, error) {
 	var (
-		phases     = cfg.phases
 		totalIDs   = unionSize(cfg.N, cfg.Timeline)
 		sessions   = len(senders)
 		k          = cfg.Workload.Rounds
 		conf       = cfg.Workload.Confidence
-		first      = firstTrafficPhase(phases)
+		first      = firstTrafficPhase(cfg.phases)
 		sum        stats.Summary
 		compSender int
 		deanon     int
@@ -725,7 +718,7 @@ func analyzeRoutedTimeline(cfg Config, analysts []*adversary.Analyst,
 		if err != nil {
 			return Result{}, err
 		}
-		if phases[first].compSet[sender] {
+		if phases[first].compromised(sender) {
 			compSender++
 		}
 		for r, h := range entropies {
@@ -753,7 +746,7 @@ func analyzeRoutedTimeline(cfg Config, analysts []*adversary.Analyst,
 		CompromisedSenderShare: float64(compSender) / float64(sessions),
 		Deanonymized:           deanon,
 		HRounds:                hRounds,
-		Epochs:                 epochResults(phases, sessions, hRounds),
+		Epochs:                 epochResults(cfg.phases, sessions, hRounds),
 	}
 	if conf > 0 {
 		res.IdentifiedShare = float64(idCount) / float64(sessions)

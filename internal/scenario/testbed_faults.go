@@ -422,20 +422,20 @@ func (fa *faultAnalysis) meanAttempts(injected int) float64 {
 
 // newTimelineFaultAnalysis snapshots a settled network's fault evidence
 // and builds the per-phase uncompromised-receiver analysts.
-func newTimelineFaultAnalysis(cfg Config, nw *simnet.Network) (*faultAnalysis, error) {
+func newTimelineFaultAnalysis(cfg Config, phases []members, nw *simnet.Network) (*faultAnalysis, error) {
 	fa := &faultAnalysis{
 		delivered: make(map[trace.MessageID]bool),
 		retries:   sortedRetryObservations(nw),
-		analystsU: make([]*adversary.Analyst, len(cfg.phases)),
+		analystsU: make([]*adversary.Analyst, len(phases)),
 		retryN:    nw.Metrics().Retries,
 	}
 	for _, d := range nw.Deliveries() {
 		fa.delivered[d.Msg] = true
 	}
-	for i := range cfg.phases {
-		p := &cfg.phases[i]
+	for i := range phases {
+		p := &phases[i]
 		uOpts := append(engineOptions(cfg), events.WithUncompromisedReceiver())
-		e, err := Engine(p.n(), p.c(), uOpts...)
+		e, err := Engine(p.n, p.c, uOpts...)
 		if err != nil {
 			return nil, err
 		}

@@ -22,11 +22,19 @@ package scenario
 // dense space 0..n_e−1 the exact engine, the Monte-Carlo estimator, and
 // the adversary's analyst operate on; the union identity is what threads a
 // node through the phases of a degradation session.
+//
+// The schedule has two views. The counts (n_e, c_e) of every phase come
+// from an O(epochs) walk that also validates the schedule; they are all
+// the exact single-shot mixture and TimelineStates read. The identity
+// view (members) costs O(epochs · (N + ΣJoin)) and is built only where
+// identities matter: the sampled and phased-session drivers and the
+// fixed-sender and sender-pool checks.
 
 import (
 	"fmt"
+	"iter"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -41,11 +49,20 @@ import (
 	"anonmix/internal/trace"
 )
 
-// phase is the normalized state of one epoch: the epoch's budgets plus the
-// materialized membership.
+// phase is one epoch of the normalized schedule: the epoch's budgets plus
+// the population counts after its deltas. The counts are all the exact
+// single-shot path and TimelineStates read; drivers that need identities
+// build the members view on top.
 type phase struct {
-	// epoch echoes the configured deltas and budgets.
 	epoch Epoch
+	// n is the live population, c the compromised count.
+	n, c int
+}
+
+// members is the identity view of one phase, built only by the code that
+// needs identities (Config.members).
+type members struct {
+	phase
 	// live lists the members in ascending union identity; live[i] is the
 	// union identity of dense node i.
 	live []trace.NodeID
@@ -53,21 +70,24 @@ type phase struct {
 	comp []trace.NodeID
 	// denseComp holds the dense images of comp (positions in live).
 	denseComp []trace.NodeID
-	// denseOf inverts live: union identity → dense index.
-	denseOf map[trace.NodeID]int
-	// compSet marks the compromised union identities.
-	compSet map[trace.NodeID]bool
 }
 
-// n is the phase's live population size.
-func (p *phase) n() int { return len(p.live) }
+// dense returns the dense index of union identity g and whether g is live
+// in the phase.
+func (m *members) dense(g trace.NodeID) (int, bool) {
+	return slices.BinarySearch(m.live, g)
+}
 
-// c is the phase's compromised count.
-func (p *phase) c() int { return len(p.comp) }
+// compromised reports whether union identity g is a compromised member of
+// the phase.
+func (m *members) compromised(g trace.NodeID) bool {
+	_, ok := slices.BinarySearch(m.comp, g)
+	return ok
+}
 
 // normalizeTimeline validates Config.Timeline, reconciles it with the
-// workload, and materializes the membership schedule into cfg.phases. A
-// nil timeline leaves the config untouched (the static model).
+// workload, and derives the schedule's counts into cfg.phases. A nil
+// timeline leaves the config untouched (the static model).
 func normalizeTimeline(cfg *Config) error {
 	if len(cfg.Timeline) == 0 {
 		return nil
@@ -108,22 +128,22 @@ func normalizeTimeline(cfg *Config) error {
 		}
 		cfg.Workload.Messages = msgs
 	}
-	phases, err := computePhases(cfg.N, cfg.Adversary.Compromised, cfg.Timeline)
+	phases, err := schedulePhases(cfg.N, len(cfg.Adversary.Compromised), cfg.Timeline)
 	if err != nil {
 		return err
 	}
+	cfg.phases = phases
 	if cfg.Workload.FixedSender {
 		s := cfg.Workload.Sender
-		for i := range phases {
-			if _, ok := phases[i].denseOf[s]; !ok {
+		for i, m := range cfg.members() {
+			if _, ok := m.dense(s); !ok {
 				return fmt.Errorf("%w: fixed sender %v leaves during epoch %d", ErrBadConfig, s, i)
 			}
-			if phases[i].compSet[s] {
+			if m.compromised(s) {
 				return fmt.Errorf("%w: fixed sender %v is compromised in epoch %d", ErrBadConfig, s, i)
 			}
 		}
-	}
-	if rounds > 0 && !cfg.Workload.FixedSender && len(senderPool(phases)) == 0 {
+	} else if rounds > 0 && len(senderPool(cfg.members())) == 0 {
 		return fmt.Errorf("%w: no node is a member through every traffic epoch (empty session sender pool)", ErrBadConfig)
 	}
 	if cfg.Strategy.Length != nil {
@@ -131,116 +151,147 @@ func normalizeTimeline(cfg *Config) error {
 		// longer than the live population minus the sender.
 		minN := cfg.N
 		for i := range phases {
-			if n := phases[i].n(); n < minN {
-				minN = n
-			}
+			minN = min(minN, phases[i].n)
 		}
 		if err := cfg.Strategy.Validate(minN); err != nil {
 			return fmt.Errorf("%w: strategy does not fit the smallest epoch population %d: %w",
 				ErrBadConfig, minN, err)
 		}
 	}
-	cfg.phases = phases
 	return nil
 }
 
-// computePhases materializes the deterministic membership schedule: the
-// state after applying each epoch's deltas in order (joins, leaves,
-// compromises, recoveries).
-func computePhases(n int, baseComp []trace.NodeID, timeline []Epoch) ([]phase, error) {
-	total := n
-	for _, e := range timeline {
-		total += e.Join
+// schedulePhases is the one place a membership schedule is validated: it
+// walks the counts of a base population of n nodes, c of them compromised,
+// through the epochs' deltas in order (joins, leaves, compromises,
+// recoveries) and returns each phase's counts, in O(epochs). Counts
+// suffice because compromised nodes never leave: every compromised node
+// is live, so a delta fits exactly when enough honest (leave, compromise)
+// or compromised (recover) members remain, whichever identities the
+// rules pick.
+func schedulePhases(n, c int, timeline []Epoch) ([]phase, error) {
+	phases := make([]phase, len(timeline))
+	for i, e := range timeline {
+		n += e.Join
+		if e.Leave > n-c {
+			return nil, fmt.Errorf("%w: epoch %d: no honest member left to leave", ErrBadConfig, i)
+		}
+		n -= e.Leave
+		if e.Compromise > n-c {
+			return nil, fmt.Errorf("%w: epoch %d: no honest member left to compromise", ErrBadConfig, i)
+		}
+		c += e.Compromise
+		if e.Recover > c {
+			return nil, fmt.Errorf("%w: epoch %d: no compromised node left to recover", ErrBadConfig, i)
+		}
+		c -= e.Recover
+		if n < 2 {
+			return nil, fmt.Errorf("%w: epoch %d leaves %d live nodes (need ≥ 2)", ErrBadConfig, i, n)
+		}
+		if c >= n {
+			return nil, fmt.Errorf("%w: epoch %d compromises the whole population (%d of %d)",
+				ErrBadConfig, i, c, n)
+		}
+		phases[i] = phase{epoch: e, n: n, c: c}
 	}
-	live := make([]bool, total)
-	for v := 0; v < n; v++ {
+	return phases, nil
+}
+
+// members materializes the identity view of the schedule normalize
+// derived into c.phases, over the base population 0..N−1 with
+// Adversary.Compromised compromised: it replays the identity rules over
+// per-identity flags and snapshots each phase into slices presized from
+// its counts.
+func (c *Config) members() []members {
+	live := make([]bool, unionSize(c.N, c.Timeline))
+	comp := make([]bool, len(live))
+	for v := 0; v < c.N; v++ {
 		live[v] = true
 	}
-	compSet := make(map[trace.NodeID]bool, len(baseComp))
-	// compOrder tracks compromise order for LIFO recovery; the base set
-	// counts as compromised in configuration order.
-	compOrder := append([]trace.NodeID(nil), baseComp...)
-	for _, id := range baseComp {
-		compSet[id] = true
+	// order tracks compromise order for LIFO recovery; the base set counts
+	// as compromised in configuration order.
+	order := append([]trace.NodeID(nil), c.Adversary.Compromised...)
+	for _, id := range order {
+		comp[id] = true
 	}
-	next := trace.NodeID(n)
-	phases := make([]phase, 0, len(timeline))
-	for i, e := range timeline {
+	honest := func(g int) bool { return live[g] && !comp[g] }
+	next := c.N
+	out := make([]members, len(c.phases))
+	for i, p := range c.phases {
+		e := p.epoch
 		for j := 0; j < e.Join; j++ {
 			live[next] = true
 			next++
 		}
 		// Leaves take the highest-identity honest members, compromises the
-		// lowest. The cursors are bounded by the allocated identity range
+		// lowest. The cursors start inside the allocated identity range
 		// (identities ≥ next are future joiners, never live) and persist
 		// across the epoch's loop, so an epoch's deltas cost one descending
-		// plus one ascending walk — not a rescan per node.
-		leaveCur := int(next) - 1
+		// plus one ascending walk — not a rescan per node. The counts walk
+		// guarantees each cursor finds a member before leaving the range.
+		cur := next - 1
 		for j := 0; j < e.Leave; j++ {
-			for leaveCur >= 0 && !(live[leaveCur] && !compSet[trace.NodeID(leaveCur)]) {
-				leaveCur--
+			for !honest(cur) {
+				cur--
 			}
-			if leaveCur < 0 {
-				return nil, fmt.Errorf("%w: epoch %d: no honest member left to leave", ErrBadConfig, i)
-			}
-			live[leaveCur] = false
+			live[cur] = false
 		}
-		compCur := 0
+		cur = 0
 		for j := 0; j < e.Compromise; j++ {
-			for compCur < int(next) && !(live[compCur] && !compSet[trace.NodeID(compCur)]) {
-				compCur++
+			for !honest(cur) {
+				cur++
 			}
-			if compCur >= int(next) {
-				return nil, fmt.Errorf("%w: epoch %d: no honest member left to compromise", ErrBadConfig, i)
-			}
-			compSet[trace.NodeID(compCur)] = true
-			compOrder = append(compOrder, trace.NodeID(compCur))
+			comp[cur] = true
+			order = append(order, trace.NodeID(cur))
 		}
 		for j := 0; j < e.Recover; j++ {
-			if len(compOrder) == 0 {
-				return nil, fmt.Errorf("%w: epoch %d: no compromised node left to recover", ErrBadConfig, i)
-			}
-			v := compOrder[len(compOrder)-1]
-			compOrder = compOrder[:len(compOrder)-1]
-			delete(compSet, v)
+			comp[order[len(order)-1]] = false
+			order = order[:len(order)-1]
 		}
-		p := phase{
-			epoch:   e,
-			denseOf: make(map[trace.NodeID]int),
-			compSet: make(map[trace.NodeID]bool, len(compSet)),
+		m := members{
+			phase:     p,
+			live:      make([]trace.NodeID, 0, p.n),
+			comp:      make([]trace.NodeID, 0, p.c),
+			denseComp: make([]trace.NodeID, 0, p.c),
 		}
 		// Snapshot over the allocated range only; identities ≥ next have
 		// not joined in any phase so far.
-		for g := 0; g < int(next); g++ {
+		for g := 0; g < next; g++ {
 			if !live[g] {
 				continue
 			}
-			id := trace.NodeID(g)
-			p.denseOf[id] = len(p.live)
-			p.live = append(p.live, id)
-			if compSet[id] {
-				p.comp = append(p.comp, id)
-				p.denseComp = append(p.denseComp, trace.NodeID(p.denseOf[id]))
-				p.compSet[id] = true
+			if comp[g] {
+				m.comp = append(m.comp, trace.NodeID(g))
+				m.denseComp = append(m.denseComp, trace.NodeID(len(m.live)))
+			}
+			m.live = append(m.live, trace.NodeID(g))
+		}
+		out[i] = m
+	}
+	return out
+}
+
+// missing yields, in order, the members of the ascending list a absent
+// from the ascending list b (a merge walk).
+func missing(a, b []trace.NodeID) iter.Seq[trace.NodeID] {
+	return func(yield func(trace.NodeID) bool) {
+		j := 0
+		for _, g := range a {
+			for j < len(b) && b[j] < g {
+				j++
+			}
+			if (j == len(b) || b[j] != g) && !yield(g) {
+				return
 			}
 		}
-		if p.n() < 2 {
-			return nil, fmt.Errorf("%w: epoch %d leaves %d live nodes (need ≥ 2)", ErrBadConfig, i, p.n())
-		}
-		if p.c() >= p.n() {
-			return nil, fmt.Errorf("%w: epoch %d compromises the whole population (%d of %d)",
-				ErrBadConfig, i, p.c(), p.n())
-		}
-		phases = append(phases, p)
 	}
-	return phases, nil
 }
 
 // EpochState summarizes one epoch of a materialized timeline schedule: the
 // live population, the compromised count, and the epoch's share of the
 // timeline's traffic. It is the population-trajectory view consumers like
-// the epoch-aware optimizer need, without the identity maps the execution
-// backends carry.
+// the epoch-aware optimizer need, without the identities the sampling
+// backends materialize.
 type EpochState struct {
 	// Index is the epoch's position in the timeline.
 	Index int
@@ -257,9 +308,9 @@ type EpochState struct {
 // TimelineStates materializes the deterministic membership schedule of a
 // timeline over a base population of n nodes with the first c compromised
 // (the standard adversary layout), returning each epoch's (N, C) and
-// traffic weight. It applies the same identity rules as the execution
-// backends, so the returned trajectory is exactly the one a scenario run
-// would traverse.
+// traffic weight. It walks the same schedule as the execution backends, so
+// the returned trajectory is exactly the one a scenario run would
+// traverse, at O(epochs) cost whatever n.
 func TimelineStates(n, c int, timeline []Epoch) ([]EpochState, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("%w: need at least 2 nodes, have %d", ErrBadConfig, n)
@@ -275,11 +326,7 @@ func TimelineStates(n, c int, timeline []Epoch) ([]EpochState, error) {
 			return nil, fmt.Errorf("%w: epoch %d has a negative field (%+v)", ErrBadConfig, i, e)
 		}
 	}
-	comp := make([]trace.NodeID, c)
-	for i := range comp {
-		comp[i] = trace.NodeID(i)
-	}
-	phases, err := computePhases(n, comp, timeline)
+	phases, err := schedulePhases(n, c, timeline)
 	if err != nil {
 		return nil, err
 	}
@@ -288,8 +335,8 @@ func TimelineStates(n, c int, timeline []Epoch) ([]EpochState, error) {
 	for i := range phases {
 		out[i] = EpochState{
 			Index:    i,
-			N:        phases[i].n(),
-			C:        phases[i].c(),
+			N:        phases[i].n,
+			C:        phases[i].c,
 			Messages: phases[i].epoch.Messages,
 			Rounds:   phases[i].epoch.Rounds,
 		}
@@ -326,43 +373,34 @@ func timelineRounds(phases []phase) bool {
 }
 
 // senderPool returns the union identities eligible to carry a persistent
-// session: members of every phase that sends rounds (compromised members
-// included — theirs is the local-eavesdropper branch).
-func senderPool(phases []phase) []trace.NodeID {
+// session of a degradation timeline: members of every phase that sends
+// rounds (compromised members included — theirs is the local-eavesdropper
+// branch), ascending. It intersects the phases' live lists by merge walks.
+func senderPool(ms []members) []trace.NodeID {
 	var pool []trace.NodeID
-	for _, g := range unionMembers(phases) {
-		ok := true
-		for i := range phases {
-			if phases[i].epoch.Rounds == 0 {
-				continue
+	first := true
+	for i := range ms {
+		if ms[i].epoch.Rounds == 0 {
+			continue
+		}
+		if first {
+			pool = append(pool, ms[i].live...)
+			first = false
+			continue
+		}
+		live, j, k := ms[i].live, 0, 0
+		for _, g := range pool {
+			for j < len(live) && live[j] < g {
+				j++
 			}
-			if _, live := phases[i].denseOf[g]; !live {
-				ok = false
-				break
+			if j < len(live) && live[j] == g {
+				pool[k] = g
+				k++
 			}
 		}
-		if ok {
-			pool = append(pool, g)
-		}
+		pool = pool[:k]
 	}
 	return pool
-}
-
-// unionMembers lists every union identity live in at least one phase,
-// ascending.
-func unionMembers(phases []phase) []trace.NodeID {
-	seen := map[trace.NodeID]bool{}
-	var out []trace.NodeID
-	for i := range phases {
-		for _, g := range phases[i].live {
-			if !seen[g] {
-				seen[g] = true
-				out = append(out, g)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // timelineWeights returns each phase's share of the total traffic
@@ -385,7 +423,7 @@ func timelineWeights(phases []phase) []float64 {
 func timelineMaxH(phases []phase) float64 {
 	var maxH float64
 	for i, w := range timelineWeights(phases) {
-		maxH += w * math.Log2(float64(phases[i].n()))
+		maxH += w * math.Log2(float64(phases[i].n))
 	}
 	return maxH
 }
@@ -398,7 +436,7 @@ func phaseSeed(seed int64, i int) int64 {
 
 // denseTrace rewrites a union-identity message trace into the phase's
 // dense node space (the receiver pseudo-identity passes through).
-func (p *phase) denseTrace(mt *trace.MessageTrace) (*trace.MessageTrace, error) {
+func (m *members) denseTrace(mt *trace.MessageTrace) (*trace.MessageTrace, error) {
 	out := &trace.MessageTrace{
 		Msg:          mt.Msg,
 		ReceiverSeen: mt.ReceiverSeen,
@@ -407,7 +445,7 @@ func (p *phase) denseTrace(mt *trace.MessageTrace) (*trace.MessageTrace, error) 
 		if g == trace.Receiver {
 			return trace.Receiver, nil
 		}
-		d, ok := p.denseOf[g]
+		d, ok := m.dense(g)
 		if !ok {
 			return 0, fmt.Errorf("scenario: node %v observed outside its membership phase", g)
 		}
@@ -449,7 +487,7 @@ func (p *phase) denseTrace(mt *trace.MessageTrace) (*trace.MessageTrace, error) 
 // are written into the caller's buffer, indexed by global round (its
 // length must be the timeline's total rounds); identifiedAt is the first
 // 1-based round reaching the confidence threshold (0 = never).
-func phasedSession(phases []phase, analysts []*adversary.Analyst,
+func phasedSession(phases []members, analysts []*adversary.Analyst,
 	pa *adversary.PhasedAccumulator, sc *adversary.Scratch, entropies []float64,
 	sender trace.NodeID, conf float64,
 	draw func(pi, r int) (*trace.MessageTrace, error)) (identifiedAt int, err error) {
@@ -458,7 +496,7 @@ func phasedSession(phases []phase, analysts []*adversary.Analyst,
 	dead := false // sender observed as compromised: identified for good
 	for pi := range phases {
 		p := &phases[pi]
-		if p.epoch.Rounds > 0 && p.compSet[sender] {
+		if p.epoch.Rounds > 0 && p.compromised(sender) {
 			dead = true
 		}
 		for j := 0; j < p.epoch.Rounds; j++ {
@@ -504,8 +542,8 @@ func epochResults(phases []phase, sessions int, hRounds []float64) []EpochResult
 		}
 		out[i] = EpochResult{
 			Index:    i,
-			N:        phases[i].n(),
-			C:        phases[i].c(),
+			N:        phases[i].n,
+			C:        phases[i].c,
 			Messages: sessions * rounds,
 			Rounds:   rounds,
 		}
@@ -573,8 +611,9 @@ func ParseTimeline(s string) ([]Epoch, error) {
 // identities when the caller needs concrete network routes. The mapped
 // copy is freshly allocated — it crosses the kernel boundary and outlives
 // the sampler's reusable buffer.
-func drawPhasePath(p *phase, sp *pathsel.Sampler, rng *stats.Stream, sender trace.NodeID) ([]trace.NodeID, error) {
-	dense, err := sp.SelectPath(rng, trace.NodeID(p.denseOf[sender]))
+func drawPhasePath(p *members, sp *pathsel.Sampler, rng *stats.Stream, sender trace.NodeID) ([]trace.NodeID, error) {
+	ds, _ := p.dense(sender)
+	dense, err := sp.SelectPath(rng, trace.NodeID(ds))
 	if err != nil {
 		return nil, err
 	}
@@ -590,12 +629,12 @@ func drawPhasePath(p *phase, sp *pathsel.Sampler, rng *stats.Stream, sender trac
 // compromised sets, and dense-space selectors — enforcing the accumulation
 // capabilities every backend needs (standard inference, sender
 // self-report).
-func phasedMachinery(cfg Config, backend string) ([]*adversary.Analyst, []*pathsel.Selector, error) {
-	analysts := make([]*adversary.Analyst, len(cfg.phases))
-	sels := make([]*pathsel.Selector, len(cfg.phases))
-	for i := range cfg.phases {
-		p := &cfg.phases[i]
-		e, err := Engine(p.n(), p.c(), engineOptions(cfg)...)
+func phasedMachinery(cfg Config, ms []members, backend string) ([]*adversary.Analyst, []*pathsel.Selector, error) {
+	analysts := make([]*adversary.Analyst, len(ms))
+	sels := make([]*pathsel.Selector, len(ms))
+	for i := range ms {
+		p := &ms[i]
+		e, err := Engine(p.n, p.c, engineOptions(cfg)...)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -613,7 +652,7 @@ func phasedMachinery(cfg Config, backend string) ([]*adversary.Analyst, []*paths
 		if analysts[i], err = adversary.NewAnalyst(e, cfg.Strategy.Length, p.denseComp); err != nil {
 			return nil, nil, err
 		}
-		if sels[i], err = pathsel.NewSelector(p.n(), cfg.Strategy); err != nil {
+		if sels[i], err = pathsel.NewSelector(p.n, cfg.Strategy); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -661,17 +700,17 @@ type phasedArena struct {
 // backend passes 1 and stays the serial reference, with identical
 // results).
 func runPhasedRounds(cfg Config, backend string, workers int) (Result, error) {
-	analysts, sels, err := phasedMachinery(cfg, backend)
+	phases := cfg.members()
+	analysts, sels, err := phasedMachinery(cfg, phases, backend)
 	if err != nil {
 		return Result{}, err
 	}
 	var (
-		phases   = cfg.phases
 		total    = unionSize(cfg.N, cfg.Timeline)
 		sessions = cfg.Workload.Messages
 		k        = cfg.Workload.Rounds
 		conf     = cfg.Workload.Confidence
-		first    = firstTrafficPhase(phases)
+		first    = firstTrafficPhase(cfg.phases)
 		pool     []trace.NodeID
 	)
 	if !cfg.Workload.FixedSender {
@@ -698,7 +737,8 @@ func runPhasedRounds(cfg Config, backend string, workers int) (Result, error) {
 		}
 		ar.draw = func(pi, r int) (*trace.MessageTrace, error) {
 			ph := &phases[pi]
-			ds := trace.NodeID(ph.denseOf[ar.sender])
+			d, _ := ph.dense(ar.sender)
+			ds := trace.NodeID(d)
 			dense, err := ar.samplers[pi].SelectPath(&ar.rng, ds)
 			if err != nil {
 				return nil, err
@@ -761,7 +801,7 @@ func runPhasedRounds(cfg Config, backend string, workers int) (Result, error) {
 					p.err = err
 					return
 				}
-				if phases[first].compSet[sender] {
+				if phases[first].compromised(sender) {
 					p.compSender++
 				}
 				for r, h := range ar.entropies {
@@ -812,7 +852,7 @@ func runPhasedRounds(cfg Config, backend string, workers int) (Result, error) {
 	for r := range hRounds {
 		hRounds[r] /= float64(sessions)
 	}
-	maxH := timelineMaxH(phases)
+	maxH := timelineMaxH(cfg.phases)
 	res := Result{
 		H:                      sum.Mean(),
 		StdErr:                 sum.StdErr(),
@@ -824,7 +864,7 @@ func runPhasedRounds(cfg Config, backend string, workers int) (Result, error) {
 		CompromisedSenderShare: float64(compSender) / float64(sessions),
 		Deanonymized:           deanon,
 		HRounds:                hRounds,
-		Epochs:                 epochResults(phases, sessions, hRounds),
+		Epochs:                 epochResults(cfg.phases, sessions, hRounds),
 	}
 	if conf > 0 {
 		res.IdentifiedShare = float64(identified) / float64(sessions)
