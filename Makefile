@@ -16,11 +16,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs go vet plus anonlint, the repository's own static-analysis
-# suite (internal/analysis): determinism-contract, seed-purity,
-# error-contract, and float-comparison invariants. Suppressions use
-# //anonlint:allow <analyzer>(<reason>) with a mandatory reason.
+# lint runs go vet, a gofmt check over every Go file of the root module
+# and of bench/ (.bench_build/ holds only build output), and anonlint, the
+# repository's own static-analysis suite (internal/analysis):
+# determinism-contract, seed-purity, error-contract, and float-comparison
+# invariants. Suppressions use //anonlint:allow <analyzer>(<reason>) with a
+# mandatory reason.
 lint: vet
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/anonlint ./...
 
 test:
@@ -101,9 +105,11 @@ FUZZTIME = 10s
 # invocation, as the toolchain requires): the scenario configuration
 # surface, the CLI epoch syntax, the timeline schedule against its
 # map-based reference walk, the fault-plan syntax, the strategy registry,
-# the onion codec, and the anonlint suppression parser.
+# the onion codec, the anonlint suppression parser, and the spike/slab
+# accumulator against its dense reference fold.
 fuzz-smoke:
 	$(GO) test ./internal/analysis/allow -run '^$$' -fuzz '^FuzzParseAllow$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/adversary -run '^$$' -fuzz '^FuzzAccumulatorFold$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzParseTimeline$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzPhaseSchedule$$' -fuzztime $(FUZZTIME)

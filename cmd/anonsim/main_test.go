@@ -214,11 +214,11 @@ func TestRunFaults(t *testing.T) {
 
 func TestRunFaultsErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-faults", "loss=1.5"},                  // bad plan value
-		{"-faults", "loss"},                      // not key=value
-		{"-policy", "teleport"},                  // unknown policy
-		{"-policy", "reroute"},                   // policy without a plan
-		{"-faults", "crash=99@5", "-n", "10"},    // crash node outside population
+		{"-faults", "loss=1.5"},               // bad plan value
+		{"-faults", "loss"},                   // not key=value
+		{"-policy", "teleport"},               // unknown policy
+		{"-policy", "reroute"},                // policy without a plan
+		{"-faults", "crash=99@5", "-n", "10"}, // crash node outside population
 	} {
 		var sb strings.Builder
 		if err := run(args, &sb); err == nil {

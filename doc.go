@@ -279,6 +279,18 @@
 //     BenchmarkDegradationRounds fails if the per-op allocation count
 //     regresses past 1% of the old baseline.
 //
+//   - adversary.Accumulator, behind every multi-round session and every
+//     retry-degraded H (HDegraded), keeps the joint posterior in the
+//     spike/slab form each round's posterior has: one log value shared
+//     by every node no round singled out, one flag for the compromised
+//     set, and short lists of eliminated nodes and former spike
+//     candidates. A fold, a snapshot, and a Reset therefore cost
+//     O(witnesses + candidates) per round whatever N is, and the state is
+//     one byte per node. Per-node log values are the sums the dense
+//     vector held; only the snapshot's sums reassociate, and
+//     FuzzAccumulatorFold checks them against the dense reference fold to
+//     1e-9. The dynamic-population PhasedAccumulator stays dense.
+//
 //   - Randomness in the trial loops is counter-based (stats.Stream, a
 //     SplitMix64 stream): trial t of seed s draws a pure function of
 //     (s, t, draw index), so estimates are bit-identical at any worker

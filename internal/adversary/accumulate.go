@@ -25,61 +25,80 @@ var ErrNoObservations = errors.New("adversary: no observations accumulated")
 
 // Accumulator combines per-message sender posteriors across rounds.
 // It is not safe for concurrent use.
+//
+// Every round's posterior is a spike on one candidate plus a uniform slab
+// over the remaining honest nodes, so the joint log-posterior is one
+// shared value plus a few exceptions, and the accumulator stores it in
+// that form: base is the log value of every slab node, the compromised
+// set leaves the slab through the single compElim flag, and each node
+// that a fold eliminated or made a spike carrier has a mark byte, a place
+// in touched, and (while its value is finite) an entry in cands. A fold,
+// a snapshot, and a Reset therefore cost O(witnesses + candidates)
+// whatever N is. Each node's log value is the same IEEE sum the dense
+// vector held; only the snapshot's sums associate differently.
 type Accumulator struct {
 	analyst *Analyst
-	logPost []float64
+	// checked is the last foreign analyst FoldObservation verified to
+	// share the accumulator's compromised set.
+	checked *Analyst
 	rounds  int
+
+	mark    []uint8        // per node: markComp, plus markDead or markCand
+	touched []trace.NodeID // nodes with markDead or markCand set
+	cands   []candidate    // nodes with markCand: their own finite values
+
+	base        float64 // log value shared by every slab node
+	slab        int     // nodes whose value is base
+	compElim    bool    // the compromised set is eliminated (−∞)
+	compTouched int     // compromised nodes with markDead or markCand set
+	compPrefix  int     // length of the compromised prefix [0, compPrefix)
+	first       int     // no slab node has a lower index
+
+	// Initial backing of cands and touched, so the first sessions of a
+	// fresh accumulator do not grow them.
+	candBuf  [16]candidate
+	touchBuf [32]trace.NodeID
 }
+
+// candidate is a node whose log value left the shared slab value.
+type candidate struct {
+	id trace.NodeID
+	lp float64
+}
+
+// Mark bits. markComp is static (set at construction); the session bits
+// are cleared by Reset through the touched list.
+const (
+	markComp uint8 = 1 << iota // compromised under the accumulator's analyst
+	markDead                   // eliminated: log value −∞
+	markCand                   // own value, held in cands
+)
 
 // NewAccumulator returns an accumulator over the analyst's system.
 func NewAccumulator(a *Analyst) (*Accumulator, error) {
 	if a == nil {
 		return nil, fmt.Errorf("%w: nil analyst", ErrBadConfig)
 	}
-	n := a.Engine().N()
-	return &Accumulator{analyst: a, logPost: make([]float64, n)}, nil
+	acc := &Accumulator{analyst: a, mark: make([]uint8, a.engine.N())}
+	for id := range a.compromised {
+		acc.mark[id] = markComp
+	}
+	for acc.compPrefix < len(acc.mark) && acc.mark[acc.compPrefix] == markComp {
+		acc.compPrefix++
+	}
+	acc.cands = acc.candBuf[:0]
+	acc.touched = acc.touchBuf[:0]
+	acc.Reset()
+	return acc, nil
 }
 
 // Observe folds one message trace into the running posterior. Because the
 // per-round prior is uniform, multiplying round posteriors (adding logs)
-// yields the correct joint posterior up to normalization.
+// yields the correct joint posterior up to normalization. It is
+// ObserveScratch with a throwaway Scratch.
 func (acc *Accumulator) Observe(mt *trace.MessageTrace) error {
-	post, err := acc.analyst.Posterior(mt)
-	if err != nil {
-		return err
-	}
-	for i, p := range post.P {
-		if p <= 0 {
-			acc.logPost[i] = math.Inf(-1)
-			continue
-		}
-		acc.logPost[i] += math.Log(p)
-	}
-	acc.rounds++
-	return nil
-}
-
-// FoldPosterior folds an externally computed sender posterior into the
-// running joint — the entry point for partial-information evidence that
-// does not come from this accumulator's own analyst, such as the
-// uncompromised-receiver analysis of a failed delivery attempt or a
-// retransmission prefix (the reliability layer's retry-degraded H). The
-// vector must span the analyst's N nodes and is folded exactly like an
-// Observe posterior: zero mass eliminates a candidate outright.
-func (acc *Accumulator) FoldPosterior(post []float64) error {
-	if len(post) != len(acc.logPost) {
-		return fmt.Errorf("%w: posterior over %d nodes, accumulator over %d",
-			ErrBadConfig, len(post), len(acc.logPost))
-	}
-	for i, p := range post {
-		if p <= 0 {
-			acc.logPost[i] = math.Inf(-1)
-			continue
-		}
-		acc.logPost[i] += math.Log(p)
-	}
-	acc.rounds++
-	return nil
+	var sc Scratch
+	return acc.ObserveScratch(mt, &sc)
 }
 
 // Rounds returns the number of observations folded in.
@@ -90,21 +109,26 @@ func (acc *Accumulator) Posterior() ([]float64, error) {
 	if acc.rounds == 0 {
 		return nil, ErrNoObservations
 	}
-	out := make([]float64, len(acc.logPost))
-	if err := acc.posteriorInto(out); err != nil {
+	out := make([]float64, len(acc.mark))
+	for i, m := range acc.mark {
+		if m&markDead != 0 || (acc.compElim && m&(markComp|markCand) == markComp) {
+			out[i] = math.Inf(-1)
+		} else {
+			out[i] = acc.base
+		}
+	}
+	for _, c := range acc.cands {
+		out[c.id] = c.lp
+	}
+	if err := normalizeLog(out, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// posteriorInto normalizes the joint posterior into the caller's buffer.
-func (acc *Accumulator) posteriorInto(out []float64) error {
-	return normalizeLog(acc.logPost, out)
-}
-
 // normalizeLog exponentiates and normalizes a log-posterior into out
-// (max-subtracted for stability). Shared by the static and the phased
-// accumulator.
+// (max-subtracted for stability; out may alias logPost). Shared by the
+// static and the phased accumulator.
 func normalizeLog(logPost, out []float64) error {
 	maxLog := math.Inf(-1)
 	for _, lp := range logPost {
@@ -166,4 +190,126 @@ func (acc *Accumulator) Snapshot() (h float64, top trace.NodeID, mass float64, e
 		}
 	}
 	return entropy.Bits(p), trace.NodeID(arg), best, nil
+}
+
+// logValue returns node id's current joint log value.
+func (acc *Accumulator) logValue(id trace.NodeID) float64 {
+	m := acc.mark[id]
+	switch {
+	case m&markDead != 0:
+		return math.Inf(-1)
+	case m&markCand != 0:
+		return acc.cands[acc.candIndex(id)].lp
+	case m&markComp != 0 && acc.compElim:
+		return math.Inf(-1)
+	}
+	return acc.base
+}
+
+// candIndex returns id's position in cands; id must carry markCand.
+func (acc *Accumulator) candIndex(id trace.NodeID) int {
+	i := 0
+	for acc.cands[i].id != id {
+		i++
+	}
+	return i
+}
+
+// detach takes a node in the slab state (mark m, no session bit) out of
+// the slab count and records it for Reset.
+func (acc *Accumulator) detach(id trace.NodeID, m uint8) {
+	if m&markComp == 0 || !acc.compElim {
+		acc.slab--
+	}
+	if m&markComp != 0 {
+		acc.compTouched++
+	}
+	acc.touched = append(acc.touched, id)
+}
+
+// kill sets node id's log value to −∞.
+func (acc *Accumulator) kill(id trace.NodeID) {
+	m := acc.mark[id]
+	switch {
+	case m&markDead != 0:
+		return
+	case m&markCand != 0:
+		i, last := acc.candIndex(id), len(acc.cands)-1
+		acc.cands[i] = acc.cands[last]
+		acc.cands = acc.cands[:last]
+	default:
+		acc.detach(id, m)
+	}
+	acc.mark[id] = m&markComp | markDead
+}
+
+// setValue sets node id's log value to lp.
+func (acc *Accumulator) setValue(id trace.NodeID, lp float64) {
+	if math.IsInf(lp, -1) {
+		acc.kill(id)
+		return
+	}
+	m := acc.mark[id]
+	if m&markCand != 0 {
+		acc.cands[acc.candIndex(id)].lp = lp
+		return
+	}
+	if m&markDead == 0 {
+		acc.detach(id, m)
+	}
+	acc.mark[id] = m&markComp | markCand
+	acc.cands = append(acc.cands, candidate{id: id, lp: lp})
+}
+
+// addAll adds logShare to every node's log value (−∞ eliminates all).
+func (acc *Accumulator) addAll(logShare float64) {
+	if math.IsInf(logShare, -1) {
+		acc.base = logShare
+		for _, c := range acc.cands {
+			acc.mark[c.id] = acc.mark[c.id]&markComp | markDead
+		}
+		acc.cands = acc.cands[:0]
+		return
+	}
+	acc.base += logShare
+	for i := range acc.cands {
+		acc.cands[i].lp += logShare
+	}
+}
+
+// eliminateCompromised sets every compromised node's log value to −∞: the
+// slab's through the flag, and any compromised spike carrier's (one an
+// identifying fold kept) directly.
+func (acc *Accumulator) eliminateCompromised() {
+	if !acc.compElim {
+		acc.compElim = true
+		acc.slab -= len(acc.analyst.compromised) - acc.compTouched
+	}
+	for i := len(acc.cands) - 1; i >= 0; i-- {
+		if id := acc.cands[i].id; acc.mark[id]&markComp != 0 {
+			acc.kill(id)
+		}
+	}
+}
+
+// identify keeps node id's log value and eliminates every other node.
+func (acc *Accumulator) identify(id trace.NodeID) {
+	lp := acc.logValue(id)
+	acc.addAll(math.Inf(-1))
+	acc.setValue(id, lp)
+}
+
+// firstSlab returns the lowest-index slab node; the slab must be
+// non-empty. Nodes only ever leave the slab between Resets, so the
+// cursor only moves forward and the scan is O(1) amortized.
+func (acc *Accumulator) firstSlab() trace.NodeID {
+	out := markDead | markCand
+	if acc.compElim {
+		out |= markComp
+		acc.first = max(acc.first, acc.compPrefix)
+	}
+	for acc.mark[acc.first]&out != 0 {
+		acc.first++
+	}
+	return trace.NodeID(acc.first)
 }

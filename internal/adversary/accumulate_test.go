@@ -102,32 +102,39 @@ func TestSnapshotMatchesEntropyAndTop(t *testing.T) {
 	}
 }
 
-// TestFoldPosterior: folding a uniform posterior leaves the accumulated
-// entropy unchanged (uninformative evidence), folding a delta identifies
-// the sender, and a posterior over the wrong population is rejected.
-func TestFoldPosterior(t *testing.T) {
+// TestFoldObservation: folding an empty partial trace (a uniform
+// posterior over the honest nodes) leaves the accumulated entropy
+// unchanged, an identifying fold collapses the joint onto the identified
+// node, and analysts over another population or another compromised set
+// are rejected.
+func TestFoldObservation(t *testing.T) {
 	const n = 10
+	compromised := []trace.NodeID{2, 3}
 	u, err := dist.NewUniform(1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := accumAnalyst(t, n, []trace.NodeID{2}, u)
+	a := accumAnalyst(t, n, compromised, u)
+	analystU := func(n int, compromised []trace.NodeID) *adversary.Analyst {
+		t.Helper()
+		e, err := events.New(n, len(compromised), events.WithUncompromisedReceiver())
+		if err != nil {
+			t.Fatal(err)
+		}
+		au, err := adversary.NewAnalyst(e, u, compromised)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return au
+	}
+	aU := analystU(n, compromised)
 	acc, err := adversary.NewAccumulator(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	strat := pathsel.Strategy{Name: "u", Length: u, Kind: pathsel.Simple}
-	sel, err := pathsel.NewSelector(n, strat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRand(3)
+	var sc adversary.Scratch
 	sender := trace.NodeID(6)
-	path, err := sel.SelectPath(rng, sender)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := acc.Observe(montecarlo.Synthesize(1, sender, path, a.Compromised)); err != nil {
+	if err := acc.Observe(montecarlo.Synthesize(1, sender, []trace.NodeID{8, 3, 5}, a.Compromised)); err != nil {
 		t.Fatal(err)
 	}
 	h0, err := acc.Entropy()
@@ -135,11 +142,8 @@ func TestFoldPosterior(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	uniform := make([]float64, n)
-	for i := range uniform {
-		uniform[i] = 1.0 / n
-	}
-	if err := acc.FoldPosterior(uniform); err != nil {
+	empty := &trace.MessageTrace{Msg: 2}
+	if err := acc.FoldObservation(aU, empty, &sc); err != nil {
 		t.Fatal(err)
 	}
 	h1, err := acc.Entropy()
@@ -147,26 +151,44 @@ func TestFoldPosterior(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.Abs(h1-h0) > 1e-12 {
-		t.Errorf("uniform fold moved entropy: %v -> %v", h0, h1)
+		t.Errorf("empty partial fold moved entropy: %v -> %v", h0, h1)
 	}
 	if acc.Rounds() != 2 {
 		t.Errorf("rounds = %d after one observation and one fold", acc.Rounds())
 	}
 
-	delta := make([]float64, n)
-	delta[sender] = 1
-	if err := acc.FoldPosterior(delta); err != nil {
+	// Compromised node 2 sends through compromised node 3, which reports
+	// a predecessor that filed no relay report: the sender is identified.
+	acc.Reset()
+	ident := montecarlo.SynthesizePartial(3, 2, []trace.NodeID{3, 7}, 1, a.Compromised)
+	if err := acc.FoldObservation(aU, ident, &sc); err != nil {
 		t.Fatal(err)
 	}
-	h2, err := acc.Entropy()
+	h2, top, mass, err := acc.SnapshotFast()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h2 != 0 {
-		t.Errorf("delta fold entropy = %v, want 0", h2)
+	if h2 != 0 || top != 2 || mass != 1 {
+		t.Errorf("identifying fold snapshot = (%v, %v, %v), want (0, 2, 1)", h2, top, mass)
+	}
+	// Any later non-identifying round eliminates the compromised sender.
+	if err := acc.FoldObservation(aU, empty, &sc); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := acc.SnapshotFast(); !errors.Is(err, adversary.ErrCorruptTrace) {
+		t.Errorf("contradicted identification err = %v, want ErrCorruptTrace", err)
 	}
 
-	if err := acc.FoldPosterior(make([]float64, n+1)); !errors.Is(err, adversary.ErrBadConfig) {
-		t.Errorf("mismatched fold err = %v, want ErrBadConfig", err)
+	for name, bad := range map[string]*adversary.Analyst{
+		"nil":               nil,
+		"wrong N":           analystU(n+1, compromised),
+		"other compromised": analystU(n, []trace.NodeID{2, 4}),
+	} {
+		if err := acc.FoldObservation(bad, empty, &sc); !errors.Is(err, adversary.ErrBadConfig) {
+			t.Errorf("%s analyst fold err = %v, want ErrBadConfig", name, err)
+		}
+	}
+	if acc.Rounds() != 2 {
+		t.Errorf("rejected folds changed rounds to %d", acc.Rounds())
 	}
 }

@@ -1,7 +1,7 @@
 package adversary
 
-// The zero-allocation analysis fast path. Classify/Posterior/Observe
-// allocate a map, two class slices, and an N-vector per message — fine for
+// The zero-allocation analysis fast path. Classify and Posterior allocate
+// a map, two class slices, and an N-vector per message — fine for
 // one-off queries, ruinous inside the estimators' trial loops, which fold
 // tens of thousands of rounds per benchmark op. The Scratch arena plus the
 // *Scratch methods below compute the same classification, the same
@@ -182,53 +182,82 @@ func (a *Analyst) honestWitnessed(witnessed []trace.NodeID) int {
 }
 
 // Reset rewinds the accumulator to the uniform prior so session loops can
-// reuse one allocation across sessions.
+// reuse one allocation across sessions. It costs O(nodes touched since the
+// last Reset).
 func (acc *Accumulator) Reset() {
-	for i := range acc.logPost {
-		acc.logPost[i] = 0
+	for _, id := range acc.touched {
+		acc.mark[id] &= markComp
 	}
+	acc.touched = acc.touched[:0]
+	acc.cands = acc.cands[:0]
+	acc.base = 0
+	acc.slab = len(acc.mark)
+	acc.compElim = false
+	acc.compTouched = 0
+	acc.first = 0
 	acc.rounds = 0
 }
 
 // ObserveScratch folds one message trace into the running posterior
 // without materializing the intermediate Posterior vector. The fold is
-// term-for-term the one Observe applies: the spike candidate accumulates
-// log α, slab members log((1−α)/rest), and compromised, witnessed, and
-// zero-mass nodes are eliminated. On error the accumulator is unchanged.
+// term-for-term the one the per-round Posterior implies: the spike
+// candidate accumulates log α, slab members log((1−α)/rest), and
+// compromised, witnessed, and zero-mass nodes are eliminated. On error the
+// accumulator is unchanged.
 func (acc *Accumulator) ObserveScratch(mt *trace.MessageTrace, sc *Scratch) error {
 	return acc.foldObservation(acc.analyst, mt, sc)
 }
 
-// FoldObservation folds the posterior a second analyst derives from mt —
-// the scratch counterpart of FoldPosterior(a.Posterior(mt).P), used by the
-// reliability layer to fold the uncompromised-receiver analysis of failed
-// delivery attempts. The analyst must span the accumulator's N nodes.
+// FoldObservation folds the posterior a second analyst derives from mt,
+// used by the reliability layer to fold the uncompromised-receiver
+// analysis of failed delivery attempts. The analyst must span the
+// accumulator's N nodes and share its compromised set (checked once per
+// analyst); otherwise the fold fails with ErrBadConfig.
 func (acc *Accumulator) FoldObservation(a *Analyst, mt *trace.MessageTrace, sc *Scratch) error {
 	if a == nil {
 		return fmt.Errorf("%w: nil analyst", ErrBadConfig)
 	}
-	if a.engine.N() != len(acc.logPost) {
+	if a.engine.N() != len(acc.mark) {
 		return fmt.Errorf("%w: analyst over %d nodes, accumulator over %d",
-			ErrBadConfig, a.engine.N(), len(acc.logPost))
+			ErrBadConfig, a.engine.N(), len(acc.mark))
+	}
+	if a != acc.analyst && a != acc.checked {
+		if !acc.sharesCompromised(a) {
+			return fmt.Errorf("%w: analyst's compromised set differs from the accumulator's", ErrBadConfig)
+		}
+		acc.checked = a
 	}
 	return acc.foldObservation(a, mt, sc)
 }
 
+// sharesCompromised reports whether a's compromised set is the
+// accumulator's.
+func (acc *Accumulator) sharesCompromised(a *Analyst) bool {
+	if len(a.compromised) != len(acc.analyst.compromised) {
+		return false
+	}
+	missing := 0
+	for id := range a.compromised {
+		if acc.mark[id]&markComp == 0 {
+			missing++
+		}
+	}
+	return missing == 0
+}
+
 // foldObservation classifies mt under analyst a and folds the resulting
-// spike/slab posterior into the joint log-posterior.
+// spike/slab posterior into the joint log-posterior, in the order the
+// dense fold applied it: every node adds the slab share, then the
+// compromised and witnessed nodes drop to −∞, then the candidate takes
+// its old value plus log α.
 func (acc *Accumulator) foldObservation(a *Analyst, mt *trace.MessageTrace, sc *Scratch) error {
 	obs, err := a.ClassifyScratch(mt, sc)
 	if err != nil {
 		return err
 	}
 	n := a.engine.N()
-	lp := acc.logPost
 	if obs.Identified {
-		for i := range lp {
-			if trace.NodeID(i) != obs.Candidate {
-				lp[i] = math.Inf(-1)
-			}
-		}
+		acc.identify(obs.Candidate)
 		acc.rounds++
 		return nil
 	}
@@ -243,7 +272,7 @@ func (acc *Accumulator) foldObservation(a *Analyst, mt *trace.MessageTrace, sc *
 	candInRange := int(obs.Candidate) >= 0 && int(obs.Candidate) < n
 	var candOld float64
 	if candInRange {
-		candOld = lp[obs.Candidate]
+		candOld = acc.logValue(obs.Candidate)
 	}
 	logShare := math.Inf(-1)
 	if st.Rest > 0 {
@@ -251,31 +280,18 @@ func (acc *Accumulator) foldObservation(a *Analyst, mt *trace.MessageTrace, sc *
 			logShare = math.Log(share)
 		}
 	}
-	// Default every node to the slab fold, then carve out the exceptions;
-	// overwriting with −∞ is order-independent, so the map sweep over the
-	// compromised set needs no fixed iteration order.
-	if math.IsInf(logShare, -1) {
-		for i := range lp {
-			lp[i] = math.Inf(-1)
-		}
-	} else {
-		for i := range lp {
-			lp[i] += logShare
-		}
-	}
-	for id := range a.compromised {
-		lp[id] = math.Inf(-1)
-	}
+	acc.addAll(logShare)
+	acc.eliminateCompromised()
 	for _, w := range obs.Witnessed {
 		if w != obs.Candidate && int(w) >= 0 && int(w) < n {
-			lp[w] = math.Inf(-1)
+			acc.kill(w)
 		}
 	}
 	if candInRange {
 		if st.Alpha > 0 {
-			lp[obs.Candidate] = candOld + math.Log(st.Alpha)
+			acc.setValue(obs.Candidate, candOld+math.Log(st.Alpha))
 		} else {
-			lp[obs.Candidate] = math.Inf(-1)
+			acc.kill(obs.Candidate)
 		}
 	}
 	acc.rounds++
@@ -285,13 +301,49 @@ func (acc *Accumulator) foldObservation(a *Analyst, mt *trace.MessageTrace, sc *
 // SnapshotFast returns the joint posterior's entropy (bits), argmax node,
 // and argmax mass without materializing the normalized vector. With
 // m = max log-posterior, S = Σ exp(lᵢ−m), and W = Σ exp(lᵢ−m)·(lᵢ−m), the
-// entropy is (ln S − W/S)/ln 2 and the argmax mass is 1/S. Values agree
+// entropy is (ln S − W/S)/ln 2 and the argmax mass is 1/S; the slab's
+// share of both sums is one term times its node count. The argmax is the
+// lowest-index node of maximal value, as in Snapshot; the values agree
 // with Snapshot up to floating-point association order.
 func (acc *Accumulator) SnapshotFast() (h float64, top trace.NodeID, mass float64, err error) {
 	if acc.rounds == 0 {
 		return 0, 0, 0, ErrNoObservations
 	}
-	return snapshotLog(acc.logPost)
+	slabLive := acc.slab > 0 && !math.IsInf(acc.base, -1)
+	maxLog := math.Inf(-1)
+	if slabLive {
+		maxLog = acc.base
+	}
+	for _, c := range acc.cands {
+		maxLog = max(maxLog, c.lp)
+	}
+	if math.IsInf(maxLog, -1) {
+		return 0, 0, 0, fmt.Errorf("%w: joint posterior vanished (inconsistent observations)", ErrCorruptTrace)
+	}
+	var sum, wsum float64
+	top = trace.Receiver
+	if slabLive {
+		d := acc.base - maxLog
+		k := float64(acc.slab) * math.Exp(d)
+		sum, wsum = k, k*d
+		if d >= 0 {
+			top = acc.firstSlab()
+		}
+	}
+	for _, c := range acc.cands {
+		d := c.lp - maxLog
+		e := math.Exp(d)
+		sum += e
+		wsum += e * d
+		if d >= 0 && (top == trace.Receiver || c.id < top) {
+			top = c.id
+		}
+	}
+	h = (math.Log(sum) - wsum/sum) / math.Ln2
+	if h < 0 {
+		h = 0 // rounding can push a point mass a few ulps negative
+	}
+	return h, top, 1 / sum, nil
 }
 
 // snapshotLog computes the entropy/argmax snapshot of an unnormalized

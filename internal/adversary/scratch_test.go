@@ -117,34 +117,32 @@ func TestEntropyScratchEquivalence(t *testing.T) {
 	}
 }
 
-// TestObserveScratchEquivalence folds the same sessions through the
-// classic Observe/Snapshot pair and the scratch fold, comparing every
-// round's snapshot. The folds associate differently (vector multiply vs
-// in-place add), so agreement is to tolerance, not bit-exact.
+// TestObserveScratchEquivalence folds the same sessions through the dense
+// reference (one log value per node, folded from materialized Posterior
+// vectors) and the spike/slab scratch fold, comparing every round's
+// snapshot. The snapshots sum in different orders, so agreement is to
+// tolerance; the argmax is exact.
 func TestObserveScratchEquivalence(t *testing.T) {
 	f := newScratchFixture(t, 14, []trace.NodeID{0, 1, 5}, 33)
-	accA, err := adversary.NewAccumulator(f.analyst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	accB, err := adversary.NewAccumulator(f.analyst)
+	ref := newDenseAccumulator(f.n)
+	acc, err := adversary.NewAccumulator(f.analyst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sc adversary.Scratch
 	for session := 0; session < 30; session++ {
-		accA.Reset()
-		accB.Reset()
+		ref.reset()
+		acc.Reset()
 		for r := 0; r < 8; r++ {
 			mt, _ := f.nextTrace(t, trace.MessageID(r+1))
-			if err := accA.Observe(mt); err != nil {
+			if err := ref.observe(f.analyst, mt); err != nil {
 				t.Fatal(err)
 			}
-			if err := accB.ObserveScratch(mt, &sc); err != nil {
+			if err := acc.ObserveScratch(mt, &sc); err != nil {
 				t.Fatal(err)
 			}
-			hA, topA, massA, errA := accA.Snapshot()
-			hB, topB, massB, errB := accB.SnapshotFast()
+			hA, topA, massA, errA := ref.snapshot()
+			hB, topB, massB, errB := acc.SnapshotFast()
 			if errA != nil || errB != nil {
 				t.Fatalf("session %d round %d: %v / %v", session, r, errA, errB)
 			}
@@ -193,8 +191,8 @@ func TestAccumulatorResetEquivalence(t *testing.T) {
 }
 
 // TestFoldObservationEquivalence: folding a second analyst's view through
-// FoldObservation matches the FoldPosterior(Posterior(mt).P) composition
-// it replaces — the reliability layer's degraded-evidence path.
+// FoldObservation matches folding its materialized Posterior(mt).P into
+// the dense reference — the reliability layer's degraded-evidence path.
 func TestFoldObservationEquivalence(t *testing.T) {
 	const n = 14
 	compromised := []trace.NodeID{0, 1, 5}
@@ -211,17 +209,14 @@ func TestFoldObservationEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accA, err := adversary.NewAccumulator(f.analyst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	accA := newDenseAccumulator(n)
 	accB, err := adversary.NewAccumulator(f.analyst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sc adversary.Scratch
 	for i := 0; i < 100; i++ {
-		accA.Reset()
+		accA.reset()
 		accB.Reset()
 		sender := trace.NodeID(f.rng.Intn(n))
 		for f.analyst.Compromised(sender) {
@@ -232,7 +227,7 @@ func TestFoldObservationEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		mt := montecarlo.Synthesize(1, sender, path, f.analyst.Compromised)
-		if err := accA.Observe(mt); err != nil {
+		if err := accA.observe(f.analyst, mt); err != nil {
 			t.Fatal(err)
 		}
 		if err := accB.ObserveScratch(mt, &sc); err != nil {
@@ -250,14 +245,12 @@ func TestFoldObservationEquivalence(t *testing.T) {
 				t.Fatalf("case %d: Posterior failed (%v) but FoldObservation accepted", i, errP)
 			}
 		} else {
-			if err := accA.FoldPosterior(post.P); err != nil {
-				t.Fatal(err)
-			}
+			accA.fold(post.P)
 			if errF != nil {
 				t.Fatalf("case %d: FoldObservation failed: %v", i, errF)
 			}
 		}
-		hA, topA, _, errA := accA.Snapshot()
+		hA, topA, _, errA := accA.snapshot()
 		hB, topB, _, errB := accB.SnapshotFast()
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("case %d: snapshot errors %v vs %v", i, errA, errB)

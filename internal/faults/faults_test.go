@@ -62,21 +62,21 @@ func TestParseFaults(t *testing.T) {
 	}
 
 	bad := []string{
-		"loss",              // not key=value
-		"loss=x",            // unparsable float
-		"loss=2",            // outside [0,1] (check-level)
-		"loss=0.1,loss=0.2", // duplicate
-		"jitter=-1",         // negative
-		"jitter=1,jitter=2", // duplicate
-		"crash=3",           // missing @time
-		"crash=x@5",         // bad node
-		"crash=-1@5",        // negative node
-		"crash=3@x",         // bad time
-		"crash=3@5-x",       // bad recover
-		"crash=3@10-5",      // recover before crash
-		"crash=3@10,crash=3@20",     // overlap: first never recovers
-		"crash=3@10-50,crash=3@20",  // overlapping windows
-		"volume=11",         // unknown key
+		"loss",                     // not key=value
+		"loss=x",                   // unparsable float
+		"loss=2",                   // outside [0,1] (check-level)
+		"loss=0.1,loss=0.2",        // duplicate
+		"jitter=-1",                // negative
+		"jitter=1,jitter=2",        // duplicate
+		"crash=3",                  // missing @time
+		"crash=x@5",                // bad node
+		"crash=-1@5",               // negative node
+		"crash=3@x",                // bad time
+		"crash=3@5-x",              // bad recover
+		"crash=3@10-5",             // recover before crash
+		"crash=3@10,crash=3@20",    // overlap: first never recovers
+		"crash=3@10-50,crash=3@20", // overlapping windows
+		"volume=11",                // unknown key
 	}
 	for _, s := range bad {
 		if _, err := ParseFaults(s); !errors.Is(err, ErrBadPlan) {

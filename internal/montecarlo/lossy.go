@@ -10,6 +10,8 @@ package montecarlo
 // retry-observation accounting draw for draw in distribution.
 
 import (
+	"errors"
+	"fmt"
 	"sync/atomic"
 
 	"anonmix/internal/adversary"
@@ -202,9 +204,10 @@ func simulateDelivery(rng *stats.Stream, ar *lossyArena, sender trace.NodeID,
 // degradedEntropy folds a delivered trial's full posterior together with
 // the partial-trace evidence its retries leaked, under the
 // uncompromised-receiver analysis (a failed attempt never produced a
-// receiver report). Partial traces the analyst cannot classify are
-// skipped — the conservative adversary discards evidence it cannot fit
-// to its model rather than guessing.
+// receiver report). Partial traces the analyst cannot classify
+// (ErrCorruptTrace, ErrModelMismatch) are skipped — the conservative
+// adversary discards evidence it cannot fit to its model rather than
+// guessing; any other fold error is returned.
 func degradedEntropy(ar *lossyArena, analystU *adversary.Analyst,
 	sender trace.NodeID, path []trace.NodeID, partials []partialAttempt,
 	compromised func(trace.NodeID) bool) (float64, error) {
@@ -218,8 +221,9 @@ func degradedEntropy(ar *lossyArena, analystU *adversary.Analyst,
 			p = path
 		}
 		SynthesizePartialInto(&ar.pmt, ar.mt.Msg, sender, p, pa.upto, compromised)
-		if err := ar.acc.FoldObservation(analystU, &ar.pmt, &ar.sc); err != nil {
-			continue
+		err := ar.acc.FoldObservation(analystU, &ar.pmt, &ar.sc)
+		if err != nil && !errors.Is(err, adversary.ErrCorruptTrace) && !errors.Is(err, adversary.ErrModelMismatch) {
+			return 0, fmt.Errorf("montecarlo: partial trace: %w", err)
 		}
 	}
 	h, _, _, err := ar.acc.SnapshotFast()

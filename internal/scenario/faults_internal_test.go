@@ -7,6 +7,7 @@ package scenario
 // on a real defect (a forwarder error) rather than the fault process.
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -76,6 +77,45 @@ func TestFoldDegradedSkipsUnusablePartials(t *testing.T) {
 	}
 	if diff := h - plain; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("skipped partials changed entropy: %v vs %v", h, plain)
+	}
+}
+
+// TestFoldDegradedRejectsForeignAnalyst: a partial fold through an
+// analyst over another population is a configuration error, not an
+// unclassifiable partial, and must fail the fold instead of silently
+// leaving HDegraded at H.
+func TestFoldDegradedRejectsForeignAnalyst(t *testing.T) {
+	u, err := dist.NewUniform(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compromised := []trace.NodeID{0, 1}
+	e, err := events.New(12, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyst, err := adversary.NewAnalyst(e, u, compromised)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eU, err := events.New(13, 2, events.WithUncompromisedReceiver())
+	if err != nil {
+		t.Fatal(err)
+	}
+	analystU, err := adversary.NewAnalyst(eU, u, compromised)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := adversary.NewAccumulator(analyst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isComp := func(id trace.NodeID) bool { return id < 2 }
+	mt := montecarlo.Synthesize(7, 5, []trace.NodeID{1, 8}, isComp)
+	partial := montecarlo.SynthesizePartial(7, 5, []trace.NodeID{1, 8}, 1, isComp)
+	var sc adversary.Scratch
+	if _, err := foldDegraded(acc, analystU, mt, []*trace.MessageTrace{partial}, &sc); !errors.Is(err, adversary.ErrBadConfig) {
+		t.Fatalf("fold through a 13-node analyst into a 12-node accumulator: err = %v, want ErrBadConfig", err)
 	}
 }
 

@@ -459,4 +459,3 @@ func TestFaultedMixAndOnion(t *testing.T) {
 		})
 	}
 }
-

@@ -19,6 +19,7 @@ package scenario
 import (
 	cryptorand "crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -117,9 +118,11 @@ func truncateAtObserver(mt *trace.MessageTrace, obs trace.NodeID) *trace.Message
 // posterior into the caller's reusable accumulator (reset here): the full
 // delivered trace through the accumulator's own analyst, then every
 // leaked partial trace through the uncompromised-receiver analyst.
-// Partials the model cannot classify (e.g. a lossy link whose target is
-// itself compromised, breaking the witnessed-set arithmetic) are skipped —
-// the conservative adversary discards what it cannot fit.
+// Partials the model cannot classify (ErrCorruptTrace or ErrModelMismatch,
+// e.g. a lossy link whose target is itself compromised, breaking the
+// witnessed-set arithmetic) are skipped — the conservative adversary
+// discards what it cannot fit. Any other error, such as an analyst that
+// does not match the accumulator, fails the fold.
 func foldDegraded(acc *adversary.Accumulator, analystU *adversary.Analyst,
 	mt *trace.MessageTrace, partials []*trace.MessageTrace,
 	sc *adversary.Scratch) (float64, error) {
@@ -131,8 +134,9 @@ func foldDegraded(acc *adversary.Accumulator, analystU *adversary.Analyst,
 		if pmt == nil {
 			continue
 		}
-		if err := acc.FoldObservation(analystU, pmt, sc); err != nil {
-			continue
+		err := acc.FoldObservation(analystU, pmt, sc)
+		if err != nil && !errors.Is(err, adversary.ErrCorruptTrace) && !errors.Is(err, adversary.ErrModelMismatch) {
+			return 0, fmt.Errorf("scenario: partial trace: %w", err)
 		}
 	}
 	h, _, _, err := acc.SnapshotFast()

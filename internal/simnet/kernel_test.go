@@ -64,6 +64,43 @@ func TestMillionNodesSparseTraffic(t *testing.T) {
 	}
 }
 
+// TestHopsDoNotAllocate: forwarding a packet costs no heap allocation. A
+// settled run of plain 5-hop messages must allocate fewer objects than it
+// processes hop events — the route copy SendRoute makes is one per
+// message, and the delivery and tuple logs grow amortized.
+func TestHopsDoNotAllocate(t *testing.T) {
+	const n, messages, hops = 64, 1000, 5
+	nw, err := simnet.New(simnet.Config{N: n, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Start()
+	defer nw.Close()
+	route := make([]trace.NodeID, hops)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < messages; i++ {
+		for h := range route {
+			route[h] = trace.NodeID((i + 7*h + 1) % n)
+		}
+		if _, err := nw.SendRoute(trace.NodeID(i%n), route, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := nw.WaitSettled(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	events := nw.Metrics().Events
+	if events != messages*hops {
+		t.Fatalf("events = %d, want %d", events, messages*hops)
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs >= events {
+		t.Errorf("%d allocations for %d hop events: forwarding allocates per hop", allocs, events)
+	}
+}
+
 // TestBatchThresholdMixes verifies threshold-mix batching: packets queued
 // at a node leave together with one release time, and partial batches
 // flush on quiescence so WaitSettled terminates.

@@ -30,9 +30,9 @@ func TestReliabilityConfigValidation(t *testing.T) {
 		{N: 4, Policy: faults.Policy(9)},
 		{N: 4, MaxAttempts: -1},
 		{N: 4, RetryBackoff: -time.Nanosecond},
-		{N: 4, Crashes: []faults.Crash{{Node: 9, At: 1}}},                           // node out of range
-		{N: 4, Crashes: []faults.Crash{{Node: 1, At: 10, Recover: 5}}},              // recover before crash
-		{N: 4, Crashes: []faults.Crash{{Node: 1, At: 10}, {Node: 1, At: 20}}},       // overlapping windows
+		{N: 4, Crashes: []faults.Crash{{Node: 9, At: 1}}},                     // node out of range
+		{N: 4, Crashes: []faults.Crash{{Node: 1, At: 10, Recover: 5}}},        // recover before crash
+		{N: 4, Crashes: []faults.Crash{{Node: 1, At: 10}, {Node: 1, At: 20}}}, // overlapping windows
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); !errors.Is(err, ErrBadConfig) {

@@ -456,6 +456,11 @@ type shard struct {
 	// node's queue, outside the shard lock.
 	batches map[trace.NodeID][]event
 	rng     *rand.Rand
+
+	// hop is the packet hopAt hands the forwarder by pointer. Owned by the
+	// shard's goroutine, it keeps that pointer from moving every hop's
+	// packet to the heap; hopAt clears it again so it pins no buffers.
+	hop Packet
 }
 
 // Network is a running testbed. Create with New, start with Start, and
@@ -856,7 +861,7 @@ func (nw *Network) process(s *shard, ev event) {
 		nw.eventDone()
 		return
 	}
-	nw.hopAt(ev.node, ev.pkt, ev.time)
+	nw.hopAt(s, ev.node, ev.pkt, ev.time)
 	nw.eventDone()
 }
 
@@ -922,7 +927,7 @@ func (nw *Network) flushBatch(s *shard, q []event) {
 	}
 	s.rng.Shuffle(len(q), func(i, j int) { q[i], q[j] = q[j], q[i] })
 	for _, ev := range q {
-		nw.hopAt(ev.node, ev.pkt, release)
+		nw.hopAt(s, ev.node, ev.pkt, release)
 	}
 }
 
@@ -932,7 +937,8 @@ func (nw *Network) flushBatch(s *shard, q []event) {
 // node hands the packet to the reliability policy instead of processing
 // it — including packets released from a partial mix batch, which route
 // through here as well, so a crashing mix never leaks its held traffic.
-func (nw *Network) hopAt(self trace.NodeID, pkt Packet, t uint64) {
+// It runs on the goroutine of s, the shard that owns self.
+func (nw *Network) hopAt(s *shard, self trace.NodeID, pkt Packet, t uint64) {
 	if !nw.isLive(self, t) {
 		// The packet reached a node outside the live membership (left, or
 		// not yet joined) — the injector routed through a non-member.
@@ -958,7 +964,9 @@ func (nw *Network) hopAt(self trace.NodeID, pkt Packet, t uint64) {
 		return
 	}
 	pkt.tries = 0
-	next, err := nw.fwd.Next(self, &pkt)
+	s.hop = pkt
+	next, err := nw.fwd.Next(self, &s.hop)
+	pkt, s.hop = s.hop, Packet{}
 	cause := DropForwarder
 	if err == nil && next != trace.Receiver && (int(next) < 0 || int(next) >= nw.cfg.N) {
 		err = fmt.Errorf("%w: %v at node %v", ErrBadHop, next, self)
