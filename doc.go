@@ -205,11 +205,22 @@
 //     C, which lets the Monte-Carlo estimator cross-validate the bucketed
 //     engine deep into the large-C regime.
 //
-//   - events.Engine memoizes every posterior it computes, keyed by the
-//     observation class or bucket set and the exact IEEE-754 fingerprint
-//     of the path-length distribution. ClassStats, StatsFor, Weights, and
-//     AnonymityDegree never compute a (class, distribution) pair twice,
-//     and class enumerations are shared per (C, receiver) across engines.
+//   - events.Engine memoizes its results per path-length distribution,
+//     keyed by the distribution's exact IEEE-754 fingerprint: ClassStats,
+//     BucketStats, Weights, and AnonymityDegree store whole result
+//     vectors, and class enumerations are shared per (C, receiver) across
+//     engines. Single-class statistics (StatsFor, behind every simulated
+//     trace the adversary analyzes) live in a per-distribution
+//     events.StatsTable, for which the engine validates and fingerprints
+//     the distribution once. A class's posterior depends on the class only
+//     through its shape, so the table keys its entries by the four
+//     integers the computation reads (k compromised, and the minimum
+//     length, free gap count, and witness count of the shape), and every
+//     class of a shape shares one entry. Lookups read a published map
+//     without locking; misses go through a mutex-guarded map that is
+//     republished once it has served as many slow lookups as it holds
+//     entries. The adversary resolves its table once, when it is built,
+//     and keeps the compromised set as a bitset over the node indices.
 //     Engines are safe for concurrent use; scenario.Engine additionally
 //     shares one engine per configuration process-wide — an LRU with a
 //     configurable capacity (SetEngineCacheCapacity) and exported
@@ -272,8 +283,7 @@
 //     Fisher–Yates pool in the dense one), and adversarial analysis runs
 //     through adversary.Scratch / Accumulator.ObserveScratch — the
 //     classify-fold-snapshot pipeline with zero heap traffic once the
-//     engine's memoized class statistics are warm (StatsFor itself looks
-//     up cached statistics through pooled binary keys, no strings). The
+//     analyst's shape-keyed statistics table is warm. The
 //     multi-round degradation benchmark dropped from ~93ms / 57MB / 366k
 //     allocations per op to ~21ms / 15kB / ~120 allocations, and
 //     BenchmarkDegradationRounds fails if the per-op allocation count

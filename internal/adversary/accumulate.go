@@ -80,7 +80,7 @@ func NewAccumulator(a *Analyst) (*Accumulator, error) {
 		return nil, fmt.Errorf("%w: nil analyst", ErrBadConfig)
 	}
 	acc := &Accumulator{analyst: a, mark: make([]uint8, a.engine.N())}
-	for id := range a.compromised {
+	for _, id := range a.compromised {
 		acc.mark[id] = markComp
 	}
 	for acc.compPrefix < len(acc.mark) && acc.mark[acc.compPrefix] == markComp {

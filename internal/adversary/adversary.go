@@ -35,14 +35,20 @@ var (
 // compromised nodes, and the path-length distribution of the strategy in
 // use.
 type Analyst struct {
-	engine      *events.Engine
-	length      dist.Length
-	compromised map[trace.NodeID]bool
+	engine *events.Engine
+	stats  *events.StatsTable
+	// compromised lists the adversary's nodes in the caller's order, and
+	// compBits holds the same set as a bitset over [0, N).
+	compromised []trace.NodeID
+	compBits    []uint64
 }
 
 // NewAnalyst returns an analyst for the given exact engine, strategy
 // length distribution, and compromised node set. The compromised set size
-// must match the engine's C.
+// must match the engine's C. The engine validates d here, once for every
+// trace the analyst will analyze, so a distribution it rejects fails
+// NewAnalyst with events.ErrSupportTooLong (support beyond N−1) or
+// dist.ErrInvalid, not the first analysis.
 func NewAnalyst(e *events.Engine, d dist.Length, compromised []trace.NodeID) (*Analyst, error) {
 	if e == nil {
 		return nil, fmt.Errorf("%w: nil engine", ErrBadConfig)
@@ -61,17 +67,26 @@ func NewAnalyst(e *events.Engine, d dist.Length, compromised []trace.NodeID) (*A
 		return nil, fmt.Errorf("%w: %d compromised nodes, engine expects %d",
 			ErrBadConfig, len(compromised), e.C())
 	}
-	set := make(map[trace.NodeID]bool, len(compromised))
+	a := &Analyst{
+		engine:      e,
+		compromised: append([]trace.NodeID(nil), compromised...),
+		compBits:    make([]uint64, (e.N()+63)/64),
+	}
 	for _, id := range compromised {
 		if int(id) < 0 || int(id) >= e.N() {
 			return nil, fmt.Errorf("%w: compromised node %v outside system", ErrBadConfig, id)
 		}
-		if set[id] {
+		if a.Compromised(id) {
 			return nil, fmt.Errorf("%w: duplicate compromised node %v", ErrBadConfig, id)
 		}
-		set[id] = true
+		a.compBits[id/64] |= 1 << (id % 64)
 	}
-	return &Analyst{engine: e, length: d, compromised: set}, nil
+	stats, err := e.StatsTable(d)
+	if err != nil {
+		return nil, err
+	}
+	a.stats = stats
+	return a, nil
 }
 
 // Observation is the adversary's reconstructed view of one message.
@@ -120,7 +135,7 @@ func (a *Analyst) Classify(mt *trace.MessageTrace) (Observation, error) {
 		}
 		obs.Candidate = mt.ReceiverPred
 		obs.Witnessed[mt.ReceiverPred] = true
-		if a.compromised[mt.ReceiverPred] {
+		if a.Compromised(mt.ReceiverPred) {
 			// A compromised relay would have reported; a silent
 			// compromised predecessor must be the sender (direct send by
 			// one of the adversary's own nodes).
@@ -133,7 +148,7 @@ func (a *Analyst) Classify(mt *trace.MessageTrace) (Observation, error) {
 	var runs []int
 	var gaps []events.GapFlag
 	for i, r := range mt.Reports {
-		if !a.compromised[r.Observer] {
+		if !a.Compromised(r.Observer) {
 			return Observation{}, fmt.Errorf("%w: report from unknown agent %v", ErrCorruptTrace, r.Observer)
 		}
 		if seen[r.Observer] {
@@ -190,7 +205,7 @@ func (a *Analyst) Classify(mt *trace.MessageTrace) (Observation, error) {
 	}
 	obs.Witnessed[obs.Candidate] = true
 	obs.Class = events.Class{Runs: runs, Gaps: gaps, Tail: tail}
-	if a.compromised[obs.Candidate] {
+	if a.Compromised(obs.Candidate) {
 		// The predecessor of the first run is one of the adversary's own
 		// nodes yet it filed no relay report for this message: it must be
 		// the originator (local-eavesdropper case).
@@ -231,7 +246,7 @@ func (a *Analyst) Posterior(mt *trace.MessageTrace) (Posterior, error) {
 		post.P[obs.Candidate] = 1
 		return post, nil
 	}
-	st, err := a.engine.StatsFor(obs.Class, a.length)
+	st, err := a.stats.StatsFor(obs.Class)
 	if err != nil {
 		return Posterior{}, err
 	}
@@ -240,7 +255,7 @@ func (a *Analyst) Posterior(mt *trace.MessageTrace) (Posterior, error) {
 	var slab []trace.NodeID
 	for v := 0; v < n; v++ {
 		id := trace.NodeID(v)
-		if a.compromised[id] || obs.Witnessed[id] || id == obs.Candidate {
+		if a.Compromised(id) || obs.Witnessed[id] || id == obs.Candidate {
 			continue
 		}
 		slab = append(slab, id)
@@ -282,7 +297,7 @@ func (a *Analyst) Entropy(mt *trace.MessageTrace) (float64, error) {
 	if obs.Identified {
 		return 0, nil
 	}
-	st, err := a.engine.StatsFor(obs.Class, a.length)
+	st, err := a.stats.StatsFor(obs.Class)
 	if err != nil {
 		return 0, err
 	}
@@ -290,10 +305,12 @@ func (a *Analyst) Entropy(mt *trace.MessageTrace) (float64, error) {
 	// which together with the compromised set are exactly the nodes
 	// Posterior excludes from the slab — so the expected slab size follows
 	// by counting. A partial trace's lost-link target can itself be
-	// compromised, so only honest witnesses shrink the slab further.
+	// compromised, so only honest witnesses shrink the slab further. The
+	// bitset is indexed inline: a call inside a map range would make the
+	// loop order-sensitive to anonlint's detrand.
 	w := 0
 	for id := range obs.Witnessed {
-		if !a.compromised[id] {
+		if i := uint(id) / 64; i >= uint(len(a.compBits)) || a.compBits[i]&(1<<(uint(id)%64)) == 0 {
 			w++
 		}
 	}
@@ -336,7 +353,10 @@ func (a *Analyst) AnalyzeAll(tuples []trace.Tuple) (map[trace.MessageID]Posterio
 }
 
 // Compromised reports whether the analyst controls the given node.
-func (a *Analyst) Compromised(id trace.NodeID) bool { return a.compromised[id] }
+func (a *Analyst) Compromised(id trace.NodeID) bool {
+	i := uint(id) / 64
+	return i < uint(len(a.compBits)) && a.compBits[i]&(1<<(uint(id)%64)) != 0
+}
 
 // Engine exposes the underlying exact engine (read-only use).
 func (a *Analyst) Engine() *events.Engine { return a.engine }

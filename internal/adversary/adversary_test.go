@@ -68,6 +68,22 @@ func TestNewAnalystValidation(t *testing.T) {
 	}
 }
 
+// TestNewAnalystRejectsEngineInvalidLength: the engine validates the length
+// distribution when the analyst is built, not at its first trace.
+func TestNewAnalystRejectsEngineInvalidLength(t *testing.T) {
+	e, err := events.New(10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp := []trace.NodeID{0, 1}
+	if _, err := adversary.NewAnalyst(e, uniform(t, 2, 10), comp); !errors.Is(err, events.ErrSupportTooLong) {
+		t.Errorf("support beyond N-1: err = %v, want ErrSupportTooLong", err)
+	}
+	if _, err := adversary.NewAnalyst(e, dist.Uniform{A: 5, B: 2}, comp); !errors.Is(err, dist.ErrInvalid) {
+		t.Errorf("empty support: err = %v, want dist.ErrInvalid", err)
+	}
+}
+
 func TestClassifyStructures(t *testing.T) {
 	// System of 12 nodes, compromised {0,1,2}. Sender 5.
 	a := analyst(t, 12, []trace.NodeID{0, 1, 2}, uniform(t, 0, 9))
@@ -308,6 +324,17 @@ func TestCompromisedAndEngineAccessors(t *testing.T) {
 	a := analyst(t, 12, []trace.NodeID{3, 4}, uniform(t, 0, 5))
 	if !a.Compromised(3) || a.Compromised(5) {
 		t.Error("Compromised accessor wrong")
+	}
+	// The set is a bitset over [0, N): word boundaries and identities
+	// outside the system (the receiver's −1 included) must read false.
+	wide := analyst(t, 130, []trace.NodeID{0, 63, 64, 129}, uniform(t, 0, 5))
+	for id, want := range map[trace.NodeID]bool{
+		0: true, 63: true, 64: true, 129: true, 1: false, 62: false, 65: false, 128: false,
+		130: false, 191: false, 192: false, trace.Receiver: false, -64: false, 1 << 40: false,
+	} {
+		if got := wide.Compromised(id); got != want {
+			t.Errorf("Compromised(%d) = %v, want %v", id, got, want)
+		}
 	}
 	if a.Engine() == nil || a.Engine().N() != 12 {
 		t.Error("Engine accessor wrong")

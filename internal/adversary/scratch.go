@@ -81,13 +81,13 @@ func (a *Analyst) ClassifyScratch(mt *trace.MessageTrace, sc *Scratch) (Observat
 		obs.Candidate = mt.ReceiverPred
 		sc.addWitness(mt.ReceiverPred)
 		obs.Witnessed = sc.witnessed
-		obs.Identified = a.compromised[mt.ReceiverPred]
+		obs.Identified = a.Compromised(mt.ReceiverPred)
 		return obs, nil
 	}
 
 	for i := range mt.Reports {
 		r := &mt.Reports[i]
-		if !a.compromised[r.Observer] {
+		if !a.Compromised(r.Observer) {
 			return ObservationView{}, fmt.Errorf("%w: report from unknown agent %v", ErrCorruptTrace, r.Observer)
 		}
 		for _, o := range sc.observers {
@@ -139,7 +139,7 @@ func (a *Analyst) ClassifyScratch(mt *trace.MessageTrace, sc *Scratch) (Observat
 	sc.addWitness(obs.Candidate)
 	obs.Witnessed = sc.witnessed
 	obs.Class = events.Class{Runs: sc.runs, Gaps: sc.gaps, Tail: tail}
-	obs.Identified = a.compromised[obs.Candidate]
+	obs.Identified = a.Compromised(obs.Candidate)
 	return obs, nil
 }
 
@@ -153,7 +153,7 @@ func (a *Analyst) EntropyScratch(mt *trace.MessageTrace, sc *Scratch) (float64, 
 	if obs.Identified {
 		return 0, nil
 	}
-	st, err := a.engine.StatsFor(obs.Class, a.length)
+	st, err := a.stats.StatsFor(obs.Class)
 	if err != nil {
 		return 0, err
 	}
@@ -174,7 +174,7 @@ func (a *Analyst) EntropyScratch(mt *trace.MessageTrace, sc *Scratch) (float64, 
 func (a *Analyst) honestWitnessed(witnessed []trace.NodeID) int {
 	w := 0
 	for _, id := range witnessed {
-		if !a.compromised[id] {
+		if !a.Compromised(id) {
 			w++
 		}
 	}
@@ -236,13 +236,12 @@ func (acc *Accumulator) sharesCompromised(a *Analyst) bool {
 	if len(a.compromised) != len(acc.analyst.compromised) {
 		return false
 	}
-	missing := 0
-	for id := range a.compromised {
+	for _, id := range a.compromised {
 		if acc.mark[id]&markComp == 0 {
-			missing++
+			return false
 		}
 	}
-	return missing == 0
+	return true
 }
 
 // foldObservation classifies mt under analyst a and folds the resulting
@@ -261,7 +260,7 @@ func (acc *Accumulator) foldObservation(a *Analyst, mt *trace.MessageTrace, sc *
 		acc.rounds++
 		return nil
 	}
-	st, err := a.engine.StatsFor(obs.Class, a.length)
+	st, err := a.stats.StatsFor(obs.Class)
 	if err != nil {
 		return err
 	}
@@ -427,7 +426,7 @@ func (pa *PhasedAccumulator) ObserveScratch(a *Analyst, mt *trace.MessageTrace, 
 		pa.rounds++
 		return nil
 	}
-	st, err := a.Engine().StatsFor(obs.Class, a.length)
+	st, err := a.stats.StatsFor(obs.Class)
 	if err != nil {
 		return err
 	}
@@ -454,7 +453,7 @@ func (pa *PhasedAccumulator) ObserveScratch(a *Analyst, mt *trace.MessageTrace, 
 			lp[g] += logShare
 		}
 	}
-	for id := range a.compromised {
+	for _, id := range a.compromised {
 		lp[live[id]] = math.Inf(-1)
 	}
 	for _, w := range obs.Witnessed {

@@ -2,11 +2,13 @@ package events
 
 // Memoization layer for the exact engine. Every figure, optimizer restart,
 // and Monte-Carlo trial funnels through ClassStats / StatsFor / Weights
-// with a small set of distinct (class, distribution) inputs, so the engine
-// keeps per-instance memo tables keyed by the distribution's exact mass
-// fingerprint. All cached computations are pure functions of the engine
-// configuration and the key, which makes cache hits bit-identical to
-// recomputation and the tables safe to share across goroutines.
+// with a small set of distinct distributions, so the engine keeps
+// per-instance memo tables keyed by the distribution's exact mass
+// fingerprint (single-class statistics live one level down, in each
+// distribution's StatsTable). All cached computations are pure functions
+// of the engine configuration and the key, which makes cache hits
+// bit-identical to recomputation and the tables safe to share across
+// goroutines.
 
 import (
 	"encoding/binary"
@@ -36,38 +38,6 @@ func distKey(d dist.Length) string {
 	return string(buf)
 }
 
-// appendClassKey appends an injective binary encoding of a valid class
-// signature: run count, run lengths, gap flags, tail flag, exact tail.
-// Unlike Class.String() it allocates nothing when buf has capacity, which
-// keeps the StatsFor hot path allocation-free on cache hits.
-func appendClassKey(buf []byte, cl Class) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cl.Runs)))
-	for _, r := range cl.Runs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
-	}
-	for _, g := range cl.Gaps {
-		buf = append(buf, byte(g))
-	}
-	buf = append(buf, byte(cl.Tail))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(cl.ExactTail))
-	return buf
-}
-
-// appendDistKey appends distKey's fingerprint without the string copy.
-func appendDistKey(buf []byte, d dist.Length) []byte {
-	lo, hi := d.Support()
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(lo))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(hi))
-	for l := lo; l <= hi; l++ {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.PMF(l)))
-	}
-	return buf
-}
-
-// statsKeyPool recycles the key buffers StatsFor encodes into, so the
-// per-trial lookups stay off the heap.
-var statsKeyPool = sync.Pool{New: func() any { return new([]byte) }}
-
 // weightKey identifies one Weights support range.
 type weightKey struct{ lo, hi int }
 
@@ -77,7 +47,7 @@ type engineMemo struct {
 	classStats  map[string][]Stats
 	bucketStats map[string][]BucketStats
 	degrees     map[string]float64
-	single      map[string]Stats
+	tables      map[string]*StatsTable
 	weights     map[weightKey][]ClassWeights
 }
 
@@ -129,22 +99,26 @@ func (m *engineMemo) storeDegree(key string, h float64) {
 	m.mu.Unlock()
 }
 
-// loadSingle looks up a (class, distribution) binary key. The direct
-// m.single[string(key)] index lets the compiler elide the string copy.
-func (m *engineMemo) loadSingle(key []byte) (Stats, bool) {
+// table returns the stats table stored under key, storing a new one for
+// (e, d) first if there is none, so concurrent callers share one table.
+func (m *engineMemo) table(key string, e *Engine, d dist.Length) *StatsTable {
 	m.mu.RLock()
-	st, ok := m.single[string(key)]
+	t, ok := m.tables[key]
 	m.mu.RUnlock()
-	return st, ok
-}
-
-func (m *engineMemo) storeSingle(key []byte, st Stats) {
-	m.mu.Lock()
-	if m.single == nil || len(m.single) >= maxMemoEntries {
-		m.single = make(map[string]Stats)
+	if ok {
+		return t
 	}
-	m.single[string(key)] = st
-	m.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if t, ok := m.tables[key]; ok {
+		return t
+	}
+	if m.tables == nil || len(m.tables) >= maxMemoEntries {
+		m.tables = make(map[string]*StatsTable)
+	}
+	t = &StatsTable{e: e, d: d}
+	m.tables[key] = t
+	return t
 }
 
 func (m *engineMemo) loadWeights(key weightKey) ([]ClassWeights, bool) {

@@ -164,3 +164,58 @@ func TestStatsForMemoMatchesCold(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsTableConcurrentMatchesCold: goroutines released together query
+// every class of one cold shared StatsTable, each in its own order, so
+// misses and republishes of the table happen under contention. Every
+// answer must be bit-identical to a cold engine's and carry the caller's
+// class.
+func TestStatsTableConcurrentMatchesCold(t *testing.T) {
+	const n, c, goroutines = 25, 3, 8
+	for _, receiver := range []bool{true, false} {
+		var opts []events.Option
+		if !receiver {
+			opts = append(opts, events.WithUncompromisedReceiver())
+		}
+		shared := mustEngine(t, n, c, opts...)
+		for _, d := range []dist.Length{mustUniform(t, 0, 12), mustFixed(t, 6)} {
+			want, err := mustEngine(t, n, c, opts...).ClassStats(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			table, err := shared.StatsTable(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					<-start
+					for r := 0; r < 2*len(want); r++ {
+						i := (r + g*len(want)/goroutines) % len(want)
+						if g%2 == 1 {
+							i = len(want) - 1 - i
+						}
+						cl := want[i].Class
+						got, err := table.StatsFor(cl)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if got.P != want[i].P || got.Alpha != want[i].Alpha || got.H != want[i].H ||
+							got.Rest != want[i].Rest || got.Class.String() != cl.String() {
+							t.Errorf("receiver=%v %s class %s: shared table %+v, cold engine %+v",
+								receiver, d, cl, got, want[i])
+							return
+						}
+					}
+				}(g)
+			}
+			close(start)
+			wg.Wait()
+		}
+	}
+}

@@ -305,11 +305,11 @@ func (m InferenceMode) String() string {
 // Engine computes exact anonymity degrees for a rerouting-based anonymous
 // communication system with n nodes of which c are compromised.
 //
-// The engine memoizes every per-class posterior it computes, keyed by the
-// exact mass fingerprint of the length distribution, so repeated queries
-// (figure sweeps, optimizer restarts, Monte-Carlo trials) never recompute
-// a class. It is safe for concurrent use; cached results are bit-identical
-// to fresh computation.
+// The engine memoizes its results per length distribution, keyed by the
+// distribution's exact mass fingerprint: the aggregate and per-class
+// vectors whole, and single-class statistics in a per-distribution
+// StatsTable keyed by class shape. It is safe for concurrent use; cached
+// results are bit-identical to fresh computation.
 type Engine struct {
 	n, c       int
 	mode       InferenceMode
@@ -454,7 +454,6 @@ func (e *Engine) classStatsKeyed(key string, d dist.Length) ([]Stats, error) {
 		return nil, err
 	}
 	out := make([]Stats, len(classes))
-	errs := make([]error, len(classes))
 	// Fan the per-class posteriors out over the shared worker pool. Each
 	// task writes only its own slot, and the verification sum below runs
 	// over the slots in class order, so the parallel path is bit-identical
@@ -462,18 +461,15 @@ func (e *Engine) classStatsKeyed(key string, d dist.Length) ([]Stats, error) {
 	// not worth the dispatch overhead.
 	if len(classes) >= parallelClassThreshold {
 		pool.ForEach(len(classes), func(i int) {
-			out[i], errs[i] = e.statsFor(classes[i], d)
+			out[i] = e.statsFor(classes[i], d)
 		})
 	} else {
 		for i, cl := range classes {
-			out[i], errs[i] = e.statsFor(cl, d)
+			out[i] = e.statsFor(cl, d)
 		}
 	}
 	var total float64
 	for i := range out {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
 		total += out[i].P
 	}
 	if math.Abs(total-1) > 1e-6 {
@@ -490,36 +486,21 @@ const parallelClassThreshold = 64
 // StatsFor returns the statistics of a single observation class under d.
 // It is the entry point used by the simulation adversary, which reconstructs
 // a Class from concrete tuple reports and needs the posterior spike Alpha
-// and candidate count Rest to build the full sender posterior.
+// and candidate count Rest to build the full sender posterior. It is a
+// lookup through StatsTable(d); callers that query many classes under one
+// distribution should resolve the table once instead.
 func (e *Engine) StatsFor(cl Class, d dist.Length) (Stats, error) {
-	if err := e.checkDist(d); err != nil {
+	t, err := e.StatsTable(d)
+	if err != nil {
 		return Stats{}, err
 	}
-	if err := cl.validate(); err != nil {
-		return Stats{}, err
-	}
-	if cl.K() > e.c {
-		return Stats{}, fmt.Errorf("%w: class has %d compromised, system has %d", ErrClassMismatch, cl.K(), e.c)
-	}
-	kp := statsKeyPool.Get().(*[]byte)
-	key := appendDistKey(appendClassKey((*kp)[:0], cl), d)
-	st, ok := e.memo.loadSingle(key)
-	if !ok {
-		var err error
-		if st, err = e.statsFor(cl, d); err != nil {
-			*kp = key
-			statsKeyPool.Put(kp)
-			return Stats{}, err
-		}
-		e.memo.storeSingle(key, st)
-	}
-	*kp = key
-	statsKeyPool.Put(kp)
-	return st, nil
+	return t.StatsFor(cl)
 }
 
 // statsFor computes the Bayes mixture for one class. See the package
-// comment for the derivation.
+// comment for the derivation. Apart from copying cl into the result it
+// reads the class only through k = cl.K() and shape(cl) (cl.Empty() is
+// k == 0), which StatsTable's shape key relies on.
 //
 // The position-set weight W(l,k) = P(C,k)·P(N−1−C, l−k)/P(N−1,l) is carried
 // through the length loop by the multiplicative recurrence
@@ -530,7 +511,7 @@ func (e *Engine) StatsFor(cl Class, d dist.Length) (Stats, error) {
 // which stays in [0,1] for any system size (no overflow, no log/exp in the
 // hot path). The arrangement counts are small binomials (the number of free
 // gap variables is at most C+2).
-func (e *Engine) statsFor(cl Class, d dist.Length) (Stats, error) {
+func (e *Engine) statsFor(cl Class, d dist.Length) Stats {
 	lo, hi := d.Support()
 	if hi > e.n-1 {
 		hi = e.n - 1
@@ -566,7 +547,7 @@ func (e *Engine) statsFor(cl Class, d dist.Length) (Stats, error) {
 	st := Stats{Class: cl, Rest: e.n - e.c - nObs}
 	if sumP <= 0 {
 		// Class unreachable under this distribution.
-		return st, nil
+		return st
 	}
 	st.P = sumP
 	st.Alpha = sumP0 / sumP
@@ -580,7 +561,7 @@ func (e *Engine) statsFor(cl Class, d dist.Length) (Stats, error) {
 		st.Alpha = 0
 		st.Rest = e.n - e.c
 		st.H = entropy.Max(st.Rest)
-		return st, nil
+		return st
 	}
 	switch {
 	case e.mode == InferenceFullPosition && !cl.Empty():
@@ -594,7 +575,7 @@ func (e *Engine) statsFor(cl Class, d dist.Length) (Stats, error) {
 	default:
 		st.H = entropy.SpikeAndSlab(st.Alpha, st.Rest)
 	}
-	return st, nil
+	return st
 }
 
 // shape returns, for a class, the minimum path length that can produce it

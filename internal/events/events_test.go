@@ -557,6 +557,32 @@ func TestStatsForMatchesClassStats(t *testing.T) {
 	}
 }
 
+// TestStatsForReturnsCallersClass: the returned Stats.Class is the class
+// the caller passed, never one cached from an earlier caller whose buffers
+// (the adversary's per-worker scratch runs and gaps) have since been
+// reused.
+func TestStatsForReturnsCallersClass(t *testing.T) {
+	e := mustEngine(t, 20, 3)
+	d := mustUniform(t, 1, 10)
+	runs := []int{2}
+	first := events.Class{Runs: runs, Tail: events.TailOne}
+	if _, err := e.StatsFor(first, d); err != nil {
+		t.Fatal(err)
+	}
+	runs[0] = 3 // the first caller reuses its buffer for its next trace
+	cl := events.Class{Runs: []int{2}, Tail: events.TailOne}
+	st, err := e.StatsFor(cl, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Class.String(); got != "[2]-t1" {
+		t.Errorf("StatsFor([2]-t1).Class = %s", got)
+	}
+	if &st.Class.Runs[0] != &cl.Runs[0] {
+		t.Error("StatsFor returned a class other than its argument")
+	}
+}
+
 func TestModeAndAccessors(t *testing.T) {
 	e := mustEngine(t, 100, 2)
 	if e.N() != 100 || e.C() != 2 {
