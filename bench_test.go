@@ -584,10 +584,10 @@ func BenchmarkMonteCarlo(b *testing.B) {
 	b.ReportMetric(10000, "trials/op")
 }
 
-// BenchmarkTestbedThroughput measures raw goroutine-testbed message
-// throughput with 5-hop routes.
+// BenchmarkTestbedThroughput measures raw event-kernel message throughput
+// with 5-hop routes on one long-lived network.
 func BenchmarkTestbedThroughput(b *testing.B) {
-	nw, err := simnet.New(simnet.Config{N: 64, Compromised: []trace.NodeID{1, 2}, Buffer: 4096})
+	nw, err := simnet.New(simnet.Config{N: 64, Compromised: []trace.NodeID{1, 2}})
 	if err != nil {
 		b.Fatal(err)
 	}

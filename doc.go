@@ -86,15 +86,22 @@
 //
 //   - internal/simnet — the testbed, built on a sharded discrete-event
 //     kernel: nodes are virtual, events ("packet arrives at node v at
-//     logical time t") live in per-shard binary heaps, and one goroutine
-//     per shard (pool.Workers(), never per node) drains them. Goroutines
-//     and memory scale with in-flight traffic, not with N, so a
-//     1,000,000-node system runs a 1,000-message workload in a few
-//     megabytes of heap and a handful of milliseconds. Per-hop delays are
-//     a pure function of (seed, message, hop), keeping runs reproducible
-//     under any shard scheduling; an optional threshold-mix batching
-//     stage holds packets per node and flushes full (or quiescent)
-//     batches in shuffled order with a shared release time. Dynamic
+//     logical time t") are 32-byte pointers into a per-network packet
+//     arena, and one goroutine per shard (pool.Workers(), never per node)
+//     drains its inbox in arrival order. That order is safe because every
+//     hop decision is a pure function of the event's logical time and the
+//     analyst orders reports by time; only threshold mixes, whose batches
+//     must fill in arrival-time order, keep a per-shard (time, seq) heap.
+//     Forwarders rewrite a packet in place and must not keep it after
+//     Next returns; the kernel keeps a packet's slices until the message
+//     retires, then zeroes its slot. Goroutines and memory scale with
+//     in-flight traffic, not with N, so a 1,000,000-node system runs a
+//     1,000-message workload in a few megabytes of heap and a handful of
+//     milliseconds. Per-hop delays are a pure function of (seed,
+//     message, hop), keeping runs reproducible under any shard
+//     scheduling; an optional threshold-mix batching stage holds packets
+//     per node and flushes full (or quiescent) batches in shuffled order
+//     with a shared release time. Dynamic
 //     populations are kernel-native: Config.Churn schedules per-node
 //     join/leave/compromise/recover transitions at virtual timestamps,
 //     evaluated read-only at each event's logical time (race-free under

@@ -56,7 +56,7 @@ func main() {
 	for i := range comp {
 		comp[i] = trace.NodeID(i)
 	}
-	nw, err := simnet.New(simnet.Config{N: jondos, Compromised: comp, Forwarder: fwd, Buffer: 8192})
+	nw, err := simnet.New(simnet.Config{N: jondos, Compromised: comp, Forwarder: fwd})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func TestCrowdsOverTestbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw, err := simnet.New(simnet.Config{
-		N: n, Compromised: []trace.NodeID{0, 1}, Forwarder: fwd, Buffer: 4096,
+		N: n, Compromised: []trace.NodeID{0, 1}, Forwarder: fwd,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -50,7 +50,7 @@ func TestOnionFullStackAnonymityDegree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := simnet.New(simnet.Config{N: n, Compromised: compromised, Forwarder: fwd, Buffer: 4096})
+	nw, err := simnet.New(simnet.Config{N: n, Compromised: compromised, Forwarder: fwd})
 	if err != nil {
 		t.Fatal(err)
 	}

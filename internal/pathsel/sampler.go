@@ -23,7 +23,7 @@ type Sampler struct {
 	alias *dist.Alias
 
 	path []trace.NodeID // reused output buffer
-	pool []trace.NodeID // dense-draw Fisher–Yates pool
+	pool []trace.NodeID // dense-draw Fisher–Yates pool, allocated on first use
 	seen []int32        // sparse-draw open-addressed set, entries are id+1
 	mask int            // len(seen)-1, a power of two minus one
 }
@@ -49,7 +49,6 @@ func (s *Selector) NewSampler() (*Sampler, error) {
 		}
 		sp.seen = make([]int32, size)
 		sp.mask = size - 1
-		sp.pool = make([]trace.NodeID, 0, s.n)
 	}
 	return sp, nil
 }
@@ -97,6 +96,11 @@ func (sp *Sampler) simple(rng *stats.Stream, sender trace.NodeID, l int) []trace
 			}
 		}
 		return sp.path
+	}
+	if sp.pool == nil {
+		// Only dense draws use the O(n) pool, and a sparse system at
+		// N = 10^6 never makes one, so it is allocated here, once.
+		sp.pool = make([]trace.NodeID, 0, s.n)
 	}
 	sp.pool = sp.pool[:0]
 	for v := 0; v < s.n; v++ {

@@ -1,6 +1,7 @@
 package pathsel
 
 import (
+	"runtime"
 	"testing"
 
 	"anonmix/internal/dist"
@@ -331,5 +332,39 @@ func TestSamplerZeroAllocSteadyState(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: %v allocs per draw, want 0", tc.name, allocs)
 		}
+	}
+}
+
+// TestNewSamplerSparseIsSmall: a sampler for a sparse million-node system
+// never makes a dense draw, so building one must not allocate the O(N)
+// Fisher–Yates pool (8 MB at N = 10^6); the pool waits for the first
+// dense draw.
+func TestNewSamplerSparseIsSmall(t *testing.T) {
+	strat, err := Lookup("uniform:1,5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := NewSelector(1_000_000, strat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const samplers = 8
+	keep := make([]*Sampler, 0, samplers)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < samplers; i++ {
+		sp, err := sel.NewSampler()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep = append(keep, sp)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / samplers; per >= 64<<10 {
+		t.Errorf("NewSampler at N = 10^6 allocates %d bytes, want < 64 KB", per)
+	}
+	rng := stats.NewStream(5, 0)
+	if _, err := keep[0].SelectPath(&rng, 0); err != nil {
+		t.Fatal(err)
 	}
 }

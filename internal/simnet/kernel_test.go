@@ -5,7 +5,9 @@ package simnet_test
 // batching, and kernel metrics.
 
 import (
+	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -67,7 +69,9 @@ func TestMillionNodesSparseTraffic(t *testing.T) {
 // TestHopsDoNotAllocate: forwarding a packet costs no heap allocation. A
 // settled run of plain 5-hop messages must allocate fewer objects than it
 // processes hop events — the route copy SendRoute makes is one per
-// message, and the delivery and tuple logs grow amortized.
+// message, and the delivery and tuple logs grow amortized — and under
+// 1 MB in all: each hop moves a pointer into the packet arena, not the
+// packet.
 func TestHopsDoNotAllocate(t *testing.T) {
 	const n, messages, hops = 64, 1000, 5
 	nw, err := simnet.New(simnet.Config{N: n, Seed: 3})
@@ -98,6 +102,129 @@ func TestHopsDoNotAllocate(t *testing.T) {
 	}
 	if allocs := after.Mallocs - before.Mallocs; allocs >= events {
 		t.Errorf("%d allocations for %d hop events: forwarding allocates per hop", allocs, events)
+	}
+	if size := after.TotalAlloc - before.TotalAlloc; size >= 1<<20 {
+		t.Errorf("%d bytes allocated for %d messages of %d hops, want < 1 MB", size, messages, hops)
+	}
+}
+
+// layerForwarder is an onion stand-in that rewrites the packet's buffers
+// in place: each hop decrypts the whole header with its key, reads the
+// next hop off the front, and XORs its key into the payload. Concurrent
+// handoffs between shards therefore write the same buffers from several
+// goroutines in turn, which the race detector checks.
+type layerForwarder struct{}
+
+// layerKey is node v's key byte.
+func layerKey(v trace.NodeID) byte { return byte(v)*37 + 11 }
+
+// layerExit marks the exit layer.
+const layerExit = 0xFF
+
+func (layerForwarder) Next(self trace.NodeID, pkt *simnet.Packet) (trace.NodeID, error) {
+	k := layerKey(self)
+	for i := range pkt.Onion {
+		pkt.Onion[i] ^= k
+	}
+	for i := range pkt.Payload {
+		pkt.Payload[i] ^= k
+	}
+	next := pkt.Onion[0]
+	pkt.Onion = pkt.Onion[1:]
+	if next == layerExit {
+		return trace.Receiver, nil
+	}
+	return trace.NodeID(next), nil
+}
+
+// buildLayers wraps route into a header layerForwarder peels: layer j is
+// (next hop ‖ layer j+1) encrypted with the key of route[j].
+func buildLayers(route []trace.NodeID) []byte {
+	var inner []byte
+	for j := len(route) - 1; j >= 0; j-- {
+		next := byte(layerExit)
+		if j+1 < len(route) {
+			next = byte(route[j+1])
+		}
+		layer := append([]byte{next}, inner...)
+		for i := range layer {
+			layer[i] ^= layerKey(route[j])
+		}
+		inner = layer
+	}
+	return inner
+}
+
+// TestConcurrentHandoffRewritesInPlace: with 8 shards and 4 injecting
+// goroutines, packets whose header and payload are rewritten in place at
+// every hop arrive intact. A packet is owned by one shard at a time, so
+// every delivered payload is the original XOR the keys along its route.
+// Run it under -race -count=10.
+func TestConcurrentHandoffRewritesInPlace(t *testing.T) {
+	const (
+		n          = 64
+		injectors  = 4
+		perInject  = 250
+		payloadLen = 32
+	)
+	nw, err := simnet.New(simnet.Config{
+		N: n, Shards: 8, Forwarder: layerForwarder{}, MaxHopDelay: 16, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Start()
+	defer nw.Close()
+	want := make([]map[trace.MessageID][]byte, injectors)
+	var wg sync.WaitGroup
+	for g := 0; g < injectors; g++ {
+		want[g] = make(map[trace.MessageID][]byte, perInject)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := stats.NewRand(int64(100 + g))
+			for i := 0; i < perInject; i++ {
+				route := make([]trace.NodeID, 1+rng.Intn(6))
+				payload := make([]byte, payloadLen)
+				expect := make([]byte, payloadLen)
+				for j := range payload {
+					payload[j] = byte(rng.Intn(256))
+					expect[j] = payload[j]
+				}
+				for j := range route {
+					route[j] = trace.NodeID(rng.Intn(n))
+					for b := range expect {
+						expect[b] ^= layerKey(route[j])
+					}
+				}
+				id, err := nw.Inject(trace.NodeID(rng.Intn(n)), route[0],
+					simnet.Packet{Onion: buildLayers(route), Payload: payload})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want[g][id] = expect
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := nw.WaitSettled(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	all := make(map[trace.MessageID][]byte, injectors*perInject)
+	for _, m := range want {
+		for id, p := range m {
+			all[id] = p
+		}
+	}
+	dels := nw.Deliveries()
+	if len(dels) != len(all) || len(all) != injectors*perInject {
+		t.Fatalf("%d deliveries of %d messages, drops %v", len(dels), len(all), nw.Dropped())
+	}
+	for _, d := range dels {
+		if !bytes.Equal(d.Payload, all[d.Msg]) {
+			t.Errorf("msg %d: payload %x, want %x", d.Msg, d.Payload, all[d.Msg])
+		}
 	}
 }
 

@@ -7,10 +7,18 @@
 // Nodes are *virtual*: the kernel spawns one goroutine per shard (default
 // pool.Workers()), never one per node, and keeps no per-node state unless
 // a node is actively holding traffic. Events — "packet arrives at node v
-// at logical time t" — live in per-shard binary heaps keyed by (time, seq)
-// and are routed to the shard owning the destination node. Memory and
-// goroutine count therefore scale with the number of in-flight messages,
-// not with N, which makes million-node systems with sparse traffic cheap.
+// at logical time t" — are routed to the inbox of the shard owning the
+// destination node. An event carries only a pointer to its packet: Inject
+// copies the caller's packet once into a per-network arena, and every hop
+// after that moves the pointer. A shard processes its inbox in arrival
+// order, because every hop decision (churn, crash, loss, jitter, taps) is
+// a pure function of the event's logical time and the analyst orders
+// reports by time (trace.Collate), so no event has to wait for an older
+// one. A per-shard heap keyed by (time, seq) orders events only for
+// threshold mixes, where a batch's composition is the order packets reach
+// the mix. Memory and goroutine count therefore scale with the number of
+// in-flight messages, not with N, which makes million-node systems with
+// sparse traffic cheap.
 //
 // Forwarding behavior is pluggable (plain source routes, onion layers,
 // Crowds coin-flip), so the same testbed executes all protocol substrates
@@ -53,7 +61,10 @@ var (
 )
 
 // Packet is a message in flight. Forwarders consume routing state (Route
-// or Onion) as the packet moves.
+// or Onion) as the packet moves. Inject copies the Packet value into the
+// kernel, but the kernel keeps its slices (Route, Onion, Payload) until the
+// message retires, and forwarders may rewrite them in place, so the caller
+// must not touch them while the message is in flight.
 type Packet struct {
 	// Msg correlates the packet across hops.
 	Msg trace.MessageID
@@ -175,10 +186,6 @@ type Config struct {
 	// Forwarder is the per-node forwarding behavior (default plain
 	// source routing).
 	Forwarder Forwarder
-	// Buffer is retained for compatibility with the channel-based testbed.
-	// The event kernel has unbounded shard queues, so it no longer bounds
-	// anything; it is accepted and ignored.
-	Buffer int
 	// MaxHopDelay, when positive, adds a random logical delay of up to
 	// this many nanoseconds-as-ticks at every hop, exercising asynchrony.
 	// Delays are a pure function of (Seed, message, hop), so runs are
@@ -380,12 +387,14 @@ func (s *boolSched) set(t uint64, v bool) {
 }
 
 // event is one kernel work item: a packet arriving at a node at a logical
-// time. seq breaks heap ties so per-shard processing order is stable.
+// time. The packet stays in the network's arena, so an event is 32 bytes
+// however large the packet. seq breaks heap ties so a mix shard's
+// processing order is stable.
 type event struct {
 	time uint64
 	seq  uint64
 	node trace.NodeID
-	pkt  Packet
+	pkt  *Packet
 }
 
 // eventHeap is a binary min-heap on (time, seq).
@@ -416,7 +425,7 @@ func (h *eventHeap) pop() event {
 	top := old[0]
 	n := len(old) - 1
 	old[0] = old[n]
-	old[n] = event{} // release packet references
+	old[n] = event{} // release the packet pointer
 	*h = old[:n]
 	i := 0
 	for {
@@ -437,16 +446,38 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
+// arenaChunk is the number of packet slots an arena allocates at once.
+const arenaChunk = 256
+
+// packetArena holds in-flight packets. Inject copies the caller's packet
+// into a slot once; hops, retransmissions and mix batches then move only
+// the slot's pointer, and whichever path retires the message (delivery,
+// drop, reroute handoff) zeroes the slot so it pins no payload. Slots are
+// never reused: the arena keeps only its current chunk, and a full chunk
+// becomes garbage once no event points into it. Guarded by Network.mu.
+type packetArena struct {
+	chunk *[arenaChunk]Packet
+	used  int
+}
+
+// alloc hands out a zero packet slot.
+func (a *packetArena) alloc() *Packet {
+	if a.chunk == nil || a.used == arenaChunk {
+		a.chunk, a.used = new([arenaChunk]Packet), 0
+	}
+	a.used++
+	return &a.chunk[a.used-1]
+}
+
 // shard owns a partition of the node space: its inbox receives events for
-// its nodes from any goroutine, its heap orders them by logical time, and
-// its batches hold threshold-mix queues for its nodes.
+// its nodes from any goroutine, and its batches hold threshold-mix queues
+// for its nodes.
 type shard struct {
 	id int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	inbox   []event
-	heap    eventHeap
 	seq     uint64
 	stop    bool
 	flushed bool // a quiescence flush has been requested
@@ -456,11 +487,6 @@ type shard struct {
 	// node's queue, outside the shard lock.
 	batches map[trace.NodeID][]event
 	rng     *rand.Rand
-
-	// hop is the packet hopAt hands the forwarder by pointer. Owned by the
-	// shard's goroutine, it keeps that pointer from moving every hop's
-	// packet to the heap; hopAt clears it again so it pins no buffers.
-	hop Packet
 }
 
 // Network is a running testbed. Create with New, start with Start, and
@@ -494,6 +520,9 @@ type Network struct {
 
 	shards  []*shard
 	shardWG sync.WaitGroup
+
+	// arena holds every in-flight packet; Inject allocates from it under mu.
+	arena packetArena
 
 	// pending counts events in inboxes and heaps; buffered counts packets
 	// held in mix batches. Once draining is set (the caller entered
@@ -787,81 +816,97 @@ func (nw *Network) schedule(ev event) {
 	s.mu.Unlock()
 }
 
-// chunk bounds how many heap events a shard processes per lock acquisition.
-const chunk = 256
-
-// runShard is the shard main loop: drain the inbox into the heap, pop a
-// chunk of locally-oldest events, process it outside the lock.
-//
-// Without batching, processing order within a chunk is irrelevant —
-// messages are independent and per-path causality is carried by the event
-// times themselves. With threshold-mix batching the chunk shrinks to one
-// event so that a processed event's successors are merged into the heap
-// before the next pop: on a single shard that makes processing order
-// globally nondecreasing in logical time (every successor's time exceeds
-// its parent's), i.e. batches fill strictly in arrival-time order, which
-// is the mix model.
+// runShard is the shard main loop: swap the inbox for the spare slice
+// under the lock, then process the events outside it, in arrival order.
+// Arrival order is safe because every hop decision (churn, crash, loss,
+// jitter, taps) is a pure function of the event's logical time, not of when
+// the shard reaches it, and the analyst orders each message's reports by
+// time; messages are independent, and per-path causality is carried by the
+// event times themselves. Threshold mixes are the exception (runMixShard).
 func (nw *Network) runShard(s *shard) {
 	defer nw.shardWG.Done()
-	maxChunk := chunk
 	if nw.cfg.BatchThreshold > 0 {
-		maxChunk = 1
+		nw.runMixShard(s)
+		return
 	}
-	var local []event
+	var work []event
 	for {
 		s.mu.Lock()
-		for !s.stop && !s.flushed && len(s.inbox) == 0 && s.heap.Len() == 0 {
+		for !s.stop && len(s.inbox) == 0 {
 			s.cond.Wait()
 		}
-		if s.stop && len(s.inbox) == 0 && s.heap.Len() == 0 {
+		if len(s.inbox) == 0 {
+			s.mu.Unlock()
+			return
+		}
+		work, s.inbox = s.inbox, work[:0]
+		s.mu.Unlock()
+		for _, ev := range work {
+			nw.events.Add(1)
+			nw.hopAt(ev.node, ev.pkt, ev.time)
+			nw.eventDone()
+		}
+		// Clear the drained events so the spare's backing array does not pin
+		// arena chunks after a traffic burst.
+		clear(work)
+	}
+}
+
+// runMixShard is the shard main loop of a threshold-mix network. A batch's
+// composition is the order packets reach the mix, so batches must fill in
+// arrival-time order: the shard orders its events in a (time, seq) heap and
+// pops one per turn, so that a processed event's successors are merged into
+// the heap before the next pop. On a single shard that makes processing
+// order globally nondecreasing in logical time (every successor's time
+// exceeds its parent's), which is the mix model. Only this goroutine
+// touches the heap.
+func (nw *Network) runMixShard(s *shard) {
+	var work []event
+	var h eventHeap
+	for {
+		s.mu.Lock()
+		for !s.stop && !s.flushed && len(s.inbox) == 0 && len(h) == 0 {
+			s.cond.Wait()
+		}
+		if s.stop && len(s.inbox) == 0 && len(h) == 0 {
 			s.mu.Unlock()
 			return
 		}
 		flush := s.flushed
 		s.flushed = false
-		for i := range s.inbox {
-			s.heap.push(s.inbox[i])
-			// Zero the drained slot so the retained backing array does not
-			// pin packet payloads after a traffic burst (pop does the same
-			// for heap slots).
-			s.inbox[i] = event{}
-		}
-		s.inbox = s.inbox[:0]
-		local = local[:0]
-		for s.heap.Len() > 0 && len(local) < maxChunk {
-			local = append(local, s.heap.pop())
-		}
+		work, s.inbox = s.inbox, work[:0]
 		s.mu.Unlock()
+		for _, ev := range work {
+			h.push(ev)
+		}
+		clear(work)
+		var ev event
+		popped := len(h) > 0
+		if popped {
+			ev = h.pop()
+		}
 		if flush {
 			nw.flushShard(s)
 		}
-		for _, ev := range local {
-			nw.process(s, ev)
+		if popped {
+			nw.mixArrive(s, ev)
 		}
 	}
 }
 
-func (h eventHeap) Len() int { return len(h) }
-
-// process handles one node-arrival event.
-func (nw *Network) process(s *shard, ev event) {
+// mixArrive holds a packet at its threshold-mix node until the batch
+// fills. Only the owning shard touches the queue, so no lock.
+func (nw *Network) mixArrive(s *shard, ev event) {
 	nw.events.Add(1)
-	if nw.cfg.BatchThreshold > 0 {
-		// Threshold mix: hold the packet at this node until the batch
-		// fills. Only the owning shard touches the queue, so no lock.
-		q := append(s.batches[ev.node], ev)
-		if len(q) >= nw.cfg.BatchThreshold {
-			delete(s.batches, ev.node)
-			nw.buffered.Add(int64(1 - len(q)))
-			nw.flushBatch(s, q)
-		} else {
-			s.batches[ev.node] = q
-			nw.buffered.Add(1)
-		}
-		nw.eventDone()
-		return
+	q := append(s.batches[ev.node], ev)
+	if len(q) >= nw.cfg.BatchThreshold {
+		delete(s.batches, ev.node)
+		nw.buffered.Add(int64(1 - len(q)))
+		nw.flushBatch(s, q)
+	} else {
+		s.batches[ev.node] = q
+		nw.buffered.Add(1)
 	}
-	nw.hopAt(s, ev.node, ev.pkt, ev.time)
 	nw.eventDone()
 }
 
@@ -927,7 +972,7 @@ func (nw *Network) flushBatch(s *shard, q []event) {
 	}
 	s.rng.Shuffle(len(q), func(i, j int) { q[i], q[j] = q[j], q[i] })
 	for _, ev := range q {
-		nw.hopAt(s, ev.node, ev.pkt, release)
+		nw.hopAt(ev.node, ev.pkt, release)
 	}
 }
 
@@ -937,12 +982,14 @@ func (nw *Network) flushBatch(s *shard, q []event) {
 // node hands the packet to the reliability policy instead of processing
 // it — including packets released from a partial mix batch, which route
 // through here as well, so a crashing mix never leaks its held traffic.
-// It runs on the goroutine of s, the shard that owns self.
-func (nw *Network) hopAt(s *shard, self trace.NodeID, pkt Packet, t uint64) {
+// The packet is mutated in place; once hopAt schedules, delivers or
+// retires it, the packet belongs to its next owner and hopAt reads it no
+// more. It runs on the goroutine of the shard that owns self.
+func (nw *Network) hopAt(self trace.NodeID, pkt *Packet, t uint64) {
 	if !nw.isLive(self, t) {
 		// The packet reached a node outside the live membership (left, or
 		// not yet joined) — the injector routed through a non-member.
-		nw.drop(pkt.Msg, DropAbsent, fmt.Errorf("simnet: drop msg %d at %v: %w: %v at t=%d",
+		nw.drop(pkt, DropAbsent, fmt.Errorf("simnet: drop msg %d at %v: %w: %v at t=%d",
 			pkt.Msg, self, ErrAbsent, self, t))
 		return
 	}
@@ -960,20 +1007,18 @@ func (nw *Network) hopAt(s *shard, self trace.NodeID, pkt Packet, t uint64) {
 			nw.schedule(event{time: t + delay, node: self, pkt: pkt})
 			return
 		}
-		nw.fail(pkt.Msg, self, t, DropCrash)
+		nw.fail(pkt, self, t, DropCrash)
 		return
 	}
 	pkt.tries = 0
-	s.hop = pkt
-	next, err := nw.fwd.Next(self, &s.hop)
-	pkt, s.hop = s.hop, Packet{}
+	next, err := nw.fwd.Next(self, pkt)
 	cause := DropForwarder
 	if err == nil && next != trace.Receiver && (int(next) < 0 || int(next) >= nw.cfg.N) {
 		err = fmt.Errorf("%w: %v at node %v", ErrBadHop, next, self)
 		cause = DropBadHop
 	}
 	if err != nil {
-		nw.drop(pkt.Msg, cause, fmt.Errorf("simnet: drop msg %d at %v: %w", pkt.Msg, self, err))
+		nw.drop(pkt, cause, fmt.Errorf("simnet: drop msg %d at %v: %w", pkt.Msg, self, err))
 		return
 	}
 	if nw.isCompromised(self, t) {
@@ -1005,7 +1050,7 @@ func (nw *Network) hopAt(s *shard, self trace.NodeID, pkt Packet, t uint64) {
 // (drop or reroute handoff) and returns false — so exactly one of
 // schedule/deliver/drop/handoff happens per transmission and the
 // in-flight count is conserved.
-func (nw *Network) linkUp(self, next, pred trace.NodeID, pkt Packet, t uint64) (uint64, bool) {
+func (nw *Network) linkUp(self, next, pred trace.NodeID, pkt *Packet, t uint64) (uint64, bool) {
 	if nw.lossProb <= 0 {
 		return t, true
 	}
@@ -1014,7 +1059,7 @@ func (nw *Network) linkUp(self, next, pred trace.NodeID, pkt Packet, t uint64) (
 			return t, true
 		}
 		if nw.policy != faults.PolicyRetransmit || int(attempt)+1 >= nw.maxAttempts {
-			nw.fail(pkt.Msg, self, t, DropLoss)
+			nw.fail(pkt, self, t, DropLoss)
 			return 0, false
 		}
 		// Retransmit over the same link. The retransmitting node re-handles
@@ -1037,7 +1082,8 @@ func (nw *Network) linkUp(self, next, pred trace.NodeID, pkt Packet, t uint64) (
 }
 
 // drop retires a packet into the bounded drop statistics.
-func (nw *Network) drop(msg trace.MessageID, cause string, err error) {
+func (nw *Network) drop(pkt *Packet, cause string, err error) {
+	*pkt = Packet{}
 	nw.drops.add(cause, err)
 	nw.msgWG.Done()
 }
@@ -1045,28 +1091,32 @@ func (nw *Network) drop(msg trace.MessageID, cause string, err error) {
 // fail retires a packet that hit a terminal fault: under PolicyReroute the
 // message is handed back to the driver for an end-to-end retry, otherwise
 // it is dropped.
-func (nw *Network) fail(msg trace.MessageID, at trace.NodeID, t uint64, cause string) {
+func (nw *Network) fail(pkt *Packet, at trace.NodeID, t uint64, cause string) {
 	if nw.policy == faults.PolicyReroute {
+		msg := pkt.Msg
+		*pkt = Packet{}
 		nw.mu.Lock()
 		nw.failures = append(nw.failures, Failure{Msg: msg, Time: t, Cause: cause})
 		nw.mu.Unlock()
 		nw.msgWG.Done()
 		return
 	}
-	nw.drop(msg, cause, fmt.Errorf("simnet: drop msg %d at %v: %s at t=%d", msg, at, cause, t))
+	nw.drop(pkt, cause, fmt.Errorf("simnet: drop msg %d at %v: %s at t=%d", pkt.Msg, at, cause, t))
 }
 
 // deliver records the receiver's tap and the delivery, and retires the
 // message. The receiver is always compromised (the paper's default threat
 // model); whether the adversary *uses* its report is the analyst's choice.
-func (nw *Network) deliver(pkt Packet, t uint64) {
+func (nw *Network) deliver(pkt *Packet, t uint64) {
+	msg, from, payload := pkt.Msg, pkt.From, pkt.Payload
+	*pkt = Packet{}
 	nw.mu.Lock()
 	nw.tuples = append(nw.tuples, trace.Tuple{
-		Time: t, Observer: trace.Receiver, Msg: pkt.Msg,
-		Pred: pkt.From, Succ: trace.Receiver,
+		Time: t, Observer: trace.Receiver, Msg: msg,
+		Pred: from, Succ: trace.Receiver,
 	})
 	nw.deliveries = append(nw.deliveries, Delivery{
-		Msg: pkt.Msg, Pred: pkt.From, Payload: pkt.Payload, Time: t,
+		Msg: msg, Pred: from, Payload: payload, Time: t,
 	})
 	nw.mu.Unlock()
 	nw.msgWG.Done()
@@ -1090,7 +1140,9 @@ func (nw *Network) hopJitter(msg trace.MessageID, hop uint64) uint64 {
 // Inject introduces a message at the sender and forwards it to first
 // (trace.Receiver for a direct send). The sender performs its own first
 // hop, so the link-layer predecessor seen by the first intermediate is the
-// sender — exactly the paper's model. The message ID is returned.
+// sender — exactly the paper's model. The message ID is returned. The
+// packet value is copied into the kernel, but its slices are not: see
+// Packet.
 func (nw *Network) Inject(sender, first trace.NodeID, pkt Packet) (trace.MessageID, error) {
 	if int(sender) < 0 || int(sender) >= nw.cfg.N {
 		return 0, fmt.Errorf("%w: sender %v", ErrBadConfig, sender)
@@ -1106,29 +1158,34 @@ func (nw *Network) Inject(sender, first trace.NodeID, pkt Packet) (trace.Message
 		return 0, ErrClosed
 	}
 	nw.msgWG.Add(1)
+	p := nw.arena.alloc()
 	nw.mu.Unlock()
-	pkt.Msg = trace.MessageID(nw.nextMsg.Add(1))
-	pkt.From = sender
-	pkt.hops = 0
+	msg := trace.MessageID(nw.nextMsg.Add(1))
 	t0 := nw.injTime.Add(1)
 	if !nw.isLive(sender, t0) {
+		// The slot was never written, so it holds no payload.
 		nw.msgWG.Done()
 		return 0, fmt.Errorf("%w: sender %v at t=%d", ErrAbsent, sender, t0)
 	}
-	tA, ok := nw.linkUp(sender, first, sender, pkt, t0)
+	*p = pkt
+	p.Msg, p.From, p.hops = msg, sender, 0
+	// From here on p belongs to the kernel: once linkUp, deliver or
+	// schedule has it, another goroutine may retire and zero it, so Inject
+	// reads nothing from it after handing it over.
+	tA, ok := nw.linkUp(sender, first, sender, p, t0)
 	if !ok {
 		// The injection-link transmission was lost and the policy gave the
 		// message up; the fault is already recorded (drop or reroute
 		// handoff), so the injection itself succeeded.
-		return pkt.Msg, nil
+		return msg, nil
 	}
-	t := tA + nw.hopJitter(pkt.Msg, 0)
+	t := tA + nw.hopJitter(msg, 0)
 	if first == trace.Receiver {
-		nw.deliver(pkt, t+1)
+		nw.deliver(p, t+1)
 	} else {
-		nw.schedule(event{time: t, node: first, pkt: pkt})
+		nw.schedule(event{time: t, node: first, pkt: p})
 	}
-	return pkt.Msg, nil
+	return msg, nil
 }
 
 // SendRoute sends a payload along an explicit source route of intermediate
