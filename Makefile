@@ -106,11 +106,13 @@ FUZZTIME = 10s
 # surface, the CLI epoch syntax, the timeline schedule against its
 # map-based reference walk, the fault-plan syntax, the strategy registry,
 # the onion codec, the anonlint suppression parser, the spike/slab
-# accumulator against its dense reference fold, and the engine's
-# shape-keyed class statistics table against direct computation.
+# accumulator against its dense reference fold, the path route's entropy
+# and folds against the trace route's, and the engine's shape-keyed class
+# statistics table against direct computation.
 fuzz-smoke:
 	$(GO) test ./internal/analysis/allow -run '^$$' -fuzz '^FuzzParseAllow$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/adversary -run '^$$' -fuzz '^FuzzAccumulatorFold$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/adversary -run '^$$' -fuzz '^FuzzPathObservation$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/events -run '^$$' -fuzz '^FuzzStatsTable$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzParseTimeline$$' -fuzztime $(FUZZTIME)

@@ -48,8 +48,11 @@ func benchFigure(b *testing.B, gen func() (figures.Figure, error)) figures.Figur
 }
 
 // BenchmarkFig3a regenerates Figure 3(a) — H* vs fixed path length,
-// N=100, C=1 — and reports the long-path-effect peak.
+// N=100, C=1 — and reports the long-path-effect peak, how flat the curve
+// is around it (the range of l within 0.001 bits of the peak), and how
+// far below the peak the curve sits at the paper's peak length l ≈ 31.
 func BenchmarkFig3a(b *testing.B) {
+	const paperPeakL, plateauBits = 31, 0.001
 	fig := benchFigure(b, figures.Fig3a)
 	x, y, err := fig.Peak("F(l)")
 	if err != nil {
@@ -57,6 +60,24 @@ func BenchmarkFig3a(b *testing.B) {
 	}
 	b.ReportMetric(x, "peak_l")
 	b.ReportMetric(y, "peak_H*_bits")
+	for _, s := range fig.Series {
+		if s.Label != "F(l)" {
+			continue
+		}
+		lo, hi := math.Inf(1), math.Inf(-1)
+		atPaper := math.NaN()
+		for i, l := range s.X {
+			if s.Y[i] >= y-plateauBits {
+				lo, hi = min(lo, l), max(hi, l)
+			}
+			if l == paperPeakL {
+				atPaper = s.Y[i]
+			}
+		}
+		b.ReportMetric(lo, "plateau_lo_l")
+		b.ReportMetric(hi, "plateau_hi_l")
+		b.ReportMetric(y-atPaper, "gap_at_paper_l_bits")
+	}
 }
 
 // BenchmarkFig3b regenerates Figure 3(b) — the short-path zoom — and

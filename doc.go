@@ -287,10 +287,18 @@
 //     within 1e-12 of the source distribution), distinct intermediates
 //     from per-worker scratch arenas (pathsel.Sampler: a reusable path
 //     buffer plus an open-addressed rejection set in the sparse regime, a
-//     Fisher–Yates pool in the dense one), and adversarial analysis runs
-//     through adversary.Scratch / Accumulator.ObserveScratch — the
-//     classify-fold-snapshot pipeline with zero heap traffic once the
-//     analyst's shape-keyed statistics table is warm. The
+//     Fisher–Yates pool in the dense one), and adversarial analysis takes
+//     the path route: Analyst.PathEntropy and Accumulator.ObservePath
+//     walk the sampled path once against the compromised bitset, count
+//     the class's shape (compromised hops, one-node and wider junctions,
+//     tail gap, witnesses), and look it up in the analyst's shape-keyed
+//     statistics table, with no trace, Class or validation in between and
+//     zero heap traffic once the table is warm. The trace route
+//     (SynthesizeInto, then ClassifyScratch through adversary.Scratch and
+//     ObserveScratch) still serves every analysis that starts from
+//     reports: the testbed's collected traces, the partial traces of
+//     failed deliveries, and the phased sessions of dynamic populations.
+//     FuzzPathObservation holds the path route to it bit for bit. The
 //     multi-round degradation benchmark dropped from ~93ms / 57MB / 366k
 //     allocations per op to ~21ms / 15kB / ~120 allocations, and
 //     BenchmarkDegradationRounds fails if the per-op allocation count

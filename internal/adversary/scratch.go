@@ -245,16 +245,12 @@ func (acc *Accumulator) sharesCompromised(a *Analyst) bool {
 }
 
 // foldObservation classifies mt under analyst a and folds the resulting
-// spike/slab posterior into the joint log-posterior, in the order the
-// dense fold applied it: every node adds the slab share, then the
-// compromised and witnessed nodes drop to −∞, then the candidate takes
-// its old value plus log α.
+// spike/slab posterior into the joint log-posterior.
 func (acc *Accumulator) foldObservation(a *Analyst, mt *trace.MessageTrace, sc *Scratch) error {
 	obs, err := a.ClassifyScratch(mt, sc)
 	if err != nil {
 		return err
 	}
-	n := a.engine.N()
 	if obs.Identified {
 		acc.identify(obs.Candidate)
 		acc.rounds++
@@ -264,33 +260,45 @@ func (acc *Accumulator) foldObservation(a *Analyst, mt *trace.MessageTrace, sc *
 	if err != nil {
 		return err
 	}
-	if rest := n - a.engine.C() - a.honestWitnessed(obs.Witnessed); rest != st.Rest {
+	return acc.fold(a, obs.Candidate, obs.Witnessed, st.Alpha, st.Rest)
+}
+
+// fold folds one round's spike/slab posterior under analyst a — mass
+// alpha on candidate, the rest shared by rest slab nodes — in the order
+// the dense fold applied it: every node adds the slab share, then the
+// compromised and witnessed nodes drop to −∞, then the candidate takes
+// its old value plus log α. The witnesses are eliminated in list order.
+// It first cross-checks rest against the witnesses and leaves the
+// accumulator unchanged when they disagree.
+func (acc *Accumulator) fold(a *Analyst, candidate trace.NodeID, witnessed []trace.NodeID, alpha float64, rest int) error {
+	n := a.engine.N()
+	if r := n - a.engine.C() - a.honestWitnessed(witnessed); r != rest {
 		return fmt.Errorf("%w: %d slab candidates reconstructed, engine expects %d",
-			ErrCorruptTrace, rest, st.Rest)
+			ErrCorruptTrace, r, rest)
 	}
-	candInRange := int(obs.Candidate) >= 0 && int(obs.Candidate) < n
+	candInRange := int(candidate) >= 0 && int(candidate) < n
 	var candOld float64
 	if candInRange {
-		candOld = acc.logValue(obs.Candidate)
+		candOld = acc.logValue(candidate)
 	}
 	logShare := math.Inf(-1)
-	if st.Rest > 0 {
-		if share := (1 - st.Alpha) / float64(st.Rest); share > 0 {
+	if rest > 0 {
+		if share := (1 - alpha) / float64(rest); share > 0 {
 			logShare = math.Log(share)
 		}
 	}
 	acc.addAll(logShare)
 	acc.eliminateCompromised()
-	for _, w := range obs.Witnessed {
-		if w != obs.Candidate && int(w) >= 0 && int(w) < n {
+	for _, w := range witnessed {
+		if w != candidate && int(w) >= 0 && int(w) < n {
 			acc.kill(w)
 		}
 	}
 	if candInRange {
-		if st.Alpha > 0 {
-			acc.setValue(obs.Candidate, candOld+math.Log(st.Alpha))
+		if alpha > 0 {
+			acc.setValue(candidate, candOld+math.Log(alpha))
 		} else {
-			acc.kill(obs.Candidate)
+			acc.kill(candidate)
 		}
 	}
 	acc.rounds++

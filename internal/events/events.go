@@ -497,10 +497,16 @@ func (e *Engine) StatsFor(cl Class, d dist.Length) (Stats, error) {
 	return t.StatsFor(cl)
 }
 
-// statsFor computes the Bayes mixture for one class. See the package
-// comment for the derivation. Apart from copying cl into the result it
-// reads the class only through k = cl.K() and shape(cl) (cl.Empty() is
-// k == 0), which StatsTable's shape key relies on.
+// statsFor computes the Bayes mixture for one class from its compromised
+// count and shape alone; see the package comment for the derivation.
+func (e *Engine) statsFor(cl Class, d dist.Length) Stats {
+	base, free, nObs := e.shape(cl)
+	return e.statsForShape(cl.K(), base, free, nObs, d).stats(cl)
+}
+
+// statsForShape computes the Bayes mixture shared by every class with k
+// compromised nodes and shape (base, free, nObs); k == 0 is the empty
+// class.
 //
 // The position-set weight W(l,k) = P(C,k)·P(N−1−C, l−k)/P(N−1,l) is carried
 // through the length loop by the multiplicative recurrence
@@ -511,14 +517,11 @@ func (e *Engine) StatsFor(cl Class, d dist.Length) (Stats, error) {
 // which stays in [0,1] for any system size (no overflow, no log/exp in the
 // hot path). The arrangement counts are small binomials (the number of free
 // gap variables is at most C+2).
-func (e *Engine) statsFor(cl Class, d dist.Length) Stats {
+func (e *Engine) statsForShape(k, base, free, nObs int, d dist.Length) shapeStats {
 	lo, hi := d.Support()
 	if hi > e.n-1 {
 		hi = e.n - 1
 	}
-	k := cl.K()
-	base, free, nObs := e.shape(cl)
-
 	w := 1.0
 	for i := 0; i < k; i++ {
 		w *= float64(e.c-i) / float64(e.n-1-i)
@@ -544,36 +547,36 @@ func (e *Engine) statsFor(cl Class, d dist.Length) Stats {
 		sumP0 += p * w * starsAndBars(slack, free-1)
 	}
 
-	st := Stats{Class: cl, Rest: e.n - e.c - nObs}
+	st := shapeStats{rest: e.n - e.c - nObs}
 	if sumP <= 0 {
 		// Class unreachable under this distribution.
 		return st
 	}
-	st.P = sumP
-	st.Alpha = sumP0 / sumP
-	if st.Alpha > 1 {
-		st.Alpha = 1 // guard against rounding
+	st.p = sumP
+	st.alpha = sumP0 / sumP
+	if st.alpha > 1 {
+		st.alpha = 1 // guard against rounding
 	}
 	// The empty class with an uncompromised receiver observes nothing: the
 	// posterior is uniform over all non-compromised nodes (the adversary's
 	// own nodes know they did not send).
-	if cl.Empty() && !e.receiver {
-		st.Alpha = 0
-		st.Rest = e.n - e.c
-		st.H = entropy.Max(st.Rest)
+	if k == 0 && !e.receiver {
+		st.alpha = 0
+		st.rest = e.n - e.c
+		st.h = entropy.Max(st.rest)
 		return st
 	}
 	switch {
-	case e.mode == InferenceFullPosition && !cl.Empty():
+	case e.mode == InferenceFullPosition && k > 0:
 		// Positions of the compromised reports are known exactly, so the
 		// head gap g0 is known: with probability Alpha the sender is
 		// identified (g0 = 0), otherwise it is uniform over Rest nodes.
 		// With no compromised node on the path there is no report to
 		// position, so the empty class falls through to the standard
 		// spike-and-slab posterior.
-		st.H = (1 - st.Alpha) * entropy.Max(st.Rest)
+		st.h = (1 - st.alpha) * entropy.Max(st.rest)
 	default:
-		st.H = entropy.SpikeAndSlab(st.Alpha, st.Rest)
+		st.h = entropy.SpikeAndSlab(st.alpha, st.rest)
 	}
 	return st
 }
@@ -581,22 +584,10 @@ func (e *Engine) statsFor(cl Class, d dist.Length) Stats {
 // shape returns, for a class, the minimum path length that can produce it
 // (base), the number of free non-negative gap variables including the head
 // gap g0 (free ≥ 1), and the number of observed uncompromised witness nodes
-// other than the head predecessor (nObs counts the head predecessor too —
-// see below).
-//
-// nObs counts every uncompromised node whose identity the adversary has
-// seen: the predecessor of the first run (the sender candidate), junction
-// witnesses (one for GapOne, two for GapWide), and tail witnesses (none for
-// TailZero, one for TailOne/TailUnobserved, two for TailWide). For the
-// empty class it is 1 when the receiver reports a predecessor, 0 otherwise.
+// (nObs, the head predecessor included). Hop-count classes are handled
+// here; every other class goes through standardShape.
 func (e *Engine) shape(cl Class) (base, free, nObs int) {
-	if cl.Empty() {
-		if e.receiver {
-			return 0, 1, 1
-		}
-		return 0, 1, 0
-	}
-	if t, ok := cl.ExactTailGap(); ok {
+	if t, ok := cl.ExactTailGap(); ok && !cl.Empty() {
 		// Hop-count class: one compromised node exactly t hops before the
 		// receiver. Only the head gap g0 is free; the identity witnesses
 		// are the predecessor, plus the successor when t ≥ 1, plus the
@@ -610,24 +601,41 @@ func (e *Engine) shape(cl Class) (base, free, nObs int) {
 		}
 		return 1 + t, 1, nObs
 	}
-	base = 0
-	for _, r := range cl.Runs {
-		base += r
-	}
-	free = 1 // head gap g0
-	nObs = 1 // predecessor of the first run
+	var one, wide int
 	for _, g := range cl.Gaps {
 		switch g {
 		case GapOne:
-			base++
-			nObs++
+			one++
 		case GapWide:
-			base += 2
-			free++
-			nObs += 2
+			wide++
 		}
 	}
-	switch cl.Tail {
+	return e.standardShape(cl.K(), one, wide, cl.Tail)
+}
+
+// standardShape is shape for a flag-based class with k compromised nodes
+// whose runs meet at `one` one-node junctions and `wide` wider ones, and
+// whose tail is flagged tail; k == 0 is the empty class, whose counts and
+// tail are ignored. It is the one place the shape arithmetic lives:
+// shape derives the counts from a Class, StatsTable.ShapeStats takes them
+// from a caller that counted them along a path.
+//
+// nObs counts every uncompromised node whose identity the adversary has
+// seen: the predecessor of the first run (the sender candidate), junction
+// witnesses (one for GapOne, two for GapWide), and tail witnesses (none for
+// TailZero, one for TailOne/TailUnobserved, two for TailWide). For the
+// empty class it is 1 when the receiver reports a predecessor, 0 otherwise.
+func (e *Engine) standardShape(k, one, wide int, tail TailFlag) (base, free, nObs int) {
+	if k == 0 {
+		if e.receiver {
+			return 0, 1, 1
+		}
+		return 0, 1, 0
+	}
+	base = k + one + 2*wide
+	free = 1 + wide         // head gap g0, then one per wide junction
+	nObs = 1 + one + 2*wide // predecessor of the first run, then the junctions'
+	switch tail {
 	case TailZero:
 		// Last intermediate is compromised; receiver's predecessor is it.
 	case TailOne:

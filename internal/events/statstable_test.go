@@ -16,7 +16,8 @@ import (
 // equal shape hit each other's entries (hop-count exact tails share keys
 // with standard classes), and each answer must be bit-identical to
 // statsFor computed for that very class and carry the argument as its
-// Class. Invalid classes must fail with ErrClassMismatch.
+// Class; ShapeStats, given the class's counts, must return the same
+// Alpha, Rest and H. Invalid classes must fail with ErrClassMismatch.
 func FuzzStatsTable(f *testing.F) {
 	f.Add(uint8(23), uint8(3), uint8(0), false, uint8(0), uint8(0), uint8(12), []byte{1, 2, 3, 2, 2, 1, 3, 1, 2, 1, 1, 2, 4, 0})
 	f.Add(uint8(38), uint8(1), uint8(2), false, uint8(1), uint8(6), uint8(0), []byte{5, 9, 13, 1, 1, 2, 0, 1, 3})
@@ -62,6 +63,25 @@ func FuzzStatsTable(f *testing.F) {
 			}
 			if !reflect.DeepEqual(got.Class, cl) {
 				t.Fatalf("class %s: table returned class %s", cl, got.Class)
+			}
+			if _, exact := cl.ExactTailGap(); exact {
+				return
+			}
+			var one, wide int
+			for _, g := range cl.Gaps {
+				if g == GapOne {
+					one++
+				} else {
+					wide++
+				}
+			}
+			alpha, rest, h, err := table.ShapeStats(cl.K(), one, wide, cl.Tail)
+			if err != nil {
+				t.Fatalf("class %s: ShapeStats: %v", cl, err)
+			}
+			if math.Float64bits(alpha) != math.Float64bits(want.Alpha) ||
+				math.Float64bits(h) != math.Float64bits(want.H) || rest != want.Rest {
+				t.Fatalf("class %s: ShapeStats (alpha %v, rest %d, H %v), statsFor %+v", cl, alpha, rest, h, want)
 			}
 		}
 		for len(in) > 0 {
@@ -158,4 +178,40 @@ func decodeClass(in []byte) (Class, []byte) {
 		cl.ExactTail = int(next() % 5) // usually inconsistent with the flags
 	}
 	return cl, in
+}
+
+// TestShapeStatsRejectsImpossibleCounts: counts that describe no class
+// StatsFor would accept fail with ErrClassMismatch.
+func TestShapeStatsRejectsImpossibleCounts(t *testing.T) {
+	e, err := New(20, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := dist.NewUniform(1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := e.StatsTable(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name         string
+		k, one, wide int
+		tail         TailFlag
+	}{
+		{"more compromised than the system", 4, 0, 0, TailZero},
+		{"negative count", 2, -1, 0, TailOne},
+		{"more runs than compromised", 2, 1, 1, TailOne},
+		{"gaps without runs", 0, 1, 0, TailZero},
+		{"no tail flag", 1, 0, 0, 0},
+		{"unknown tail flag", 1, 0, 0, TailUnobserved + 1},
+	} {
+		if _, _, _, err := table.ShapeStats(c.k, c.one, c.wide, c.tail); !errors.Is(err, ErrClassMismatch) {
+			t.Errorf("%s: err = %v, want ErrClassMismatch", c.name, err)
+		}
+	}
+	if _, _, _, err := table.ShapeStats(0, 0, 0, 0); err != nil {
+		t.Errorf("empty class: %v", err)
+	}
 }

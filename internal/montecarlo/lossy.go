@@ -109,7 +109,6 @@ func (pa *pathArena) reset() { pa.used = 0 }
 type lossyArena struct {
 	sampler  *pathsel.Sampler
 	sc       adversary.Scratch
-	mt       trace.MessageTrace
 	pmt      trace.MessageTrace
 	acc      *adversary.Accumulator
 	paths    pathArena
@@ -201,10 +200,10 @@ func simulateDelivery(rng *stats.Stream, ar *lossyArena, sender trace.NodeID,
 	}
 }
 
-// degradedEntropy folds a delivered trial's full posterior together with
-// the partial-trace evidence its retries leaked, under the
-// uncompromised-receiver analysis (a failed attempt never produced a
-// receiver report). Partial traces the analyst cannot classify
+// degradedEntropy folds a delivered trial's full posterior, straight from
+// its path, together with the partial-trace evidence its retries leaked,
+// under the uncompromised-receiver analysis (a failed attempt never
+// produced a receiver report). Partial traces the analyst cannot classify
 // (ErrCorruptTrace, ErrModelMismatch) are skipped — the conservative
 // adversary discards evidence it cannot fit to its model rather than
 // guessing; any other fold error is returned.
@@ -212,7 +211,7 @@ func degradedEntropy(ar *lossyArena, analystU *adversary.Analyst,
 	sender trace.NodeID, path []trace.NodeID, partials []partialAttempt,
 	compromised func(trace.NodeID) bool) (float64, error) {
 	ar.acc.Reset()
-	if err := ar.acc.ObserveScratch(&ar.mt, &ar.sc); err != nil {
+	if err := ar.acc.ObservePath(sender, path, &ar.sc); err != nil {
 		return 0, err
 	}
 	for _, pa := range partials {
@@ -220,7 +219,7 @@ func degradedEntropy(ar *lossyArena, analystU *adversary.Analyst,
 		if p == nil {
 			p = path
 		}
-		SynthesizePartialInto(&ar.pmt, ar.mt.Msg, sender, p, pa.upto, compromised)
+		SynthesizePartialInto(&ar.pmt, 1, sender, p, pa.upto, compromised)
 		err := ar.acc.FoldObservation(analystU, &ar.pmt, &ar.sc)
 		if err != nil && !errors.Is(err, adversary.ErrCorruptTrace) && !errors.Is(err, adversary.ErrModelMismatch) {
 			return 0, fmt.Errorf("montecarlo: partial trace: %w", err)
@@ -320,8 +319,7 @@ func estimateLossy(cfg Config, analyst *adversary.Analyst, selector *pathsel.Sel
 					p.compSender++
 					continue
 				}
-				SynthesizeInto(&ar.mt, 1, sender, trial.path, compromised)
-				h, err := analyst.EntropyScratch(&ar.mt, &ar.sc)
+				h, err := analyst.PathEntropy(sender, trial.path)
 				if err != nil {
 					p.err = err
 					return

@@ -1,7 +1,13 @@
 // Package montecarlo estimates the anonymity degree by sampling: it draws
-// rerouting paths from a strategy, synthesizes the observations the
-// adversary would collect, runs the exact posterior inference on each, and
-// averages the posterior entropies. Because each sampled event's entropy is
+// rerouting paths from a strategy, classifies each path straight against
+// the compromised set (adversary.Analyst.PathEntropy and
+// Accumulator.ObservePath count what the compromised nodes' reports would
+// reveal without writing them), runs the exact posterior inference on
+// each, and averages the posterior entropies. Traces are still synthesized
+// where a report stream is what gets analyzed: the partial traces of
+// failed delivery attempts, and SynthesizeInto's output for callers such
+// as the scenario layer's phased sessions and the tests that hold the path
+// route to the trace route. Because each sampled event's entropy is
 // computed exactly (only the event itself is sampled), the estimator is
 // unbiased with low variance; it exists to validate the closed-form engine
 // and to extend the analysis to configurations the exact enumeration does
@@ -285,11 +291,6 @@ func EstimateH(cfg Config) (Result, error) {
 		return estimateLossy(cfg, analyst, selector)
 	}
 
-	type arena struct {
-		sampler *pathsel.Sampler
-		sc      adversary.Scratch
-		mt      trace.MessageTrace
-	}
 	type part struct {
 		sum        stats.Summary
 		compSender int
@@ -316,7 +317,6 @@ func EstimateH(cfg Config) (Result, error) {
 			}
 			return
 		}
-		ar := &arena{sampler: sp}
 		for {
 			if canceled(cfg.Cancel) {
 				aborted.Store(true)
@@ -340,16 +340,16 @@ func EstimateH(cfg Config) (Result, error) {
 					p.compSender++
 					continue
 				}
-				path, err := ar.sampler.SelectPath(&rng, sender)
+				path, err := sp.SelectPath(&rng, sender)
 				if err != nil {
 					p.err = err
 					return
 				}
-				SynthesizeInto(&ar.mt, 1, sender, path, compromised)
-				// EntropyScratch is the O(reports) fast path: it skips the
-				// N-entry posterior vector, which is what keeps million-node
-				// estimation linear in the path length rather than in N.
-				h, err := analyst.EntropyScratch(&ar.mt, &ar.sc)
+				// PathEntropy classifies the path in one pass and skips
+				// both the trace and the N-entry posterior vector, which is
+				// what keeps million-node estimation linear in the path
+				// length rather than in N.
+				h, err := analyst.PathEntropy(sender, path)
 				if err != nil {
 					p.err = err
 					return
@@ -387,24 +387,26 @@ func EstimateH(cfg Config) (Result, error) {
 }
 
 // SessionArena holds the reusable state of repeated-communication
-// sessions: the path sampler, the classification scratch, the synthesized
-// trace, the posterior accumulator, and the per-round entropy buffer. One
-// arena serves any number of sequential sessions; it is not safe for
-// concurrent use.
+// sessions: the path sampler, the witness scratch, the posterior
+// accumulator, and the per-round entropy buffer. One arena serves any
+// number of sequential sessions; it is not safe for concurrent use.
 type SessionArena struct {
-	analyst   *adversary.Analyst
 	sampler   *pathsel.Sampler
 	acc       *adversary.Accumulator
 	sc        adversary.Scratch
-	mt        trace.MessageTrace
 	entropies []float64
 }
 
 // NewSessionArena builds a session arena for `rounds`-message sessions
-// analyzed by the analyst over paths from the selector.
+// analyzed by the analyst over paths from the selector. Sessions fold
+// each path through Accumulator.ObservePath, which needs simple paths, so
+// a selector for a Complicated strategy is refused.
 func NewSessionArena(analyst *adversary.Analyst, sel *pathsel.Selector, rounds int) (*SessionArena, error) {
 	if rounds < 1 {
 		return nil, fmt.Errorf("%w: rounds = %d", ErrBadConfig, rounds)
+	}
+	if st := sel.Strategy(); st.Kind == pathsel.Complicated {
+		return nil, capability.Unsupported("montecarlo", ErrComplicatedPaths, st.Name)
 	}
 	sp, err := sel.NewSampler()
 	if err != nil {
@@ -415,7 +417,6 @@ func NewSessionArena(analyst *adversary.Analyst, sel *pathsel.Selector, rounds i
 		return nil, err
 	}
 	return &SessionArena{
-		analyst:   analyst,
 		sampler:   sp,
 		acc:       acc,
 		entropies: make([]float64, rounds),
@@ -423,15 +424,16 @@ func NewSessionArena(analyst *adversary.Analyst, sel *pathsel.Selector, rounds i
 }
 
 // Session runs one repeated-communication session: the fixed sender sends
-// the arena's round count of messages over fresh paths, each synthesized
-// trace is folded into the accumulator, and the accumulated posterior
-// entropy after every round is returned (the slice is the arena's buffer,
-// valid until the next call). When confidence ∈ (0,1), identifiedAt is the
-// first round (1-based) at which the accumulated posterior put at least
-// that mass on the true sender (0 when the threshold was never reached or
-// tracking is off). The exact and Monte-Carlo scenario backends both fold
-// their sessions through this method, so the two sampled degradation
-// estimates share one definition of a round.
+// the arena's round count of messages over fresh paths, each path's
+// observation is folded into the accumulator (Accumulator.ObservePath,
+// which needs no trace), and the accumulated posterior entropy after every
+// round is returned (the slice is the arena's buffer, valid until the next
+// call). When confidence ∈ (0,1), identifiedAt is the first round
+// (1-based) at which the accumulated posterior put at least that mass on
+// the true sender (0 when the threshold was never reached or tracking is
+// off). The exact and Monte-Carlo scenario backends both fold their
+// sessions through this method, so the two sampled degradation estimates
+// share one definition of a round.
 func (ar *SessionArena) Session(rng *stats.Stream, sender trace.NodeID, confidence float64) (entropies []float64, identifiedAt int, err error) {
 	ar.acc.Reset()
 	for r := range ar.entropies {
@@ -439,8 +441,7 @@ func (ar *SessionArena) Session(rng *stats.Stream, sender trace.NodeID, confiden
 		if err != nil {
 			return nil, 0, err
 		}
-		SynthesizeInto(&ar.mt, trace.MessageID(r+1), sender, path, ar.analyst.Compromised)
-		if err := ar.acc.ObserveScratch(&ar.mt, &ar.sc); err != nil {
+		if err := ar.acc.ObservePath(sender, path, &ar.sc); err != nil {
 			return nil, 0, err
 		}
 		h, top, mass, err := ar.acc.SnapshotFast()

@@ -67,8 +67,8 @@ func TestWorkerCountIndependence(t *testing.T) {
 
 // TestSessionZeroAllocSteadyState asserts the hot loop's budget at the
 // session level: once the arena and the engine's class cache are warm, a
-// full multi-round session — path draws, trace synthesis, posterior folds,
-// snapshots — performs zero heap allocations.
+// full multi-round session — path draws, path-route posterior folds
+// (Accumulator.ObservePath), snapshots — performs zero heap allocations.
 func TestSessionZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocation counts")

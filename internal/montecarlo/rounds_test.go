@@ -159,3 +159,31 @@ func TestSessionAccumulates(t *testing.T) {
 		t.Errorf("no accumulation: first %v, last %v", entropies[0], entropies[199])
 	}
 }
+
+// TestSessionArenaRefusesCyclicRoutes: sessions fold paths through
+// Accumulator.ObservePath, which is defined for simple paths only, so an
+// arena over a Complicated strategy is refused with the capability
+// sentinel rather than folding cyclic routes.
+func TestSessionArenaRefusesCyclicRoutes(t *testing.T) {
+	const n = 12
+	compromised := []trace.NodeID{1, 5}
+	e, err := events.New(n, len(compromised))
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat, err := pathsel.Crowds(0.7, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyst, err := adversary.NewAnalyst(e, strat.Length, compromised)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := pathsel.NewSelector(n, strat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := montecarlo.NewSessionArena(analyst, sel, 4); !errors.Is(err, montecarlo.ErrComplicatedPaths) {
+		t.Fatalf("err = %v, want ErrComplicatedPaths", err)
+	}
+}

@@ -1,6 +1,8 @@
 package pathsel
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -246,6 +248,108 @@ func TestSamplerMatchesSelectorDistribution(t *testing.T) {
 		if chi2 > 42.3 {
 			t.Errorf("%s: first-hop chi-square = %v", src, chi2)
 		}
+	}
+}
+
+// chiSquareQuantile approximates the upper quantile χ²_dof(p) by the
+// Wilson–Hilferty cube transform of the normal quantile, which is within a
+// few tenths of a percent of the exact value for the dof and tail levels
+// used here.
+func chiSquareQuantile(dof int, p float64) float64 {
+	k := float64(dof)
+	z := math.Sqrt2 * math.Erfinv(2*p-1)
+	c := 1 - 2/(9*k) + z*math.Sqrt(2/(9*k))
+	return k * c * c * c
+}
+
+// TestSamplerPositionHistogram checks the sampler's simple paths position
+// by position: at every path position each node other than the sender
+// must appear with probability 1/(n−1), in the dense regime (a partial
+// Fisher–Yates over the rebuilt pool) and in the sparse one (rejection
+// against the open-addressed set). Each position's χ² over the n−1 nodes
+// is held to the 1e-3 upper quantile, Bonferroni-adjusted over the
+// positions of the case, and the (position, node) histogram must sum
+// exactly to the number of hops drawn.
+func TestSamplerPositionHistogram(t *testing.T) {
+	const draws = 110000
+	for _, c := range []struct {
+		n    int
+		spec string
+	}{
+		{12, "fixed:9"},       // dense: l·16 > n
+		{40, "uniform:20,39"}, // dense, up to every other node
+		{200, "uniform:1,12"}, // sparse: l·16 ≤ n
+	} {
+		t.Run(fmt.Sprintf("n=%d/%s", c.n, c.spec), func(t *testing.T) {
+			strat, err := Lookup(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel, err := NewSelector(c.n, strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp, err := sel.NewSampler()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, hi := strat.Length.Support()
+			sender := trace.NodeID(c.n / 3)
+			hist := make([][]int, hi)
+			for i := range hist {
+				hist[i] = make([]int, c.n)
+			}
+			rng := stats.NewStream(29, int64(c.n))
+			hops := 0
+			for range draws {
+				path, err := sp.SelectPath(&rng, sender)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hops += len(path)
+				for i, v := range path {
+					hist[i][v]++
+				}
+			}
+			total := 0
+			for _, row := range hist {
+				for _, k := range row {
+					total += k
+				}
+			}
+			if total != hops {
+				t.Fatalf("histogram holds %d hops, %d drawn", total, hops)
+			}
+			bound := chiSquareQuantile(c.n-2, 1-1e-3/float64(hi))
+			worst, at := 0.0, 0
+			for i, row := range hist {
+				if row[sender] != 0 {
+					t.Fatalf("sender drawn at position %d", i)
+				}
+				reached := 0
+				for _, k := range row {
+					reached += k
+				}
+				if reached == 0 {
+					t.Fatalf("position %d never drawn", i)
+				}
+				exp := float64(reached) / float64(c.n-1)
+				var chi2 float64
+				for v, k := range row {
+					if trace.NodeID(v) != sender {
+						d := float64(k) - exp
+						chi2 += d * d / exp
+					}
+				}
+				if chi2 > worst {
+					worst, at = chi2, i
+				}
+			}
+			t.Logf("worst position %d: χ² = %.1f (dof %d, bound %.1f over %d positions)", at, worst, c.n-2, bound, hi)
+			if worst > bound {
+				t.Errorf("position %d: χ² = %.1f over %d dof exceeds %.1f", at, worst, c.n-2, bound)
+			}
+		})
 	}
 }
 
