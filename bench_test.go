@@ -754,14 +754,15 @@ func BenchmarkMCTrialsPerSecond(b *testing.B) {
 
 // BenchmarkChurnSweep measures the dynamic-population figure: three
 // canonical churn timelines (grow, shrink, creeping compromise) on the
-// Monte-Carlo backend, phased sessions accumulating across epoch
-// boundaries through the union-space accumulator. The reported metrics are
+// Monte-Carlo backend, sessions accumulating across epoch boundaries
+// through the spike/slab accumulator's phases, at the shared pool's
+// width. The reported metrics are
 // the horizon anonymity of the growth and creep dynamics — the spread
 // between them is the cost of a time-phased adversary.
 func BenchmarkChurnSweep(b *testing.B) {
 	var growEnd, creepEnd float64
 	for i := 0; i < b.N; i++ {
-		fig, err := figures.ChurnSweep(30, 3, 400, 1, 4, []string{"uniform:1,7"})
+		fig, err := figures.ChurnSweep(30, 3, 400, 1, []string{"uniform:1,7"})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -35,16 +35,16 @@ func TestGoldenFigures(t *testing.T) {
 			"-backends-messages", "1500", "-backends-seed", "3",
 			"-backends-strategies", "freedom;uniform:1,7",
 		}},
-		// Repeated communication (workers pinned inside the generator).
+		// Repeated communication.
 		{"degradation-rounds", []string{
 			"-figure", "degradation-rounds", "-degrade-n", "14", "-degrade-c", "3",
 			"-degrade-sessions", "300", "-degrade-rounds", "6", "-degrade-seed", "2",
 			"-degrade-strategies", "fixed:3;uniform:1,5",
 		}},
-		// Dynamic populations (workers pinned via the flag).
+		// Dynamic populations.
 		{"churn-sweep", []string{
 			"-figure", "churn-sweep", "-churn-n", "15", "-churn-c", "2",
-			"-churn-sessions", "300", "-churn-seed", "4", "-churn-workers", "2",
+			"-churn-sessions", "300", "-churn-seed", "4",
 			"-churn-strategies", "fixed:3",
 		}},
 		// Epoch-aware optimization (exact engines + deterministic solver,
@@ -95,7 +95,7 @@ func TestGoldenFigures(t *testing.T) {
 func TestGoldenRepeatable(t *testing.T) {
 	args := []string{
 		"-figure", "churn-sweep", "-churn-n", "15", "-churn-c", "2",
-		"-churn-sessions", "100", "-churn-seed", "4", "-churn-workers", "2",
+		"-churn-sessions", "100", "-churn-seed", "4",
 		"-churn-strategies", "fixed:3",
 	}
 	var a, b bytes.Buffer

@@ -78,7 +78,6 @@ func run(args []string, stdout io.Writer) error {
 		churnN       = fs.Int("churn-n", 30, "base system size for churn-sweep")
 		churnC       = fs.Int("churn-c", 3, "base compromised count for churn-sweep")
 		churnSess    = fs.Int("churn-sessions", 2000, "sampled sessions per curve for churn-sweep")
-		churnWorkers = fs.Int("churn-workers", 4, "sampling workers for churn-sweep (0 = machine width; pin for reproducible output)")
 		churnStr     = fs.String("churn-strategies", "", "semicolon-separated pathsel specs for churn-sweep (default set if empty)")
 		churnSeed    = fs.Int64("churn-seed", 1, "seed for churn-sweep sampling")
 		epochOptN    = fs.Int("epochopt-n", 40, "base system size for epoch-optimizer")
@@ -133,8 +132,7 @@ func run(args []string, stdout io.Writer) error {
 	case *figure == "churn-sweep":
 		// Like the other parameterized sweeps: the -churn-* defaults match
 		// the named figure.
-		f, err := figures.ChurnSweep(*churnN, *churnC, *churnSess, *churnSeed, *churnWorkers,
-			pathsel.SplitSpecs(*churnStr))
+		f, err := figures.ChurnSweep(*churnN, *churnC, *churnSess, *churnSeed, pathsel.SplitSpecs(*churnStr))
 		if err != nil {
 			return err
 		}

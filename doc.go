@@ -31,11 +31,13 @@
 //     With Workload.Rounds > 1 a scenario becomes a set of persistent
 //     sender→receiver sessions — one initiator re-forming its path every
 //     round — and every backend implements the repeated-communication
-//     attack of Wright et al. ([23] in the paper): the exact backend
-//     accumulates exact per-round posteriors by Bayesian log-posterior
-//     multiplication (adversary.Accumulator), the Monte-Carlo backend
-//     folds sampled multi-round sessions through the shared engine, and
-//     the testbed runs the sessions on the event kernel — intersection
+//     attack of Wright et al. ([23] in the paper): the exact and
+//     Monte-Carlo backends share one session driver, which samples each
+//     round's path and accumulates the exact per-round posteriors by
+//     Bayesian log-posterior multiplication (adversary.Accumulator) —
+//     serially for the exact backend, in parallel for Monte-Carlo, with
+//     bit-identical results — and the testbed runs the sessions on the
+//     event kernel and folds the collected traces — intersection
 //     accumulation on the routed substrates, Reiter–Rubin predecessor
 //     counting on Crowds. Results carry the degradation curve H_1..H_k
 //     (Result.HRounds) and, with Workload.Confidence set, identification
@@ -53,19 +55,20 @@
 //     the testbed executes the schedule as kernel-level churn events at
 //     virtual timestamps with path selection restricted to the live
 //     membership. Degradation timelines thread persistent sessions across
-//     the phase boundaries through adversary.PhasedAccumulator: each
-//     round's posterior lives over its phase's population, accumulation
-//     happens over the union identity space, members absent during an
-//     observed round are eliminated, and a sender the adversary swallows
-//     mid-timeline is identified from that phase on. Result.Epochs carries
-//     the per-phase trajectory next to the blended curve. The contract is
-//     pinned three ways: a timeline agreement test (grow / shrink / creep
-//     × both receiver modes), a seeded differential harness running ~100
-//     generated scenarios — the full space of strategies, protocols,
-//     rounds, and timelines — on every capable backend, and fuzz targets
-//     (FuzzNormalize, FuzzParseTimeline, pathsel.FuzzStrategyLookup)
-//     asserting that nothing panics and only ErrBadConfig or capability
-//     errors escape.
+//     the phase boundaries through the same session driver and
+//     accumulator, whose phases each map their population onto a union
+//     identity space (a static run is one phase whose mapping is the
+//     identity): each round's posterior lives over its phase's
+//     population, members absent during an observed round are eliminated,
+//     and a sender the adversary swallows mid-timeline is identified from
+//     that phase on. Result.Epochs carries the per-phase trajectory next
+//     to the blended curve. The contract is pinned three ways: a timeline
+//     agreement test (grow / shrink / creep × both receiver modes), a
+//     seeded differential harness running ~100 generated scenarios — the
+//     full space of strategies, protocols, rounds, and timelines — on
+//     every capable backend, and fuzz targets (FuzzNormalize,
+//     FuzzParseTimeline, pathsel.FuzzStrategyLookup) asserting that
+//     nothing panics and only ErrBadConfig or capability errors escape.
 //
 // The analysis stack underneath:
 //
@@ -293,28 +296,32 @@
 //     the class's shape (compromised hops, one-node and wider junctions,
 //     tail gap, witnesses), and look it up in the analyst's shape-keyed
 //     statistics table, with no trace, Class or validation in between and
-//     zero heap traffic once the table is warm. The trace route
-//     (SynthesizeInto, then ClassifyScratch through adversary.Scratch and
-//     ObserveScratch) still serves every analysis that starts from
-//     reports: the testbed's collected traces, the partial traces of
-//     failed deliveries, and the phased sessions of dynamic populations.
-//     FuzzPathObservation holds the path route to it bit for bit. The
-//     multi-round degradation benchmark dropped from ~93ms / 57MB / 366k
-//     allocations per op to ~21ms / 15kB / ~120 allocations, and
-//     BenchmarkDegradationRounds fails if the per-op allocation count
-//     regresses past 1% of the old baseline.
+//     zero heap traffic once the table is warm; the sampled sessions of
+//     dynamic populations fold the same way, in each phase's dense node
+//     space. The trace route (SynthesizeInto, then ClassifyScratch through
+//     adversary.Scratch and ObserveScratch) still serves every analysis
+//     that starts from reports: the testbed's collected traces and the
+//     partial traces of failed deliveries. FuzzPathObservation holds the
+//     path route to it bit for bit. The multi-round degradation benchmark
+//     dropped from ~93ms / 57MB / 366k allocations per op to ~21ms / 15kB
+//     / ~120 allocations, and BenchmarkDegradationRounds fails if the
+//     per-op allocation count regresses past 1% of the old baseline.
 //
-//   - adversary.Accumulator, behind every multi-round session and every
-//     retry-degraded H (HDegraded), keeps the joint posterior in the
-//     spike/slab form each round's posterior has: one log value shared
-//     by every node no round singled out, one flag for the compromised
-//     set, and short lists of eliminated nodes and former spike
-//     candidates. A fold, a snapshot, and a Reset therefore cost
-//     O(witnesses + candidates) per round whatever N is, and the state is
-//     one byte per node. Per-node log values are the sums the dense
-//     vector held; only the snapshot's sums reassociate, and
-//     FuzzAccumulatorFold checks them against the dense reference fold to
-//     1e-9. The dynamic-population PhasedAccumulator stays dense.
+//   - adversary.Accumulator, behind every multi-round session, static or
+//     across a timeline's phases, and every retry-degraded H (HDegraded),
+//     keeps the joint posterior in the spike/slab form each round's
+//     posterior has: one log value shared by every node no round singled
+//     out, and short lists of eliminated nodes and former spike
+//     candidates. Each node records the first phase in which it is absent
+//     or compromised, and leaves the slab when a session's first round in
+//     that phase folds, through per-phase counts. A fold, entering a
+//     phase, a snapshot, and a Reset therefore cost
+//     O(witnesses + candidates + touched) per round whatever the union's
+//     size, and a static accumulator's state is one byte per node.
+//     Per-node log values are the sums the dense vector held; only the
+//     snapshot's sums reassociate, and FuzzAccumulatorFold and
+//     FuzzPhasedFold check them against the dense reference folds to
+//     1e-9.
 //
 //   - Randomness in the trial loops is counter-based (stats.Stream, a
 //     SplitMix64 stream): trial t of seed s draws a pure function of

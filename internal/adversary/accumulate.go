@@ -4,16 +4,27 @@ package adversary
 // 2002), cited as [23] by Guan et al.: when one initiator talks to one
 // receiver over many rounds, each round's rerouting path leaks a little,
 // and the adversary multiplies the per-round posteriors. The Accumulator
-// below is the engine-exact version of that attack; the scenario layer
-// drives it from every backend (the exact engine replays synthesized
-// traces, the Monte-Carlo estimator folds sampled sessions, the testbed
-// feeds it collected tuple streams), and package degrade re-exports it for
-// compatibility.
+// below is the engine-exact version of that attack. The scenario layer's
+// session driver folds every degradation session through it: the exact
+// and Monte-Carlo backends fold each sampled path (ObservePath), the
+// testbed folds collected traces (ObserveScratch), and the reliability
+// layer folds partial traces of failed deliveries (FoldObservation).
+// Package degrade re-exports it for compatibility.
+//
+// A session may span the phases of a dynamic population (node churn,
+// time-phased compromise), whose rounds each live over that phase's
+// population. The accumulator then works over a union identity space:
+// every node that exists in any phase has one stable union identity, each
+// phase maps its analyst's dense node space onto those identities, and a
+// union member absent during an observed round is eliminated outright —
+// the adversary knows the session's sender was a live member whenever it
+// sent. A static population is one phase whose mapping is the identity.
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"anonmix/internal/entropy"
 	"anonmix/internal/trace"
@@ -29,35 +40,59 @@ var ErrNoObservations = errors.New("adversary: no observations accumulated")
 // Every round's posterior is a spike on one candidate plus a uniform slab
 // over the remaining honest nodes, so the joint log-posterior is one
 // shared value plus a few exceptions, and the accumulator stores it in
-// that form: base is the log value of every slab node, the compromised
-// set leaves the slab through the single compElim flag, and each node
+// that form: base is the log value of every slab node; a node absent or
+// compromised during a phase leaves the slab when the session's first
+// round in that phase folds (the phase is then entered); and each node
 // that a fold eliminated or made a spike carrier has a mark byte, a place
 // in touched, and (while its value is finite) an entry in cands. A fold,
-// a snapshot, and a Reset therefore cost O(witnesses + candidates)
-// whatever N is. Each node's log value is the same IEEE sum the dense
-// vector held; only the snapshot's sums associate differently.
+// entering a phase, a snapshot, and a Reset therefore cost
+// O(witnesses + candidates + touched) whatever the union's size. Each
+// node's log value is the same IEEE sum a dense vector would hold; only
+// the snapshot's sums associate differently.
 type Accumulator struct {
+	phases []phaseView
+	// phase is the selected phase; analyst and live are its fields.
+	phase   int
 	analyst *Analyst
+	live    []trace.NodeID
 	// checked is the last foreign analyst FoldObservation verified to
-	// share the accumulator's compromised set.
-	checked *Analyst
-	rounds  int
+	// share the selected phase's compromised set.
+	checked     *Analyst
+	rounds      int
+	phaseRounds int // rounds folded since the phase was selected
 
-	mark    []uint8        // per node: markComp, plus markDead or markCand
+	mark    []uint8        // per union node: markOut, plus markDead or markCand
+	outAt   []int32        // per markOut node: its out phase; nil with one phase
 	touched []trace.NodeID // nodes with markDead or markCand set
 	cands   []candidate    // nodes with markCand: their own finite values
 
-	base        float64 // log value shared by every slab node
-	slab        int     // nodes whose value is base
-	compElim    bool    // the compromised set is eliminated (−∞)
-	compTouched int     // compromised nodes with markDead or markCand set
-	compPrefix  int     // length of the compromised prefix [0, compPrefix)
-	first       int     // no slab node has a lower index
+	base    float64 // log value shared by every slab node
+	slab    int     // nodes whose value is base
+	entered int     // index of the phase last entered (−1: none)
+	first   int     // no slab node has a lower index
 
-	// Initial backing of cands and touched, so the first sessions of a
-	// fresh accumulator do not grow them.
+	// Initial backing of cands, touched and phases, so a fresh
+	// accumulator's first sessions do not grow them and a one-phase
+	// accumulator allocates only its mark bytes.
 	candBuf  [16]candidate
 	touchBuf [32]trace.NodeID
+	phaseBuf [1]phaseView
+}
+
+// phaseView is one phase of an accumulator's session. A node's out phase
+// is the first phase in which it is absent or compromised; the node is
+// eliminated when that phase is entered.
+type phaseView struct {
+	analyst *Analyst
+	// live[i] is the union identity of the analyst's dense node i; nil
+	// for the identity.
+	live []trace.NodeID
+	// out counts the nodes whose out phase this is; the union's first
+	// prefix nodes all have out phases up to this one.
+	out, prefix int
+	// touched counts, within a session, this phase's out nodes that left
+	// the slab before it was entered.
+	touched int
 }
 
 // candidate is a node whose log value left the shared slab value.
@@ -66,30 +101,168 @@ type candidate struct {
 	lp float64
 }
 
-// Mark bits. markComp is static (set at construction); the session bits
+// Mark bits. markOut is static (set at construction); the session bits
 // are cleared by Reset through the touched list.
 const (
-	markComp uint8 = 1 << iota // compromised under the accumulator's analyst
+	markOut  uint8 = 1 << iota // absent or compromised in some phase
 	markDead                   // eliminated: log value −∞
 	markCand                   // own value, held in cands
 )
 
-// NewAccumulator returns an accumulator over the analyst's system.
+// NewAccumulator returns an accumulator over the analyst's system: a
+// static population, one phase whose mapping is the identity.
 func NewAccumulator(a *Analyst) (*Accumulator, error) {
 	if a == nil {
 		return nil, fmt.Errorf("%w: nil analyst", ErrBadConfig)
 	}
-	acc := &Accumulator{analyst: a, mark: make([]uint8, a.engine.N())}
-	for _, id := range a.compromised {
-		acc.mark[id] = markComp
+	return NewTimelineAccumulator(a.engine.N(), []*Analyst{a}, [][]trace.NodeID{nil})
+}
+
+// NewTimelineAccumulator returns an accumulator for sessions spanning the
+// given phases over a union identity space of the given size. Phase p's
+// rounds are analyzed by analysts[p] in its dense node space, and live[p]
+// lists the union identities of that space's nodes in ascending order
+// (nil for the identity, which needs the analyst to span the union). The
+// phases are the ones a session folds rounds in: it starts in phase 0 and
+// moves on with SetPhase.
+func NewTimelineAccumulator(union int, analysts []*Analyst, live [][]trace.NodeID) (*Accumulator, error) {
+	if union < 1 || len(analysts) == 0 || len(live) != len(analysts) {
+		return nil, fmt.Errorf("%w: %d phases with %d live lists over a union of %d",
+			ErrBadConfig, len(analysts), len(live), union)
 	}
-	for acc.compPrefix < len(acc.mark) && acc.mark[acc.compPrefix] == markComp {
-		acc.compPrefix++
+	acc := &Accumulator{mark: make([]uint8, union)}
+	acc.phases = acc.phaseBuf[:0]
+	if len(analysts) > 1 {
+		acc.phases = make([]phaseView, 0, len(analysts))
+		acc.outAt = make([]int32, union)
+	}
+	out := func(g trace.NodeID, p int) {
+		if acc.mark[g] == 0 {
+			acc.mark[g] = markOut
+			acc.phases[p].out++
+			if acc.outAt != nil {
+				acc.outAt[g] = int32(p)
+			}
+		}
+	}
+	for p, a := range analysts {
+		if a == nil {
+			return nil, fmt.Errorf("%w: nil analyst for phase %d", ErrBadConfig, p)
+		}
+		l, n := live[p], a.engine.N()
+		acc.phases = append(acc.phases, phaseView{analyst: a, live: l})
+		if l == nil {
+			if n != union {
+				return nil, fmt.Errorf("%w: identity phase %d over %d nodes in a union of %d",
+					ErrBadConfig, p, n, union)
+			}
+			for _, id := range a.compromised {
+				out(id, p)
+			}
+		} else {
+			if len(l) != n {
+				return nil, fmt.Errorf("%w: %d live identities for an analyst over %d nodes",
+					ErrBadConfig, len(l), n)
+			}
+			next := trace.NodeID(0) // every union node below next is accounted for
+			for _, g := range l {
+				if g < next || int(g) >= union {
+					return nil, fmt.Errorf("%w: live identity %v of phase %d out of order or outside a union of %d",
+						ErrBadConfig, g, p, union)
+				}
+				for ; next < g; next++ {
+					out(next, p)
+				}
+				next = g + 1
+			}
+			for ; int(next) < union; next++ {
+				out(next, p)
+			}
+			for _, d := range a.compromised {
+				out(l[d], p)
+			}
+		}
+	}
+	k := 0
+	for p := range acc.phases {
+		for k < union && acc.mark[k]&markOut != 0 && acc.outPhase(trace.NodeID(k)) <= p {
+			k++
+		}
+		acc.phases[p].prefix = k
 	}
 	acc.cands = acc.candBuf[:0]
 	acc.touched = acc.touchBuf[:0]
 	acc.Reset()
 	return acc, nil
+}
+
+// SetPhase selects the phase the following rounds are folded in. A
+// session moves through its phases in order, one at a time, and folds at
+// least one round in each before moving on; Reset returns it to phase 0.
+func (acc *Accumulator) SetPhase(p int) error {
+	switch {
+	case p == acc.phase:
+		return nil
+	case p != acc.phase+1 || p >= len(acc.phases):
+		return fmt.Errorf("%w: phase %d selected after phase %d of %d", ErrBadConfig, p, acc.phase, len(acc.phases))
+	case acc.phaseRounds == 0:
+		return fmt.Errorf("%w: phase %d selected before phase %d folded a round", ErrBadConfig, p, acc.phase)
+	}
+	acc.selectPhase(p)
+	return nil
+}
+
+// selectPhase makes phase p the one folds read.
+func (acc *Accumulator) selectPhase(p int) {
+	if p != acc.phase {
+		acc.checked = nil // verified against another phase's compromised set
+	}
+	acc.phase = p
+	acc.analyst = acc.phases[p].analyst
+	acc.live = acc.phases[p].live
+	acc.phaseRounds = 0
+}
+
+// outPhase returns node g's out phase, or len(phases) when it has none.
+func (acc *Accumulator) outPhase(g trace.NodeID) int {
+	switch {
+	case acc.mark[g]&markOut == 0:
+		return len(acc.phases)
+	case acc.outAt == nil:
+		return 0
+	}
+	return int(acc.outAt[g])
+}
+
+// gone reports whether node g, in the slab state with mark m, left the
+// slab when its out phase was entered.
+func (acc *Accumulator) gone(g trace.NodeID, m uint8) bool {
+	return m&markOut != 0 && acc.outPhase(g) <= acc.entered
+}
+
+// union maps dense node d of the selected phase to its union identity.
+func (acc *Accumulator) union(d trace.NodeID) trace.NodeID {
+	if acc.live == nil {
+		return d
+	}
+	return acc.live[d]
+}
+
+// outNow reports whether union node g is absent or compromised in the
+// selected phase.
+func (acc *Accumulator) outNow(g trace.NodeID) bool {
+	if acc.outPhase(g) > acc.phase {
+		return false
+	}
+	d := g
+	if acc.live != nil {
+		i, ok := slices.BinarySearch(acc.live, g)
+		if !ok {
+			return true
+		}
+		d = trace.NodeID(i)
+	}
+	return acc.analyst.Compromised(d)
 }
 
 // Observe folds one message trace into the running posterior. Because the
@@ -104,14 +277,15 @@ func (acc *Accumulator) Observe(mt *trace.MessageTrace) error {
 // Rounds returns the number of observations folded in.
 func (acc *Accumulator) Rounds() int { return acc.rounds }
 
-// Posterior returns the normalized joint posterior over the N nodes.
+// Posterior returns the normalized joint posterior over the union's
+// nodes.
 func (acc *Accumulator) Posterior() ([]float64, error) {
 	if acc.rounds == 0 {
 		return nil, ErrNoObservations
 	}
 	out := make([]float64, len(acc.mark))
 	for i, m := range acc.mark {
-		if m&markDead != 0 || (acc.compElim && m&(markComp|markCand) == markComp) {
+		if m&markDead != 0 || (m&markCand == 0 && acc.gone(trace.NodeID(i), m)) {
 			out[i] = math.Inf(-1)
 		} else {
 			out[i] = acc.base
@@ -120,34 +294,22 @@ func (acc *Accumulator) Posterior() ([]float64, error) {
 	for _, c := range acc.cands {
 		out[c.id] = c.lp
 	}
-	if err := normalizeLog(out, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// normalizeLog exponentiates and normalizes a log-posterior into out
-// (max-subtracted for stability; out may alias logPost). Shared by the
-// static and the phased accumulator.
-func normalizeLog(logPost, out []float64) error {
 	maxLog := math.Inf(-1)
-	for _, lp := range logPost {
-		if lp > maxLog {
-			maxLog = lp
-		}
+	for _, lp := range out {
+		maxLog = max(maxLog, lp)
 	}
 	if math.IsInf(maxLog, -1) {
-		return fmt.Errorf("%w: joint posterior vanished (inconsistent observations)", ErrCorruptTrace)
+		return nil, fmt.Errorf("%w: joint posterior vanished (inconsistent observations)", ErrCorruptTrace)
 	}
 	var sum float64
-	for i, lp := range logPost {
+	for i, lp := range out {
 		out[i] = math.Exp(lp - maxLog)
 		sum += out[i]
 	}
 	for i := range out {
 		out[i] /= sum
 	}
-	return nil
+	return out, nil
 }
 
 // Entropy returns the Shannon entropy (bits) of the joint posterior —
@@ -162,17 +324,8 @@ func (acc *Accumulator) Entropy() (float64, error) {
 
 // Top returns the argmax node of the joint posterior and its probability.
 func (acc *Accumulator) Top() (trace.NodeID, float64, error) {
-	p, err := acc.Posterior()
-	if err != nil {
-		return 0, 0, err
-	}
-	best, arg := -1.0, 0
-	for i, v := range p {
-		if v > best {
-			best, arg = v, i
-		}
-	}
-	return trace.NodeID(arg), best, nil
+	_, top, mass, err := acc.Snapshot()
+	return top, mass, err
 }
 
 // Snapshot returns the joint posterior's entropy, argmax node, and argmax
@@ -192,24 +345,24 @@ func (acc *Accumulator) Snapshot() (h float64, top trace.NodeID, mass float64, e
 	return entropy.Bits(p), trace.NodeID(arg), best, nil
 }
 
-// logValue returns node id's current joint log value.
-func (acc *Accumulator) logValue(id trace.NodeID) float64 {
-	m := acc.mark[id]
+// logValue returns union node g's current joint log value.
+func (acc *Accumulator) logValue(g trace.NodeID) float64 {
+	m := acc.mark[g]
 	switch {
 	case m&markDead != 0:
 		return math.Inf(-1)
 	case m&markCand != 0:
-		return acc.cands[acc.candIndex(id)].lp
-	case m&markComp != 0 && acc.compElim:
+		return acc.cands[acc.candIndex(g)].lp
+	case acc.gone(g, m):
 		return math.Inf(-1)
 	}
 	return acc.base
 }
 
-// candIndex returns id's position in cands; id must carry markCand.
-func (acc *Accumulator) candIndex(id trace.NodeID) int {
+// candIndex returns g's position in cands; g must carry markCand.
+func (acc *Accumulator) candIndex(g trace.NodeID) int {
 	i := 0
-	for acc.cands[i].id != id {
+	for acc.cands[i].id != g {
 		i++
 	}
 	return i
@@ -217,48 +370,48 @@ func (acc *Accumulator) candIndex(id trace.NodeID) int {
 
 // detach takes a node in the slab state (mark m, no session bit) out of
 // the slab count and records it for Reset.
-func (acc *Accumulator) detach(id trace.NodeID, m uint8) {
-	if m&markComp == 0 || !acc.compElim {
+func (acc *Accumulator) detach(g trace.NodeID, m uint8) {
+	if m&markOut == 0 {
 		acc.slab--
+	} else if p := acc.outPhase(g); p > acc.entered {
+		acc.slab--
+		acc.phases[p].touched++
 	}
-	if m&markComp != 0 {
-		acc.compTouched++
-	}
-	acc.touched = append(acc.touched, id)
+	acc.touched = append(acc.touched, g)
 }
 
-// kill sets node id's log value to −∞.
-func (acc *Accumulator) kill(id trace.NodeID) {
-	m := acc.mark[id]
+// kill sets union node g's log value to −∞.
+func (acc *Accumulator) kill(g trace.NodeID) {
+	m := acc.mark[g]
 	switch {
 	case m&markDead != 0:
 		return
 	case m&markCand != 0:
-		i, last := acc.candIndex(id), len(acc.cands)-1
+		i, last := acc.candIndex(g), len(acc.cands)-1
 		acc.cands[i] = acc.cands[last]
 		acc.cands = acc.cands[:last]
 	default:
-		acc.detach(id, m)
+		acc.detach(g, m)
 	}
-	acc.mark[id] = m&markComp | markDead
+	acc.mark[g] = m&markOut | markDead
 }
 
-// setValue sets node id's log value to lp.
-func (acc *Accumulator) setValue(id trace.NodeID, lp float64) {
+// setValue sets union node g's log value to lp.
+func (acc *Accumulator) setValue(g trace.NodeID, lp float64) {
 	if math.IsInf(lp, -1) {
-		acc.kill(id)
+		acc.kill(g)
 		return
 	}
-	m := acc.mark[id]
+	m := acc.mark[g]
 	if m&markCand != 0 {
-		acc.cands[acc.candIndex(id)].lp = lp
+		acc.cands[acc.candIndex(g)].lp = lp
 		return
 	}
 	if m&markDead == 0 {
-		acc.detach(id, m)
+		acc.detach(g, m)
 	}
-	acc.mark[id] = m&markComp | markCand
-	acc.cands = append(acc.cands, candidate{id: id, lp: lp})
+	acc.mark[g] = m&markOut | markCand
+	acc.cands = append(acc.cands, candidate{id: g, lp: lp})
 }
 
 // addAll adds logShare to every node's log value (−∞ eliminates all).
@@ -266,7 +419,7 @@ func (acc *Accumulator) addAll(logShare float64) {
 	if math.IsInf(logShare, -1) {
 		acc.base = logShare
 		for _, c := range acc.cands {
-			acc.mark[c.id] = acc.mark[c.id]&markComp | markDead
+			acc.mark[c.id] = acc.mark[c.id]&markOut | markDead
 		}
 		acc.cands = acc.cands[:0]
 		return
@@ -277,39 +430,44 @@ func (acc *Accumulator) addAll(logShare float64) {
 	}
 }
 
-// eliminateCompromised sets every compromised node's log value to −∞: the
-// slab's through the flag, and any compromised spike carrier's (one an
-// identifying fold kept) directly.
-func (acc *Accumulator) eliminateCompromised() {
-	if !acc.compElim {
-		acc.compElim = true
-		acc.slab -= len(acc.analyst.compromised) - acc.compTouched
+// enter eliminates every node absent or compromised in the selected
+// phase: the slab's by entering the phases up to it, and any spike
+// carrier's directly.
+func (acc *Accumulator) enter() {
+	for acc.entered < acc.phase {
+		acc.entered++
+		ph := &acc.phases[acc.entered]
+		acc.slab -= ph.out - ph.touched
 	}
 	for i := len(acc.cands) - 1; i >= 0; i-- {
-		if id := acc.cands[i].id; acc.mark[id]&markComp != 0 {
-			acc.kill(id)
+		if g := acc.cands[i].id; acc.mark[g]&markOut != 0 && acc.outNow(g) {
+			acc.kill(g)
 		}
 	}
 }
 
-// identify keeps node id's log value and eliminates every other node.
-func (acc *Accumulator) identify(id trace.NodeID) {
-	lp := acc.logValue(id)
+// identify folds a round that identified union node g: it keeps g's log
+// value and eliminates every other node.
+func (acc *Accumulator) identify(g trace.NodeID) {
+	lp := acc.logValue(g)
 	acc.addAll(math.Inf(-1))
-	acc.setValue(id, lp)
+	acc.setValue(g, lp)
+	acc.rounds++
+	acc.phaseRounds++
 }
 
 // firstSlab returns the lowest-index slab node; the slab must be
 // non-empty. Nodes only ever leave the slab between Resets, so the
 // cursor only moves forward and the scan is O(1) amortized.
 func (acc *Accumulator) firstSlab() trace.NodeID {
-	out := markDead | markCand
-	if acc.compElim {
-		out |= markComp
-		acc.first = max(acc.first, acc.compPrefix)
+	if acc.entered >= 0 {
+		acc.first = max(acc.first, acc.phases[acc.entered].prefix)
 	}
-	for acc.mark[acc.first]&out != 0 {
+	for {
+		g := trace.NodeID(acc.first)
+		if m := acc.mark[g]; m&(markDead|markCand) == 0 && !acc.gone(g, m) {
+			return g
+		}
 		acc.first++
 	}
-	return trace.NodeID(acc.first)
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // denseAccumulator is the reference joint posterior the spike/slab
-// Accumulator must reproduce: one log value per node, folded from each
-// round's materialized Analyst.Posterior vector, and snapshotted by a
-// two-pass sweep over all N values.
+// Accumulator must reproduce: one log value per node of the union space,
+// folded from each round's materialized Analyst.Posterior vector, and
+// snapshotted by a two-pass sweep over all the values.
 type denseAccumulator struct {
 	logPost []float64
 	rounds  int
@@ -42,12 +42,52 @@ func (d *denseAccumulator) fold(post []float64) {
 
 // observe folds analyst a's posterior of mt; on error nothing is folded.
 func (d *denseAccumulator) observe(a *adversary.Analyst, mt *trace.MessageTrace) error {
+	return d.observePhase(a, mt, nil)
+}
+
+// observePhase is the dense phased fold: it folds analyst a's posterior
+// of mt, recorded in a phase whose dense node i is union node live[i]
+// (nil for the identity), and eliminates every union node absent from the
+// phase. On error nothing is folded.
+func (d *denseAccumulator) observePhase(a *adversary.Analyst, mt *trace.MessageTrace, live []trace.NodeID) error {
 	post, err := a.Posterior(mt)
 	if err != nil {
 		return err
 	}
-	d.fold(post.P)
+	if live == nil {
+		d.fold(post.P)
+		return nil
+	}
+	union := make([]float64, len(d.logPost))
+	for i, p := range post.P {
+		union[live[i]] = p
+	}
+	d.fold(union)
 	return nil
+}
+
+// posterior returns the normalized joint posterior.
+func (d *denseAccumulator) posterior() ([]float64, error) {
+	if d.rounds == 0 {
+		return nil, adversary.ErrNoObservations
+	}
+	maxLog := math.Inf(-1)
+	for _, lp := range d.logPost {
+		maxLog = max(maxLog, lp)
+	}
+	if math.IsInf(maxLog, -1) {
+		return nil, adversary.ErrCorruptTrace
+	}
+	out := make([]float64, len(d.logPost))
+	var sum float64
+	for i, lp := range d.logPost {
+		out[i] = math.Exp(lp - maxLog)
+		sum += out[i]
+	}
+	for i := range out {
+		out[i] /= sum
+	}
+	return out, nil
 }
 
 // snapshot returns the entropy (bits), lowest-index argmax, and argmax

@@ -6,10 +6,11 @@ package adversary
 // compromised bitset counts what ClassifyScratch would reconstruct from
 // that trace — the compromised hops, the one-node and wider junctions
 // between their runs, the tail gap, and the witnessed identities — and
-// the statistics table serves the class's shape from those counts. The
-// trace route stays for everything that starts from reports: the testbed's
-// collected traces, partial traces of failed deliveries, and the phased
-// sessions of dynamic populations.
+// the statistics table serves the class's shape from those counts. Every
+// sampled session folds this way, in the dense node space of the
+// accumulator's selected phase. The trace route stays for everything that
+// starts from reports: the testbed's collected traces and the partial
+// traces of failed deliveries.
 
 import (
 	"fmt"
@@ -111,10 +112,10 @@ func (a *Analyst) walkPath(sender trace.NodeID, path []trace.NodeID, sc *Scratch
 // PathEntropy is EntropyScratch for the trace that sender's message over
 // path would produce, computed from the path without building the trace
 // or its Class. The path must be simple and must not contain the sender:
-// pathsel guarantees both for Simple strategies, and montecarlo's
-// EstimateH and NewSessionArena refuse Complicated ones. On such a path
-// the result and the error class are EntropyScratch's bit for bit, and
-// the slab count is cross-checked against the witnesses as there. IDs
+// pathsel guarantees both for Simple strategies, and montecarlo.EstimateH
+// and the scenario layer's session driver refuse Complicated ones. On such
+// a path the result and the error class are EntropyScratch's bit for bit,
+// and the slab count is cross-checked against the witnesses as there. IDs
 // outside [0, N) count as honest, as they do under SynthesizeInto's
 // compromised callback.
 func (a *Analyst) PathEntropy(sender trace.NodeID, path []trace.NodeID) (float64, error) {
@@ -135,7 +136,8 @@ func (a *Analyst) PathEntropy(sender trace.NodeID, path []trace.NodeID) (float64
 
 // ObservePath is ObserveScratch for the trace that sender's message over
 // path would produce, folded from the path without building the trace or
-// its Class; sc holds the witnessed identities. Its contract is
+// its Class; sender and path are in the selected phase's dense node
+// space, and sc holds the witnessed identities. Its contract is
 // PathEntropy's: on a simple path without the sender the accumulator ends
 // in the state ObserveScratch would leave, bit for bit, and on error it is
 // unchanged.
@@ -143,8 +145,7 @@ func (acc *Accumulator) ObservePath(sender trace.NodeID, path []trace.NodeID, sc
 	a := acc.analyst
 	v := a.walkPath(sender, path, sc)
 	if v.identified {
-		acc.identify(v.candidate)
-		acc.rounds++
+		acc.identify(acc.union(v.candidate))
 		return nil
 	}
 	alpha, rest, _, err := a.stats.ShapeStats(v.k, v.one, v.wide, v.tail)

@@ -181,29 +181,33 @@ func (a *Analyst) honestWitnessed(witnessed []trace.NodeID) int {
 	return w
 }
 
-// Reset rewinds the accumulator to the uniform prior so session loops can
-// reuse one allocation across sessions. It costs O(nodes touched since the
-// last Reset).
+// Reset rewinds the accumulator to the uniform prior, in phase 0, so
+// session loops can reuse one allocation across sessions. It costs
+// O(nodes touched since the last Reset).
 func (acc *Accumulator) Reset() {
-	for _, id := range acc.touched {
-		acc.mark[id] &= markComp
+	for _, g := range acc.touched {
+		acc.mark[g] &= markOut
+	}
+	for p := range acc.phases {
+		acc.phases[p].touched = 0
 	}
 	acc.touched = acc.touched[:0]
 	acc.cands = acc.cands[:0]
 	acc.base = 0
 	acc.slab = len(acc.mark)
-	acc.compElim = false
-	acc.compTouched = 0
+	acc.entered = -1
 	acc.first = 0
 	acc.rounds = 0
+	acc.selectPhase(0)
 }
 
-// ObserveScratch folds one message trace into the running posterior
-// without materializing the intermediate Posterior vector. The fold is
-// term-for-term the one the per-round Posterior implies: the spike
-// candidate accumulates log α, slab members log((1−α)/rest), and
-// compromised, witnessed, and zero-mass nodes are eliminated. On error the
-// accumulator is unchanged.
+// ObserveScratch folds one message trace, in the selected phase's dense
+// node space, into the running posterior without materializing the
+// intermediate Posterior vector. The fold is term-for-term the one the
+// per-round Posterior implies: the spike candidate accumulates log α,
+// slab members log((1−α)/rest), and compromised, witnessed, and
+// zero-mass nodes are eliminated, as is every node absent from the
+// phase. On error the accumulator is unchanged.
 func (acc *Accumulator) ObserveScratch(mt *trace.MessageTrace, sc *Scratch) error {
 	return acc.foldObservation(acc.analyst, mt, sc)
 }
@@ -211,15 +215,15 @@ func (acc *Accumulator) ObserveScratch(mt *trace.MessageTrace, sc *Scratch) erro
 // FoldObservation folds the posterior a second analyst derives from mt,
 // used by the reliability layer to fold the uncompromised-receiver
 // analysis of failed delivery attempts. The analyst must span the
-// accumulator's N nodes and share its compromised set (checked once per
+// selected phase's nodes and share its compromised set (checked once per
 // analyst); otherwise the fold fails with ErrBadConfig.
 func (acc *Accumulator) FoldObservation(a *Analyst, mt *trace.MessageTrace, sc *Scratch) error {
 	if a == nil {
 		return fmt.Errorf("%w: nil analyst", ErrBadConfig)
 	}
-	if a.engine.N() != len(acc.mark) {
+	if n := acc.analyst.engine.N(); a.engine.N() != n {
 		return fmt.Errorf("%w: analyst over %d nodes, accumulator over %d",
-			ErrBadConfig, a.engine.N(), len(acc.mark))
+			ErrBadConfig, a.engine.N(), n)
 	}
 	if a != acc.analyst && a != acc.checked {
 		if !acc.sharesCompromised(a) {
@@ -230,14 +234,14 @@ func (acc *Accumulator) FoldObservation(a *Analyst, mt *trace.MessageTrace, sc *
 	return acc.foldObservation(a, mt, sc)
 }
 
-// sharesCompromised reports whether a's compromised set is the
-// accumulator's.
+// sharesCompromised reports whether a's compromised set is the selected
+// phase's.
 func (acc *Accumulator) sharesCompromised(a *Analyst) bool {
 	if len(a.compromised) != len(acc.analyst.compromised) {
 		return false
 	}
 	for _, id := range a.compromised {
-		if acc.mark[id]&markComp == 0 {
+		if !acc.analyst.Compromised(id) {
 			return false
 		}
 	}
@@ -252,8 +256,7 @@ func (acc *Accumulator) foldObservation(a *Analyst, mt *trace.MessageTrace, sc *
 		return err
 	}
 	if obs.Identified {
-		acc.identify(obs.Candidate)
-		acc.rounds++
+		acc.identify(acc.union(obs.Candidate))
 		return nil
 	}
 	st, err := a.stats.StatsFor(obs.Class)
@@ -264,11 +267,12 @@ func (acc *Accumulator) foldObservation(a *Analyst, mt *trace.MessageTrace, sc *
 }
 
 // fold folds one round's spike/slab posterior under analyst a — mass
-// alpha on candidate, the rest shared by rest slab nodes — in the order
-// the dense fold applied it: every node adds the slab share, then the
-// compromised and witnessed nodes drop to −∞, then the candidate takes
-// its old value plus log α. The witnesses are eliminated in list order.
-// It first cross-checks rest against the witnesses and leaves the
+// alpha on candidate, the rest shared by rest slab nodes, in the selected
+// phase's dense space — in the order the dense fold applied it: every
+// node adds the slab share, then the nodes absent or compromised in the
+// phase and the witnessed nodes drop to −∞, then the candidate takes its
+// old value plus log α. The witnesses are eliminated in list order. It
+// first cross-checks rest against the witnesses and leaves the
 // accumulator unchanged when they disagree.
 func (acc *Accumulator) fold(a *Analyst, candidate trace.NodeID, witnessed []trace.NodeID, alpha float64, rest int) error {
 	n := a.engine.N()
@@ -277,9 +281,11 @@ func (acc *Accumulator) fold(a *Analyst, candidate trace.NodeID, witnessed []tra
 			ErrCorruptTrace, r, rest)
 	}
 	candInRange := int(candidate) >= 0 && int(candidate) < n
+	var cand trace.NodeID
 	var candOld float64
 	if candInRange {
-		candOld = acc.logValue(candidate)
+		cand = acc.union(candidate)
+		candOld = acc.logValue(cand)
 	}
 	logShare := math.Inf(-1)
 	if rest > 0 {
@@ -288,20 +294,21 @@ func (acc *Accumulator) fold(a *Analyst, candidate trace.NodeID, witnessed []tra
 		}
 	}
 	acc.addAll(logShare)
-	acc.eliminateCompromised()
+	acc.enter()
 	for _, w := range witnessed {
 		if w != candidate && int(w) >= 0 && int(w) < n {
-			acc.kill(w)
+			acc.kill(acc.union(w))
 		}
 	}
 	if candInRange {
 		if alpha > 0 {
-			acc.setValue(candidate, candOld+math.Log(alpha))
+			acc.setValue(cand, candOld+math.Log(alpha))
 		} else {
-			acc.kill(candidate)
+			acc.kill(cand)
 		}
 	}
 	acc.rounds++
+	acc.phaseRounds++
 	return nil
 }
 
@@ -351,144 +358,4 @@ func (acc *Accumulator) SnapshotFast() (h float64, top trace.NodeID, mass float6
 		h = 0 // rounding can push a point mass a few ulps negative
 	}
 	return h, top, 1 / sum, nil
-}
-
-// snapshotLog computes the entropy/argmax snapshot of an unnormalized
-// log-posterior in two passes and zero allocations.
-func snapshotLog(logPost []float64) (h float64, top trace.NodeID, mass float64, err error) {
-	maxLog := math.Inf(-1)
-	arg := 0
-	for i, lp := range logPost {
-		if lp > maxLog {
-			maxLog, arg = lp, i
-		}
-	}
-	if math.IsInf(maxLog, -1) {
-		return 0, 0, 0, fmt.Errorf("%w: joint posterior vanished (inconsistent observations)", ErrCorruptTrace)
-	}
-	var sum, wsum float64
-	for _, lp := range logPost {
-		if math.IsInf(lp, -1) {
-			continue // exp(−∞)·(−∞) would be 0·−∞ = NaN
-		}
-		e := math.Exp(lp - maxLog)
-		sum += e
-		wsum += e * (lp - maxLog)
-	}
-	h = (math.Log(sum) - wsum/sum) / math.Ln2
-	if h < 0 {
-		h = 0 // rounding can push a point mass a few ulps negative
-	}
-	return h, trace.NodeID(arg), 1 / sum, nil
-}
-
-// Reset rewinds the phased accumulator to the uniform prior over the union
-// space.
-func (pa *PhasedAccumulator) Reset() {
-	for i := range pa.logPost {
-		pa.logPost[i] = 0
-	}
-	pa.rounds = 0
-}
-
-// ObserveScratch is Observe without the intermediate Posterior allocation:
-// it validates the live mapping first (so errors leave the accumulator
-// unchanged), then applies the same spike/slab fold as the static
-// ObserveScratch through the dense→union mapping, and eliminates union
-// members absent this phase.
-func (pa *PhasedAccumulator) ObserveScratch(a *Analyst, mt *trace.MessageTrace, live []trace.NodeID, sc *Scratch) error {
-	if a == nil {
-		return fmt.Errorf("%w: nil analyst", ErrBadConfig)
-	}
-	n := a.Engine().N()
-	if len(live) != n {
-		return fmt.Errorf("%w: %d live identities for an analyst over %d nodes",
-			ErrBadConfig, len(live), n)
-	}
-	obs, err := a.ClassifyScratch(mt, sc)
-	if err != nil {
-		return err
-	}
-	lp := pa.logPost
-	for i := range pa.mark {
-		pa.mark[i] = false
-	}
-	for _, g := range live {
-		if int(g) < 0 || int(g) >= len(lp) {
-			return fmt.Errorf("%w: live identity %v outside union space of %d",
-				ErrBadConfig, g, len(lp))
-		}
-		if pa.mark[g] {
-			return fmt.Errorf("%w: union identity %v mapped twice", ErrBadConfig, g)
-		}
-		pa.mark[g] = true
-	}
-	candInRange := int(obs.Candidate) >= 0 && int(obs.Candidate) < n
-	if obs.Identified {
-		cand := live[obs.Candidate]
-		for g := range lp {
-			if trace.NodeID(g) != cand {
-				lp[g] = math.Inf(-1)
-			}
-		}
-		pa.rounds++
-		return nil
-	}
-	st, err := a.stats.StatsFor(obs.Class)
-	if err != nil {
-		return err
-	}
-	if rest := n - a.Engine().C() - a.honestWitnessed(obs.Witnessed); rest != st.Rest {
-		return fmt.Errorf("%w: %d slab candidates reconstructed, engine expects %d",
-			ErrCorruptTrace, rest, st.Rest)
-	}
-	var candOld float64
-	if candInRange {
-		candOld = lp[live[obs.Candidate]]
-	}
-	logShare := math.Inf(-1)
-	if st.Rest > 0 {
-		if share := (1 - st.Alpha) / float64(st.Rest); share > 0 {
-			logShare = math.Log(share)
-		}
-	}
-	if math.IsInf(logShare, -1) {
-		for _, g := range live {
-			lp[g] = math.Inf(-1)
-		}
-	} else {
-		for _, g := range live {
-			lp[g] += logShare
-		}
-	}
-	for _, id := range a.compromised {
-		lp[live[id]] = math.Inf(-1)
-	}
-	for _, w := range obs.Witnessed {
-		if w != obs.Candidate && int(w) >= 0 && int(w) < n {
-			lp[live[w]] = math.Inf(-1)
-		}
-	}
-	if candInRange {
-		if st.Alpha > 0 {
-			lp[live[obs.Candidate]] = candOld + math.Log(st.Alpha)
-		} else {
-			lp[live[obs.Candidate]] = math.Inf(-1)
-		}
-	}
-	for g := range lp {
-		if !pa.mark[g] {
-			lp[g] = math.Inf(-1)
-		}
-	}
-	pa.rounds++
-	return nil
-}
-
-// SnapshotFast is Snapshot without materializing the normalized posterior.
-func (pa *PhasedAccumulator) SnapshotFast() (h float64, top trace.NodeID, mass float64, err error) {
-	if pa.rounds == 0 {
-		return 0, 0, 0, ErrNoObservations
-	}
-	return snapshotLog(pa.logPost)
 }

@@ -261,8 +261,9 @@ func TestFoldObservationEquivalence(t *testing.T) {
 	}
 }
 
-// TestPhasedObserveScratchEquivalence: the phased scratch fold matches
-// Observe/Snapshot across a two-phase live mapping with churn.
+// TestPhasedObserveScratchEquivalence: the timeline accumulator's trace
+// route matches the dense phased fold, snapshot and posterior, across a
+// two-phase live mapping with churn and a compromise.
 func TestPhasedObserveScratchEquivalence(t *testing.T) {
 	const total = 16
 	phases := []struct {
@@ -273,40 +274,56 @@ func TestPhasedObserveScratchEquivalence(t *testing.T) {
 		{12, []trace.NodeID{0, 1}, []trace.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}},
 		{12, []trace.NodeID{0, 1, 2}, []trace.NodeID{0, 1, 2, 3, 4, 5, 6, 7, 12, 13, 14, 15}},
 	}
-	paA, err := adversary.NewPhasedAccumulator(total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paB, err := adversary.NewPhasedAccumulator(total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sc adversary.Scratch
+	fixtures := make([]*scratchFixture, len(phases))
+	analysts := make([]*adversary.Analyst, len(phases))
+	live := make([][]trace.NodeID, len(phases))
 	rng := stats.NewStream(36, 0)
-	for _, ph := range phases {
-		f := newScratchFixture(t, ph.n, ph.compromised, 37)
-		f.rng = stats.NewStream(int64(rng.Intn(1<<30)), 0)
+	for i, ph := range phases {
+		fixtures[i] = newScratchFixture(t, ph.n, ph.compromised, 37)
+		fixtures[i].rng = stats.NewStream(int64(rng.Intn(1<<30)), 0)
+		analysts[i], live[i] = fixtures[i].analyst, ph.live
+	}
+	acc, err := adversary.NewTimelineAccumulator(total, analysts, live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newDenseAccumulator(total)
+	var sc adversary.Scratch
+	for i, f := range fixtures {
+		if err := acc.SetPhase(i); err != nil {
+			t.Fatal(err)
+		}
 		for r := 0; r < 6; r++ {
 			mt, _ := f.nextTrace(t, trace.MessageID(r+1))
-			if err := paA.Observe(f.analyst, mt, ph.live); err != nil {
+			if err := ref.observePhase(f.analyst, mt, live[i]); err != nil {
 				t.Fatal(err)
 			}
-			if err := paB.ObserveScratch(f.analyst, mt, ph.live, &sc); err != nil {
+			if err := acc.ObserveScratch(mt, &sc); err != nil {
 				t.Fatal(err)
 			}
-			hA, topA, massA, errA := paA.Snapshot()
-			hB, topB, massB, errB := paB.SnapshotFast()
+			hA, topA, massA, errA := ref.snapshot()
+			hB, topB, massB, errB := acc.SnapshotFast()
 			if errA != nil || errB != nil {
-				t.Fatalf("round %d: %v / %v", r, errA, errB)
+				t.Fatalf("phase %d round %d: %v / %v", i, r, errA, errB)
 			}
 			if math.Abs(hA-hB) > 1e-9 || topA != topB || math.Abs(massA-massB) > 1e-9 {
-				t.Fatalf("round %d: (%v,%v,%v) vs (%v,%v,%v)",
-					r, hA, topA, massA, hB, topB, massB)
+				t.Fatalf("phase %d round %d: (%v,%v,%v) vs (%v,%v,%v)",
+					i, r, hA, topA, massA, hB, topB, massB)
+			}
+			pA, errA := ref.posterior()
+			pB, errB := acc.Posterior()
+			if errA != nil || errB != nil {
+				t.Fatalf("phase %d round %d: %v / %v", i, r, errA, errB)
+			}
+			for g := range pA {
+				if math.Abs(pA[g]-pB[g]) > 1e-12 {
+					t.Fatalf("phase %d round %d: p[%d] = %v (dense) vs %v", i, r, g, pA[g], pB[g])
+				}
 			}
 		}
 	}
-	paB.Reset()
-	if _, _, _, err := paB.SnapshotFast(); err == nil {
+	acc.Reset()
+	if _, _, _, err := acc.SnapshotFast(); err == nil {
 		t.Fatal("phased snapshot after reset did not report empty accumulator")
 	}
 }

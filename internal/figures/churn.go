@@ -58,9 +58,9 @@ func churnTimelines(n, c int) []struct {
 
 // ChurnSweep regenerates the churn figure: H_k vs round k for every spec ×
 // dynamic, estimated from the given number of sessions per scenario on the
-// Monte-Carlo backend. workers pins the sampling parallelism (0 = shared
-// pool width); pin it for machine-independent, bit-reproducible output.
-func ChurnSweep(n, c, sessions int, seed int64, workers int, specs []string) (Figure, error) {
+// Monte-Carlo backend. The sessions are a pure function of (seed,
+// sessions): the output is the same at any parallelism.
+func ChurnSweep(n, c, sessions int, seed int64, specs []string) (Figure, error) {
 	if len(specs) == 0 {
 		specs = DefaultChurnSpecs()
 	}
@@ -80,7 +80,6 @@ func ChurnSweep(n, c, sessions int, seed int64, workers int, specs []string) (Fi
 				Workload: scenario.Workload{
 					Messages: sessions,
 					Seed:     seed,
-					Workers:  workers,
 				},
 			})
 			if err != nil {
@@ -98,9 +97,7 @@ func ChurnSweep(n, c, sessions int, seed int64, workers int, specs []string) (Fi
 }
 
 // Churn regenerates the churn figure with the default dynamic-population
-// configuration: a 30-node system, 3 base compromised nodes, and pinned
-// sampling parallelism so the committed reference output reproduces on any
-// machine.
+// configuration: a 30-node system and 3 base compromised nodes.
 func Churn() (Figure, error) {
-	return ChurnSweep(30, 3, 2000, 1, 4, nil)
+	return ChurnSweep(30, 3, 2000, 1, nil)
 }

@@ -12,7 +12,7 @@ import (
 // the theory demands at the horizon — creeping compromise degrades
 // anonymity at least as fast as a growing population.
 func TestChurnSweep(t *testing.T) {
-	fig, err := figures.ChurnSweep(20, 2, 400, 1, 2, []string{"fixed:3"})
+	fig, err := figures.ChurnSweep(20, 2, 400, 1, []string{"fixed:3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestChurnSweep(t *testing.T) {
 	}
 }
 
-// TestChurnSweepReproducible: pinned workers make the sweep a pure
-// function of its parameters.
+// TestChurnSweepReproducible: the sweep is a pure function of its
+// parameters.
 func TestChurnSweepReproducible(t *testing.T) {
 	gen := func() string {
-		fig, err := figures.ChurnSweep(15, 2, 100, 4, 2, []string{"fixed:3"})
+		fig, err := figures.ChurnSweep(15, 2, 100, 4, []string{"fixed:3"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,11 +58,6 @@ func DegradationRoundsSweep(n, c, sessions, rounds int, seed int64, specs []stri
 					Messages: sessions,
 					Rounds:   rounds,
 					Seed:     seed,
-					// Pinned parallelism keeps the figure a pure function of
-					// its parameters on any machine (the estimate depends on
-					// (Seed, Trials, Workers)); the golden-file test relies
-					// on it.
-					Workers: 4,
 				},
 			})
 			if err != nil {

@@ -33,6 +33,12 @@ func TestParallelFiguresBitIdenticalToSerial(t *testing.T) {
 		"4a": figures.Fig4a,
 		"5d": figures.Fig5d,
 		"6":  func() (figures.Figure, error) { return figures.Fig6(8) },
+		"churn-sweep": func() (figures.Figure, error) {
+			return figures.ChurnSweep(15, 2, 300, 4, []string{"fixed:3"})
+		},
+		"degradation-rounds": func() (figures.Figure, error) {
+			return figures.DegradationRoundsSweep(14, 3, 300, 6, 2, []string{"fixed:3", "uniform:1,5"})
+		},
 	}
 	for name, gen := range gens {
 		// Both passes start from cold shared engines (the engine cache is

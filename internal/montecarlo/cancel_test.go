@@ -16,7 +16,7 @@ import (
 	"anonmix/internal/trace"
 )
 
-func cancelConfig(t *testing.T, rounds int) montecarlo.Config {
+func cancelConfig(t *testing.T) montecarlo.Config {
 	t.Helper()
 	strat, err := pathsel.UniformLength(1, 8)
 	if err != nil {
@@ -27,7 +27,6 @@ func cancelConfig(t *testing.T, rounds int) montecarlo.Config {
 		Compromised: []trace.NodeID{0, 1, 2},
 		Strategy:    strat,
 		Trials:      1000,
-		Rounds:      rounds,
 		Seed:        7,
 		Workers:     2,
 	}
@@ -36,16 +35,13 @@ func cancelConfig(t *testing.T, rounds int) montecarlo.Config {
 func TestEstimateCanceled(t *testing.T) {
 	closed := make(chan struct{})
 	close(closed)
-	for _, rounds := range []int{1, 3} {
-		cfg := cancelConfig(t, rounds)
-		cfg.Cancel = closed
-		_, err := montecarlo.EstimateH(cfg)
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("rounds=%d: closed Cancel returned %v, want context.Canceled in the chain", rounds, err)
-		}
+	cfg := cancelConfig(t)
+	cfg.Cancel = closed
+	if _, err := montecarlo.EstimateH(cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("closed Cancel returned %v, want context.Canceled in the chain", err)
 	}
 	// The lossy path shares the contract.
-	cfg := cancelConfig(t, 1)
+	cfg = cancelConfig(t)
 	cfg.LinkLoss = 0.1
 	cfg.Cancel = closed
 	if _, err := montecarlo.EstimateH(cfg); !errors.Is(err, context.Canceled) {
@@ -57,7 +53,7 @@ func TestEstimateCanceled(t *testing.T) {
 // does not perturb the result: the checks sit on batch boundaries, off
 // the per-trial streams.
 func TestEstimateCancelArmedIsInert(t *testing.T) {
-	base := cancelConfig(t, 1)
+	base := cancelConfig(t)
 	plain, err := montecarlo.EstimateH(base)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +70,7 @@ func TestEstimateCancelArmedIsInert(t *testing.T) {
 }
 
 func TestEstimateProgress(t *testing.T) {
-	cfg := cancelConfig(t, 1)
+	cfg := cancelConfig(t)
 	var (
 		mu     sync.Mutex
 		calls  int

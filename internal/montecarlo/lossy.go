@@ -260,6 +260,7 @@ func estimateLossy(cfg Config, analyst *adversary.Analyst, selector *pathsel.Sel
 	type part struct {
 		sum, sumDeg stats.Summary
 		compSender  int
+		deanon      int
 		attempts    uint64
 		injected    int
 		err         error
@@ -317,6 +318,7 @@ func estimateLossy(cfg Config, analyst *adversary.Analyst, selector *pathsel.Sel
 					p.sum.Add(0)
 					p.sumDeg.Add(0)
 					p.compSender++
+					p.deanon++
 					continue
 				}
 				h, err := analyst.PathEntropy(sender, trial.path)
@@ -325,6 +327,9 @@ func estimateLossy(cfg Config, analyst *adversary.Analyst, selector *pathsel.Sel
 					return
 				}
 				p.sum.Add(h)
+				if h < deanonymizedBits {
+					p.deanon++
+				}
 				if len(trial.partials) == 0 {
 					p.sumDeg.Add(h)
 					continue
@@ -346,7 +351,7 @@ func estimateLossy(cfg Config, analyst *adversary.Analyst, selector *pathsel.Sel
 		return Result{}, errCanceled(int(done.Load()), cfg.Trials)
 	}
 	var sum, sumDeg stats.Summary
-	var compSenders, injected int
+	var compSenders, deanon, injected int
 	var attempts uint64
 	for i := range parts {
 		if parts[i].err != nil {
@@ -355,11 +360,13 @@ func estimateLossy(cfg Config, analyst *adversary.Analyst, selector *pathsel.Sel
 		sum.Merge(parts[i].sum)
 		sumDeg.Merge(parts[i].sumDeg)
 		compSenders += parts[i].compSender
+		deanon += parts[i].deanon
 		injected += parts[i].injected
 		attempts += parts[i].attempts
 	}
 	res := Result{
 		Trials:       sum.N(),
+		Deanonymized: deanon,
 		DeliveryRate: float64(sum.N()) / float64(injected),
 		MeanAttempts: float64(attempts) / float64(injected),
 	}

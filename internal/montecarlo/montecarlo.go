@@ -1,18 +1,19 @@
-// Package montecarlo estimates the anonymity degree by sampling: it draws
-// rerouting paths from a strategy, classifies each path straight against
-// the compromised set (adversary.Analyst.PathEntropy and
-// Accumulator.ObservePath count what the compromised nodes' reports would
-// reveal without writing them), runs the exact posterior inference on
-// each, and averages the posterior entropies. Traces are still synthesized
-// where a report stream is what gets analyzed: the partial traces of
-// failed delivery attempts, and SynthesizeInto's output for callers such
-// as the scenario layer's phased sessions and the tests that hold the path
-// route to the trace route. Because each sampled event's entropy is
-// computed exactly (only the event itself is sampled), the estimator is
-// unbiased with low variance; it exists to validate the closed-form engine
-// and to extend the analysis to configurations the exact enumeration does
-// not cover (for example more compromised nodes than the class space
-// allows).
+// Package montecarlo estimates the anonymity degree by sampling, one
+// message per trial: it draws rerouting paths from a strategy, classifies
+// each path straight against the compromised set
+// (adversary.Analyst.PathEntropy counts what the compromised nodes'
+// reports would reveal without writing them), runs the exact posterior
+// inference on each, and averages the posterior entropies. Traces are
+// still synthesized where a report stream is what gets analyzed: the
+// partial traces of failed delivery attempts, and SynthesizeInto's output
+// for the tests and benchmarks that hold the path route to the trace
+// route. Because each sampled event's entropy is computed exactly (only
+// the event itself is sampled), the estimator is unbiased with low
+// variance; it exists to validate the closed-form engine and to extend
+// the analysis to configurations the exact enumeration does not cover
+// (for example more compromised nodes than the class space allows).
+// Repeated-communication sessions are the scenario layer's: its session
+// driver folds every sampled path through an adversary.Accumulator.
 //
 // The trial loops run on a zero-allocation fast path: every trial derives
 // its own counter-based RNG stream (stats.NewStream(Seed, trial)), draws
@@ -55,6 +56,10 @@ var (
 	ErrComplicatedPaths = capability.ErrComplicatedPaths
 )
 
+// deanonymizedBits is the entropy below which a trial counts as
+// deanonymized, the threshold every backend's Deanonymized count uses.
+const deanonymizedBits = 1e-9
+
 // trialBatchSize is the work-stealing granule of the estimators: trials
 // [b·64, (b+1)·64) form batch b. Each batch's partial statistics are
 // computed from that batch's per-trial streams alone and merged in batch
@@ -70,21 +75,10 @@ type Config struct {
 	Compromised []trace.NodeID
 	// Strategy is the path-selection policy to evaluate (simple paths).
 	Strategy pathsel.Strategy
-	// Trials is the number of sampled messages (Rounds ≤ 1) or sampled
-	// repeated-communication sessions (Rounds > 1).
+	// Trials is the number of sampled messages.
 	Trials int
-	// Rounds is the number of messages each sampled session sends from one
-	// fixed sender (the repeated-communication attack of Wright et al.).
-	// Zero or one means the classical single-shot estimate; larger values
-	// fold every session's per-round posteriors through an
-	// adversary.Accumulator and report the degradation curve H_1..H_k.
-	Rounds int
-	// Confidence, when in (0,1), tracks identification: a session counts as
-	// identified at the first round where the accumulated posterior's top
-	// node is the true sender with at least this mass.
-	Confidence float64
-	// FixedSender pins every trial's (or session's) initiator to Sender
-	// instead of drawing senders uniformly.
+	// FixedSender pins every trial's initiator to Sender instead of
+	// drawing senders uniformly.
 	FixedSender bool
 	// Sender is the pinned initiator when FixedSender is set.
 	Sender trace.NodeID
@@ -109,8 +103,7 @@ type Config struct {
 	// switches the estimator to loss-aware sampling: each trial simulates
 	// the delivery process, H averages over delivered trials only, and the
 	// Result carries DeliveryRate, MeanAttempts, and the retry-degraded
-	// HDegraded. Loss-aware sampling is single-shot (Rounds ≤ 1, no
-	// Confidence tracking).
+	// HDegraded.
 	LinkLoss float64
 	// Policy is the delivery-reliability reaction to a lost transmission:
 	// drop (faults.PolicyNone, default), per-link retransmission
@@ -149,17 +142,10 @@ type Result struct {
 	// CompromisedSenderShare is the fraction of trials whose sender was a
 	// compromised node (those contribute zero entropy, the C/N branch).
 	CompromisedSenderShare float64
-	// HRounds is the degradation curve of a multi-round run: HRounds[r] is
-	// the mean accumulated posterior entropy after round r+1, averaged over
-	// sessions (nil for single-shot runs). H, StdErr, and CI95 describe the
-	// final round.
-	HRounds []float64
-	// IdentifiedShare is the fraction of sessions identified within Rounds
-	// at the configured Confidence (0 when Confidence is unset).
-	IdentifiedShare float64
-	// MeanRoundsToIdentify is the mean identification round among
-	// identified sessions (0 when none were identified).
-	MeanRoundsToIdentify float64
+	// Deanonymized counts the trials, among those H averages, whose
+	// posterior entropy was ≈ 0 (below 1e-9 bits), compromised senders
+	// included.
+	Deanonymized int
 	// DeliveryRate is the fraction of trials delivered end to end (1 for
 	// lossless runs). H, StdErr, and CI95 describe delivered trials only.
 	DeliveryRate float64
@@ -212,15 +198,6 @@ func EstimateH(cfg Config) (Result, error) {
 	if cfg.Trials <= 0 {
 		return Result{}, fmt.Errorf("%w: trials = %d", ErrBadConfig, cfg.Trials)
 	}
-	if cfg.Rounds < 0 {
-		return Result{}, fmt.Errorf("%w: rounds = %d", ErrBadConfig, cfg.Rounds)
-	}
-	if cfg.Rounds == 0 {
-		cfg.Rounds = 1
-	}
-	if cfg.Confidence < 0 || cfg.Confidence >= 1 {
-		return Result{}, fmt.Errorf("%w: confidence = %v", ErrBadConfig, cfg.Confidence)
-	}
 	if cfg.FixedSender && (int(cfg.Sender) < 0 || int(cfg.Sender) >= cfg.N) {
 		return Result{}, fmt.Errorf("%w: fixed sender %v outside [0,%d)", ErrBadConfig, cfg.Sender, cfg.N)
 	}
@@ -243,10 +220,6 @@ func EstimateH(cfg Config) (Result, error) {
 		cfg.MaxAttempts = faults.DefaultMaxAttempts
 	}
 	lossy := cfg.LinkLoss > 0 || cfg.Policy != faults.PolicyNone
-	if lossy && (cfg.Rounds > 1 || cfg.Confidence > 0) {
-		return Result{}, fmt.Errorf("%w: loss-aware sampling is single-shot (Rounds=%d, Confidence=%v)",
-			ErrBadConfig, cfg.Rounds, cfg.Confidence)
-	}
 	// The reference engine the configuration describes. When the caller
 	// injects a shared engine it must match the reference on every axis —
 	// N, C, inference mode, receiver assumption, self-report — or the
@@ -284,9 +257,6 @@ func EstimateH(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Rounds > 1 || cfg.Confidence > 0 {
-		return estimateRounds(cfg, analyst, selector)
-	}
 	if lossy {
 		return estimateLossy(cfg, analyst, selector)
 	}
@@ -294,6 +264,7 @@ func EstimateH(cfg Config) (Result, error) {
 	type part struct {
 		sum        stats.Summary
 		compSender int
+		deanon     int
 		err        error
 	}
 	batches := numBatches(cfg.Trials)
@@ -338,6 +309,7 @@ func EstimateH(cfg Config) (Result, error) {
 					// Local-eavesdropper branch: sender identified.
 					p.sum.Add(0)
 					p.compSender++
+					p.deanon++
 					continue
 				}
 				path, err := sp.SelectPath(&rng, sender)
@@ -355,6 +327,9 @@ func EstimateH(cfg Config) (Result, error) {
 					return
 				}
 				p.sum.Add(h)
+				if h < deanonymizedBits {
+					p.deanon++
+				}
 			}
 			if d := int(done.Add(int64(hi - lo))); cfg.Progress != nil {
 				cfg.Progress(d, cfg.Trials)
@@ -366,13 +341,14 @@ func EstimateH(cfg Config) (Result, error) {
 		return Result{}, errCanceled(int(done.Load()), cfg.Trials)
 	}
 	var total stats.Summary
-	var compSenders int
+	var compSenders, deanon int
 	for i := range parts {
 		if parts[i].err != nil {
 			return Result{}, parts[i].err
 		}
 		total.Merge(parts[i].sum)
 		compSenders += parts[i].compSender
+		deanon += parts[i].deanon
 	}
 	return Result{
 		H:                      total.Mean(),
@@ -380,198 +356,11 @@ func EstimateH(cfg Config) (Result, error) {
 		CI95:                   total.CI95(),
 		Trials:                 total.N(),
 		CompromisedSenderShare: float64(compSenders) / float64(total.N()),
+		Deanonymized:           deanon,
 		DeliveryRate:           1,
 		MeanAttempts:           1,
 		HDegraded:              total.Mean(),
 	}, nil
-}
-
-// SessionArena holds the reusable state of repeated-communication
-// sessions: the path sampler, the witness scratch, the posterior
-// accumulator, and the per-round entropy buffer. One arena serves any
-// number of sequential sessions; it is not safe for concurrent use.
-type SessionArena struct {
-	sampler   *pathsel.Sampler
-	acc       *adversary.Accumulator
-	sc        adversary.Scratch
-	entropies []float64
-}
-
-// NewSessionArena builds a session arena for `rounds`-message sessions
-// analyzed by the analyst over paths from the selector. Sessions fold
-// each path through Accumulator.ObservePath, which needs simple paths, so
-// a selector for a Complicated strategy is refused.
-func NewSessionArena(analyst *adversary.Analyst, sel *pathsel.Selector, rounds int) (*SessionArena, error) {
-	if rounds < 1 {
-		return nil, fmt.Errorf("%w: rounds = %d", ErrBadConfig, rounds)
-	}
-	if st := sel.Strategy(); st.Kind == pathsel.Complicated {
-		return nil, capability.Unsupported("montecarlo", ErrComplicatedPaths, st.Name)
-	}
-	sp, err := sel.NewSampler()
-	if err != nil {
-		return nil, err
-	}
-	acc, err := adversary.NewAccumulator(analyst)
-	if err != nil {
-		return nil, err
-	}
-	return &SessionArena{
-		sampler:   sp,
-		acc:       acc,
-		entropies: make([]float64, rounds),
-	}, nil
-}
-
-// Session runs one repeated-communication session: the fixed sender sends
-// the arena's round count of messages over fresh paths, each path's
-// observation is folded into the accumulator (Accumulator.ObservePath,
-// which needs no trace), and the accumulated posterior entropy after every
-// round is returned (the slice is the arena's buffer, valid until the next
-// call). When confidence ∈ (0,1), identifiedAt is the first round
-// (1-based) at which the accumulated posterior put at least that mass on
-// the true sender (0 when the threshold was never reached or tracking is
-// off). The exact and Monte-Carlo scenario backends both fold their
-// sessions through this method, so the two sampled degradation estimates
-// share one definition of a round.
-func (ar *SessionArena) Session(rng *stats.Stream, sender trace.NodeID, confidence float64) (entropies []float64, identifiedAt int, err error) {
-	ar.acc.Reset()
-	for r := range ar.entropies {
-		path, err := ar.sampler.SelectPath(rng, sender)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := ar.acc.ObservePath(sender, path, &ar.sc); err != nil {
-			return nil, 0, err
-		}
-		h, top, mass, err := ar.acc.SnapshotFast()
-		if err != nil {
-			return nil, 0, err
-		}
-		ar.entropies[r] = h
-		if identifiedAt == 0 && confidence > 0 && top == sender && mass >= confidence {
-			identifiedAt = r + 1
-		}
-	}
-	return ar.entropies, identifiedAt, nil
-}
-
-// estimateRounds is the multi-round estimation path: each trial is one
-// repeated-communication session, and the merged result carries the
-// degradation curve next to the final-round summary. Like the single-shot
-// path it is a pure function of (Seed, Trials).
-func estimateRounds(cfg Config, analyst *adversary.Analyst, selector *pathsel.Selector) (Result, error) {
-	type part struct {
-		sum         stats.Summary
-		entropySums []float64
-		compSender  int
-		identified  int
-		roundsSum   int
-		err         error
-	}
-	batches := numBatches(cfg.Trials)
-	parts := make([]part, batches)
-
-	var nextBatch, done atomic.Int64
-	var aborted atomic.Bool
-	workers := cfg.Workers
-	if workers > batches {
-		workers = batches
-	}
-	pool.ForEach(workers, func(int) {
-		ar, err := NewSessionArena(analyst, selector, cfg.Rounds)
-		if err != nil {
-			if b := int(nextBatch.Add(1)) - 1; b < batches {
-				parts[b].err = err
-			}
-			return
-		}
-		for {
-			if canceled(cfg.Cancel) {
-				aborted.Store(true)
-				return
-			}
-			b := int(nextBatch.Add(1)) - 1
-			if b >= batches {
-				return
-			}
-			p := &parts[b]
-			p.entropySums = make([]float64, cfg.Rounds)
-			lo, hi := batchBounds(b, cfg.Trials)
-			for t := lo; t < hi; t++ {
-				rng := stats.NewStream(cfg.Seed, int64(t))
-				sender := cfg.Sender
-				if !cfg.FixedSender {
-					sender = trace.NodeID(rng.Intn(cfg.N))
-				}
-				if analyst.Compromised(sender) {
-					// Local-eavesdropper branch: the session is identified at
-					// its first message and contributes zero entropy throughout.
-					p.sum.Add(0)
-					p.compSender++
-					if cfg.Confidence > 0 {
-						p.identified++
-						p.roundsSum++
-					}
-					continue
-				}
-				entropies, identifiedAt, err := ar.Session(&rng, sender, cfg.Confidence)
-				if err != nil {
-					p.err = err
-					return
-				}
-				for r, h := range entropies {
-					p.entropySums[r] += h
-				}
-				p.sum.Add(entropies[cfg.Rounds-1])
-				if identifiedAt > 0 {
-					p.identified++
-					p.roundsSum += identifiedAt
-				}
-			}
-			if d := int(done.Add(int64(hi - lo))); cfg.Progress != nil {
-				cfg.Progress(d, cfg.Trials)
-			}
-		}
-	})
-
-	if aborted.Load() {
-		return Result{}, errCanceled(int(done.Load()), cfg.Trials)
-	}
-	var total stats.Summary
-	var compSenders, identified, roundsSum int
-	hRounds := make([]float64, cfg.Rounds)
-	for i := range parts {
-		if parts[i].err != nil {
-			return Result{}, parts[i].err
-		}
-		total.Merge(parts[i].sum)
-		compSenders += parts[i].compSender
-		identified += parts[i].identified
-		roundsSum += parts[i].roundsSum
-		for r, s := range parts[i].entropySums {
-			hRounds[r] += s
-		}
-	}
-	for r := range hRounds {
-		hRounds[r] /= float64(cfg.Trials)
-	}
-	res := Result{
-		H:                      total.Mean(),
-		StdErr:                 total.StdErr(),
-		CI95:                   total.CI95(),
-		Trials:                 total.N(),
-		CompromisedSenderShare: float64(compSenders) / float64(total.N()),
-		HRounds:                hRounds,
-		IdentifiedShare:        float64(identified) / float64(total.N()),
-		DeliveryRate:           1,
-		MeanAttempts:           1,
-		HDegraded:              total.Mean(),
-	}
-	if identified > 0 {
-		res.MeanRoundsToIdentify = float64(roundsSum) / float64(identified)
-	}
-	return res, nil
 }
 
 // Synthesize constructs the message trace the adversary would collect for a

@@ -30,6 +30,11 @@ func TestEstimateValidation(t *testing.T) {
 	}); !errors.Is(err, montecarlo.ErrComplicatedPaths) {
 		t.Errorf("complicated paths err = %v", err)
 	}
+	if _, err := montecarlo.EstimateH(montecarlo.Config{
+		N: 10, Strategy: strat, Trials: 100, FixedSender: true, Sender: 99,
+	}); !errors.Is(err, montecarlo.ErrBadConfig) {
+		t.Errorf("fixed sender outside the system err = %v", err)
+	}
 }
 
 // TestEstimateMatchesEngine is the key integration test of the sampling

@@ -90,9 +90,9 @@ func TestRunContextMidRunMC(t *testing.T) {
 	assertCanceled(t, err)
 }
 
-// TestRunContextExactDegradationCanceled cancels the serial exact-rounds
-// reference loop from its first per-granule progress emission; the next
-// session-boundary checkpoint must abort the run.
+// TestRunContextExactDegradationCanceled cancels the exact backend's
+// serial session loop from its first per-batch progress emission; the
+// next batch-boundary checkpoint must abort the run.
 func TestRunContextExactDegradationCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -1,25 +1,21 @@
 package scenario
 
 // The exact backend: the closed-form counted-bucket engine of package
-// events. Single-shot runs have no sampling and no error bars. Multi-round
-// (Workload.Rounds > 1) runs keep the inference exact — every per-round
-// posterior comes from the engine and rounds are accumulated by exact
-// Bayesian log-posterior multiplication (adversary.Accumulator) — but the
-// rerouting paths themselves are sampled, serially and deterministically
-// from Workload.Seed, so the degradation curve carries a confidence
-// interval like any sampled estimate. The backend refuses what the
-// simple-path model cannot express.
+// events. Single-shot runs have no sampling and no error bars. Degradation
+// runs, static or across a Rounds timeline, keep the inference exact —
+// every per-round posterior comes from the engine and rounds are
+// accumulated by exact Bayesian log-posterior multiplication
+// (adversary.Accumulator) — but the rerouting paths themselves are
+// sampled by the session driver the Monte-Carlo backend shares, serially
+// and deterministically from Workload.Seed, so the degradation curve
+// carries a confidence interval like any sampled estimate. The backend
+// refuses what the simple-path model cannot express.
 
 import (
-	"anonmix/internal/adversary"
 	"anonmix/internal/entropy"
-	"anonmix/internal/events"
 	"anonmix/internal/faults"
-	"anonmix/internal/montecarlo"
 	"anonmix/internal/pathsel"
 	"anonmix/internal/scenario/capability"
-	"anonmix/internal/stats"
-	"anonmix/internal/trace"
 )
 
 type exactBackend struct{}
@@ -34,6 +30,13 @@ func (exactBackend) Run(cfg Config) (Result, error) {
 	if cfg.Strategy.Kind != pathsel.Simple {
 		return Result{}, capability.Unsupported(string(BackendExact),
 			capability.ErrComplicatedPaths, cfg.Strategy.Name)
+	}
+	if cfg.sessions() {
+		// normalize refuses fault plans on degradation runs.
+		if err := sampledInference(cfg, string(BackendExact)); err != nil {
+			return Result{}, err
+		}
+		return runPhasedRounds(cfg, string(BackendExact), 1)
 	}
 	deliveryRate := 1.0
 	if cfg.Faults != nil {
@@ -72,9 +75,6 @@ func (exactBackend) Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Workload.degradation() {
-		return runExactRounds(cfg, e)
-	}
 	h, err := e.AnonymityDegree(cfg.Strategy.Length)
 	if err != nil {
 		return Result{}, err
@@ -108,127 +108,11 @@ func (exactBackend) Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// runExactRounds executes the repeated-communication regime on the exact
-// engine: Workload.Messages independent sessions, each sending
-// Workload.Rounds messages from one sender over freshly drawn simple
-// paths, with the adversary accumulating exact per-round posteriors. The
-// loop is intentionally serial (Workers ignored) and draws every session
-// from its own counter-based stream — the same per-trial streams the
-// parallel Monte-Carlo backend consumes — so it is the reference
-// implementation that backend is cross-validated against, and its output
-// is a pure function of (Seed, Messages, Rounds) alone.
-func runExactRounds(cfg Config, e *events.Engine) (Result, error) {
-	if e.Mode() != events.InferenceStandard {
-		return Result{}, capability.Unsupported(string(BackendExact),
-			capability.ErrInference, "multi-round accumulation requires the standard inference mode")
-	}
-	if !e.SenderSelfReport() {
-		// Sessions hardcode the local-eavesdropper branch (a compromised
-		// sender is identified at its first message); accumulating under
-		// the no-self-report ablation would silently bias H_k low.
-		return Result{}, capability.Unsupported(string(BackendExact),
-			capability.ErrInference, "no-sender-self-report ablation is single-shot-only")
-	}
-	analyst, err := adversary.NewAnalyst(e, cfg.Strategy.Length, cfg.Adversary.Compromised)
-	if err != nil {
-		return Result{}, err
-	}
-	sel, err := pathsel.NewSelector(cfg.N, cfg.Strategy)
-	if err != nil {
-		return Result{}, err
-	}
-	arena, err := montecarlo.NewSessionArena(analyst, sel, cfg.Workload.Rounds)
-	if err != nil {
-		return Result{}, err
-	}
-	var (
-		rounds   = cfg.Workload.Rounds
-		sessions = cfg.Workload.Messages
-		hSums    = make([]float64, rounds)
-		sum      stats.Summary
-		comp     int
-		deanon   int
-		idCount  int
-		idRounds int
-		conf     = cfg.Workload.Confidence
-	)
-	for s := 0; s < sessions; s++ {
-		// The serial reference loop checkpoints on the same 64-session
-		// granule as the parallel batch loops, so cancellation latency is
-		// comparable across backends.
-		if s%sessionBatchSize == 0 {
-			if err := cfg.checkCanceled(); err != nil {
-				return Result{}, err
-			}
-		}
-		rng := stats.NewStream(cfg.Workload.Seed, int64(s))
-		sender := cfg.Workload.Sender
-		if !cfg.Workload.FixedSender {
-			sender = trace.NodeID(rng.Intn(cfg.N))
-		}
-		if analyst.Compromised(sender) {
-			sum.Add(0)
-			comp++
-			deanon++
-			if conf > 0 {
-				idCount++
-				idRounds++
-			}
-		} else {
-			entropies, identifiedAt, err := arena.Session(&rng, sender, conf)
-			if err != nil {
-				return Result{}, err
-			}
-			for r, h := range entropies {
-				hSums[r] += h
-			}
-			final := entropies[rounds-1]
-			sum.Add(final)
-			if final < 1e-9 {
-				deanon++
-			}
-			if identifiedAt > 0 {
-				idCount++
-				idRounds += identifiedAt
-			}
-		}
-		if done := s + 1; done == sessions || done%sessionBatchSize == 0 {
-			cfg.emitProgress(done, sessions, nil)
-		}
-	}
-	for r := range hSums {
-		hSums[r] /= float64(sessions)
-	}
-	res := Result{
-		H:                      sum.Mean(),
-		StdErr:                 sum.StdErr(),
-		CI95:                   sum.CI95(),
-		Estimated:              true,
-		Trials:                 sessions,
-		MaxH:                   e.MaxAnonymity(),
-		Normalized:             entropy.Normalized(sum.Mean(), cfg.N),
-		CompromisedSenderShare: float64(comp) / float64(sessions),
-		Deanonymized:           deanon,
-		HRounds:                hSums,
-		IdentifiedShare:        float64(idCount) / float64(sessions),
-	}
-	if idCount > 0 {
-		res.MeanRoundsToIdentify = float64(idRounds) / float64(idCount)
-	}
-	return res, nil
-}
-
-// runExactTimeline executes a dynamic-population scenario on the exact
-// engine. A single-shot (Messages) timeline stays fully closed-form: every
-// phase's H*(S_e) comes exactly from the shared engine cache and the
-// result is the traffic-weighted mixture Σ w_e·H_e. A degradation (Rounds)
-// timeline feeds the union-space accumulator across the phase boundaries
-// with exact per-round posteriors, serially from one RNG stream — the
-// reference the parallel Monte-Carlo timeline is cross-validated against.
+// runExactTimeline executes a single-shot (Messages) timeline on the
+// exact engine, fully closed-form: every phase's H*(S_e) comes exactly
+// from the shared engine cache and the result is the traffic-weighted
+// mixture Σ w_e·H_e.
 func runExactTimeline(cfg Config, deliveryRate float64) (Result, error) {
-	if timelineRounds(cfg.phases) {
-		return runPhasedRounds(cfg, string(BackendExact), 1)
-	}
 	weights := timelineWeights(cfg.phases)
 	res := Result{MaxH: timelineMaxH(cfg.phases)}
 	for i := range cfg.phases {

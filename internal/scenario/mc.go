@@ -1,9 +1,10 @@
 package scenario
 
 // The Monte-Carlo backend: the sampling estimator of package montecarlo,
-// which draws concrete paths, synthesizes the adversary's observations,
-// and averages exactly-computed posterior entropies (unbiased, low
-// variance).
+// which draws concrete paths, classifies what the adversary observes of
+// each, and averages exactly-computed posterior entropies (unbiased, low
+// variance). Degradation runs go through the session driver the exact
+// backend shares (runPhasedRounds), in parallel.
 
 import (
 	"math"
@@ -30,6 +31,16 @@ func (mcBackend) Run(cfg Config) (Result, error) {
 		return Result{}, capability.Unsupported(string(BackendMonteCarlo),
 			capability.ErrFaults, "crash schedules are testbed-only")
 	}
+	if err := sampledInference(cfg, "montecarlo"); err != nil {
+		return Result{}, err
+	}
+	if cfg.sessions() {
+		workers := cfg.Workload.Workers
+		if workers <= 0 {
+			workers = pool.Workers()
+		}
+		return runPhasedRounds(cfg, "montecarlo", workers)
+	}
 	if len(cfg.phases) > 0 {
 		return runMCTimeline(cfg)
 	}
@@ -42,8 +53,6 @@ func (mcBackend) Run(cfg Config) (Result, error) {
 		Compromised:   cfg.Adversary.Compromised,
 		Strategy:      cfg.Strategy,
 		Trials:        cfg.Workload.Messages,
-		Rounds:        cfg.Workload.Rounds,
-		Confidence:    cfg.Workload.Confidence,
 		FixedSender:   cfg.Workload.FixedSender,
 		Sender:        cfg.Workload.Sender,
 		Seed:          cfg.Workload.Seed,
@@ -69,9 +78,7 @@ func (mcBackend) Run(cfg Config) (Result, error) {
 		MaxH:                   entropy.Max(cfg.N),
 		Normalized:             entropy.Normalized(res.H, cfg.N),
 		CompromisedSenderShare: res.CompromisedSenderShare,
-		HRounds:                res.HRounds,
-		IdentifiedShare:        res.IdentifiedShare,
-		MeanRoundsToIdentify:   res.MeanRoundsToIdentify,
+		Deanonymized:           res.Deanonymized,
 		DeliveryRate:           res.DeliveryRate,
 		MeanAttempts:           res.MeanAttempts,
 		HDegraded:              res.HDegraded,
@@ -90,22 +97,12 @@ func applyFaults(mcCfg *montecarlo.Config, cfg Config) {
 	mcCfg.MaxAttempts = cfg.Reliability.MaxAttempts
 }
 
-// runMCTimeline executes a dynamic-population scenario by sampling. A
-// degradation (Rounds) timeline runs the shared phased-session machinery
-// in parallel across forked worker streams. A single-shot (Messages)
-// timeline is sampled stratified: every phase runs the static estimator in
-// its own dense population with its own budget and deterministic derived
-// seed, and the strata blend by their traffic weights — the same mixture
-// the exact backend computes in closed form, with the variance of each
-// stratum combining in quadrature.
+// runMCTimeline samples a single-shot (Messages) timeline stratified:
+// every phase runs the static estimator in its own dense population with
+// its own budget and deterministic derived seed, and the strata blend by
+// their traffic weights — the same mixture the exact backend computes in
+// closed form, with the variance of each stratum combining in quadrature.
 func runMCTimeline(cfg Config) (Result, error) {
-	if timelineRounds(cfg.phases) {
-		workers := cfg.Workload.Workers
-		if workers <= 0 {
-			workers = pool.Workers()
-		}
-		return runPhasedRounds(cfg, "montecarlo", workers)
-	}
 	weights := timelineWeights(cfg.phases)
 	res := Result{
 		Estimated: true,
@@ -161,6 +158,7 @@ func runMCTimeline(cfg Config) (Result, error) {
 		res.H += w * pr.H
 		variance += w * w * pr.StdErr * pr.StdErr
 		res.Trials += pr.Trials
+		res.Deanonymized += pr.Deanonymized
 		res.CompromisedSenderShare += w * pr.CompromisedSenderShare
 		res.DeliveryRate += w * pr.DeliveryRate
 		res.MeanAttempts += w * pr.MeanAttempts

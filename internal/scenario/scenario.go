@@ -232,9 +232,9 @@ type Workload struct {
 	// regime of Wright et al. ([23] in Guan et al.): the adversary
 	// accumulates the per-round posteriors (Bayesian multiplication on the
 	// simple-path substrates, predecessor counting on Crowds) and the
-	// Result carries the degradation curve H_1..H_k. Multi-round analysis
-	// materializes an N-entry posterior per round, so it costs O(N) per
-	// message where single-shot analysis is O(reports).
+	// Result carries the degradation curve H_1..H_k. The accumulator keeps
+	// the joint posterior in spike/slab form, so a round costs
+	// O(witnesses + candidates) whatever N is.
 	Rounds int
 	// Confidence, when in (0,1), additionally tracks identification in
 	// multi-round runs: a session counts as identified at the first round
@@ -263,6 +263,12 @@ type Workload struct {
 // identification tracking on top of single rounds).
 func (w Workload) degradation() bool {
 	return w.Rounds > 1 || w.Confidence > 0
+}
+
+// sessions reports whether the run is a degradation run: persistent
+// sessions of a static population, or across a Rounds timeline.
+func (c *Config) sessions() bool {
+	return c.Workload.degradation() || timelineRounds(c.phases)
 }
 
 // Config is the declarative description of one run.

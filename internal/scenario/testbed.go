@@ -11,8 +11,9 @@ package scenario
 // path re-forms every round, and the adversary accumulates across the
 // session's messages — Bayesian posterior multiplication (the
 // generalized intersection attack: witnessed identities are zeroed, so
-// candidate sets shrink round over round) on the routed substrates, and
-// Reiter–Rubin predecessor counting on Crowds.
+// candidate sets shrink round over round) on the routed substrates, whose
+// static sessions fold as a one-phase timeline (analyzeRoutedTimeline),
+// and Reiter–Rubin predecessor counting on Crowds.
 
 import (
 	cryptorand "crypto/rand"
@@ -26,7 +27,6 @@ import (
 	"anonmix/internal/adversary"
 	"anonmix/internal/crowds"
 	"anonmix/internal/entropy"
-	"anonmix/internal/events"
 	"anonmix/internal/onion"
 	"anonmix/internal/pathsel"
 	"anonmix/internal/scenario/capability"
@@ -61,6 +61,9 @@ func (testbedBackend) Run(cfg Config) (Result, error) {
 		return Result{}, capability.Unsupported(string(BackendTestbed),
 			capability.ErrComplicatedPaths, cfg.Strategy.Name+" (run it on the crowds substrate)")
 	}
+	if err := sampledInference(cfg, string(BackendTestbed)); err != nil {
+		return Result{}, err
+	}
 	if len(cfg.phases) > 0 {
 		return runRoutedTimeline(cfg)
 	}
@@ -79,17 +82,6 @@ func runRouted(cfg Config) (Result, error) {
 	engine, err := Engine(cfg.N, len(cfg.Adversary.Compromised), engineOptions(cfg)...)
 	if err != nil {
 		return Result{}, err
-	}
-	if engine.Mode() != events.InferenceStandard {
-		return Result{}, capability.Unsupported(string(BackendTestbed),
-			capability.ErrInference, engine.Mode().String())
-	}
-	if !engine.SenderSelfReport() {
-		// The empirical pipeline hardcodes the local-eavesdropper branch
-		// (a compromised sender is identified outright); running the
-		// no-self-report ablation here would silently bias H low.
-		return Result{}, capability.Unsupported(string(BackendTestbed),
-			capability.ErrInference, "no-sender-self-report ablation is exact-only")
 	}
 	// The config arrives normalized from Run, and the engine is already in
 	// hand — build the analyst directly.
@@ -205,7 +197,12 @@ func runRouted(cfg Config) (Result, error) {
 	}
 
 	traces := trace.Collate(nw.Tuples())
-	res, err := analyzeRouted(cfg, analyst, traces, senders, ids)
+	var res Result
+	if cfg.sessions() {
+		res, err = analyzeRoutedTimeline(cfg, cfg.members(), []*adversary.Analyst{analyst}, traces, senders, ids)
+	} else {
+		res, err = analyzeRouted(analyst, traces, senders, ids)
+	}
 	if err != nil {
 		return Result{}, err
 	}
@@ -215,99 +212,39 @@ func runRouted(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// analyzeRouted runs the adversary over the collected traces, session by
-// session in injection order — a fixed order, so the empirical estimate is
-// bit-reproducible for a fixed seed (ranging over the collated map would
-// reassociate the floating-point mean run to run). Single-shot sessions
-// use the O(reports) entropy fast path; multi-round sessions accumulate
-// full posteriors, which costs O(N) per message.
-func analyzeRouted(cfg Config, analyst *adversary.Analyst,
-	traces map[trace.MessageID]*trace.MessageTrace, senders []trace.NodeID,
-	ids []trace.MessageID) (Result, error) {
-	sessions := len(senders)
-	rounds := cfg.Workload.Rounds
-	conf := cfg.Workload.Confidence
-	degradation := cfg.Workload.degradation()
-
+// analyzeRouted measures single-shot traffic: it runs the adversary over
+// the collected traces in injection order — a fixed order, so the
+// empirical estimate is bit-reproducible for a fixed seed (ranging over
+// the collated map would reassociate the floating-point mean run to run)
+// — through the O(reports) entropy fast path.
+func analyzeRouted(analyst *adversary.Analyst, traces map[trace.MessageID]*trace.MessageTrace,
+	senders []trace.NodeID, ids []trace.MessageID) (Result, error) {
 	var sum stats.Summary
-	var compSenders, deanonymized, idCount, idRounds int
-	var hSums []float64
+	var compSenders, deanonymized int
 	var sc adversary.Scratch
-	var acc *adversary.Accumulator
-	if degradation {
-		hSums = make([]float64, rounds)
-		var err error
-		if acc, err = adversary.NewAccumulator(analyst); err != nil {
-			return Result{}, err
-		}
-	}
-	for s := 0; s < sessions; s++ {
-		sender := senders[s]
+	for s, sender := range senders {
 		if analyst.Compromised(sender) {
 			// Local-eavesdropper branch: the adversary's agent at the
-			// sender identifies it outright at its first message.
+			// sender identifies it outright.
 			sum.Add(0)
 			compSenders++
 			deanonymized++
-			if conf > 0 {
-				idCount++
-				idRounds++
-			}
 			continue
 		}
-		if !degradation {
-			mt := traces[ids[s]]
-			if mt == nil {
-				return Result{}, fmt.Errorf("scenario: message %d has no trace", ids[s])
-			}
-			h, err := analyst.EntropyScratch(mt, &sc)
-			if err != nil {
-				return Result{}, fmt.Errorf("scenario: message %d: %w", ids[s], err)
-			}
-			if h < 1e-9 {
-				deanonymized++
-			}
-			sum.Add(h)
-			continue
+		mt := traces[ids[s]]
+		if mt == nil {
+			return Result{}, fmt.Errorf("scenario: message %d has no trace", ids[s])
 		}
-		acc.Reset()
-		identifiedAt := 0
-		final := 0.0
-		for r := 0; r < rounds; r++ {
-			id := ids[s*rounds+r]
-			mt := traces[id]
-			if mt == nil {
-				return Result{}, fmt.Errorf("scenario: message %d has no trace", id)
-			}
-			if err := acc.ObserveScratch(mt, &sc); err != nil {
-				return Result{}, fmt.Errorf("scenario: message %d: %w", id, err)
-			}
-			h, top, mass, err := acc.SnapshotFast()
-			if err != nil {
-				return Result{}, fmt.Errorf("scenario: message %d: %w", id, err)
-			}
-			hSums[r] += h
-			final = h
-			if identifiedAt == 0 && conf > 0 && top == sender && mass >= conf {
-				identifiedAt = r + 1
-			}
+		h, err := analyst.EntropyScratch(mt, &sc)
+		if err != nil {
+			return Result{}, fmt.Errorf("scenario: message %d: %w", ids[s], err)
 		}
-		sum.Add(final)
-		if final < 1e-9 {
+		if h < 1e-9 {
 			deanonymized++
 		}
-		if identifiedAt > 0 {
-			idCount++
-			idRounds += identifiedAt
-		}
+		sum.Add(h)
 	}
-	if sum.N() != sessions {
-		return Result{}, fmt.Errorf("scenario: analyzed %d of %d sessions", sum.N(), sessions)
-	}
-	for r := range hSums {
-		hSums[r] /= float64(sessions)
-	}
-	res := Result{
+	return Result{
 		H:                      sum.Mean(),
 		StdErr:                 sum.StdErr(),
 		CI95:                   sum.CI95(),
@@ -315,15 +252,7 @@ func analyzeRouted(cfg Config, analyst *adversary.Analyst,
 		Trials:                 sum.N(),
 		CompromisedSenderShare: float64(compSenders) / float64(sum.N()),
 		Deanonymized:           deanonymized,
-		HRounds:                hSums,
-	}
-	if conf > 0 {
-		res.IdentifiedShare = float64(idCount) / float64(sessions)
-		if idCount > 0 {
-			res.MeanRoundsToIdentify = float64(idRounds) / float64(idCount)
-		}
-	}
-	return res, nil
+	}, nil
 }
 
 // runRoutedTimeline executes a dynamic-population scenario on the routed
@@ -339,7 +268,7 @@ func analyzeRouted(cfg Config, analyst *adversary.Analyst,
 // phase and are analyzed with that phase's adversary.
 func runRoutedTimeline(cfg Config) (Result, error) {
 	phases := cfg.members()
-	analysts, sels, err := phasedMachinery(cfg, phases, string(BackendTestbed))
+	analysts, sels, err := phasedMachinery(cfg, phases)
 	if err != nil {
 		return Result{}, err
 	}
@@ -553,7 +482,15 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 	maxH := timelineMaxH(cfg.phases)
 	var res Result
 	if rounds {
-		res, err = analyzeRoutedTimeline(cfg, phases, analysts, traces, senders, ids)
+		var traffic []members
+		var trafficAnalysts []*adversary.Analyst
+		for e := range phases {
+			if phases[e].epoch.Rounds > 0 {
+				traffic = append(traffic, phases[e])
+				trafficAnalysts = append(trafficAnalysts, analysts[e])
+			}
+		}
+		res, err = analyzeRoutedTimeline(cfg, traffic, trafficAnalysts, traces, senders, ids)
 	} else {
 		res, err = analyzeSingleShotTimeline(phases, analysts, traces, phaseSenders, phaseIDs, fa)
 	}
@@ -678,83 +615,53 @@ func analyzeSingleShotTimeline(phases []members, analysts []*adversary.Analyst,
 	return res, nil
 }
 
-// analyzeRoutedTimeline folds a Rounds timeline's collected traces through
-// the union-space accumulator, session by session in injection order — the
-// empirical counterpart of runPhasedRounds.
+// analyzeRoutedTimeline folds the collected traces of persistent
+// sessions through the accumulator, session by session in injection order
+// — the empirical counterpart of runPhasedRounds. phases are the phases
+// that carry rounds, with their analysts; a static config is one phase
+// whose mapping is the identity. ids is session-major: ids[s·k + r] is
+// session s's round r.
 func analyzeRoutedTimeline(cfg Config, phases []members, analysts []*adversary.Analyst,
 	traces map[trace.MessageID]*trace.MessageTrace,
 	senders []trace.NodeID, ids []trace.MessageID) (Result, error) {
-	var (
-		totalIDs   = unionSize(cfg.N, cfg.Timeline)
-		sessions   = len(senders)
-		k          = cfg.Workload.Rounds
-		conf       = cfg.Workload.Confidence
-		first      = firstTrafficPhase(cfg.phases)
-		sum        stats.Summary
-		compSender int
-		deanon     int
-		idCount    int
-		idRounds   int
-		hRounds    = make([]float64, k)
-	)
-	pa, err := adversary.NewPhasedAccumulator(totalIDs)
+	k := cfg.Workload.Rounds
+	live := make([][]trace.NodeID, len(phases))
+	for i := range phases {
+		live[i] = phases[i].live
+	}
+	acc, err := adversary.NewTimelineAccumulator(unionSize(cfg.N, cfg.Timeline), analysts, live)
 	if err != nil {
 		return Result{}, err
 	}
-	var sc adversary.Scratch
-	entropies := make([]float64, k)
-	s := 0
-	draw := func(pi, r int) (*trace.MessageTrace, error) {
+	var (
+		sc        adversary.Scratch
+		entropies = make([]float64, k)
+		tally     sessionTally
+		s         int
+	)
+	fold := func(pi, r int) error {
 		id := ids[s*k+r]
 		mt := traces[id]
 		if mt == nil {
-			return nil, fmt.Errorf("scenario: message %d has no trace", id)
+			return fmt.Errorf("scenario: message %d has no trace", id)
 		}
-		return phases[pi].denseTrace(mt)
+		dmt, err := phases[pi].denseTrace(mt)
+		if err == nil {
+			err = acc.ObserveScratch(dmt, &sc)
+		}
+		if err != nil {
+			return fmt.Errorf("scenario: message %d: %w", id, err)
+		}
+		return nil
 	}
-	for s = 0; s < sessions; s++ {
-		sender := senders[s]
-		identifiedAt, err := phasedSession(phases, analysts, pa, &sc, entropies, sender, conf, draw)
+	for s = range senders {
+		identifiedAt, err := phasedSession(phases, acc, entropies, senders[s], cfg.Workload.Confidence, fold)
 		if err != nil {
 			return Result{}, err
 		}
-		if phases[first].compromised(sender) {
-			compSender++
-		}
-		for r, h := range entropies {
-			hRounds[r] += h
-		}
-		final := entropies[k-1]
-		sum.Add(final)
-		if final < 1e-9 {
-			deanon++
-		}
-		if identifiedAt > 0 {
-			idCount++
-			idRounds += identifiedAt
-		}
+		tally.add(entropies, identifiedAt, phases[0].compromised(senders[s]))
 	}
-	for r := range hRounds {
-		hRounds[r] /= float64(sessions)
-	}
-	res := Result{
-		H:                      sum.Mean(),
-		StdErr:                 sum.StdErr(),
-		CI95:                   sum.CI95(),
-		Estimated:              true,
-		Trials:                 sessions,
-		CompromisedSenderShare: float64(compSender) / float64(sessions),
-		Deanonymized:           deanon,
-		HRounds:                hRounds,
-		Epochs:                 epochResults(cfg.phases, sessions, hRounds),
-	}
-	if conf > 0 {
-		res.IdentifiedShare = float64(idCount) / float64(sessions)
-		if idCount > 0 {
-			res.MeanRoundsToIdentify = float64(idRounds) / float64(idCount)
-		}
-	}
-	return res, nil
+	return tally.result(cfg), nil
 }
 
 // runCrowds executes the coin-flip jondo substrate: routing is the

@@ -31,7 +31,6 @@ import (
 	"anonmix/internal/faults"
 	"anonmix/internal/onion"
 	"anonmix/internal/pathsel"
-	"anonmix/internal/scenario/capability"
 	"anonmix/internal/simnet"
 	"anonmix/internal/stats"
 	"anonmix/internal/trace"
@@ -149,14 +148,6 @@ func runRoutedFaulty(cfg Config) (Result, error) {
 	engine, err := Engine(cfg.N, len(cfg.Adversary.Compromised), engineOptions(cfg)...)
 	if err != nil {
 		return Result{}, err
-	}
-	if engine.Mode() != events.InferenceStandard {
-		return Result{}, capability.Unsupported(string(BackendTestbed),
-			capability.ErrInference, engine.Mode().String())
-	}
-	if !engine.SenderSelfReport() {
-		return Result{}, capability.Unsupported(string(BackendTestbed),
-			capability.ErrInference, "no-sender-self-report ablation is exact-only")
 	}
 	analyst, err := adversary.NewAnalyst(engine, cfg.Strategy.Length, cfg.Adversary.Compromised)
 	if err != nil {

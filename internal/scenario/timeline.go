@@ -4,7 +4,9 @@ package scenario
 // phases. This file owns everything the three backends share — the
 // deterministic membership schedule derived from Config.Timeline, the
 // dense-space mapping each phase hands to the analytic machinery, the
-// cross-phase degradation session, and the compact CLI epoch syntax — so
+// session driver every degradation run goes through (a static config is
+// one phase whose mapping is the identity), and the compact CLI epoch
+// syntax — so
 // that "the same scenario on every backend" keeps meaning the same
 // population trajectory everywhere.
 //
@@ -27,8 +29,9 @@ package scenario
 // from an O(epochs) walk that also validates the schedule; they are all
 // the exact single-shot mixture and TimelineStates read. The identity
 // view (members) costs O(epochs · (N + ΣJoin)) and is built only where
-// identities matter: the sampled and phased-session drivers and the
-// fixed-sender and sender-pool checks.
+// identities matter: the sampled and session drivers and the fixed-sender
+// and sender-pool checks. A static config's view is one identity phase,
+// O(C).
 
 import (
 	"fmt"
@@ -40,8 +43,8 @@ import (
 	"sync/atomic"
 
 	"anonmix/internal/adversary"
+	"anonmix/internal/entropy"
 	"anonmix/internal/events"
-	"anonmix/internal/montecarlo"
 	"anonmix/internal/pathsel"
 	workpool "anonmix/internal/pool"
 	"anonmix/internal/scenario/capability"
@@ -64,7 +67,8 @@ type phase struct {
 type members struct {
 	phase
 	// live lists the members in ascending union identity; live[i] is the
-	// union identity of dense node i.
+	// union identity of dense node i. It is nil for the identity: the one
+	// phase of a static config.
 	live []trace.NodeID
 	// comp lists the compromised members (union identities, ascending).
 	comp []trace.NodeID
@@ -75,6 +79,9 @@ type members struct {
 // dense returns the dense index of union identity g and whether g is live
 // in the phase.
 func (m *members) dense(g trace.NodeID) (int, bool) {
+	if m.live == nil {
+		return int(g), g >= 0 && int(g) < m.n
+	}
 	return slices.BinarySearch(m.live, g)
 }
 
@@ -201,8 +208,17 @@ func schedulePhases(n, c int, timeline []Epoch) ([]phase, error) {
 // derived into c.phases, over the base population 0..N−1 with
 // Adversary.Compromised compromised: it replays the identity rules over
 // per-identity flags and snapshots each phase into slices presized from
-// its counts.
+// its counts. A static config is one phase of Workload.Rounds rounds whose
+// mapping is the identity, viewed in O(C).
 func (c *Config) members() []members {
+	if len(c.phases) == 0 {
+		comp := slices.Sorted(slices.Values(c.Adversary.Compromised))
+		return []members{{
+			phase:     phase{epoch: Epoch{Rounds: c.Workload.Rounds}, n: c.N, c: len(comp)},
+			comp:      comp,
+			denseComp: c.Adversary.Compromised,
+		}}
+	}
 	live := make([]bool, unionSize(c.N, c.Timeline))
 	comp := make([]bool, len(live))
 	for v := 0; v < c.N; v++ {
@@ -376,6 +392,7 @@ func timelineRounds(phases []phase) bool {
 // session of a degradation timeline: members of every phase that sends
 // rounds (compromised members included — theirs is the local-eavesdropper
 // branch), ascending. It intersects the phases' live lists by merge walks.
+// A static config's pool is every node, and senderPool returns nil.
 func senderPool(ms []members) []trace.NodeID {
 	var pool []trace.NodeID
 	first := true
@@ -435,8 +452,12 @@ func phaseSeed(seed int64, i int) int64 {
 }
 
 // denseTrace rewrites a union-identity message trace into the phase's
-// dense node space (the receiver pseudo-identity passes through).
+// dense node space (the receiver pseudo-identity passes through); under
+// the identity it returns mt itself.
 func (m *members) denseTrace(mt *trace.MessageTrace) (*trace.MessageTrace, error) {
+	if m.live == nil {
+		return mt, nil
+	}
 	out := &trace.MessageTrace{
 		Msg:          mt.Msg,
 		ReceiverSeen: mt.ReceiverSeen,
@@ -476,28 +497,32 @@ func (m *members) denseTrace(mt *trace.MessageTrace) (*trace.MessageTrace, error
 	return out, nil
 }
 
-// phasedSession folds one persistent session through the phases of a
-// degradation timeline: the caller's union-space accumulator (reset here,
-// so one allocation serves every session) collects each round's trace,
-// produced by draw (phase index, global round) in the phase's dense space,
-// and a sender compromised during a phase is identified outright from its
-// first round there on (the adversary's agent at the sender — once burned,
-// always burned, recovery notwithstanding). Exact and Monte-Carlo sessions
-// synthesize the draw; the testbed looks up collected traces. Entropies
-// are written into the caller's buffer, indexed by global round (its
-// length must be the timeline's total rounds); identifiedAt is the first
-// 1-based round reaching the confidence threshold (0 = never).
-func phasedSession(phases []members, analysts []*adversary.Analyst,
-	pa *adversary.PhasedAccumulator, sc *adversary.Scratch, entropies []float64,
-	sender trace.NodeID, conf float64,
-	draw func(pi, r int) (*trace.MessageTrace, error)) (identifiedAt int, err error) {
-	pa.Reset()
+// phasedSession folds one persistent session through the phases that
+// carry its rounds: the caller's accumulator (reset here, so one
+// allocation serves every session) folds each round through fold(phase,
+// global round), which observes the round's message in the phase's dense
+// space, and a sender compromised during a phase is identified outright
+// from its first round there on (the adversary's agent at the sender —
+// once burned, always burned, recovery notwithstanding). The sampled
+// backends fold the path they draw; the testbed folds the collected
+// trace. Entropies are written into the caller's buffer, indexed by
+// global round (its length must be the session's total rounds);
+// identifiedAt is the first 1-based round reaching the confidence
+// threshold (0 = never).
+func phasedSession(phases []members, acc *adversary.Accumulator, entropies []float64,
+	sender trace.NodeID, conf float64, fold func(pi, r int) error) (identifiedAt int, err error) {
+	acc.Reset()
 	r := 0
 	dead := false // sender observed as compromised: identified for good
 	for pi := range phases {
 		p := &phases[pi]
-		if p.epoch.Rounds > 0 && p.compromised(sender) {
+		if p.compromised(sender) {
 			dead = true
+		}
+		if !dead {
+			if err := acc.SetPhase(pi); err != nil {
+				return 0, err
+			}
 		}
 		for j := 0; j < p.epoch.Rounds; j++ {
 			if dead {
@@ -508,14 +533,10 @@ func phasedSession(phases []members, analysts []*adversary.Analyst,
 				r++
 				continue
 			}
-			mt, err := draw(pi, r)
-			if err != nil {
+			if err := fold(pi, r); err != nil {
 				return 0, err
 			}
-			if err := pa.ObserveScratch(analysts[pi], mt, p.live, sc); err != nil {
-				return 0, err
-			}
-			h, top, mass, err := pa.SnapshotFast()
+			h, top, mass, err := acc.SnapshotFast()
 			if err != nil {
 				return 0, err
 			}
@@ -624,12 +645,11 @@ func drawPhasePath(p *members, sp *pathsel.Sampler, rng *stats.Stream, sender tr
 	return global, nil
 }
 
-// phasedMachinery builds the per-phase inference stack of a degradation
-// timeline — shared engine-cache engines, analysts over the dense
-// compromised sets, and dense-space selectors — enforcing the accumulation
-// capabilities every backend needs (standard inference, sender
-// self-report).
-func phasedMachinery(cfg Config, ms []members, backend string) ([]*adversary.Analyst, []*pathsel.Selector, error) {
+// phasedMachinery builds the per-phase inference stack of a session or
+// timeline run — shared engine-cache engines, analysts over the dense
+// compromised sets, and dense-space selectors. Callers have refused the
+// inference models the sampled analysis cannot express (sampledInference).
+func phasedMachinery(cfg Config, ms []members) ([]*adversary.Analyst, []*pathsel.Selector, error) {
 	analysts := make([]*adversary.Analyst, len(ms))
 	sels := make([]*pathsel.Selector, len(ms))
 	for i := range ms {
@@ -637,17 +657,6 @@ func phasedMachinery(cfg Config, ms []members, backend string) ([]*adversary.Ana
 		e, err := Engine(p.n, p.c, engineOptions(cfg)...)
 		if err != nil {
 			return nil, nil, err
-		}
-		if e.Mode() != events.InferenceStandard {
-			return nil, nil, capability.Unsupported(backend,
-				capability.ErrInference, "dynamic-population execution requires the standard inference mode")
-		}
-		if !e.SenderSelfReport() {
-			// The per-message analysis hardcodes the local-eavesdropper
-			// branch (mirroring the static sampled paths); only the exact
-			// backend's closed forms support the ablation.
-			return nil, nil, capability.Unsupported(backend,
-				capability.ErrInference, "no-sender-self-report ablation is supported only on the exact backend's closed-form analysis")
 		}
 		if analysts[i], err = adversary.NewAnalyst(e, cfg.Strategy.Length, p.denseComp); err != nil {
 			return nil, nil, err
@@ -659,103 +668,133 @@ func phasedMachinery(cfg Config, ms []members, backend string) ([]*adversary.Ana
 	return analysts, sels, nil
 }
 
-// firstTrafficPhase returns the index of the first phase that sends rounds.
-func firstTrafficPhase(phases []phase) int {
-	for i := range phases {
-		if phases[i].epoch.Rounds > 0 {
-			return i
-		}
+// sampledInference refuses, with the backend's capability error, the
+// inference models the sampled analysis cannot express: it classifies
+// the standard flag-based classes, and it identifies a compromised sender
+// outright (the local-eavesdropper branch). The exact backend's closed
+// forms cover both ablations.
+func sampledInference(cfg Config, backend string) error {
+	// The options alone select the model; any valid system resolves them.
+	e, err := events.New(2, 0, engineOptions(cfg)...)
+	if err != nil {
+		return err
 	}
-	return 0
+	if e.Mode() != events.InferenceStandard {
+		return capability.Unsupported(backend, capability.ErrInference,
+			e.Mode().String()+" inference is exact-only")
+	}
+	if !e.SenderSelfReport() {
+		return capability.Unsupported(backend, capability.ErrInference,
+			"no-sender-self-report ablation is exact-only")
+	}
+	return nil
 }
 
-// sessionBatchSize is the work-stealing granule of the phased session
-// loop, mirroring the static Monte-Carlo estimator's trial batching: each
-// batch's partial sums are merged in batch-index order so the result is
-// bit-identical for any worker count.
+// trafficPhases filters ms, in place, to the phases that carry session
+// rounds.
+func trafficPhases(ms []members) []members {
+	return slices.DeleteFunc(ms, func(m members) bool { return m.epoch.Rounds == 0 })
+}
+
+// sessionBatchSize is the work-stealing granule of the session loop and
+// the testbed's cancellation checkpoints: each batch's partial sums are
+// merged in batch-index order so the result is bit-identical for any
+// worker count.
 const sessionBatchSize = 64
 
-// phasedArena is the per-worker scratch of a degradation-timeline run:
-// per-phase samplers, a reusable union-space accumulator, classification
-// scratch, one trace buffer, and the per-session entropy curve. The draw
-// closure is built once per arena (capturing only the arena) so the
-// session loop allocates nothing.
+// phasedArena is the per-worker scratch of a session run: per-phase
+// samplers, a reusable accumulator, classification scratch, and the
+// per-session entropy curve. The fold closure is built once per arena
+// (capturing only the arena) so the session loop allocates nothing.
 type phasedArena struct {
+	phases    []members
 	samplers  []*pathsel.Sampler
-	pa        *adversary.PhasedAccumulator
+	acc       *adversary.Accumulator
 	sc        adversary.Scratch
-	mt        trace.MessageTrace
 	entropies []float64
 	rng       stats.Stream
-	sender    trace.NodeID
-	draw      func(pi, r int) (*trace.MessageTrace, error)
+	senders   []trace.NodeID // the session's sender, dense in each phase
+	fold      func(pi, r int) error
 }
 
-// runPhasedRounds executes a degradation timeline analytically:
-// Workload.Messages persistent sessions spanning the phases, each round
-// synthesized in its phase's dense space and folded through a union-space
-// PhasedAccumulator. Every session draws from its own counter-based
-// stream, so the output is a pure function of (Seed, Messages) alone —
-// workers only bounds how many sessions run concurrently (the exact
-// backend passes 1 and stays the serial reference, with identical
-// results).
+// newPhasedArena builds a session arena over the phases that carry rounds,
+// their analysts and selectors, in a union identity space of the given
+// size, for sessions of k rounds.
+func newPhasedArena(phases []members, analysts []*adversary.Analyst, sels []*pathsel.Selector,
+	union, k int) (*phasedArena, error) {
+	ar := &phasedArena{
+		phases:    phases,
+		samplers:  make([]*pathsel.Sampler, len(sels)),
+		entropies: make([]float64, k),
+		senders:   make([]trace.NodeID, len(phases)),
+	}
+	for i, sel := range sels {
+		var err error
+		if ar.samplers[i], err = sel.NewSampler(); err != nil {
+			return nil, err
+		}
+	}
+	live := make([][]trace.NodeID, len(phases))
+	for i := range phases {
+		live[i] = phases[i].live
+	}
+	var err error
+	if ar.acc, err = adversary.NewTimelineAccumulator(union, analysts, live); err != nil {
+		return nil, err
+	}
+	ar.fold = func(pi, _ int) error {
+		d := ar.senders[pi]
+		path, err := ar.samplers[pi].SelectPath(&ar.rng, d)
+		if err != nil {
+			return err
+		}
+		return ar.acc.ObservePath(d, path, &ar.sc)
+	}
+	return ar, nil
+}
+
+// session runs one session from sender, drawing its paths from rng, and
+// leaves its entropy curve in ar.entropies (see phasedSession).
+func (ar *phasedArena) session(rng stats.Stream, sender trace.NodeID, conf float64) (identifiedAt int, err error) {
+	ar.rng = rng
+	for i := range ar.phases {
+		d, _ := ar.phases[i].dense(sender)
+		ar.senders[i] = trace.NodeID(d)
+	}
+	return phasedSession(ar.phases, ar.acc, ar.entropies, sender, conf, ar.fold)
+}
+
+// runPhasedRounds is the sampled session driver of the exact and
+// Monte-Carlo backends, for static and timeline degradation runs alike (a
+// static config is one phase whose mapping is the identity):
+// Workload.Messages persistent sessions span the phases that carry
+// rounds, and every round draws a path in its phase's dense space and
+// folds it through the accumulator by the path route. Every session draws
+// from its own counter-based stream, so the output is a pure function of
+// (Seed, Messages) alone — workers only bounds how many sessions run
+// concurrently (the exact backend passes 1, with identical results).
 func runPhasedRounds(cfg Config, backend string, workers int) (Result, error) {
-	phases := cfg.members()
-	analysts, sels, err := phasedMachinery(cfg, phases, backend)
+	if cfg.Strategy.Kind != pathsel.Simple {
+		// The path route folds simple paths only.
+		return Result{}, capability.Unsupported(backend, capability.ErrComplicatedPaths, cfg.Strategy.Name)
+	}
+	phases := trafficPhases(cfg.members())
+	analysts, sels, err := phasedMachinery(cfg, phases)
 	if err != nil {
 		return Result{}, err
 	}
 	var (
-		total    = unionSize(cfg.N, cfg.Timeline)
+		union    = unionSize(cfg.N, cfg.Timeline)
 		sessions = cfg.Workload.Messages
 		k        = cfg.Workload.Rounds
-		conf     = cfg.Workload.Confidence
-		first    = firstTrafficPhase(cfg.phases)
 		pool     []trace.NodeID
 	)
 	if !cfg.Workload.FixedSender {
 		pool = senderPool(phases)
 	}
-	comps := make([]func(trace.NodeID) bool, len(analysts))
-	for i, a := range analysts {
-		comps[i] = a.Compromised
-	}
-	newArena := func() (*phasedArena, error) {
-		ar := &phasedArena{
-			samplers:  make([]*pathsel.Sampler, len(sels)),
-			entropies: make([]float64, k),
-		}
-		for i, sel := range sels {
-			var err error
-			if ar.samplers[i], err = sel.NewSampler(); err != nil {
-				return nil, err
-			}
-		}
-		var err error
-		if ar.pa, err = adversary.NewPhasedAccumulator(total); err != nil {
-			return nil, err
-		}
-		ar.draw = func(pi, r int) (*trace.MessageTrace, error) {
-			ph := &phases[pi]
-			d, _ := ph.dense(ar.sender)
-			ds := trace.NodeID(d)
-			dense, err := ar.samplers[pi].SelectPath(&ar.rng, ds)
-			if err != nil {
-				return nil, err
-			}
-			montecarlo.SynthesizeInto(&ar.mt, trace.MessageID(r+1), ds, dense, comps[pi])
-			return &ar.mt, nil
-		}
-		return ar, nil
-	}
 	type part struct {
-		sum         stats.Summary
-		entropySums []float64
-		compSender  int
-		deanon      int
-		identified  int
-		roundsSum   int
-		err         error
+		tally sessionTally
+		err   error
 	}
 	batches := (sessions + sessionBatchSize - 1) / sessionBatchSize
 	parts := make([]part, batches)
@@ -766,7 +805,7 @@ func runPhasedRounds(cfg Config, backend string, workers int) (Result, error) {
 		workers = batches
 	}
 	workpool.ForEach(workers, func(int) {
-		ar, err := newArena()
+		ar, err := newPhasedArena(phases, analysts, sels, union, k)
 		if err != nil {
 			if b := int(nextBatch.Add(1)) - 1; b < batches {
 				parts[b].err = err
@@ -783,39 +822,26 @@ func runPhasedRounds(cfg Config, backend string, workers int) (Result, error) {
 				return
 			}
 			p := &parts[b]
-			p.entropySums = make([]float64, k)
 			lo, hi := b*sessionBatchSize, (b+1)*sessionBatchSize
 			if hi > sessions {
 				hi = sessions
 			}
 			for s := lo; s < hi; s++ {
-				ar.rng = stats.NewStream(cfg.Workload.Seed, int64(s))
+				rng := stats.NewStream(cfg.Workload.Seed, int64(s))
 				sender := cfg.Workload.Sender
-				if !cfg.Workload.FixedSender {
-					sender = pool[ar.rng.Intn(len(pool))]
+				switch {
+				case cfg.Workload.FixedSender:
+				case pool == nil:
+					sender = trace.NodeID(rng.Intn(cfg.N))
+				default:
+					sender = pool[rng.Intn(len(pool))]
 				}
-				ar.sender = sender
-				identifiedAt, err := phasedSession(phases, analysts, ar.pa, &ar.sc,
-					ar.entropies, sender, conf, ar.draw)
+				identifiedAt, err := ar.session(rng, sender, cfg.Workload.Confidence)
 				if err != nil {
 					p.err = err
 					return
 				}
-				if phases[first].compromised(sender) {
-					p.compSender++
-				}
-				for r, h := range ar.entropies {
-					p.entropySums[r] += h
-				}
-				final := ar.entropies[k-1]
-				p.sum.Add(final)
-				if final < 1e-9 {
-					p.deanon++
-				}
-				if identifiedAt > 0 {
-					p.identified++
-					p.roundsSum += identifiedAt
-				}
+				p.tally.add(ar.entropies, identifiedAt, phases[0].compromised(sender))
 			}
 			cfg.emitProgress(int(doneSessions.Add(int64(hi-lo))), sessions, nil)
 		}
@@ -828,49 +854,96 @@ func runPhasedRounds(cfg Config, backend string, workers int) (Result, error) {
 		// kept so an abort can never fall through to a partial merge.
 		return Result{}, ErrCanceled
 	}
-	var (
-		sum        stats.Summary
-		compSender int
-		deanon     int
-		identified int
-		roundsSum  int
-		hRounds    = make([]float64, k)
-	)
+	var total sessionTally
 	for i := range parts {
 		if parts[i].err != nil {
 			return Result{}, parts[i].err
 		}
-		sum.Merge(parts[i].sum)
-		compSender += parts[i].compSender
-		deanon += parts[i].deanon
-		identified += parts[i].identified
-		roundsSum += parts[i].roundsSum
-		for r, s := range parts[i].entropySums {
-			hRounds[r] += s
-		}
+		total.merge(&parts[i].tally)
 	}
-	for r := range hRounds {
-		hRounds[r] /= float64(sessions)
+	return total.result(cfg), nil
+}
+
+// sessionTally accumulates the outcomes of a degradation run's sessions.
+type sessionTally struct {
+	sum         stats.Summary // final-round entropies
+	entropySums []float64     // per round
+	compSender  int
+	deanon      int
+	identified  int
+	roundsSum   int // identification rounds, summed
+}
+
+// add records one session: its entropy curve, its identification round
+// (0 = never), and whether its sender was compromised from the start.
+func (t *sessionTally) add(entropies []float64, identifiedAt int, compSender bool) {
+	if t.entropySums == nil {
+		t.entropySums = make([]float64, len(entropies))
 	}
-	maxH := timelineMaxH(cfg.phases)
+	for r, h := range entropies {
+		t.entropySums[r] += h
+	}
+	final := entropies[len(entropies)-1]
+	t.sum.Add(final)
+	if final < 1e-9 {
+		t.deanon++
+	}
+	if compSender {
+		t.compSender++
+	}
+	if identifiedAt > 0 {
+		t.identified++
+		t.roundsSum += identifiedAt
+	}
+}
+
+// merge folds o's sessions into t; merging batches in a fixed order keeps
+// the result independent of the worker count.
+func (t *sessionTally) merge(o *sessionTally) {
+	if t.entropySums == nil {
+		t.entropySums = make([]float64, len(o.entropySums))
+	}
+	t.sum.Merge(o.sum)
+	for r, s := range o.entropySums {
+		t.entropySums[r] += s
+	}
+	t.compSender += o.compSender
+	t.deanon += o.deanon
+	t.identified += o.identified
+	t.roundsSum += o.roundsSum
+}
+
+// result turns the tally into the run's Result: the blended curve and its
+// final-round summary, identification statistics when tracked, and the
+// parts that depend on the population's trajectory — the entropy bound,
+// the normalized degree, and a timeline's per-epoch curve.
+func (t *sessionTally) result(cfg Config) Result {
+	sessions := t.sum.N()
+	hRounds := make([]float64, cfg.Workload.Rounds)
+	for r, s := range t.entropySums {
+		hRounds[r] = s / float64(sessions)
+	}
 	res := Result{
-		H:                      sum.Mean(),
-		StdErr:                 sum.StdErr(),
-		CI95:                   sum.CI95(),
+		H:                      t.sum.Mean(),
+		StdErr:                 t.sum.StdErr(),
+		CI95:                   t.sum.CI95(),
 		Estimated:              true,
 		Trials:                 sessions,
-		MaxH:                   maxH,
-		Normalized:             sum.Mean() / maxH,
-		CompromisedSenderShare: float64(compSender) / float64(sessions),
-		Deanonymized:           deanon,
+		MaxH:                   entropy.Max(cfg.N),
+		CompromisedSenderShare: float64(t.compSender) / float64(sessions),
+		Deanonymized:           t.deanon,
 		HRounds:                hRounds,
-		Epochs:                 epochResults(cfg.phases, sessions, hRounds),
 	}
-	if conf > 0 {
-		res.IdentifiedShare = float64(identified) / float64(sessions)
-		if identified > 0 {
-			res.MeanRoundsToIdentify = float64(roundsSum) / float64(identified)
+	if len(cfg.phases) > 0 {
+		res.MaxH = timelineMaxH(cfg.phases)
+		res.Epochs = epochResults(cfg.phases, sessions, hRounds)
+	}
+	res.Normalized = res.H / res.MaxH
+	if cfg.Workload.Confidence > 0 {
+		res.IdentifiedShare = float64(t.identified) / float64(sessions)
+		if t.identified > 0 {
+			res.MeanRoundsToIdentify = float64(t.roundsSum) / float64(t.identified)
 		}
 	}
-	return res, nil
+	return res
 }
