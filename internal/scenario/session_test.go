@@ -75,6 +75,31 @@ func TestMCRoundsCurve(t *testing.T) {
 	}
 }
 
+// TestMCRoundsDeterministic: the same four-worker session run twice gives
+// the same H, standard error and curve, bit for bit.
+func TestMCRoundsDeterministic(t *testing.T) {
+	cfg := roundsConfig()
+	a, err := scenario.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := scenario.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.H != b.H || a.StdErr != b.StdErr {
+		t.Errorf("not bit-identical: %v±%v vs %v±%v", a.H, a.StdErr, b.H, b.StdErr)
+	}
+	if len(a.HRounds) != 8 || len(b.HRounds) != 8 {
+		t.Fatalf("HRounds lengths %d and %d, want 8", len(a.HRounds), len(b.HRounds))
+	}
+	for r := range a.HRounds {
+		if a.HRounds[r] != b.HRounds[r] {
+			t.Errorf("HRounds[%d]: %v vs %v", r, a.HRounds[r], b.HRounds[r])
+		}
+	}
+}
+
 func TestMCRoundsIdentification(t *testing.T) {
 	cfg := roundsConfig()
 	cfg.Workload.Rounds = 150
