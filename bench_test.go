@@ -587,7 +587,8 @@ func BenchmarkOptimizer(b *testing.B) {
 	}
 }
 
-// BenchmarkMonteCarlo measures the sampling estimator's throughput.
+// BenchmarkMonteCarlo measures the sampling estimator's throughput
+// through scenario.Run.
 func BenchmarkMonteCarlo(b *testing.B) {
 	strat, err := pathsel.UniformLength(0, 10)
 	if err != nil {
@@ -595,9 +596,10 @@ func BenchmarkMonteCarlo(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := montecarlo.EstimateH(montecarlo.Config{
-			N: 50, Compromised: []trace.NodeID{3, 11, 29}, Strategy: strat,
-			Trials: 10000, Seed: int64(i), Workers: 4,
+		if _, err := scenario.Run(scenario.Config{
+			N: 50, Backend: scenario.BackendMonteCarlo, Strategy: strat,
+			Adversary: scenario.Adversary{Compromised: []trace.NodeID{3, 11, 29}},
+			Workload:  scenario.Workload{Messages: 10000, Seed: int64(i), Workers: 4},
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -728,21 +730,20 @@ func BenchmarkMCTrialsPerSecond(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := montecarlo.Config{
-		N:           50,
-		Compromised: []trace.NodeID{3, 11, 27},
-		Strategy:    strat,
-		Trials:      trials,
-		Seed:        1,
-		Workers:     4,
+	cfg := scenario.Config{
+		N:         50,
+		Backend:   scenario.BackendMonteCarlo,
+		Strategy:  strat,
+		Adversary: scenario.Adversary{Compromised: []trace.NodeID{3, 11, 27}},
+		Workload:  scenario.Workload{Messages: trials, Seed: 1, Workers: 4},
 	}
-	if _, err := montecarlo.EstimateH(cfg); err != nil {
+	if _, err := scenario.Run(cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var h float64
 	for i := 0; i < b.N; i++ {
-		res, err := montecarlo.EstimateH(cfg)
+		res, err := scenario.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -80,7 +80,7 @@
 //     pathsel.Lookup resolves name-addressable specs ("crowds:0.75,20",
 //     "uniform:0,10") from a registry shared by every CLI
 //   - internal/adversary, internal/trace, internal/montecarlo — the threat
-//     model pipeline and the sampling estimator
+//     model pipeline and the synthesis of the traces it analyzes
 //   - internal/figures — regenerates every figure of the paper's §6, plus
 //     ablations and the cross-backend comparison figure
 //   - internal/core — the library facade (System, strategies, optimum)
@@ -278,9 +278,9 @@
 //   - internal/pool is a bounded worker pool (GOMAXPROCS-sized by
 //     default) behind every fan-out loop: per-class statistics in events,
 //     per-point series generation in figures, restart batches in
-//     optimize.Maximize, and sampling workers in montecarlo. The calling
-//     goroutine always participates, so a saturated or width-1 pool
-//     degrades to inline serial execution — never deadlock — and each
+//     optimize.Maximize, and the scenario layer's sampling workers. The
+//     calling goroutine always participates, so a saturated or width-1
+//     pool degrades to inline serial execution — never deadlock — and each
 //     task writes only its own output slot, which keeps parallel results
 //     byte-identical to the serial reference path (pool.SetWorkers(1)).
 //

@@ -112,8 +112,8 @@ func (a *Analyst) walkPath(sender trace.NodeID, path []trace.NodeID, sc *Scratch
 // PathEntropy is EntropyScratch for the trace that sender's message over
 // path would produce, computed from the path without building the trace
 // or its Class. The path must be simple and must not contain the sender:
-// pathsel guarantees both for Simple strategies, and montecarlo.EstimateH
-// and the scenario layer's session driver refuse Complicated ones. On such
+// pathsel guarantees both for Simple strategies, and the scenario layer's
+// Monte-Carlo drivers refuse Complicated ones. On such
 // a path the result and the error class are EntropyScratch's bit for bit,
 // and the slab count is cross-checked against the witnesses as there. IDs
 // outside [0, N) count as honest, as they do under SynthesizeInto's

@@ -1,8 +1,8 @@
 // Package detrand implements the anonlint analyzer that keeps ambient
 // nondeterminism out of the determinism-contract packages: the packages
 // whose outputs are pinned bit-for-bit per seed by the differential
-// harness and the golden-file tests (simnet, montecarlo, events, faults,
-// adversary, scenario, optimize).
+// harness and the golden-file tests (simnet, events, faults, adversary,
+// scenario, optimize, pathsel, stats, and montecarlo's trace synthesis).
 //
 // Three sources of silent nondeterminism are flagged:
 //

@@ -29,8 +29,7 @@ import (
 // predecessor analysis of cyclic routes, or the testbed backend).
 //
 // It is an alias of the scenario layer's canonical capability sentinel, so
-// errors.Is(err, core.ErrComplicated),
-// errors.Is(err, montecarlo.ErrComplicatedPaths), and
+// errors.Is(err, core.ErrComplicated) and
 // errors.Is(err, capability.ErrComplicatedPaths) are interchangeable.
 var ErrComplicated = capability.ErrComplicatedPaths
 
@@ -188,14 +187,7 @@ func (s *System) CompareStrategies(strats []pathsel.Strategy, compromised []trac
 				Backend:   scenario.BackendMonteCarlo,
 				Strategy:  approx,
 				Adversary: scenario.Adversary{Compromised: compromised},
-				Workload: scenario.Workload{
-					Messages: trials,
-					Seed:     seed,
-					// The estimate is a pure function of (Seed, Trials,
-					// Workers); pin the width so a caller-supplied seed
-					// means the same numbers on every machine.
-					Workers: 4,
-				},
+				Workload:  scenario.Workload{Messages: trials, Seed: seed},
 			})
 			if err != nil {
 				return nil, fmt.Errorf("core: estimating %s: %w", st.Name, err)

@@ -76,10 +76,6 @@ type Config struct {
 	Trials int
 	// Seed makes runs reproducible.
 	Seed int64
-	// Workers is retained for API compatibility. The exact scenario
-	// backend accumulates serially (its output is a pure function of Seed
-	// alone), so the field is accepted and ignored.
-	Workers int
 }
 
 func (c Config) validate() error {

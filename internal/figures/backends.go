@@ -53,7 +53,7 @@ func AblationBackendsSweep(n, c, messages int, seed int64, specs []string) (Figu
 
 		mcCfg := base
 		mcCfg.Backend = scenario.BackendMonteCarlo
-		mcCfg.Workload = scenario.Workload{Messages: messages, Seed: seed, Workers: 4}
+		mcCfg.Workload = scenario.Workload{Messages: messages, Seed: seed}
 		mcRes, err := scenario.Run(mcCfg)
 		if err != nil {
 			return Figure{}, fmt.Errorf("figures: backends %s: %w", spec, err)

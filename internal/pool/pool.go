@@ -1,7 +1,7 @@
 // Package pool provides the process-wide bounded worker pool used by every
 // fan-out loop in the analysis stack: class-statistics enumeration in
 // events, per-point series generation in figures, restart batches in
-// optimize, and sampling workers in montecarlo.
+// optimize, and the scenario layer's sampling workers.
 //
 // The pool is deliberately minimal: ForEach runs n indexed tasks, the
 // calling goroutine always participates (so a fully busy pool degrades to

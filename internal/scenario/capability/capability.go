@@ -5,10 +5,9 @@
 // sentinel reasons here, instead of a per-package ad-hoc error.
 //
 // The package is deliberately dependency-free so that both the scenario
-// layer and the analysis backends underneath it (core, montecarlo) can
-// share one error identity: core.ErrComplicated and
-// montecarlo.ErrComplicatedPaths are aliases of ErrComplicatedPaths, so
-// errors.Is works across all three vocabularies.
+// layer and the library facade above it (core) can share one error
+// identity: core.ErrComplicated is an alias of ErrComplicatedPaths, so
+// errors.Is works across both vocabularies.
 package capability
 
 import (

@@ -15,7 +15,6 @@ import (
 	"anonmix/internal/adversary"
 	"anonmix/internal/dist"
 	"anonmix/internal/faults"
-	"anonmix/internal/montecarlo"
 	"anonmix/internal/pathsel"
 	"anonmix/internal/scenario/capability"
 	"anonmix/internal/simnet"
@@ -67,7 +66,6 @@ func (c ErrorClass) String() string {
 var badConfigSentinels = []error{
 	ErrBadConfig,
 	ErrUnknownBackend,
-	montecarlo.ErrBadConfig,
 	adversary.ErrBadConfig,
 	simnet.ErrBadConfig,
 	dist.ErrInvalid,

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"anonmix/internal/faults"
-	"anonmix/internal/montecarlo"
 	"anonmix/internal/pathsel"
 	"anonmix/internal/scenario/capability"
 )
@@ -23,7 +22,6 @@ func TestClassify(t *testing.T) {
 		{"nil", nil, ClassRuntime},
 		{"bad config", fmt.Errorf("%w: n = 1", ErrBadConfig), ClassBadConfig},
 		{"unknown backend", fmt.Errorf("%w: %q", ErrUnknownBackend, "x"), ClassBadConfig},
-		{"montecarlo config", fmt.Errorf("%w: trials = 0", montecarlo.ErrBadConfig), ClassBadConfig},
 		{"strategy", fmt.Errorf("%w: empty spec", pathsel.ErrBadStrategy), ClassBadConfig},
 		{"fault plan", fmt.Errorf("%w: loss", faults.ErrBadPlan), ClassBadConfig},
 		{"capability", capability.Unsupported("exact", capability.ErrProtocol, "crowds"), ClassCapability},

@@ -1,15 +1,20 @@
 package scenario
 
 // The exact backend: the closed-form counted-bucket engine of package
-// events. Single-shot runs have no sampling and no error bars. Degradation
-// runs, static or across a Rounds timeline, keep the inference exact —
-// every per-round posterior comes from the engine and rounds are
-// accumulated by exact Bayesian log-posterior multiplication
-// (adversary.Accumulator) — but the rerouting paths themselves are
-// sampled by the session driver the Monte-Carlo backend shares, serially
-// and deterministically from Workload.Seed, so the degradation curve
-// carries a confidence interval like any sampled estimate. The backend
-// refuses what the simple-path model cannot express.
+// events. Single-shot runs have no sampling and no error bars. The
+// backend refuses what the simple-path model cannot express.
+//
+// Exact degradation sessions, static or across a Rounds timeline, are an
+// alias of the Monte-Carlo session driver (runPhasedRounds) run with one
+// worker. Every per-round posterior comes exactly from the engine and
+// rounds accumulate by exact Bayesian log-posterior multiplication
+// (adversary.Accumulator), but the rerouting paths are sampled from
+// Workload.Seed, so the degradation curve carries a confidence interval
+// and equals Monte-Carlo's bit for bit. The alias is kept rather than
+// replaced by a capability refusal naming mc: callers ask the exact
+// backend for degradation curves (serve-mixed, the end-to-end benchmark's
+// anond workload, sends exact-backend /v1/degradation requests), and a
+// refusal would fail those requests without buying any code.
 
 import (
 	"anonmix/internal/entropy"
@@ -36,7 +41,7 @@ func (exactBackend) Run(cfg Config) (Result, error) {
 		if err := sampledInference(cfg, string(BackendExact)); err != nil {
 			return Result{}, err
 		}
-		return runPhasedRounds(cfg, string(BackendExact), 1)
+		return runPhasedRounds(cfg, 1)
 	}
 	deliveryRate := 1.0
 	if cfg.Faults != nil {

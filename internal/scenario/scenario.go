@@ -63,8 +63,8 @@ const (
 	// BackendExact is the closed-form counted-bucket engine (package
 	// events): exact H*(S), no sampling error, simple paths only.
 	BackendExact BackendKind = "exact"
-	// BackendMonteCarlo is the sampling estimator (package montecarlo):
-	// unbiased H*(S) estimates with confidence intervals.
+	// BackendMonteCarlo is the sampling estimator (mc.go): unbiased
+	// H*(S) estimates with confidence intervals.
 	BackendMonteCarlo BackendKind = "mc"
 	// BackendTestbed executes the scenario on the sharded discrete-event
 	// network kernel (package simnet) and measures H*(S) empirically from
@@ -336,6 +336,11 @@ type Config struct {
 	// Timeline (computed by normalize; backends read it, and build the
 	// identity view from it when they need one; callers never set it).
 	phases []phase
+	// view and pool are the identity view and the session sender pool,
+	// kept when normalize builds them for its sender checks (nil
+	// otherwise), so a run builds each at most once.
+	view []members
+	pool []trace.NodeID
 	// ctx carries RunContext's cancellation (nil for plain Run; backends
 	// poll it between work units, callers never set it directly).
 	ctx context.Context
@@ -591,8 +596,8 @@ func (c *Config) checkCanceled() error {
 	return nil
 }
 
-// cancelChan is the cancellation channel backends hand to the sampling
-// layer's batch loops (nil — never firing — when the run has no context).
+// cancelChan is the cancellation channel the batch runner polls (nil —
+// never firing — when the run has no context).
 func (c *Config) cancelChan() <-chan struct{} {
 	if c.ctx == nil {
 		return nil

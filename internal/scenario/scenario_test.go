@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"anonmix/internal/core"
-	"anonmix/internal/montecarlo"
 	"anonmix/internal/scenario"
 	"anonmix/internal/scenario/capability"
 	"anonmix/internal/trace"
@@ -168,7 +167,6 @@ func TestCapabilityErrors(t *testing.T) {
 		for name, sentinel := range map[string]error{
 			"capability.ErrComplicatedPaths": capability.ErrComplicatedPaths,
 			"core.ErrComplicated":            core.ErrComplicated,
-			"montecarlo.ErrComplicatedPaths": montecarlo.ErrComplicatedPaths,
 		} {
 			if !errors.Is(err, sentinel) {
 				t.Errorf("%s: err %v does not match %s", backend, err, name)
@@ -176,7 +174,7 @@ func TestCapabilityErrors(t *testing.T) {
 		}
 		wantLabel := map[scenario.BackendKind]string{
 			scenario.BackendExact:      "exact",
-			scenario.BackendMonteCarlo: "montecarlo", // the estimator labels itself
+			scenario.BackendMonteCarlo: "montecarlo", // the sampler labels itself
 		}[backend]
 		var capErr *capability.Error
 		if !errors.As(err, &capErr) {

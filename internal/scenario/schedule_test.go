@@ -265,3 +265,37 @@ func TestExactTimelineAllocation(t *testing.T) {
 		t.Errorf("TimelineStates allocated %d KB, want < 64 KB", states>>10)
 	}
 }
+
+// TestRoundsTimelineAllocation pins that a Rounds timeline builds its
+// identity view and sender pool once per run: normalize builds them for
+// its sender-pool check and the session driver reuses them. One view of
+// this 20,000-node, three-epoch schedule costs about 680 KB.
+func TestRoundsTimelineAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocations")
+	}
+	timeline, err := ParseTimeline("rounds=4;rounds=4,join=10,comp=2;rounds=4,leave=10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		N: 20_000, Backend: BackendMonteCarlo, StrategySpec: "uniform:1,6",
+		Adversary: Adversary{Count: 20},
+		Timeline:  timeline,
+		Workload:  Workload{Messages: 600, Seed: 1, Workers: 1},
+	}
+	if _, err := Run(cfg); err != nil { // warm the engine cache
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	run := after.TotalAlloc - before.TotalAlloc
+	t.Logf("warm Rounds-timeline Run allocated %d KB", run>>10)
+	if run > 900<<10 {
+		t.Errorf("warm Rounds-timeline Run allocated %d KB, want ≤ 900 KB", run>>10)
+	}
+}

@@ -1,13 +1,14 @@
 package scenario
 
-// The session driver seen from inside: one arena's sessions, their
-// allocation budget, and the driver's marginal cost per session.
+// The sampling drivers seen from inside: one arena's sessions, their
+// allocation budget, and the marginal cost of a session and of a trial.
 
 import (
 	"math"
 	"runtime"
 	"testing"
 
+	"anonmix/internal/faults"
 	"anonmix/internal/stats"
 	"anonmix/internal/trace"
 )
@@ -151,5 +152,48 @@ func TestSessionRunAllocBudget(t *testing.T) {
 	if perSession := (float64(large) - float64(small)) / 800; perSession > 3 {
 		t.Errorf("marginal cost %.2f allocs per session (400→1200 sessions: %d→%d mallocs), want ≤ 3",
 			perSession, small, large)
+	}
+}
+
+// TestTrialAllocBudget bounds the marginal allocation cost of one
+// single-shot Monte-Carlo trial end to end through Run, lossy trials
+// included: tripling the trial count may add only per-batch bookkeeping,
+// not per-trial heap traffic.
+func TestTrialAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocation counts")
+	}
+	for name, cfg := range map[string]Config{
+		"lossless": {
+			N: 16, Backend: BackendMonteCarlo, StrategySpec: "uniform:1,5",
+			Adversary: Adversary{Compromised: []trace.NodeID{3, 11}},
+			Workload:  Workload{Seed: 7, Workers: 1},
+		},
+		"lossy": {
+			N: 16, Backend: BackendMonteCarlo, StrategySpec: "uniform:1,5",
+			Adversary:   Adversary{Compromised: []trace.NodeID{3, 11}},
+			Workload:    Workload{Seed: 7, Workers: 1},
+			Faults:      &faults.Plan{LinkLoss: 0.2},
+			Reliability: faults.Reliability{Policy: faults.PolicyRetransmit},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			run := func(trials int) uint64 {
+				cfg.Workload.Messages = trials
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				return after.Mallocs - before.Mallocs
+			}
+			run(400) // warm the engine caches outside the measurement
+			small, large := run(400), run(1200)
+			if perTrial := (float64(large) - float64(small)) / 800; perTrial > 3 {
+				t.Errorf("marginal cost %.2f allocs per trial (400→1200 trials: %d→%d mallocs), want ≤ 3",
+					perTrial, small, large)
+			}
+		})
 	}
 }

@@ -94,43 +94,11 @@ func runRouted(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	nwCfg := simnet.Config{
-		N:           cfg.N,
-		Compromised: cfg.Adversary.Compromised,
-		Seed:        cfg.Workload.Seed,
-		MaxHopDelay: cfg.Workload.MaxHopDelay,
-	}
-	var ring *onion.KeyRing
-	if cfg.Protocol == ProtocolOnion {
-		var secret [8]byte
-		binary.LittleEndian.PutUint64(secret[:], uint64(cfg.Workload.Seed)+0x517cc1b727220a95)
-		ring, err = onion.NewKeyRing(secret[:], cfg.N)
-		if err != nil {
-			return Result{}, err
-		}
-		fwd, err := onion.NewForwarder(ring)
-		if err != nil {
-			return Result{}, err
-		}
-		nwCfg.Forwarder = fwd
-	}
-	if cfg.Protocol == ProtocolMix {
-		nwCfg.BatchThreshold = cfg.Workload.BatchThreshold
-		if nwCfg.BatchThreshold < 2 {
-			nwCfg.BatchThreshold = defaultMixBatch
-		}
-		// Batch composition follows arrival order, which is scheduling-
-		// dependent across shards; one shard keeps mix scenarios
-		// bit-reproducible for a fixed seed (plain/onion runs stay
-		// parallel — their analysis is order-independent).
-		nwCfg.Shards = 1
-	}
 	baseGoroutines := runtime.NumGoroutine()
-	nw, err := simnet.New(nwCfg)
+	nw, inject, err := startRouted(&cfg, simnet.Config{N: cfg.N, Compromised: cfg.Adversary.Compromised})
 	if err != nil {
 		return Result{}, err
 	}
-	nw.Start()
 	defer nw.Close()
 
 	sessions := cfg.Workload.Messages
@@ -140,8 +108,7 @@ func runRouted(cfg Config) (Result, error) {
 	// Each session draws from its own counter-based stream — the same
 	// streams the Monte-Carlo estimator consumes per trial, so backend
 	// agreement is draw-for-draw, not just statistical. The sampler's path
-	// buffer is reused across injections: SendRoute copies the route and
-	// onion.Build consumes it synchronously.
+	// buffer is reused across injections (see startRouted).
 	sp, err := sel.NewSampler()
 	if err != nil {
 		return Result{}, err
@@ -152,7 +119,7 @@ func runRouted(cfg Config) (Result, error) {
 		// Cancellation checkpoints ride the same 64-session granule as the
 		// sampling backends' batch loops; a canceled run abandons the
 		// kernel mid-traffic and the deferred Close tears it down.
-		if s%sessionBatchSize == 0 {
+		if s%batchSize == 0 {
 			if err := cfg.checkCanceled(); err != nil {
 				return Result{}, err
 			}
@@ -168,23 +135,9 @@ func runRouted(cfg Config) (Result, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			var id trace.MessageID
-			if cfg.Protocol == ProtocolOnion && len(path) > 0 {
-				blob, err := onion.Build(ring, path, nil, cryptorand.Reader)
-				if err != nil {
-					return Result{}, err
-				}
-				id, err = nw.Inject(sender, path[0], simnet.Packet{Onion: blob})
-				if err != nil {
-					return Result{}, err
-				}
-			} else {
-				id, err = nw.SendRoute(sender, path, nil)
-				if err != nil {
-					return Result{}, err
-				}
+			if ids[s*rounds+r], err = inject(sender, path); err != nil {
+				return Result{}, err
 			}
-			ids[s*rounds+r] = id
 		}
 	}
 	goroutines := max(runtime.NumGoroutine()-baseGoroutines, 0)
@@ -210,6 +163,59 @@ func runRouted(cfg Config) (Result, error) {
 	res.Normalized = entropy.Normalized(res.H, cfg.N)
 	res.Kernel = kernelStats(nw, goroutines, elapsed)
 	return res, nil
+}
+
+// startRouted builds and starts the kernel of a routed substrate (plain,
+// onion or mix) over nwCfg's identities, under the scenario's seed, hop
+// delay and fault plan: onion routing gets a key ring derived from the
+// seed and its forwarder, and threshold mixes get their batch size and one
+// shard. The returned inject sends one message from sender over an
+// explicit route, onion-wrapped where the substrate needs it; the route's
+// buffer may be reused once inject returns (SendRoute copies it and
+// onion.Build consumes it).
+func startRouted(cfg *Config, nwCfg simnet.Config) (*simnet.Network,
+	func(sender trace.NodeID, path []trace.NodeID) (trace.MessageID, error), error) {
+	nwCfg.Seed = cfg.Workload.Seed
+	nwCfg.MaxHopDelay = cfg.Workload.MaxHopDelay
+	faultNetConfig(&nwCfg, cfg)
+	var ring *onion.KeyRing
+	if cfg.Protocol == ProtocolOnion {
+		var secret [8]byte
+		binary.LittleEndian.PutUint64(secret[:], uint64(cfg.Workload.Seed)+0x517cc1b727220a95)
+		var err error
+		if ring, err = onion.NewKeyRing(secret[:], nwCfg.N); err != nil {
+			return nil, nil, err
+		}
+		if nwCfg.Forwarder, err = onion.NewForwarder(ring); err != nil {
+			return nil, nil, err
+		}
+	}
+	if cfg.Protocol == ProtocolMix {
+		nwCfg.BatchThreshold = cfg.Workload.BatchThreshold
+		if nwCfg.BatchThreshold < 2 {
+			nwCfg.BatchThreshold = defaultMixBatch
+		}
+		// Batch composition follows arrival order, which is scheduling-
+		// dependent across shards; one shard keeps mix scenarios
+		// bit-reproducible for a fixed seed (plain/onion runs stay
+		// parallel — their analysis is order-independent).
+		nwCfg.Shards = 1
+	}
+	nw, err := simnet.New(nwCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	nw.Start()
+	return nw, func(sender trace.NodeID, path []trace.NodeID) (trace.MessageID, error) {
+		if ring != nil && len(path) > 0 {
+			blob, err := onion.Build(ring, path, nil, cryptorand.Reader)
+			if err != nil {
+				return 0, err
+			}
+			return nw.Inject(sender, path[0], simnet.Packet{Onion: blob})
+		}
+		return nw.SendRoute(sender, path, nil)
+	}, nil
 }
 
 // analyzeRouted measures single-shot traffic: it runs the adversary over
@@ -322,41 +328,11 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 		}
 	}
 
-	nwCfg := simnet.Config{
-		N:           totalIDs,
-		Compromised: p0.comp,
-		Down:        down,
-		Churn:       churn,
-		Seed:        cfg.Workload.Seed,
-		MaxHopDelay: cfg.Workload.MaxHopDelay,
-	}
-	faultNetConfig(&nwCfg, &cfg)
-	var ring *onion.KeyRing
-	if cfg.Protocol == ProtocolOnion {
-		var secret [8]byte
-		binary.LittleEndian.PutUint64(secret[:], uint64(cfg.Workload.Seed)+0x517cc1b727220a95)
-		if ring, err = onion.NewKeyRing(secret[:], totalIDs); err != nil {
-			return Result{}, err
-		}
-		fwd, err := onion.NewForwarder(ring)
-		if err != nil {
-			return Result{}, err
-		}
-		nwCfg.Forwarder = fwd
-	}
-	if cfg.Protocol == ProtocolMix {
-		nwCfg.BatchThreshold = cfg.Workload.BatchThreshold
-		if nwCfg.BatchThreshold < 2 {
-			nwCfg.BatchThreshold = defaultMixBatch
-		}
-		nwCfg.Shards = 1 // bit-reproducible batch composition (see runRouted)
-	}
 	baseGoroutines := runtime.NumGoroutine()
-	nw, err := simnet.New(nwCfg)
+	nw, send, err := startRouted(&cfg, simnet.Config{N: totalIDs, Compromised: p0.comp, Down: down, Churn: churn})
 	if err != nil {
 		return Result{}, err
 	}
-	nw.Start()
 	defer nw.Close()
 
 	start := time.Now() //anonlint:allow detrand(wall-clock metrics only, never flows into Result)
@@ -373,14 +349,7 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		if cfg.Protocol == ProtocolOnion && len(path) > 0 {
-			blob, err := onion.Build(ring, path, nil, cryptorand.Reader)
-			if err != nil {
-				return 0, err
-			}
-			return nw.Inject(sender, path[0], simnet.Packet{Onion: blob})
-		}
-		return nw.SendRoute(sender, path, nil)
+		return send(sender, path)
 	}
 
 	var (
@@ -399,13 +368,12 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 		senders = make([]trace.NodeID, sessions)
 		strs = make([]stats.Stream, sessions)
 		ids = make([]trace.MessageID, sessions*k)
-		pool := senderPool(phases)
 		for s := range senders {
 			strs[s] = stats.NewStream(cfg.Workload.Seed, int64(s))
 			if cfg.Workload.FixedSender {
 				senders[s] = cfg.Workload.Sender
 			} else {
-				senders[s] = pool[strs[s].Intn(len(pool))]
+				senders[s] = cfg.pool[strs[s].Intn(len(cfg.pool))]
 			}
 		}
 	} else {
@@ -435,7 +403,7 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 			}
 		} else {
 			for m := 0; m < p.epoch.Messages; m++ {
-				if m%sessionBatchSize == 0 {
+				if m%batchSize == 0 {
 					if err := cfg.checkCanceled(); err != nil {
 						return Result{}, err
 					}
@@ -723,7 +691,7 @@ func runCrowds(cfg Config) (Result, error) {
 	senders := make([]trace.NodeID, sessions)
 	ids := make([]trace.MessageID, sessions*rounds)
 	for s := 0; s < sessions; s++ {
-		if s%sessionBatchSize == 0 {
+		if s%batchSize == 0 {
 			if err := cfg.checkCanceled(); err != nil {
 				return Result{}, err
 			}

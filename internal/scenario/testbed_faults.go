@@ -17,8 +17,6 @@ package scenario
 //     a receiver report.
 
 import (
-	cryptorand "crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -29,7 +27,6 @@ import (
 	"anonmix/internal/entropy"
 	"anonmix/internal/events"
 	"anonmix/internal/faults"
-	"anonmix/internal/onion"
 	"anonmix/internal/pathsel"
 	"anonmix/internal/simnet"
 	"anonmix/internal/stats"
@@ -113,15 +110,39 @@ func truncateAtObserver(mt *trace.MessageTrace, obs trace.NodeID) *trace.Message
 	return nil
 }
 
+// honestReceiverAnalyst builds the analyst of a population of n nodes
+// with the dense compromised set comp under the uncompromised-receiver
+// model, on an engine from the shared cache: the model leaked partial
+// traces are analyzed under, since a failed attempt never produced a
+// receiver report.
+func honestReceiverAnalyst(cfg *Config, n int, comp []trace.NodeID) (*adversary.Analyst, error) {
+	e, err := Engine(n, len(comp), append(engineOptions(*cfg), events.WithUncompromisedReceiver())...)
+	if err != nil {
+		return nil, err
+	}
+	return adversary.NewAnalyst(e, cfg.Strategy.Length, comp)
+}
+
+// foldPartial is the partial-evidence rule of both sampling backends: it
+// folds one leaked partial trace into acc through the
+// uncompromised-receiver analyst. Partials the model cannot classify
+// (ErrCorruptTrace or ErrModelMismatch, e.g. a lossy link whose target is
+// itself compromised, breaking the witnessed-set arithmetic) are skipped —
+// the conservative adversary discards what it cannot fit. Any other error,
+// such as an analyst that does not match the accumulator, fails the fold.
+func foldPartial(acc *adversary.Accumulator, analystU *adversary.Analyst,
+	pmt *trace.MessageTrace, sc *adversary.Scratch) error {
+	err := acc.FoldObservation(analystU, pmt, sc)
+	if err != nil && !errors.Is(err, adversary.ErrCorruptTrace) && !errors.Is(err, adversary.ErrModelMismatch) {
+		return fmt.Errorf("scenario: partial trace: %w", err)
+	}
+	return nil
+}
+
 // foldDegraded accumulates one delivered message's retry-degraded
 // posterior into the caller's reusable accumulator (reset here): the full
 // delivered trace through the accumulator's own analyst, then every
-// leaked partial trace through the uncompromised-receiver analyst.
-// Partials the model cannot classify (ErrCorruptTrace or ErrModelMismatch,
-// e.g. a lossy link whose target is itself compromised, breaking the
-// witnessed-set arithmetic) are skipped — the conservative adversary
-// discards what it cannot fit. Any other error, such as an analyst that
-// does not match the accumulator, fails the fold.
+// leaked partial trace under foldPartial's rule.
 func foldDegraded(acc *adversary.Accumulator, analystU *adversary.Analyst,
 	mt *trace.MessageTrace, partials []*trace.MessageTrace,
 	sc *adversary.Scratch) (float64, error) {
@@ -133,9 +154,8 @@ func foldDegraded(acc *adversary.Accumulator, analystU *adversary.Analyst,
 		if pmt == nil {
 			continue
 		}
-		err := acc.FoldObservation(analystU, pmt, sc)
-		if err != nil && !errors.Is(err, adversary.ErrCorruptTrace) && !errors.Is(err, adversary.ErrModelMismatch) {
-			return 0, fmt.Errorf("scenario: partial trace: %w", err)
+		if err := foldPartial(acc, analystU, pmt, sc); err != nil {
+			return 0, err
 		}
 	}
 	h, _, _, err := acc.SnapshotFast()
@@ -153,12 +173,7 @@ func runRoutedFaulty(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	uOpts := append(engineOptions(cfg), events.WithUncompromisedReceiver())
-	engineU, err := Engine(cfg.N, len(cfg.Adversary.Compromised), uOpts...)
-	if err != nil {
-		return Result{}, err
-	}
-	analystU, err := adversary.NewAnalyst(engineU, cfg.Strategy.Length, cfg.Adversary.Compromised)
+	analystU, err := honestReceiverAnalyst(&cfg, cfg.N, cfg.Adversary.Compromised)
 	if err != nil {
 		return Result{}, err
 	}
@@ -167,59 +182,19 @@ func runRoutedFaulty(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	nwCfg := simnet.Config{
-		N:           cfg.N,
-		Compromised: cfg.Adversary.Compromised,
-		Seed:        cfg.Workload.Seed,
-		MaxHopDelay: cfg.Workload.MaxHopDelay,
-	}
-	faultNetConfig(&nwCfg, &cfg)
-	var ring *onion.KeyRing
-	if cfg.Protocol == ProtocolOnion {
-		var secret [8]byte
-		binary.LittleEndian.PutUint64(secret[:], uint64(cfg.Workload.Seed)+0x517cc1b727220a95)
-		if ring, err = onion.NewKeyRing(secret[:], cfg.N); err != nil {
-			return Result{}, err
-		}
-		fwd, err := onion.NewForwarder(ring)
-		if err != nil {
-			return Result{}, err
-		}
-		nwCfg.Forwarder = fwd
-	}
-	if cfg.Protocol == ProtocolMix {
-		nwCfg.BatchThreshold = cfg.Workload.BatchThreshold
-		if nwCfg.BatchThreshold < 2 {
-			nwCfg.BatchThreshold = defaultMixBatch
-		}
-		nwCfg.Shards = 1 // bit-reproducible batch composition (see runRouted)
-	}
 	baseGoroutines := runtime.NumGoroutine()
-	nw, err := simnet.New(nwCfg)
+	nw, inject, err := startRouted(&cfg, simnet.Config{N: cfg.N, Compromised: cfg.Adversary.Compromised})
 	if err != nil {
 		return Result{}, err
 	}
-	nw.Start()
 	defer nw.Close()
-
-	inject := func(sender trace.NodeID, path []trace.NodeID) (trace.MessageID, error) {
-		if cfg.Protocol == ProtocolOnion && len(path) > 0 {
-			blob, err := onion.Build(ring, path, nil, cryptorand.Reader)
-			if err != nil {
-				return 0, err
-			}
-			return nw.Inject(sender, path[0], simnet.Packet{Onion: blob})
-		}
-		return nw.SendRoute(sender, path, nil)
-	}
 
 	sessions := cfg.Workload.Messages
 	start := time.Now() //anonlint:allow detrand(wall-clock metrics only, never flows into Result)
 	// One counter-based stream per session, so a reroute wave's redraws
 	// come from the failed session's own stream — deterministic regardless
 	// of which sessions fail or in what order the waves return them. The
-	// sampler's path buffer is reused: SendRoute copies the route and
-	// onion.Build consumes it synchronously.
+	// sampler's path buffer is reused (see startRouted).
 	sp, err := sel.NewSampler()
 	if err != nil {
 		return Result{}, err
@@ -233,7 +208,7 @@ func runRoutedFaulty(cfg Config) (Result, error) {
 		originOf = make(map[trace.MessageID]int, sessions)
 	)
 	for s := 0; s < sessions; s++ {
-		if s%sessionBatchSize == 0 {
+		if s%batchSize == 0 {
 			if err := cfg.checkCanceled(); err != nil {
 				return Result{}, err
 			}
@@ -428,13 +403,8 @@ func newTimelineFaultAnalysis(cfg Config, phases []members, nw *simnet.Network) 
 		fa.delivered[d.Msg] = true
 	}
 	for i := range phases {
-		p := &phases[i]
-		uOpts := append(engineOptions(cfg), events.WithUncompromisedReceiver())
-		e, err := Engine(p.n, p.c, uOpts...)
-		if err != nil {
-			return nil, err
-		}
-		if fa.analystsU[i], err = adversary.NewAnalyst(e, cfg.Strategy.Length, p.denseComp); err != nil {
+		var err error
+		if fa.analystsU[i], err = honestReceiverAnalyst(&cfg, phases[i].n, phases[i].denseComp); err != nil {
 			return nil, err
 		}
 	}

@@ -29,9 +29,10 @@ package scenario
 // from an O(epochs) walk that also validates the schedule; they are all
 // the exact single-shot mixture and TimelineStates read. The identity
 // view (members) costs O(epochs · (N + ΣJoin)) and is built only where
-// identities matter: the sampled and session drivers and the fixed-sender
-// and sender-pool checks. A static config's view is one identity phase,
-// O(C).
+// identities matter, at most once per run: normalize keeps the view its
+// fixed-sender and sender-pool checks build, with the pool, and the
+// sampling drivers build it otherwise. A static config's view is one
+// identity phase, O(C).
 
 import (
 	"fmt"
@@ -40,13 +41,11 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"anonmix/internal/adversary"
 	"anonmix/internal/entropy"
 	"anonmix/internal/events"
 	"anonmix/internal/pathsel"
-	workpool "anonmix/internal/pool"
 	"anonmix/internal/scenario/capability"
 	"anonmix/internal/stats"
 	"anonmix/internal/trace"
@@ -140,9 +139,14 @@ func normalizeTimeline(cfg *Config) error {
 		return err
 	}
 	cfg.phases = phases
+	if cfg.Workload.FixedSender || rounds > 0 {
+		// The sender checks need identities; the drivers reuse this view
+		// and the session sender pool instead of building their own.
+		cfg.view = cfg.members()
+	}
 	if cfg.Workload.FixedSender {
 		s := cfg.Workload.Sender
-		for i, m := range cfg.members() {
+		for i, m := range cfg.view {
 			if _, ok := m.dense(s); !ok {
 				return fmt.Errorf("%w: fixed sender %v leaves during epoch %d", ErrBadConfig, s, i)
 			}
@@ -150,8 +154,10 @@ func normalizeTimeline(cfg *Config) error {
 				return fmt.Errorf("%w: fixed sender %v is compromised in epoch %d", ErrBadConfig, s, i)
 			}
 		}
-	} else if rounds > 0 && len(senderPool(cfg.members())) == 0 {
-		return fmt.Errorf("%w: no node is a member through every traffic epoch (empty session sender pool)", ErrBadConfig)
+	} else if rounds > 0 {
+		if cfg.pool = senderPool(cfg.view); len(cfg.pool) == 0 {
+			return fmt.Errorf("%w: no node is a member through every traffic epoch (empty session sender pool)", ErrBadConfig)
+		}
 	}
 	if cfg.Strategy.Length != nil {
 		// The strategy must fit the smallest phase: a simple path cannot be
@@ -204,13 +210,18 @@ func schedulePhases(n, c int, timeline []Epoch) ([]phase, error) {
 	return phases, nil
 }
 
-// members materializes the identity view of the schedule normalize
-// derived into c.phases, over the base population 0..N−1 with
-// Adversary.Compromised compromised: it replays the identity rules over
-// per-identity flags and snapshots each phase into slices presized from
-// its counts. A static config is one phase of Workload.Rounds rounds whose
-// mapping is the identity, viewed in O(C).
+// members returns the identity view of the schedule normalize derived
+// into c.phases, over the base population 0..N−1 with
+// Adversary.Compromised compromised: the view normalize kept, or else a
+// fresh one. A fresh view replays the identity rules over per-identity
+// flags and snapshots each phase into slices presized from its counts. A
+// static config is one phase of Workload.Rounds rounds whose mapping is
+// the identity, viewed in O(C). The view may be shared: callers must not
+// modify it.
 func (c *Config) members() []members {
+	if c.view != nil {
+		return c.view
+	}
 	if len(c.phases) == 0 {
 		comp := slices.Sorted(slices.Values(c.Adversary.Compromised))
 		return []members{{
@@ -690,17 +701,11 @@ func sampledInference(cfg Config, backend string) error {
 	return nil
 }
 
-// trafficPhases filters ms, in place, to the phases that carry session
-// rounds.
+// trafficPhases returns a copy of ms filtered to the phases that carry
+// session rounds, leaving a shared view intact.
 func trafficPhases(ms []members) []members {
-	return slices.DeleteFunc(ms, func(m members) bool { return m.epoch.Rounds == 0 })
+	return slices.DeleteFunc(slices.Clone(ms), func(m members) bool { return m.epoch.Rounds == 0 })
 }
-
-// sessionBatchSize is the work-stealing granule of the session loop and
-// the testbed's cancellation checkpoints: each batch's partial sums are
-// merged in batch-index order so the result is bit-identical for any
-// worker count.
-const sessionBatchSize = 64
 
 // phasedArena is the per-worker scratch of a session run: per-phase
 // samplers, a reusable accumulator, classification scratch, and the
@@ -764,20 +769,17 @@ func (ar *phasedArena) session(rng stats.Stream, sender trace.NodeID, conf float
 	return phasedSession(ar.phases, ar.acc, ar.entropies, sender, conf, ar.fold)
 }
 
-// runPhasedRounds is the sampled session driver of the exact and
-// Monte-Carlo backends, for static and timeline degradation runs alike (a
-// static config is one phase whose mapping is the identity):
-// Workload.Messages persistent sessions span the phases that carry
-// rounds, and every round draws a path in its phase's dense space and
-// folds it through the accumulator by the path route. Every session draws
-// from its own counter-based stream, so the output is a pure function of
-// (Seed, Messages) alone — workers only bounds how many sessions run
-// concurrently (the exact backend passes 1, with identical results).
-func runPhasedRounds(cfg Config, backend string, workers int) (Result, error) {
-	if cfg.Strategy.Kind != pathsel.Simple {
-		// The path route folds simple paths only.
-		return Result{}, capability.Unsupported(backend, capability.ErrComplicatedPaths, cfg.Strategy.Name)
-	}
+// runPhasedRounds is the session driver of every degradation run, exact
+// and Monte-Carlo, static or across a timeline (a static config is one
+// phase whose mapping is the identity): Workload.Messages persistent
+// sessions span the phases that carry rounds, and every round draws a
+// path in its phase's dense space and folds it through the accumulator by
+// the path route. Sessions are runBatches' items, each drawing from its
+// own counter-based stream, so the output is a pure function of (Seed,
+// Messages) alone; workers only bounds how many sessions run concurrently
+// (the exact backend passes 1, with identical results). Callers have
+// refused complicated strategies.
+func runPhasedRounds(cfg Config, workers int) (Result, error) {
 	phases := trafficPhases(cfg.members())
 	analysts, sels, err := phasedMachinery(cfg, phases)
 	if err != nil {
@@ -787,79 +789,38 @@ func runPhasedRounds(cfg Config, backend string, workers int) (Result, error) {
 		union    = unionSize(cfg.N, cfg.Timeline)
 		sessions = cfg.Workload.Messages
 		k        = cfg.Workload.Rounds
-		pool     []trace.NodeID
+		total    sessionTally
 	)
-	if !cfg.Workload.FixedSender {
-		pool = senderPool(phases)
-	}
-	type part struct {
-		tally sessionTally
-		err   error
-	}
-	batches := (sessions + sessionBatchSize - 1) / sessionBatchSize
-	parts := make([]part, batches)
-	var nextBatch, doneSessions atomic.Int64
-	var aborted atomic.Bool
-	cancel := cfg.cancelChan()
-	if workers > batches {
-		workers = batches
-	}
-	workpool.ForEach(workers, func(int) {
-		ar, err := newPhasedArena(phases, analysts, sels, union, k)
-		if err != nil {
-			if b := int(nextBatch.Add(1)) - 1; b < batches {
-				parts[b].err = err
+	err = runBatches(&cfg, sessions, workers,
+		func(done int) { cfg.emitProgress(done, sessions, nil) },
+		func() (func(*sessionTally, int, int) error, error) {
+			ar, err := newPhasedArena(phases, analysts, sels, union, k)
+			if err != nil {
+				return nil, err
 			}
-			return
-		}
-		for {
-			if cancelRequested(cancel) {
-				aborted.Store(true)
-				return
-			}
-			b := int(nextBatch.Add(1)) - 1
-			if b >= batches {
-				return
-			}
-			p := &parts[b]
-			lo, hi := b*sessionBatchSize, (b+1)*sessionBatchSize
-			if hi > sessions {
-				hi = sessions
-			}
-			for s := lo; s < hi; s++ {
-				rng := stats.NewStream(cfg.Workload.Seed, int64(s))
-				sender := cfg.Workload.Sender
-				switch {
-				case cfg.Workload.FixedSender:
-				case pool == nil:
-					sender = trace.NodeID(rng.Intn(cfg.N))
-				default:
-					sender = pool[rng.Intn(len(pool))]
+			return func(t *sessionTally, lo, hi int) error {
+				for s := lo; s < hi; s++ {
+					rng := stats.NewStream(cfg.Workload.Seed, int64(s))
+					sender := cfg.Workload.Sender
+					switch {
+					case cfg.Workload.FixedSender:
+					case cfg.pool == nil:
+						sender = trace.NodeID(rng.Intn(cfg.N))
+					default:
+						sender = cfg.pool[rng.Intn(len(cfg.pool))]
+					}
+					identifiedAt, err := ar.session(rng, sender, cfg.Workload.Confidence)
+					if err != nil {
+						return err
+					}
+					t.add(ar.entropies, identifiedAt, phases[0].compromised(sender))
 				}
-				identifiedAt, err := ar.session(rng, sender, cfg.Workload.Confidence)
-				if err != nil {
-					p.err = err
-					return
-				}
-				p.tally.add(ar.entropies, identifiedAt, phases[0].compromised(sender))
-			}
-			cfg.emitProgress(int(doneSessions.Add(int64(hi-lo))), sessions, nil)
-		}
-	})
-	if aborted.Load() {
-		if err := cfg.checkCanceled(); err != nil {
-			return Result{}, err
-		}
-		// Unreachable in practice (the cancel channel is the context's),
-		// kept so an abort can never fall through to a partial merge.
-		return Result{}, ErrCanceled
-	}
-	var total sessionTally
-	for i := range parts {
-		if parts[i].err != nil {
-			return Result{}, parts[i].err
-		}
-		total.merge(&parts[i].tally)
+				return nil
+			}, nil
+		},
+		func(t *sessionTally) { total.merge(t) })
+	if err != nil {
+		return Result{}, err
 	}
 	return total.result(cfg), nil
 }
