@@ -11,9 +11,9 @@ package scenario_test
 //   - Result.Elapsed, Kernel.Goroutines and Kernel.EventsPerSec read the
 //     wall clock or the process's goroutine count.
 //   - Kernel.Shards follows GOMAXPROCS.
-//   - Kernel.BatchFlushes repeats neither across runs of the same static
-//     mix config nor across machines: the count of threshold-mix flushes
-//     varies run to run while every other field repeats.
+//   - Kernel.BatchFlushes: repeated runs of one static mix config have
+//     read different threshold-mix flush counts while every other field
+//     repeated. The cause is unverified.
 //   - Crowds single-shot configs are not in the matrix: their live
 //     forwarder draws every coin from one shared stream in shard
 //     scheduling order, so the same seed gives different results.
