@@ -12,9 +12,9 @@ package scenario
 // Workload.Seed, so the degradation curve carries a confidence interval
 // and equals Monte-Carlo's bit for bit. The alias is kept rather than
 // replaced by a capability refusal naming mc: callers ask the exact
-// backend for degradation curves (serve-mixed, the end-to-end benchmark's
-// anond workload, sends exact-backend /v1/degradation requests), and a
-// refusal would fail those requests without buying any code.
+// backend for degradation curves — the end-to-end benchmark's serve-mixed
+// workload sends exact-backend /v1/degradation requests — and a refusal
+// would fail those requests while removing no code.
 
 import (
 	"anonmix/internal/entropy"

@@ -116,9 +116,9 @@ func runRouted(cfg Config) (Result, error) {
 	senders := make([]trace.NodeID, sessions)
 	ids := make([]trace.MessageID, sessions*rounds)
 	for s := 0; s < sessions; s++ {
-		// Cancellation checkpoints ride the same 64-session granule as the
-		// sampling backends' batch loops; a canceled run abandons the
-		// kernel mid-traffic and the deferred Close tears it down.
+		// Cancellation checkpoints ride the batch runner's 64-item
+		// granule; a canceled run abandons the kernel mid-traffic and the
+		// deferred Close tears it down.
 		if s%batchSize == 0 {
 			if err := cfg.checkCanceled(); err != nil {
 				return Result{}, err
@@ -410,7 +410,7 @@ func runRoutedTimeline(cfg Config) (Result, error) {
 				}
 				// Messages mode: each message draws from its own stream
 				// under the phase's derived seed, matching the per-phase
-				// sub-runs of the Monte-Carlo timeline.
+				// trials of the Monte-Carlo timeline.
 				rng := stats.NewStream(phaseSeed(cfg.Workload.Seed, e), int64(m))
 				sender := cfg.Workload.Sender
 				if !cfg.Workload.FixedSender {
