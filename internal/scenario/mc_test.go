@@ -215,7 +215,32 @@ func TestEstimateCanceled(t *testing.T) {
 	}
 }
 
-// TestEstimateProgress: a lossy run accounts for every trial exactly once,
+// TestEstimateCancelArmedIsInert pins that arming a cancellation channel
+// that never fires leaves a lossy run bit-identical to a plain Run: the
+// polls sit on batch boundaries, off the per-trial streams. Unlike
+// context.Background, whose Done channel is nil, a WithCancel context
+// hands the batch runner a live channel to poll.
+func TestEstimateCancelArmedIsInert(t *testing.T) {
+	cfg := lossyMC(t)
+	plain, err := scenario.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	armed, err := scenario.RunContext(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if armed.H != plain.H || armed.StdErr != plain.StdErr || armed.Trials != plain.Trials { //anonlint:allow floatcmp(bit-identity is the contract under test)
+		t.Errorf("armed cancel changed the estimate: %+v vs %+v", armed, plain)
+	}
+	if armed.HDegraded != plain.HDegraded || armed.DeliveryRate != plain.DeliveryRate { //anonlint:allow floatcmp(bit-identity is the contract under test)
+		t.Errorf("armed cancel changed the degradation: %+v vs %+v", armed, plain)
+	}
+}
+
+// TestEstimateProgress:a lossy run accounts for every trial exactly once,
 // against the full budget. (The lossless case is TestProgressStaticMC.)
 func TestEstimateProgress(t *testing.T) {
 	cfg := lossyMC(t)
