@@ -55,6 +55,20 @@ func TestRunContextCheckpointSweep(t *testing.T) {
 			Timeline:     []scenario.Epoch{{Rounds: 2}, {Rounds: 2, Compromise: 2}},
 			Workload:     scenario.Workload{Messages: 130, Seed: 4},
 		}},
+		{"testbed-static", scenario.Config{
+			N:            16,
+			Backend:      scenario.BackendTestbed,
+			StrategySpec: "uniform:1,5",
+			Adversary:    scenario.Adversary{Count: 3},
+			Workload:     scenario.Workload{Messages: 200, Seed: 4},
+		}},
+		{"testbed-static-rounds", scenario.Config{
+			N:            16,
+			Backend:      scenario.BackendTestbed,
+			StrategySpec: "uniform:1,5",
+			Adversary:    scenario.Adversary{Count: 3},
+			Workload:     scenario.Workload{Messages: 70, Rounds: 3, Seed: 4},
+		}},
 		{"testbed-crowds", scenario.Config{
 			N:            16,
 			Backend:      scenario.BackendTestbed,

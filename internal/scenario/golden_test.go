@@ -192,6 +192,34 @@ func goldenMatrix() []goldenCase {
 		cfg.Faults = &faults.Plan{LinkLoss: 0.15}
 		cfg.Reliability = faults.Reliability{Policy: faults.PolicyRetransmit}
 		add(p+"timeline-faults-retransmit", cfg)
+
+		// Hop delay, fixed senders, a non-prefix adversary and a
+		// drop-on-loss timeline on every substrate.
+		cfg = tb()
+		cfg.Workload.Messages, cfg.Workload.Rounds, cfg.Workload.Confidence = 80, 4, 0.9
+		cfg.Workload.MaxHopDelay = 3
+		add(p+"rounds-hopdelay", cfg)
+		cfg = tb()
+		cfg.Workload.MaxHopDelay = 3
+		add(p+"static-hopdelay", cfg)
+		cfg = tb()
+		cfg.Workload.FixedSender, cfg.Workload.Sender = true, 7
+		add(p+"static-fixed-sender", cfg)
+		cfg = tb()
+		cfg.Adversary = scenario.Adversary{Compromised: nonPrefix, UncompromisedReceiver: true}
+		add(p+"static-nonprefix-honest-receiver", cfg)
+		cfg = tb()
+		cfg.Workload.Messages = 0
+		cfg.Timeline = messagesTimeline
+		cfg.Faults = &faults.Plan{LinkLoss: 0.15}
+		cfg.Reliability = faults.Reliability{Policy: faults.PolicyNone}
+		add(p+"timeline-faults-none", cfg)
+		cfg = tb()
+		cfg.Workload.Messages = 0
+		cfg.Timeline = messagesTimeline
+		cfg.Workload.FixedSender, cfg.Workload.Sender = true, 9
+		cfg.Workload.MaxHopDelay = 3
+		add(p+"timeline-fixed-hopdelay", cfg)
 	}
 	cfg = base(scenario.BackendTestbed)
 	cfg.Workload.Messages = 300
