@@ -136,9 +136,9 @@ func genConfig(rng *rand.Rand, idx int) scenario.Config {
 	// Faults: about a quarter of the scenarios run under a fault plan —
 	// link loss with one of the three reliability policies, occasionally a
 	// crash schedule (testbed-only: the analytic backends must refuse).
-	// Combinations the layer rejects (faults + Crowds, faults + rounds,
-	// reroute + timeline) are left in deliberately: they exercise the
-	// config-error-agreement half of the contract. The draws come from an
+	// Combinations the layer rejects (faults + Crowds, faults + rounds)
+	// are left in deliberately: they exercise the config-error-agreement
+	// half of the contract. The draws come from an
 	// independent per-case stream so the fault layer composes onto the
 	// exact configurations the harness pinned before it existed.
 	frng := rand.New(rand.NewSource(int64(4000 + idx)))

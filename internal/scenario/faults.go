@@ -61,9 +61,6 @@ func normalizeFaults(cfg *Config) error {
 		if timelineRounds(cfg.phases) {
 			return fmt.Errorf("%w: fault injection needs a single-shot (Messages) timeline", ErrBadConfig)
 		}
-		if r.Policy == faults.PolicyReroute {
-			return fmt.Errorf("%w: PolicyReroute does not compose with a timeline (rerouting waves would cross phase windows)", ErrBadConfig)
-		}
 	}
 	// Crash windows must fall inside the run's virtual-time span — a crash
 	// scheduled after the last packet retires is a configuration error, not
@@ -86,9 +83,11 @@ func normalizeFaults(cfg *Config) error {
 // phaseSpan is the virtual-time window wide enough for m messages of this
 // scenario: the injection clock advance plus the worst-case per-hop
 // latency (the hop tick, the jitter, and — under PolicyRetransmit — the
-// full retransmission backoff budget) over the deepest path. It extends
-// the lossless formula of runRoutedTimeline so faulted phases still end
-// strictly before the next phase's boundary.
+// full retransmission backoff budget) over the deepest path. Every event
+// of a phase's traffic then has a logical time below the next phase's
+// boundary: injections advance the clock by one each, every hop (mix
+// release included) adds at most 1+jitter+budget ticks over the phase's
+// running maximum, and a path has at most hi+2 such steps.
 func phaseSpan(cfg *Config, m int) uint64 {
 	jitter := uint64(cfg.Workload.MaxHopDelay)
 	var budget uint64
@@ -102,22 +101,39 @@ func phaseSpan(cfg *Config, m int) uint64 {
 	return uint64(m) + uint64(hi+3)*(1+jitter+budget) + 4
 }
 
-// virtualSpan is the total virtual-time span of the run: the sum of the
-// phase windows for a timeline, one window over the whole workload for
-// the static model. Reroute re-injections extend the static window by up
-// to MaxAttempts-1 extra waves.
-func virtualSpan(cfg *Config) uint64 {
-	if len(cfg.phases) > 0 {
-		var total uint64
-		for i := range cfg.phases {
-			total += phaseSpan(cfg, cfg.phases[i].epoch.Messages)
-		}
-		return total
+// phaseWindows returns the logical-time boundaries of the run's phases:
+// phase e owns [T[e], T[e+1]), and the last boundary is the run's virtual
+// span. A phase's window is phaseSpan over its first attempts — a static
+// run is one window of Messages × Rounds — and MaxAttempts such windows
+// under PolicyReroute, whose waves each re-inject at most the phase's
+// messages before the phase ends.
+func phaseWindows(cfg *Config) []uint64 {
+	phases := cfg.phases
+	if len(phases) == 0 {
+		phases = []phase{cfg.staticPhase()}
 	}
-	m := cfg.Workload.Messages * cfg.Workload.Rounds
-	span := phaseSpan(cfg, m)
+	waves := uint64(1)
 	if cfg.Faults != nil && cfg.Reliability.Policy == faults.PolicyReroute {
-		span *= uint64(cfg.Reliability.MaxAttempts)
+		waves = uint64(cfg.Reliability.MaxAttempts)
 	}
-	return span
+	T := make([]uint64, len(phases)+1)
+	for e := range phases {
+		m := phases[e].epoch.Messages + cfg.Workload.Messages*phases[e].epoch.Rounds
+		T[e+1] = T[e] + waves*phaseSpan(cfg, m)
+	}
+	return T
+}
+
+// virtualSpan is the total virtual-time span of the run, the end of its
+// last phase window.
+func virtualSpan(cfg *Config) uint64 {
+	T := phaseWindows(cfg)
+	return T[len(T)-1]
+}
+
+// lossy reports whether the run's fault plan can lose or retry a
+// transmission, the runs whose attempts leak partial evidence into
+// HDegraded.
+func (c *Config) lossy() bool {
+	return c.Faults != nil && (c.Faults.LinkLoss > 0 || c.Reliability.Policy != faults.PolicyNone)
 }

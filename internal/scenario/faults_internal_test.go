@@ -2,9 +2,9 @@ package scenario
 
 // White-box tests for the fault-analysis helpers: the degenerate branches
 // the end-to-end reliability suite cannot steer the kernel into — an
-// observer missing from a trace, partials the adversary discards, the
-// zero-injection attempt statistic, and the unexpected-drop guard firing
-// on a real defect (a forwarder error) rather than the fault process.
+// observer missing from a trace, partials the adversary discards, and the
+// unexpected-drop guard firing on a real defect (a forwarder error) rather
+// than the fault process.
 
 import (
 	"errors"
@@ -116,16 +116,6 @@ func TestFoldDegradedRejectsForeignAnalyst(t *testing.T) {
 	var sc adversary.Scratch
 	if _, err := foldDegraded(acc, analystU, mt, []*trace.MessageTrace{partial}, &sc); !errors.Is(err, adversary.ErrBadConfig) {
 		t.Fatalf("fold through a 13-node analyst into a 12-node accumulator: err = %v, want ErrBadConfig", err)
-	}
-}
-
-func TestFaultAnalysisMeanAttemptsZeroInjected(t *testing.T) {
-	fa := &faultAnalysis{retryN: 5}
-	if got := fa.meanAttempts(0); got != 1 {
-		t.Errorf("meanAttempts(0) = %v, want 1", got)
-	}
-	if got := fa.meanAttempts(10); got != 1.5 {
-		t.Errorf("meanAttempts(10) = %v, want 1.5", got)
 	}
 }
 

@@ -130,7 +130,7 @@ func goldenMatrix() []goldenCase {
 	cfg.Workload.FixedSender, cfg.Workload.Sender = true, 5
 	add("mc/lossy-retransmit-nonprefix-fixed", cfg)
 	add("exact/lossy-none", lossy(scenario.BackendExact, 0.15, faults.PolicyNone))
-	for _, pol := range []faults.Policy{faults.PolicyNone, faults.PolicyRetransmit} {
+	for _, pol := range []faults.Policy{faults.PolicyNone, faults.PolicyRetransmit, faults.PolicyReroute} {
 		cfg := lossy(scenario.BackendMonteCarlo, 0.15, pol)
 		cfg.Workload.Messages = 0
 		cfg.Timeline = messagesTimeline
@@ -220,6 +220,12 @@ func goldenMatrix() []goldenCase {
 		cfg.Workload.FixedSender, cfg.Workload.Sender = true, 9
 		cfg.Workload.MaxHopDelay = 3
 		add(p+"timeline-fixed-hopdelay", cfg)
+		cfg = tb()
+		cfg.Workload.Messages = 0
+		cfg.Timeline = messagesTimeline
+		cfg.Faults = &faults.Plan{LinkLoss: 0.15}
+		cfg.Reliability = faults.Reliability{Policy: faults.PolicyReroute}
+		add(p+"timeline-faults-reroute", cfg)
 	}
 	cfg = base(scenario.BackendTestbed)
 	cfg.Workload.Messages = 300

@@ -145,9 +145,9 @@ func runTrials(cfg Config, workers int) (Result, error) {
 	ms := cfg.members()
 	for i := range ms {
 		p := &ms[i]
-		trials, seed := cfg.Workload.Messages, cfg.Workload.Seed
+		trials, seed := p.epoch.Messages, cfg.Workload.Seed
 		if !static {
-			trials, seed = p.epoch.Messages, phaseSeed(seed, i)
+			seed = phaseSeed(seed, i)
 		}
 		er := EpochResult{Index: i, N: p.n, C: p.c, Messages: trials}
 		if trials == 0 {
@@ -219,7 +219,7 @@ func samplePhase(cfg *Config, ph []members, seed int64, trials, workers int, pro
 	}
 	p, analyst := &ph[0], analysts[0]
 	compromised := analyst.Compromised
-	lossy := cfg.Faults != nil && (cfg.Faults.LinkLoss > 0 || cfg.Reliability.Policy != faults.PolicyNone)
+	lossy := cfg.lossy()
 	var analystU *adversary.Analyst
 	if lossy {
 		if analystU, err = honestReceiverAnalyst(cfg, p.n, p.denseComp); err != nil {

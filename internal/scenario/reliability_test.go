@@ -83,11 +83,6 @@ func TestFaultValidation(t *testing.T) {
 			c.StrategySpec = "crowds:0.6,5"
 		})},
 		{"faults-with-rounds", mutate(func(c *scenario.Config) { c.Workload.Rounds = 3 })},
-		{"reroute-with-timeline", mutate(func(c *scenario.Config) {
-			c.Reliability = faults.Reliability{Policy: faults.PolicyReroute}
-			c.Workload.Messages = 0
-			c.Timeline = []scenario.Epoch{{Messages: 100}, {Messages: 100, Compromise: 1}}
-		})},
 	}
 	backends := []scenario.BackendKind{
 		scenario.BackendExact, scenario.BackendMonteCarlo, scenario.BackendTestbed,
@@ -209,6 +204,79 @@ func TestLossyCrossBackendRetry(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRerouteTimelineAgreement: PolicyReroute runs on a Messages
+// timeline — each phase's rerouting waves finish inside the phase's
+// window — and the sampler and the kernel agree at 4σ on H, HDegraded,
+// the delivery rate and the attempt statistic, under both receiver modes.
+// H's σ is the runs' own standard error; the other statistics take the
+// Bernoulli σ of a delivery and the Bhatia–Davis bound on the variance of
+// a value confined to an interval (attempts to [1, MaxAttempts],
+// degraded entropies to [0, log2 of the largest population]).
+func TestRerouteTimelineAgreement(t *testing.T) {
+	const perEpoch = 3000
+	timeline := []scenario.Epoch{
+		{Messages: perEpoch},
+		{Messages: perEpoch, Join: 5, Compromise: 2},
+		{Messages: perEpoch, Leave: 6},
+	}
+	total := float64(len(timeline) * perEpoch)
+	// boundedSE is the standard error of a mean of total values confined to
+	// [lo, hi] with mean mu, by the Bhatia–Davis inequality.
+	boundedSE := func(mu, lo, hi float64) float64 { return math.Sqrt(max((hi-mu)*(mu-lo), 0) / total) }
+	for _, honest := range []bool{false, true} {
+		for _, q := range []float64{0.05, 0.2} {
+			t.Run(fmt.Sprintf("honest-receiver=%v/q=%v", honest, q), func(t *testing.T) {
+				cfg := scenario.Config{
+					N:            30,
+					StrategySpec: "uniform:1,6",
+					Adversary:    scenario.Adversary{Count: 4, UncompromisedReceiver: honest},
+					Timeline:     timeline,
+					Workload:     scenario.Workload{Seed: 23, Workers: 2},
+					Faults:       &faults.Plan{LinkLoss: q},
+					Reliability:  faults.Reliability{Policy: faults.PolicyReroute},
+				}
+				res := map[scenario.BackendKind]scenario.Result{}
+				for _, kind := range []scenario.BackendKind{scenario.BackendMonteCarlo, scenario.BackendTestbed} {
+					cfg.Backend = kind
+					r, err := scenario.Run(cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", kind, err)
+					}
+					if len(r.Epochs) != len(timeline) {
+						t.Fatalf("%s: %d epochs, want %d", kind, len(r.Epochs), len(timeline))
+					}
+					res[kind] = r
+				}
+				mc, tb := res[scenario.BackendMonteCarlo], res[scenario.BackendTestbed]
+				maxAttempts := float64(faults.DefaultMaxAttempts)
+				maxH := math.Log2(35)
+				checks := []struct {
+					name       string
+					mc, tb, se float64
+				}{
+					{"H", mc.H, tb.H, math.Hypot(mc.StdErr, tb.StdErr)},
+					{"HDegraded", mc.HDegraded, tb.HDegraded,
+						math.Hypot(boundedSE(mc.HDegraded, 0, maxH), boundedSE(tb.HDegraded, 0, maxH))},
+					{"DeliveryRate", mc.DeliveryRate, tb.DeliveryRate,
+						math.Hypot(boundedSE(mc.DeliveryRate, 0, 1), boundedSE(tb.DeliveryRate, 0, 1))},
+					{"MeanAttempts", mc.MeanAttempts, tb.MeanAttempts,
+						math.Hypot(boundedSE(mc.MeanAttempts, 1, maxAttempts), boundedSE(tb.MeanAttempts, 1, maxAttempts))},
+				}
+				for _, c := range checks {
+					d := math.Abs(c.mc - c.tb)
+					t.Logf("%s: mc = %.4f, testbed = %.4f, Δ = %.4f, 4σ = %.4f", c.name, c.mc, c.tb, d, 4*c.se)
+					if d > 4*c.se {
+						t.Errorf("%s: mc = %v, testbed = %v (Δ=%v > 4σ = %v)", c.name, c.mc, c.tb, d, 4*c.se)
+					}
+				}
+				if tb.MeanAttempts <= 1 {
+					t.Errorf("testbed rerouted nothing: attempts = %v", tb.MeanAttempts)
+				}
+			})
+		}
 	}
 }
 

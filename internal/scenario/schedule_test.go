@@ -299,3 +299,43 @@ func TestRoundsTimelineAllocation(t *testing.T) {
 		t.Errorf("warm Rounds-timeline Run allocated %d KB, want ≤ 900 KB", run>>10)
 	}
 }
+
+// TestStaticRunAllocation pins that a static config's identity view
+// reuses the normalized compromised list, which is sorted whenever it
+// comes from Adversary.Count, instead of collecting a sorted copy: at
+// N = 10⁶ with 2·10⁵ compromised nodes a warm 1,000-message run stays
+// within a budget the copy alone would break on Monte-Carlo, and the
+// testbed's one routed driver, which walks the same view, stays near the
+// cost of its kernel.
+func TestStaticRunAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocations")
+	}
+	for _, tc := range []struct {
+		backend BackendKind
+		budget  uint64
+	}{
+		{BackendMonteCarlo, 6 << 20},
+		{BackendTestbed, 12 << 20},
+	} {
+		cfg := Config{
+			N: 1_000_000, Backend: tc.backend, StrategySpec: "uniform:1,7",
+			Adversary: Adversary{Count: 200_000},
+			Workload:  Workload{Messages: 1000, Seed: 1, Workers: 1},
+		}
+		if _, err := Run(cfg); err != nil { // warm the engine cache
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		run := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: warm static Run allocated %d KB", tc.backend, run>>10)
+		if run > tc.budget {
+			t.Errorf("%s: warm static Run allocated %d KB, want ≤ %d KB", tc.backend, run>>10, tc.budget>>10)
+		}
+	}
+}

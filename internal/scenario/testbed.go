@@ -6,14 +6,18 @@ package scenario
 // threshold-mix batching — and measures the anonymity degree empirically
 // by running the adversary's inference over the collected tuples.
 //
-// With Workload.Rounds > 1 every scenario becomes a set of persistent
-// sender→receiver sessions: each session's initiator stays fixed while its
-// path re-forms every round, and the adversary accumulates across the
-// session's messages — Bayesian posterior multiplication (the
-// generalized intersection attack: witnessed identities are zeroed, so
-// candidate sets shrink round over round) on the routed substrates, whose
-// static sessions fold as a one-phase timeline (analyzeRoutedTimeline),
-// and Reiter–Rubin predecessor counting on Crowds.
+// It has two drivers. runRouted serves the source-routed substrates
+// (plain, onion, mix) for every shape of run: static or across a
+// timeline, single-shot or in persistent sessions, lossless or faulted. A
+// static config is its one identity phase. Single-shot traffic is
+// analysed per phase in the phase's dense space; sessions (Workload.Rounds
+// > 1, or a Rounds timeline) keep their sender while the path re-forms
+// every round, and the adversary multiplies the per-round posteriors
+// across phases — the generalized intersection attack, in which witnessed
+// identities are zeroed and candidate sets shrink round over round.
+// runCrowds serves the jondo substrate, whose routing is the protocol's
+// own: it draws only honest initiators and counts Reiter–Rubin
+// predecessors.
 
 import (
 	cryptorand "crypto/rand"
@@ -27,6 +31,7 @@ import (
 	"anonmix/internal/adversary"
 	"anonmix/internal/crowds"
 	"anonmix/internal/entropy"
+	"anonmix/internal/faults"
 	"anonmix/internal/onion"
 	"anonmix/internal/pathsel"
 	"anonmix/internal/scenario/capability"
@@ -64,105 +69,261 @@ func (testbedBackend) Run(cfg Config) (Result, error) {
 	if err := sampledInference(cfg, string(BackendTestbed)); err != nil {
 		return Result{}, err
 	}
-	if len(cfg.phases) > 0 {
-		return runRoutedTimeline(cfg)
-	}
-	if cfg.Faults != nil {
-		return runRoutedFaulty(cfg)
-	}
 	return runRouted(cfg)
+}
+
+// routedPhase is one phase's share of a routed run. A phase that carries
+// traffic has the analyst and path sampler of its dense space, and under a
+// lossy fault plan the honest-receiver analyst its partial traces fold
+// through; a phase without traffic only moves the population and keeps
+// the zero value. Single-shot phases also record their messages in
+// injection order: each one's union-identity sender and the ID of its
+// last attempt, and under PolicyReroute each one's stream (its redraws
+// continue it) and failed attempts.
+type routedPhase struct {
+	analyst, analystU *adversary.Analyst
+	sampler           *pathsel.Sampler
+	senders           []trace.NodeID
+	ids               []trace.MessageID
+	strs              []stats.Stream
+	failed            [][]trace.MessageID
 }
 
 // runRouted executes the source-routed substrates (plain, onion, mix):
 // paths come from the strategy's selector, the network carries them, and
 // the adversary's empirical mean posterior entropy is the measured H*(S).
-// With Rounds > 1 each of the Workload.Messages sessions injects one
-// message per round from its fixed sender.
+// It walks the identity view as runTrials does. A static config is its one
+// identity phase seeded with Workload.Seed; timeline phase e draws under
+// phaseSeed(Seed, e) inside its own logical-time window (phaseWindows),
+// with the membership diffs as kernel churn events on the boundaries and
+// path selection restricted to the live members. Each phase's traffic
+// settles — flushing partial threshold-mix batches, the mix "firing on
+// timeout" at the phase end — and its reroute waves run, before the
+// injection clock moves to the next window, so every message's
+// observations fall inside one phase and are analysed with that phase's
+// adversary.
+//
+// Single-shot messages each draw from their own counter-based stream, the
+// streams Monte-Carlo's trials consume, so backend agreement is draw for
+// draw and not just statistical. Sessions draw one stream per session and
+// inject in round-major waves; their rounds fold through the phased
+// accumulator (analyzeRoutedTimeline).
 func runRouted(cfg Config) (Result, error) {
-	engine, err := Engine(cfg.N, len(cfg.Adversary.Compromised), engineOptions(cfg)...)
-	if err != nil {
-		return Result{}, err
-	}
-	// The config arrives normalized from Run, and the engine is already in
-	// hand — build the analyst directly.
-	analyst, err := adversary.NewAnalyst(engine, cfg.Strategy.Length, cfg.Adversary.Compromised)
-	if err != nil {
-		return Result{}, err
-	}
-	sel, err := pathsel.NewSelector(cfg.N, cfg.Strategy)
-	if err != nil {
-		return Result{}, err
+	ms := cfg.members()
+	rounds := cfg.sessions()
+	reroute := cfg.Faults != nil && cfg.Reliability.Policy == faults.PolicyReroute
+	T := phaseWindows(&cfg)
+	rps := make([]routedPhase, len(ms))
+	for e := range ms {
+		p, rp := &ms[e], &rps[e]
+		if p.epoch.Messages+p.epoch.Rounds == 0 {
+			continue
+		}
+		analysts, sels, err := phasedMachinery(cfg, ms[e:e+1])
+		if err != nil {
+			return Result{}, err
+		}
+		rp.analyst = analysts[0]
+		if rp.sampler, err = sels[0].NewSampler(); err != nil {
+			return Result{}, err
+		}
+		if cfg.lossy() {
+			if rp.analystU, err = honestReceiverAnalyst(&cfg, p.n, p.denseComp); err != nil {
+				return Result{}, err
+			}
+		}
 	}
 
 	baseGoroutines := runtime.NumGoroutine()
-	nw, inject, err := startRouted(&cfg, simnet.Config{N: cfg.N, Compromised: cfg.Adversary.Compromised})
+	nw, send, err := startRouted(&cfg, routedNetConfig(&cfg, ms, T))
 	if err != nil {
 		return Result{}, err
 	}
 	defer nw.Close()
 
-	sessions := cfg.Workload.Messages
-	rounds := cfg.Workload.Rounds
-
 	start := time.Now() //anonlint:allow detrand(wall-clock metrics only, never flows into Result)
-	// Each session draws from its own counter-based stream — the same
-	// streams the Monte-Carlo estimator consumes per trial, so backend
-	// agreement is draw-for-draw, not just statistical. The sampler's path
-	// buffer is reused across injections (see startRouted).
-	sp, err := sel.NewSampler()
-	if err != nil {
-		return Result{}, err
+	var (
+		route      []trace.NodeID // union-identity route, reused (see startRouted)
+		first      int            // first attempts so far, for the cancellation checkpoints
+		reroutes   int
+		goroutines int
+		// Sessions: one stream and sender per session; ids is session-major,
+		// ids[s·k + r] being session s's round r.
+		k        = cfg.Workload.Rounds
+		strs     []stats.Stream
+		senders  []trace.NodeID
+		ids      []trace.MessageID
+		originOf map[trace.MessageID]int // reroute: message → its index in the phase
+	)
+	// inject sends one message of phase e from a union-identity sender over
+	// a path drawn from rng in the phase's dense space.
+	inject := func(e int, rng *stats.Stream, sender trace.NodeID) (trace.MessageID, error) {
+		p := &ms[e]
+		d, _ := p.dense(sender)
+		path, err := rps[e].sampler.SelectPath(rng, trace.NodeID(d))
+		if err != nil {
+			return 0, err
+		}
+		if p.live != nil {
+			route = route[:0]
+			for _, v := range path {
+				route = append(route, p.live[v])
+			}
+			path = route
+		}
+		return send(sender, path)
 	}
-	senders := make([]trace.NodeID, sessions)
-	ids := make([]trace.MessageID, sessions*rounds)
-	for s := 0; s < sessions; s++ {
-		// Cancellation checkpoints ride the batch runner's 64-item
-		// granule; a canceled run abandons the kernel mid-traffic and the
-		// deferred Close tears it down.
-		if s%batchSize == 0 {
-			if err := cfg.checkCanceled(); err != nil {
-				return Result{}, err
+	// checkpoint polls cancellation before every batchSize-th first attempt;
+	// a canceled run abandons the kernel mid-traffic and the deferred Close
+	// tears it down.
+	checkpoint := func() error {
+		first++
+		if (first-1)%batchSize == 0 {
+			return cfg.checkCanceled()
+		}
+		return nil
+	}
+	if rounds {
+		strs = make([]stats.Stream, cfg.Workload.Messages)
+		senders = make([]trace.NodeID, len(strs))
+		ids = make([]trace.MessageID, len(strs)*k)
+		for s := range strs {
+			strs[s] = stats.NewStream(cfg.Workload.Seed, int64(s))
+			senders[s] = cfg.sessionSender(&strs[s])
+		}
+	}
+	if reroute {
+		originOf = make(map[trace.MessageID]int, cfg.Workload.Messages)
+	}
+	r := 0 // sessions: the global round of the next wave
+	for e := range ms {
+		p, rp := &ms[e], &rps[e]
+		if rp.sampler == nil {
+			continue
+		}
+		nw.AdvanceTime(T[e])
+		if rounds {
+			for j := 0; j < p.epoch.Rounds; j, r = j+1, r+1 {
+				for s := range senders {
+					if err := checkpoint(); err != nil {
+						return Result{}, err
+					}
+					if ids[s*k+r], err = inject(e, &strs[s], senders[s]); err != nil {
+						return Result{}, err
+					}
+				}
+			}
+		} else {
+			seed := cfg.Workload.Seed
+			if len(cfg.phases) > 0 {
+				seed = phaseSeed(seed, e)
+			}
+			rp.senders = make([]trace.NodeID, p.epoch.Messages)
+			rp.ids = make([]trace.MessageID, len(rp.senders))
+			if reroute {
+				rp.strs = make([]stats.Stream, len(rp.senders))
+				rp.failed = make([][]trace.MessageID, len(rp.senders))
+			}
+			for i := range rp.senders {
+				if err := checkpoint(); err != nil {
+					return Result{}, err
+				}
+				rng := stats.NewStream(seed, int64(i))
+				sender := cfg.Workload.Sender
+				if !cfg.Workload.FixedSender {
+					sender = p.global(rng.Intn(p.n))
+				}
+				id, err := inject(e, &rng, sender)
+				if err != nil {
+					return Result{}, err
+				}
+				rp.senders[i], rp.ids[i] = sender, id
+				if reroute {
+					rp.strs[i] = rng
+					originOf[id] = i
+				}
 			}
 		}
-		rng := stats.NewStream(cfg.Workload.Seed, int64(s))
-		sender := cfg.Workload.Sender
-		if !cfg.Workload.FixedSender {
-			sender = trace.NodeID(rng.Intn(cfg.N))
+		goroutines = max(goroutines, runtime.NumGoroutine()-baseGoroutines)
+		if err := nw.Settle(settleTimeout); err != nil {
+			return Result{}, err
 		}
-		senders[s] = sender
-		for r := 0; r < rounds; r++ {
-			path, err := sp.SelectPath(&rng, sender)
+		if reroute {
+			n, err := rerouteWaves(&cfg, nw, rp, originOf, func(rng *stats.Stream, sender trace.NodeID) (trace.MessageID, error) {
+				return inject(e, rng, sender)
+			})
 			if err != nil {
 				return Result{}, err
 			}
-			if ids[s*rounds+r], err = inject(sender, path); err != nil {
-				return Result{}, err
-			}
+			reroutes += n
 		}
 	}
-	goroutines := max(runtime.NumGoroutine()-baseGoroutines, 0)
-	if err := nw.WaitSettled(settleTimeout); err != nil {
+	elapsed := time.Since(start)
+	// Loss and crash drops are the configured fault process (a lossless run
+	// has none); any other cause is a defect.
+	if err := checkUnexpectedDrops(nw); err != nil {
 		return Result{}, err
 	}
-	elapsed := time.Since(start)
-	if drops := nw.Dropped(); len(drops) > 0 {
-		return Result{}, fmt.Errorf("scenario: testbed dropped %d packets: %w", len(drops), drops[0])
-	}
 
-	traces := trace.Collate(nw.Tuples())
 	var res Result
-	if cfg.sessions() {
-		res, err = analyzeRoutedTimeline(cfg, cfg.members(), []*adversary.Analyst{analyst}, traces, senders, ids)
+	if rounds {
+		var traffic []members
+		var analysts []*adversary.Analyst
+		for e := range ms {
+			if rps[e].analyst != nil {
+				traffic = append(traffic, ms[e])
+				analysts = append(analysts, rps[e].analyst)
+			}
+		}
+		res, err = analyzeRoutedTimeline(cfg, traffic, analysts, trace.Collate(nw.Tuples()), senders, ids)
 	} else {
-		res, err = analyzeRouted(analyst, traces, senders, ids)
+		res, err = analyzeSingleShot(&cfg, ms, rps, nw, reroutes)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	res.MaxH = entropy.Max(cfg.N)
-	res.Normalized = entropy.Normalized(res.H, cfg.N)
 	res.Kernel = kernelStats(nw, goroutines, elapsed)
 	return res, nil
+}
+
+// routedNetConfig is the kernel configuration of a routed run over the
+// union identity space: the first phase's members start live with its
+// compromised set, and the churn schedule is the phase-to-phase
+// membership diff at the window boundaries T, ordered join → recover →
+// compromise → leave per boundary so the kernel's per-node state machine
+// sees only legal transitions. A static config is one phase, with no
+// churn.
+func routedNetConfig(cfg *Config, ms []members, T []uint64) simnet.Config {
+	union := unionSize(cfg.N, cfg.Timeline)
+	p0 := &ms[0]
+	nwCfg := simnet.Config{N: union, Compromised: p0.comp}
+	if p0.live != nil {
+		nwCfg.Down = make([]trace.NodeID, 0, union-p0.n)
+		for g, j := 0, 0; g < union; g++ {
+			if j < p0.n && p0.live[j] == trace.NodeID(g) {
+				j++
+				continue
+			}
+			nwCfg.Down = append(nwCfg.Down, trace.NodeID(g))
+		}
+	}
+	for e := 1; e < len(ms); e++ {
+		prev, cur := &ms[e-1], &ms[e]
+		at := T[e]
+		for g := range missing(cur.live, prev.live) {
+			nwCfg.Churn = append(nwCfg.Churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnJoin, Node: g})
+		}
+		for g := range missing(prev.comp, cur.comp) {
+			nwCfg.Churn = append(nwCfg.Churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnRecover, Node: g})
+		}
+		for g := range missing(cur.comp, prev.comp) {
+			nwCfg.Churn = append(nwCfg.Churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnCompromise, Node: g})
+		}
+		for g := range missing(prev.live, cur.live) {
+			nwCfg.Churn = append(nwCfg.Churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnLeave, Node: g})
+		}
+	}
+	return nwCfg
 }
 
 // startRouted builds and starts the kernel of a routed substrate (plain,
@@ -218,270 +379,21 @@ func startRouted(cfg *Config, nwCfg simnet.Config) (*simnet.Network,
 	}, nil
 }
 
-// analyzeRouted measures single-shot traffic: it runs the adversary over
-// the collected traces in injection order — a fixed order, so the
-// empirical estimate is bit-reproducible for a fixed seed (ranging over
-// the collated map would reassociate the floating-point mean run to run)
-// — through the O(reports) entropy fast path.
-func analyzeRouted(analyst *adversary.Analyst, traces map[trace.MessageID]*trace.MessageTrace,
-	senders []trace.NodeID, ids []trace.MessageID) (Result, error) {
-	var sum stats.Summary
-	var compSenders, deanonymized int
-	var sc adversary.Scratch
-	for s, sender := range senders {
-		if analyst.Compromised(sender) {
-			// Local-eavesdropper branch: the adversary's agent at the
-			// sender identifies it outright.
-			sum.Add(0)
-			compSenders++
-			deanonymized++
-			continue
-		}
-		mt := traces[ids[s]]
-		if mt == nil {
-			return Result{}, fmt.Errorf("scenario: message %d has no trace", ids[s])
-		}
-		h, err := analyst.EntropyScratch(mt, &sc)
-		if err != nil {
-			return Result{}, fmt.Errorf("scenario: message %d: %w", ids[s], err)
-		}
-		if h < 1e-9 {
-			deanonymized++
-		}
-		sum.Add(h)
-	}
-	return Result{
-		H:                      sum.Mean(),
-		StdErr:                 sum.StdErr(),
-		CI95:                   sum.CI95(),
-		Estimated:              true,
-		Trials:                 sum.N(),
-		CompromisedSenderShare: float64(compSenders) / float64(sum.N()),
-		Deanonymized:           deanonymized,
-	}, nil
-}
-
-// runRoutedTimeline executes a dynamic-population scenario on the routed
-// substrates. The membership schedule becomes kernel-level churn events at
-// precomputed virtual timestamps: each phase gets a disjoint logical-time
-// window wide enough for its traffic (injection count plus the worst-case
-// path depth), the kernel's per-(node,time) state machine applies the
-// joins/leaves/compromises on the boundaries, and path selection draws
-// from the phase's live membership only. Between phases the network
-// settles (flushing partial threshold-mix batches — the mix "fires on
-// timeout" at the phase end) and the injection clock advances past the
-// boundary, so every message's observations fall entirely inside one
-// phase and are analyzed with that phase's adversary.
-func runRoutedTimeline(cfg Config) (Result, error) {
-	phases := cfg.members()
-	analysts, sels, err := phasedMachinery(cfg, phases)
-	if err != nil {
-		return Result{}, err
-	}
-	totalIDs := unionSize(cfg.N, cfg.Timeline)
-	rounds := timelineRounds(cfg.phases)
-	sessions := cfg.Workload.Messages
-
-	// Phase windows: wide enough that every event of phase e has a logical
-	// time below T[e+1] (injections advance the clock by one each; every
-	// hop, mix release included, adds at most 1+jitter ticks over the
-	// phase's running maximum — fault-plan jitter and the retransmit
-	// backoff budget included, see phaseSpan — and a path has at most hi+2
-	// such steps).
-	span := func(m int) uint64 { return phaseSpan(&cfg, m) }
-	T := make([]uint64, len(phases)+1)
-	for e := range phases {
-		m := phases[e].epoch.Messages
-		if rounds {
-			m = sessions * phases[e].epoch.Rounds
-		}
-		T[e+1] = T[e] + span(m)
-	}
-
-	// The kernel's churn schedule is the phase-to-phase membership diff,
-	// ordered join → recover → compromise → leave per boundary so the
-	// kernel's per-node state machine sees only legal transitions.
-	p0 := &phases[0]
-	down := make([]trace.NodeID, 0, totalIDs-p0.n)
-	for g, j := 0, 0; g < totalIDs; g++ {
-		if j < p0.n && p0.live[j] == trace.NodeID(g) {
-			j++
-			continue
-		}
-		down = append(down, trace.NodeID(g))
-	}
-	var churn []simnet.ChurnEvent
-	for e := 1; e < len(phases); e++ {
-		prev, cur := &phases[e-1], &phases[e]
-		at := T[e]
-		for g := range missing(cur.live, prev.live) {
-			churn = append(churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnJoin, Node: g})
-		}
-		for g := range missing(prev.comp, cur.comp) {
-			churn = append(churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnRecover, Node: g})
-		}
-		for g := range missing(cur.comp, prev.comp) {
-			churn = append(churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnCompromise, Node: g})
-		}
-		for g := range missing(prev.live, cur.live) {
-			churn = append(churn, simnet.ChurnEvent{Time: at, Kind: simnet.ChurnLeave, Node: g})
-		}
-	}
-
-	baseGoroutines := runtime.NumGoroutine()
-	nw, send, err := startRouted(&cfg, simnet.Config{N: totalIDs, Compromised: p0.comp, Down: down, Churn: churn})
-	if err != nil {
-		return Result{}, err
-	}
-	defer nw.Close()
-
-	start := time.Now() //anonlint:allow detrand(wall-clock metrics only, never flows into Result)
-	// Per-phase samplers over the dense spaces; drawPhasePath maps the
-	// reusable dense buffer to a fresh union-identity route.
-	samplers := make([]*pathsel.Sampler, len(sels))
-	for i := range sels {
-		if samplers[i], err = sels[i].NewSampler(); err != nil {
-			return Result{}, err
-		}
-	}
-	inject := func(e int, rng *stats.Stream, sender trace.NodeID) (trace.MessageID, error) {
-		path, err := drawPhasePath(&phases[e], samplers[e], rng, sender)
-		if err != nil {
-			return 0, err
-		}
-		return send(sender, path)
-	}
-
-	var (
-		k             = cfg.Workload.Rounds
-		senders       []trace.NodeID    // rounds mode: one per session
-		strs          []stats.Stream    // rounds mode: one per session
-		ids           []trace.MessageID // rounds mode: session-major [s*k+r]
-		phaseSenders  [][]trace.NodeID  // messages mode
-		phaseIDs      [][]trace.MessageID
-		maxGoroutines int
-	)
-	if rounds {
-		// One counter-based stream per session — the same streams the
-		// Monte-Carlo timeline consumes — so every session's sender and
-		// path draws are independent of the phase-major injection order.
-		senders = make([]trace.NodeID, sessions)
-		strs = make([]stats.Stream, sessions)
-		ids = make([]trace.MessageID, sessions*k)
-		for s := range senders {
-			strs[s] = stats.NewStream(cfg.Workload.Seed, int64(s))
-			if cfg.Workload.FixedSender {
-				senders[s] = cfg.Workload.Sender
-			} else {
-				senders[s] = cfg.pool[strs[s].Intn(len(cfg.pool))]
-			}
-		}
-	} else {
-		phaseSenders = make([][]trace.NodeID, len(phases))
-		phaseIDs = make([][]trace.MessageID, len(phases))
-	}
-	r := 0
-	for e := range phases {
-		p := &phases[e]
-		if e > 0 {
-			nw.AdvanceTime(T[e])
-		}
-		if rounds {
-			for j := 0; j < p.epoch.Rounds; j++ {
-				// One checkpoint per round wave (sessions injections).
-				if err := cfg.checkCanceled(); err != nil {
-					return Result{}, err
-				}
-				for s := 0; s < sessions; s++ {
-					id, err := inject(e, &strs[s], senders[s])
-					if err != nil {
-						return Result{}, err
-					}
-					ids[s*k+r] = id
-				}
-				r++
-			}
-		} else {
-			for m := 0; m < p.epoch.Messages; m++ {
-				if m%batchSize == 0 {
-					if err := cfg.checkCanceled(); err != nil {
-						return Result{}, err
-					}
-				}
-				// Messages mode: each message draws from its own stream
-				// under the phase's derived seed, matching the per-phase
-				// trials of the Monte-Carlo timeline.
-				rng := stats.NewStream(phaseSeed(cfg.Workload.Seed, e), int64(m))
-				sender := cfg.Workload.Sender
-				if !cfg.Workload.FixedSender {
-					sender = p.live[rng.Intn(p.n)]
-				}
-				id, err := inject(e, &rng, sender)
-				if err != nil {
-					return Result{}, err
-				}
-				phaseSenders[e] = append(phaseSenders[e], sender)
-				phaseIDs[e] = append(phaseIDs[e], id)
-			}
-		}
-		maxGoroutines = max(maxGoroutines, runtime.NumGoroutine()-baseGoroutines)
-		if err := nw.Settle(settleTimeout); err != nil {
-			return Result{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	var fa *faultAnalysis
-	if cfg.Faults == nil {
-		if drops := nw.Dropped(); len(drops) > 0 {
-			return Result{}, fmt.Errorf("scenario: testbed dropped %d packets: %w", len(drops), drops[0])
-		}
-	} else {
-		// Loss and crash drops are the configured fault process; anything
-		// else is still a defect.
-		if err := checkUnexpectedDrops(nw); err != nil {
-			return Result{}, err
-		}
-		if fa, err = newTimelineFaultAnalysis(cfg, phases, nw); err != nil {
-			return Result{}, err
-		}
-	}
+// analyzeSingleShot measures single-shot traffic phase by phase, each
+// phase's messages in injection order — a fixed order, so the empirical
+// estimate is bit-reproducible for a fixed seed (ranging over the collated
+// map would reassociate the floating-point mean run to run) — through the
+// phase's analyst in its dense space, the O(reports) entropy fast path.
+// The phases pool into one mean; a timeline also reports each phase's
+// own. Under a fault plan H covers the delivered messages only, and
+// HDegraded folds in the evidence each one's failed attempts and
+// retransmissions leaked, through the phase's honest-receiver analyst
+// (foldDegraded). reroutes counts the run's re-injections.
+func analyzeSingleShot(cfg *Config, ms []members, rps []routedPhase, nw *simnet.Network, reroutes int) (Result, error) {
 	traces := trace.Collate(nw.Tuples())
-
-	maxH := timelineMaxH(cfg.phases)
-	var res Result
-	if rounds {
-		var traffic []members
-		var trafficAnalysts []*adversary.Analyst
-		for e := range phases {
-			if phases[e].epoch.Rounds > 0 {
-				traffic = append(traffic, phases[e])
-				trafficAnalysts = append(trafficAnalysts, analysts[e])
-			}
-		}
-		res, err = analyzeRoutedTimeline(cfg, traffic, trafficAnalysts, traces, senders, ids)
-	} else {
-		res, err = analyzeSingleShotTimeline(phases, analysts, traces, phaseSenders, phaseIDs, fa)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	res.MaxH = maxH
-	res.Normalized = res.H / maxH
-	res.Kernel = kernelStats(nw, max(maxGoroutines, 0), elapsed)
-	return res, nil
-}
-
-// analyzeSingleShotTimeline measures a Messages timeline: every phase's
-// traffic is analyzed with that phase's adversary in its dense space, in
-// injection order for bit-reproducibility, and the phases blend into the
-// pooled empirical mean. A non-nil faultAnalysis restricts H to delivered
-// messages and folds the retransmission evidence into HDegraded, exactly
-// as the static faulted path does (see runRoutedFaulty).
-func analyzeSingleShotTimeline(phases []members, analysts []*adversary.Analyst,
-	traces map[trace.MessageID]*trace.MessageTrace,
-	phaseSenders [][]trace.NodeID, phaseIDs [][]trace.MessageID,
-	fa *faultAnalysis) (Result, error) {
 	var (
+		delivered    map[trace.MessageID]bool
+		retries      map[trace.MessageID][]trace.Tuple
 		sum, sumDeg  stats.Summary
 		injected     int
 		compSenders  int
@@ -490,23 +402,35 @@ func analyzeSingleShotTimeline(phases []members, analysts []*adversary.Analyst,
 		sc           adversary.Scratch
 		partials     []*trace.MessageTrace
 	)
-	for e := range phases {
-		p := &phases[e]
+	if cfg.Faults != nil {
+		delivered = make(map[trace.MessageID]bool)
+		for _, d := range nw.Deliveries() {
+			delivered[d.Msg] = true
+		}
+		retries = sortedRetryObservations(nw)
+	}
+	if len(cfg.phases) > 0 {
+		epochs = make([]EpochResult, len(ms))
+	}
+	for e := range ms {
+		p, rp := &ms[e], &rps[e]
 		var pSum stats.Summary
 		var acc *adversary.Accumulator
-		if fa != nil {
+		if rp.analystU != nil {
 			var err error
-			if acc, err = adversary.NewAccumulator(analysts[e]); err != nil {
+			if acc, err = adversary.NewAccumulator(rp.analyst); err != nil {
 				return Result{}, err
 			}
 		}
-		for m, sender := range phaseSenders[e] {
+		for i, sender := range rp.senders {
 			injected++
-			id := phaseIDs[e][m]
-			if fa != nil && !fa.delivered[id] {
-				continue // undelivered: excluded from H, counted in delivery stats
+			id := rp.ids[i]
+			if delivered != nil && !delivered[id] {
+				continue // undelivered: no receiver-side event, excluded from H
 			}
-			if p.compromised(sender) {
+			if d, _ := p.dense(sender); rp.analyst.Compromised(trace.NodeID(d)) {
+				// Local-eavesdropper branch: the adversary's agent at the
+				// sender identifies it outright.
 				sum.Add(0)
 				pSum.Add(0)
 				sumDeg.Add(0)
@@ -522,7 +446,7 @@ func analyzeSingleShotTimeline(phases []members, analysts []*adversary.Analyst,
 			if err != nil {
 				return Result{}, fmt.Errorf("scenario: message %d: %w", id, err)
 			}
-			h, err := analysts[e].EntropyScratch(dmt, &sc)
+			h, err := rp.analyst.EntropyScratch(dmt, &sc)
 			if err != nil {
 				return Result{}, fmt.Errorf("scenario: message %d: %w", id, err)
 			}
@@ -531,41 +455,53 @@ func analyzeSingleShotTimeline(phases []members, analysts []*adversary.Analyst,
 			}
 			sum.Add(h)
 			pSum.Add(h)
-			if fa == nil {
-				continue
-			}
-			// Degraded fold: each retransmission the kernel logged for this
-			// message leaked the delivered trace's prefix up to the retrying
-			// observer, analyzed in the phase's dense space.
+			// The degraded fold's evidence: every failed attempt (lost on
+			// its first link when no compromised node processed it, an empty
+			// trace), then the delivered trace's prefix up to each observer
+			// that retransmitted it.
 			partials = partials[:0]
-			for _, rt := range fa.retries[id] {
-				do, ok := p.dense(rt.Observer)
-				if !ok {
-					continue
+			if rp.failed != nil {
+				for _, fid := range rp.failed[i] {
+					pmt := traces[fid]
+					if pmt == nil {
+						pmt = &trace.MessageTrace{Msg: fid}
+					} else if pmt, err = p.denseTrace(pmt); err != nil {
+						return Result{}, fmt.Errorf("scenario: message %d: %w", fid, err)
+					}
+					partials = append(partials, pmt)
 				}
-				partials = append(partials, truncateAtObserver(dmt, trace.NodeID(do)))
+			}
+			for _, rt := range retries[id] {
+				if do, ok := p.dense(rt.Observer); ok {
+					partials = append(partials, truncateAtObserver(dmt, trace.NodeID(do)))
+				}
 			}
 			if len(partials) == 0 {
 				sumDeg.Add(h)
 				continue
 			}
-			hd, err := foldDegraded(acc, fa.analystsU[e], dmt, partials, &sc)
+			hd, err := foldDegraded(acc, rp.analystU, dmt, partials, &sc)
 			if err != nil {
 				return Result{}, fmt.Errorf("scenario: message %d degraded fold: %w", id, err)
 			}
 			sumDeg.Add(hd)
 		}
-		er := EpochResult{Index: e, N: p.n, C: p.c, Messages: p.epoch.Messages}
-		if pSum.N() > 0 {
-			er.H = pSum.Mean()
+		if epochs != nil {
+			epochs[e] = EpochResult{Index: e, N: p.n, C: p.c, Messages: p.epoch.Messages}
+			if pSum.N() > 0 {
+				epochs[e].H = pSum.Mean()
+			}
 		}
-		epochs = append(epochs, er)
 	}
 	res := Result{
 		Estimated:    true,
 		Trials:       sum.N(),
+		MaxH:         entropy.Max(cfg.N),
 		Deanonymized: deanonymized,
 		Epochs:       epochs,
+	}
+	if len(cfg.phases) > 0 {
+		res.MaxH = timelineMaxH(cfg.phases)
 	}
 	if sum.N() > 0 {
 		res.H = sum.Mean()
@@ -573,9 +509,10 @@ func analyzeSingleShotTimeline(phases []members, analysts []*adversary.Analyst,
 		res.CI95 = sum.CI95()
 		res.CompromisedSenderShare = float64(compSenders) / float64(sum.N())
 	}
-	if fa != nil {
+	res.Normalized = res.H / res.MaxH
+	if cfg.Faults != nil {
 		res.DeliveryRate = float64(sum.N()) / float64(injected)
-		res.MeanAttempts = fa.meanAttempts(injected)
+		res.MeanAttempts = attemptsPerMessage(cfg, nw.Metrics().Retries, injected+reroutes, injected)
 		if sumDeg.N() > 0 {
 			res.HDegraded = sumDeg.Mean()
 		}

@@ -2,32 +2,31 @@ package scenario
 
 // Fault-injected testbed execution. The kernel does the dropping,
 // retransmitting, and crash handling (simnet with a faults.Plan wired into
-// its config); this file owns the driver and the analysis on top:
+// its config); runRouted drives every faulted run, static or across a
+// Messages timeline, and this file owns the fault-specific parts on top:
 //
-//   - PolicyReroute's wave loop: settle, drain the kernel's failure
-//     handoffs (TakeFailed), re-inject each failed message from its
-//     original sender over a freshly drawn path, and repeat until
-//     everything delivered or the attempt budget is spent.
-//   - The two-faced measurement: H over delivered messages (the quantity
-//     the exact backend computes via the effective-delivery length
-//     distribution) next to the retry-degraded HDegraded, which folds the
-//     evidence every retransmission and failed attempt leaked to
-//     compromised observers — partial traces analyzed under the
+//   - PolicyReroute's wave loop (rerouteWaves), which runs inside each
+//     phase after it settles: drain the kernel's failure handoffs,
+//     re-inject each failed message from its original sender over a freshly
+//     drawn path, and repeat until everything delivered or the attempt
+//     budget is spent. A reroute phase's window is MaxAttempts windows wide
+//     (phaseWindows), so the waves cannot cross into the next phase.
+//   - The two-faced measurement's evidence rules: H covers the delivered
+//     messages (the quantity the exact backend computes via the
+//     effective-delivery length distribution), while the retry-degraded
+//     HDegraded folds the evidence every retransmission and failed attempt
+//     leaked to compromised observers — partial traces analysed under the
 //     uncompromised-receiver model, since a failed attempt never produced
 //     a receiver report.
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"time"
 
 	"anonmix/internal/adversary"
-	"anonmix/internal/entropy"
 	"anonmix/internal/events"
 	"anonmix/internal/faults"
-	"anonmix/internal/pathsel"
 	"anonmix/internal/simnet"
 	"anonmix/internal/stats"
 	"anonmix/internal/trace"
@@ -162,268 +161,63 @@ func foldDegraded(acc *adversary.Accumulator, analystU *adversary.Analyst,
 	return h, err
 }
 
-// runRoutedFaulty executes a fault-injected single-shot scenario on the
-// routed substrates (plain, onion, mix).
-func runRoutedFaulty(cfg Config) (Result, error) {
-	engine, err := Engine(cfg.N, len(cfg.Adversary.Compromised), engineOptions(cfg)...)
-	if err != nil {
-		return Result{}, err
-	}
-	analyst, err := adversary.NewAnalyst(engine, cfg.Strategy.Length, cfg.Adversary.Compromised)
-	if err != nil {
-		return Result{}, err
-	}
-	analystU, err := honestReceiverAnalyst(&cfg, cfg.N, cfg.Adversary.Compromised)
-	if err != nil {
-		return Result{}, err
-	}
-	sel, err := pathsel.NewSelector(cfg.N, cfg.Strategy)
-	if err != nil {
-		return Result{}, err
-	}
-
-	baseGoroutines := runtime.NumGoroutine()
-	nw, inject, err := startRouted(&cfg, simnet.Config{N: cfg.N, Compromised: cfg.Adversary.Compromised})
-	if err != nil {
-		return Result{}, err
-	}
-	defer nw.Close()
-
-	sessions := cfg.Workload.Messages
-	start := time.Now() //anonlint:allow detrand(wall-clock metrics only, never flows into Result)
-	// One counter-based stream per session, so a reroute wave's redraws
-	// come from the failed session's own stream — deterministic regardless
-	// of which sessions fail or in what order the waves return them. The
-	// sampler's path buffer is reused (see startRouted).
-	sp, err := sel.NewSampler()
-	if err != nil {
-		return Result{}, err
-	}
-	var (
-		senders  = make([]trace.NodeID, sessions)
-		strs     = make([]stats.Stream, sessions)
-		lastID   = make([]trace.MessageID, sessions)
-		attempts = make([]int, sessions)
-		failed   = make([][]trace.MessageID, sessions)
-		originOf = make(map[trace.MessageID]int, sessions)
-	)
-	for s := 0; s < sessions; s++ {
-		if s%batchSize == 0 {
-			if err := cfg.checkCanceled(); err != nil {
-				return Result{}, err
+// rerouteWaves runs PolicyReroute's waves over a settled phase of a
+// single-shot run: it drains the kernel's failure handoffs (TakeFailed),
+// re-injects each failed message from its original sender over a path
+// drawn from the message's own stream, settles, and repeats until no
+// message is re-injected. A message whose attempts have spent the budget
+// stays undelivered. TakeFailed returns message-sorted batches, so the
+// waves' path draws — and with them the whole run — are deterministic
+// under any shard interleaving. originOf maps every attempt of the
+// phase's messages to the message's index in rp, and the waves extend it.
+// It returns the number of re-injections.
+func rerouteWaves(cfg *Config, nw *simnet.Network, rp *routedPhase, originOf map[trace.MessageID]int,
+	inject func(rng *stats.Stream, sender trace.NodeID) (trace.MessageID, error)) (int, error) {
+	total := 0
+	for {
+		// One checkpoint per rerouting wave.
+		if err := cfg.checkCanceled(); err != nil {
+			return 0, err
+		}
+		wave := 0
+		for _, f := range nw.TakeFailed() {
+			i, ok := originOf[f.Msg]
+			if !ok {
+				return 0, fmt.Errorf("scenario: kernel handed back unknown message %d", f.Msg)
 			}
-		}
-		strs[s] = stats.NewStream(cfg.Workload.Seed, int64(s))
-		sender := cfg.Workload.Sender
-		if !cfg.Workload.FixedSender {
-			sender = trace.NodeID(strs[s].Intn(cfg.N))
-		}
-		path, err := sp.SelectPath(&strs[s], sender)
-		if err != nil {
-			return Result{}, err
-		}
-		id, err := inject(sender, path)
-		if err != nil {
-			return Result{}, err
-		}
-		senders[s], lastID[s], attempts[s] = sender, id, 1
-		originOf[id] = s
-	}
-	goroutines := max(runtime.NumGoroutine()-baseGoroutines, 0)
-	if err := nw.Settle(settleTimeout); err != nil {
-		return Result{}, err
-	}
-
-	if cfg.Reliability.Policy == faults.PolicyReroute {
-		// Rerouting waves: each failed message retries end to end from its
-		// original sender over a fresh path drawn from the live selector.
-		// TakeFailed returns message-sorted batches, so the wave's path
-		// draws — and with them the whole run — are deterministic under any
-		// shard interleaving.
-		for {
-			// One checkpoint per rerouting wave.
-			if err := cfg.checkCanceled(); err != nil {
-				return Result{}, err
+			rp.failed[i] = append(rp.failed[i], f.Msg)
+			if len(rp.failed[i]) >= cfg.Reliability.MaxAttempts {
+				continue // budget spent: the message stays undelivered
 			}
-			reinjected := false
-			for _, f := range nw.TakeFailed() {
-				s, ok := originOf[f.Msg]
-				if !ok {
-					return Result{}, fmt.Errorf("scenario: kernel handed back unknown message %d", f.Msg)
-				}
-				failed[s] = append(failed[s], f.Msg)
-				if attempts[s] >= cfg.Reliability.MaxAttempts {
-					continue // budget spent: the message stays undelivered
-				}
-				path, err := sp.SelectPath(&strs[s], senders[s])
-				if err != nil {
-					return Result{}, err
-				}
-				id, err := inject(senders[s], path)
-				if err != nil {
-					return Result{}, err
-				}
-				attempts[s]++
-				lastID[s] = id
-				originOf[id] = s
-				reinjected = true
+			id, err := inject(&rp.strs[i], rp.senders[i])
+			if err != nil {
+				return 0, err
 			}
-			if !reinjected {
-				break
-			}
-			if err := nw.Settle(settleTimeout); err != nil {
-				return Result{}, err
-			}
+			rp.ids[i] = id
+			originOf[id] = i
+			wave++
+		}
+		if wave == 0 {
+			return total, nil
+		}
+		total += wave
+		if err := nw.Settle(settleTimeout); err != nil {
+			return 0, err
 		}
 	}
-	elapsed := time.Since(start)
-	if err := checkUnexpectedDrops(nw); err != nil {
-		return Result{}, err
-	}
-
-	deliveredSet := make(map[trace.MessageID]bool)
-	for _, d := range nw.Deliveries() {
-		deliveredSet[d.Msg] = true
-	}
-	traces := trace.Collate(nw.Tuples())
-	retryByMsg := sortedRetryObservations(nw)
-
-	acc, err := adversary.NewAccumulator(analyst)
-	if err != nil {
-		return Result{}, err
-	}
-	var (
-		sum, sumDeg stats.Summary
-		comp        int
-		deanon      int
-		sc          adversary.Scratch
-		partials    []*trace.MessageTrace
-	)
-	for s := 0; s < sessions; s++ {
-		id := lastID[s]
-		if !deliveredSet[id] {
-			continue // undelivered: no receiver-side event, excluded from H
-		}
-		sender := senders[s]
-		if analyst.Compromised(sender) {
-			sum.Add(0)
-			sumDeg.Add(0)
-			comp++
-			deanon++
-			continue
-		}
-		mt := traces[id]
-		if mt == nil {
-			return Result{}, fmt.Errorf("scenario: message %d has no trace", id)
-		}
-		h, err := analyst.EntropyScratch(mt, &sc)
-		if err != nil {
-			return Result{}, fmt.Errorf("scenario: message %d: %w", id, err)
-		}
-		if h < 1e-9 {
-			deanon++
-		}
-		sum.Add(h)
-		partials = partials[:0]
-		for _, fid := range failed[s] {
-			pmt := traces[fid]
-			if pmt == nil {
-				// The attempt was lost on the first link: no compromised
-				// node processed it, and the adversary holds an empty trace.
-				pmt = &trace.MessageTrace{Msg: fid}
-			}
-			partials = append(partials, pmt)
-		}
-		for _, rt := range retryByMsg[id] {
-			partials = append(partials, truncateAtObserver(mt, rt.Observer))
-		}
-		if len(partials) == 0 {
-			sumDeg.Add(h)
-			continue
-		}
-		hd, err := foldDegraded(acc, analystU, mt, partials, &sc)
-		if err != nil {
-			return Result{}, fmt.Errorf("scenario: message %d degraded fold: %w", id, err)
-		}
-		sumDeg.Add(hd)
-	}
-
-	res := Result{
-		Estimated:    true,
-		Trials:       sum.N(),
-		Deanonymized: deanon,
-		MaxH:         entropy.Max(cfg.N),
-		DeliveryRate: float64(sum.N()) / float64(sessions),
-		MeanAttempts: meanAttempts(cfg, nw, attempts, sessions),
-		Kernel:       kernelStats(nw, goroutines, elapsed),
-	}
-	if sum.N() > 0 {
-		res.H = sum.Mean()
-		res.StdErr = sum.StdErr()
-		res.CI95 = sum.CI95()
-		res.HDegraded = sumDeg.Mean()
-		res.CompromisedSenderShare = float64(comp) / float64(sum.N())
-	}
-	res.Normalized = entropy.Normalized(res.H, cfg.N)
-	return res, nil
 }
 
-// faultAnalysis carries the kernel-side fault evidence a timeline
-// analysis needs: which messages delivered, which retransmissions leaked
-// to compromised observers, and the per-phase uncompromised-receiver
-// analysts the degraded folds run through. Timeline faults are restricted
-// to PolicyNone and PolicyRetransmit (normalizeFaults rejects reroute +
-// timeline: a rerouting wave could straddle a phase boundary).
-type faultAnalysis struct {
-	delivered map[trace.MessageID]bool
-	retries   map[trace.MessageID][]trace.Tuple
-	analystsU []*adversary.Analyst
-	retryN    uint64
-}
-
-// meanAttempts converts the kernel's retransmission count into the
-// per-message attempt statistic (1 under PolicyNone, where retryN is 0).
-func (fa *faultAnalysis) meanAttempts(injected int) float64 {
-	if injected == 0 {
-		return 1
-	}
-	return 1 + float64(fa.retryN)/float64(injected)
-}
-
-// newTimelineFaultAnalysis snapshots a settled network's fault evidence
-// and builds the per-phase uncompromised-receiver analysts.
-func newTimelineFaultAnalysis(cfg Config, phases []members, nw *simnet.Network) (*faultAnalysis, error) {
-	fa := &faultAnalysis{
-		delivered: make(map[trace.MessageID]bool),
-		retries:   sortedRetryObservations(nw),
-		analystsU: make([]*adversary.Analyst, len(phases)),
-		retryN:    nw.Metrics().Retries,
-	}
-	for _, d := range nw.Deliveries() {
-		fa.delivered[d.Msg] = true
-	}
-	for i := range phases {
-		var err error
-		if fa.analystsU[i], err = honestReceiverAnalyst(&cfg, phases[i].n, phases[i].denseComp); err != nil {
-			return nil, err
-		}
-	}
-	return fa, nil
-}
-
-// meanAttempts derives the per-message attempt statistic of a faulted
-// run: retransmit counts extra link transmissions, reroute counts
-// end-to-end path attempts, PolicyNone always takes exactly one.
-func meanAttempts(cfg Config, nw *simnet.Network, attempts []int, injected int) float64 {
+// attemptsPerMessage is the per-message attempt statistic of a faulted
+// run of injected messages: retransmit counts the kernel's extra link
+// transmissions (retries), reroute the end-to-end path attempts
+// (attempts, first ones included), and PolicyNone always takes exactly
+// one.
+func attemptsPerMessage(cfg *Config, retries uint64, attempts, injected int) float64 {
 	switch cfg.Reliability.Policy {
 	case faults.PolicyRetransmit:
-		return 1 + float64(nw.Metrics().Retries)/float64(injected)
+		return 1 + float64(retries)/float64(injected)
 	case faults.PolicyReroute:
-		var total int
-		for _, a := range attempts {
-			total += a
-		}
-		return float64(total) / float64(injected)
+		return float64(attempts) / float64(injected)
 	default:
 		return 1
 	}

@@ -32,7 +32,8 @@ package scenario
 // identities matter, at most once per run: normalize keeps the view its
 // fixed-sender and sender-pool checks build, with the pool, and the
 // sampling drivers build it otherwise. A static config's view is one
-// identity phase, O(C).
+// identity phase over the configuration's own compromised list, O(1)
+// when that list is sorted.
 
 import (
 	"fmt"
@@ -82,6 +83,14 @@ func (m *members) dense(g trace.NodeID) (int, bool) {
 		return int(g), g >= 0 && int(g) < m.n
 	}
 	return slices.BinarySearch(m.live, g)
+}
+
+// global returns the union identity of dense node d.
+func (m *members) global(d int) trace.NodeID {
+	if m.live == nil {
+		return trace.NodeID(d)
+	}
+	return m.live[d]
 }
 
 // compromised reports whether union identity g is a compromised member of
@@ -215,20 +224,21 @@ func schedulePhases(n, c int, timeline []Epoch) ([]phase, error) {
 // Adversary.Compromised compromised: the view normalize kept, or else a
 // fresh one. A fresh view replays the identity rules over per-identity
 // flags and snapshots each phase into slices presized from its counts. A
-// static config is one phase of Workload.Rounds rounds whose mapping is
-// the identity, viewed in O(C). The view may be shared: callers must not
-// modify it.
+// static config is its one phase (staticPhase) whose mapping is the
+// identity: its compromised list is the configuration's own when that is
+// sorted, as the first Count nodes always are, and one sorted copy
+// otherwise. The view may be shared: callers must not modify it.
 func (c *Config) members() []members {
 	if c.view != nil {
 		return c.view
 	}
 	if len(c.phases) == 0 {
-		comp := slices.Sorted(slices.Values(c.Adversary.Compromised))
-		return []members{{
-			phase:     phase{epoch: Epoch{Rounds: c.Workload.Rounds}, n: c.N, c: len(comp)},
-			comp:      comp,
-			denseComp: c.Adversary.Compromised,
-		}}
+		comp := c.Adversary.Compromised
+		if !slices.IsSorted(comp) {
+			comp = slices.Clone(comp)
+			slices.Sort(comp)
+		}
+		return []members{{phase: c.staticPhase(), comp: comp, denseComp: c.Adversary.Compromised}}
 	}
 	live := make([]bool, unionSize(c.N, c.Timeline))
 	comp := make([]bool, len(live))
@@ -296,6 +306,17 @@ func (c *Config) members() []members {
 		out[i] = m
 	}
 	return out
+}
+
+// staticPhase is a static config's one phase: the one-epoch timeline
+// carrying the same traffic, Workload.Rounds rounds for a degradation run
+// and Workload.Messages messages otherwise.
+func (c *Config) staticPhase() phase {
+	e := Epoch{Messages: c.Workload.Messages}
+	if c.sessions() {
+		e = Epoch{Rounds: c.Workload.Rounds}
+	}
+	return phase{epoch: e, n: c.N, c: len(c.Adversary.Compromised)}
 }
 
 // missing yields, in order, the members of the ascending list a absent
@@ -638,24 +659,6 @@ func ParseTimeline(s string) ([]Epoch, error) {
 	return out, nil
 }
 
-// drawPhasePath draws one rerouting path for a session round: the sampler
-// works in the phase's dense space, and the result is mapped back to union
-// identities when the caller needs concrete network routes. The mapped
-// copy is freshly allocated — it crosses the kernel boundary and outlives
-// the sampler's reusable buffer.
-func drawPhasePath(p *members, sp *pathsel.Sampler, rng *stats.Stream, sender trace.NodeID) ([]trace.NodeID, error) {
-	ds, _ := p.dense(sender)
-	dense, err := sp.SelectPath(rng, trace.NodeID(ds))
-	if err != nil {
-		return nil, err
-	}
-	global := make([]trace.NodeID, len(dense))
-	for i, d := range dense {
-		global[i] = p.live[d]
-	}
-	return global, nil
-}
-
 // phasedMachinery builds the per-phase inference stack of a session or
 // timeline run — shared engine-cache engines, analysts over the dense
 // compromised sets, and dense-space selectors. Callers have refused the
@@ -801,14 +804,7 @@ func runPhasedRounds(cfg Config, workers int) (Result, error) {
 			return func(t *sessionTally, lo, hi int) error {
 				for s := lo; s < hi; s++ {
 					rng := stats.NewStream(cfg.Workload.Seed, int64(s))
-					sender := cfg.Workload.Sender
-					switch {
-					case cfg.Workload.FixedSender:
-					case cfg.pool == nil:
-						sender = trace.NodeID(rng.Intn(cfg.N))
-					default:
-						sender = cfg.pool[rng.Intn(len(cfg.pool))]
-					}
+					sender := cfg.sessionSender(&rng)
 					identifiedAt, err := ar.session(rng, sender, cfg.Workload.Confidence)
 					if err != nil {
 						return err
@@ -823,6 +819,20 @@ func runPhasedRounds(cfg Config, workers int) (Result, error) {
 		return Result{}, err
 	}
 	return total.result(cfg), nil
+}
+
+// sessionSender draws a session's sender from the session's stream: the
+// pinned sender, a uniform node of a static population, or a uniform
+// member of a Rounds timeline's sender pool.
+func (c *Config) sessionSender(rng *stats.Stream) trace.NodeID {
+	switch {
+	case c.Workload.FixedSender:
+		return c.Workload.Sender
+	case c.pool == nil:
+		return trace.NodeID(rng.Intn(c.N))
+	default:
+		return c.pool[rng.Intn(len(c.pool))]
+	}
 }
 
 // sessionTally accumulates the outcomes of a degradation run's sessions.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"anonmix/internal/faults"
 	"anonmix/internal/scenario"
 	"anonmix/internal/scenario/capability"
 	"anonmix/internal/trace"
@@ -497,6 +498,54 @@ func TestTimelineFixedSender(t *testing.T) {
 		}
 		if d := math.Abs(res.H - ex.H); d > 4*res.StdErr+1e-3 {
 			t.Errorf("%s fixed-sender H = %v ± %v, exact %v", backend, res.H, res.StdErr, ex.H)
+		}
+	}
+}
+
+// TestTimelineEngineMissesMatchAcrossBackends: the sampled backends build
+// engines only for the phases that carry traffic, so a Messages timeline
+// with a traffic-free epoch takes the same engine-cache misses, and as
+// many of them delta-derived, from an empty cache on Monte-Carlo and the
+// testbed — lossless, and under retransmission, whose degraded folds add
+// one honest-receiver engine per traffic phase on both.
+func TestTimelineEngineMissesMatchAcrossBackends(t *testing.T) {
+	cfg := scenario.Config{
+		N:            18,
+		StrategySpec: "uniform:1,5",
+		Adversary:    scenario.Adversary{Count: 3},
+		Timeline: []scenario.Epoch{
+			{Messages: 300},
+			{Join: 4},
+			{Messages: 250, Join: 2, Compromise: 2},
+			{Messages: 200, Leave: 3, Recover: 1},
+		},
+		Workload: scenario.Workload{Seed: 11, Workers: 2},
+	}
+	faulted := cfg
+	faulted.Faults = &faults.Plan{LinkLoss: 0.15}
+	faulted.Reliability = faults.Reliability{Policy: faults.PolicyRetransmit}
+	defer scenario.ResetEngines()
+	for _, tc := range []struct {
+		name string
+		cfg  scenario.Config
+	}{{"lossless", cfg}, {"retransmit", faulted}} {
+		name, cfg := tc.name, tc.cfg
+		misses := map[scenario.BackendKind]scenario.EngineCacheStats{}
+		for _, kind := range []scenario.BackendKind{scenario.BackendMonteCarlo, scenario.BackendTestbed} {
+			scenario.ResetEngines()
+			before := scenario.CacheStats()
+			cfg.Backend = kind
+			if _, err := scenario.Run(cfg); err != nil {
+				t.Fatalf("%s %s: %v", name, kind, err)
+			}
+			misses[kind] = scenario.CacheStats().Delta(before)
+		}
+		mc, tb := misses[scenario.BackendMonteCarlo], misses[scenario.BackendTestbed]
+		t.Logf("%s: mc %d misses (%d delta-derived), testbed %d (%d)",
+			name, mc.Misses, mc.DeltaDerived, tb.Misses, tb.DeltaDerived)
+		if mc.Misses != tb.Misses || mc.DeltaDerived != tb.DeltaDerived {
+			t.Errorf("%s: mc took %d misses (%d delta-derived), testbed %d (%d)",
+				name, mc.Misses, mc.DeltaDerived, tb.Misses, tb.DeltaDerived)
 		}
 	}
 }
