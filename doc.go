@@ -102,7 +102,9 @@
 //     1,000-message workload in a few megabytes of heap and a handful of
 //     milliseconds. Per-hop delays are a pure function of (seed,
 //     message, hop), keeping runs reproducible under any shard
-//     scheduling; an optional threshold-mix batching stage holds packets
+//     scheduling, and Packet.Hops lets a forwarder key its own draws the
+//     same way (the Crowds forwarder does); an optional threshold-mix
+//     batching stage holds packets
 //     per node and flushes full (or quiescent) batches in shuffled order
 //     with a shared release time. Dynamic
 //     populations are kernel-native: Config.Churn schedules per-node

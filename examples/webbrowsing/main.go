@@ -72,7 +72,7 @@ func main() {
 		if i%4 != 0 { // 3/4 of traffic is from other honest jondos
 			sender = trace.NodeID(collaborators + rng.Intn(jondos-collaborators))
 		}
-		id, err := nw.Inject(sender, fwd.FirstHop(sender), simnet.Packet{
+		id, err := nw.Inject(sender, fwd.FirstHop(i), simnet.Packet{
 			Payload: []byte("GET /index.html"),
 		})
 		if err != nil {

@@ -15,8 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
-	"sync"
 
 	"anonmix/internal/combin"
 	"anonmix/internal/entropy"
@@ -29,17 +27,22 @@ import (
 var ErrBadParam = errors.New("crowds: invalid parameter")
 
 // Forwarder implements the jondo forwarding rule on the simnet testbed.
-// It is safe for concurrent use by the testbed's node goroutines.
+// Every draw is a pure function of the seed and the hop it decides: a
+// message's first hop draws from the counter-based stream keyed by its
+// injection index, and each later hop from the one keyed by (message,
+// Packet.Hops) — so a run replays exactly under any shard scheduling, as
+// the kernel's jitter and loss draws do. It holds no mutable state and is
+// safe for concurrent use by the testbed's shards.
 type Forwarder struct {
 	n  int
 	pf float64
-
-	mu  sync.Mutex
-	rng *rand.Rand
+	// first and hop seed the two stream families: first hops by injection
+	// index, later hops by (message, hop).
+	first, hop int64
 }
 
 // NewForwarder returns a Crowds forwarder for n jondos with forwarding
-// probability pf ∈ [0, 1).
+// probability pf ∈ [0, 1), drawing under seed.
 func NewForwarder(n int, pf float64, seed int64) (*Forwarder, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("%w: n = %d", ErrBadParam, n)
@@ -47,28 +50,29 @@ func NewForwarder(n int, pf float64, seed int64) (*Forwarder, error) {
 	if pf < 0 || pf >= 1 || math.IsNaN(pf) {
 		return nil, fmt.Errorf("%w: pf = %v", ErrBadParam, pf)
 	}
-	return &Forwarder{n: n, pf: pf, rng: stats.NewRand(seed)}, nil
+	return &Forwarder{n: n, pf: pf, first: stats.ForkSeed(seed, 1), hop: stats.ForkSeed(seed, 2)}, nil
 }
 
 // Next implements simnet.Forwarder: with probability pf the packet goes to
 // a uniformly random jondo (possibly this one — Reiter–Rubin allow
 // self-selection), otherwise to the receiver.
-func (f *Forwarder) Next(_ trace.NodeID, _ *simnet.Packet) (trace.NodeID, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.rng.Float64() >= f.pf {
+func (f *Forwarder) Next(_ trace.NodeID, pkt *simnet.Packet) (trace.NodeID, error) {
+	rng := stats.NewStream(stats.ForkSeed(f.hop, int64(pkt.Msg)), int64(pkt.Hops()))
+	if rng.Float64() >= f.pf {
 		return trace.Receiver, nil
 	}
-	return trace.NodeID(f.rng.Intn(f.n)), nil
+	return trace.NodeID(rng.Intn(f.n)), nil
 }
 
 // FirstHop draws the initiator's mandatory first forwarding choice (the
-// initiator always forwards at least once; the coin applies afterwards).
-// Like every hop, the choice is uniform over all jondos.
-func (f *Forwarder) FirstHop(_ trace.NodeID) trace.NodeID {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return trace.NodeID(f.rng.Intn(f.n))
+// initiator always forwards at least once; the coin applies afterwards)
+// for the message injected as the injection-th of the run, counting from
+// 0. Like every hop, the choice is uniform over all jondos. The draw is
+// keyed by the injection index because the kernel assigns the message ID
+// only when the message is injected.
+func (f *Forwarder) FirstHop(injection int) trace.NodeID {
+	rng := stats.NewStream(f.first, int64(injection))
+	return trace.NodeID(rng.Intn(f.n))
 }
 
 // PredecessorProb returns the probability that the immediate predecessor

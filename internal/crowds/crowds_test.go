@@ -154,7 +154,7 @@ func TestCrowdsOverTestbed(t *testing.T) {
 	senders := make(map[trace.MessageID]trace.NodeID, trials)
 	for i := 0; i < trials; i++ {
 		sender := trace.NodeID(c + i%(n-c)) // honest initiators only
-		id, err := nw.Inject(sender, fwd.FirstHop(sender), simnet.Packet{})
+		id, err := nw.Inject(sender, fwd.FirstHop(i), simnet.Packet{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,9 +14,6 @@ package scenario_test
 //   - Kernel.BatchFlushes: repeated runs of one static mix config have
 //     read different threshold-mix flush counts while every other field
 //     repeated. The cause is unverified.
-//   - Crowds single-shot configs are not in the matrix: their live
-//     forwarder draws every coin from one shared stream in shard
-//     scheduling order, so the same seed gives different results.
 
 import (
 	"flag"
@@ -227,6 +224,14 @@ func goldenMatrix() []goldenCase {
 		cfg.Reliability = faults.Reliability{Policy: faults.PolicyReroute}
 		add(p+"timeline-faults-reroute", cfg)
 	}
+	// The jondo substrate, single-shot and in sessions.
+	cfg = base(scenario.BackendTestbed)
+	cfg.StrategySpec = "crowds:0.7"
+	cfg.Workload.Messages = 300
+	add("testbed-crowds/static", cfg)
+	cfg.Workload.Messages, cfg.Workload.Rounds, cfg.Workload.Confidence = 80, 4, 0.9
+	add("testbed-crowds/rounds", cfg)
+
 	cfg = base(scenario.BackendTestbed)
 	cfg.Workload.Messages = 300
 	cfg.Faults = &faults.Plan{LinkLoss: 0.05, Crashes: []faults.Crash{{Node: 9, At: 40, Recover: 200}}}

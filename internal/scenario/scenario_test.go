@@ -3,6 +3,7 @@ package scenario_test
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"anonmix/internal/core"
@@ -140,6 +141,41 @@ func TestCrowdsSubstrate(t *testing.T) {
 	emp := float64(cr.Hits) / float64(cr.Observed)
 	if math.Abs(emp-cr.PredecessorProb) > 0.05 {
 		t.Errorf("empirical predecessor rate %v, closed form %v", emp, cr.PredecessorProb)
+	}
+}
+
+// TestCrowdsTestbedRepeats: the jondo forwarder keys every draw on the
+// hop it decides, so one seed gives one run — the same kernel event
+// count and predecessor observations — whatever the shard scheduling.
+func TestCrowdsTestbedRepeats(t *testing.T) {
+	cfg := scenario.Config{
+		N:            16,
+		Backend:      scenario.BackendTestbed,
+		StrategySpec: "crowds:0.7",
+		Adversary:    scenario.Adversary{Count: 2},
+		Workload:     scenario.Workload{Messages: 2000, Seed: 3},
+	}
+	type triple struct {
+		events         uint64
+		observed, hits int
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want triple
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for i := 0; i < 20; i++ {
+			res, err := scenario.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := triple{res.Kernel.Events, res.Crowds.Observed, res.Crowds.Hits}
+			if want == (triple{}) {
+				want = got
+			}
+			if got != want {
+				t.Fatalf("GOMAXPROCS %d run %d: (events, observed, hits) = %v, first run %v", procs, i, got, want)
+			}
+		}
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"time"
 
@@ -583,31 +582,18 @@ func runCrowds(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("%w: crowds substrate: %w", ErrBadConfig, err)
 	}
+	// The forwarder draws every hop from a stream keyed by the hop, so the
+	// same seed replays the same routes under any shard scheduling.
+	fwd, err := crowds.NewForwarder(n, pf, cfg.Workload.Seed)
+	if err != nil {
+		return Result{}, err
+	}
 	nwCfg := simnet.Config{
 		N:           n,
 		Compromised: comp,
 		Seed:        cfg.Workload.Seed,
 		MaxHopDelay: cfg.Workload.MaxHopDelay,
-	}
-	// Degradation runs must be bit-reproducible for a fixed seed, but the
-	// live Crowds forwarder draws its coin flips from one shared RNG in
-	// event-processing order, which depends on shard scheduling. Multi-round
-	// runs therefore materialize each path at injection time — the same
-	// draws (first hop, then coin-flip continuations), made serially — and
-	// ship it as an explicit route; single-shot runs keep the live
-	// hop-by-hop forwarder, whose aggregate statistics don't depend on the
-	// draw interleaving.
-	var fwd *crowds.Forwarder
-	materialize := cfg.Workload.degradation()
-	var routeRng *rand.Rand
-	if materialize {
-		routeRng = stats.Fork(cfg.Workload.Seed, 1)
-	} else {
-		fwd, err = crowds.NewForwarder(n, pf, cfg.Workload.Seed)
-		if err != nil {
-			return Result{}, err
-		}
-		nwCfg.Forwarder = fwd
+		Forwarder:   fwd,
 	}
 	baseGoroutines := runtime.NumGoroutine()
 	nw, err := simnet.New(nwCfg)
@@ -644,17 +630,11 @@ func runCrowds(cfg Config) (Result, error) {
 		}
 		senders[s] = sender
 		for r := 0; r < rounds; r++ {
-			var id trace.MessageID
+			i := s*rounds + r
 			var err error
-			if materialize {
-				id, err = nw.SendRoute(sender, crowdsRoute(routeRng, n, pf), nil)
-			} else {
-				id, err = nw.Inject(sender, fwd.FirstHop(sender), simnet.Packet{})
-			}
-			if err != nil {
+			if ids[i], err = nw.Inject(sender, fwd.FirstHop(i), simnet.Packet{}); err != nil {
 				return Result{}, err
 			}
-			ids[s*rounds+r] = id
 		}
 	}
 	goroutines := max(runtime.NumGoroutine()-baseGoroutines, 0)
@@ -776,18 +756,6 @@ func runCrowds(cfg Config) (Result, error) {
 	}
 	res.Normalized = entropy.Normalized(res.H, n)
 	return res, nil
-}
-
-// crowdsRoute materializes one Crowds path as an explicit route: the
-// initiator's mandatory first uniform hop, then coin-flip continuations —
-// draw for draw the sequence crowds.Forwarder would make, but taken
-// serially at injection time so multi-round runs are bit-reproducible.
-func crowdsRoute(rng *rand.Rand, n int, pf float64) []trace.NodeID {
-	route := []trace.NodeID{trace.NodeID(rng.Intn(n))}
-	for rng.Float64() < pf {
-		route = append(route, trace.NodeID(rng.Intn(n)))
-	}
-	return route
 }
 
 // countPosterior returns the entropy (bits), argmax node, and argmax mass

@@ -87,6 +87,13 @@ type Packet struct {
 	tries int
 }
 
+// Hops returns the number of forwarding steps the packet has taken: 0 at
+// the first node after the sender, k at the (k+1)-th. With Msg it names
+// the hop, so a forwarder that draws at random can key its draws on
+// (message, hop) and stay reproducible under any shard scheduling, as the
+// kernel's per-hop jitter and loss draws are.
+func (p *Packet) Hops() uint64 { return p.hops }
+
 // Forwarder decides, at each node, where a packet goes next. Implementations
 // mutate the packet's routing state (slicing the route, peeling a layer)
 // and return the next hop, or trace.Receiver to deliver. The kernel may
