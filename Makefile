@@ -82,11 +82,12 @@ profile:
 		-o $(PROFILE_DIR)/bench.test
 	@echo "wrote $(PROFILE_DIR)/cpu.out $(PROFILE_DIR)/heap.out"
 
-# COVER_FLOOR is the scenario layer's coverage gate: the figure recorded
-# with the fault-injection layer. New scenario-layer code must arrive with
-# tests that keep the package at or above it (the differential harness,
-# the timeline suite, and the reliability suite currently hold it there).
-COVER_FLOOR = 91.4
+# COVER_FLOOR is the scenario layer's coverage gate: the whole percent
+# below the 93.8% recorded once the testbed's routed drivers became one.
+# New scenario-layer code must arrive with tests that keep the package at
+# or above it (the differential harness, the timeline suite, and the
+# reliability suite currently hold it there).
+COVER_FLOOR = 93
 
 # cover measures internal/scenario statement coverage and fails if it
 # drops below the recorded floor.

@@ -94,6 +94,16 @@ func TestRunContextCheckpointSweep(t *testing.T) {
 			Faults:       &faults.Plan{LinkLoss: 0.3},
 			Reliability:  faults.Reliability{Policy: faults.PolicyReroute},
 		}},
+		{"testbed-timeline-reroute", scenario.Config{
+			N:            16,
+			Backend:      scenario.BackendTestbed,
+			StrategySpec: "uniform:1,5",
+			Adversary:    scenario.Adversary{Count: 3},
+			Timeline:     []scenario.Epoch{{Messages: 100}, {Messages: 100, Join: 2}},
+			Workload:     scenario.Workload{Seed: 4},
+			Faults:       &faults.Plan{LinkLoss: 0.3},
+			Reliability:  faults.Reliability{Policy: faults.PolicyReroute},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
