@@ -109,14 +109,16 @@ FUZZTIME = 10s
 # the onion codec, the anonlint suppression parser, the spike/slab
 # accumulator against its dense reference fold, its phases against the
 # dense phased fold over random churn schedules, the path route's entropy
-# and folds against the trace route's, and the engine's shape-keyed class
-# statistics table against direct computation.
+# and folds against the trace route's, the engine's shape-keyed class
+# statistics table against direct computation, and the optimizer's
+# certificate on random small design problems.
 fuzz-smoke:
 	$(GO) test ./internal/analysis/allow -run '^$$' -fuzz '^FuzzParseAllow$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/adversary -run '^$$' -fuzz '^FuzzAccumulatorFold$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/adversary -run '^$$' -fuzz '^FuzzPhasedFold$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/adversary -run '^$$' -fuzz '^FuzzPathObservation$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/events -run '^$$' -fuzz '^FuzzStatsTable$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/optimize -run '^$$' -fuzz '^FuzzMaximizeCertificate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzParseTimeline$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzPhaseSchedule$$' -fuzztime $(FUZZTIME)

@@ -581,7 +581,7 @@ func BenchmarkOptimizer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := optimize.Maximize(optimize.Problem{
 			Engine: e, Lo: 0, Hi: 99, Mean: 10,
-		}, optimize.WithMaxIterations(150)); err != nil {
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -928,10 +928,10 @@ func BenchmarkTimelineExactDelta(b *testing.B) {
 }
 
 // BenchmarkMaximizeTimeline measures the epoch-aware solver on a
-// mean-constrained 9-epoch drift: full restarts on the first epoch, warm
-// starts after, then the joint blended solve. Reports the blended
-// anonymity of both policies and the total ascent iterations, the
-// quantity warm-starting exists to shrink.
+// mean-constrained 9-epoch drift: a cold first epoch, warm starts after,
+// then the joint blended solve. Reports the blended anonymity of both
+// policies, the total per-epoch iterations and the largest certified gap
+// of the ten solves.
 func BenchmarkMaximizeTimeline(b *testing.B) {
 	base, err := events.New(60, 2)
 	if err != nil {
@@ -954,15 +954,18 @@ func BenchmarkMaximizeTimeline(b *testing.B) {
 	}
 	var res optimize.TimelineResult
 	for i := 0; i < b.N; i++ {
-		if res, err = optimize.MaximizeTimeline(p, optimize.WithMaxIterations(150)); err != nil {
+		if res, err = optimize.MaximizeTimeline(p); err != nil {
 			b.Fatal(err)
 		}
 	}
 	var iters int
+	gap := res.Joint.Gap
 	for _, r := range res.PerEpoch {
 		iters += r.Iterations
+		gap = max(gap, r.Gap)
 	}
 	b.ReportMetric(float64(iters), "perepoch_iters")
+	b.ReportMetric(gap, "gap_bits")
 	b.ReportMetric(res.PerEpochH, "perepoch_H_bits")
 	b.ReportMetric(res.Joint.H, "joint_H_bits")
 }
@@ -1018,8 +1021,9 @@ func BenchmarkReliabilitySweep(b *testing.B) {
 // compromises) over N = 1,000,000 nodes with 5% link loss, a mid-run
 // crash outage, and the retransmit policy — the sharded kernel, the loss
 // process, the retry-observation analysis, and the union-space churn
-// accounting all in one run. Reports kernel throughput and the measured
-// delivery rate.
+// accounting all in one run. Reports kernel throughput (the last
+// iteration's wall-clock rate) and the delivery rate and attempts per
+// message of the seed-1 run, which do not depend on b.N.
 func BenchmarkLossyChurnMillion(b *testing.B) {
 	timeline, err := scenario.ParseTimeline("msgs=500;msgs=500,join=1000,comp=100")
 	if err != nil {
@@ -1044,8 +1048,9 @@ func BenchmarkLossyChurnMillion(b *testing.B) {
 			b.Fatal(err)
 		}
 		perSec = res.Kernel.EventsPerSec
-		delivery = res.DeliveryRate
-		attempts = res.MeanAttempts
+		if i == 0 {
+			delivery, attempts = res.DeliveryRate, res.MeanAttempts
+		}
 	}
 	b.ReportMetric(perSec, "events/s")
 	b.ReportMetric(delivery, "delivery_rate")

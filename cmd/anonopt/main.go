@@ -117,7 +117,8 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "\nAchieved H*(S)      = %.6f bits (%.2f%% of maximum)\n",
 		res.H, 100*entropy.Normalized(res.H, *n))
 	fmt.Fprintf(w, "Mean path length    = %.4f\n", res.Dist.Mean())
-	fmt.Fprintf(w, "Solver iterations   = %d (converged: %v)\n", res.Iterations, res.Converged)
+	fmt.Fprintf(w, "Solver iterations   = %d (converged: %v, certified gap %.1e bits)\n",
+		res.Iterations, res.Converged, res.Gap)
 
 	// Baselines at the same mean, when constrained.
 	if *mean >= 0 && *mean == float64(int(*mean)) {
@@ -199,11 +200,11 @@ func runTimeline(w io.Writer, n, c, hi int, mean float64, epochs string) error {
 		fmt.Fprintf(w, "Constraint: none (globally optimal per epoch)\n")
 	}
 	fmt.Fprintf(w, "\nPer-epoch re-optimization:\n")
-	fmt.Fprintf(w, "  %-5s %5s %5s %8s %12s %6s %10s\n", "epoch", "N", "C", "weight", "H* (bits)", "iters", "mean len")
+	fmt.Fprintf(w, "  %-5s %5s %5s %8s %12s %6s %9s %10s\n", "epoch", "N", "C", "weight", "H* (bits)", "iters", "gap", "mean len")
 	for i, st := range states {
 		r := res.PerEpoch[i]
-		fmt.Fprintf(w, "  %-5d %5d %5d %8.4f %12.6f %6d %10.4f\n",
-			st.Index, st.N, st.C, st.Weight, r.H, r.Iterations, r.Dist.Mean())
+		fmt.Fprintf(w, "  %-5d %5d %5d %8.4f %12.6f %6d %9.1e %10.4f\n",
+			st.Index, st.N, st.C, st.Weight, r.H, r.Iterations, r.Gap, r.Dist.Mean())
 	}
 
 	fmt.Fprintf(w, "\nJoint distribution (one strategy for the whole timeline; atoms with mass > 1e-6):\n")
@@ -222,8 +223,8 @@ func runTimeline(w io.Writer, n, c, hi int, mean float64, epochs string) error {
 	}
 	fmt.Fprintf(w, "\nBlended H (traffic-weighted across epochs):\n")
 	fmt.Fprintf(w, "  static (epoch-0 optimum)  = %.6f bits\n", staticH)
-	fmt.Fprintf(w, "  joint optimum             = %.6f bits  (Δ vs static = %+.6f)\n",
-		res.Joint.H, res.Joint.H-staticH)
+	fmt.Fprintf(w, "  joint optimum             = %.6f bits  (Δ vs static = %+.6f; %d iterations, gap %.1e)\n",
+		res.Joint.H, res.Joint.H-staticH, res.Joint.Iterations, res.Joint.Gap)
 	fmt.Fprintf(w, "  per-epoch re-optimization = %.6f bits  (Δ vs static = %+.6f)\n",
 		res.PerEpochH, res.PerEpochH-staticH)
 

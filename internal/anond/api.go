@@ -207,9 +207,9 @@ type OptimizeRequest struct {
 	Hi int `json:"hi,omitempty"`
 	// Epochs is the CLIs' timeline syntax; setting it switches to the
 	// epoch-aware solver.
-	Epochs        string `json:"epochs,omitempty"`
-	MaxIterations int    `json:"max_iterations,omitempty"`
-	Restarts      int    `json:"restarts,omitempty"`
+	Epochs string `json:"epochs,omitempty"`
+	// MaxIterations caps the solver's steps (its default when 0).
+	MaxIterations int `json:"max_iterations,omitempty"`
 }
 
 // Atom is one support point of an optimized distribution.
@@ -225,6 +225,7 @@ type EpochOptimum struct {
 	C          int     `json:"c"`
 	Weight     float64 `json:"weight"`
 	H          float64 `json:"h"`
+	GapBits    float64 `json:"gap_bits"`
 	Iterations int     `json:"iterations"`
 	MeanLength float64 `json:"mean_length"`
 }
@@ -237,6 +238,8 @@ type OptimizeResponse struct {
 	H          float64 `json:"h"`
 	Normalized float64 `json:"normalized"`
 	MeanLength float64 `json:"mean_length"`
+	// GapBits is the solver's certified bound on the optimum minus H.
+	GapBits    float64 `json:"gap_bits"`
 	Iterations int     `json:"iterations"`
 	Converged  bool    `json:"converged"`
 	Dist       []Atom  `json:"dist"`
@@ -272,9 +275,6 @@ func (req *OptimizeRequest) solve() (*OptimizeResponse, error) {
 	if req.MaxIterations > 0 {
 		opts = append(opts, optimize.WithMaxIterations(req.MaxIterations))
 	}
-	if req.Restarts > 0 {
-		opts = append(opts, optimize.WithRestarts(req.Restarts))
-	}
 	if req.Epochs != "" {
 		return req.solveTimeline(mean, opts)
 	}
@@ -296,6 +296,7 @@ func (req *OptimizeRequest) solve() (*OptimizeResponse, error) {
 		H:          res.H,
 		Normalized: entropy.Normalized(res.H, req.N),
 		MeanLength: res.Dist.Mean(),
+		GapBits:    res.Gap,
 		Iterations: res.Iterations,
 		Converged:  res.Converged,
 		Dist:       atoms(res),
@@ -342,6 +343,7 @@ func (req *OptimizeRequest) solveTimeline(mean float64, opts []optimize.Option) 
 		H:          res.Joint.H,
 		Normalized: res.Joint.H / math.Log2(float64(req.N)),
 		MeanLength: res.Joint.Dist.Mean(),
+		GapBits:    res.Joint.Gap,
 		Iterations: res.Joint.Iterations,
 		Converged:  res.Joint.Converged,
 		Dist:       atoms(res.Joint),
@@ -352,7 +354,7 @@ func (req *OptimizeRequest) solveTimeline(mean float64, opts []optimize.Option) 
 		r := res.PerEpoch[i]
 		out.PerEpoch = append(out.PerEpoch, EpochOptimum{
 			Index: st.Index, N: st.N, C: st.C, Weight: st.Weight,
-			H: r.H, Iterations: r.Iterations, MeanLength: r.Dist.Mean(),
+			H: r.H, GapBits: r.Gap, Iterations: r.Iterations, MeanLength: r.Dist.Mean(),
 		})
 	}
 	return out, nil

@@ -188,6 +188,9 @@ func TestOptimizeEndpoint(t *testing.T) {
 	if got.H <= 0 || got.Normalized <= 0 || got.Normalized > 1 {
 		t.Errorf("implausible solution: H=%v normalized=%v", got.H, got.Normalized)
 	}
+	if !got.Converged || got.GapBits < 0 || got.GapBits > 1e-9 {
+		t.Errorf("converged %v with gap_bits %v, want a certified gap ≤ 1e-9", got.Converged, got.GapBits)
+	}
 
 	// Infeasible and malformed problems are configuration errors.
 	for name, body := range map[string]string{
@@ -214,6 +217,40 @@ func TestOptimizeEndpoint(t *testing.T) {
 	}
 	if tl.StaticH > tl.PerEpochH+1e-9 {
 		t.Errorf("static blend %v above per-epoch %v", tl.StaticH, tl.PerEpochH)
+	}
+	for _, ep := range tl.PerEpoch {
+		if ep.GapBits < 0 || ep.GapBits > 1e-9 {
+			t.Errorf("epoch %d: gap_bits %v, want a certified gap ≤ 1e-9", ep.Index, ep.GapBits)
+		}
+	}
+}
+
+// TestOptimizeCertificateWire: every optimize answer carries gap_bits, at
+// the top level and per epoch, and the retired "restarts" knob is refused
+// as an unknown field (400, bad_config) rather than silently ignored.
+func TestOptimizeCertificateWire(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, body := range []string{
+		`{"n":30,"c":2,"mean":5}`,
+		`{"n":24,"c":2,"epochs":"msgs=1000;msgs=1000,comp=2","hi":8}`,
+	} {
+		var raw map[string]json.RawMessage
+		if status := post(t, ts.URL+"/v1/optimize", body, &raw); status != http.StatusOK {
+			t.Fatalf("%s: status %d, want 200", body, status)
+		}
+		if _, ok := raw["gap_bits"]; !ok {
+			t.Errorf("%s: no gap_bits in %v", body, raw)
+		}
+		if epochs, ok := raw["per_epoch"]; ok && !strings.Contains(string(epochs), `"gap_bits"`) {
+			t.Errorf("%s: per_epoch entries lack gap_bits: %s", body, epochs)
+		}
+	}
+	var errBody ErrorBody
+	if status := post(t, ts.URL+"/v1/optimize", `{"n":30,"c":2,"mean":5,"restarts":4}`, &errBody); status != http.StatusBadRequest {
+		t.Errorf("restarts: status %d, want 400", status)
+	}
+	if errBody.Class != "bad_config" || !strings.Contains(errBody.Error, "restarts") {
+		t.Errorf("restarts: error %+v, want a bad_config naming the field", errBody)
 	}
 }
 

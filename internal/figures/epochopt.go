@@ -17,7 +17,7 @@ package figures
 // distribution, so the three curves share one scale. The gaps are the
 // figure: static decays as the population drifts away from its design
 // point (fastest under creep), joint sits between, and per-epoch is the
-// upper envelope. The epoch engines come from the scenario cache, so
+// upper envelope, to within each epoch's certified gap of 1e-9 bits. The epoch engines come from the scenario cache, so
 // consecutive epochs are delta-derived family members.
 
 import (
@@ -63,7 +63,7 @@ func epochOptTimelines(n, c int) []struct {
 // H* of the static, per-epoch-optimal, and joint-optimal length
 // distributions (support [0, hi], free mean) under the grow, shrink, and
 // creep dynamics over a base (n, c) system. The output is deterministic at
-// any pool width (the solver folds restarts in start order).
+// any pool width (every solve is serial).
 func EpochOptimizerSweep(n, c, hi int) (Figure, error) {
 	if hi < 1 {
 		return Figure{}, fmt.Errorf("figures: epoch-optimizer support max %d < 1", hi)
@@ -81,7 +81,7 @@ func EpochOptimizerSweep(n, c, hi int) (Figure, error) {
 	}
 	static, err := optimize.Maximize(optimize.Problem{
 		Engine: base, Lo: 0, Hi: hi, Mean: optimize.UnconstrainedMean(),
-	}, optimize.WithMaxIterations(300))
+	})
 	if err != nil {
 		return Figure{}, fmt.Errorf("figures: epoch-optimizer static solve: %w", err)
 	}
@@ -98,7 +98,7 @@ func EpochOptimizerSweep(n, c, hi int) (Figure, error) {
 			}
 			tp.Epochs = append(tp.Epochs, optimize.EpochProblem{Engine: e, Weight: st.Weight})
 		}
-		res, err := optimize.MaximizeTimeline(tp, optimize.WithMaxIterations(300))
+		res, err := optimize.MaximizeTimeline(tp)
 		if err != nil {
 			return Figure{}, fmt.Errorf("figures: epoch-optimizer %s: %w", dyn.name, err)
 		}

@@ -171,6 +171,19 @@ func TestFig6Dominance(t *testing.T) {
 			t.Errorf("best uniform below U(2,2L-2) at index %d", i)
 		}
 	}
+	// The optimum is certified to 1e-9 bits, so it is at least the best
+	// uniform at every L, and as the optimal value of a concave program
+	// it is concave in the right-hand side L of its mean constraint.
+	for i := range opt {
+		if opt[i] < series["BestUniform(L)"][i]-1e-9 {
+			t.Errorf("index %d: optimization %v below best uniform %v", i, opt[i], series["BestUniform(L)"][i])
+		}
+		if i >= 2 {
+			if d2 := opt[i] - 2*opt[i-1] + opt[i-2]; d2 > 4e-9 {
+				t.Errorf("L=%v: second difference %v > 0, optimization not concave in L", fig.Series[0].X[i-1], d2)
+			}
+		}
+	}
 	if _, err := figures.Fig6(1); err == nil {
 		t.Error("Fig6(1) accepted")
 	}

@@ -4,22 +4,35 @@
 // the simplex constraints of Formulas (16)–(17) and, optionally, a target
 // expected path length (the per-mean optimization of §6.4 / Figure 6).
 //
-// Three solvers are provided:
+// The objective is concave. The engine writes H*(p) as
+// (N−C)/N · Σ_σ n_σ·P_σ(p)·f(P0_σ(p)/P_σ(p)): P_σ and P0_σ are linear in
+// p, and the class entropy f is concave (linear under full-position
+// inference, constant for uniform-over-all classes), so each perspective
+// term P·f(P0/P) is jointly concave and so is their positive sum, with or
+// without the mean constraint. Every local maximum is global, and at a
+// feasible p with gradient g the Frank–Wolfe gap max_s ⟨g, s⟩ − ⟨g, p⟩
+// over the vertices s of the feasible set bounds the shortfall from the
+// optimum. The vertices are point masses, or with a mean constraint
+// distributions of at most two atoms, so max_s ⟨g, s⟩ is max_l g_l or the
+// upper concave envelope of the points (l, g_l) at the mean.
 //
-//   - Maximize: projected gradient ascent over the full simplex (with an
-//     optional mean-equality constraint), multi-restart, the general solver
-//     for Formula (15).
+//   - Maximize: the general solver for Formula (15), an active-set method
+//     that stops once the gap is at most 1e-9 bits and reports it as
+//     Result.Gap. Each iteration takes a Newton step on the face of the
+//     current support or, once that face is solved, a Frank–Wolfe step that
+//     brings atoms in; an exact line search and a ratio test that drops
+//     atoms at zero end every step, so no step ever projects.
 //   - BestUniform: exhaustive search within the uniform family U(a, 2m−a)
 //     at a fixed mean m — the parametric optimization of §6.4, Formula (19).
-//   - BestTwoPoint: exhaustive search over two-atom distributions at a fixed
-//     mean, used to cross-check the general solver (extreme points of the
-//     mean-constrained simplex have two-atom support).
+//   - BestTwoPoint: exhaustive search over the two-atom vertices at a fixed
+//     mean; Maximize's H plus its Gap is never below it.
 package optimize
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"anonmix/internal/dist"
 	"anonmix/internal/events"
@@ -71,25 +84,25 @@ type Result struct {
 	Dist dist.PMF
 	// H is the anonymity degree achieved by Dist.
 	H float64
-	// Iterations counts gradient steps summed over restarts.
+	// Gap is the Frank–Wolfe gap at Dist, a certified bound on H*max − H.
+	Gap float64
+	// Iterations counts solver steps.
 	Iterations int
-	// Converged reports whether the best restart terminated by the
-	// improvement tolerance rather than the iteration cap.
+	// Converged reports Gap ≤ 1e-9 bits. A solve stopped by the
+	// iteration cap first reports false, together with its Gap.
 	Converged bool
 }
 
+// gapTolerance is the certified gap, in bits, at which a solve stops.
+const gapTolerance = 1e-9
+
 // config holds solver tuning knobs.
-type config struct {
-	maxIters  int
-	restarts  int
-	tol       float64
-	initialLR float64
-}
+type config struct{ maxIters int }
 
 // Option tunes the Maximize solver.
 type Option func(*config)
 
-// WithMaxIterations caps gradient steps per restart (default 400).
+// WithMaxIterations caps solver steps (default 400, a safety net).
 func WithMaxIterations(n int) Option {
 	return func(c *config) {
 		if n > 0 {
@@ -98,440 +111,488 @@ func WithMaxIterations(n int) Option {
 	}
 }
 
-// WithRestarts sets the number of distinct starting points (default 4).
-func WithRestarts(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.restarts = n
-		}
+func newConfig(opts []Option) config {
+	cfg := config{maxIters: 400}
+	for _, o := range opts {
+		o(&cfg)
 	}
+	return cfg
 }
 
-// WithTolerance sets the objective-improvement stopping tolerance
-// (default 1e-12 bits).
-func WithTolerance(tol float64) Option {
-	return func(c *config) {
-		if tol > 0 {
-			c.tol = tol
-		}
-	}
-}
-
-// Maximize solves Formula (15): it returns a distribution on [Lo, Hi]
-// (optionally with the given mean) that maximizes the anonymity degree.
-// The solver is projected gradient ascent with backtracking line search and
-// multiple deterministic restarts; the returned Result.H is the best value
-// found. The objective is smooth but not concave in general, so the result
-// is a high-quality local optimum; tests cross-check it against exhaustive
-// parametric searches.
+// Maximize solves Formula (15): a distribution on [Lo, Hi] (optionally of
+// the given mean) maximizing the anonymity degree, certified by its Gap.
 func Maximize(p Problem, opts ...Option) (Result, error) {
 	if err := p.validate(); err != nil {
 		return Result{}, err
 	}
-	cfg := config{maxIters: 400, restarts: 4, tol: 1e-12, initialLR: 0.5}
-	for _, o := range opts {
-		o(&cfg)
-	}
-
-	ev, err := newEvaluator(p)
+	ev, err := newEvaluator(p.Engine, p.Lo, p.Hi, 1)
 	if err != nil {
 		return Result{}, err
 	}
-	return p.solveStarts(ev, p.startingPoints(cfg.restarts), cfg)
+	return p.solve(ev, nil, newConfig(opts))
 }
 
-// objective abstracts the ascent target: the single-engine evaluator, or
-// the epoch-blended jointEvaluator of MaximizeTimeline. Implementations
-// must be safe for concurrent calls (restarts share one objective).
-type objective interface {
-	value(mass []float64) float64
-	valueGrad(mass, grad []float64) float64
-}
-
-// solveStarts runs one projected-gradient ascent per start and returns the
-// best result. The objective's internals are read-only, so every restart
-// shares them; each ascent owns its own iterate and gradient buffers.
-// Restarts run concurrently on the shared pool and are folded in start
-// order, so the winner (and its tie-breaking) is identical to the serial
-// loop.
-func (p Problem) solveStarts(ev objective, starts [][]float64, cfg config) (Result, error) {
-	results := make([]Result, len(starts))
-	pool.ForEach(len(starts), func(i int) {
-		results[i] = p.ascend(ev, starts[i], cfg)
-	})
-	best := Result{H: math.Inf(-1)}
-	for _, res := range results {
-		if res.H > best.H {
-			conv := res.Converged
-			iters := best.Iterations + res.Iterations
-			best = res
-			best.Converged = conv
-			best.Iterations = iters
-		} else {
-			best.Iterations += res.Iterations
-		}
-	}
-	if math.IsInf(best.H, -1) {
-		return Result{}, fmt.Errorf("%w: no feasible start found", ErrInfeasible)
-	}
-	// Trim floating dust so the result passes strict validation downstream.
-	mass := make([]float64, p.Hi-p.Lo+1)
-	copy(mass, best.Dist.Mass)
-	cleanNormalize(mass)
-	pd, err := dist.NewPMF(p.Lo, mass)
-	if err != nil {
-		return Result{}, fmt.Errorf("optimize: result failed validation: %w", err)
-	}
-	best.Dist = pd
-	return best, nil
-}
-
-// startingPoints returns deterministic feasible starts: uniform over the
-// support, concentrated near the mean, and spread two-point-like shapes.
-func (p Problem) startingPoints(k int) [][]float64 {
-	n := p.Hi - p.Lo + 1
-	mk := func(fill func(v []float64)) []float64 {
-		v := make([]float64, n)
-		fill(v)
-		p.project(v)
-		return v
-	}
-	starts := [][]float64{
-		mk(func(v []float64) {
-			for i := range v {
-				v[i] = 1 / float64(n)
-			}
-		}),
-	}
-	if p.meanConstrained() {
-		starts = append(starts,
-			mk(func(v []float64) { // point mass near the mean
-				i := int(math.Round(p.Mean)) - p.Lo
-				if i < 0 {
-					i = 0
-				}
-				if i >= n {
-					i = n - 1
-				}
-				v[i] = 1
-			}),
-			mk(func(v []float64) { // mass at the extremes
-				v[0] = 0.5
-				v[n-1] = 0.5
-			}),
-			mk(func(v []float64) { // geometric-ish decay
-				for i := range v {
-					v[i] = math.Pow(0.8, float64(i))
-				}
-			}),
-		)
-	} else {
-		starts = append(starts,
-			mk(func(v []float64) { v[n-1] = 1 }),
-			mk(func(v []float64) { v[n/2] = 1 }),
-			mk(func(v []float64) {
-				for i := range v {
-					v[i] = float64(i + 1)
-				}
-			}),
-		)
-	}
-	if len(starts) > k {
-		starts = starts[:k]
-	}
-	return starts
-}
-
-// ascend runs projected gradient ascent from one start.
-func (p Problem) ascend(ev objective, start []float64, cfg config) Result {
-	n := len(start)
-	cur := make([]float64, n)
-	copy(cur, start)
-	grad := make([]float64, n)
-	curH := ev.valueGrad(cur, grad)
-
-	cand := make([]float64, n)
-	var iters int
-	converged := false
-	lr := cfg.initialLR
-	for iters = 0; iters < cfg.maxIters; iters++ {
-		improved := false
-		for ; lr > 1e-14; lr /= 2 {
-			for i := range cand {
-				cand[i] = cur[i] + lr*grad[i]
-			}
-			p.project(cand)
-			if h := ev.value(cand); h > curH+cfg.tol {
-				copy(cur, cand)
-				curH = ev.valueGrad(cur, grad)
-				improved = true
-				lr *= 4 // allow the step to grow back
-				if lr > 8 {
-					lr = 8
-				}
-				break
-			}
-		}
-		if !improved {
-			converged = true
-			break
-		}
-	}
-	res := Result{H: curH, Iterations: iters, Converged: converged}
-	res.Dist = dist.PMF{Lo: p.Lo, Mass: append([]float64(nil), cur...)}
-	return res
-}
-
-// evaluator computes the objective and its exact gradient from the engine's
-// weight vectors: H*(p) = frac · Σ_σ n_σ·P_σ(p)·f(α_σ) with P_σ, P0_σ
-// linear in p, α_σ = P0_σ/P_σ, and n_σ the bucket multiplicity
-// (ClassWeights.Count — the number of concrete observation classes sharing
-// the entry's vectors), so
+// evaluator holds the objective as a bucket list:
+// H*(p) = Σ_σ c_σ·P_σ(p)·f(α_σ) with P_σ = ⟨W_σ, p⟩, P0_σ = ⟨W0_σ, p⟩,
+// α_σ = P0_σ/P_σ and c_σ (ClassWeights.Count) the bucket multiplicity
+// times the honest-sender branch weight times a caller's scale. With
+// u_σ = W0_σ − α_σ·W_σ,
 //
-//	∂H*/∂p_l = frac · Σ_σ n_σ·[ f(α_σ)·W_σ(l) + f'(α_σ)·(W0_σ(l) − α_σ·W_σ(l)) ].
+//	∂H*/∂p_l       = Σ_σ c_σ·[f(α_σ)·W_σ(l) + f'(α_σ)·u_σ(l)],
+//	∂²H*/∂p_l∂p_m  = Σ_σ c_σ·f''(α_σ)/P_σ · u_σ(l)·u_σ(m).
 //
-// The multiplicity never enters α (it cancels in P0/P), which is what lets
-// one bucket entry stand for its whole class family.
-type evaluator struct {
-	weights []events.ClassWeights
-	frac    float64 // (N−C)/N, the uncompromised-sender branch weight
-}
+// A blend of epochs is one evaluator over the epochs' buckets.
+type evaluator []events.ClassWeights
 
-func newEvaluator(p Problem) (*evaluator, error) {
-	w, err := p.Engine.Weights(p.Lo, p.Hi)
+// newEvaluator builds the evaluator of one engine on [lo, hi], each Count
+// scaled by scale and by AnonymityDegree's honest-sender branch weight
+// ((N−C)/N, or 1 without sender self-report). Weights returns a copy of
+// its entries, so the scaling never reaches the engine's cache.
+func newEvaluator(e *events.Engine, lo, hi int, scale float64) (evaluator, error) {
+	w, err := e.Weights(lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	n := p.Engine.N()
-	return &evaluator{weights: w, frac: float64(n-p.Engine.C()) / float64(n)}, nil
+	if e.SenderSelfReport() {
+		scale *= float64(e.N()-e.C()) / float64(e.N())
+	}
+	for i := range w {
+		w[i].Count *= scale
+	}
+	return w, nil
 }
 
-// clampAlpha keeps posterior spikes strictly inside (0,1) so the entropy
-// derivative stays finite.
-func clampAlpha(a float64) float64 {
-	const eps = 1e-12
-	if a < eps {
-		return eps
-	}
-	if a > 1-eps {
-		return 1 - eps
-	}
-	return a
-}
+// tiny floors α and 1 − α in the entropy terms. A posterior pinned at 0 or
+// 1 has an unbounded f'; the floor caps it near 40 bits and moves H by
+// less than 1e-10.
+const tiny = 1e-12
 
-// fAndDeriv returns the per-class entropy f(α) and its derivative f'(α).
-func fAndDeriv(cw events.ClassWeights, alpha float64) (f, fp float64) {
+// entropyTerms returns the class entropy f(α) and its first two
+// derivatives, from a = α and q = 1 − α each computed without cancellation.
+func entropyTerms(cw events.ClassWeights, a, q float64) (f, fp, fpp float64) {
 	switch {
 	case cw.UniformOverAll:
-		return math.Log2(float64(cw.Rest)), 0
+		return math.Log2(float64(cw.Rest)), 0, 0
 	case cw.Rest <= 0:
-		return 0, 0
+		return 0, 0, 0
 	case cw.FullPosition:
 		lg := math.Log2(float64(cw.Rest))
-		return (1 - alpha) * lg, -lg
+		return q * lg, -lg, 0
 	default:
-		a := clampAlpha(alpha)
-		q := 1 - a
-		f = -a*math.Log2(a) - q*math.Log2(q/float64(cw.Rest))
-		fp = math.Log2(q / (float64(cw.Rest) * a))
-		return f, fp
+		a, q = max(a, tiny), max(q, tiny)
+		r := float64(cw.Rest)
+		return -a*math.Log2(a) - q*math.Log2(q/r), math.Log2(q / (r * a)), -1 / (math.Ln2 * a * q)
 	}
 }
 
-// value returns H*(p) for a feasible mass vector.
-func (ev *evaluator) value(mass []float64) float64 {
-	var h float64
-	for _, cw := range ev.weights {
-		var sp, sp0 float64
-		for i, w := range cw.W {
-			if m := mass[i]; m != 0 {
-				sp += w * m
-				sp0 += cw.W0[i] * m
-			}
-		}
-		if sp <= 0 {
-			continue
-		}
-		f, _ := fAndDeriv(cw, sp0/sp)
-		h += cw.Count * sp * f
-	}
-	return ev.frac * h
+// vertex is a feasible extreme point: mass w at index i, 1−w at index j.
+type vertex struct {
+	i, j int
+	w    float64
 }
 
-// valueGrad returns H*(p) and fills grad with its exact gradient.
-func (ev *evaluator) valueGrad(mass, grad []float64) float64 {
-	for i := range grad {
-		grad[i] = 0
+// solver holds one solve's iterate and scratch. Indices are l − Lo.
+type solver struct {
+	ev          evaluator
+	rows        int       // equality rows: Σp = 1, and the mean row when constrained
+	off         []float64 // l − Mean, the centred mean row
+	p           []float64 // iterate
+	g           []float64 // gradient at p
+	d           []float64 // step direction
+	all         []int     // every index
+	supp        []int     // indices with p > 0, ascending
+	face        []int     // the support's atoms of at least 1e-12, ascending
+	act         []int     // indices where d may be nonzero
+	b           []bucket  // per-bucket sums at p and their rates along d
+	kkt, rhs, u []float64
+}
+
+// bucket holds one bucket's P, P0 and Q = P − P0 at p and rates along d.
+type bucket struct{ p, p0, q, dp, dp0, dq float64 }
+
+// solve runs the active-set method from start (a feasible mass vector, or
+// nil for a cold start at the best vertex for the gradient at the uniform
+// distribution) and returns the result with its gap at the returned Dist.
+func (p Problem) solve(ev evaluator, start []float64, cfg config) (Result, error) {
+	n, nb := p.Hi-p.Lo+1, len(ev)
+	s := &solver{ev: ev, rows: 1, p: make([]float64, n), g: make([]float64, n), d: make([]float64, n),
+		b: make([]bucket, nb)}
+	s.all, s.off = make([]int, n), make([]float64, n)
+	for i := range n {
+		s.all[i], s.off[i] = i, float64(p.Lo+i)-p.Mean
 	}
-	var h float64
-	for _, cw := range ev.weights {
-		var sp, sp0 float64
-		for i, w := range cw.W {
-			if m := mass[i]; m != 0 {
-				sp += w * m
-				sp0 += cw.W0[i] * m
-			}
+	if p.meanConstrained() {
+		s.rows = 2
+	}
+	if start != nil {
+		copy(s.p, start)
+	} else {
+		for i := range s.p {
+			s.p[i] = 1 / float64(n)
 		}
+		s.supp = append(s.supp, s.all...)
+		s.valueGrad()
+		_, v := s.best(s.all)
+		clear(s.p)
+		s.p[v.i] += v.w
+		s.p[v.j] += 1 - v.w
+	}
+	var res Result
+	for {
+		s.clean()
+		res.H = s.valueGrad()
+		top, v := s.best(s.all)
+		res.Gap = max(top-res.H, 0)
+		if res.Gap <= gapTolerance || res.Iterations >= cfg.maxIters || !s.step(res.Gap, res.H, v) {
+			break
+		}
+		res.Iterations++
+	}
+	res.Converged = res.Gap <= gapTolerance
+	d, err := dist.NewPMF(p.Lo, s.p)
+	if err != nil {
+		return Result{}, fmt.Errorf("optimize: result failed validation: %w", err)
+	}
+	res.Dist = d
+	return res, nil
+}
+
+// clean drops atoms that a step took to zero (or, by rounding, below),
+// rescales to Σp = 1 and rebuilds the support.
+func (s *solver) clean() {
+	var sum float64
+	s.supp = s.supp[:0]
+	for i, m := range s.p {
+		if m > 0 {
+			s.supp = append(s.supp, i)
+			sum += m
+		} else {
+			s.p[i] = 0
+		}
+	}
+	for _, i := range s.supp {
+		s.p[i] /= sum
+	}
+}
+
+// fit projects d onto the face's equality rows, Σd = 0 and
+// Σ (l − Mean)·d = 0, so rounding in the KKT solve never moves the mean.
+func (s *solver) fit() {
+	var n, sx, sxx, sd, sxd float64
+	for _, i := range s.act {
+		n++
+		sd += s.d[i]
+		if s.rows == 2 {
+			sx += s.off[i]
+			sxx += s.off[i] * s.off[i]
+			sxd += s.off[i] * s.d[i]
+		}
+	}
+	l1, l2 := sd/n, 0.0
+	if det := n*sxx - sx*sx; s.rows == 2 && det > 0 {
+		l1, l2 = (sd*sxx-sx*sxd)/det, (n*sxd-sx*sd)/det
+	}
+	for _, i := range s.act {
+		s.d[i] -= l1
+		if s.rows == 2 {
+			s.d[i] -= l2 * s.off[i]
+		}
+	}
+}
+
+// valueGrad returns H*(p), fills g with its gradient and records every
+// bucket's P, P0 and Q at p.
+func (s *solver) valueGrad() float64 {
+	clear(s.g)
+	var h float64
+	for b, cw := range s.ev {
+		var sp, sp0, sq float64
+		for _, i := range s.supp {
+			sp += cw.W[i] * s.p[i]
+			sp0 += cw.W0[i] * s.p[i]
+			sq += (cw.W[i] - cw.W0[i]) * s.p[i]
+		}
+		s.b[b].p, s.b[b].p0, s.b[b].q = sp, sp0, sq
 		if sp <= 0 {
-			// Directional derivative into an unreached bucket: each unit of
-			// mass at l contributes Count·W(l)·f(W0(l)/W(l)).
+			// An unreached class: mass at l alone adds Count·W·f(W0/W).
 			for i, w := range cw.W {
 				if w > 0 {
-					f, _ := fAndDeriv(cw, cw.W0[i]/w)
-					grad[i] += ev.frac * cw.Count * w * f
+					f, _, _ := entropyTerms(cw, cw.W0[i]/w, (w-cw.W0[i])/w)
+					s.g[i] += cw.Count * w * f
 				}
 			}
 			continue
 		}
 		alpha := sp0 / sp
-		f, fp := fAndDeriv(cw, alpha)
+		f, fp, _ := entropyTerms(cw, alpha, sq/sp)
 		h += cw.Count * sp * f
 		for i, w := range cw.W {
-			grad[i] += ev.frac * cw.Count * (f*w + fp*(cw.W0[i]-alpha*w))
+			s.g[i] += cw.Count * (f*w + fp*(cw.W0[i]-alpha*w))
 		}
 	}
-	return ev.frac * h
+	return h
 }
 
-// project performs the Euclidean projection of v onto the feasible set
-// {p ≥ 0, Σp = 1} intersected with the mean hyperplane when constrained.
-// The KKT form is p_i = max(0, v_i − λ − μ·l_i); λ is found by bisection
-// for each μ, and μ by an outer bisection on the mean residual.
-func (p Problem) project(v []float64) {
-	if !p.meanConstrained() {
-		projectSimplex(v)
-		return
-	}
-	n := len(v)
-	lengths := make([]float64, n)
-	for i := range lengths {
-		lengths[i] = float64(p.Lo + i)
-	}
-	// For fixed μ, the λ sub-problem is exactly the simplex projection of
-	// v − μ·lengths; the mean of that projection is nonincreasing in μ, so
-	// one bisection on μ solves the full KKT system.
-	work := make([]float64, n)
-	eval := func(mu float64) float64 {
-		for i := range work {
-			work[i] = v[i] - mu*lengths[i]
+// best returns max ⟨g, s⟩ over the vertices s with atoms in idx (ascending
+// indices) and the first vertex attaining it: the largest g_l without a
+// mean constraint, the upper concave envelope of (l, g_l) at the mean with
+// one.
+func (s *solver) best(idx []int) (float64, vertex) {
+	top, v := math.Inf(-1), vertex{}
+	if s.rows == 1 {
+		for _, i := range idx {
+			if s.g[i] > top {
+				top, v = s.g[i], vertex{i, i, 1}
+			}
 		}
-		projectSimplex(work)
-		var mean float64
-		for i := range work {
-			mean += work[i] * lengths[i]
-		}
-		return mean
+		return top, v
 	}
-	muLo, muHi := -1e5, 1e5
-	for iter := 0; iter < 90; iter++ {
-		mu := (muLo + muHi) / 2
-		if eval(mu) > p.Mean {
-			muLo = mu
-		} else {
-			muHi = mu
+	for _, i := range idx {
+		if s.off[i] > 0 {
+			break
+		}
+		for _, j := range idx {
+			if s.off[j] < 0 {
+				continue
+			}
+			w := 1.0
+			if j != i {
+				w = s.off[j] / (s.off[j] - s.off[i])
+			}
+			if val := w*s.g[i] + (1-w)*s.g[j]; val > top {
+				top, v = val, vertex{i, j, w}
+			}
 		}
 	}
-	eval((muLo + muHi) / 2)
-	copy(v, work)
-	cleanNormalize(v)
-	nudgeMean(v, lengths, p.Mean)
+	return top, v
 }
 
-// projectSimplex is the standard O(n log n) Euclidean projection onto the
-// probability simplex (Held, Wolfe, Crowder 1974).
-func projectSimplex(v []float64) {
-	n := len(v)
-	sorted := append([]float64(nil), v...)
-	// Insertion sort descending (n is small).
-	for i := 1; i < n; i++ {
-		x := sorted[i]
-		j := i - 1
-		for j >= 0 && sorted[j] < x {
-			sorted[j+1] = sorted[j]
-			j--
+// step moves the iterate once and reports whether it ascended: a Newton
+// step on the face of the atoms of at least 1e-12 while that face holds
+// over half the gap, else (or if Newton cannot ascend) a Frank–Wolfe step
+// toward v. Lighter atoms, down to 1e-60 where they unpin a posterior,
+// would swamp the Newton system; Frank–Wolfe steps size them.
+func (s *solver) step(gap, h float64, v vertex) bool {
+	s.face = s.face[:0]
+	for _, i := range s.supp {
+		if s.p[i] >= 1e-12 {
+			s.face = append(s.face, i)
 		}
-		sorted[j+1] = x
 	}
-	var cum, theta float64
-	for i := 0; i < n; i++ {
-		cum += sorted[i]
-		t := (cum - 1) / float64(i+1)
-		if i == n-1 || sorted[i+1] <= t {
-			theta = t
-			// Only valid at the first index where the condition holds.
-			if i == n-1 || sorted[i]-t >= 0 {
+	if top, _ := s.best(s.face); top-h > gap/2 && s.newton() && s.search() {
+		return true
+	}
+	clear(s.d)
+	for _, i := range s.supp {
+		s.d[i] = -s.p[i]
+	}
+	s.d[v.i] += v.w
+	s.d[v.j] += 1 - v.w
+	s.act = s.act[:0]
+	for i, x := range s.d {
+		if x != 0 {
+			s.act = append(s.act, i)
+		}
+	}
+	return s.search()
+}
+
+// newton fills d with the Newton direction on the face, the maximizer of
+// ⟨g, d⟩ − ½·dᵀQd under the equality rows A, from the KKT system
+// [Q Aᵀ; A 0]·[d; λ] = [g; 0], where Q = −∇²H* on the face is a sum of
+// rank-one bucket terms. Buckets without curvature (full-position,
+// uniform-over-all) can leave Q singular, so it is regularised by 1e-12
+// times its diagonal. It reports false when d does not ascend.
+func (s *solver) newton() bool {
+	s.act = append(s.act[:0], s.face...)
+	k := len(s.act)
+	if k <= s.rows {
+		return false
+	}
+	m := k + s.rows
+	s.kkt, s.rhs, s.u = zeroed(s.kkt, m*m), zeroed(s.rhs, m), zeroed(s.u, k)
+	a, u := s.kkt, s.u
+	for b, cw := range s.ev {
+		sp := s.b[b].p
+		if sp <= 0 {
+			continue
+		}
+		alpha := s.b[b].p0 / sp
+		_, _, fpp := entropyTerms(cw, alpha, s.b[b].q/sp)
+		c := -cw.Count * fpp / sp
+		if c == 0 || math.IsInf(c, 0) {
+			continue
+		}
+		for x, i := range s.act {
+			u[x] = cw.W0[i] - alpha*cw.W[i]
+		}
+		for x := range k {
+			cu := c * u[x]
+			for y := x; y < k; y++ {
+				a[x*m+y] += cu * u[y]
+			}
+		}
+	}
+	// Solve for y = d/sc with sc = Q_xx^(−1/2): a unit diagonal whatever
+	// the atoms' masses, and a regularisation relative to each one.
+	sc := s.u
+	for x := range k {
+		sc[x] = 1
+		if a[x*m+x] > 0 {
+			sc[x] = 1 / math.Sqrt(a[x*m+x])
+		}
+	}
+	for x, i := range s.act {
+		for y := x; y < k; y++ {
+			a[x*m+y] *= sc[x] * sc[y]
+			a[y*m+x] = a[x*m+y]
+		}
+		a[x*m+x] += 1e-12
+		a[x*m+k], a[k*m+x] = sc[x], sc[x]
+		if s.rows == 2 {
+			a[x*m+k+1], a[(k+1)*m+x] = sc[x]*s.off[i], sc[x]*s.off[i]
+		}
+		s.rhs[x] = sc[x] * s.g[i]
+	}
+	solveDense(a, s.rhs, m)
+	clear(s.d)
+	for x, i := range s.act {
+		s.d[i] = sc[x] * s.rhs[x]
+	}
+	s.fit()
+	var slope float64
+	for _, i := range s.act {
+		slope += s.g[i] * s.d[i]
+	}
+	return slope > 0
+}
+
+// zeroed returns buf resized to n zeros, reusing its storage.
+func zeroed(buf []float64, n int) []float64 {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
+}
+
+// solveDense overwrites b with the solution of a·x = b (Gaussian
+// elimination, partial pivoting); a singular a leaves NaN or ±Inf in b.
+func solveDense(a, b []float64, m int) {
+	for c := range m {
+		piv := c
+		for r := c + 1; r < m; r++ {
+			if math.Abs(a[r*m+c]) > math.Abs(a[piv*m+c]) {
+				piv = r
+			}
+		}
+		for k := c; k < m; k++ {
+			a[c*m+k], a[piv*m+k] = a[piv*m+k], a[c*m+k]
+		}
+		b[c], b[piv] = b[piv], b[c]
+		for r := c + 1; r < m; r++ {
+			f := a[r*m+c] / a[c*m+c]
+			for k := c + 1; k < m; k++ {
+				a[r*m+k] -= f * a[c*m+k]
+			}
+			b[r] -= f * b[c]
+		}
+	}
+	for c := m - 1; c >= 0; c-- {
+		for k := c + 1; k < m; k++ {
+			b[c] -= a[c*m+k] * b[k]
+		}
+		b[c] /= a[c*m+c]
+	}
+}
+
+// search ends a step: a ratio test bounds t by the first atom d drives to
+// zero, and an exact line search (safeguarded Newton on φ') maximizes the
+// concave φ(t) = H*(p + t·d) on [0, tmax]. It reports whether p moved. A
+// bucket with P = 0 at an end of the segment (brought in, or emptied) has
+// the constant α = dP0/dP along it, so its slope is the constant
+// Count·dP·f(dP0/dP) — the limit, not zero, at the emptied end.
+func (s *solver) search() bool {
+	tmax := math.Inf(1)
+	for _, i := range s.act {
+		if s.d[i] < 0 {
+			tmax = min(tmax, s.p[i]/-s.d[i])
+		}
+	}
+	if math.IsInf(tmax, 1) || !(tmax > 0) {
+		return false
+	}
+	var base float64
+	for b, cw := range s.ev {
+		var dp, dp0, dq float64
+		emptied := true
+		for _, i := range s.act {
+			dp += cw.W[i] * s.d[i]
+			dp0 += cw.W0[i] * s.d[i]
+			dq += (cw.W[i] - cw.W0[i]) * s.d[i]
+			if cw.W[i] > 0 && !(s.d[i] < 0 && s.p[i]/-s.d[i] <= tmax) {
+				emptied = false // atom i still reaches the bucket at tmax
+			}
+		}
+		if dp != 0 && (s.b[b].p == 0 || emptied) {
+			f, _, _ := entropyTerms(cw, dp0/dp, dq/dp)
+			base += cw.Count * dp * f
+			dp, dp0, dq = 0, 0, 0
+		}
+		s.b[b].dp, s.b[b].dp0, s.b[b].dq = dp, dp0, dq
+	}
+	t := tmax
+	if end, _ := s.slope(base, tmax); end < 0 {
+		d1, d2 := s.slope(base, 0)
+		if !(d1 > 0) {
+			return false
+		}
+		// φ' > 0 at lo, < 0 at hi: Newton steps while they stay inside and
+		// shrink as fast as bisection would, bisection otherwise.
+		lo, hi, dx := 0.0, tmax, tmax
+		t = 0
+		for range 200 {
+			next := t - d1/d2
+			if !(d2 < 0) || !(next > lo && next < hi) || math.Abs(2*d1) > math.Abs(dx*d2) {
+				next = (lo + hi) / 2
+			}
+			dx, t = math.Abs(next-t), next
+			if dx <= 1e-13*t {
 				break
 			}
-		}
-	}
-	for i := range v {
-		v[i] -= theta
-		if v[i] < 0 {
-			v[i] = 0
-		}
-	}
-	cleanNormalize(v)
-}
-
-// cleanNormalize clamps negatives/dust to zero and rescales to sum 1.
-func cleanNormalize(v []float64) {
-	var sum float64
-	for i := range v {
-		if v[i] < 1e-15 || math.IsNaN(v[i]) {
-			v[i] = 0
-		}
-		sum += v[i]
-	}
-	if sum <= 0 {
-		// Degenerate input: fall back to uniform.
-		for i := range v {
-			v[i] = 1 / float64(len(v))
-		}
-		return
-	}
-	for i := range v {
-		v[i] /= sum
-	}
-}
-
-// nudgeMean applies a final first-order correction so the projected vector
-// meets the mean constraint to high precision despite bisection residue.
-// It shifts mass between the two support atoms bracketing the residual.
-func nudgeMean(v, lengths []float64, target float64) {
-	var mean float64
-	for i := range v {
-		mean += v[i] * lengths[i]
-	}
-	resid := target - mean
-	if math.Abs(resid) < 1e-12 {
-		return
-	}
-	// Move mass between the extreme atoms with nonzero headroom.
-	lo, hi := -1, -1
-	for i := range v {
-		if v[i] > 1e-9 {
-			if lo == -1 {
-				lo = i
+			if d1, d2 = s.slope(base, t); d1 > 0 {
+				lo = t
+			} else {
+				hi = t
 			}
-			hi = i
 		}
 	}
-	if lo == -1 || lo == hi {
-		return
+	for _, i := range s.act {
+		s.p[i] += t * s.d[i]
 	}
-	span := lengths[hi] - lengths[lo]
-	if span == 0 {
-		return
+	return t > 0
+}
+
+// slope returns φ'(t) and φ″(t): base, the constant slope of the buckets
+// empty at an end of the segment, plus the others' terms.
+func (s *solver) slope(base, t float64) (d1, d2 float64) {
+	d1 = base
+	for i, cw := range s.ev {
+		b := &s.b[i]
+		if b.dp == 0 && b.dp0 == 0 {
+			continue
+		}
+		sp := b.p + t*b.dp
+		if sp <= 0 { // a bucket rounding empties just short of tmax
+			f, _, _ := entropyTerms(cw, b.dp0/b.dp, b.dq/b.dp)
+			d1 += cw.Count * b.dp * f
+			continue
+		}
+		alpha := (b.p0 + t*b.dp0) / sp
+		f, fp, fpp := entropyTerms(cw, alpha, (b.q+t*b.dq)/sp)
+		v := b.dp0 - alpha*b.dp
+		d1 += cw.Count * (f*b.dp + fp*v)
+		d2 += cw.Count * fpp * v * v / sp
 	}
-	delta := resid / span
-	if delta > v[lo] {
-		delta = v[lo]
-	}
-	if -delta > v[hi] {
-		delta = -v[hi]
-	}
-	v[lo] -= delta
-	v[hi] += delta
+	return d1, d2
 }
 
 // BestUniform performs the §6.4 parametric optimization (Formula 19): among
@@ -580,9 +641,9 @@ func BestUniform(e *events.Engine, mean, lo, hi int) (dist.Uniform, float64, err
 }
 
 // BestTwoPoint searches all two-atom distributions {l1: p, l2: 1−p} with
-// the given mean and support within [lo, hi], returning the maximizer. The
-// extreme points of the mean-constrained simplex are two-atom
-// distributions, so this provides a strong independent check on Maximize.
+// the given mean and support within [lo, hi], returning the maximizer: the
+// best vertex of the mean-constrained simplex, an independent check on
+// Maximize.
 func BestTwoPoint(e *events.Engine, mean float64, lo, hi int) (dist.TwoPoint, float64, error) {
 	if e == nil {
 		return dist.TwoPoint{}, 0, fmt.Errorf("%w: nil engine", ErrBadProblem)

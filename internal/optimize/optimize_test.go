@@ -79,7 +79,7 @@ func TestMaximizeNearBestTwoPoint(t *testing.T) {
 	e := engine(t, 40, 1)
 	for _, mean := range []float64{6, 15} {
 		res, err := Maximize(Problem{Engine: e, Lo: 0, Hi: 39, Mean: mean},
-			WithMaxIterations(300), WithRestarts(4))
+			WithMaxIterations(300))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,59 +274,131 @@ func TestOptimizedBeatsPaperBaselines(t *testing.T) {
 	}
 }
 
-func TestProjectSimplex(t *testing.T) {
-	cases := [][]float64{
-		{0.2, 0.3, 0.5},
-		{1, 1, 1},
-		{-1, 2, 0.5},
-		{0, 0, 0},
-		{5},
+// certify checks a Maximize result against its certificate: the solve
+// converged with Gap ≤ 1e-9 bits, H is the engine's H* of Dist, Dist holds
+// the mean, and H + Gap is at least the score of every baseline the
+// problem admits — the fixed lengths, the best uniform and the best
+// two-point distribution at the mean (at mid-support when the mean is
+// free).
+func certify(t testing.TB, p Problem, res Result) {
+	t.Helper()
+	if !res.Converged || !(res.Gap <= 1e-9) {
+		t.Errorf("%+v: converged %v with gap %v after %d iterations", p, res.Converged, res.Gap, res.Iterations)
 	}
-	for _, v := range cases {
-		in := append([]float64(nil), v...)
-		projectSimplex(in)
-		var sum float64
-		for _, x := range in {
-			if x < 0 {
-				t.Errorf("projectSimplex(%v) produced negative entry %v", v, in)
-			}
-			sum += x
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Errorf("projectSimplex(%v) sums to %v", v, sum)
+	h, err := p.Engine.AnonymityDegree(res.Dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(h-res.H) > 1e-9 {
+		t.Errorf("%+v: H %v, engine %v at Dist", p, res.H, h)
+	}
+	mean := p.Mean
+	if !p.meanConstrained() {
+		mean = float64(p.Lo+p.Hi) / 2
+	} else if math.Abs(res.Dist.Mean()-p.Mean) > 1e-9 {
+		t.Errorf("%+v: Dist has mean %v", p, res.Dist.Mean())
+	}
+	bound := res.H + res.Gap + 1e-12
+	_, htp, err := BestTwoPoint(p.Engine, mean, p.Lo, p.Hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baselines := map[string]float64{"best two-point": htp}
+	if m := int(mean); float64(m) == mean {
+		if _, baselines["best uniform"], err = BestUniform(p.Engine, m, p.Lo, p.Hi); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Projection of a point already on the simplex is identity.
-	p := []float64{0.25, 0.25, 0.5}
-	in := append([]float64(nil), p...)
-	projectSimplex(in)
-	for i := range p {
-		if math.Abs(in[i]-p[i]) > 1e-9 {
-			t.Errorf("identity projection changed %v to %v", p, in)
+	for l := p.Lo; l <= p.Hi; l++ {
+		if p.meanConstrained() && float64(l) != p.Mean {
+			continue
+		}
+		f, err := dist.NewFixed(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if baselines[f.String()], err = p.Engine.AnonymityDegree(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, hb := range baselines {
+		if hb > bound {
+			t.Errorf("%+v: %s scores %v above H %v + gap %v", p, name, hb, res.H, res.Gap)
 		}
 	}
 }
 
-func TestProjectWithMean(t *testing.T) {
-	e := engine(t, 30, 1)
-	prob := Problem{Engine: e, Lo: 2, Hi: 20, Mean: 9}
-	v := make([]float64, 19)
-	for i := range v {
-		v[i] = float64(i%5) - 1
+// TestMaximizeCertificate: every solve converges to a certified gap of
+// 1e-9 bits across receiver modes, inference modes, self-report, free,
+// integer and fractional means, and the certificate dominates the
+// parametric baselines.
+func TestMaximizeCertificate(t *testing.T) {
+	systems := []struct {
+		name string
+		n, c int
+		opts []events.Option
+	}{
+		{"standard", 20, 1, nil},
+		{"standard", 60, 5, nil},
+		{"honest receiver", 40, 2, []events.Option{events.WithUncompromisedReceiver()}},
+		{"hop-count", 30, 1, []events.Option{events.WithInference(events.InferenceHopCount)}},
+		{"full-position", 50, 5, []events.Option{events.WithInference(events.InferenceFullPosition)}},
+		{"no self-report", 45, 2, []events.Option{events.WithoutSenderSelfReport()}},
 	}
-	prob.project(v)
-	var sum, mean float64
-	for i, x := range v {
-		if x < -1e-12 {
-			t.Errorf("negative mass %v at %d", x, i)
+	for _, sys := range systems {
+		e, err := events.New(sys.n, sys.c, sys.opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sum += x
-		mean += x * float64(prob.Lo+i)
+		for _, support := range [][2]int{{0, 14}, {1, 9}} {
+			for _, mean := range []float64{UnconstrainedMean(), 4, 6.37} {
+				p := Problem{Engine: e, Lo: support[0], Hi: support[1], Mean: mean}
+				res, err := Maximize(p)
+				if err != nil {
+					t.Fatalf("%s N=%d C=%d: %v", sys.name, sys.n, sys.c, err)
+				}
+				certify(t, p, res)
+			}
+		}
 	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("sum = %v", sum)
-	}
-	if math.Abs(mean-9) > 1e-6 {
-		t.Errorf("mean = %v, want 9", mean)
-	}
+}
+
+// FuzzMaximizeCertificate: random small problems in every receiver and
+// inference mode must all converge to the certificate certify checks.
+func FuzzMaximizeCertificate(f *testing.F) {
+	f.Add(uint8(20), uint8(1), uint8(0), uint8(8), uint16(0), uint8(0))
+	f.Add(uint8(33), uint8(4), uint8(1), uint8(11), uint16(20000), uint8(1))
+	f.Add(uint8(12), uint8(2), uint8(2), uint8(6), uint16(65535), uint8(2))
+	f.Add(uint8(40), uint8(5), uint8(0), uint8(12), uint16(9000), uint8(3))
+	f.Fuzz(func(t *testing.T, n, c, lo, span uint8, mean uint16, mode uint8) {
+		nn := 4 + int(n)%37
+		cc := 1 + int(c)%min(5, nn-2)
+		var opts []events.Option
+		switch mode % 5 {
+		case 1:
+			opts = append(opts, events.WithUncompromisedReceiver())
+		case 2:
+			opts = append(opts, events.WithInference(events.InferenceHopCount))
+			cc = 1 // hop-count inference enumerates classes for C = 1 only
+		case 3:
+			opts = append(opts, events.WithInference(events.InferenceFullPosition))
+		case 4:
+			opts = append(opts, events.WithoutSenderSelfReport())
+		}
+		e, err := events.New(nn, cc, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := int(lo) % min(nn, 6)
+		h := min(l+int(span)%10, nn-1)
+		p := Problem{Engine: e, Lo: l, Hi: h, Mean: UnconstrainedMean()}
+		if mode&8 == 0 {
+			p.Mean = float64(l) + float64(h-l)*float64(mean)/math.MaxUint16
+		}
+		res, err := Maximize(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		certify(t, p, res)
+	})
 }

@@ -2,25 +2,16 @@ package optimize
 
 // Epoch-aware optimization: the §5.4 design problem lifted to a dynamic
 // population. A timeline of epochs — each a (N_e, C_e) system carrying a
-// share w_e of the traffic — admits two defender policies:
-//
-//   - per-epoch: re-optimize the length distribution whenever the
-//     population drifts, warm-starting each epoch's ascent from the
-//     previous optimum (consecutive epochs differ by ±1 node, so the
-//     optimum barely moves and warm starts converge in a handful of
-//     iterations);
-//   - joint: commit to one distribution for the whole timeline, maximizing
-//     the traffic-weighted blend Σ w_e·H*_e — the policy of a system that
-//     cannot re-deploy per epoch.
-//
-// MaximizeTimeline solves both. The per-epoch curve upper-bounds the joint
-// one by construction; the gap is the price of static deployment, and
-// figures.EpochOptimizerSweep charts it against the static baseline.
-//
-// The epochs' engines are expected to come from one engine family
-// (scenario.Engine's delta cache, or events.Engine.Neighbor chains), which
-// makes each epoch's Weights table cheap to build; the solver itself only
-// requires that they share the inference mode semantics of Maximize.
+// share w_e of the traffic — admits two defender policies: per-epoch
+// re-optimizes the length distribution whenever the population drifts;
+// joint commits to one distribution maximizing the traffic-weighted blend
+// Σ w_e·H*_e, a concave objective whose evaluator is the epochs' bucket
+// lists concatenated. MaximizeTimeline solves both with Maximize's solver,
+// each solve certified to 1e-9 bits, so per-epoch upper-bounds joint to
+// within those gaps; figures.EpochOptimizerSweep charts both against the
+// static baseline. The epochs' engines are expected to come from one
+// engine family (scenario.Engine's delta cache, or events.Engine.Neighbor
+// chains), which makes each epoch's Weights table cheap to build.
 
 import (
 	"fmt"
@@ -100,63 +91,42 @@ func (p TimelineProblem) epochProblem(i int) Problem {
 }
 
 // MaximizeTimeline solves the per-epoch and joint design problems. The
-// first epoch runs the full multi-restart Maximize; every later epoch
-// warm-starts from the previous optimum plus the uniform safety start —
-// two ascents instead of the configured restarts, which is where the
-// timeline-scale speedup comes from (consecutive optima are near-identical
-// for ±1 drifts). The joint solve reuses the per-epoch evaluators through
-// a blended objective and seeds its restarts with the first and last
-// per-epoch optima. Determinism matches Maximize: restarts fold in start
-// order, epochs chain serially, so parallel pools are bit-identical to
-// serial ones.
+// epochs share the support and the mean constraint, so epoch e > 0 starts
+// from epoch e−1's optimum and the joint solve from the last epoch's; the
+// joint evaluator scales each epoch's bucket counts by w_e. Every solve is
+// serial, so results do not depend on the pool width.
 func MaximizeTimeline(p TimelineProblem, opts ...Option) (TimelineResult, error) {
 	w, err := p.normalWeights()
 	if err != nil {
 		return TimelineResult{}, err
 	}
-	cfg := config{maxIters: 400, restarts: 4, tol: 1e-12, initialLR: 0.5}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	evs := make([]*evaluator, len(p.Epochs))
-	for i := range p.Epochs {
-		if evs[i], err = newEvaluator(p.epochProblem(i)); err != nil {
-			return TimelineResult{}, err
-		}
-	}
+	cfg := newConfig(opts)
 	res := TimelineResult{PerEpoch: make([]Result, len(p.Epochs))}
+	var joint evaluator
 	var warm []float64
 	for i := range p.Epochs {
 		ep := p.epochProblem(i)
-		var starts [][]float64
-		if warm == nil {
-			starts = ep.startingPoints(cfg.restarts)
-		} else {
-			ws := append([]float64(nil), warm...)
-			ep.project(ws)
-			starts = append([][]float64{ws}, ep.startingPoints(1)...)
+		ev, err := newEvaluator(ep.Engine, p.Lo, p.Hi, 1)
+		if err != nil {
+			return TimelineResult{}, err
 		}
-		best, err := ep.solveStarts(evs[i], starts, cfg)
+		best, err := ep.solve(ev, warm, cfg)
 		if err != nil {
 			return TimelineResult{}, fmt.Errorf("epoch %d: %w", i, err)
 		}
 		res.PerEpoch[i] = best
 		res.PerEpochH += w[i] * best.H
 		warm = best.Dist.Mass
+		if w[i] > 0 {
+			for _, cw := range ev {
+				cw.Count *= w[i]
+				joint = append(joint, cw)
+			}
+		}
 	}
-
-	joint := p.epochProblem(0)
-	starts := joint.startingPoints(cfg.restarts)
-	for _, i := range []int{0, len(p.Epochs) - 1} {
-		ws := append([]float64(nil), res.PerEpoch[i].Dist.Mass...)
-		joint.project(ws)
-		starts = append(starts, ws)
-	}
-	best, err := joint.solveStarts(&jointEvaluator{evs: evs, w: w}, starts, cfg)
-	if err != nil {
+	if res.Joint, err = p.epochProblem(0).solve(joint, warm, cfg); err != nil {
 		return TimelineResult{}, fmt.Errorf("joint: %w", err)
 	}
-	res.Joint = best
 	return res, nil
 }
 
@@ -178,36 +148,4 @@ func EvaluateTimeline(p TimelineProblem, d dist.Length) (float64, error) {
 		h += w[i] * he
 	}
 	return h, nil
-}
-
-// jointEvaluator blends the per-epoch evaluators into one objective:
-// value = Σ w_e·value_e, gradient likewise. The per-epoch evaluators are
-// read-only, so the blend is safe for concurrent restarts; the gradient
-// scratch is per-call.
-type jointEvaluator struct {
-	evs []*evaluator
-	w   []float64
-}
-
-func (j *jointEvaluator) value(mass []float64) float64 {
-	var h float64
-	for i, ev := range j.evs {
-		h += j.w[i] * ev.value(mass)
-	}
-	return h
-}
-
-func (j *jointEvaluator) valueGrad(mass, grad []float64) float64 {
-	for i := range grad {
-		grad[i] = 0
-	}
-	tmp := make([]float64, len(grad))
-	var h float64
-	for i, ev := range j.evs {
-		h += j.w[i] * ev.valueGrad(mass, tmp)
-		for g := range grad {
-			grad[g] += j.w[i] * tmp[g]
-		}
-	}
-	return h
 }

@@ -71,11 +71,13 @@ status=$(curl -s -o "$WORK/degr" -w '%{http_code}' -d \
 [ "$status" = 200 ] || fail "degradation: status $status"
 grep -q '"h_rounds"' "$WORK/degr" || fail "degradation: no h_rounds in $(cat "$WORK/degr")"
 
-# Optimizer: the designed distribution comes back as support atoms.
+# Optimizer: the designed distribution comes back as support atoms, with
+# the solver's certified gap.
 status=$(curl -s -o "$WORK/opt" -w '%{http_code}' -d \
     '{"n":40,"c":2,"mean":6}' "$BASE/v1/optimize")
 [ "$status" = 200 ] || fail "optimize: status $status"
 grep -q '"dist"' "$WORK/opt" || fail "optimize: no dist in $(cat "$WORK/opt")"
+grep -q '"gap_bits"' "$WORK/opt" || fail "optimize: no gap_bits in $(cat "$WORK/opt")"
 
 # Streaming: progress lines then exactly one terminal result line.
 curl -s -d \
