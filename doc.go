@@ -279,18 +279,22 @@
 //     where collecting a sorted copy took 11.2 MB
 //     (TestStaticRunAllocation).
 //
-//   - optimize.MaximizeTimeline lifts the §5.4 design problem to dynamic
-//     populations: per-epoch re-optimization warm-started from the
-//     previous epoch's optimum (two ascents instead of the full restart
-//     budget), plus a joint solve maximizing the traffic-weighted blend
-//     Σ w_e·H*_e under one distribution. Like Maximize, results are
-//     bit-identical at any pool width. anonopt -epochs and the
-//     epoch-optimizer figure are the CLI surfaces.
+//   - optimize.Maximize solves the §5.4 design problem with one serial
+//     active-set method: Newton steps on the face of the current support,
+//     Frank–Wolfe steps that bring atoms in, and an exact line search
+//     ending each. H*(S) is concave in the length pmf, so the Frank–Wolfe
+//     gap certifies the optimum; a solve stops at a gap of 1e-9 bits and
+//     reports it (Result.Gap, anond's gap_bits). optimize.MaximizeTimeline
+//     lifts the problem to dynamic populations: per-epoch re-optimization,
+//     each epoch starting from the previous optimum, plus a joint solve
+//     maximizing the traffic-weighted blend Σ w_e·H*_e under one
+//     distribution. Results are bit-identical at any pool width. anonopt
+//     -epochs and the epoch-optimizer figure are the CLI surfaces.
 //
 //   - internal/pool is a bounded worker pool (GOMAXPROCS-sized by
 //     default) behind every fan-out loop: per-class statistics in events,
-//     per-point series generation in figures, restart batches in
-//     optimize.Maximize, and the scenario layer's sampling workers. The
+//     per-point series generation in figures and the best-uniform scan in
+//     optimize, and the scenario layer's sampling workers. The
 //     calling goroutine always participates, so a saturated or width-1
 //     pool degrades to inline serial execution — never deadlock — and each
 //     task writes only its own output slot, which keeps parallel results

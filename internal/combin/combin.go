@@ -19,7 +19,7 @@ import (
 var negInf = math.Inf(-1)
 
 // The process-wide log-factorial table. Every figure regeneration,
-// optimizer restart, and Monte-Carlo batch evaluates the same small set of
+// optimizer solve, and Monte-Carlo batch evaluates the same small set of
 // ln(n!) values thousands of times, so they are computed once and shared.
 // Reads are lock-free (atomic pointer load); growth is serialized by a
 // mutex and monotone — a stored table is never shrunk or mutated, only

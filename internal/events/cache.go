@@ -1,6 +1,6 @@
 package events
 
-// Memoization layer for the exact engine. Every figure, optimizer restart,
+// Memoization layer for the exact engine. Every figure, optimizer solve,
 // and Monte-Carlo trial funnels through ClassStats / StatsFor / Weights
 // with a small set of distinct distributions, so the engine keeps
 // per-instance memo tables keyed by the distribution's exact mass

@@ -1,6 +1,6 @@
 // Package pool provides the process-wide bounded worker pool used by every
 // fan-out loop in the analysis stack: class-statistics enumeration in
-// events, per-point series generation in figures, restart batches in
+// events, per-point series generation in figures, the best-uniform scan in
 // optimize, and the scenario layer's sampling workers.
 //
 // The pool is deliberately minimal: ForEach runs n indexed tasks, the
