@@ -271,13 +271,18 @@
 //     figure, therefore cost O(epochs) plus the engine lookups, whatever
 //     N: a warm 10-epoch run at N = 10^6 allocates about 14 KB
 //     (TestExactTimelineAllocation), where per-node maps used to take
-//     1.1 GB. A static config's view is its one identity phase, and it
-//     reuses the normalized compromised list, which is sorted whenever it
-//     comes from Adversary.Count; only an unsorted explicit list costs
-//     one sorted copy. A warm static 1,000-message run at N = 10^6 with
-//     2·10^5 compromised nodes allocates about 3.2 MB on Monte-Carlo,
-//     where collecting a sorted copy took 11.2 MB
-//     (TestStaticRunAllocation).
+//     1.1 GB. Normalization keeps a count adversary as its count, so no
+//     exact single-shot run, static or timeline, builds the compromised
+//     list: at N = 200,000 a warm static run allocates 384 B and a
+//     three-epoch timeline 1.6 KB, whether 1 or 100,000 nodes are
+//     compromised (TestExactRunAllocation), where building the list took
+//     800 KB.
+//     A static config's view is its one identity phase; it builds the
+//     first Count nodes once per run and uses them as is, since they are
+//     sorted, and only an unsorted explicit list costs one sorted copy. A
+//     warm static 1,000-message run at N = 10^6 with 2·10^5 compromised
+//     nodes allocates about 3.2 MB on Monte-Carlo, where collecting a
+//     sorted copy took 11.2 MB (TestStaticRunAllocation).
 //
 //   - optimize.Maximize solves the §5.4 design problem with one serial
 //     active-set method: Newton steps on the face of the current support,
@@ -305,8 +310,11 @@
 //     from a Vose alias table (dist.Alias, O(1) per draw, effective PMF
 //     within 1e-12 of the source distribution), distinct intermediates
 //     from per-worker scratch arenas (pathsel.Sampler: a reusable path
-//     buffer plus an open-addressed rejection set in the sparse regime, a
-//     Fisher–Yates pool in the dense one), and adversarial analysis takes
+//     buffer plus an open-addressed rejection set in the sparse regime,
+//     and in the dense one a partial Fisher–Yates over one persistent
+//     pool of the indices of the nodes other than the sender, whose l
+//     swaps are undone after the draw, so a draw costs O(l) and no O(N)
+//     refill), and adversarial analysis takes
 //     the path route: Analyst.PathEntropy and Accumulator.ObservePath
 //     walk the sampled path once against the compromised bitset, count
 //     the class's shape (compromised hops, one-node and wider junctions,

@@ -23,7 +23,8 @@ type Sampler struct {
 	alias *dist.Alias
 
 	path []trace.NodeID // reused output buffer
-	pool []trace.NodeID // dense-draw Fisher–Yates pool, allocated on first use
+	pool []int32        // dense-draw Fisher–Yates pool of indices, allocated on first use
+	swap []int32        // a dense draw's swap partners, undone after the draw
 	seen []int32        // sparse-draw open-addressed set, entries are id+1
 	mask int            // len(seen)-1, a power of two minus one
 }
@@ -99,20 +100,31 @@ func (sp *Sampler) simple(rng *stats.Stream, sender trace.NodeID, l int) []trace
 	}
 	if sp.pool == nil {
 		// Only dense draws use the O(n) pool, and a sparse system at
-		// N = 10^6 never makes one, so it is allocated here, once.
-		sp.pool = make([]trace.NodeID, 0, s.n)
-	}
-	sp.pool = sp.pool[:0]
-	for v := 0; v < s.n; v++ {
-		if trace.NodeID(v) != sender {
-			sp.pool = append(sp.pool, trace.NodeID(v))
+		// N = 10^6 never makes one, so it is allocated here, once. It holds
+		// the indices 0..n−2 of the nodes other than the sender, index k
+		// standing for node k below the sender and node k+1 from it on, so
+		// one pool in ascending order serves every sender.
+		sp.pool = make([]int32, s.n-1)
+		for k := range sp.pool {
+			sp.pool[k] = int32(k)
 		}
+		sp.swap = make([]int32, cap(sp.path))
 	}
 	for i := 0; i < l; i++ {
 		j := i + rng.Intn(len(sp.pool)-i)
 		sp.pool[i], sp.pool[j] = sp.pool[j], sp.pool[i]
+		sp.swap[i] = int32(j)
+		v := trace.NodeID(sp.pool[i])
+		if v >= sender {
+			v++
+		}
+		sp.path = append(sp.path, v)
 	}
-	sp.path = append(sp.path, sp.pool[:l]...)
+	// Undo the swaps, last first, which restores the ascending pool.
+	for i := l - 1; i >= 0; i-- {
+		j := sp.swap[i]
+		sp.pool[i], sp.pool[j] = sp.pool[j], sp.pool[i]
+	}
 	return sp.path
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"anonmix/internal/dist"
@@ -350,6 +351,52 @@ func TestSamplerPositionHistogram(t *testing.T) {
 				t.Errorf("position %d: χ² = %.1f over %d dof exceeds %.1f", at, worst, c.n-2, bound)
 			}
 		})
+	}
+}
+
+// TestSamplerDensePoolMatchesRebuild pins the dense draw to the pool it
+// replaced: consecutive draws on one sampler, over senders at both ends
+// and the middle, must equal a partial Fisher–Yates over a pool rebuilt
+// for each draw from every node but the sender, fed the same stream.
+func TestSamplerDensePoolMatchesRebuild(t *testing.T) {
+	rebuilt := func(rng *stats.Stream, n int, sender trace.NodeID, l int) []trace.NodeID {
+		pool := make([]trace.NodeID, 0, n-1)
+		for v := 0; v < n; v++ {
+			if trace.NodeID(v) != sender {
+				pool = append(pool, trace.NodeID(v))
+			}
+		}
+		for i := 0; i < l; i++ {
+			j := i + rng.Intn(len(pool)-i)
+			pool[i], pool[j] = pool[j], pool[i]
+		}
+		return pool[:l]
+	}
+	for _, tc := range []struct{ n, l int }{{2, 1}, {10, 1}, {10, 9}, {40, 3}, {40, 30}, {100, 7}, {257, 20}} {
+		strat, err := FixedLength(tc.l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := NewSelector(tc.n, strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := sel.NewSampler()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := stats.NewStream(int64(tc.n), int64(tc.l)), stats.NewStream(int64(tc.n), int64(tc.l))
+		senders := []trace.NodeID{0, trace.NodeID(tc.n / 2), trace.NodeID(tc.n - 1)}
+		for i := 0; i < 300; i++ {
+			sender := senders[i%len(senders)]
+			path, err := sp.SelectPath(&got, sender)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref := rebuilt(&want, tc.n, sender, tc.l); !slices.Equal(path, ref) {
+				t.Fatalf("n = %d, l = %d, draw %d from %d: path %v, rebuilt pool gives %v", tc.n, tc.l, i, sender, path, ref)
+			}
+		}
 	}
 }
 

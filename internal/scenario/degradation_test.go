@@ -2,6 +2,7 @@ package scenario_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"anonmix/internal/scenario"
@@ -135,10 +136,13 @@ func exactReferenceH(t *testing.T, base scenario.Config) float64 {
 	return res.H
 }
 
-// TestSeedDeterminism: identical Config + Workload.Seed must produce
-// bit-identical Result.H (and degradation curves) on repeated runs for
-// both sampled backends, single-shot and multi-round.
+// TestSeedDeterminism: identical Config + Workload.Seed must produce a
+// bit-identical Result on repeated runs, at GOMAXPROCS 1 and 4, for both
+// sampled backends, single-shot and multi-round. Every field the golden
+// dump includes (goldenExcluded names the rest) must match across the
+// four runs, each from an empty engine cache.
 func TestSeedDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cases := []struct {
 		name string
 		cfg  scenario.Config
@@ -171,28 +175,21 @@ func TestSeedDeterminism(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a, err := scenario.Run(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := scenario.Run(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.H != b.H || a.StdErr != b.StdErr {
-				t.Errorf("H not bit-identical across runs: %v ± %v vs %v ± %v",
-					a.H, a.StdErr, b.H, b.StdErr)
-			}
-			if len(a.HRounds) != len(b.HRounds) {
-				t.Fatalf("HRounds length %d vs %d", len(a.HRounds), len(b.HRounds))
-			}
-			for r := range a.HRounds {
-				if a.HRounds[r] != b.HRounds[r] {
-					t.Errorf("HRounds[%d] not bit-identical: %v vs %v", r, a.HRounds[r], b.HRounds[r])
+			var first string
+			for _, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
+				for run := 0; run < 2; run++ {
+					res, err := runCold(t, tc.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := dumpResult(res)
+					if first == "" {
+						first = got
+					} else if got != first {
+						t.Errorf("GOMAXPROCS %d run %d differs from the first run: %s", procs, run, fieldDiff(got, first))
+					}
 				}
-			}
-			if a.IdentifiedShare != b.IdentifiedShare || a.MeanRoundsToIdentify != b.MeanRoundsToIdentify {
-				t.Errorf("identification stats differ across runs")
 			}
 		})
 	}

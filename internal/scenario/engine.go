@@ -254,9 +254,9 @@ func NewAnalyst(cfg Config) (*adversary.Analyst, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := Engine(norm.N, len(norm.Adversary.Compromised), engineOptions(norm)...)
+	e, err := Engine(norm.N, norm.Adversary.Count, engineOptions(norm)...)
 	if err != nil {
 		return nil, err
 	}
-	return adversary.NewAnalyst(e, norm.Strategy.Length, norm.Adversary.Compromised)
+	return adversary.NewAnalyst(e, norm.Strategy.Length, norm.Adversary.nodes())
 }

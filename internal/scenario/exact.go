@@ -76,7 +76,7 @@ func (exactBackend) Run(cfg Config) (Result, error) {
 	if len(cfg.phases) > 0 {
 		return runExactTimeline(cfg, deliveryRate)
 	}
-	e, err := Engine(cfg.N, len(cfg.Adversary.Compromised), engineOptions(cfg)...)
+	e, err := Engine(cfg.N, cfg.Adversary.Count, engineOptions(cfg)...)
 	if err != nil {
 		return Result{}, err
 	}
@@ -84,7 +84,7 @@ func (exactBackend) Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	compShare := float64(len(cfg.Adversary.Compromised)) / float64(cfg.N)
+	compShare := float64(cfg.Adversary.Count) / float64(cfg.N)
 	if cfg.Workload.FixedSender {
 		// H*(S) averages over a uniform sender including the C/N
 		// local-eavesdropper branch, which contributes zero entropy; the
@@ -93,7 +93,7 @@ func (exactBackend) Run(cfg Config) (Result, error) {
 		// Under the no-self-report ablation the engine already conditions
 		// on that branch being absent, so there is nothing to rescale.
 		if e.SenderSelfReport() {
-			h *= float64(cfg.N) / float64(cfg.N-len(cfg.Adversary.Compromised))
+			h *= float64(cfg.N) / float64(cfg.N-cfg.Adversary.Count)
 		}
 		compShare = 0
 	}

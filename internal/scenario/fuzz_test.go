@@ -48,7 +48,9 @@ func allowedRunError(err error) bool {
 }
 
 // FuzzNormalize drives scenario.Run (exact backend, tiny budgets) with
-// arbitrary field values, seeded from the validation-table cases.
+// arbitrary field values, seeded from the validation-table cases. Where
+// the count c fits the system, the config's explicit-prefix twin must
+// give the same dump, or an error of the same class.
 func FuzzNormalize(f *testing.F) {
 	// Seeds mirror the validation tables of scenario_test and
 	// timeline_test: the known-tricky corners of the space.
@@ -138,8 +140,24 @@ func FuzzNormalize(f *testing.F) {
 				Seed:        1,
 			},
 		}
-		if _, err := scenario.Run(cfg); err != nil && !allowedRunError(err) {
+		res, err := scenario.Run(cfg)
+		if err != nil && !allowedRunError(err) {
 			t.Fatalf("Run escaped with %v (%T)\nconfig: %+v", err, err, cfg)
+		}
+		if c < 0 || c > n {
+			return
+		}
+		// A count and the explicit list of its first c nodes are one
+		// adversary. The twin runs on the engines the first run cached.
+		twin := cfg
+		twin.Adversary.Compromised, twin.Adversary.Count = prefix(c), 0
+		twinRes, twinErr := scenario.Run(twin)
+		switch {
+		case (err == nil) != (twinErr == nil), err != nil && scenario.Classify(err) != scenario.Classify(twinErr):
+			t.Fatalf("count %d gave %v, its explicit prefix %v\nconfig: %+v", c, err, twinErr, cfg)
+		case err == nil && dumpResult(res) != dumpResult(twinRes):
+			t.Fatalf("count %d and its explicit prefix differ: %s\nconfig: %+v",
+				c, fieldDiff(dumpResult(twinRes), dumpResult(res)), cfg)
 		}
 	})
 }

@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -158,32 +159,49 @@ type Adversary struct {
 	NoSenderSelfReport bool
 }
 
-// nodes resolves the compromised set for an n-node system.
-func (a Adversary) nodes(n int) ([]trace.NodeID, error) {
+// normalized validates the adversary against an n-node system. An
+// explicit list is checked and copied, and Count set to its length; a
+// count stays a count, and nodes builds its identities where a layer
+// needs them.
+func (a Adversary) normalized(n int) (Adversary, error) {
 	if a.Compromised != nil {
 		seen := make(map[trace.NodeID]bool, len(a.Compromised))
 		for _, id := range a.Compromised {
 			if int(id) < 0 || int(id) >= n {
-				return nil, fmt.Errorf("%w: compromised node %v outside [0,%d)", ErrBadConfig, id, n)
+				return Adversary{}, fmt.Errorf("%w: compromised node %v outside [0,%d)", ErrBadConfig, id, n)
 			}
 			if seen[id] {
-				return nil, fmt.Errorf("%w: duplicate compromised node %v", ErrBadConfig, id)
+				return Adversary{}, fmt.Errorf("%w: duplicate compromised node %v", ErrBadConfig, id)
 			}
 			seen[id] = true
 		}
 		// A defensive copy: backends receive this slice in their normalized
 		// config, and one that sorts or otherwise rearranges it must not
 		// corrupt the caller's Config across reuse on another backend.
-		return append([]trace.NodeID(nil), a.Compromised...), nil
+		a.Compromised = append([]trace.NodeID(nil), a.Compromised...)
+		a.Count = len(a.Compromised)
+		return a, nil
 	}
 	if a.Count < 0 || a.Count > n {
-		return nil, fmt.Errorf("%w: %d compromised of %d nodes", ErrBadConfig, a.Count, n)
+		return Adversary{}, fmt.Errorf("%w: %d compromised of %d nodes", ErrBadConfig, a.Count, n)
+	}
+	return a, nil
+}
+
+// nodes returns the compromised set of a normalized adversary: the
+// explicit list, or else the first Count nodes. The prefix is built anew
+// on every call, so a layer that needs identities asks once per run. The
+// explicit list is the config's own, shared by every reader of the run's
+// config, so callers must not modify the result.
+func (a Adversary) nodes() []trace.NodeID {
+	if a.Compromised != nil {
+		return a.Compromised
 	}
 	out := make([]trace.NodeID, a.Count)
 	for i := range out {
 		out[i] = trace.NodeID(i)
 	}
-	return out, nil
+	return out
 }
 
 // Epoch is one piecewise-constant phase of a dynamic-population timeline.
@@ -493,8 +511,10 @@ type Result struct {
 }
 
 // Backend executes scenarios. Implementations receive a normalized config:
-// Strategy resolved from its spec, Adversary.Compromised materialized, and
-// Backend set to their own kind.
+// Strategy resolved from its spec, Adversary validated with Count set (an
+// explicit Compromised list copied, a count left a count, whose identities
+// Adversary.nodes builds for the layers that use them), and Backend set to
+// their own kind.
 type Backend interface {
 	// Kind names the backend.
 	Kind() BackendKind
@@ -644,12 +664,11 @@ func normalize(cfg Config) (Config, error) {
 	if cfg.Backend == "" {
 		cfg.Backend = BackendExact
 	}
-	comp, err := cfg.Adversary.nodes(cfg.N)
+	adv, err := cfg.Adversary.normalized(cfg.N)
 	if err != nil {
 		return Config{}, err
 	}
-	cfg.Adversary.Compromised = comp
-	cfg.Adversary.Count = len(comp)
+	cfg.Adversary = adv
 
 	if cfg.Strategy.Length == nil && cfg.StrategySpec != "" {
 		s, err := pathsel.Lookup(cfg.StrategySpec)
@@ -703,10 +722,14 @@ func normalize(cfg Config) (Config, error) {
 		if int(cfg.Workload.Sender) < 0 || int(cfg.Workload.Sender) >= cfg.N {
 			return Config{}, fmt.Errorf("%w: fixed sender %v outside [0,%d)", ErrBadConfig, cfg.Workload.Sender, cfg.N)
 		}
-		for _, id := range cfg.Adversary.Compromised {
-			if id == cfg.Workload.Sender {
-				return Config{}, fmt.Errorf("%w: fixed sender %v is compromised (identified at round 0)", ErrBadConfig, id)
-			}
+		// A count adversary holds the first Count nodes.
+		s := cfg.Workload.Sender
+		compromised := int(s) < cfg.Adversary.Count
+		if cfg.Adversary.Compromised != nil {
+			compromised = slices.Contains(cfg.Adversary.Compromised, s)
+		}
+		if compromised {
+			return Config{}, fmt.Errorf("%w: fixed sender %v is compromised (identified at round 0)", ErrBadConfig, s)
 		}
 	}
 	if cfg.Workload.MaxHopDelay < 0 {

@@ -306,6 +306,13 @@ func TestNormalizeValidation(t *testing.T) {
 			c.Workload.FixedSender = true
 			c.Workload.Sender = 1
 		}},
+		{"fixed sender in the explicit prefix", func(c *scenario.Config) {
+			c.Adversary = scenario.Adversary{Compromised: []trace.NodeID{0, 1}}
+			c.Workload.FixedSender = true
+			c.Workload.Sender = 1
+		}},
+		{"negative count", func(c *scenario.Config) { c.Adversary.Count = -1 }},
+		{"count above n", func(c *scenario.Config) { c.Adversary.Count = 13 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -322,6 +329,14 @@ func TestNormalizeValidation(t *testing.T) {
 	ok.Workload.Messages = 0
 	if _, err := scenario.Run(ok); err != nil {
 		t.Errorf("exact single-shot without messages: %v", err)
+	}
+	// The first honest node may be the fixed sender: a count adversary
+	// holds nodes 0..Count−1.
+	pinned := valid
+	pinned.Workload.FixedSender = true
+	pinned.Workload.Sender = 2
+	if _, err := scenario.Run(pinned); err != nil {
+		t.Errorf("fixed sender %v just past the count: %v", pinned.Workload.Sender, err)
 	}
 	crowdsOK := valid
 	crowdsOK.Backend = scenario.BackendTestbed

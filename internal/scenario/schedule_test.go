@@ -301,12 +301,12 @@ func TestRoundsTimelineAllocation(t *testing.T) {
 }
 
 // TestStaticRunAllocation pins that a static config's identity view
-// reuses the normalized compromised list, which is sorted whenever it
-// comes from Adversary.Count, instead of collecting a sorted copy: at
-// N = 10⁶ with 2·10⁵ compromised nodes a warm 1,000-message run stays
-// within a budget the copy alone would break on Monte-Carlo, and the
-// testbed's one routed driver, which walks the same view, stays near the
-// cost of its kernel.
+// builds a count adversary's prefix itself, once, and uses it as is,
+// since the first Count nodes are sorted, instead of collecting a sorted
+// copy: at N = 10⁶ with 2·10⁵ compromised nodes a warm 1,000-message run
+// stays within a budget a second copy would break on Monte-Carlo, and
+// the testbed's one routed driver, which walks the same view, stays near
+// the cost of its kernel.
 func TestStaticRunAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocations")
@@ -336,6 +336,41 @@ func TestStaticRunAllocation(t *testing.T) {
 		t.Logf("%s: warm static Run allocated %d KB", tc.backend, run>>10)
 		if run > tc.budget {
 			t.Errorf("%s: warm static Run allocated %d KB, want ≤ %d KB", tc.backend, run>>10, tc.budget>>10)
+		}
+	}
+}
+
+// TestExactRunAllocation pins that an exact single-shot run reads a count
+// adversary as its count: with the engine cache warm, a static run and a
+// three-epoch Messages timeline at N = 200,000 allocate a few kilobytes
+// whether 1 or 100,000 nodes are compromised, where a run that builds
+// the compromised list allocates 800 KB.
+func TestExactRunAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation inflates allocations")
+	}
+	timeline, err := ParseTimeline("msgs=100;msgs=100,join=4,comp=2;msgs=100,leave=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 8 << 10
+	for _, c := range []int{1, 100_000} {
+		for _, tl := range [][]Epoch{nil, timeline} {
+			cfg := Config{N: 200_000, StrategySpec: "uniform:1,7", Adversary: Adversary{Count: c}, Timeline: tl}
+			if _, err := Run(cfg); err != nil { // warm the engine cache
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			run := after.TotalAlloc - before.TotalAlloc
+			t.Logf("C = %d, %d epochs: warm exact Run allocated %d B", c, len(tl), run)
+			if run > budget {
+				t.Errorf("C = %d, %d epochs: warm exact Run allocated %d B, want ≤ %d B", c, len(tl), run, budget)
+			}
 		}
 	}
 }

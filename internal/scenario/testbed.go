@@ -575,7 +575,7 @@ func analyzeRoutedTimeline(cfg Config, phases []members, analysts []*adversary.A
 // one initiator re-forming its path every round while the collaborators
 // count predecessors — the classical degradation attack on Crowds.
 func runCrowds(cfg Config) (Result, error) {
-	n, comp := cfg.N, cfg.Adversary.Compromised
+	n, comp := cfg.N, cfg.Adversary.nodes()
 	c := len(comp)
 	pf := cfg.CrowdsPf
 	theo, err := crowds.PredecessorProb(n, c, pf)

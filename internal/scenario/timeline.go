@@ -32,8 +32,9 @@ package scenario
 // identities matter, at most once per run: normalize keeps the view its
 // fixed-sender and sender-pool checks build, with the pool, and the
 // sampling drivers build it otherwise. A static config's view is one
-// identity phase over the configuration's own compromised list, O(1)
-// when that list is sorted.
+// identity phase over the adversary's nodes, which costs one build of
+// the first Count nodes for a count adversary, nothing more for a sorted
+// explicit list, and one sorted copy otherwise.
 
 import (
 	"fmt"
@@ -143,7 +144,7 @@ func normalizeTimeline(cfg *Config) error {
 		}
 		cfg.Workload.Messages = msgs
 	}
-	phases, err := schedulePhases(cfg.N, len(cfg.Adversary.Compromised), cfg.Timeline)
+	phases, err := schedulePhases(cfg.N, cfg.Adversary.Count, cfg.Timeline)
 	if err != nil {
 		return err
 	}
@@ -220,37 +221,42 @@ func schedulePhases(n, c int, timeline []Epoch) ([]phase, error) {
 }
 
 // members returns the identity view of the schedule normalize derived
-// into c.phases, over the base population 0..N−1 with
-// Adversary.Compromised compromised: the view normalize kept, or else a
-// fresh one. A fresh view replays the identity rules over per-identity
-// flags and snapshots each phase into slices presized from its counts. A
-// static config is its one phase (staticPhase) whose mapping is the
-// identity: its compromised list is the configuration's own when that is
-// sorted, as the first Count nodes always are, and one sorted copy
-// otherwise. The view may be shared: callers must not modify it.
+// into c.phases, over the base population 0..N−1 with the adversary's
+// nodes compromised: the view normalize kept, or else a fresh one. Either
+// way the base set comes from one Adversary.nodes call, so a count
+// adversary's prefix is built here, once per run. A fresh view replays
+// the identity rules over per-identity flags and snapshots each phase
+// into slices presized from its counts. A static config is its one phase
+// (staticPhase) whose mapping is the identity: its compromised list is
+// the base set itself when that is sorted, as the first Count nodes
+// always are, and one sorted copy otherwise. The view may be shared:
+// callers must not modify it.
 func (c *Config) members() []members {
 	if c.view != nil {
 		return c.view
 	}
+	base := c.Adversary.nodes()
 	if len(c.phases) == 0 {
-		comp := c.Adversary.Compromised
+		comp := base
 		if !slices.IsSorted(comp) {
 			comp = slices.Clone(comp)
 			slices.Sort(comp)
 		}
-		return []members{{phase: c.staticPhase(), comp: comp, denseComp: c.Adversary.Compromised}}
+		return []members{{phase: c.staticPhase(), comp: comp, denseComp: base}}
 	}
 	live := make([]bool, unionSize(c.N, c.Timeline))
 	comp := make([]bool, len(live))
 	for v := 0; v < c.N; v++ {
 		live[v] = true
 	}
-	// order tracks compromise order for LIFO recovery; the base set counts
-	// as compromised in configuration order.
-	order := append([]trace.NodeID(nil), c.Adversary.Compromised...)
-	for _, id := range order {
+	for _, id := range base {
 		comp[id] = true
 	}
+	// Recovery pops the newest compromise: the epochs' own, kept in order,
+	// then the base set's from the end of its configuration order. base
+	// may be the configuration's own list, so recovery shortens it and
+	// never writes to it.
+	var order []trace.NodeID
 	honest := func(g int) bool { return live[g] && !comp[g] }
 	next := c.N
 	out := make([]members, len(c.phases))
@@ -282,8 +288,14 @@ func (c *Config) members() []members {
 			order = append(order, trace.NodeID(cur))
 		}
 		for j := 0; j < e.Recover; j++ {
-			comp[order[len(order)-1]] = false
-			order = order[:len(order)-1]
+			if k := len(order) - 1; k >= 0 {
+				comp[order[k]] = false
+				order = order[:k]
+			} else {
+				k = len(base) - 1
+				comp[base[k]] = false
+				base = base[:k]
+			}
 		}
 		m := members{
 			phase:     p,
@@ -316,7 +328,7 @@ func (c *Config) staticPhase() phase {
 	if c.sessions() {
 		e = Epoch{Rounds: c.Workload.Rounds}
 	}
-	return phase{epoch: e, n: c.N, c: len(c.Adversary.Compromised)}
+	return phase{epoch: e, n: c.N, c: c.Adversary.Count}
 }
 
 // missing yields, in order, the members of the ascending list a absent
