@@ -100,15 +100,16 @@ func (sp *Sampler) simple(rng *stats.Stream, sender trace.NodeID, l int) []trace
 	}
 	if sp.pool == nil {
 		// Only dense draws use the O(n) pool, and a sparse system at
-		// N = 10^6 never makes one, so it is allocated here, once. It holds
-		// the indices 0..n−2 of the nodes other than the sender, index k
-		// standing for node k below the sender and node k+1 from it on, so
-		// one pool in ascending order serves every sender.
-		sp.pool = make([]int32, s.n-1)
+		// N = 10^6 never makes one, so it is allocated here, once, with
+		// the swap record after it. It holds the indices 0..n−2 of the
+		// nodes other than the sender, index k standing for node k below
+		// the sender and node k+1 from it on, so one pool in ascending
+		// order serves every sender.
+		buf := make([]int32, s.n-1+cap(sp.path))
+		sp.pool, sp.swap = buf[:s.n-1], buf[s.n-1:]
 		for k := range sp.pool {
 			sp.pool[k] = int32(k)
 		}
-		sp.swap = make([]int32, cap(sp.path))
 	}
 	for i := 0; i < l; i++ {
 		j := i + rng.Intn(len(sp.pool)-i)
