@@ -256,7 +256,11 @@ func (c *Config) members() []members {
 	// then the base set's from the end of its configuration order. base
 	// may be the configuration's own list, so recovery shortens it and
 	// never writes to it.
-	var order []trace.NodeID
+	pushes := 0
+	for _, p := range c.phases {
+		pushes += p.epoch.Compromise
+	}
+	order := make([]trace.NodeID, 0, pushes)
 	honest := func(g int) bool { return live[g] && !comp[g] }
 	next := c.N
 	out := make([]members, len(c.phases))
