@@ -168,19 +168,20 @@ func newEvaluator(e *events.Engine, lo, hi int, scale float64) (evaluator, error
 const tiny = 1e-12
 
 // entropyTerms returns the class entropy f(α) and its first two
-// derivatives, from a = α and q = 1 − α each computed without cancellation.
-func entropyTerms(cw events.ClassWeights, a, q float64) (f, fp, fpp float64) {
+// derivatives, from a = α and q = 1 − α each computed without cancellation,
+// for an entry with the given Rest, FullPosition and UniformOverAll.
+func entropyTerms(rest int, fullPosition, uniformOverAll bool, a, q float64) (f, fp, fpp float64) {
 	switch {
-	case cw.UniformOverAll:
-		return math.Log2(float64(cw.Rest)), 0, 0
-	case cw.Rest <= 0:
+	case uniformOverAll:
+		return math.Log2(float64(rest)), 0, 0
+	case rest <= 0:
 		return 0, 0, 0
-	case cw.FullPosition:
-		lg := math.Log2(float64(cw.Rest))
+	case fullPosition:
+		lg := math.Log2(float64(rest))
 		return q * lg, -lg, 0
 	default:
 		a, q = max(a, tiny), max(q, tiny)
-		r := float64(cw.Rest)
+		r := float64(rest)
 		return -a*math.Log2(a) - q*math.Log2(q/r), math.Log2(q / (r * a)), -1 / (math.Ln2 * a * q)
 	}
 }
@@ -305,7 +306,8 @@ func (s *solver) fit() {
 func (s *solver) valueGrad() float64 {
 	clear(s.g)
 	var h float64
-	for b, cw := range s.ev {
+	for b := range s.ev {
+		cw := &s.ev[b]
 		var sp, sp0, sq float64
 		for _, i := range s.supp {
 			sp += cw.W[i] * s.p[i]
@@ -317,14 +319,14 @@ func (s *solver) valueGrad() float64 {
 			// An unreached class: mass at l alone adds Count·W·f(W0/W).
 			for i, w := range cw.W {
 				if w > 0 {
-					f, _, _ := entropyTerms(cw, cw.W0[i]/w, (w-cw.W0[i])/w)
+					f, _, _ := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, cw.W0[i]/w, (w-cw.W0[i])/w)
 					s.g[i] += cw.Count * w * f
 				}
 			}
 			continue
 		}
 		alpha := sp0 / sp
-		f, fp, _ := entropyTerms(cw, alpha, sq/sp)
+		f, fp, _ := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, alpha, sq/sp)
 		h += cw.Count * sp * f
 		for i, w := range cw.W {
 			s.g[i] += cw.Count * (f*w + fp*(cw.W0[i]-alpha*w))
@@ -412,13 +414,14 @@ func (s *solver) newton() bool {
 	m := k + s.rows
 	s.kkt, s.rhs, s.u = zeroed(s.kkt, m*m), zeroed(s.rhs, m), zeroed(s.u, k)
 	a, u := s.kkt, s.u
-	for b, cw := range s.ev {
+	for b := range s.ev {
+		cw := &s.ev[b]
 		sp := s.b[b].p
 		if sp <= 0 {
 			continue
 		}
 		alpha := s.b[b].p0 / sp
-		_, _, fpp := entropyTerms(cw, alpha, s.b[b].q/sp)
+		_, _, fpp := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, alpha, s.b[b].q/sp)
 		c := -cw.Count * fpp / sp
 		if c == 0 || math.IsInf(c, 0) {
 			continue
@@ -521,7 +524,8 @@ func (s *solver) search() bool {
 		return false
 	}
 	var base float64
-	for b, cw := range s.ev {
+	for b := range s.ev {
+		cw := &s.ev[b]
 		var dp, dp0, dq float64
 		emptied := true
 		for _, i := range s.act {
@@ -533,7 +537,7 @@ func (s *solver) search() bool {
 			}
 		}
 		if dp != 0 && (s.b[b].p == 0 || emptied) {
-			f, _, _ := entropyTerms(cw, dp0/dp, dq/dp)
+			f, _, _ := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, dp0/dp, dq/dp)
 			base += cw.Count * dp * f
 			dp, dp0, dq = 0, 0, 0
 		}
@@ -575,19 +579,19 @@ func (s *solver) search() bool {
 // empty at an end of the segment, plus the others' terms.
 func (s *solver) slope(base, t float64) (d1, d2 float64) {
 	d1 = base
-	for i, cw := range s.ev {
-		b := &s.b[i]
+	for i := range s.ev {
+		cw, b := &s.ev[i], &s.b[i]
 		if b.dp == 0 && b.dp0 == 0 {
 			continue
 		}
 		sp := b.p + t*b.dp
 		if sp <= 0 { // a bucket rounding empties just short of tmax
-			f, _, _ := entropyTerms(cw, b.dp0/b.dp, b.dq/b.dp)
+			f, _, _ := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, b.dp0/b.dp, b.dq/b.dp)
 			d1 += cw.Count * b.dp * f
 			continue
 		}
 		alpha := (b.p0 + t*b.dp0) / sp
-		f, fp, fpp := entropyTerms(cw, alpha, (b.q+t*b.dq)/sp)
+		f, fp, fpp := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, alpha, (b.q+t*b.dq)/sp)
 		v := b.dp0 - alpha*b.dp
 		d1 += cw.Count * (f*b.dp + fp*v)
 		d2 += cw.Count * fpp * v * v / sp
