@@ -73,7 +73,7 @@
 // The analysis stack underneath:
 //
 //   - internal/events — the exact Bayesian anonymity-degree engine
-//     (counted shape buckets, polynomial in C)
+//     (counted shape groups, polynomial in C)
 //   - internal/theory — closed forms for the paper's Theorems 1–3
 //   - internal/optimize — the §5.4 optimal-distribution solvers
 //   - internal/dist, internal/pathsel — length distributions & strategies;
@@ -208,25 +208,24 @@
 //     engine's inner loop. Reads are lock-free atomic loads of immutable
 //     snapshots; growth is mutex-serialized copy-and-replace.
 //
-//   - events.Engine aggregates over counted shape buckets instead of
+//   - events.Engine aggregates over counted shape groups instead of
 //     concrete observation classes: per-class statistics depend only on
-//     (k compromised, m runs, j₂ wide junctions, tail flag), so the
-//     Θ(3^C) class space collapses into O(min(C, L)³) buckets with
-//     closed-form multiplicities C(k−1,m−1)·C(m−1,j₂). AnonymityDegree,
-//     BucketStats, and the optimizer's Weights are therefore exact for
-//     any C ≤ N−1 — constant corrupted fractions included (N = 1000,
-//     C = 400 evaluates in well under a millisecond) — where the old
-//     enumeration capped at C = 12. The per-class APIs (ClassStats,
-//     Enumerate) keep that bound; StatsFor handles single classes at any
-//     C, which lets the Monte-Carlo estimator cross-validate the bucketed
-//     engine deep into the large-C regime.
+//     (k compromised, minimum length, free gap count), so the Θ(3^C)
+//     class space collapses into O(min(C, L)³) groups with closed-form
+//     multiplicities summed from C(k−1,m−1)·C(m−1,j₂). AnonymityDegree
+//     and the optimizer's Weights are therefore exact for any C ≤ N−1 —
+//     constant corrupted fractions included (N = 1000, C = 400 evaluates
+//     in well under a millisecond) — and both read one group list, the
+//     hop-count adversary's exact-tail classes included. StatsFor handles
+//     single classes at any C, which lets the Monte-Carlo estimator
+//     cross-validate the engine deep into the large-C regime. The
+//     per-class enumeration survives only as a test oracle.
 //
 //   - events.Engine memoizes its results per path-length distribution,
-//     keyed by the distribution's exact IEEE-754 fingerprint: ClassStats,
-//     BucketStats, Weights, and AnonymityDegree store whole result
-//     vectors, and class enumerations are shared per (C, receiver) across
-//     engines. Single-class statistics (StatsFor, behind every simulated
-//     trace the adversary analyzes) live in a per-distribution
+//     keyed by the distribution's exact IEEE-754 fingerprint: Weights and
+//     AnonymityDegree store whole results. Single-class statistics
+//     (StatsFor, behind every simulated trace the adversary analyzes)
+//     live in a per-distribution
 //     events.StatsTable, for which the engine validates and fingerprints
 //     the distribution once. A class's posterior depends on the class only
 //     through its shape, so the table keys its entries by the four
@@ -245,18 +244,18 @@
 //
 //   - events.Engine.Neighbor is the delta path for drifting populations:
 //     a (N±dn, C±dc) engine derived from an existing one instead of built
-//     from scratch. All engines descending from one root share a family
-//     of per-distribution shape tables — the N-independent part of the
-//     bucketed aggregation, merged across buckets with identical
-//     (k, base, free) shape — so a derived engine's AnonymityDegree only
-//     computes the small N- and C-dependent weight table and a dot
-//     product per shape group. The factorization reorders the exact same
-//     products, so delta-derived engines agree with fresh ones to the
-//     last few ulps (property-tested at ≤ 1e-12 over ±1 steps and ±k
-//     jumps); on a 32-epoch timeline at N ≈ 10^5 the per-epoch exact
-//     evaluation is ≈ 8x cheaper than fresh construction
-//     (BenchmarkTimelineExactDelta, whose ≈ 43 µs/epoch times the engine
-//     chain only, not a scenario.Run). scenario.Engine rides it
+//     from scratch. Every engine evaluates through a family of
+//     per-distribution shape tables — the N- and C-independent part of
+//     each group's mixture — and a derived engine shares its source's
+//     family, so its AnonymityDegree only computes the small N- and
+//     C-dependent weight table and a dot product per shape group. A fresh
+//     engine is a family of one and folds the same products in the same
+//     order, so derived and fresh engines agree bit for bit
+//     (FuzzNeighborMatchesFresh) and an answer never depends on which
+//     engines a process built before; on a 32-epoch timeline at
+//     N ≈ 10^5 the per-epoch exact evaluation is ≈ 5x cheaper than fresh
+//     construction (BenchmarkTimelineExactDelta, whose ≈ 20–35 µs/epoch
+//     times the engine chain only, not a scenario.Run). scenario.Engine rides it
 //     transparently: a cache miss with any same-flag engine resident is
 //     delta-derived rather than rebuilt, which makes exact timeline
 //     blending and the epoch-aware optimizer cheap by construction.

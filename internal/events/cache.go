@@ -1,8 +1,8 @@
 package events
 
 // Memoization layer for the exact engine. Every figure, optimizer solve,
-// and Monte-Carlo trial funnels through ClassStats / StatsFor / Weights
-// with a small set of distinct distributions, so the engine keeps
+// and Monte-Carlo trial funnels through AnonymityDegree / StatsFor /
+// Weights with a small set of distinct distributions, so the engine keeps
 // per-instance memo tables keyed by the distribution's exact mass
 // fingerprint (single-class statistics live one level down, in each
 // distribution's StatsTable). All cached computations are pure functions
@@ -43,44 +43,10 @@ type weightKey struct{ lo, hi int }
 
 // engineMemo holds the per-engine caches. The zero value is ready to use.
 type engineMemo struct {
-	mu          sync.RWMutex
-	classStats  map[string][]Stats
-	bucketStats map[string][]BucketStats
-	degrees     map[string]float64
-	tables      map[string]*StatsTable
-	weights     map[weightKey][]ClassWeights
-}
-
-func (m *engineMemo) loadClassStats(key string) ([]Stats, bool) {
-	m.mu.RLock()
-	s, ok := m.classStats[key]
-	m.mu.RUnlock()
-	return s, ok
-}
-
-func (m *engineMemo) storeClassStats(key string, s []Stats) {
-	m.mu.Lock()
-	if m.classStats == nil || len(m.classStats) >= maxMemoEntries {
-		m.classStats = make(map[string][]Stats)
-	}
-	m.classStats[key] = s
-	m.mu.Unlock()
-}
-
-func (m *engineMemo) loadBucketStats(key string) ([]BucketStats, bool) {
-	m.mu.RLock()
-	s, ok := m.bucketStats[key]
-	m.mu.RUnlock()
-	return s, ok
-}
-
-func (m *engineMemo) storeBucketStats(key string, s []BucketStats) {
-	m.mu.Lock()
-	if m.bucketStats == nil || len(m.bucketStats) >= maxMemoEntries {
-		m.bucketStats = make(map[string][]BucketStats)
-	}
-	m.bucketStats[key] = s
-	m.mu.Unlock()
+	mu      sync.RWMutex
+	degrees map[string]float64
+	tables  map[string]*StatsTable
+	weights map[weightKey][]ClassWeights
 }
 
 func (m *engineMemo) loadDegree(key string) (float64, bool) {
@@ -135,26 +101,4 @@ func (m *engineMemo) storeWeights(key weightKey, w []ClassWeights) {
 	}
 	m.weights[key] = w
 	m.mu.Unlock()
-}
-
-// enumKey identifies one cached class enumeration.
-type enumKey struct {
-	c        int
-	receiver bool
-}
-
-// enumCache shares class enumerations process-wide: the class set depends
-// only on (C, receiver-compromised), and the engine treats the returned
-// slice as immutable.
-var enumCache sync.Map // enumKey → []Class
-
-// enumerateShared returns the cached class set for (c, receiver),
-// computing it at most once per process.
-func enumerateShared(c int, receiverCompromised bool) []Class {
-	key := enumKey{c, receiverCompromised}
-	if v, ok := enumCache.Load(key); ok {
-		return v.([]Class)
-	}
-	v, _ := enumCache.LoadOrStore(key, Enumerate(c, receiverCompromised))
-	return v.([]Class)
 }

@@ -112,7 +112,7 @@ func TestEngineConcurrentMixedQueries(t *testing.T) {
 					for i := range got {
 						for l := range got[i].W {
 							if got[i].W[l] != wantWeights[i].W[l] || got[i].W0[l] != wantWeights[i].W0[l] {
-								t.Errorf("class %s at l=%d: weight drift", got[i].Class, l)
+								t.Errorf("weights[%d] at l=%d: weight drift", i, l)
 								return
 							}
 						}

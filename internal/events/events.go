@@ -1,6 +1,6 @@
 // Package events implements the exact anonymity-degree engine of Guan et al.
-// (ICDCS 2002): it enumerates the equivalence classes of observations a
-// passive adversary can make on rerouting paths, applies Bayes' rule over
+// (ICDCS 2002): it partitions the observations a passive adversary can
+// make on rerouting paths into equivalence classes, applies Bayes' rule over
 // the unknown path length and head gap (the paper's Formulas 7–8), and
 // computes the anonymity degree H*(S) = Σ_e H(e)·P(e) (Formulas 4–6).
 //
@@ -28,27 +28,27 @@
 // entropy is H(e). Everything is exact (log-space combinatorics); no
 // sampling is involved.
 //
-// # Counted buckets
+// # Shape groups
 //
-// The class space grows as Θ(3^C), but every statistic above depends on a
-// class only through its shape (k compromised, m runs, j₂ wide junctions,
-// tail flag), so aggregate queries — AnonymityDegree, BucketStats, and the
-// optimizer's Weights — collapse the enumeration into O(min(C, L)³) shape
-// buckets with closed-form multiplicities C(k−1,m−1)·C(m−1,j₂) (see
-// aggregate.go). Those paths are exact for any C ≤ N−1; only the per-class
-// APIs (ClassStats, Enumerate) keep the enumeration and its C ≤ 12 bound.
+// The class space grows as Θ(3^C), but a class's statistics depend on it
+// only through its shape: k compromised, the minimum path length that can
+// produce it, and its number of free gap variables. AnonymityDegree and the
+// optimizer's Weights therefore fold the classes into O(min(C, L)³) shape
+// groups with closed-form multiplicities (see family.go), exact for any
+// C ≤ N−1. Every engine evaluates through the groups of its family — a
+// fresh engine is a family of one, a Neighbor-derived one shares its
+// source's — so an answer depends on the engine's configuration and the
+// distribution alone, not on which engines were built or queried before.
 package events
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"anonmix/internal/combin"
 	"anonmix/internal/dist"
 	"anonmix/internal/entropy"
-	"anonmix/internal/pool"
 )
 
 // Errors returned by the engine.
@@ -58,20 +58,13 @@ var (
 	// ErrSupportTooLong reports a path-length distribution whose support
 	// exceeds N−1, the longest simple path in an N-node clique.
 	ErrSupportTooLong = errors.New("events: path length support exceeds N-1 (simple paths)")
-	// ErrTooManyClasses reports a compromised-node count whose class space
-	// is too large to enumerate class-by-class. The bucketed aggregates
-	// (AnonymityDegree, BucketStats, Weights) and single-class StatsFor
-	// have no such limit.
+	// ErrTooManyClasses reports a compromised-node count beyond what the
+	// inference mode models exactly: hop-count inference supports C ≤ 1.
 	ErrTooManyClasses = errors.New("events: class space too large for exact enumeration")
 	// ErrClassMismatch reports a class signature inconsistent with the
 	// engine's system parameters.
 	ErrClassMismatch = errors.New("events: class signature inconsistent with system")
 )
-
-// maxCompromisedEnumerate bounds the per-class enumeration (ClassStats and
-// the hop-count paths): the concrete class space grows as Θ(3^C). The
-// bucketed aggregates in aggregate.go are polynomial and unbounded.
-const maxCompromisedEnumerate = 12
 
 // GapFlag classifies the observable size of the gap between two consecutive
 // compromised runs on a path.
@@ -149,36 +142,6 @@ type Class struct {
 	// Tail classifies the gap between the last run and the receiver.
 	// Unused when Runs is empty.
 	Tail TailFlag
-	// ExactTail carries the exact tail gap under InferenceHopCount
-	// (timing reveals the hop distance from the last run to the
-	// receiver), encoded as gap+1 so the zero value means "unobserved"
-	// (the standard model). Use ExactTailGap / NewHopCountClass rather
-	// than touching the encoding directly.
-	ExactTail int
-}
-
-// ExactTailGap returns the exact tail gap and whether it is observed.
-func (c Class) ExactTailGap() (int, bool) {
-	if c.ExactTail <= 0 {
-		return 0, false
-	}
-	return c.ExactTail - 1, true
-}
-
-// NewHopCountClass returns the C = 1 hop-count-adversary class: one
-// compromised node observed exactly t hops before the receiver.
-func NewHopCountClass(t int) (Class, error) {
-	if t < 0 {
-		return Class{}, fmt.Errorf("%w: tail gap %d", ErrClassMismatch, t)
-	}
-	tail := TailWide
-	switch t {
-	case 0:
-		tail = TailZero
-	case 1:
-		tail = TailOne
-	}
-	return Class{Runs: []int{1}, Tail: tail, ExactTail: t + 1}, nil
 }
 
 // K returns the number of compromised intermediate nodes in the class.
@@ -194,8 +157,7 @@ func (c Class) K() int {
 func (c Class) Empty() bool { return len(c.Runs) == 0 }
 
 // String renders the class in a compact run/gap notation, e.g.
-// "[2]-1-[1]-t2+" for a 2-run, a one-node gap, a 1-run, and a wide tail;
-// exact hop-count tails render as "-t=3".
+// "[2]-1-[1]-t2+" for a 2-run, a one-node gap, a 1-run, and a wide tail.
 func (c Class) String() string {
 	if c.Empty() {
 		return "[none]"
@@ -207,9 +169,6 @@ func (c Class) String() string {
 		}
 		s += fmt.Sprintf("[%d]", r)
 	}
-	if t, ok := c.ExactTailGap(); ok {
-		return s + fmt.Sprintf("-t=%d", t)
-	}
 	return s + "-t" + c.Tail.String()
 }
 
@@ -219,25 +178,7 @@ func (c Class) validate() error {
 		if len(c.Gaps) != 0 {
 			return fmt.Errorf("%w: gaps without runs", ErrClassMismatch)
 		}
-		if _, ok := c.ExactTailGap(); ok {
-			return fmt.Errorf("%w: exact tail without runs", ErrClassMismatch)
-		}
 		return nil
-	}
-	if t, ok := c.ExactTailGap(); ok {
-		if len(c.Runs) != 1 || c.Runs[0] != 1 {
-			return fmt.Errorf("%w: exact tail needs a single length-1 run", ErrClassMismatch)
-		}
-		want := TailWide
-		switch t {
-		case 0:
-			want = TailZero
-		case 1:
-			want = TailOne
-		}
-		if c.Tail != want {
-			return fmt.Errorf("%w: exact tail %d inconsistent with flag %v", ErrClassMismatch, t, c.Tail)
-		}
 	}
 	if len(c.Gaps) != len(c.Runs)-1 {
 		return fmt.Errorf("%w: %d runs need %d gap flags, have %d",
@@ -283,8 +224,9 @@ const (
 	// InferenceFullPosition (the length is known, so positions follow);
 	// for variable-length strategies the sender-side gap stays uncertain,
 	// which is exactly why variable lengths are more robust (paper
-	// conclusion 4). Supported for C ≤ 1 (the exact-gap class space for
-	// larger C grows with the support size; use the estimator there).
+	// conclusion 4). Supported for C ≤ 1 with a compromised receiver, the
+	// timing baseline (the exact-gap class space for larger C grows with
+	// the support size; use the estimator there).
 	InferenceHopCount
 )
 
@@ -306,19 +248,19 @@ func (m InferenceMode) String() string {
 // communication system with n nodes of which c are compromised.
 //
 // The engine memoizes its results per length distribution, keyed by the
-// distribution's exact mass fingerprint: the aggregate and per-class
-// vectors whole, and single-class statistics in a per-distribution
-// StatsTable keyed by class shape. It is safe for concurrent use; cached
-// results are bit-identical to fresh computation.
+// distribution's exact mass fingerprint: degrees and weight vectors whole,
+// and single-class statistics in a per-distribution StatsTable keyed by
+// class shape. It is safe for concurrent use; cached results are
+// bit-identical to fresh computation.
 type Engine struct {
 	n, c       int
 	mode       InferenceMode
 	receiver   bool // receiver compromised (paper default: true)
 	selfReport bool // compromised sender identifies itself (paper default: true)
 
-	// fam, when set, shares per-distribution shape tables with every
-	// engine this one was Neighbor-derived from or to (see family.go).
-	fam atomic.Pointer[family]
+	// fam holds the per-distribution shape-group tables; New gives every
+	// engine its own, and Neighbor shares it (see family.go).
+	fam *family
 
 	memo engineMemo
 }
@@ -349,27 +291,38 @@ func WithoutSenderSelfReport() Option {
 
 // New returns an exact engine for an n-node system with c compromised
 // nodes. The receiver is compromised in addition to the c nodes, matching
-// the paper's threat model. Any c ≤ n is accepted: the aggregate queries
-// run on the counted-bucket engine, which is polynomial in c; only the
-// per-class ClassStats enumeration keeps a small-c bound. At c = n the
-// degenerate system has H* = 0 (AnonymityDegree short-circuits), but the
-// per-class partition, which conditions on an uncompromised sender, is
-// undefined and ClassStats/BucketStats report an accounting error.
+// the paper's threat model. Any c ≤ n is accepted: the shape groups are
+// polynomial in c. At c = n the degenerate system has H* = 0
+// (AnonymityDegree short-circuits).
 func New(n, c int, opts ...Option) (*Engine, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("%w: need at least 2 nodes, have %d", ErrInvalidSystem, n)
-	}
-	if c < 0 || c > n {
-		return nil, fmt.Errorf("%w: %d compromised of %d nodes", ErrInvalidSystem, c, n)
-	}
 	e := &Engine{n: n, c: c, mode: InferenceStandard, receiver: true, selfReport: true}
 	for _, o := range opts {
 		o(e)
 	}
-	if e.mode == InferenceHopCount && c > 1 {
-		return nil, fmt.Errorf("%w: hop-count inference supports c ≤ 1, have %d", ErrTooManyClasses, c)
+	if err := e.validate(); err != nil {
+		return nil, err
 	}
+	e.fam = &family{receiver: e.receiver, hopCount: e.mode == InferenceHopCount}
 	return e, nil
+}
+
+// validate checks the system parameters and the inference mode's limits.
+func (e *Engine) validate() error {
+	if e.n < 2 {
+		return fmt.Errorf("%w: need at least 2 nodes, have %d", ErrInvalidSystem, e.n)
+	}
+	if e.c < 0 || e.c > e.n {
+		return fmt.Errorf("%w: %d compromised of %d nodes", ErrInvalidSystem, e.c, e.n)
+	}
+	if e.mode == InferenceHopCount {
+		if e.c > 1 {
+			return fmt.Errorf("%w: hop-count inference supports c ≤ 1, have %d", ErrTooManyClasses, e.c)
+		}
+		if !e.receiver {
+			return fmt.Errorf("%w: hop-count inference requires a compromised receiver (timing baseline)", ErrInvalidSystem)
+		}
+	}
+	return nil
 }
 
 // N returns the number of nodes in the system.
@@ -428,61 +381,6 @@ func (e *Engine) checkDist(d dist.Length) error {
 	return nil
 }
 
-// ClassStats enumerates every observation class and returns its statistics
-// under the path-length distribution d. The returned probabilities sum to 1
-// (over the sender-not-compromised branch); this invariant is verified and
-// an error is returned if it fails, since it would indicate a combinatorial
-// accounting bug. The concrete class space grows as Θ(3^C), so ClassStats
-// returns ErrTooManyClasses beyond C = 12; use BucketStats for the
-// polynomial aggregate view at any C.
-func (e *Engine) ClassStats(d dist.Length) ([]Stats, error) {
-	if err := e.checkDist(d); err != nil {
-		return nil, err
-	}
-	return e.classStatsKeyed(distKey(d), d)
-}
-
-// classStatsKeyed is ClassStats after validation, with the memo key already
-// computed (AnonymityDegree reuses its own key here).
-func (e *Engine) classStatsKeyed(key string, d dist.Length) ([]Stats, error) {
-	if s, ok := e.memo.loadClassStats(key); ok {
-		return append([]Stats(nil), s...), nil
-	}
-	_, hi := d.Support()
-	classes, err := e.enumerate(hi)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Stats, len(classes))
-	// Fan the per-class posteriors out over the shared worker pool. Each
-	// task writes only its own slot, and the verification sum below runs
-	// over the slots in class order, so the parallel path is bit-identical
-	// to the serial one. Small class spaces (C = 1 has four classes) are
-	// not worth the dispatch overhead.
-	if len(classes) >= parallelClassThreshold {
-		pool.ForEach(len(classes), func(i int) {
-			out[i] = e.statsFor(classes[i], d)
-		})
-	} else {
-		for i, cl := range classes {
-			out[i] = e.statsFor(cl, d)
-		}
-	}
-	var total float64
-	for i := range out {
-		total += out[i].P
-	}
-	if math.Abs(total-1) > 1e-6 {
-		return nil, fmt.Errorf("events: class probabilities sum to %v, want 1 (internal accounting bug)", total)
-	}
-	e.memo.storeClassStats(key, out)
-	return append([]Stats(nil), out...), nil
-}
-
-// parallelClassThreshold is the class-space size below which ClassStats
-// and Weights stay serial (pool dispatch would cost more than the work).
-const parallelClassThreshold = 64
-
 // StatsFor returns the statistics of a single observation class under d.
 // It is the entry point used by the simulation adversary, which reconstructs
 // a Class from concrete tuple reports and needs the posterior spike Alpha
@@ -497,110 +395,107 @@ func (e *Engine) StatsFor(cl Class, d dist.Length) (Stats, error) {
 	return t.StatsFor(cl)
 }
 
-// statsFor computes the Bayes mixture for one class from its compromised
-// count and shape alone; see the package comment for the derivation.
-func (e *Engine) statsFor(cl Class, d dist.Length) Stats {
-	base, free, nObs := e.shape(cl)
-	return e.statsForShape(cl.K(), base, free, nObs, d).stats(cl)
-}
-
 // statsForShape computes the Bayes mixture shared by every class with k
 // compromised nodes and shape (base, free, nObs); k == 0 is the empty
-// class.
-//
-// The position-set weight W(l,k) = P(C,k)·P(N−1−C, l−k)/P(N−1,l) is carried
-// through the length loop by the multiplicative recurrence
-//
-//	W(k,k)   = Π_{i<k} (C−i)/(N−1−i)
-//	W(l,k)   = W(l−1,k) · (N−1−C−(l−1−k)) / (N−1−(l−1))
-//
-// which stays in [0,1] for any system size (no overflow, no log/exp in the
-// hot path). The arrangement counts are small binomials (the number of free
-// gap variables is at most C+2).
+// class. See the package comment for the derivation; the arrangement
+// counts are small binomials (the number of free gap variables is at most
+// C+2).
 func (e *Engine) statsForShape(k, base, free, nObs int, d dist.Length) shapeStats {
 	lo, hi := d.Support()
-	if hi > e.n-1 {
-		hi = e.n - 1
-	}
-	w := 1.0
-	for i := 0; i < k; i++ {
-		w *= float64(e.c-i) / float64(e.n-1-i)
-	}
+	hi = min(hi, e.n-1)
+	w := make([]float64, hi+1)
+	wRow(w, e.n, e.c, k)
 	var sumP, sumP0 float64 // Σ_l p(l)·W(l,k)·A(l) and the g0=0 restriction
-	for l := k; l <= hi; l++ {
-		if l > k {
-			num := float64(e.n - 1 - e.c - (l - 1 - k))
-			if num <= 0 {
-				break // more uncompromised slots than uncompromised nodes
-			}
-			w *= num / float64(e.n-1-(l-1))
-		}
-		if l < lo || l < base {
-			continue
-		}
+	for l := max(lo, base); l <= hi; l++ {
 		p := d.PMF(l)
-		if p == 0 {
+		if p == 0 || w[l] == 0 {
 			continue
 		}
 		slack := l - base
-		sumP += p * w * starsAndBars(slack, free)
-		sumP0 += p * w * starsAndBars(slack, free-1)
+		sumP += p * w[l] * starsAndBars(slack, free)
+		sumP0 += p * w[l] * starsAndBars(slack, free-1)
 	}
-
 	st := shapeStats{rest: e.n - e.c - nObs}
 	if sumP <= 0 {
 		// Class unreachable under this distribution.
 		return st
 	}
 	st.p = sumP
-	st.alpha = sumP0 / sumP
-	if st.alpha > 1 {
-		st.alpha = 1 // guard against rounding
-	}
-	// The empty class with an uncompromised receiver observes nothing: the
-	// posterior is uniform over all non-compromised nodes (the adversary's
-	// own nodes know they did not send).
+	st.alpha = min(sumP0/sumP, 1) // guard against rounding
 	if k == 0 && !e.receiver {
-		st.alpha = 0
-		st.rest = e.n - e.c
-		st.h = entropy.Max(st.rest)
-		return st
+		st.alpha = 0 // nothing observed: no spike
 	}
+	st.h = e.entropy(k, st.rest, st.alpha)
+	return st
+}
+
+// entropy returns the entropy of the sender posterior of a class with k
+// compromised nodes on the path, rest slab candidates, and spike alpha.
+func (e *Engine) entropy(k, rest int, alpha float64) float64 {
 	switch {
+	case k == 0 && !e.receiver:
+		// The empty class with an uncompromised receiver observes nothing:
+		// the posterior is uniform over all non-compromised nodes (the
+		// adversary's own nodes know they did not send).
+		return entropy.Max(rest)
 	case e.mode == InferenceFullPosition && k > 0:
 		// Positions of the compromised reports are known exactly, so the
-		// head gap g0 is known: with probability Alpha the sender is
-		// identified (g0 = 0), otherwise it is uniform over Rest nodes.
+		// head gap g0 is known: with probability alpha the sender is
+		// identified (g0 = 0), otherwise it is uniform over rest nodes.
 		// With no compromised node on the path there is no report to
 		// position, so the empty class falls through to the standard
 		// spike-and-slab posterior.
-		st.h = (1 - st.alpha) * entropy.Max(st.rest)
+		return (1 - alpha) * entropy.Max(rest)
 	default:
-		st.h = entropy.SpikeAndSlab(st.alpha, st.rest)
+		return entropy.SpikeAndSlab(alpha, rest)
 	}
-	return st
+}
+
+// wRow fills row[l] for l ≥ k with the position-set weight
+// W(l,k) = P(C,k)·P(N−1−C, l−k)/P(N−1,l), and leaves it zero where no
+// simple path exists. It is carried through the length loop by the
+// multiplicative recurrence
+//
+//	W(k,k)   = Π_{i<k} (C−i)/(N−1−i)
+//	W(l,k)   = W(l−1,k) · (N−1−C−(l−1−k)) / (N−1−(l−1))
+//
+// which stays in [0,1] for any system size (no overflow, no log/exp in the
+// hot path).
+func wRow(row []float64, n, c, k int) {
+	if k >= len(row) {
+		return
+	}
+	w := 1.0
+	for i := 0; i < k; i++ {
+		w *= float64(c-i) / float64(n-1-i)
+	}
+	row[k] = w
+	for l := k + 1; l < len(row); l++ {
+		num := float64(n - 1 - c - (l - 1 - k))
+		if num <= 0 {
+			break // more uncompromised slots than uncompromised nodes
+		}
+		w *= num / float64(n-1-(l-1))
+		row[l] = w
+	}
+}
+
+// wTable returns W(l,k) for k ≤ kMax and l ≤ hi as one row-major slice,
+// row k at [k·(hi+1), (k+1)·(hi+1)) — the only per-(N, C) work of an
+// aggregate query.
+func wTable(n, c, kMax, hi int) []float64 {
+	W := make([]float64, (kMax+1)*(hi+1))
+	for k := 0; k <= kMax; k++ {
+		wRow(W[k*(hi+1):(k+1)*(hi+1)], n, c, k)
+	}
+	return W
 }
 
 // shape returns, for a class, the minimum path length that can produce it
 // (base), the number of free non-negative gap variables including the head
 // gap g0 (free ≥ 1), and the number of observed uncompromised witness nodes
-// (nObs, the head predecessor included). Hop-count classes are handled
-// here; every other class goes through standardShape.
+// (nObs, the head predecessor included).
 func (e *Engine) shape(cl Class) (base, free, nObs int) {
-	if t, ok := cl.ExactTailGap(); ok && !cl.Empty() {
-		// Hop-count class: one compromised node exactly t hops before the
-		// receiver. Only the head gap g0 is free; the identity witnesses
-		// are the predecessor, plus the successor when t ≥ 1, plus the
-		// receiver's (distinct) predecessor when t ≥ 2.
-		nObs = 1
-		if t >= 1 {
-			nObs++
-		}
-		if t >= 2 {
-			nObs++
-		}
-		return 1 + t, 1, nObs
-	}
 	var one, wide int
 	for _, g := range cl.Gaps {
 		switch g {
@@ -610,7 +505,7 @@ func (e *Engine) shape(cl Class) (base, free, nObs int) {
 			wide++
 		}
 	}
-	return e.standardShape(cl.K(), one, wide, cl.Tail)
+	return standardShape(cl.K(), one, wide, cl.Tail, e.receiver)
 }
 
 // standardShape is shape for a flag-based class with k compromised nodes
@@ -618,41 +513,43 @@ func (e *Engine) shape(cl Class) (base, free, nObs int) {
 // whose tail is flagged tail; k == 0 is the empty class, whose counts and
 // tail are ignored. It is the one place the shape arithmetic lives:
 // shape derives the counts from a Class, StatsTable.ShapeStats takes them
-// from a caller that counted them along a path.
+// from a caller that counted them along a path, and the shape groups
+// invert it (family.go).
 //
 // nObs counts every uncompromised node whose identity the adversary has
 // seen: the predecessor of the first run (the sender candidate), junction
-// witnesses (one for GapOne, two for GapWide), and tail witnesses (none for
-// TailZero, one for TailOne/TailUnobserved, two for TailWide). For the
+// witnesses (one for GapOne, two for GapWide), and tail witnesses. For the
 // empty class it is 1 when the receiver reports a predecessor, 0 otherwise.
-func (e *Engine) standardShape(k, one, wide int, tail TailFlag) (base, free, nObs int) {
+func standardShape(k, one, wide int, tail TailFlag, receiver bool) (base, free, nObs int) {
 	if k == 0 {
-		if e.receiver {
+		if receiver {
 			return 0, 1, 1
 		}
 		return 0, 1, 0
 	}
-	base = k + one + 2*wide
-	free = 1 + wide         // head gap g0, then one per wide junction
-	nObs = 1 + one + 2*wide // predecessor of the first run, then the junctions'
+	tb, tf, to := tailShape(tail)
+	// The head gap g0 is free, then one gap per wide junction; the
+	// predecessor of the first run is observed, then the junctions'.
+	return k + one + 2*wide + tb, 1 + wide + tf, 1 + one + 2*wide + to
+}
+
+// tailShape returns what a tail flag adds to a class's minimum length,
+// free gap count and witness count.
+func tailShape(tail TailFlag) (base, free, nObs int) {
 	switch tail {
-	case TailZero:
-		// Last intermediate is compromised; receiver's predecessor is it.
 	case TailOne:
-		base++
-		nObs++
+		return 1, 0, 1
 	case TailWide:
-		base += 2
-		free++
-		nObs += 2
+		return 2, 1, 2
 	case TailUnobserved:
-		// Uncompromised receiver: gap known only to be ≥ 1; its single
-		// closest witness (the run's successor) is observed.
-		base++
-		free++
-		nObs++
+		// Uncompromised receiver: the gap is known only to be ≥ 1; its
+		// single closest witness (the run's successor) is observed.
+		return 1, 1, 1
+	default:
+		// TailZero: the last intermediate is compromised, and the
+		// receiver's predecessor is that node.
+		return 0, 0, 0
 	}
-	return base, free, nObs
 }
 
 // starsAndBars returns the number of ways to write slack as an ordered sum
@@ -663,27 +560,23 @@ func starsAndBars(slack, vars int) float64 {
 	return combin.StarsAndBars(slack, vars)
 }
 
-// ClassWeights holds, for one observation class, the linear weight vectors
-// that make the anonymity degree a sum of linear-fractional terms in the
-// path-length mass function p:
+// ClassWeights holds, for one shape group of observation classes, the
+// linear weight vectors that make the anonymity degree a sum of
+// linear-fractional terms in the path-length mass function p:
 //
-//	P_σ(p)  = Σ_l W[l−lo]·p(l)        (class probability)
+//	P_σ(p)  = Σ_l W[l−lo]·p(l)        (per-class probability)
 //	P0_σ(p) = Σ_l W0[l−lo]·p(l)       (g0 = 0 restriction)
 //	α_σ     = P0_σ/P_σ
-//	H*(p)   = (N−C)/N · Σ_σ P_σ·f(α_σ, Rest)
+//	H*(p)   = (N−C)/N · Σ_σ Count_σ·P_σ·f(α_σ, Rest)
 //
 // with f the spike-and-slab entropy (or its full-position variant). The
 // optimizer uses this decomposition for exact analytic gradients.
 //
-// One entry covers a whole shape bucket of Count classes sharing the same
+// One entry covers a whole shape group of Count classes sharing the same
 // per-class vectors, so the objective and its gradient must weight each
-// entry's contribution by Count (the hop-count path enumerates concrete
-// classes, with Count == 1).
+// entry's contribution by Count.
 type ClassWeights struct {
-	// Class is the observation signature (a canonical bucket
-	// representative on the bucketed path).
-	Class Class
-	// Count is the bucket multiplicity: the number of concrete classes
+	// Count is the group multiplicity: the number of concrete classes
 	// sharing these vectors. Always ≥ 1.
 	Count float64
 	// Rest is the slab candidate count for the class.
@@ -699,13 +592,11 @@ type ClassWeights struct {
 	Lo int
 }
 
-// Weights returns the weight vectors for path lengths in [lo, hi]. hi must
-// not exceed N−1. Under the standard and full-position modes the entries
-// are shape buckets (one per bucket, with the multiplicity in Count),
-// which keeps the decomposition polynomial for any C; hop-count inference
-// enumerates its concrete classes with Count == 1.
-// The returned weight vectors are shared with the engine's cache and must
-// be treated as read-only.
+// Weights returns the weight vectors for path lengths in [lo, hi], one
+// entry per shape group of a distribution whose support ends at hi — the
+// groups AnonymityDegree folds — which keeps the decomposition polynomial
+// for any C. hi must not exceed N−1. The returned weight vectors are
+// shared with the engine's cache and must be treated as read-only.
 func (e *Engine) Weights(lo, hi int) ([]ClassWeights, error) {
 	if lo < 0 || hi < lo || hi > e.n-1 {
 		return nil, fmt.Errorf("%w: weight range [%d,%d] with N=%d", ErrInvalidSystem, lo, hi, e.n)
@@ -714,77 +605,42 @@ func (e *Engine) Weights(lo, hi int) ([]ClassWeights, error) {
 	if w, ok := e.memo.loadWeights(key); ok {
 		return append([]ClassWeights(nil), w...), nil
 	}
-	if e.mode != InferenceHopCount {
-		out := e.bucketWeights(lo, hi)
-		e.memo.storeWeights(key, out)
-		return append([]ClassWeights(nil), out...), nil
-	}
-	classes, err := e.enumerate(hi)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ClassWeights, len(classes))
-	build := func(i int) {
-		cl := classes[i]
-		base, free, nObs := e.shape(cl)
-		out[i] = e.buildWeights(cl, 1, cl.K(), base, free, nObs, lo, hi)
-	}
-	if len(classes) >= parallelClassThreshold {
-		pool.ForEach(len(classes), build)
-	} else {
-		for i := range classes {
-			build(i)
+	kMax := min(e.c, hi)
+	groups := e.fam.appendGroups(nil, 0, kMax, hi)
+	W := wTable(e.n, e.c, kMax, hi)
+	out := make([]ClassWeights, len(groups))
+	span := hi - lo + 1
+	vec := make([]float64, 2*span*len(groups))
+	for i := range groups {
+		g := &groups[i]
+		cw := &out[i]
+		*cw = ClassWeights{
+			Count:          g.count,
+			Rest:           e.n - e.c - g.nObs,
+			FullPosition:   e.mode == InferenceFullPosition && g.k > 0,
+			UniformOverAll: g.k == 0 && !e.receiver,
+			W:              vec[2*i*span : (2*i+1)*span : (2*i+1)*span],
+			W0:             vec[(2*i+1)*span : (2*i+2)*span : (2*i+2)*span],
+			Lo:             lo,
+		}
+		row := W[g.k*(hi+1) : (g.k+1)*(hi+1)]
+		for l := max(lo, g.base); l <= hi; l++ {
+			if w := row[l]; w != 0 {
+				cw.W[l-lo] = w * starsAndBars(l-g.base, g.free)
+				cw.W0[l-lo] = w * starsAndBars(l-g.base, g.free-1)
+			}
 		}
 	}
 	e.memo.storeWeights(key, out)
 	return append([]ClassWeights(nil), out...), nil
 }
 
-// buildWeights constructs one weight entry from a class (or bucket
-// representative), its multiplicity, and its precomputed shape. Both
-// Weights paths funnel through it so the length-loop recurrence can never
-// diverge between the enumerated and bucketed decompositions.
-func (e *Engine) buildWeights(cl Class, count float64, k, base, free, nObs, lo, hi int) ClassWeights {
-	cw := ClassWeights{
-		Class:        cl,
-		Count:        count,
-		Rest:         e.n - e.c - nObs,
-		FullPosition: e.mode == InferenceFullPosition && !cl.Empty(),
-		Lo:           lo,
-		W:            make([]float64, hi-lo+1),
-		W0:           make([]float64, hi-lo+1),
-	}
-	if cl.Empty() && !e.receiver {
-		cw.UniformOverAll = true
-		cw.Rest = e.n - e.c
-	}
-	w := 1.0
-	for i := 0; i < k; i++ {
-		w *= float64(e.c-i) / float64(e.n-1-i)
-	}
-	for l := k; l <= hi; l++ {
-		if l > k {
-			num := float64(e.n - 1 - e.c - (l - 1 - k))
-			if num <= 0 {
-				break
-			}
-			w *= num / float64(e.n-1-(l-1))
-		}
-		if l < lo || l < base {
-			continue
-		}
-		slack := l - base
-		cw.W[l-lo] = w * starsAndBars(slack, free)
-		cw.W0[l-lo] = w * starsAndBars(slack, free-1)
-	}
-	return cw
-}
-
 // AnonymityDegree returns H*(S) (Formula 5): the expected posterior entropy
 // over all observation classes, including the C/N branch in which the
-// sender itself is compromised and immediately identified. It runs on the
-// counted-bucket engine (O(min(C, L)³·L), exact for any C ≤ N−1); only
-// hop-count inference still enumerates its concrete classes.
+// sender itself is compromised and immediately identified. It folds the
+// family's shape groups for d: one W(l, k) table for the engine's (N, C),
+// then a dot product and one entropy per group, O(min(C, L)³·L) for any
+// C ≤ N−1.
 func (e *Engine) AnonymityDegree(d dist.Length) (float64, error) {
 	if err := e.checkDist(d); err != nil {
 		return 0, err
@@ -800,31 +656,26 @@ func (e *Engine) AnonymityDegree(d dist.Length) (float64, error) {
 	if h, ok := e.memo.loadDegree(key); ok {
 		return h, nil
 	}
-	var h float64
-	if e.mode == InferenceHopCount {
-		stats, err := e.classStatsKeyed(key, d)
-		if err != nil {
-			return 0, err
+	_, hi := d.Support()
+	kMax := min(e.c, hi)
+	groups := e.fam.table(key, d, hi, kMax)
+	W := wTable(e.n, e.c, kMax, hi)
+	var total, h float64
+	for i := range groups {
+		g := &groups[i]
+		if g.k > kMax {
+			break // k-major order: every later group is out of range too
 		}
-		for _, st := range stats {
-			h += st.P * st.H
+		sumP, sumP0 := g.mass(W[g.k*(hi+1):(g.k+1)*(hi+1)], e, d)
+		if sumP <= 0 {
+			continue // group unreachable under this distribution
 		}
-	} else if f := e.fam.Load(); f != nil {
-		// Family member (Neighbor-derived, or the root of a derivation):
-		// evaluate through the shared shape tables instead of rebuilding
-		// the per-bucket length loops. See family.go.
-		var err error
-		if h, err = e.familyDegree(f, key, d); err != nil {
-			return 0, err
-		}
-	} else {
-		buckets, err := e.bucketStatsKeyed(key, d)
-		if err != nil {
-			return 0, err
-		}
-		for _, st := range buckets {
-			h += st.P * st.H
-		}
+		total += sumP
+		alpha := min(sumP0/sumP, 1) // guard against rounding
+		h += sumP * e.entropy(g.k, e.n-e.c-g.nObs, alpha)
+	}
+	if math.Abs(total-1) > 1e-6 {
+		return 0, fmt.Errorf("events: class probabilities sum to %v, want 1 (internal accounting bug)", total)
 	}
 	frac := float64(e.n-e.c) / float64(e.n)
 	if !e.selfReport {
@@ -832,79 +683,13 @@ func (e *Engine) AnonymityDegree(d dist.Length) (float64, error) {
 		// behaves like an uncompromised one. The honest-sender analysis
 		// then applies to all N senders.
 		//
-		// This is an approximation used only for ablation: the compromised
-		// sender's first-hop report changes the observation slightly; the
-		// Monte-Carlo estimator handles it exactly.
+		// This is an approximation: the compromised sender's first-hop
+		// report changes the observation slightly. Only this exact
+		// backend computes the ablation (the sampled backends refuse it),
+		// and nothing checks the approximation yet.
 		frac = 1
 	}
 	h *= frac
 	e.memo.storeDegree(key, h)
 	return h, nil
-}
-
-// enumerate returns the mode-appropriate class set for distributions whose
-// support ends at hi.
-func (e *Engine) enumerate(hi int) ([]Class, error) {
-	if e.mode != InferenceHopCount {
-		if e.c > maxCompromisedEnumerate {
-			return nil, fmt.Errorf("%w: c = %d > %d (per-class enumeration; BucketStats and Weights aggregate any c)",
-				ErrTooManyClasses, e.c, maxCompromisedEnumerate)
-		}
-		return enumerateShared(e.c, e.receiver), nil
-	}
-	if !e.receiver {
-		return nil, fmt.Errorf("%w: hop-count inference requires a compromised receiver (timing baseline)", ErrInvalidSystem)
-	}
-	out := []Class{{}}
-	if e.c == 0 {
-		return out, nil
-	}
-	for t := 0; t < hi; t++ {
-		cl, err := NewHopCountClass(t)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cl)
-	}
-	return out, nil
-}
-
-// Enumerate returns every observation class for c compromised nodes:
-// the empty class plus, for each k = 1..c, each ordered composition of k
-// into runs, each assignment of junction flags, and each tail flag. With a
-// compromised receiver the tail flags are {0, 1, 2+}; otherwise {0, ≥1}.
-func Enumerate(c int, receiverCompromised bool) []Class {
-	tails := []TailFlag{TailZero, TailOne, TailWide}
-	if !receiverCompromised {
-		tails = []TailFlag{TailZero, TailUnobserved}
-	}
-	out := []Class{{}} // the empty class
-	var rec func(remaining int, runs []int, gaps []GapFlag)
-	rec = func(remaining int, runs []int, gaps []GapFlag) {
-		if len(runs) > 0 {
-			for _, t := range tails {
-				cl := Class{
-					Runs: append([]int(nil), runs...),
-					Gaps: append([]GapFlag(nil), gaps...),
-					Tail: t,
-				}
-				out = append(out, cl)
-			}
-		}
-		if remaining == 0 {
-			return
-		}
-		for r := 1; r <= remaining; r++ {
-			extRuns := append(append([]int(nil), runs...), r)
-			if len(runs) == 0 {
-				rec(remaining-r, extRuns, gaps)
-				continue
-			}
-			for _, g := range []GapFlag{GapOne, GapWide} {
-				rec(remaining-r, extRuns, append(append([]GapFlag(nil), gaps...), g))
-			}
-		}
-	}
-	rec(c, nil, nil)
-	return out
 }

@@ -58,18 +58,13 @@ func TestNewValidation(t *testing.T) {
 	if _, err := events.New(100, 1); err != nil {
 		t.Errorf("New(100,1) err = %v", err)
 	}
-	// The old Θ(3^C) engine refused c > 12 outright; the counted-bucket
-	// engine accepts any c ≤ n and only the per-class enumeration keeps
-	// the bound.
+	// The shape-group engine accepts any c ≤ n.
 	e, err := events.New(100, 13)
 	if err != nil {
-		t.Fatalf("New(100,13) err = %v; bucketed engine must accept large c", err)
+		t.Fatalf("New(100,13) err = %v; the engine must accept large c", err)
 	}
 	if _, err := e.AnonymityDegree(mustUniform(t, 2, 20)); err != nil {
 		t.Errorf("AnonymityDegree at c=13 err = %v", err)
-	}
-	if _, err := e.ClassStats(mustUniform(t, 2, 20)); !errors.Is(err, events.ErrTooManyClasses) {
-		t.Errorf("ClassStats at c=13 err = %v, want ErrTooManyClasses", err)
 	}
 	if _, err := events.New(1000, 400); err != nil {
 		t.Errorf("New(1000,400) err = %v", err)
@@ -482,36 +477,8 @@ func TestHopCountRestrictions(t *testing.T) {
 	if _, err := events.New(50, 2, events.WithInference(events.InferenceHopCount)); !errors.Is(err, events.ErrTooManyClasses) {
 		t.Errorf("c=2 hop-count err = %v", err)
 	}
-	e := mustEngine(t, 50, 1, events.WithInference(events.InferenceHopCount), events.WithUncompromisedReceiver())
-	if _, err := e.AnonymityDegree(mustFixed(t, 5)); !errors.Is(err, events.ErrInvalidSystem) {
+	if _, err := events.New(50, 1, events.WithInference(events.InferenceHopCount), events.WithUncompromisedReceiver()); !errors.Is(err, events.ErrInvalidSystem) {
 		t.Errorf("hop-count without receiver err = %v", err)
-	}
-}
-
-func TestNewHopCountClass(t *testing.T) {
-	if _, err := events.NewHopCountClass(-1); !errors.Is(err, events.ErrClassMismatch) {
-		t.Error("negative gap accepted")
-	}
-	for t0, wantTail := range map[int]events.TailFlag{
-		0: events.TailZero, 1: events.TailOne, 2: events.TailWide, 7: events.TailWide,
-	} {
-		cl, err := events.NewHopCountClass(t0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cl.Tail != wantTail {
-			t.Errorf("t=%d: tail %v, want %v", t0, cl.Tail, wantTail)
-		}
-		if got, ok := cl.ExactTailGap(); !ok || got != t0 {
-			t.Errorf("t=%d: ExactTailGap = %d,%v", t0, got, ok)
-		}
-		if want := fmt.Sprintf("[1]-t=%d", t0); cl.String() != want {
-			t.Errorf("String = %q, want %q", cl.String(), want)
-		}
-	}
-	// A standard class reports no exact gap.
-	if _, ok := (events.Class{Runs: []int{1}, Tail: events.TailZero}).ExactTailGap(); ok {
-		t.Error("standard class claims an exact gap")
 	}
 }
 

@@ -1,319 +1,267 @@
 package events
 
-// The delta evaluation path for drifting (N, C): engine families.
+// Shape groups and engine families: the one evaluation path of the
+// aggregate queries.
 //
-// A timeline of epochs asks for engines at (N±1, C±1) neighbors of each
-// other, and the from-scratch bucket aggregation recomputes, per epoch, a
-// table whose dominant cost has nothing to do with N or C. The per-bucket
-// Bayes mixture factors exactly:
+// Every per-class statistic depends on a class only through its shape. A
+// flag class with k compromised intermediates in m maximal runs, j₂ of
+// whose junctions are wide, has minimum length base = k + m − 1 + j₂ + t_b
+// and free = 1 + j₂ + t_f gap variables (t_b, t_f from its tail flag; see
+// standardShape), and every non-empty class has nObs = 1 + base − k
+// witnesses, so (k, base, free) determines the posterior. The run-length
+// composition and the order of the junction flags never enter the math.
+// A shape group is every class with one (k, base, free); there are
+// O(min(C, L)³) of them, and each has the closed-form multiplicity
 //
-//	count·P_bucket = Σ_l [count·p(l)·A(l−base, free)] · W(l, k)
+//	count(k, base, free) = Σ_tail C(k−1, m−1) · C(m−1, j₂)
+//
+// (compositions of k into m ordered runs, times choices of which of the
+// m−1 junctions are wide), with (m, j₂) fixed by (base, free) for each of
+// the at most three tail flags. Under hop-count inference (C ≤ 1) the
+// groups are the exact-tail classes instead: one compromised node t hops
+// before the receiver has base = 1 + t, free = 1 and
+// nObs = 1 + min(t, 2), for every t below the support's end.
+//
+// A group's Bayes mixture factors exactly:
+//
+//	count·P_class = Σ_l [count·p(l)·A(l−base, free)] · W(l, k)
 //
 // where the bracketed factor — multiplicity, length mass, stars-and-bars
-// arrangement count — depends only on the distribution and the bucket
-// shape, and W(l, k) = FF(C,k)·FF(N−1−C, l−k)/FF(N−1, l) is the only place
-// N and C enter. A family shares the bracketed vectors across every engine
-// derived by Engine.Neighbor: evaluating a neighbor costs one O(kMax·hi)
-// W-table plus a dot product per shape group, instead of rebuilding every
-// bucket's length loop.
-//
-// Shape groups compress further than buckets: every non-empty bucket
-// satisfies nObs = 1 + base − k, so (k, base, free) alone determines the
-// posterior (alpha, Rest, H) and buckets sharing that triple merge into one
-// group with summed multiplicity — typically ~3x fewer entropy evaluations
-// than buckets. Groups whose folded multiplicity would overflow the linear
-// path (path lengths beyond ~1000) stay unmerged and are evaluated by the
-// log-space bucketStatsFor fallback.
-//
-// The family path is a reordering of the same floating-point products the
-// fresh path computes — not an iterative update — so derived engines agree
-// with fresh ones to a few ulps regardless of how long a Neighbor chain
-// produced them (pinned to ≤ 1e-12 by the property tests).
+// arrangement count — depends only on the distribution and the group, and
+// W(l, k) = FF(C,k)·FF(N−1−C, l−k)/FF(N−1, l) is the only place N and C
+// enter. A family keeps the bracketed vectors per distribution and shares
+// them across every engine derived by Engine.Neighbor: evaluating any
+// member costs one O(kMax·hi) W-table plus a dot product per group. New
+// gives every engine its own family, so a fresh engine and a derived one
+// run the same products in the same order and agree bit for bit, however
+// the family's tables were built. Groups whose folded multiplicity would
+// overflow a float64 (path lengths beyond ~1000) keep no vectors and sum
+// their mass in log space instead.
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"sync"
 
+	"anonmix/internal/combin"
 	"anonmix/internal/dist"
-	"anonmix/internal/entropy"
 )
 
 // family is the shared state of a set of Neighbor-related engines: one
 // shape-group table per length distribution. Tables depend on the receiver
-// flag (it changes the tail-flag alphabet) but not on N, C, or the
-// inference mode, so one family serves every (N, C) the walk visits.
+// flag (it changes the tail-flag alphabet) and on whether the inference is
+// hop-count (it changes the classes), but not on N, C, or the entropy
+// form, so one family serves every (N, C) the walk visits.
 type family struct {
 	receiver bool
+	hopCount bool
 
 	mu     sync.RWMutex
-	shapes map[string]*shapeTable // distKey → table
+	tables map[string]*shapeTable // distKey → table
 }
 
-// shapeGroup is one merged equivalence class of shape buckets: every bucket
-// with the same (k, base, free) — and therefore the same posterior — with
-// the multiplicities summed and folded into the length vectors.
+// shapeGroup is one shape group: every observation class with k
+// compromised intermediates, minimum path length base and free gap
+// variables (the head gap included), which all share one posterior.
 type shapeGroup struct {
-	k    int // compromised intermediates
-	base int // minimum producible path length
-	free int // free gap variables, head gap included
-	nObs int // observed uncompromised witnesses (1 + base − k; special-cased for k = 0)
+	k, base, free int
+	nObs          int     // observed uncompromised witnesses
+	count         float64 // number of classes in the group
 
-	// V and V0 are indexed by l−base over [base, hi]:
-	// V[l−base] = count·p(l)·A(l−base, free), V0 the g0 = 0 restriction
-	// (free−1 variables). Multiplying by W(l, k) and summing yields the
-	// group's total probability mass and its spike restriction.
-	V, V0 []float64
+	// v and v0 are indexed by l−base over [base, hi] in a distribution's
+	// table: v[l−base] = count·p(l)·A(l−base, free), v0 the g0 = 0
+	// restriction (free−1 variables). Multiplying by W(l, k) and summing
+	// yields the group's total probability mass and its spike restriction.
+	// Both are nil outside a table, and for a group whose folded
+	// multiplicity overflows; mass then works in log space.
+	v, v0 []float64
 }
 
 // shapeTable holds the groups of one distribution, k-major so evaluation
 // can stop at the engine's own kMax = min(C, hi).
 type shapeTable struct {
 	hi   int
-	kMax int // groups cover k ≤ kMax; extended lazily as larger C arrives
-	// groups is append-only and sorted by (k, base, free); readers hold a
-	// snapshot slice header taken under the family lock.
+	kMax int // groups cover k ≤ kMax; extended as larger C arrives
+	// groups is append-only; readers hold a snapshot slice header taken
+	// under the family lock.
 	groups []shapeGroup
-	// slow lists buckets whose folded multiplicity overflows the linear
-	// vectors; they are evaluated per bucket via the log-space fallback.
-	slow []Bucket
 }
 
-// ensureFamily returns the engine's family, creating and attaching one on
-// first use.
-func (e *Engine) ensureFamily() *family {
-	if f := e.fam.Load(); f != nil {
-		return f
-	}
-	f := &family{receiver: e.receiver, shapes: make(map[string]*shapeTable)}
-	if e.fam.CompareAndSwap(nil, f) {
-		return f
-	}
-	return e.fam.Load()
-}
+// Tail flags a flag class can carry, in the order their classes are
+// summed into a group's count.
+var (
+	receiverTails = []TailFlag{TailWide, TailOne, TailZero}
+	silentTails   = []TailFlag{TailUnobserved, TailZero}
+)
 
 // Neighbor returns the engine for the (N+dn, C+dc) system with the same
 // inference mode and adversary flags, sharing this engine's family so
 // aggregate queries reuse the per-distribution shape tables instead of
 // rebuilding them. Any (dn, dc) reaching a valid system is accepted — ±1
 // steps, longer jumps, even (0, 0) — and derived engines can derive further
-// neighbors, so a drifting timeline pays the table cost once. Results are
-// exact: a derived engine's AnonymityDegree agrees with a fresh one to
-// floating-point reordering (≤ 1e-12).
+// neighbors, so a drifting timeline pays the table cost once. A derived
+// engine's answers are bit-identical to a fresh engine's.
 func (e *Engine) Neighbor(dn, dc int) (*Engine, error) {
-	n, c := e.n+dn, e.c+dc
-	if n < 2 {
-		return nil, fmt.Errorf("%w: need at least 2 nodes, have %d", ErrInvalidSystem, n)
+	ne := &Engine{n: e.n + dn, c: e.c + dc, mode: e.mode, receiver: e.receiver,
+		selfReport: e.selfReport, fam: e.fam}
+	if err := ne.validate(); err != nil {
+		return nil, err
 	}
-	if c < 0 || c > n {
-		return nil, fmt.Errorf("%w: %d compromised of %d nodes", ErrInvalidSystem, c, n)
-	}
-	if e.mode == InferenceHopCount && c > 1 {
-		return nil, fmt.Errorf("%w: hop-count inference supports c ≤ 1, have %d", ErrTooManyClasses, c)
-	}
-	ne := &Engine{n: n, c: c, mode: e.mode, receiver: e.receiver, selfReport: e.selfReport}
-	ne.fam.Store(e.ensureFamily())
 	return ne, nil
 }
 
-// groups returns a consistent snapshot of the distribution's shape groups
-// and slow buckets, building or extending the table as needed. Extension
+// appendGroups appends to dst the groups with k in [kFrom, kTo] that a
+// path of length at most hi can produce, k-major, then by base, then by
+// free. The order is part of the result: every engine folds the groups in
+// it.
+func (f *family) appendGroups(dst []shapeGroup, kFrom, kTo, hi int) []shapeGroup {
+	for k := kFrom; k <= kTo; k++ {
+		switch {
+		case k == 0:
+			base, free, nObs := standardShape(0, 0, 0, 0, f.receiver)
+			dst = append(dst, shapeGroup{k: 0, base: base, free: free, nObs: nObs, count: 1})
+		case f.hopCount:
+			// One compromised node exactly t hops before the receiver.
+			// Only the head gap g0 is free; the identity witnesses are
+			// the predecessor, plus the successor when t ≥ 1, plus the
+			// receiver's (distinct) predecessor when t ≥ 2.
+			for t := 0; t < hi; t++ {
+				dst = append(dst, shapeGroup{k: 1, base: 1 + t, free: 1, nObs: 1 + min(t, 2), count: 1})
+			}
+		default:
+			for base := k; base <= min(3*k, hi); base++ {
+				for free := 1; free <= min(k+1, (base-k)/2+2); free++ {
+					if count := f.count(k, base, free, false); count > 0 {
+						dst = append(dst, shapeGroup{k: k, base: base, free: free, nObs: 1 + base - k, count: count})
+					}
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// count returns the number of flag classes with k ≥ 1 compromised,
+// minimum length base and free gap variables, or its natural log when
+// logSpace is set.
+func (f *family) count(k, base, free int, logSpace bool) float64 {
+	tails := receiverTails
+	if !f.receiver {
+		tails = silentTails
+	}
+	var count float64
+	if logSpace {
+		count = math.Inf(-1)
+	}
+	for _, tail := range tails {
+		tb, tf, _ := tailShape(tail)
+		j2 := free - 1 - tf
+		m := base - k - j2 - tb + 1
+		if j2 < 0 || m <= j2 || m > k {
+			continue // no run count fits this tail
+		}
+		if logSpace {
+			count = combin.LogAdd(count, combin.LogChoose(k-1, m-1)+combin.LogChoose(m-1, j2))
+		} else {
+			count += combin.Choose(k-1, m-1) * combin.Choose(m-1, j2)
+		}
+	}
+	return count
+}
+
+// table returns a consistent snapshot of the distribution's shape groups
+// covering k ≤ kMax, building or extending the table as needed. Extension
 // only appends (k-major), so snapshots taken under the read lock stay valid
 // while other engines extend the same table.
-func (f *family) groups(e *Engine, key string, d dist.Length, hi, kMax int) ([]shapeGroup, []Bucket) {
+func (f *family) table(key string, d dist.Length, hi, kMax int) []shapeGroup {
 	f.mu.RLock()
-	if t, ok := f.shapes[key]; ok && t.kMax >= kMax {
-		g, s := t.groups, t.slow
+	if t, ok := f.tables[key]; ok && t.kMax >= kMax {
+		g := t.groups
 		f.mu.RUnlock()
-		return g, s
+		return g
 	}
 	f.mu.RUnlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	t, ok := f.shapes[key]
+	t, ok := f.tables[key]
 	if !ok {
-		if len(f.shapes) >= maxMemoEntries {
-			f.shapes = make(map[string]*shapeTable)
+		if f.tables == nil || len(f.tables) >= maxMemoEntries {
+			f.tables = make(map[string]*shapeTable)
 		}
 		t = &shapeTable{hi: hi, kMax: -1}
-		f.shapes[key] = t
+		f.tables[key] = t
 	}
 	if t.kMax < kMax {
-		e.extendTable(t, d, kMax)
+		f.extend(t, d, kMax)
 	}
-	return t.groups, t.slow
+	return t.groups
 }
 
-// extendTable appends the groups for k in (t.kMax, kTo] — the same
-// (k, m, j₂, tail) space as bucketSet, merged by (base, free) with counts
-// summed. The emission order is deterministic (k-major, then base, then
-// free), so every engine sees the same fold order regardless of which
-// family member built which k range.
-func (e *Engine) extendTable(t *shapeTable, d dist.Length, kTo int) {
-	tails := []TailFlag{TailZero, TailOne, TailWide}
-	if !e.receiver {
-		tails = []TailFlag{TailZero, TailUnobserved}
+// extend appends the groups for k in (t.kMax, kTo] with their length
+// vectors under d, all carved from one allocation.
+func (f *family) extend(t *shapeTable, d dist.Length, kTo int) {
+	from := len(t.groups)
+	t.groups = f.appendGroups(t.groups, t.kMax+1, kTo, t.hi)
+	added := t.groups[from:]
+	var size int
+	for i := range added {
+		if g := &added[i]; linear(g, t.hi) {
+			size += 2 * (t.hi - g.base + 1)
+		}
 	}
-	type gk struct{ base, free int }
-	for k := t.kMax + 1; k <= kTo; k++ {
-		if k == 0 {
-			// The empty bucket: its own group, with the receiver flag (not
-			// the nObs = 1 + base − k rule) deciding the witness count.
-			nObs := 0
-			if e.receiver {
-				nObs = 1
-			}
-			t.groups = append(t.groups, e.buildGroup(0, 0, 1, nObs, 1, d, t.hi))
+	buf := make([]float64, size)
+	for i := range added {
+		g := &added[i]
+		if !linear(g, t.hi) {
 			continue
 		}
-		byKey := make(map[gk][]Bucket)
-		var order []gk
-		for m := 1; m <= k && k+m-1 <= t.hi; m++ {
-			for j2 := 0; j2 < m && k+m-1+j2 <= t.hi; j2++ {
-				for _, tail := range tails {
-					b := Bucket{K: k, Runs: m, Wide: j2, Tail: tail}
-					base, free, _ := e.bucketShape(b)
-					if base > t.hi {
-						continue // unreachable at this support
-					}
-					key := gk{base, free}
-					if byKey[key] == nil {
-						order = append(order, key)
-					}
-					byKey[key] = append(byKey[key], b)
-				}
-			}
-		}
-		sort.Slice(order, func(i, j int) bool {
-			if order[i].base != order[j].base {
-				return order[i].base < order[j].base
-			}
-			return order[i].free < order[j].free
-		})
-		for _, key := range order {
-			var count float64
-			for _, b := range byKey[key] {
-				count += b.Count()
-			}
-			// The group vectors fold the multiplicity in before the tiny
-			// W(l, k) factor can tame it; demote astronomical groups to the
-			// per-bucket log-space path rather than overflow.
-			if math.IsInf(count*starsAndBars(t.hi-key.base, key.free), 1) {
-				t.slow = append(t.slow, byKey[key]...)
+		n := t.hi - g.base + 1
+		g.v, g.v0, buf = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+		for l := g.base; l <= t.hi; l++ {
+			p := d.PMF(l)
+			if p == 0 {
 				continue
 			}
-			t.groups = append(t.groups, e.buildGroup(k, key.base, key.free, 1+key.base-k, count, d, t.hi))
+			slack := l - g.base
+			g.v[slack] = g.count * p * starsAndBars(slack, g.free)
+			g.v0[slack] = g.count * p * starsAndBars(slack, g.free-1)
 		}
 	}
 	t.kMax = kTo
 }
 
-// buildGroup fills one group's length vectors.
-func (e *Engine) buildGroup(k, base, free, nObs int, count float64, d dist.Length, hi int) shapeGroup {
-	g := shapeGroup{
-		k: k, base: base, free: free, nObs: nObs,
-		V:  make([]float64, hi-base+1),
-		V0: make([]float64, hi-base+1),
+// linear reports whether a group's folded vectors stay within float64
+// range up to hi: the multiplicity is folded in before the tiny W(l, k)
+// factor can tame it.
+func linear(g *shapeGroup, hi int) bool {
+	return !math.IsInf(g.count*starsAndBars(hi-g.base, g.free), 1)
+}
+
+// mass returns the group's total probability mass and its g0 = 0
+// restriction for the engine whose W(·, k) row is row: a dot product of
+// the table's vectors, or a log-space sum for a group without them. Each
+// log-space term count·W(l,k)·A is a probability (≤ 1), so the
+// exponentials are safe to accumulate linearly.
+func (g *shapeGroup) mass(row []float64, e *Engine, d dist.Length) (sumP, sumP0 float64) {
+	if g.v != nil {
+		for j := range g.v {
+			if w := row[g.base+j]; w != 0 {
+				sumP += g.v[j] * w
+				sumP0 += g.v0[j] * w
+			}
+		}
+		return sumP, sumP0
 	}
-	for l := base; l <= hi; l++ {
+	lp := e.fam.count(g.k, g.base, g.free, true) + combin.LogFallingFactorial(e.c, g.k)
+	lo, hi := d.Support()
+	for l := max(lo, g.base); l <= hi; l++ {
 		p := d.PMF(l)
 		if p == 0 {
 			continue
 		}
-		slack := l - base
-		g.V[slack] = count * p * starsAndBars(slack, free)
-		g.V0[slack] = count * p * starsAndBars(slack, free-1)
+		lw := lp + combin.LogFallingFactorial(e.n-1-e.c, l-g.k) - combin.LogFallingFactorial(e.n-1, l)
+		slack := l - g.base
+		sumP += p * math.Exp(lw+combin.LogStarsAndBars(slack, g.free))
+		sumP0 += p * math.Exp(lw+combin.LogStarsAndBars(slack, g.free-1))
 	}
-	return g
-}
-
-// wTable returns W(l, k) = FF(c,k)·FF(n−1−c, l−k)/FF(n−1, l) for
-// k ≤ kMax, l ≤ hi (zero where the path cannot exist), via the same
-// multiplicative recurrence as statsFor. O(kMax·hi) — the only per-(N, C)
-// work on the family path.
-func wTable(n, c, kMax, hi int) [][]float64 {
-	W := make([][]float64, kMax+1)
-	for k := 0; k <= kMax; k++ {
-		row := make([]float64, hi+1)
-		w := 1.0
-		for i := 0; i < k; i++ {
-			w *= float64(c-i) / float64(n-1-i)
-		}
-		for l := k; l <= hi; l++ {
-			if l > k {
-				num := float64(n - 1 - c - (l - 1 - k))
-				if num <= 0 {
-					break // more uncompromised slots than uncompromised nodes
-				}
-				w *= num / float64(n-1-(l-1))
-			}
-			row[l] = w
-		}
-		W[k] = row
-	}
-	return W
-}
-
-// familyDegree computes Σ_buckets P·H (the sender-honest branch of
-// AnonymityDegree, before the (N−C)/N factor) from the family's shared
-// shape tables: one W-table plus one dot product and one entropy per group.
-// The same bucket-accounting tripwire as the fresh path guards the result.
-func (e *Engine) familyDegree(f *family, key string, d dist.Length) (float64, error) {
-	_, hi := d.Support()
-	if hi > e.n-1 {
-		hi = e.n - 1
-	}
-	kMax := e.c
-	if kMax > hi {
-		kMax = hi
-	}
-	groups, slow := f.groups(e, key, d, hi, kMax)
-	W := wTable(e.n, e.c, kMax, hi)
-	var total, h float64
-	for i := range groups {
-		g := &groups[i]
-		if g.k > kMax {
-			break // k-major order: every later group is out of range too
-		}
-		row := W[g.k]
-		var sumP, sumP0 float64
-		for j := range g.V {
-			if w := row[g.base+j]; w != 0 {
-				sumP += g.V[j] * w
-				sumP0 += g.V0[j] * w
-			}
-		}
-		if sumP <= 0 {
-			continue // group unreachable under this distribution
-		}
-		total += sumP
-		alpha := sumP0 / sumP
-		if alpha > 1 {
-			alpha = 1 // guard against rounding
-		}
-		var gh float64
-		switch {
-		case g.k == 0 && !e.receiver:
-			// No observation at all: uniform over every honest node.
-			gh = entropy.Max(e.n - e.c)
-		case e.mode == InferenceFullPosition && g.k > 0:
-			gh = (1 - alpha) * entropy.Max(e.n-e.c-g.nObs)
-		default:
-			gh = entropy.SpikeAndSlab(alpha, e.n-e.c-g.nObs)
-		}
-		h += sumP * gh
-	}
-	for _, b := range slow {
-		if b.K > kMax {
-			continue
-		}
-		st := e.bucketStatsFor(b, d)
-		total += st.P
-		h += st.P * st.H
-	}
-	if math.Abs(total-1) > 1e-6 {
-		return 0, fmt.Errorf("events: delta-path bucket probabilities sum to %v, want 1 (internal accounting bug)", total)
-	}
-	return h, nil
+	return sumP, sumP0
 }

@@ -212,7 +212,7 @@ func TestEngineMatchesBruteForce(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := bruteForceH(t, cfg, d)
-				if math.Abs(got-want) > 1e-9 {
+				if math.Abs(got-want) > 1e-12 {
 					t.Errorf("engine H* = %.12f, brute force = %.12f (Δ=%.3g)",
 						got, want, got-want)
 				}

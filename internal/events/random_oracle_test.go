@@ -67,7 +67,7 @@ func TestEngineMatchesBruteForceRandomDists(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := bruteForceH(t, cfg, d)
-				if math.Abs(got-want) > 1e-9 {
+				if math.Abs(got-want) > 1e-12 {
 					t.Errorf("dist %s: engine %.12f, oracle %.12f", d, got, want)
 				}
 			})
@@ -129,7 +129,7 @@ func TestWeightsConsistentWithAnonymityDegree(t *testing.T) {
 				h += cw.Count * sp * f
 			}
 			h *= float64(30-c) / 30
-			if math.Abs(h-want) > 1e-9 {
+			if math.Abs(h-want) > 1e-12 {
 				t.Errorf("c=%d trial %d: weights-based %v, engine %v", c, trial, h, want)
 			}
 		}

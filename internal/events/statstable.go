@@ -95,7 +95,7 @@ func (t *StatsTable) ShapeStats(k, one, wide int, tail TailFlag) (alpha float64,
 	} else if one+wide > 0 {
 		return 0, 0, 0, fmt.Errorf("%w: gaps without runs", ErrClassMismatch)
 	}
-	base, free, nObs := t.e.standardShape(k, one, wide, tail)
+	base, free, nObs := standardShape(k, one, wide, tail, t.e.receiver)
 	s := t.lookup(k, base, free, nObs)
 	return s.alpha, s.rest, s.h, nil
 }

@@ -9,9 +9,9 @@ package optimize
 // lists concatenated. MaximizeTimeline solves both with Maximize's solver,
 // each solve certified to 1e-9 bits, so per-epoch upper-bounds joint to
 // within those gaps; figures.EpochOptimizerSweep charts both against the
-// static baseline. The epochs' engines are expected to come from one
-// engine family (scenario.Engine's delta cache, or events.Engine.Neighbor
-// chains), which makes each epoch's Weights table cheap to build.
+// static baseline. The epochs' engines may come from scenario.Engine's
+// delta cache, events.Engine.Neighbor chains or events.New alike: an
+// engine's Weights depend only on its configuration.
 
 import (
 	"fmt"

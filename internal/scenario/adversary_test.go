@@ -35,15 +35,6 @@ func fieldDiff(got, want string) string {
 	return ""
 }
 
-// runCold runs cfg from an empty engine cache, as the golden rows do, so
-// two runs compared bit for bit build their engines the same way.
-func runCold(t *testing.T, cfg scenario.Config) (scenario.Result, error) {
-	t.Helper()
-	scenario.ResetEngines()
-	defer scenario.ResetEngines()
-	return scenario.Run(cfg)
-}
-
 // TestCountMatchesExplicitPrefix pins that Adversary{Count: c} and the
 // explicit list of its first c nodes are one adversary: every backend
 // and regime gives byte-identical golden dumps for the two forms, the
@@ -108,11 +99,11 @@ func TestCountMatchesExplicitPrefix(t *testing.T) {
 			count, explicit := tc.cfg(), tc.cfg()
 			count.Adversary.Count = c
 			explicit.Adversary.Compromised = prefix(c)
-			a, err := runCold(t, count)
+			a, err := scenario.Run(count)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := runCold(t, explicit)
+			b, err := scenario.Run(explicit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,11 +124,11 @@ func TestExplicitEmptyListWinsOverCount(t *testing.T) {
 		}
 		empty := none
 		empty.Adversary = scenario.Adversary{Compromised: []trace.NodeID{}, Count: 5}
-		a, err := runCold(t, none)
+		a, err := scenario.Run(none)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := runCold(t, empty)
+		b, err := scenario.Run(empty)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -179,7 +179,7 @@ func TestSeedDeterminism(t *testing.T) {
 			for _, procs := range []int{1, 4} {
 				runtime.GOMAXPROCS(procs)
 				for run := 0; run < 2; run++ {
-					res, err := runCold(t, tc.cfg)
+					res, err := scenario.Run(tc.cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

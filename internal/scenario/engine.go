@@ -16,7 +16,9 @@ package scenario
 //     delta path (events.Engine.Neighbor): the new engine shares the
 //     source's family of per-distribution shape tables, so a timeline of
 //     drifting populations pays the table cost once instead of per epoch.
-//     Nearest ±1 neighbors are preferred as derivation sources.
+//     Nearest ±1 neighbors are preferred as derivation sources. A derived
+//     engine answers bit for bit as a fresh one would, so which engines
+//     are resident changes the cost of a miss, never a result.
 
 import (
 	"container/list"
@@ -232,10 +234,10 @@ func Engine(n, c int, opts ...events.Option) (*events.Engine, error) {
 }
 
 // ResetEngines drops every cached engine and zeroes the cache counters. It
-// exists for determinism tests that compare cold-cache parallel runs
-// against cold-cache serial runs; production code has no reason to call it
-// (a stale engine is impossible — engines are pure functions of their
-// configuration).
+// exists for tests of the cache's own counters and for cold-cache
+// measurements; no result depends on it, since an engine answers the same
+// bits whether it was built fresh or derived from a resident one, and
+// production code has no reason to call it.
 func ResetEngines() {
 	engineCache.mu.Lock()
 	defer engineCache.mu.Unlock()

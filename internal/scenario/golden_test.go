@@ -240,28 +240,34 @@ func goldenMatrix() []goldenCase {
 	return out
 }
 
-// TestResultGolden runs the matrix and compares the dump with the golden
-// file byte for byte. Each row starts from an empty engine cache: engines
-// derived from a cached neighbor agree with fresh ones only to ulps, so a
-// row's bits must not depend on what earlier rows left behind.
+// TestResultGolden runs the matrix twice in one process on one engine
+// cache, forward and then in reverse order, and compares both dumps with
+// the golden file byte for byte: a row's bits must not depend on which
+// rows built or cached engines before it.
 func TestResultGolden(t *testing.T) {
-	var b strings.Builder
-	for _, c := range goldenMatrix() {
-		scenario.ResetEngines()
-		res, err := scenario.Run(c.cfg)
+	cases := goldenMatrix()
+	rows := make([]string, len(cases))
+	run := func(i int) {
+		res, err := scenario.Run(cases[i].cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+			t.Fatalf("%s: %v", cases[i].name, err)
 		}
-		fmt.Fprintf(&b, "%s\t%s\n", c.name, dumpResult(res))
+		rows[i] = fmt.Sprintf("%s\t%s\n", cases[i].name, dumpResult(res))
 	}
-	scenario.ResetEngines()
+	for i := range cases {
+		run(i)
+	}
+	forward := strings.Join(rows, "")
+	for i := len(cases) - 1; i >= 0; i-- {
+		run(i)
+	}
+	reversed := strings.Join(rows, "")
 	path := filepath.Join("testdata", "results.golden")
-	got := b.String()
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(forward), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -270,20 +276,22 @@ func TestResultGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	if got == string(want) {
-		return
-	}
-	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < max(len(gotLines), len(wantLines)); i++ {
-		var g, w string
-		if i < len(gotLines) {
-			g = gotLines[i]
+	for _, pass := range []struct{ name, got string }{{"forward", forward}, {"reversed", reversed}} {
+		if pass.got == string(want) {
+			continue
 		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Errorf("line %d differs:\n got: %s\nwant: %s", i+1, g, w)
+		gotLines, wantLines := strings.Split(pass.got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < max(len(gotLines), len(wantLines)); i++ {
+			var g, w string
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			if g != w {
+				t.Errorf("%s pass, line %d differs:\n got: %s\nwant: %s", pass.name, i+1, g, w)
+			}
 		}
 	}
 }
