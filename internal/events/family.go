@@ -40,6 +40,7 @@ package events
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"anonmix/internal/combin"
@@ -111,33 +112,46 @@ func (e *Engine) Neighbor(dn, dc int) (*Engine, error) {
 
 // appendGroups appends to dst the groups with k in [kFrom, kTo] that a
 // path of length at most hi can produce, k-major, then by base, then by
-// free. The order is part of the result: every engine folds the groups in
-// it.
+// free, growing dst once. The order is part of the result: every engine
+// folds the groups in it.
 func (f *family) appendGroups(dst []shapeGroup, kFrom, kTo, hi int) []shapeGroup {
+	dst = slices.Grow(dst, f.eachGroup(kFrom, kTo, hi, func(shapeGroup) {}))
+	f.eachGroup(kFrom, kTo, hi, func(g shapeGroup) { dst = append(dst, g) })
+	return dst
+}
+
+// eachGroup calls fn with each group appendGroups appends, in its order,
+// and returns their number.
+func (f *family) eachGroup(kFrom, kTo, hi int, fn func(shapeGroup)) int {
+	var n int
+	emit := func(g shapeGroup) {
+		n++
+		fn(g)
+	}
 	for k := kFrom; k <= kTo; k++ {
 		switch {
 		case k == 0:
 			base, free, nObs := standardShape(0, 0, 0, 0, f.receiver)
-			dst = append(dst, shapeGroup{k: 0, base: base, free: free, nObs: nObs, count: 1})
+			emit(shapeGroup{k: 0, base: base, free: free, nObs: nObs, count: 1})
 		case f.hopCount:
 			// One compromised node exactly t hops before the receiver.
 			// Only the head gap g0 is free; the identity witnesses are
 			// the predecessor, plus the successor when t ≥ 1, plus the
 			// receiver's (distinct) predecessor when t ≥ 2.
 			for t := 0; t < hi; t++ {
-				dst = append(dst, shapeGroup{k: 1, base: 1 + t, free: 1, nObs: 1 + min(t, 2), count: 1})
+				emit(shapeGroup{k: 1, base: 1 + t, free: 1, nObs: 1 + min(t, 2), count: 1})
 			}
 		default:
 			for base := k; base <= min(3*k, hi); base++ {
 				for free := 1; free <= min(k+1, (base-k)/2+2); free++ {
 					if count := f.count(k, base, free, false); count > 0 {
-						dst = append(dst, shapeGroup{k: k, base: base, free: free, nObs: 1 + base - k, count: count})
+						emit(shapeGroup{k: k, base: base, free: free, nObs: 1 + base - k, count: count})
 					}
 				}
 			}
 		}
 	}
-	return dst
+	return n
 }
 
 // count returns the number of flag classes with k ≥ 1 compromised,
