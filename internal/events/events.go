@@ -425,13 +425,13 @@ func (e *Engine) statsForShape(k, base, free, nObs int, d dist.Length) shapeStat
 	if k == 0 && !e.receiver {
 		st.alpha = 0 // nothing observed: no spike
 	}
-	st.h = e.entropy(k, st.rest, st.alpha)
+	st.h = e.classEntropy(k, st.rest, st.alpha)
 	return st
 }
 
-// entropy returns the entropy of the sender posterior of a class with k
+// classEntropy returns the entropy of the sender posterior of a class with k
 // compromised nodes on the path, rest slab candidates, and spike alpha.
-func (e *Engine) entropy(k, rest int, alpha float64) float64 {
+func (e *Engine) classEntropy(k, rest int, alpha float64) float64 {
 	switch {
 	case k == 0 && !e.receiver:
 		// The empty class with an uncompromised receiver observes nothing:
@@ -672,7 +672,7 @@ func (e *Engine) AnonymityDegree(d dist.Length) (float64, error) {
 		}
 		total += sumP
 		alpha := min(sumP0/sumP, 1) // guard against rounding
-		h += sumP * e.entropy(g.k, e.n-e.c-g.nObs, alpha)
+		h += sumP * e.classEntropy(g.k, e.n-e.c-g.nObs, alpha)
 	}
 	if math.Abs(total-1) > 1e-6 {
 		return 0, fmt.Errorf("events: class probabilities sum to %v, want 1 (internal accounting bug)", total)

@@ -455,7 +455,7 @@ func TestGroupsMatchGroupedClassStats(t *testing.T) {
 					}
 				}
 				rest := e.n - e.c - g.nObs
-				if h := e.entropy(g.k, rest, alpha); rest != s.first.Rest || math.Abs(h-s.first.H) > 1e-12 {
+				if h := e.classEntropy(g.k, rest, alpha); rest != s.first.Rest || math.Abs(h-s.first.H) > 1e-12 {
 					t.Errorf("c=%d group (k=%d, base=%d, free=%d): (rest %d, H %v), per-class %+v", tc.c, g.k, g.base, g.free, rest, h, s.first)
 				}
 			}
