@@ -686,7 +686,7 @@ func (e *Engine) AnonymityDegree(d dist.Length) (float64, error) {
 		// This is an approximation: the compromised sender's first-hop
 		// report changes the observation slightly. Only this exact
 		// backend computes the ablation (the sampled backends refuse it),
-		// and nothing checks the approximation yet.
+		// and nothing checks the approximation yet (see ROADMAP).
 		frac = 1
 	}
 	h *= frac

@@ -399,7 +399,8 @@ func TestGroupsMatchGroupedClassStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := dist.NewUniform(0, 14)
+		const hi = 14
+		d, err := dist.NewUniform(0, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,12 +415,12 @@ func TestGroupsMatchGroupedClassStats(t *testing.T) {
 		}
 		sums := make(map[shapeKey]*sum)
 		for i, st := range classes {
-			k, base, free, nObs := 1, 1+i-1, 1, 1+min(i-1, 2) // hop-count: class i has t = i−1
+			k, base, free, nObs := 1, i, 1, 1+min(i-1, 2) // hop-count: class i has t = i−1, base 1 + t
 			if st.Class.Empty() || tc.mode != InferenceHopCount {
 				k = st.Class.K()
 				base, free, nObs = e.shape(st.Class)
 			}
-			if base > 14 {
+			if base > hi {
 				continue // longer than the support: no group, no mass
 			}
 			key := shapeKey{k, base, free, nObs}
@@ -429,7 +430,6 @@ func TestGroupsMatchGroupedClassStats(t *testing.T) {
 			}
 			sums[key] = &sum{p: st.P, first: st}
 		}
-		const hi = 14
 		kMax := min(tc.c, hi)
 		groups := e.fam.table(distKey(d), d, hi, kMax)
 		W := wTable(e.n, e.c, kMax, hi)
