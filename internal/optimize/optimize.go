@@ -132,9 +132,10 @@ func Maximize(p Problem, opts ...Option) (Result, error) {
 	return p.solve(ev, nil, newConfig(opts))
 }
 
-// evaluator holds the objective as a bucket list:
+// evaluator holds the objective as a list of the engine's shape groups
+// (the solver calls each one a bucket):
 // H*(p) = Σ_σ c_σ·P_σ(p)·f(α_σ) with P_σ = ⟨W_σ, p⟩, P0_σ = ⟨W0_σ, p⟩,
-// α_σ = P0_σ/P_σ and c_σ (ClassWeights.Count) the bucket multiplicity
+// α_σ = P0_σ/P_σ and c_σ (ClassWeights.Count) the group multiplicity
 // times the honest-sender branch weight times a caller's scale. With
 // u_σ = W0_σ − α_σ·W_σ,
 //
