@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"anonmix/internal/adversary"
-	"anonmix/internal/degrade"
 	"anonmix/internal/dist"
 	"anonmix/internal/events"
 	"anonmix/internal/faults"
@@ -636,24 +635,31 @@ func BenchmarkDegradation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg := scenario.Config{
+		N:         20,
+		Backend:   scenario.BackendExact,
+		Strategy:  strat,
+		Adversary: scenario.Adversary{Compromised: []trace.NodeID{3, 11}},
+		Workload: scenario.Workload{
+			Messages: 20, Rounds: 200, Confidence: 0.9, FixedSender: true, Sender: 7,
+		},
+	}
 	var rounds float64
 	for i := 0; i < b.N; i++ {
-		res, err := degrade.Run(degrade.Config{
-			N: 20, Compromised: []trace.NodeID{3, 11}, Strategy: strat,
-			Sender: 7, Confidence: 0.9, MaxRounds: 200, Trials: 20, Seed: int64(i),
-		})
+		cfg.Workload.Seed = int64(i)
+		res, err := scenario.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rounds = res.MeanRounds
+		rounds = res.MeanRoundsToIdentify
 	}
 	b.ReportMetric(rounds, "mean_rounds_to_id")
 }
 
 // BenchmarkDegradationRounds measures the scenario layer's multi-round
 // degradation path (Workload.Rounds) on the Monte-Carlo backend — the hot
-// path behind the degradation figure and the degrade façade — and reports
-// the first- and final-round anonymity of the curve.
+// path behind the degradation figure — and reports the first- and
+// final-round anonymity of the curve.
 func BenchmarkDegradationRounds(b *testing.B) {
 	cfg := scenario.Config{
 		N:            50,
@@ -755,13 +761,22 @@ func BenchmarkChurnSweep(b *testing.B) {
 // BenchmarkCrowdsDegradation measures the predecessor-counting attack
 // across path reformations.
 func BenchmarkCrowdsDegradation(b *testing.B) {
+	cfg := scenario.Config{
+		N:         30,
+		Backend:   scenario.BackendTestbed,
+		Protocol:  scenario.ProtocolCrowds,
+		CrowdsPf:  0.75,
+		Adversary: scenario.Adversary{Count: 3},
+		Workload:  scenario.Workload{Messages: 200, Rounds: 100},
+	}
 	var share float64
 	for i := 0; i < b.N; i++ {
-		res, err := degrade.CrowdsDegradation(30, 3, 0.75, 100, 200, int64(i))
+		cfg.Workload.Seed = int64(i)
+		res, err := scenario.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		share = res.IdentifiedShare
+		share = res.Crowds.TopCountIdentifiedShare
 	}
 	b.ReportMetric(share, "identified_share_100r")
 }

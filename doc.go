@@ -42,8 +42,7 @@
 //     counting on Crowds. Results carry the degradation curve H_1..H_k
 //     (Result.HRounds) and, with Workload.Confidence set, identification
 //     statistics; a second agreement test pins the three backends' curves
-//     against each other at k ∈ {1, 4, 16}. internal/degrade is a thin
-//     façade over this machinery.
+//     against each other at k ∈ {1, 4, 16}.
 //
 //     The third dimension is time: Config.Timeline makes the population
 //     dynamic as a sequence of piecewise-constant Epochs, each carrying a
@@ -83,7 +82,15 @@
 //     model pipeline and the synthesis of the traces it analyzes
 //   - internal/figures — regenerates every figure of the paper's §6, plus
 //     ablations and the cross-backend comparison figure
-//   - internal/core — the library facade (System, strategies, optimum)
+//
+// The package Examples walk the paper's workflow end to end by calling
+// scenario.Engine, scenario.Run and optimize.Maximize directly:
+// Example_quickstart (H*(S) of a strategy and the §5.4 optimum),
+// Example_optimalDeployment (the optimum at each latency budget),
+// Example_systemsSurvey (the §2 survey ranking), Example_longTerm (the
+// degradation attack of Wright et al.), and Example_eVoting and
+// Example_webBrowsing (the §1 scenarios on the testbed). go test checks
+// each one's printed output.
 //
 // The simulation stack:
 //

@@ -9,7 +9,6 @@ package adversary
 // and Monte-Carlo backends fold each sampled path (ObservePath), the
 // testbed folds collected traces (ObserveScratch), and the reliability
 // layer folds partial traces of failed deliveries (FoldObservation).
-// Package degrade re-exports it for compatibility.
 //
 // A session may span the phases of a dynamic population (node churn,
 // time-phased compromise), whose rounds each live over that phase's

@@ -45,6 +45,15 @@ func TestAccumulatorEmpty(t *testing.T) {
 	if _, _, _, err := acc.Snapshot(); !errors.Is(err, adversary.ErrNoObservations) {
 		t.Errorf("empty snapshot err = %v", err)
 	}
+	if _, err := acc.Entropy(); !errors.Is(err, adversary.ErrNoObservations) {
+		t.Errorf("empty entropy err = %v", err)
+	}
+	if _, _, err := acc.Top(); !errors.Is(err, adversary.ErrNoObservations) {
+		t.Errorf("empty top err = %v", err)
+	}
+	if acc.Rounds() != 0 {
+		t.Errorf("rounds = %d", acc.Rounds())
+	}
 }
 
 // TestSnapshotMatchesEntropyAndTop: Snapshot is the fused fast path of

@@ -94,6 +94,34 @@ func PredecessorProb(n, c int, pf float64) (float64, error) {
 	return 1 - pf*float64(n-c-1)/float64(n), nil
 }
 
+// RoundsBound returns a Chernoff-style upper bound on the number of
+// *observed* rounds after which predecessor counting separates the
+// initiator from every other honest jondo with failure probability at most
+// delta. With per-observation initiator rate p1 = P(H1|H1+) and
+// per-other-jondo rate q = (1−p1)/(n−c−1), the counts separate once
+//
+//	R ≥ 2·ln((n−c−1)/delta) / (p1 − q)²
+//
+// by Hoeffding's inequality applied to the count difference of each
+// competing jondo, union-bounded over the n−c−1 competitors.
+func RoundsBound(n, c int, pf, delta float64) (int, error) {
+	p1, err := PredecessorProb(n, c, pf)
+	if err != nil {
+		return 0, err
+	}
+	if delta <= 0 || delta >= 1 || math.IsNaN(delta) {
+		return 0, fmt.Errorf("%w: delta=%v", ErrBadParam, delta)
+	}
+	others := float64(n - c - 1)
+	if others < 1 {
+		return 1, nil
+	}
+	// p1 − q = 1 − pf·(n−c)/n ≥ 1 − pf > 0: the initiator always leads.
+	gap := p1 - (1-p1)/others
+	r := 2 * math.Log(others/delta) / (gap * gap)
+	return int(math.Ceil(r)), nil
+}
+
 // ProbableInnocence reports whether the configuration satisfies
 // Reiter–Rubin probable innocence: the first collaborator's predecessor is
 // the initiator with probability at most 1/2, which requires pf > 1/2 and

@@ -53,6 +53,25 @@ func TestPredecessorProbKnownValues(t *testing.T) {
 	}
 }
 
+func TestRoundsBoundValidation(t *testing.T) {
+	for _, delta := range []float64{0, 1, -0.1, math.NaN()} {
+		if _, err := crowds.RoundsBound(20, 2, 0.75, delta); !errors.Is(err, crowds.ErrBadParam) {
+			t.Errorf("delta=%v err = %v", delta, err)
+		}
+	}
+	if _, err := crowds.RoundsBound(20, 2, 1.5, 0.1); !errors.Is(err, crowds.ErrBadParam) {
+		t.Errorf("pf=1.5 err = %v", err)
+	}
+	// n−c−1 = 0: single honest jondo, trivially identified.
+	b, err := crowds.RoundsBound(3, 2, 0.6, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b != 1 {
+		t.Errorf("degenerate bound = %d, want 1", b)
+	}
+}
+
 // TestPredecessorFormulaMatchesSimulation validates the closed form against
 // direct protocol simulation.
 func TestPredecessorFormulaMatchesSimulation(t *testing.T) {

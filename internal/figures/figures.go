@@ -117,8 +117,7 @@ func (f Figure) Peak(label string) (x, y float64, err error) {
 // memoize their per-class posteriors, so sharing them is what turns a
 // repeated figure build (benchmark iterations, anonbench sweeps over many
 // figures with common configurations) into cache hits — and the cache now
-// being scenario's, those hits are shared with every CLI and the library
-// facade too.
+// being scenario's, those hits are shared with every CLI too.
 func sharedEngine(n, c int, mode events.InferenceMode) (*events.Engine, error) {
 	return scenario.Engine(n, c, events.WithInference(mode))
 }

@@ -4,10 +4,8 @@
 // substrate for), it reports a *capability.Error wrapping one of the
 // sentinel reasons here, instead of a per-package ad-hoc error.
 //
-// The package is deliberately dependency-free so that both the scenario
-// layer and the library facade above it (core) can share one error
-// identity: core.ErrComplicated is an alias of ErrComplicatedPaths, so
-// errors.Is works across both vocabularies.
+// The package is deliberately dependency-free, so a caller can match a
+// refusal with errors.Is without importing the backend that made it.
 package capability
 
 import (

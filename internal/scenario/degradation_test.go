@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"anonmix/internal/crowds"
 	"anonmix/internal/scenario"
 	"anonmix/internal/trace"
 )
@@ -340,5 +341,73 @@ func TestCrowdsDegradationRounds(t *testing.T) {
 	want := pObs*many.Crowds.EventEntropy + (1-pObs)*math.Log2(18)
 	if d := math.Abs(many.HRounds[0] - want); d > 0.15 {
 		t.Errorf("H_1 = %v, closed-form mixture = %v (Δ=%v)", many.HRounds[0], want, d)
+	}
+}
+
+// TestRunMoreCompromisedFaster: on the exact backend, a fixed sender
+// facing three compromised nodes is identified in fewer mean rounds than
+// one facing a single compromised node.
+func TestRunMoreCompromisedFaster(t *testing.T) {
+	run := func(comp []trace.NodeID) float64 {
+		res, err := scenario.Run(scenario.Config{
+			N:            14,
+			Backend:      scenario.BackendExact,
+			StrategySpec: "uniform:1,5",
+			Adversary:    scenario.Adversary{Compromised: comp},
+			Workload: scenario.Workload{
+				Messages: 30, Rounds: 400, Seed: 9,
+				Confidence: 0.9, FixedSender: true, Sender: 6,
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.IdentifiedShare < 0.95 {
+			t.Fatalf("compromised %v: identified share %v", comp, res.IdentifiedShare)
+		}
+		return res.MeanRoundsToIdentify
+	}
+	one := run([]trace.NodeID{2})
+	three := run([]trace.NodeID{2, 9, 12})
+	if !(three < one) {
+		t.Errorf("3 compromised (%v rounds) should identify faster than 1 (%v rounds)", three, one)
+	}
+}
+
+// TestCrowdsRoundsBoundIsSufficient: running the Crowds substrate for
+// crowds.RoundsBound's number of observed rounds identifies the initiator
+// with at least the promised probability.
+func TestCrowdsRoundsBoundIsSufficient(t *testing.T) {
+	const (
+		n, c  = 20, 2
+		pf    = 0.75
+		delta = 0.1
+	)
+	bound, err := crowds.RoundsBound(n, c, pf, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound < 1 {
+		t.Fatalf("bound = %d", bound)
+	}
+	// The bound counts *observed* rounds; convert to total reformations
+	// using the observation rate P(H1+) ≈ (c/n)/(1−pf(n−c)/n).
+	r := pf * float64(n-c) / float64(n)
+	obsRate := (float64(c) / float64(n)) / (1 - r)
+	total := int(math.Ceil(float64(bound)/obsRate)) + 1
+	res, err := scenario.Run(scenario.Config{
+		N:         n,
+		Backend:   scenario.BackendTestbed,
+		Protocol:  scenario.ProtocolCrowds,
+		CrowdsPf:  pf,
+		Adversary: scenario.Adversary{Count: c},
+		Workload:  scenario.Workload{Messages: 300, Rounds: total, Seed: 13},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Crowds.TopCountIdentifiedShare; got < 1-delta-0.05 {
+		t.Errorf("bound %d observed rounds (%d total): identified %v, want ≥ %v",
+			bound, total, got, 1-delta-0.05)
 	}
 }

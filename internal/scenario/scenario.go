@@ -557,9 +557,9 @@ func backendNames() string {
 }
 
 // Run normalizes the configuration and dispatches it to its backend. This
-// is the single entry point every CLI and library facade routes through:
-// switching backend, strategy, protocol, or threat model is a field
-// change, not a different code path.
+// is the single entry point every CLI routes through: switching backend,
+// strategy, protocol, or threat model is a field change, not a different
+// code path.
 func Run(cfg Config) (Result, error) {
 	norm, err := normalize(cfg)
 	if err != nil {

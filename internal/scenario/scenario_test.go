@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"anonmix/internal/core"
 	"anonmix/internal/scenario"
 	"anonmix/internal/scenario/capability"
 	"anonmix/internal/trace"
@@ -180,8 +179,7 @@ func TestCrowdsTestbedRepeats(t *testing.T) {
 }
 
 // TestCapabilityErrors: every backend refuses what it cannot run with the
-// one shared capability error, matchable through all three legacy
-// vocabularies.
+// one shared capability error.
 func TestCapabilityErrors(t *testing.T) {
 	cyclic := scenario.Config{
 		N:            12,
@@ -200,13 +198,8 @@ func TestCapabilityErrors(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s accepted a cyclic strategy", backend)
 		}
-		for name, sentinel := range map[string]error{
-			"capability.ErrComplicatedPaths": capability.ErrComplicatedPaths,
-			"core.ErrComplicated":            core.ErrComplicated,
-		} {
-			if !errors.Is(err, sentinel) {
-				t.Errorf("%s: err %v does not match %s", backend, err, name)
-			}
+		if !errors.Is(err, capability.ErrComplicatedPaths) {
+			t.Errorf("%s: err %v does not match capability.ErrComplicatedPaths", backend, err)
 		}
 		wantLabel := map[scenario.BackendKind]string{
 			scenario.BackendExact:      "exact",
