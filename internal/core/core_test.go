@@ -1,46 +1,61 @@
+// Package core_test checks the paper's three workflow steps: H*(S) of a
+// strategy, the §5.4 optimum at a latency budget, and the §2 survey
+// ranking. The core package that once wrapped them is gone, so these tests
+// call the layer underneath directly: scenario.Engine and its
+// AnonymityDegree, optimize.Maximize, and scenario.Run for the Monte-Carlo
+// rows of cyclic systems.
 package core_test
 
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
-	"anonmix/internal/core"
 	"anonmix/internal/dist"
+	"anonmix/internal/entropy"
 	"anonmix/internal/events"
+	"anonmix/internal/optimize"
 	"anonmix/internal/pathsel"
+	"anonmix/internal/scenario"
+	"anonmix/internal/scenario/capability"
 	"anonmix/internal/theory"
 	"anonmix/internal/trace"
 )
 
-func system(t *testing.T, n, c int) *core.System {
+func engine(t *testing.T, n, c int) *events.Engine {
 	t.Helper()
-	s, err := core.NewSystem(n, c)
+	e, err := scenario.Engine(n, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return e
+}
+
+func degree(t *testing.T, e *events.Engine, strat pathsel.Strategy) float64 {
+	t.Helper()
+	h, err := e.AnonymityDegree(strat.Length)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }
 
 func TestNewSystemValidation(t *testing.T) {
-	if _, err := core.NewSystem(1, 0); !errors.Is(err, events.ErrInvalidSystem) {
+	if _, err := scenario.Engine(1, 0); !errors.Is(err, events.ErrInvalidSystem) {
 		t.Errorf("n=1 err = %v", err)
 	}
-	s := system(t, 100, 1)
-	if s.N() != 100 || s.C() != 1 || s.Engine() == nil {
-		t.Errorf("accessors: %d %d", s.N(), s.C())
+	e := engine(t, 100, 1)
+	if e.N() != 100 || e.C() != 1 {
+		t.Errorf("accessors: %d %d", e.N(), e.C())
 	}
-	if math.Abs(s.MaxAnonymity()-math.Log2(100)) > 1e-12 {
-		t.Errorf("MaxAnonymity = %v", s.MaxAnonymity())
+	if math.Abs(e.MaxAnonymity()-math.Log2(100)) > 1e-12 {
+		t.Errorf("MaxAnonymity = %v", e.MaxAnonymity())
 	}
 }
 
 func TestAnonymityDegreeMatchesTheory(t *testing.T) {
-	s := system(t, 100, 1)
-	h, err := s.AnonymityDegree(pathsel.OnionRoutingI())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := degree(t, engine(t, 100, 1), pathsel.OnionRoutingI())
 	want, err := theory.FixedSimpleC1(100, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -48,37 +63,40 @@ func TestAnonymityDegreeMatchesTheory(t *testing.T) {
 	if math.Abs(h-want) > 1e-12 {
 		t.Errorf("OR-I H* = %v, want %v", h, want)
 	}
-	norm, err := s.NormalizedDegree(pathsel.OnionRoutingI())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(norm-h/math.Log2(100)) > 1e-12 {
+	if norm := entropy.Normalized(h, 100); math.Abs(norm-h/math.Log2(100)) > 1e-12 {
 		t.Errorf("normalized = %v", norm)
 	}
 }
 
+// TestAnonymityDegreeRejectsComplicated: the exact backend refuses a
+// cyclic strategy with the capability vocabulary's sentinel, and an empty
+// strategy is invalid before any engine sees it.
 func TestAnonymityDegreeRejectsComplicated(t *testing.T) {
-	s := system(t, 100, 1)
 	cr, err := pathsel.Crowds(0.7, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AnonymityDegree(cr); !errors.Is(err, core.ErrComplicated) {
-		t.Errorf("err = %v, want ErrComplicated", err)
+	_, err = scenario.Run(scenario.Config{
+		N:         100,
+		Backend:   scenario.BackendExact,
+		Protocol:  scenario.ProtocolOnion,
+		Strategy:  cr,
+		Adversary: scenario.Adversary{Count: 1},
+	})
+	if !errors.Is(err, capability.ErrComplicatedPaths) {
+		t.Errorf("err = %v, want ErrComplicatedPaths", err)
 	}
-	bad := pathsel.Strategy{}
-	if _, err := s.AnonymityDegree(bad); !errors.Is(err, pathsel.ErrBadStrategy) {
+	if err := (pathsel.Strategy{}).Validate(100); !errors.Is(err, pathsel.ErrBadStrategy) {
 		t.Errorf("err = %v, want ErrBadStrategy", err)
 	}
 }
 
 func TestAnonymityDegreeOf(t *testing.T) {
-	s := system(t, 100, 1)
 	u, err := dist.NewUniform(3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := s.AnonymityDegreeOf(u)
+	h, err := engine(t, 100, 1).AnonymityDegree(u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +110,12 @@ func TestAnonymityDegreeOf(t *testing.T) {
 }
 
 func TestOptimalStrategy(t *testing.T) {
-	s := system(t, 60, 1)
-	strat, h, err := s.OptimalStrategy(8)
+	e := engine(t, 60, 1)
+	res, err := optimize.Maximize(optimize.Problem{Engine: e, Lo: 0, Hi: 59, Mean: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat, err := pathsel.WithLength("Optimal(mean=8)", res.Dist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,26 +130,20 @@ func TestOptimalStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hf, err := s.AnonymityDegree(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(h > hf) {
-		t.Errorf("optimal %v not above fixed %v", h, hf)
+	if hf := degree(t, e, f); !(res.H > hf) {
+		t.Errorf("optimal %v not above fixed %v", res.H, hf)
 	}
 	// And the strategy itself must evaluate to the reported H.
-	again, err := s.AnonymityDegree(strat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(again-h) > 1e-9 {
-		t.Errorf("re-evaluated %v, reported %v", again, h)
+	if again := degree(t, e, strat); math.Abs(again-res.H) > 1e-9 {
+		t.Errorf("re-evaluated %v, reported %v", again, res.H)
 	}
 }
 
 func TestGloballyOptimalStrategy(t *testing.T) {
-	s := system(t, 50, 1)
-	_, h, err := s.GloballyOptimalStrategy()
+	e := engine(t, 50, 1)
+	res, err := optimize.Maximize(optimize.Problem{
+		Engine: e, Lo: 0, Hi: 49, Mean: optimize.UnconstrainedMean(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,43 +154,71 @@ func TestGloballyOptimalStrategy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hf, err := s.AnonymityDegree(f)
-		if err != nil {
-			t.Fatal(err)
+		best = math.Max(best, degree(t, e, f))
+	}
+	if res.H < best-1e-9 {
+		t.Errorf("global optimum %v below best fixed %v", res.H, best)
+	}
+	if res.H > e.MaxAnonymity() {
+		t.Errorf("H %v above log2 N", res.H)
+	}
+}
+
+// row is one line of a survey ranking.
+type row struct {
+	strat     pathsel.Strategy
+	h         float64
+	estimated bool
+	ci95      float64
+}
+
+// rank evaluates strategies the way Example_systemsSurvey does: simple
+// paths exactly on the engine, cyclic ones by a Monte-Carlo run on the
+// simple-path strategy with the same length distribution. Rows come back
+// sorted stably by descending H.
+func rank(t *testing.T, e *events.Engine, strats []pathsel.Strategy, compromised []trace.NodeID, trials int) []row {
+	t.Helper()
+	rows := make([]row, 0, len(strats))
+	for _, st := range strats {
+		r := row{strat: st}
+		if st.Kind == pathsel.Simple {
+			r.h = degree(t, e, st)
+		} else {
+			res, err := scenario.Run(scenario.Config{
+				N:         e.N(),
+				Backend:   scenario.BackendMonteCarlo,
+				Strategy:  pathsel.Strategy{Name: st.Name, Length: st.Length, Kind: pathsel.Simple},
+				Adversary: scenario.Adversary{Compromised: compromised},
+				Workload:  scenario.Workload{Messages: trials, Seed: 7},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.h, r.estimated, r.ci95 = res.H, true, res.CI95
 		}
-		if hf > best {
-			best = hf
-		}
+		rows = append(rows, r)
 	}
-	if h < best-1e-9 {
-		t.Errorf("global optimum %v below best fixed %v", h, best)
-	}
-	if h > s.MaxAnonymity() {
-		t.Errorf("H %v above log2 N", h)
-	}
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].h > rows[j].h })
+	return rows
 }
 
 // TestCompareStrategiesSurvey reproduces the qualitative §2 comparison:
 // with one compromised node among 100, the single-proxy systems
 // (Anonymizer/LPWA) and the short fixed routes are ranked by the engine.
 func TestCompareStrategiesSurvey(t *testing.T) {
-	s := system(t, 100, 1)
 	strats := []pathsel.Strategy{
 		pathsel.Anonymizer(),
 		pathsel.Freedom(),
 		pathsel.OnionRoutingI(),
 		pathsel.PipeNet(),
 	}
-	rows, err := s.CompareStrategies(strats, nil, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rank(t, engine(t, 100, 1), strats, nil, 0)
 	if len(rows) != len(strats) {
 		t.Fatalf("%d rows", len(rows))
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i-1].H < rows[i].H {
-			t.Errorf("rows not sorted: %v before %v", rows[i-1].H, rows[i].H)
+		if rows[i-1].h < rows[i].h {
+			t.Errorf("rows not sorted: %v before %v", rows[i-1].h, rows[i].h)
 		}
 	}
 	// With N=100, C=1, Onion Routing I (5 hops) beats Freedom (3 hops),
@@ -183,7 +227,7 @@ func TestCompareStrategiesSurvey(t *testing.T) {
 	// so Anonymizer actually beats Freedom. Verify the exact order.
 	byName := map[string]float64{}
 	for _, r := range rows {
-		byName[r.Strategy.Name] = r.H
+		byName[r.strat.Name] = r.h
 	}
 	if !(byName["Onion Routing I"] > byName["Anonymizer"]) {
 		t.Errorf("OR-I (%v) should beat Anonymizer (%v)", byName["Onion Routing I"], byName["Anonymizer"])
@@ -197,34 +241,42 @@ func TestCompareStrategiesSurvey(t *testing.T) {
 	}
 }
 
+// TestCompareStrategiesEstimatesComplicated: a cyclic system has no exact
+// row, so the survey estimates it on simple paths with the same length
+// distribution, at the survey's own C. The estimate must agree with the
+// engine's exact value for that stand-in.
 func TestCompareStrategiesEstimatesComplicated(t *testing.T) {
-	s := system(t, 30, 2)
+	e := engine(t, 30, 2)
 	cr, err := pathsel.Crowds(0.6, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Without trials: rejected.
-	if _, err := s.CompareStrategies([]pathsel.Strategy{cr}, nil, 0, 0); !errors.Is(err, core.ErrComplicated) {
+	// Without the stand-in: the exact backend refuses the cyclic routes.
+	_, err = scenario.Run(scenario.Config{
+		N:         30,
+		Backend:   scenario.BackendExact,
+		Protocol:  scenario.ProtocolOnion,
+		Strategy:  cr,
+		Adversary: scenario.Adversary{Count: 2},
+	})
+	if !errors.Is(err, capability.ErrComplicatedPaths) {
 		t.Errorf("err = %v", err)
 	}
-	// With trials but wrong compromised count: rejected.
-	if _, err := s.CompareStrategies([]pathsel.Strategy{cr}, []trace.NodeID{1}, 1000, 7); err == nil {
-		t.Error("wrong compromised count accepted")
-	}
-	rows, err := s.CompareStrategies([]pathsel.Strategy{cr, pathsel.Freedom()},
-		[]trace.NodeID{3, 9}, 4000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rank(t, e, []pathsel.Strategy{cr, pathsel.Freedom()}, []trace.NodeID{3, 9}, 4000)
 	var found bool
 	for _, r := range rows {
-		if r.Strategy.Name == "Crowds" {
+		if r.strat.Name == "Crowds" {
 			found = true
-			if !r.Estimated || r.CI95 <= 0 {
+			if !r.estimated || r.ci95 <= 0 {
 				t.Errorf("Crowds row not estimated: %+v", r)
 			}
+			// A sampled system of another size or C would miss this.
+			exact := degree(t, e, cr)
+			if d := math.Abs(r.h - exact); d > 2*r.ci95 {
+				t.Errorf("Crowds estimate %v ±%v, exact stand-in %v (Δ=%v)", r.h, r.ci95, exact, d)
+			}
 		}
-		if r.Strategy.Name == "Freedom" && r.Estimated {
+		if r.strat.Name == "Freedom" && r.estimated {
 			t.Error("Freedom row should be exact")
 		}
 	}

@@ -1,3 +1,10 @@
+// Package degrade_test checks the degradation of sender anonymity under
+// repeated communication (Wright, Adler, Levine and Shields, the paper's
+// [23]). The degrade package that once wrapped it is gone, so these tests
+// call the layer underneath directly: adversary.Accumulator for the
+// Bayesian accumulation, scenario.Run on the exact backend for fixed-sender
+// sessions, and scenario.Run on the testbed's Crowds substrate for
+// predecessor counting.
 package degrade_test
 
 import (
@@ -6,11 +13,12 @@ import (
 	"testing"
 
 	"anonmix/internal/adversary"
-	"anonmix/internal/degrade"
 	"anonmix/internal/dist"
 	"anonmix/internal/events"
 	"anonmix/internal/montecarlo"
 	"anonmix/internal/pathsel"
+	"anonmix/internal/scenario"
+	"anonmix/internal/scenario/capability"
 	"anonmix/internal/stats"
 	"anonmix/internal/trace"
 )
@@ -29,24 +37,24 @@ func analyst(t *testing.T, n int, compromised []trace.NodeID, d dist.Length) *ad
 }
 
 func TestAccumulatorValidation(t *testing.T) {
-	if _, err := degrade.NewAccumulator(nil); !errors.Is(err, degrade.ErrBadConfig) {
+	if _, err := adversary.NewAccumulator(nil); !errors.Is(err, adversary.ErrBadConfig) {
 		t.Errorf("nil analyst err = %v", err)
 	}
 	u, err := dist.NewUniform(0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := degrade.NewAccumulator(analyst(t, 10, []trace.NodeID{0}, u))
+	acc, err := adversary.NewAccumulator(analyst(t, 10, []trace.NodeID{0}, u))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := acc.Posterior(); !errors.Is(err, degrade.ErrNoObservations) {
+	if _, err := acc.Posterior(); !errors.Is(err, adversary.ErrNoObservations) {
 		t.Errorf("empty posterior err = %v", err)
 	}
-	if _, err := acc.Entropy(); !errors.Is(err, degrade.ErrNoObservations) {
+	if _, err := acc.Entropy(); !errors.Is(err, adversary.ErrNoObservations) {
 		t.Errorf("empty entropy err = %v", err)
 	}
-	if _, _, err := acc.Top(); !errors.Is(err, degrade.ErrNoObservations) {
+	if _, _, err := acc.Top(); !errors.Is(err, adversary.ErrNoObservations) {
 		t.Errorf("empty top err = %v", err)
 	}
 	if acc.Rounds() != 0 {
@@ -64,7 +72,7 @@ func TestAccumulatorConcentratesOnSender(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := analyst(t, n, compromised, u)
-	acc, err := degrade.NewAccumulator(a)
+	acc, err := adversary.NewAccumulator(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +128,26 @@ func TestAccumulatorConcentratesOnSender(t *testing.T) {
 	}
 }
 
+// session is a repeated-communication experiment on the exact backend:
+// messages fixed-sender sessions of rounds rounds each.
+func session(n int, compromised []trace.NodeID, strat pathsel.Strategy, sender trace.NodeID,
+	confidence float64, rounds, messages int, seed int64) scenario.Config {
+	return scenario.Config{
+		N:         n,
+		Backend:   scenario.BackendExact,
+		Strategy:  strat,
+		Adversary: scenario.Adversary{Compromised: compromised},
+		Workload: scenario.Workload{
+			Messages:    messages,
+			Rounds:      rounds,
+			Confidence:  confidence,
+			FixedSender: true,
+			Sender:      sender,
+			Seed:        seed,
+		},
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	u, err := pathsel.UniformLength(0, 5)
 	if err != nil {
@@ -129,28 +157,44 @@ func TestRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := degrade.Config{
-		N: 10, Compromised: []trace.NodeID{0}, Strategy: u, Sender: 5,
-		Confidence: 0.9, MaxRounds: 5, Trials: 2,
-	}
+	base := session(10, []trace.NodeID{0}, u, 5, 0.9, 5, 2, 0)
 	cases := []struct {
 		name string
-		mut  func(*degrade.Config)
+		mut  func(*scenario.Config)
+		want error
 	}{
-		{"small n", func(c *degrade.Config) { c.N = 1 }},
-		{"bad sender", func(c *degrade.Config) { c.Sender = 10 }},
-		{"compromised sender", func(c *degrade.Config) { c.Sender = 0 }},
-		{"bad confidence", func(c *degrade.Config) { c.Confidence = 1 }},
-		{"no rounds", func(c *degrade.Config) { c.MaxRounds = 0 }},
-		{"no trials", func(c *degrade.Config) { c.Trials = 0 }},
-		{"cyclic strategy", func(c *degrade.Config) { c.Strategy = crowdsStrat }},
+		{"small n", func(c *scenario.Config) { c.N = 1 }, scenario.ErrBadConfig},
+		{"bad sender", func(c *scenario.Config) { c.Workload.Sender = 10 }, scenario.ErrBadConfig},
+		{"compromised sender", func(c *scenario.Config) { c.Workload.Sender = 0 }, scenario.ErrBadConfig},
+		{"bad confidence", func(c *scenario.Config) { c.Workload.Confidence = 1 }, scenario.ErrBadConfig},
+		{"negative rounds", func(c *scenario.Config) { c.Workload.Rounds = -1 }, scenario.ErrBadConfig},
+		{"no trials", func(c *scenario.Config) { c.Workload.Messages = 0 }, scenario.ErrBadConfig},
+		{"cyclic strategy", func(c *scenario.Config) {
+			c.Protocol = scenario.ProtocolOnion
+			c.Strategy = crowdsStrat
+		}, capability.ErrComplicatedPaths},
 	}
 	for _, tc := range cases {
 		cfg := base
 		tc.mut(&cfg)
-		if _, err := degrade.Run(cfg); !errors.Is(err, degrade.ErrBadConfig) {
-			t.Errorf("%s: err = %v", tc.name, err)
+		if _, err := scenario.Run(cfg); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
+	}
+	// Zero rounds is the default of one round per session, not a refusal.
+	zero, one := base, base
+	zero.Workload.Rounds, one.Workload.Rounds = 0, 1
+	got, err := scenario.Run(zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := scenario.Run(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Rounds != 1 || len(got.HRounds) != 1 || got.H != want.H {
+		t.Errorf("zero rounds: Rounds %d, HRounds %v, H %v; one round gives H %v",
+			got.Rounds, got.HRounds, got.H, want.H)
 	}
 }
 
@@ -162,138 +206,81 @@ func TestRunIdentifiesEventually(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := degrade.Run(degrade.Config{
-		N:           12,
-		Compromised: []trace.NodeID{2, 9},
-		Strategy:    strat,
-		Sender:      4,
-		Confidence:  0.90,
-		MaxRounds:   120,
-		Trials:      40,
-		Seed:        5,
-	})
+	res, err := scenario.Run(session(12, []trace.NodeID{2, 9}, strat, 4, 0.90, 120, 40, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.IdentifiedShare < 0.9 {
 		t.Errorf("identified share = %v, want ≥ 0.9", res.IdentifiedShare)
 	}
-	if res.MeanRounds <= 1 || res.MeanRounds > 120 {
-		t.Errorf("mean rounds = %v", res.MeanRounds)
+	if res.MeanRoundsToIdentify <= 1 || res.MeanRoundsToIdentify > 120 {
+		t.Errorf("mean rounds = %v", res.MeanRoundsToIdentify)
 	}
-	if len(res.MeanEntropyAfter) != 120 {
-		t.Fatalf("entropy trajectory length %d", len(res.MeanEntropyAfter))
+	if len(res.HRounds) != 120 {
+		t.Fatalf("entropy trajectory length %d", len(res.HRounds))
 	}
-	if !(res.MeanEntropyAfter[0] > res.MeanEntropyAfter[30]) ||
-		!(res.MeanEntropyAfter[30] > res.MeanEntropyAfter[119]) {
+	if !(res.HRounds[0] > res.HRounds[30]) || !(res.HRounds[30] > res.HRounds[119]) {
 		t.Errorf("mean entropy not decreasing: %v %v %v",
-			res.MeanEntropyAfter[0], res.MeanEntropyAfter[30], res.MeanEntropyAfter[119])
+			res.HRounds[0], res.HRounds[30], res.HRounds[119])
 	}
 	if res.Trials != 40 {
 		t.Errorf("trials = %d", res.Trials)
 	}
 }
 
-// TestRunMoreCompromisedFaster: more compromised nodes identify the sender
-// in fewer rounds on average.
-func TestRunMoreCompromisedFaster(t *testing.T) {
-	strat, err := pathsel.UniformLength(1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(comp []trace.NodeID) float64 {
-		res, err := degrade.Run(degrade.Config{
-			N: 14, Compromised: comp, Strategy: strat, Sender: 6,
-			Confidence: 0.9, MaxRounds: 400, Trials: 30, Seed: 9,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.IdentifiedShare < 0.95 {
-			t.Fatalf("comp %v: identified share %v", comp, res.IdentifiedShare)
-		}
-		return res.MeanRounds
-	}
-	one := run([]trace.NodeID{2})
-	three := run([]trace.NodeID{2, 9, 12})
-	if !(three < one) {
-		t.Errorf("3 compromised (%v rounds) should identify faster than 1 (%v rounds)", three, one)
-	}
+// crowdsAttack runs the predecessor-counting attack on the testbed's
+// Crowds substrate: trials sessions of rounds path reformations each.
+func crowdsAttack(n, c int, pf float64, rounds, trials int, seed int64) (scenario.Result, error) {
+	return scenario.Run(scenario.Config{
+		N:         n,
+		Backend:   scenario.BackendTestbed,
+		Protocol:  scenario.ProtocolCrowds,
+		CrowdsPf:  pf,
+		Adversary: scenario.Adversary{Count: c},
+		Workload:  scenario.Workload{Messages: trials, Rounds: rounds, Seed: seed},
+	})
 }
 
 func TestCrowdsDegradation(t *testing.T) {
-	if _, err := degrade.CrowdsDegradation(10, 1, 0.7, 0, 10, 1); !errors.Is(err, degrade.ErrBadConfig) {
-		t.Error("rounds=0 accepted")
+	if _, err := crowdsAttack(10, 1, 1.2, 10, 10, 1); !errors.Is(err, scenario.ErrBadConfig) {
+		t.Errorf("bad pf err = %v", err)
 	}
-	if _, err := degrade.CrowdsDegradation(10, 1, 1.2, 10, 10, 1); err == nil {
-		t.Error("bad pf accepted")
+	if _, err := crowdsAttack(10, 1, 0.7, 10, 0, 1); !errors.Is(err, scenario.ErrBadConfig) {
+		t.Errorf("no trials err = %v", err)
+	}
+	// Zero rounds is the default of one reformation per session, not a
+	// refusal.
+	zero, err := crowdsAttack(10, 1, 0.7, 0, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := crowdsAttack(10, 1, 0.7, 1, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.Rounds != 1 || zero.H != one.H ||
+		zero.Crowds.MeanObservedRounds != one.Crowds.MeanObservedRounds {
+		t.Errorf("zero rounds: Rounds %d, H %v, observed %v; one round gives H %v, observed %v",
+			zero.Rounds, zero.H, zero.Crowds.MeanObservedRounds, one.H, one.Crowds.MeanObservedRounds)
 	}
 	// Few rounds: rarely identified. Many rounds: almost always.
-	few, err := degrade.CrowdsDegradation(20, 2, 0.75, 2, 400, 11)
+	few, err := crowdsAttack(20, 2, 0.75, 2, 400, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := degrade.CrowdsDegradation(20, 2, 0.75, 400, 400, 11)
+	many, err := crowdsAttack(20, 2, 0.75, 400, 400, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(many.IdentifiedShare > few.IdentifiedShare) {
+	if !(many.Crowds.TopCountIdentifiedShare > few.Crowds.TopCountIdentifiedShare) {
 		t.Errorf("identification should improve with rounds: %v vs %v",
-			many.IdentifiedShare, few.IdentifiedShare)
+			many.Crowds.TopCountIdentifiedShare, few.Crowds.TopCountIdentifiedShare)
 	}
-	if many.IdentifiedShare < 0.9 {
-		t.Errorf("400 rounds: identified share %v, want ≥ 0.9", many.IdentifiedShare)
+	if many.Crowds.TopCountIdentifiedShare < 0.9 {
+		t.Errorf("400 rounds: identified share %v, want ≥ 0.9", many.Crowds.TopCountIdentifiedShare)
 	}
-	if many.MeanObservedRounds <= few.MeanObservedRounds {
+	if many.Crowds.MeanObservedRounds <= few.Crowds.MeanObservedRounds {
 		t.Errorf("observed rounds should grow: %v vs %v",
-			many.MeanObservedRounds, few.MeanObservedRounds)
-	}
-}
-
-// TestCrowdsRoundsBoundIsSufficient: running the simulation for the bound's
-// number of rounds identifies the initiator with at least the promised
-// probability.
-func TestCrowdsRoundsBoundIsSufficient(t *testing.T) {
-	const (
-		n, c  = 20, 2
-		pf    = 0.75
-		delta = 0.1
-	)
-	bound, err := degrade.CrowdsRoundsBound(n, c, pf, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bound < 1 {
-		t.Fatalf("bound = %d", bound)
-	}
-	// The bound counts *observed* rounds; convert to total reformations
-	// using the observation rate P(H1+) ≈ (c/n)/(1−pf(n−c)/n).
-	r := pf * float64(n-c) / float64(n)
-	obsRate := (float64(c) / float64(n)) / (1 - r)
-	total := int(math.Ceil(float64(bound)/obsRate)) + 1
-	res, err := degrade.CrowdsDegradation(n, c, pf, total, 300, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IdentifiedShare < 1-delta-0.05 {
-		t.Errorf("bound %d observed rounds (%d total): identified %v, want ≥ %v",
-			bound, total, res.IdentifiedShare, 1-delta-0.05)
-	}
-}
-
-func TestCrowdsRoundsBoundValidation(t *testing.T) {
-	if _, err := degrade.CrowdsRoundsBound(20, 2, 0.75, 0); !errors.Is(err, degrade.ErrBadConfig) {
-		t.Error("delta=0 accepted")
-	}
-	if _, err := degrade.CrowdsRoundsBound(20, 2, 1.5, 0.1); err == nil {
-		t.Error("bad pf accepted")
-	}
-	// n−c−1 = 0: single honest jondo, trivially identified.
-	b, err := degrade.CrowdsRoundsBound(3, 2, 0.6, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b != 1 {
-		t.Errorf("degenerate bound = %d, want 1", b)
+			many.Crowds.MeanObservedRounds, few.Crowds.MeanObservedRounds)
 	}
 }
