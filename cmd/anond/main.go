@@ -7,8 +7,11 @@
 //
 //	anond -addr :8080
 //	anond -addr :8080 -rate 10 -burst 20      # per-client 10 req/s, bursts of 20
-//	curl -d '{"n":100,"compromised":1,"strategy":"uniform:1,5"}' localhost:8080/v1/scenario
+//	curl -d '{"n":100,"compromised":1,"strategy":"uniform:1,5"}' localhost:8080/v1/scenario | jq
 //	curl -d '{"n":1000,"compromised":30,"backend":"mc","strategy":"fixed:5","messages":200000}' 'localhost:8080/v1/scenario?stream=1'
+//
+// Responses are compact single-line JSON (a stream, one compact object
+// per line); pipe them to jq to read them.
 //
 // SIGTERM or SIGINT begins a graceful drain: health flips to 503, new
 // compute requests are refused, in-flight runs finish (bounded by

@@ -190,14 +190,15 @@
 //
 // The daemon leans on the library's concurrency contracts rather than
 // adding its own: concurrent requests share the process-wide engine
-// cache; byte-identical in-flight requests coalesce into one computation
-// through a single-flight group keyed by the canonicalized request
-// fingerprint (the computation runs on a detached context canceled only
-// when the last waiting client disconnects); a disconnected client's
-// context cancels its run at the backends' next batch checkpoint
-// (scenario.RunContext); and ?stream=1 turns a long run into NDJSON
-// progress lines fed from Config.Progress, ending in one terminal result
-// or error line. A per-client token bucket answers 429 with Retry-After
+// cache; in-flight requests that decode to the same request coalesce
+// into one computation through a single-flight group keyed by the
+// endpoint and the decoded request, compared by value (the computation
+// runs on a detached context canceled only when the last waiting client
+// disconnects); a disconnected client's context cancels its run at the
+// backends' next batch checkpoint (scenario.RunContext); and ?stream=1
+// turns a long run into NDJSON progress lines fed from Config.Progress,
+// ending in one terminal result or error line. Every other answer is one
+// line of compact JSON. A per-client token bucket answers 429 with Retry-After
 // when a client outruns its budget, and SIGTERM drains gracefully:
 // health flips to 503, new compute work is refused, in-flight runs
 // finish, and the final metrics snapshot is flushed to the log.
@@ -247,7 +248,12 @@
 //     shares one engine per configuration process-wide — an LRU with a
 //     configurable capacity (SetEngineCacheCapacity) and exported
 //     hit/miss/eviction counters (CacheStats) — so figures, CLIs, the
-//     estimator, and the testbed adversary all hit one cache.
+//     estimator, and the testbed adversary all hit one cache. A hit
+//     builds nothing: the options resolve to a comparable events.Settings
+//     on the stack, AnonymityDegree fingerprints the distribution into a
+//     stack buffer, and pathsel.Lookup memoizes parsed specs (at most
+//     1,024, reset wholesale when full), so a memo-hot exact scenario.Run
+//     makes no allocation (TestExactRunAllocation, BenchmarkRunExactHot).
 //
 //   - events.Engine.Neighbor is the delta path for drifting populations:
 //     a (N±dn, C±dc) engine derived from an existing one instead of built
@@ -279,10 +285,10 @@
 //     (TestExactTimelineAllocation), where per-node maps used to take
 //     1.1 GB. Normalization keeps a count adversary as its count, so no
 //     exact single-shot run, static or timeline, builds the compromised
-//     list: at N = 200,000 a warm static run allocates 384 B and a
-//     three-epoch timeline 1.6 KB, whether 1 or 100,000 nodes are
-//     compromised (TestExactRunAllocation), where building the list took
-//     800 KB.
+//     list: at N = 200,000 a warm static run makes no allocation and a
+//     three-epoch timeline allocates 720 B, whether 1 or 100,000 nodes
+//     are compromised (TestExactRunAllocation), where building the list
+//     took 800 KB.
 //     A static config's view is its one identity phase; it builds the
 //     first Count nodes once per run and uses them as is, since they are
 //     sorted, and only an unsorted explicit list costs one sorted copy. A

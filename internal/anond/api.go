@@ -15,6 +15,10 @@
 //	GET  /v1/metrics      daemon counters + engine-cache statistics
 //	GET  /v1/health       liveness; 503 once draining
 //
+// Every answer but a stream is one line of compact JSON, sent with its
+// Content-Length; pipe it to jq to read it. A stream is NDJSON, one
+// compact object per line.
+//
 // Failures map through scenario.Classify exactly as the CLIs' exit codes
 // do: bad configurations answer 400, capability refusals 422, rate
 // limiting 429, everything else 500. A canceled run (client gone) is

@@ -77,6 +77,28 @@ func BenchmarkServeScenarioExactCached(b *testing.B) {
 	}
 }
 
+// BenchmarkHandlerExactCached serves the cache-hot exact request in
+// process through httptest.NewRecorder: routing, middleware, decoding,
+// the flight and the response marshal, without a socket. The reported
+// allocations include the request and recorder each iteration builds.
+func BenchmarkHandlerExactCached(b *testing.B) {
+	srv := New(Options{})
+	serve := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/scenario", strings.NewReader(benchExactBody))
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve() // warm the engine cache and the spec memo
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		serve()
+	}
+}
+
 func BenchmarkServeScenarioMC(b *testing.B) {
 	for _, clients := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {

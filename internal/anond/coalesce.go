@@ -15,29 +15,36 @@ package anond
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/json"
-	"fmt"
 	"sync"
 )
 
-// flightKey fingerprints a request: the endpoint name plus the canonical
-// re-marshaled form of the decoded request struct. Marshaling the typed
-// struct (not the raw body) normalizes field order, whitespace, and
-// default values, so two syntactically different bodies describing the
-// same configuration coalesce.
-func flightKey(endpoint string, req any) ([sha256.Size]byte, error) {
-	canonical, err := json.Marshal(req)
-	if err != nil {
-		return [sha256.Size]byte{}, fmt.Errorf("canonicalize %s request: %w", endpoint, err)
+// flightKey identifies a request for coalescing: the endpoint plus the
+// decoded request, compared by value. Decoding normalizes field order,
+// whitespace, and omitted defaults, so two syntactically different bodies
+// describing the same configuration share one flight.
+type flightKey struct {
+	endpoint string
+	scenario ScenarioRequest
+	optimize optimizeKey
+}
+
+// optimizeKey is an OptimizeRequest with its optional mean unpacked into
+// a value and a presence flag, so it compares by value, and a request
+// without a mean keys apart from one asking for mean 0.
+type optimizeKey struct {
+	req     OptimizeRequest // Mean is nil
+	mean    float64
+	hasMean bool
+}
+
+// optimizeFlight keys an optimize request.
+func optimizeFlight(req *OptimizeRequest) flightKey {
+	k := optimizeKey{req: *req}
+	k.req.Mean = nil
+	if req.Mean != nil {
+		k.mean, k.hasMean = *req.Mean, true
 	}
-	h := sha256.New()
-	h.Write([]byte(endpoint))
-	h.Write([]byte{0})
-	h.Write(canonical)
-	var key [sha256.Size]byte
-	copy(key[:], h.Sum(nil))
-	return key, nil
+	return flightKey{endpoint: "optimize", optimize: k}
 }
 
 // flight is one in-flight computation with its waiter refcount.
@@ -52,11 +59,11 @@ type flight struct {
 // group coalesces concurrent calls by key.
 type group struct {
 	mu      sync.Mutex
-	flights map[[sha256.Size]byte]*flight
+	flights map[flightKey]*flight
 }
 
 func newGroup() *group {
-	return &group{flights: map[[sha256.Size]byte]*flight{}}
+	return &group{flights: map[flightKey]*flight{}}
 }
 
 // do returns fn's result for key, starting fn only if no identical call
@@ -64,7 +71,7 @@ func newGroup() *group {
 // caller and is canceled when every waiter has abandoned the flight.
 // shared reports whether this caller joined an existing flight. A caller
 // whose ctx fires before the flight completes gets ctx.Err().
-func (g *group) do(ctx context.Context, key [sha256.Size]byte, fn func(context.Context) (any, error)) (val any, err error, shared bool) {
+func (g *group) do(ctx context.Context, key flightKey, fn func(context.Context) (any, error)) (val any, err error, shared bool) {
 	g.mu.Lock()
 	if f, ok := g.flights[key]; ok {
 		f.refs++

@@ -5,6 +5,7 @@ package anond
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"runtime"
 	"sync"
@@ -12,18 +13,14 @@ import (
 	"testing"
 )
 
-func testKey(t *testing.T, endpoint string) [32]byte {
+func testKey(t *testing.T, endpoint string) flightKey {
 	t.Helper()
-	key, err := flightKey(endpoint, &ScenarioRequest{N: 10, Compromised: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return key
+	return flightKey{endpoint: endpoint, scenario: ScenarioRequest{N: 10, Compromised: 1}}
 }
 
 // waitRefs blocks until key's flight has accumulated want waiters —
 // spawning a joiner goroutine does not mean it has joined yet.
-func waitRefs(g *group, key [32]byte, want int) {
+func waitRefs(g *group, key flightKey, want int) {
 	for {
 		g.mu.Lock()
 		refs := 0
@@ -171,32 +168,46 @@ func TestGroupForgetsCompletedFlights(t *testing.T) {
 	}
 }
 
-// TestFlightKeyNormalizes pins that the fingerprint sees the decoded
-// configuration, not the body bytes, and separates endpoints.
+// TestFlightKeyNormalizes pins that the key sees the decoded request,
+// not the body bytes, and separates endpoints; an optimize request
+// without a mean keys apart from one with mean 0.
 func TestFlightKeyNormalizes(t *testing.T) {
-	a, err := flightKey("scenario", &ScenarioRequest{N: 10, Compromised: 1})
-	if err != nil {
-		t.Fatal(err)
+	decode := func(body string, req any) {
+		t.Helper()
+		if err := json.Unmarshal([]byte(body), req); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b, err := flightKey("scenario", &ScenarioRequest{Compromised: 1, N: 10})
-	if err != nil {
-		t.Fatal(err)
+	scenarioKey := func(endpoint, body string) flightKey {
+		t.Helper()
+		var req ScenarioRequest
+		decode(body, &req)
+		return flightKey{endpoint: endpoint, scenario: req}
 	}
+	a := scenarioKey("scenario", `{"n":10,"compromised":1}`)
+	b := scenarioKey("scenario", `{"compromised": 1, "n": 10}`)
 	if a != b {
-		t.Error("identical configs fingerprint differently")
+		t.Error("identical configs key differently")
 	}
-	c, err := flightKey("degradation", &ScenarioRequest{N: 10, Compromised: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := scenarioKey("degradation", `{"n":10,"compromised":1}`)
 	if a == c {
-		t.Error("different endpoints share a fingerprint")
+		t.Error("different endpoints share a key")
 	}
-	d, err := flightKey("scenario", &ScenarioRequest{N: 11, Compromised: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := scenarioKey("scenario", `{"n":11,"compromised":1}`)
 	if a == d {
-		t.Error("different configs share a fingerprint")
+		t.Error("different configs share a key")
+	}
+
+	optimizeBodyKey := func(body string) flightKey {
+		t.Helper()
+		var req OptimizeRequest
+		decode(body, &req)
+		return optimizeFlight(&req)
+	}
+	if optimizeBodyKey(`{"n":40,"c":2}`) == optimizeBodyKey(`{"n":40,"c":2,"mean":0}`) {
+		t.Error("an optimize request without a mean shares a key with mean 0")
+	}
+	if optimizeBodyKey(`{"n":40,"c":2,"mean":6,"hi":20}`) != optimizeBodyKey(`{"hi":20, "mean":6.0, "c":2, "n":40}`) {
+		t.Error("reordered optimize bodies key differently")
 	}
 }

@@ -38,11 +38,9 @@ func answer(w http.ResponseWriter, val any, err error) int {
 			// status feeds only the daemon's own accounting.
 			return status
 		}
-		writeError(w, status, errorBody(err))
-		return status
+		return writeError(w, status, errorBody(err))
 	}
-	writeJSON(w, http.StatusOK, val)
-	return http.StatusOK
+	return writeJSON(w, http.StatusOK, val)
 }
 
 // runScenario executes a scenario request through the coalescing group
@@ -52,14 +50,10 @@ func (s *Server) runScenario(w http.ResponseWriter, r *http.Request, endpoint st
 	if err != nil {
 		return answer(w, nil, err), false
 	}
-	if r.URL.Query().Get("stream") == "1" {
+	if r.URL.RawQuery != "" && r.URL.Query().Get("stream") == "1" {
 		return s.streamScenario(w, r, cfg), false
 	}
-	key, err := flightKey(endpoint, req)
-	if err != nil {
-		return answer(w, nil, err), false
-	}
-	val, err, shared := s.group.do(r.Context(), key, func(ctx context.Context) (any, error) {
+	val, err, shared := s.group.do(r.Context(), flightKey{endpoint: endpoint, scenario: *req}, func(ctx context.Context) (any, error) {
 		res, err := scenario.RunContext(ctx, cfg)
 		if err != nil {
 			return nil, err
@@ -122,14 +116,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) (int, bo
 	if err := decodeRequest(r, &req); err != nil {
 		return answer(w, nil, err), false
 	}
-	key, err := flightKey("optimize", &req)
-	if err != nil {
-		return answer(w, nil, err), false
-	}
 	// The solvers are not context-aware; the flight still detaches them
 	// from any single client so a disconnect never aborts a solve another
 	// waiter shares.
-	val, err, shared := s.group.do(r.Context(), key, func(context.Context) (any, error) {
+	val, err, shared := s.group.do(r.Context(), optimizeFlight(&req), func(context.Context) (any, error) {
 		return req.solve()
 	})
 	if err == nil && shared {

@@ -9,6 +9,7 @@ package anond
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"strconv"
@@ -169,15 +170,26 @@ func clientKey(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// writeJSON answers status with a JSON document.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// writeJSON answers status with v as one line of compact JSON: one
+// marshal, a Content-Length header, and a single Write. It returns the
+// status it answered, which is 500 if v does not marshal.
+func writeJSON(w http.ResponseWriter, status int, v any) int {
+	body, err := json.Marshal(v)
+	if err != nil {
+		// Only a non-finite float fails to marshal here; answer the
+		// internal error instead of a 200 with an empty body.
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorBody(fmt.Errorf("anond: encode response: %w", err)))
+	}
+	body = append(body, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the client is gone if this fails; nothing to do
+	_, _ = w.Write(body) // the client is gone if this fails; nothing to do
+	return status
 }
 
-func writeError(w http.ResponseWriter, status int, body ErrorBody) {
-	writeJSON(w, status, body)
+func writeError(w http.ResponseWriter, status int, body ErrorBody) int {
+	return writeJSON(w, status, body)
 }

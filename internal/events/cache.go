@@ -13,6 +13,7 @@ package events
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 
 	"anonmix/internal/dist"
@@ -28,14 +29,24 @@ const maxMemoEntries = 1 << 14
 // distributions with equal keys are indistinguishable to the engine, so
 // memoized results are exact, not approximate.
 func distKey(d dist.Length) string {
+	return string(appendDistKey(nil, d))
+}
+
+// keyStack is the size of the stack buffer a memo lookup fingerprints
+// into: the key of any support of up to 30 lengths fits, so a hit on
+// such a distribution allocates nothing.
+const keyStack = 256
+
+// appendDistKey appends distKey's bytes to buf, growing it at most once.
+func appendDistKey(buf []byte, d dist.Length) []byte {
 	lo, hi := d.Support()
-	buf := make([]byte, 0, 16+8*(hi-lo+1))
+	buf = slices.Grow(buf, 16+8*(hi-lo+1))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(lo))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(hi))
 	for l := lo; l <= hi; l++ {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(d.PMF(l)))
 	}
-	return string(buf)
+	return buf
 }
 
 // weightKey identifies one Weights support range.
@@ -49,9 +60,11 @@ type engineMemo struct {
 	weights map[weightKey][]ClassWeights
 }
 
-func (m *engineMemo) loadDegree(key string) (float64, bool) {
+// loadDegree looks a degree up by its key's bytes; the conversion in the
+// index expression does not allocate.
+func (m *engineMemo) loadDegree(key []byte) (float64, bool) {
 	m.mu.RLock()
-	h, ok := m.degrees[key]
+	h, ok := m.degrees[string(key)]
 	m.mu.RUnlock()
 	return h, ok
 }

@@ -265,12 +265,33 @@ type Engine struct {
 	memo engineMemo
 }
 
-// Option configures an Engine.
-type Option func(*Engine)
+// Settings is an engine's configuration: the system size, the
+// compromised count, and the adversary model its options select. It is
+// comparable, so a cache can key engines on it and find a resident one
+// without building anything.
+type Settings struct {
+	N, C int
+	Mode InferenceMode
+	// Receiver reports whether the receiver is compromised (the paper's
+	// default; see WithUncompromisedReceiver).
+	Receiver bool
+	// SelfReport reports whether a compromised sender identifies itself
+	// (the paper's default; see WithoutSenderSelfReport).
+	SelfReport bool
+}
+
+// Option configures an Engine. Options are comparable values that apply
+// to a Settings, so resolving them allocates nothing.
+type Option struct {
+	mode           InferenceMode
+	setMode        bool
+	honestReceiver bool
+	noSelfReport   bool
+}
 
 // WithInference selects the adversary inference mode.
 func WithInference(m InferenceMode) Option {
-	return func(e *Engine) { e.mode = m }
+	return Option{mode: m, setMode: true}
 }
 
 // WithUncompromisedReceiver models a receiver outside the adversary's
@@ -279,14 +300,37 @@ func WithInference(m InferenceMode) Option {
 // assumes the receiver is compromised; this option exists to reproduce the
 // log2(N) upper-bound case of §5.1 and for ablations.
 func WithUncompromisedReceiver() Option {
-	return func(e *Engine) { e.receiver = false }
+	return Option{honestReceiver: true}
 }
 
 // WithoutSenderSelfReport models compromised nodes that cannot recognize
 // messages originating at themselves (contrary to the paper's local-
 // eavesdropper case). Provided for ablations.
 func WithoutSenderSelfReport() Option {
-	return func(e *Engine) { e.selfReport = false }
+	return Option{noSelfReport: true}
+}
+
+// Configure resolves opts over the paper's defaults — standard
+// inference, a compromised receiver, a self-reporting sender — and
+// validates the result: the Settings New(n, c, opts...) builds an engine
+// for, or New's error.
+func Configure(n, c int, opts ...Option) (Settings, error) {
+	s := Settings{N: n, C: c, Mode: InferenceStandard, Receiver: true, SelfReport: true}
+	for _, o := range opts {
+		if o.setMode {
+			s.Mode = o.mode
+		}
+		if o.honestReceiver {
+			s.Receiver = false
+		}
+		if o.noSelfReport {
+			s.SelfReport = false
+		}
+	}
+	if err := s.validate(); err != nil {
+		return Settings{}, err
+	}
+	return s, nil
 }
 
 // New returns an exact engine for an n-node system with c compromised
@@ -295,30 +339,31 @@ func WithoutSenderSelfReport() Option {
 // polynomial in c. At c = n the degenerate system has H* = 0
 // (AnonymityDegree short-circuits).
 func New(n, c int, opts ...Option) (*Engine, error) {
-	e := &Engine{n: n, c: c, mode: InferenceStandard, receiver: true, selfReport: true}
-	for _, o := range opts {
-		o(e)
-	}
-	if err := e.validate(); err != nil {
+	s, err := Configure(n, c, opts...)
+	if err != nil {
 		return nil, err
 	}
-	e.fam = &family{receiver: e.receiver, hopCount: e.mode == InferenceHopCount}
-	return e, nil
+	return s.engine(&family{receiver: s.Receiver, hopCount: s.Mode == InferenceHopCount}), nil
+}
+
+// engine builds the engine s describes on the shape-group family fam.
+func (s Settings) engine(fam *family) *Engine {
+	return &Engine{n: s.N, c: s.C, mode: s.Mode, receiver: s.Receiver, selfReport: s.SelfReport, fam: fam}
 }
 
 // validate checks the system parameters and the inference mode's limits.
-func (e *Engine) validate() error {
-	if e.n < 2 {
-		return fmt.Errorf("%w: need at least 2 nodes, have %d", ErrInvalidSystem, e.n)
+func (s Settings) validate() error {
+	if s.N < 2 {
+		return fmt.Errorf("%w: need at least 2 nodes, have %d", ErrInvalidSystem, s.N)
 	}
-	if e.c < 0 || e.c > e.n {
-		return fmt.Errorf("%w: %d compromised of %d nodes", ErrInvalidSystem, e.c, e.n)
+	if s.C < 0 || s.C > s.N {
+		return fmt.Errorf("%w: %d compromised of %d nodes", ErrInvalidSystem, s.C, s.N)
 	}
-	if e.mode == InferenceHopCount {
-		if e.c > 1 {
-			return fmt.Errorf("%w: hop-count inference supports c ≤ 1, have %d", ErrTooManyClasses, e.c)
+	if s.Mode == InferenceHopCount {
+		if s.C > 1 {
+			return fmt.Errorf("%w: hop-count inference supports c ≤ 1, have %d", ErrTooManyClasses, s.C)
 		}
-		if !e.receiver {
+		if !s.Receiver {
 			return fmt.Errorf("%w: hop-count inference requires a compromised receiver (timing baseline)", ErrInvalidSystem)
 		}
 	}
@@ -652,10 +697,12 @@ func (e *Engine) AnonymityDegree(d dist.Length) (float64, error) {
 		// short-circuit rather than divide by zero mass.
 		return 0, nil
 	}
-	key := distKey(d)
-	if h, ok := e.memo.loadDegree(key); ok {
+	var stack [keyStack]byte
+	buf := appendDistKey(stack[:0], d)
+	if h, ok := e.memo.loadDegree(buf); ok {
 		return h, nil
 	}
+	key := string(buf)
 	_, hi := d.Support()
 	kMax := min(e.c, hi)
 	groups := e.fam.table(key, d, hi, kMax)

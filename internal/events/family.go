@@ -102,12 +102,11 @@ var (
 // neighbors, so a drifting timeline pays the table cost once. A derived
 // engine's answers are bit-identical to a fresh engine's.
 func (e *Engine) Neighbor(dn, dc int) (*Engine, error) {
-	ne := &Engine{n: e.n + dn, c: e.c + dc, mode: e.mode, receiver: e.receiver,
-		selfReport: e.selfReport, fam: e.fam}
-	if err := ne.validate(); err != nil {
+	s := Settings{N: e.n + dn, C: e.c + dc, Mode: e.mode, Receiver: e.receiver, SelfReport: e.selfReport}
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	return ne, nil
+	return s.engine(e.fam), nil
 }
 
 // appendGroups appends to dst the groups with k in [kFrom, kTo] that a

@@ -1,12 +1,13 @@
 package pathsel_test
 
 // Fuzz target for the strategy registry, mirroring onion.FuzzBuildPeel:
-// arbitrary specs must never panic Lookup, every rejection must carry the
-// ErrBadStrategy identity, and a resolved strategy must survive the
-// selector pipeline.
+// arbitrary specs must never panic Lookup, a repeated Lookup must answer
+// as the first did, every rejection must carry the ErrBadStrategy
+// identity, and a resolved strategy must survive the selector pipeline.
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"unicode"
 
@@ -42,6 +43,16 @@ func FuzzStrategyLookup(f *testing.F) {
 			}
 		}
 		s, err := pathsel.Lookup(spec)
+		// A second Lookup, memoized or parsed again, answers the same.
+		again, errAgain := pathsel.Lookup(spec)
+		switch {
+		case (err == nil) != (errAgain == nil):
+			t.Fatalf("Lookup(%q) answered %v, then %v", spec, err, errAgain)
+		case err != nil && err.Error() != errAgain.Error():
+			t.Fatalf("Lookup(%q) failed with %q, then %q", spec, err, errAgain)
+		case err == nil && !reflect.DeepEqual(s, again):
+			t.Fatalf("Lookup(%q) returned %v, then %v", spec, s, again)
+		}
 		if err != nil {
 			if !errors.Is(err, pathsel.ErrBadStrategy) {
 				t.Fatalf("Lookup(%q) escaped with %v", spec, err)

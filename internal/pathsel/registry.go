@@ -44,13 +44,28 @@ type Entry struct {
 	Parse Parser
 }
 
+// Bounds of the parsed-spec memo. Specs can come from clients (anond
+// passes request strings to Lookup), so the memo holds at most
+// maxMemoSpecs entries, reset wholesale when full, and never keeps a
+// spec longer than maxMemoSpecLen bytes: a stream of distinct or padded
+// specs costs parses, not memory.
+const (
+	maxMemoSpecs   = 1024
+	maxMemoSpecLen = 256
+)
+
 var (
 	regMu    sync.RWMutex
 	registry = map[string]Entry{}
+	// memo maps a spec string to its successful parse. regGen counts
+	// Register calls, so a parse that raced one is not memoized.
+	memo   = map[string]Strategy{}
+	regGen uint64
 )
 
 // Register adds (or replaces) a registry entry. The name is matched
-// case-insensitively at lookup.
+// case-insensitively at lookup. It clears the parsed-spec memo, so a
+// memoized spec resolves through the new entry.
 func Register(e Entry) error {
 	if e.Name == "" || e.Parse == nil {
 		return fmt.Errorf("%w: registry entry needs a name and a parser", ErrBadStrategy)
@@ -58,6 +73,8 @@ func Register(e Entry) error {
 	regMu.Lock()
 	defer regMu.Unlock()
 	registry[strings.ToLower(e.Name)] = e
+	clear(memo)
+	regGen++
 	return nil
 }
 
@@ -75,8 +92,35 @@ func Specs() []Entry {
 
 // Lookup resolves a strategy spec such as "freedom", "fixed:5",
 // "uniform:0,10", or "crowds:0.75,20". Names are case-insensitive;
-// surrounding whitespace is ignored.
+// surrounding whitespace is ignored. Successful parses are memoized by
+// the spec string, so a repeated spec costs one map lookup and returns
+// the strategy its first parse built; failed specs are parsed again on
+// every call.
 func Lookup(spec string) (Strategy, error) {
+	regMu.RLock()
+	s, ok := memo[spec]
+	gen := regGen
+	regMu.RUnlock()
+	if ok {
+		return s, nil
+	}
+	s, err := parse(spec)
+	if err != nil || len(spec) > maxMemoSpecLen {
+		return s, err
+	}
+	regMu.Lock()
+	if gen == regGen {
+		if len(memo) >= maxMemoSpecs {
+			clear(memo)
+		}
+		memo[strings.Clone(spec)] = s
+	}
+	regMu.Unlock()
+	return s, nil
+}
+
+// parse resolves a spec through its registry entry.
+func parse(spec string) (Strategy, error) {
 	name := strings.TrimSpace(spec)
 	var args []string
 	if i := strings.IndexByte(name, ':'); i >= 0 {

@@ -2,7 +2,11 @@ package pathsel
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"anonmix/internal/stats"
@@ -103,6 +107,157 @@ func TestRegisterCustomEntry(t *testing.T) {
 	if err := Register(Entry{}); err == nil {
 		t.Error("empty entry accepted")
 	}
+}
+
+// memoLen reads the parsed-spec memo's size under its lock.
+func memoLen() int {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	return len(memo)
+}
+
+// memoized reports whether spec has a memoized parse.
+func memoized(spec string) bool {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	_, ok := memo[spec]
+	return ok
+}
+
+// TestLookupMemoRepeats pins that a repeated spec returns a strategy
+// equal to its first parse, from the memo and without allocating.
+func TestLookupMemoRepeats(t *testing.T) {
+	first, err := Lookup("uniform:2,9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !memoized("uniform:2,9") {
+		t.Fatal("a successful parse was not memoized")
+	}
+	again, err := Lookup("uniform:2,9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Errorf("repeated Lookup returned %v, first %v", again, first)
+	}
+	if raceEnabled {
+		return // allocation counts are meaningless under the race detector
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = Lookup("uniform:2,9") }); allocs != 0 {
+		t.Errorf("memoized Lookup made %v allocations, want 0", allocs)
+	}
+}
+
+// TestLookupMemoRegister pins that Register invalidates the memo: a
+// memoized spec resolves through the replacing entry.
+func TestLookupMemoRegister(t *testing.T) {
+	register := func(l int) {
+		t.Helper()
+		err := Register(Entry{Name: "memotest", Usage: "memotest", Parse: func([]string) (Strategy, error) {
+			return FixedLength(l)
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	register(2)
+	s, err := Lookup("memotest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Name != "F(2)" {
+		t.Fatalf("first entry parsed to %v", s)
+	}
+	register(3)
+	if s, err = Lookup("memotest"); err != nil {
+		t.Fatal(err)
+	}
+	if s.Name != "F(3)" {
+		t.Errorf("after Register replaced the entry, Lookup returned %v, want F(3)", s)
+	}
+}
+
+// TestLookupMemoFailures pins that a failed spec is never memoized and
+// fails with the same error text every time.
+func TestLookupMemoFailures(t *testing.T) {
+	for _, spec := range []string{"fixed:x", "uniform:5,2", "nope:1", ""} {
+		_, first := Lookup(spec)
+		_, again := Lookup(spec)
+		if first == nil || again == nil {
+			t.Fatalf("%q: errors %v, %v; want two failures", spec, first, again)
+		}
+		if first.Error() != again.Error() {
+			t.Errorf("%q: error text changed from %q to %q", spec, first, again)
+		}
+		if memoized(spec) {
+			t.Errorf("%q: failed parse was memoized", spec)
+		}
+	}
+}
+
+// TestLookupMemoBound pins the memo's bounds: more distinct valid specs
+// than maxMemoSpecs leave at most maxMemoSpecs entries, and a valid spec
+// longer than maxMemoSpecLen parses but is not kept.
+func TestLookupMemoBound(t *testing.T) {
+	for i := range maxMemoSpecs + 100 {
+		if _, err := Lookup(fmt.Sprintf("fixed:%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if n := memoLen(); n > maxMemoSpecs {
+			t.Fatalf("memo holds %d entries after %d specs, bound %d", n, i+1, maxMemoSpecs)
+		}
+	}
+	long := "fixed:" + strings.Repeat(" ", maxMemoSpecLen) + "5"
+	s, err := Lookup(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Name != "F(5)" {
+		t.Errorf("padded spec parsed to %v", s)
+	}
+	if memoized(long) {
+		t.Errorf("a %d-byte spec was memoized, bound %d", len(long), maxMemoSpecLen)
+	}
+}
+
+// TestLookupMemoConcurrent runs Lookups against concurrent Registers;
+// under -race it checks the memo's locking. Every Lookup of a built-in
+// spec returns its own parse.
+func TestLookupMemoConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				hi := 2 + (g+i)%8
+				s, err := Lookup(fmt.Sprintf("uniform:1,%d", hi))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, got := s.Length.Support(); got != hi {
+					t.Errorf("uniform:1,%d resolved to %v", hi, s)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range 50 {
+			err := Register(Entry{Name: "memorace", Usage: "memorace", Parse: func([]string) (Strategy, error) {
+				return FixedLength(1)
+			}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }
 
 // TestSparsePathFastPath: the rejection-sampling path must produce valid

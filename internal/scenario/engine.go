@@ -28,24 +28,16 @@ import (
 	"anonmix/internal/events"
 )
 
-// engineKey is the comparable identity of an engine configuration,
-// reconstructed from the built engine's accessors (events.Option values
-// are functions and cannot key a map).
-type engineKey struct {
-	n, c       int
-	mode       events.InferenceMode
-	receiver   bool
-	selfReport bool
-}
-
 // DefaultEngineCacheCapacity is the default engine-cache bound. Generous:
 // an engine's tables are megabytes at most, and figure sweeps touch a few
 // hundred configurations.
 const DefaultEngineCacheCapacity = 1024
 
 // engineEntry is one cached engine with its key (needed on eviction).
+// The key is the engine's events.Settings, the comparable identity of its
+// configuration.
 type engineEntry struct {
-	key engineKey
+	key events.Settings
 	e   *events.Engine
 }
 
@@ -55,13 +47,13 @@ var engineCache = struct {
 	mu       sync.Mutex
 	capacity int
 	order    *list.List
-	byKey    map[engineKey]*list.Element
+	byKey    map[events.Settings]*list.Element
 
 	hits, misses, evictions, deltaDerived uint64
 }{
 	capacity: DefaultEngineCacheCapacity,
 	order:    list.New(),
-	byKey:    make(map[engineKey]*list.Element),
+	byKey:    make(map[events.Settings]*list.Element),
 }
 
 // EngineCacheStats reports the engine cache's counters since process start
@@ -171,11 +163,11 @@ var neighborDeltas = [][2]int{
 // events.Engine.Neighbor accepts arbitrary (dn, dc), and a derived engine
 // shares its source's family tables regardless of distance. Returns nil if
 // no cached engine can seed the derivation. Callers hold the mutex.
-func deltaDerive(key engineKey) *events.Engine {
+func deltaDerive(key events.Settings) *events.Engine {
 	for _, d := range neighborDeltas {
 		nk := key
-		nk.n += d[0]
-		nk.c += d[1]
+		nk.N += d[0]
+		nk.C += d[1]
 		el, ok := engineCache.byKey[nk]
 		if !ok {
 			continue
@@ -188,10 +180,10 @@ func deltaDerive(key engineKey) *events.Engine {
 	}
 	for el := engineCache.order.Front(); el != nil; el = el.Next() {
 		k := el.Value.(*engineEntry).key
-		if k.mode != key.mode || k.receiver != key.receiver || k.selfReport != key.selfReport {
+		if k.Mode != key.Mode || k.Receiver != key.Receiver || k.SelfReport != key.SelfReport {
 			continue
 		}
-		if derived, err := el.Value.(*engineEntry).e.Neighbor(key.n-k.n, key.c-k.c); err == nil {
+		if derived, err := el.Value.(*engineEntry).e.Neighbor(key.N-k.N, key.C-k.C); err == nil {
 			return derived
 		}
 	}
@@ -199,21 +191,15 @@ func deltaDerive(key engineKey) *events.Engine {
 }
 
 // Engine returns the process-shared exact engine for the configuration,
-// creating it on first use. A miss with a cached engine of the same mode
-// and flags is served by deriving from it via the delta path
+// creating it on first use. A hit resolves the options to their
+// events.Settings and builds nothing. A miss with a cached engine of the
+// same mode and flags is served by deriving from it via the delta path
 // (events.Engine.Neighbor), which shares its per-distribution tables —
 // nearest ±1 neighbors are preferred, but any family member will do.
 func Engine(n, c int, opts ...events.Option) (*events.Engine, error) {
-	probe, err := events.New(n, c, opts...)
+	key, err := events.Configure(n, c, opts...)
 	if err != nil {
 		return nil, err
-	}
-	key := engineKey{
-		n:          probe.N(),
-		c:          probe.C(),
-		mode:       probe.Mode(),
-		receiver:   probe.ReceiverCompromised(),
-		selfReport: probe.SenderSelfReport(),
 	}
 	engineCache.mu.Lock()
 	defer engineCache.mu.Unlock()
@@ -223,10 +209,11 @@ func Engine(n, c int, opts ...events.Option) (*events.Engine, error) {
 		return el.Value.(*engineEntry).e, nil
 	}
 	engineCache.misses++
-	e := probe
-	if derived := deltaDerive(key); derived != nil {
-		e = derived
+	e := deltaDerive(key)
+	if e != nil {
 		engineCache.deltaDerived++
+	} else if e, err = events.New(n, c, opts...); err != nil {
+		return nil, err
 	}
 	engineCache.byKey[key] = engineCache.order.PushFront(&engineEntry{key: key, e: e})
 	evictOver()
@@ -242,7 +229,7 @@ func ResetEngines() {
 	engineCache.mu.Lock()
 	defer engineCache.mu.Unlock()
 	engineCache.order.Init()
-	engineCache.byKey = make(map[engineKey]*list.Element)
+	engineCache.byKey = make(map[events.Settings]*list.Element)
 	engineCache.hits, engineCache.misses = 0, 0
 	engineCache.evictions, engineCache.deltaDerived = 0, 0
 }
@@ -256,7 +243,7 @@ func NewAnalyst(cfg Config) (*adversary.Analyst, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := Engine(norm.N, norm.Adversary.Count, engineOptions(norm)...)
+	e, err := norm.engine(norm.N, norm.Adversary.Count)
 	if err != nil {
 		return nil, err
 	}

@@ -76,7 +76,7 @@ func (exactBackend) Run(cfg Config) (Result, error) {
 	if len(cfg.phases) > 0 {
 		return runExactTimeline(cfg, deliveryRate)
 	}
-	e, err := Engine(cfg.N, cfg.Adversary.Count, engineOptions(cfg)...)
+	e, err := cfg.engine(cfg.N, cfg.Adversary.Count)
 	if err != nil {
 		return Result{}, err
 	}
@@ -135,7 +135,7 @@ func runExactTimeline(cfg Config, deliveryRate float64) (Result, error) {
 			cfg.emitProgress(i+1, len(cfg.phases), &er)
 			continue
 		}
-		e, err := Engine(p.n, p.c, engineOptions(cfg)...)
+		e, err := cfg.engine(p.n, p.c)
 		if err != nil {
 			return Result{}, err
 		}

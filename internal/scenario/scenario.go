@@ -756,16 +756,25 @@ func normalize(cfg Config) (Config, error) {
 	return cfg, nil
 }
 
-// engineOptions derives the exact-engine options of a scenario.
-func engineOptions(cfg Config) []events.Option {
-	var opts []events.Option
-	if cfg.Adversary.UncompromisedReceiver {
+// engineOptions appends to opts the exact-engine options of a scenario:
+// those its Adversary derives, then EngineOptions.
+func (c *Config) engineOptions(opts []events.Option) []events.Option {
+	if c.Adversary.UncompromisedReceiver {
 		opts = append(opts, events.WithUncompromisedReceiver())
 	}
-	if cfg.Adversary.NoSenderSelfReport {
+	if c.Adversary.NoSenderSelfReport {
 		opts = append(opts, events.WithoutSenderSelfReport())
 	}
-	return append(opts, cfg.EngineOptions...)
+	return append(opts, c.EngineOptions...)
+}
+
+// engine returns the shared exact engine of n nodes with count of them
+// compromised, under the scenario's engine options and then extra. The
+// options gather in a stack buffer, so a resident engine costs no
+// allocation.
+func (c *Config) engine(n, count int, extra ...events.Option) (*events.Engine, error) {
+	var buf [4]events.Option
+	return Engine(n, count, append(c.engineOptions(buf[:0]), extra...)...)
 }
 
 // analyticProtocol reports whether the protocol's observable structure is

@@ -341,10 +341,12 @@ func TestStaticRunAllocation(t *testing.T) {
 }
 
 // TestExactRunAllocation pins that an exact single-shot run reads a count
-// adversary as its count: with the engine cache warm, a static run and a
-// three-epoch Messages timeline at N = 200,000 allocate a few kilobytes
-// whether 1 or 100,000 nodes are compromised, where a run that builds
-// the compromised list allocates 800 KB.
+// adversary as its count and that a cache-hot run rebuilds nothing: with
+// the spec memo, the engine cache and the degree memo warm, a static run
+// at N = 200,000 makes no allocation whether 1 or 100,000 nodes are
+// compromised and whether the receiver is, and a three-epoch Messages
+// timeline allocates a few kilobytes, where a run that builds the
+// compromised list allocates 800 KB.
 func TestExactRunAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation inflates allocations")
@@ -355,22 +357,53 @@ func TestExactRunAllocation(t *testing.T) {
 	}
 	const budget = 8 << 10
 	for _, c := range []int{1, 100_000} {
-		for _, tl := range [][]Epoch{nil, timeline} {
-			cfg := Config{N: 200_000, StrategySpec: "uniform:1,7", Adversary: Adversary{Count: c}, Timeline: tl}
-			if _, err := Run(cfg); err != nil { // warm the engine cache
+		for _, honest := range []bool{false, true} {
+			cfg := Config{N: 200_000, StrategySpec: "uniform:1,7",
+				Adversary: Adversary{Count: c, UncompromisedReceiver: honest}}
+			if _, err := Run(cfg); err != nil { // warm the caches
 				t.Fatal(err)
 			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			if _, err := Run(cfg); err != nil {
-				t.Fatal(err)
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("C = %d, honest receiver %v: warm static exact Run made %v allocations", c, honest, allocs)
+			if allocs != 0 {
+				t.Errorf("C = %d, honest receiver %v: warm static exact Run made %v allocations, want 0", c, honest, allocs)
 			}
-			runtime.ReadMemStats(&after)
-			run := after.TotalAlloc - before.TotalAlloc
-			t.Logf("C = %d, %d epochs: warm exact Run allocated %d B", c, len(tl), run)
-			if run > budget {
-				t.Errorf("C = %d, %d epochs: warm exact Run allocated %d B, want ≤ %d B", c, len(tl), run, budget)
-			}
+		}
+		cfg := Config{N: 200_000, StrategySpec: "uniform:1,7", Adversary: Adversary{Count: c}, Timeline: timeline}
+		if _, err := Run(cfg); err != nil { // warm the engine cache
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		run := after.TotalAlloc - before.TotalAlloc
+		t.Logf("C = %d, %d epochs: warm exact Run allocated %d B", c, len(timeline), run)
+		if run > budget {
+			t.Errorf("C = %d, %d epochs: warm exact Run allocated %d B, want ≤ %d B", c, len(timeline), run, budget)
+		}
+	}
+}
+
+// BenchmarkRunExactHot times the memo-hot exact single-shot Run that
+// dominates a design loop: the spec, the engine and the degree are all
+// resident after the first call, so every iteration is lookups only.
+func BenchmarkRunExactHot(b *testing.B) {
+	cfg := Config{N: 1000, StrategySpec: "uniform:1,12", Adversary: Adversary{Count: 30}}
+	if _, err := Run(cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

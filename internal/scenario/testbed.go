@@ -673,7 +673,9 @@ func runCrowds(cfg Config) (Result, error) {
 		// over the counts map would reassociate the floating-point sums.
 		var counted []trace.NodeID
 		identifiedAt := 0
-		final := 0.0
+		// The posterior changes only on a round that adds an observation;
+		// an unobserved round carries the previous round's values.
+		h, top, mass := countPosterior(counts, counted, honest, logRatio)
 		for r := 0; r < rounds; r++ {
 			mt := traces[ids[s*rounds+r]]
 			if mt != nil && len(mt.Reports) > 0 {
@@ -687,16 +689,15 @@ func runCrowds(cfg Config) (Result, error) {
 					counted = append(counted, pred)
 				}
 				counts[pred]++
+				h, top, mass = countPosterior(counts, counted, honest, logRatio)
 			}
-			h, top, mass := countPosterior(counts, counted, honest, logRatio)
 			hSums[r] += h
-			final = h
 			if identifiedAt == 0 && conf > 0 && top == sender && mass >= conf {
 				identifiedAt = r + 1
 			}
 		}
-		sum.Add(final)
-		if final < 1e-9 {
+		sum.Add(h) // the final round's entropy
+		if h < 1e-9 {
 			deanonymized++
 		}
 		if identifiedAt > 0 {

@@ -115,7 +115,7 @@ func truncateAtObserver(mt *trace.MessageTrace, obs trace.NodeID) *trace.Message
 // traces are analyzed under, since a failed attempt never produced a
 // receiver report.
 func honestReceiverAnalyst(cfg *Config, n int, comp []trace.NodeID) (*adversary.Analyst, error) {
-	e, err := Engine(n, len(comp), append(engineOptions(*cfg), events.WithUncompromisedReceiver())...)
+	e, err := cfg.engine(n, len(comp), events.WithUncompromisedReceiver())
 	if err != nil {
 		return nil, err
 	}

@@ -684,7 +684,7 @@ func phasedMachinery(cfg Config, ms []members) ([]*adversary.Analyst, []*pathsel
 	sels := make([]*pathsel.Selector, len(ms))
 	for i := range ms {
 		p := &ms[i]
-		e, err := Engine(p.n, p.c, engineOptions(cfg)...)
+		e, err := cfg.engine(p.n, p.c)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -705,15 +705,15 @@ func phasedMachinery(cfg Config, ms []members) ([]*adversary.Analyst, []*pathsel
 // forms cover both ablations.
 func sampledInference(cfg Config, backend string) error {
 	// The options alone select the model; any valid system resolves them.
-	e, err := events.New(2, 0, engineOptions(cfg)...)
+	s, err := events.Configure(2, 0, cfg.engineOptions(nil)...)
 	if err != nil {
 		return err
 	}
-	if e.Mode() != events.InferenceStandard {
+	if s.Mode != events.InferenceStandard {
 		return capability.Unsupported(backend, capability.ErrInference,
-			e.Mode().String()+" inference is exact-only")
+			s.Mode.String()+" inference is exact-only")
 	}
-	if !e.SenderSelfReport() {
+	if !s.SelfReport {
 		return capability.Unsupported(backend, capability.ErrInference,
 			"no-sender-self-report ablation is exact-only")
 	}

@@ -19,9 +19,14 @@ fail() {
     exit 1
 }
 
-# jsonfield FILE KEY — crude extraction of a top-level scalar field.
+# jsonfield FILE KEY — crude extraction of a top-level scalar field: the
+# value of the first "KEY": in the file. Responses are one line, and a
+# top-level field comes before any nested object repeating its key (a
+# timeline answer's epochs each carry an "h"), so the first match is
+# the top-level one. The first substitution marks only the leftmost
+# match; the second reads the value after the mark.
 jsonfield() {
-    sed -n "s/.*\"$2\"[[:space:]]*:[[:space:]]*\"\{0,1\}\([^,\"}]*\)\"\{0,1\}.*/\1/p" "$1" | head -1
+    sed -n "s/\"$2\"[[:space:]]*:[[:space:]]*/@jsonfield@/; s/.*@jsonfield@\"\{0,1\}\([^,\"}]*\).*/\1/p" "$1" | head -1
 }
 
 $GO build -o "$WORK/anond" ./cmd/anond
@@ -45,12 +50,26 @@ status=$(curl -s -o "$WORK/health" -w '%{http_code}' "$BASE/v1/health")
 [ "$status" = 200 ] || fail "health: status $status"
 [ "$(jsonfield "$WORK/health" status)" = ok ] || fail "health: body $(cat "$WORK/health")"
 
-# Exact scenario: a well-formed run answers 200 with an anonymity degree.
-status=$(curl -s -o "$WORK/scenario" -w '%{http_code}' -d \
+# Exact scenario: a well-formed run answers 200 with an anonymity degree,
+# as one line of compact JSON whose length the headers announce.
+status=$(curl -s -D "$WORK/scenario_headers" -o "$WORK/scenario" -w '%{http_code}' -d \
     '{"n":100,"compromised":1,"strategy":"uniform:1,5"}' "$BASE/v1/scenario")
 [ "$status" = 200 ] || fail "scenario: status $status"
 h=$(jsonfield "$WORK/scenario" h)
 [ -n "$h" ] || fail "scenario: no h in $(cat "$WORK/scenario")"
+grep -qi '^content-length: *[0-9]' "$WORK/scenario_headers" ||
+    fail "scenario: no Content-Length in $(cat "$WORK/scenario_headers")"
+[ "$(wc -l <"$WORK/scenario")" -eq 1 ] || fail "scenario: body is not one line: $(cat "$WORK/scenario")"
+
+# A timeline answer repeats "h" in every epoch after the top-level one;
+# jsonfield must read the top-level value.
+status=$(curl -s -o "$WORK/timeline" -w '%{http_code}' -d \
+    '{"n":100,"compromised":1,"strategy":"uniform:1,5","timeline":"msgs=10;msgs=10,comp=5"}' "$BASE/v1/scenario")
+[ "$status" = 200 ] || fail "timeline: status $status"
+case "$(cat "$WORK/timeline")" in
+    "{\"backend\":\"exact\",\"h\":$(jsonfield "$WORK/timeline" h),"*) ;;
+    *) fail "timeline: jsonfield read h=$(jsonfield "$WORK/timeline" h) from $(cat "$WORK/timeline")" ;;
+esac
 
 # A config that can never succeed answers 400 with the bad_config class.
 status=$(curl -s -o "$WORK/bad" -w '%{http_code}' -d \
