@@ -6,7 +6,7 @@ DATE := $(shell date +%Y%m%d)
 # stack of PRs landing together) never clobbers an earlier measurement.
 SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo nogit)
 
-.PHONY: all build vet lint test race bench bench-smoke bench-compare bench-e2e-check cover fuzz-smoke serve-smoke profile clean
+.PHONY: all build vet lint test race bench bench-smoke bench-compare bench-e2e-check e2e-ab cover fuzz-smoke serve-smoke profile clean
 
 all: build vet lint test
 
@@ -135,6 +135,21 @@ fuzz-smoke:
 # runs anonlint over it. CI runs exactly this target.
 bench-e2e-check:
 	cd bench && $(GO) vet . && $(GO) test . && $(GO) run anonmix/cmd/anonlint .
+
+# e2e-ab compares the end-to-end benchmark at BASE against the working tree
+# (scripts/e2e_ab.sh): PAIRS pairs of RUN_SECONDS-s bench/run.sh runs of
+# WORKLOAD at SEED, base and change alternating and the order swapped every
+# pair, then each side's median and quartiles and the change's win count per
+# metric. It fails if any run is not correct. TRACE=1 compares the
+# per-layer metrics of traced runs instead.
+SEED ?= 2
+PAIRS ?= 10
+RUN_SECONDS ?= 30
+TRACE ?= 0
+e2e-ab:
+	@if [ -z "$(BASE)" ] || [ -z "$(WORKLOAD)" ]; then \
+		echo "usage: make e2e-ab BASE=<rev> WORKLOAD=<w> [SEED=2] [PAIRS=10] [RUN_SECONDS=30] [TRACE=0]"; exit 2; fi
+	bash scripts/e2e_ab.sh "$(BASE)" "$(WORKLOAD)" "$(SEED)" "$(PAIRS)" "$(RUN_SECONDS)" "$(TRACE)"
 
 # serve-smoke boots the anond daemon on an ephemeral port and exercises
 # the HTTP surface end to end over a real socket: every /v1 endpoint's

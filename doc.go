@@ -99,9 +99,12 @@
 //     logical time t") are 32-byte pointers into a per-network packet
 //     arena, and one goroutine per shard (pool.Workers(), never per node)
 //     drains its inbox in arrival order. That order is safe because every
-//     hop decision is a pure function of the event's logical time and the
-//     analyst orders reports by time; only threshold mixes, whose batches
-//     must fill in arrival-time order, keep a per-shard (time, seq) heap.
+//     hop decision is a pure function of the event's logical time, and
+//     each message's taps and delivery go into its own record, indexed by
+//     its serial ID, in hop order, which is time order: the analyst reads
+//     a message's reports by ID (Network.Trace), with no shared log, lock
+//     or sort. Only threshold mixes, whose batches must fill in
+//     arrival-time order, keep a per-shard (time, seq) heap.
 //     Forwarders rewrite a packet in place and must not keep it after
 //     Next returns; the kernel keeps a packet's slices until the message
 //     retires, then zeroes its slot. Goroutines and memory scale with

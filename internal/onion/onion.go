@@ -51,18 +51,23 @@ type KeyRing struct {
 	keys [][]byte
 }
 
-// NewKeyRing derives n per-node keys from the given secret.
+// NewKeyRing derives n per-node keys from the given secret: node i's key
+// is HMAC-SHA256(secret, big-endian uint32(i)). One HMAC state, reset per
+// node, sums every key into one backing array; each key's capacity ends
+// at its own length, so no key reaches into the next.
 func NewKeyRing(secret []byte, n int) (*KeyRing, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: %d nodes", ErrBadRoute, n)
 	}
 	kr := &KeyRing{keys: make([][]byte, n)}
-	for i := 0; i < n; i++ {
-		mac := hmac.New(sha256.New, secret)
-		var id [4]byte
+	backing := make([]byte, n*macSize)
+	mac := hmac.New(sha256.New, secret)
+	var id [4]byte
+	for i := range kr.keys {
+		mac.Reset()
 		binary.BigEndian.PutUint32(id[:], uint32(i))
 		mac.Write(id[:])
-		kr.keys[i] = mac.Sum(nil)
+		kr.keys[i] = mac.Sum(backing[i*macSize : i*macSize : (i+1)*macSize])
 	}
 	return kr, nil
 }

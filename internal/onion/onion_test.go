@@ -2,7 +2,10 @@ package onion_test
 
 import (
 	"bytes"
+	"crypto/hmac"
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -57,6 +60,25 @@ func TestKeyRing(t *testing.T) {
 	}
 	if bytes.Equal(k0, o0) {
 		t.Error("different secrets derived the same key")
+	}
+	// Every key is HMAC-SHA256(secret, big-endian uint32(i)), and its
+	// capacity ends at its length, so appending to one key cannot
+	// overwrite the next.
+	for i := 0; i < kr.N(); i++ {
+		k, err := kr.Key(trace.NodeID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mac := hmac.New(sha256.New, []byte("test ring secret"))
+		var id [4]byte
+		binary.BigEndian.PutUint32(id[:], uint32(i))
+		mac.Write(id[:])
+		if want := mac.Sum(nil); !bytes.Equal(k, want) {
+			t.Errorf("key %d = %x, want %x", i, k, want)
+		}
+		if cap(k) != len(k) {
+			t.Errorf("key %d: cap %d != len %d", i, cap(k), len(k))
+		}
 	}
 }
 

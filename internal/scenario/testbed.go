@@ -4,7 +4,8 @@ package scenario
 // network kernel (package simnet) with the protocol substrate the config
 // names — plain source routes, onion layers, Crowds coin-flips, or
 // threshold-mix batching — and measures the anonymity degree empirically
-// by running the adversary's inference over the collected tuples.
+// by running the adversary's inference over each message's record of
+// reports, which the kernel keeps by message ID (simnet.Network.Trace).
 //
 // It has two drivers. runRouted serves the source-routed substrates
 // (plain, onion, mix) for every shape of run: static or across a
@@ -274,7 +275,7 @@ func runRouted(cfg Config) (Result, error) {
 				analysts = append(analysts, rps[e].analyst)
 			}
 		}
-		res, err = analyzeRoutedTimeline(cfg, traffic, analysts, trace.Collate(nw.Tuples()), senders, ids)
+		res, err = analyzeRoutedTimeline(cfg, traffic, analysts, nw, senders, ids)
 	} else {
 		res, err = analyzeSingleShot(&cfg, ms, rps, nw, reroutes)
 	}
@@ -380,19 +381,15 @@ func startRouted(cfg *Config, nwCfg simnet.Config) (*simnet.Network,
 
 // analyzeSingleShot measures single-shot traffic phase by phase, each
 // phase's messages in injection order — a fixed order, so the empirical
-// estimate is bit-reproducible for a fixed seed (ranging over the collated
-// map would reassociate the floating-point mean run to run) — through the
-// phase's analyst in its dense space, the O(reports) entropy fast path.
+// estimate is bit-reproducible for a fixed seed — through the phase's
+// analyst in its dense space, the O(reports) entropy fast path.
 // The phases pool into one mean; a timeline also reports each phase's
 // own. Under a fault plan H covers the delivered messages only, and
 // HDegraded folds in the evidence each one's failed attempts and
 // retransmissions leaked, through the phase's honest-receiver analyst
 // (foldDegraded). reroutes counts the run's re-injections.
 func analyzeSingleShot(cfg *Config, ms []members, rps []routedPhase, nw *simnet.Network, reroutes int) (Result, error) {
-	traces := trace.Collate(nw.Tuples())
 	var (
-		delivered    map[trace.MessageID]bool
-		retries      map[trace.MessageID][]trace.Tuple
 		sum, sumDeg  stats.Summary
 		injected     int
 		compSenders  int
@@ -401,13 +398,6 @@ func analyzeSingleShot(cfg *Config, ms []members, rps []routedPhase, nw *simnet.
 		sc           adversary.Scratch
 		partials     []*trace.MessageTrace
 	)
-	if cfg.Faults != nil {
-		delivered = make(map[trace.MessageID]bool)
-		for _, d := range nw.Deliveries() {
-			delivered[d.Msg] = true
-		}
-		retries = sortedRetryObservations(nw)
-	}
 	if len(cfg.phases) > 0 {
 		epochs = make([]EpochResult, len(ms))
 	}
@@ -424,7 +414,8 @@ func analyzeSingleShot(cfg *Config, ms []members, rps []routedPhase, nw *simnet.
 		for i, sender := range rp.senders {
 			injected++
 			id := rp.ids[i]
-			if delivered != nil && !delivered[id] {
+			mt := nw.Trace(id)
+			if cfg.Faults != nil && !mt.ReceiverSeen {
 				continue // undelivered: no receiver-side event, excluded from H
 			}
 			if d, _ := p.dense(sender); rp.analyst.Compromised(trace.NodeID(d)) {
@@ -436,10 +427,6 @@ func analyzeSingleShot(cfg *Config, ms []members, rps []routedPhase, nw *simnet.
 				compSenders++
 				deanonymized++
 				continue
-			}
-			mt := traces[id]
-			if mt == nil {
-				return Result{}, fmt.Errorf("scenario: message %d has no trace", id)
 			}
 			dmt, err := p.denseTrace(mt)
 			if err != nil {
@@ -454,23 +441,21 @@ func analyzeSingleShot(cfg *Config, ms []members, rps []routedPhase, nw *simnet.
 			}
 			sum.Add(h)
 			pSum.Add(h)
-			// The degraded fold's evidence: every failed attempt (lost on
-			// its first link when no compromised node processed it, an empty
-			// trace), then the delivered trace's prefix up to each observer
-			// that retransmitted it.
+			// The degraded fold's evidence: every failed attempt (an empty
+			// trace when it was lost before a compromised node processed
+			// it), then the delivered trace's prefix up to each observer
+			// that retransmitted it, in time order.
 			partials = partials[:0]
 			if rp.failed != nil {
 				for _, fid := range rp.failed[i] {
-					pmt := traces[fid]
-					if pmt == nil {
-						pmt = &trace.MessageTrace{Msg: fid}
-					} else if pmt, err = p.denseTrace(pmt); err != nil {
+					pmt, err := p.denseTrace(nw.Trace(fid))
+					if err != nil {
 						return Result{}, fmt.Errorf("scenario: message %d: %w", fid, err)
 					}
 					partials = append(partials, pmt)
 				}
 			}
-			for _, rt := range retries[id] {
+			for _, rt := range nw.RetryTaps(id) {
 				if do, ok := p.dense(rt.Observer); ok {
 					partials = append(partials, truncateAtObserver(dmt, trace.NodeID(do)))
 				}
@@ -519,15 +504,14 @@ func analyzeSingleShot(cfg *Config, ms []members, rps []routedPhase, nw *simnet.
 	return res, nil
 }
 
-// analyzeRoutedTimeline folds the collected traces of persistent
-// sessions through the accumulator, session by session in injection order
-// — the empirical counterpart of runPhasedRounds. phases are the phases
-// that carry rounds, with their analysts; a static config is one phase
-// whose mapping is the identity. ids is session-major: ids[s·k + r] is
-// session s's round r.
+// analyzeRoutedTimeline folds the kernel's traces of persistent sessions
+// through the accumulator, session by session in injection order — the
+// empirical counterpart of runPhasedRounds. phases are the phases that
+// carry rounds, with their analysts; a static config is one phase whose
+// mapping is the identity. ids is session-major: ids[s·k + r] is session
+// s's round r.
 func analyzeRoutedTimeline(cfg Config, phases []members, analysts []*adversary.Analyst,
-	traces map[trace.MessageID]*trace.MessageTrace,
-	senders []trace.NodeID, ids []trace.MessageID) (Result, error) {
+	nw *simnet.Network, senders []trace.NodeID, ids []trace.MessageID) (Result, error) {
 	k := cfg.Workload.Rounds
 	live := make([][]trace.NodeID, len(phases))
 	for i := range phases {
@@ -545,11 +529,7 @@ func analyzeRoutedTimeline(cfg Config, phases []members, analysts []*adversary.A
 	)
 	fold := func(pi, r int) error {
 		id := ids[s*k+r]
-		mt := traces[id]
-		if mt == nil {
-			return fmt.Errorf("scenario: message %d has no trace", id)
-		}
-		dmt, err := phases[pi].denseTrace(mt)
+		dmt, err := phases[pi].denseTrace(nw.Trace(id))
 		if err == nil {
 			err = acc.ObserveScratch(dmt, &sc)
 		}
@@ -655,7 +635,6 @@ func runCrowds(cfg Config) (Result, error) {
 		logRatio = math.Log(theo * float64(honest-1) / (1 - theo))
 	}
 	conf := cfg.Workload.Confidence
-	traces := trace.Collate(nw.Tuples())
 	var (
 		exposed, hits      int
 		observedSum        int
@@ -677,8 +656,7 @@ func runCrowds(cfg Config) (Result, error) {
 		// an unobserved round carries the previous round's values.
 		h, top, mass := countPosterior(counts, counted, honest, logRatio)
 		for r := 0; r < rounds; r++ {
-			mt := traces[ids[s*rounds+r]]
-			if mt != nil && len(mt.Reports) > 0 {
+			if mt := nw.Trace(ids[s*rounds+r]); len(mt.Reports) > 0 {
 				pred := mt.Reports[0].Pred
 				exposed++
 				observedSum++

@@ -50,8 +50,12 @@ func faultNetConfig(nwCfg *simnet.Config, cfg *Config) {
 // checkUnexpectedDrops fails the run on drop causes fault injection does
 // not explain: loss and crash drops are the configured fault process, but
 // a bad hop, a forwarder error, or an absent node is a real defect that
-// must not hide behind the loss statistics.
+// must not hide behind the loss statistics. It reads the counts first, so
+// a run whose drops are all losses and crashes formats no sample.
 func checkUnexpectedDrops(nw *simnet.Network) error {
+	if nw.Metrics().Dropped == nw.DropCount(simnet.DropLoss)+nw.DropCount(simnet.DropCrash) {
+		return nil
+	}
 	ds := nw.DropStats()
 	// Sweep causes in sorted order so the same defect always surfaces
 	// the same error, whatever the map iteration order.
@@ -67,28 +71,6 @@ func checkUnexpectedDrops(nw *simnet.Network) error {
 		}
 	}
 	return nil
-}
-
-// sortedRetryObservations groups the kernel's retransmission observations
-// by message, ordered by (time, observer) within each — a deterministic
-// fold order under any shard interleaving.
-func sortedRetryObservations(nw *simnet.Network) map[trace.MessageID][]trace.Tuple {
-	obs := nw.RetryObservations()
-	sort.Slice(obs, func(i, j int) bool {
-		a, b := obs[i], obs[j]
-		if a.Msg != b.Msg {
-			return a.Msg < b.Msg
-		}
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		return a.Observer < b.Observer
-	})
-	out := make(map[trace.MessageID][]trace.Tuple)
-	for _, t := range obs {
-		out[t.Msg] = append(out[t.Msg], t)
-	}
-	return out
 }
 
 // truncateAtObserver returns the prefix of a delivered trace up to and

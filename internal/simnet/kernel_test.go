@@ -69,9 +69,8 @@ func TestMillionNodesSparseTraffic(t *testing.T) {
 // TestHopsDoNotAllocate: forwarding a packet costs no heap allocation. A
 // settled run of plain 5-hop messages must allocate fewer objects than it
 // processes hop events — the route copy SendRoute makes is one per
-// message, and the delivery and tuple logs grow amortized — and under
-// 1 MB in all: each hop moves a pointer into the packet arena, not the
-// packet.
+// message, and message records come in chunks — and under 1 MB in all:
+// each hop moves a pointer into the packet arena, not the packet.
 func TestHopsDoNotAllocate(t *testing.T) {
 	const n, messages, hops = 64, 1000, 5
 	nw, err := simnet.New(simnet.Config{N: n, Seed: 3})

@@ -3,6 +3,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -70,6 +71,11 @@ func TestSettleTerminatesUnderTotalLoss(t *testing.T) {
 					t.Fatalf("%v: drops %+v, %d handoffs; want %d loss drops", policy, st, len(failed), msgs)
 				}
 			}
+			if m := nw.Metrics(); m.Dropped != st.Total || nw.DropCount(DropLoss) != st.ByCause[DropLoss] ||
+				nw.DropCount(DropCrash) != 0 {
+				t.Fatalf("counts without samples: %d dropped, %d lost, %d crashed; stats %+v",
+					m.Dropped, nw.DropCount(DropLoss), nw.DropCount(DropCrash), st)
+			}
 			if policy == faults.PolicyRetransmit {
 				// Every message burns its full per-link budget before the drop.
 				want := uint64(msgs * (faults.DefaultMaxAttempts - 1))
@@ -83,8 +89,8 @@ func TestSettleTerminatesUnderTotalLoss(t *testing.T) {
 
 // TestRetransmitRecoversModerateLoss checks that per-link retransmission
 // delivers everything under a loss rate the attempt budget easily absorbs,
-// and that the tuple stream stays collation-clean (one report per
-// observer) with retries segregated into RetryObservations.
+// and that every trace stays simple (one report per observer) with
+// retries segregated into RetryTaps.
 func TestRetransmitRecoversModerateLoss(t *testing.T) {
 	nw := reliabilityNet(t, Config{
 		N: 16, Compromised: []trace.NodeID{1, 2}, LinkLoss: 0.2,
@@ -119,13 +125,17 @@ func TestRetransmitRecoversModerateLoss(t *testing.T) {
 			t.Fatalf("observer %v reported msg %d twice in the main stream", tp.Observer, tp.Msg)
 		}
 	}
-	if len(nw.RetryObservations()) == 0 {
-		t.Error("no retry observations from compromised relays at 20% loss")
-	}
-	for _, tp := range nw.RetryObservations() {
-		if tp.Observer != 1 && tp.Observer != 2 {
-			t.Fatalf("retry observation from honest node %v", tp.Observer)
+	taps := 0
+	for _, d := range nw.Deliveries() {
+		for _, tp := range nw.RetryTaps(d.Msg) {
+			taps++
+			if tp.Observer != 1 && tp.Observer != 2 {
+				t.Fatalf("retry observation from honest node %v", tp.Observer)
+			}
 		}
+	}
+	if taps == 0 {
+		t.Error("no retry observations from compromised relays at 20% loss")
 	}
 }
 
@@ -292,6 +302,43 @@ func TestLossyRunDeterministic(t *testing.T) {
 		if t1[i] != t4[i] {
 			t.Fatalf("tuple %d differs: %+v vs %+v", i, t1[i], t4[i])
 		}
+	}
+}
+
+// TestLossDropsFormatLazily: a drop the fault process explains is kept as
+// its parts until DropStats or Dropped reads it. Direct sends lost on
+// their only link allocate nothing per message, and reading the counts
+// through Metrics and DropCount formats nothing either; the samples then
+// read as they always have.
+func TestLossDropsFormatLazily(t *testing.T) {
+	nw := reliabilityNet(t, Config{N: 8, LinkLoss: 1, Seed: 3})
+	const msgs = 1000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < msgs; i++ {
+		if _, err := nw.SendRoute(trace.NodeID(i%8), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := nw.Settle(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if nw.Metrics().Dropped != msgs || nw.DropCount(DropLoss) != msgs {
+		t.Fatalf("counted %d drops, %d losses", nw.Metrics().Dropped, nw.DropCount(DropLoss))
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs >= msgs/4 {
+		t.Errorf("%d allocations for %d lost messages: drops are formatted eagerly", allocs, msgs)
+	}
+	drops := nw.Dropped()
+	if len(drops) != dropSampleCap {
+		t.Fatalf("%d samples", len(drops))
+	}
+	// The last drop is message msgs, sent by node (msgs-1)%8, lost at its
+	// injection time.
+	if got, want := drops[len(drops)-1].Error(), fmt.Sprintf("simnet: drop msg %d at n%d: loss at t=%d", msgs, (msgs-1)%8, msgs); got != want {
+		t.Errorf("last sample %q, want %q", got, want)
 	}
 }
 

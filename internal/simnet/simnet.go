@@ -2,7 +2,8 @@
 // sharded discrete-event kernel: the transport graph is the clique of
 // §3.1, a logical clock timestamps every forwarding step, and compromised
 // nodes tap the traffic and report (time, predecessor, successor) tuples —
-// exactly the threat model of §4 — into a collector the adversary reads.
+// exactly the threat model of §4 — into a record per message that the
+// adversary reads (Trace).
 //
 // Nodes are *virtual*: the kernel spawns one goroutine per shard (default
 // pool.Workers()), never one per node, and keeps no per-node state unless
@@ -12,13 +13,13 @@
 // copies the caller's packet once into a per-network arena, and every hop
 // after that moves the pointer. A shard processes its inbox in arrival
 // order, because every hop decision (churn, crash, loss, jitter, taps) is
-// a pure function of the event's logical time and the analyst orders
-// reports by time (trace.Collate), so no event has to wait for an older
-// one. A per-shard heap keyed by (time, seq) orders events only for
-// threshold mixes, where a batch's composition is the order packets reach
-// the mix. Memory and goroutine count therefore scale with the number of
-// in-flight messages, not with N, which makes million-node systems with
-// sparse traffic cheap.
+// a pure function of the event's logical time, and a message's reports
+// land in its own record in hop order, which is time order, so no event
+// has to wait for an older one. A per-shard heap keyed by (time, seq)
+// orders events only for threshold mixes, where a batch's composition is
+// the order packets reach the mix. Memory and goroutine count therefore
+// scale with the number of in-flight messages, not with N, which makes
+// million-node systems with sparse traffic cheap.
 //
 // Forwarding behavior is pluggable (plain source routes, onion layers,
 // Crowds coin-flip), so the same testbed executes all protocol substrates
@@ -85,6 +86,8 @@ type Packet struct {
 	// link (PolicyRetransmit); it resets whenever the packet is processed
 	// by a live node, so the retry budget is per link.
 	tries int
+	// rec is the message's record, which the holder of the packet writes.
+	rec *msgRecord
 }
 
 // Hops returns the number of forwarding steps the packet has taken: 0 at
@@ -281,26 +284,54 @@ type DropStats struct {
 	Samples []error
 }
 
+// dropSample is one sampled drop, kept as its parts: a loss or crash drop
+// is formatted into an error only when DropStats or Dropped reads it. A
+// defect drop (absent node, forwarder error, bad hop) carries its wrapped
+// error, so errors.Is still finds the sentinel.
+type dropSample struct {
+	msg   trace.MessageID
+	at    trace.NodeID
+	time  uint64
+	cause string
+	err   error
+}
+
+// error returns the sample's error.
+func (s *dropSample) error() error {
+	if s.err != nil {
+		return s.err
+	}
+	return fmt.Errorf("simnet: drop msg %d at %v: %s at t=%d", s.msg, s.at, s.cause, s.time)
+}
+
 // dropLog is the bounded drop accumulator behind DropStats.
 type dropLog struct {
 	mu      sync.Mutex
 	total   uint64
 	byCause map[string]uint64
-	ring    [dropSampleCap]error
+	ring    [dropSampleCap]dropSample
 	next    uint64
 }
 
 // add records one drop.
-func (d *dropLog) add(cause string, err error) {
+func (d *dropLog) add(s dropSample) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.total++
 	if d.byCause == nil {
 		d.byCause = make(map[string]uint64, 4)
 	}
-	d.byCause[cause]++
-	d.ring[d.next%dropSampleCap] = err
+	d.byCause[s.cause]++
+	d.ring[d.next%dropSampleCap] = s
 	d.next++
+}
+
+// count returns the number of drops, and of drops with the given cause,
+// without formatting any sample.
+func (d *dropLog) count(cause string) (total, ofCause uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.total, d.byCause[cause]
 }
 
 // snapshot copies the accumulated statistics.
@@ -317,7 +348,7 @@ func (d *dropLog) snapshot() DropStats {
 	return out
 }
 
-// samplesLocked returns the example ring oldest-first.
+// samplesLocked formats the example ring oldest-first.
 func (d *dropLog) samplesLocked() []error {
 	n := d.next
 	if n > dropSampleCap {
@@ -325,7 +356,7 @@ func (d *dropLog) samplesLocked() []error {
 	}
 	out := make([]error, 0, n)
 	for i := uint64(0); i < n; i++ {
-		out = append(out, d.ring[(d.next-n+i)%dropSampleCap])
+		out = append(out, d.ring[(d.next-n+i)%dropSampleCap].error())
 	}
 	return out
 }
@@ -476,6 +507,53 @@ func (a *packetArena) alloc() *Packet {
 	return &a.chunk[a.used-1]
 }
 
+// recordChunk is the number of message records a network allocates at
+// once.
+const recordChunk = 256
+
+// msgRecord is everything the network observed of one message: the
+// compromised nodes' reports and the receiver's report, the
+// retransmission taps, and the delivered payload and time. After Inject
+// allocates it, only the goroutine holding the message's packet writes it
+// — a packet sits at one node at a time, and every handoff between shards
+// passes through a shard lock — so it needs no lock of its own. Hop times
+// strictly increase along a path, so appending in hop order keeps the
+// reports and the retransmission taps in time order.
+type msgRecord struct {
+	mt      trace.MessageTrace
+	retries []trace.Tuple
+	payload []byte
+	time    uint64 // delivery time, valid when mt.ReceiverSeen
+}
+
+// recordBook holds one record per issued message ID, record k for message
+// k+1, in fixed-size chunks that never move, so a packet can point at its
+// record. Inject grows it under Network.mu.
+type recordBook struct {
+	chunks []*[recordChunk]msgRecord
+	n      int
+}
+
+// issue draws the next message ID and allocates its record.
+func (b *recordBook) issue() (trace.MessageID, *msgRecord) {
+	if b.n%recordChunk == 0 {
+		b.chunks = append(b.chunks, new([recordChunk]msgRecord))
+	}
+	r := &b.chunks[b.n/recordChunk][b.n%recordChunk]
+	b.n++
+	r.mt.Msg = trace.MessageID(b.n)
+	return r.mt.Msg, r
+}
+
+// get returns message id's record, or nil for an ID never issued.
+func (b *recordBook) get(id trace.MessageID) *msgRecord {
+	if id == 0 || uint64(id) > uint64(b.n) {
+		return nil
+	}
+	i := int(id - 1)
+	return &b.chunks[i/recordChunk][i%recordChunk]
+}
+
 // shard owns a partition of the node space: its inbox receives events for
 // its nodes from any goroutine, and its batches hold threshold-mix queues
 // for its nodes.
@@ -522,14 +600,15 @@ type Network struct {
 	maxAttempts int
 	backoffBase uint64
 
-	nextMsg atomic.Uint64
 	injTime atomic.Uint64 // injection logical clock
 
 	shards  []*shard
 	shardWG sync.WaitGroup
 
-	// arena holds every in-flight packet; Inject allocates from it under mu.
-	arena packetArena
+	// arena holds every in-flight packet and records one record per
+	// message; Inject allocates from both under mu.
+	arena   packetArena
+	records recordBook
 
 	// pending counts events in inboxes and heaps; buffered counts packets
 	// held in mix batches. Once draining is set (the caller entered
@@ -548,11 +627,8 @@ type Network struct {
 
 	drops dropLog
 
-	mu         sync.Mutex
-	tuples     []trace.Tuple
-	deliveries []Delivery
-	retryObs   []trace.Tuple
-	failures   []Failure
+	mu       sync.Mutex
+	failures []Failure
 
 	msgWG sync.WaitGroup // in-flight messages
 
@@ -827,9 +903,10 @@ func (nw *Network) schedule(ev event) {
 // under the lock, then process the events outside it, in arrival order.
 // Arrival order is safe because every hop decision (churn, crash, loss,
 // jitter, taps) is a pure function of the event's logical time, not of when
-// the shard reaches it, and the analyst orders each message's reports by
-// time; messages are independent, and per-path causality is carried by the
-// event times themselves. Threshold mixes are the exception (runMixShard).
+// the shard reaches it, and each message's reports land in its own record
+// in hop order, which is time order; messages are independent, and
+// per-path causality is carried by the event times themselves. Threshold
+// mixes are the exception (runMixShard).
 func (nw *Network) runShard(s *shard) {
 	defer nw.shardWG.Done()
 	if nw.cfg.BatchThreshold > 0 {
@@ -996,8 +1073,8 @@ func (nw *Network) hopAt(self trace.NodeID, pkt *Packet, t uint64) {
 	if !nw.isLive(self, t) {
 		// The packet reached a node outside the live membership (left, or
 		// not yet joined) — the injector routed through a non-member.
-		nw.drop(pkt, DropAbsent, fmt.Errorf("simnet: drop msg %d at %v: %w: %v at t=%d",
-			pkt.Msg, self, ErrAbsent, self, t))
+		nw.drop(pkt, dropSample{cause: DropAbsent, err: fmt.Errorf("simnet: drop msg %d at %v: %w: %v at t=%d",
+			pkt.Msg, self, ErrAbsent, self, t)})
 		return
 	}
 	if nw.isCrashed(self, t) {
@@ -1025,15 +1102,14 @@ func (nw *Network) hopAt(self trace.NodeID, pkt *Packet, t uint64) {
 		cause = DropBadHop
 	}
 	if err != nil {
-		nw.drop(pkt, cause, fmt.Errorf("simnet: drop msg %d at %v: %w", pkt.Msg, self, err))
+		nw.drop(pkt, dropSample{cause: cause, err: fmt.Errorf("simnet: drop msg %d at %v: %w", pkt.Msg, self, err)})
 		return
 	}
 	if nw.isCompromised(self, t) {
-		nw.mu.Lock()
-		nw.tuples = append(nw.tuples, trace.Tuple{
+		r := pkt.rec
+		r.mt.Reports = append(r.mt.Reports, trace.Tuple{
 			Time: t, Observer: self, Msg: pkt.Msg, Pred: pkt.From, Succ: next,
 		})
-		nw.mu.Unlock()
 	}
 	pred := pkt.From
 	pkt.From = self
@@ -1071,17 +1147,17 @@ func (nw *Network) linkUp(self, next, pred trace.NodeID, pkt *Packet, t uint64) 
 		}
 		// Retransmit over the same link. The retransmitting node re-handles
 		// the packet, so a compromised self collects a duplicate
-		// observation — kept out of the main tuple stream (a second report
-		// from the same observer would break simple-path collation) and
-		// exposed via RetryObservations for the degraded-H accounting. The
-		// injection link (hops == 0... the sender's own first transmission)
-		// is exempt: the sender observing itself leaks nothing.
+		// observation — kept apart from the message's reports (a second
+		// report from the same observer would break simple-path
+		// classification), among the record's retransmission taps
+		// (RetryTaps) for the degraded-H accounting. The injection link
+		// (hops == 0: the sender's own first transmission) is exempt: the
+		// sender observing itself leaks nothing.
 		if pkt.hops > 0 && nw.isCompromised(self, t) {
-			nw.mu.Lock()
-			nw.retryObs = append(nw.retryObs, trace.Tuple{
+			r := pkt.rec
+			r.retries = append(r.retries, trace.Tuple{
 				Time: t, Observer: self, Msg: pkt.Msg, Pred: pred, Succ: next,
 			})
-			nw.mu.Unlock()
 		}
 		nw.retries.Add(1)
 		t += faults.Backoff(nw.backoffBase, attempt)
@@ -1089,9 +1165,9 @@ func (nw *Network) linkUp(self, next, pred trace.NodeID, pkt *Packet, t uint64) 
 }
 
 // drop retires a packet into the bounded drop statistics.
-func (nw *Network) drop(pkt *Packet, cause string, err error) {
+func (nw *Network) drop(pkt *Packet, s dropSample) {
 	*pkt = Packet{}
-	nw.drops.add(cause, err)
+	nw.drops.add(s)
 	nw.msgWG.Done()
 }
 
@@ -1108,24 +1184,18 @@ func (nw *Network) fail(pkt *Packet, at trace.NodeID, t uint64, cause string) {
 		nw.msgWG.Done()
 		return
 	}
-	nw.drop(pkt, cause, fmt.Errorf("simnet: drop msg %d at %v: %s at t=%d", pkt.Msg, at, cause, t))
+	nw.drop(pkt, dropSample{msg: pkt.Msg, at: at, time: t, cause: cause})
 }
 
-// deliver records the receiver's tap and the delivery, and retires the
-// message. The receiver is always compromised (the paper's default threat
-// model); whether the adversary *uses* its report is the analyst's choice.
+// deliver records the receiver's report and the delivery in the message's
+// record, and retires the message. The receiver is always compromised (the
+// paper's default threat model); whether the adversary *uses* its report
+// is the analyst's choice.
 func (nw *Network) deliver(pkt *Packet, t uint64) {
-	msg, from, payload := pkt.Msg, pkt.From, pkt.Payload
+	r := pkt.rec
+	r.mt.ReceiverSeen, r.mt.ReceiverPred = true, pkt.From
+	r.payload, r.time = pkt.Payload, t
 	*pkt = Packet{}
-	nw.mu.Lock()
-	nw.tuples = append(nw.tuples, trace.Tuple{
-		Time: t, Observer: trace.Receiver, Msg: msg,
-		Pred: from, Succ: trace.Receiver,
-	})
-	nw.deliveries = append(nw.deliveries, Delivery{
-		Msg: msg, Pred: from, Payload: payload, Time: t,
-	})
-	nw.mu.Unlock()
 	nw.msgWG.Done()
 }
 
@@ -1147,7 +1217,8 @@ func (nw *Network) hopJitter(msg trace.MessageID, hop uint64) uint64 {
 // Inject introduces a message at the sender and forwards it to first
 // (trace.Receiver for a direct send). The sender performs its own first
 // hop, so the link-layer predecessor seen by the first intermediate is the
-// sender — exactly the paper's model. The message ID is returned. The
+// sender — exactly the paper's model. The message ID is returned: IDs are
+// serial, starting at 1, and each one names the message's record. The
 // packet value is copied into the kernel, but its slices are not: see
 // Packet.
 func (nw *Network) Inject(sender, first trace.NodeID, pkt Packet) (trace.MessageID, error) {
@@ -1166,8 +1237,8 @@ func (nw *Network) Inject(sender, first trace.NodeID, pkt Packet) (trace.Message
 	}
 	nw.msgWG.Add(1)
 	p := nw.arena.alloc()
+	msg, rec := nw.records.issue()
 	nw.mu.Unlock()
-	msg := trace.MessageID(nw.nextMsg.Add(1))
 	t0 := nw.injTime.Add(1)
 	if !nw.isLive(sender, t0) {
 		// The slot was never written, so it holds no payload.
@@ -1175,7 +1246,7 @@ func (nw *Network) Inject(sender, first trace.NodeID, pkt Packet) (trace.Message
 		return 0, fmt.Errorf("%w: sender %v at t=%d", ErrAbsent, sender, t0)
 	}
 	*p = pkt
-	p.Msg, p.From, p.hops = msg, sender, 0
+	p.Msg, p.From, p.hops, p.rec = msg, sender, 0, rec
 	// From here on p belongs to the kernel: once linkUp, deliver or
 	// schedule has it, another goroutine may retire and zero it, so Inject
 	// reads nothing from it after handing it over.
@@ -1255,26 +1326,74 @@ func (nw *Network) WaitSettled(timeout time.Duration) error {
 	}
 }
 
-// Tuples returns a snapshot of every report collected so far, in collection
-// order. The caller owns the returned slice.
+// Trace returns message id's trace: its compromised-node reports in time
+// order and, once delivered, the receiver's report. It is valid once the
+// network has settled (Settle or WaitSettled); until then the message's
+// shard may still be writing it. The trace belongs to the network and the
+// caller must not modify it. An ID the network never issued returns nil.
+func (nw *Network) Trace(id trace.MessageID) *trace.MessageTrace {
+	if r := nw.records.get(id); r != nil {
+		return &r.mt
+	}
+	return nil
+}
+
+// RetryTaps returns the duplicate observations compromised nodes collected
+// while retransmitting message id over lost links (PolicyRetransmit), in
+// time order. They are kept apart from the trace because a second report
+// from the same observer would break the analyst's simple-path
+// classification; the degraded-H accounting folds them in explicitly. It
+// is valid once the network has settled (Settle or WaitSettled), and the
+// caller must not modify it. An ID the network never issued returns nil.
+func (nw *Network) RetryTaps(id trace.MessageID) []trace.Tuple {
+	if r := nw.records.get(id); r != nil {
+		return r.retries
+	}
+	return nil
+}
+
+// Tuples returns a snapshot of every report collected so far in message
+// order: each message's compromised-node reports in time order, then its
+// receiver report. It is valid once the network has settled (Settle or
+// WaitSettled). The caller owns the returned slice.
 func (nw *Network) Tuples() []trace.Tuple {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	return append([]trace.Tuple(nil), nw.tuples...)
+	var out []trace.Tuple
+	for id := trace.MessageID(1); int(id) <= nw.records.n; id++ {
+		r := nw.records.get(id)
+		out = append(out, r.mt.Reports...)
+		if r.mt.ReceiverSeen {
+			out = append(out, trace.Tuple{
+				Time: r.time, Observer: trace.Receiver, Msg: id,
+				Pred: r.mt.ReceiverPred, Succ: trace.Receiver,
+			})
+		}
+	}
+	return out
 }
 
-// Deliveries returns a snapshot of receiver-side deliveries.
+// Deliveries returns a snapshot of receiver-side deliveries in message
+// order. It is valid once the network has settled (Settle or WaitSettled).
+// The caller owns the returned slice.
 func (nw *Network) Deliveries() []Delivery {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	return append([]Delivery(nil), nw.deliveries...)
+	var out []Delivery
+	for id := trace.MessageID(1); int(id) <= nw.records.n; id++ {
+		if r := nw.records.get(id); r.mt.ReceiverSeen {
+			out = append(out, Delivery{Msg: id, Pred: r.mt.ReceiverPred, Payload: r.payload, Time: r.time})
+		}
+	}
+	return out
 }
 
 // Dropped returns sampled errors of discarded packets (up to
 // dropSampleCap recent examples, oldest first). It remains the quick
 // "anything wrong?" view — empty exactly when no packet was dropped — but
 // the exact accounting lives in DropStats, which is bounded no matter how
-// many packets a million-node lossy run discards.
+// many packets a million-node lossy run discards. Loss and crash samples
+// are formatted here, not when the packet drops.
 func (nw *Network) Dropped() []error {
 	nw.drops.mu.Lock()
 	defer nw.drops.mu.Unlock()
@@ -1282,21 +1401,16 @@ func (nw *Network) Dropped() []error {
 }
 
 // DropStats returns the bounded drop accounting: exact totals by cause
-// plus the sampled example ring.
+// plus the sampled example ring, formatted on this call.
 func (nw *Network) DropStats() DropStats {
 	return nw.drops.snapshot()
 }
 
-// RetryObservations returns the duplicate observations compromised nodes
-// collected from link-loss retransmissions (PolicyRetransmit), in
-// collection order. They are kept out of Tuples because a second report
-// from the same (message, observer) pair would break the analyst's
-// simple-path collation; the degraded-H accounting folds them in
-// explicitly. The caller owns the slice.
-func (nw *Network) RetryObservations() []trace.Tuple {
-	nw.mu.Lock()
-	defer nw.mu.Unlock()
-	return append([]trace.Tuple(nil), nw.retryObs...)
+// DropCount returns the exact number of packets discarded with the given
+// cause (one of the Drop* constants), without formatting any sample.
+func (nw *Network) DropCount(cause string) uint64 {
+	_, n := nw.drops.count(cause)
+	return n
 }
 
 // TakeFailed drains the reroute handoff list: messages retired
@@ -1316,13 +1430,14 @@ func (nw *Network) TakeFailed() []Failure {
 
 // Metrics returns a snapshot of the kernel counters.
 func (nw *Network) Metrics() Metrics {
+	dropped, _ := nw.drops.count("")
 	return Metrics{
 		Shards:       len(nw.shards),
 		Events:       nw.events.Load(),
 		BatchFlushes: nw.flushes.Load(),
 		Churn:        len(nw.cfg.Churn),
 		Retries:      nw.retries.Load(),
-		Dropped:      nw.drops.snapshot().Total,
+		Dropped:      dropped,
 	}
 }
 
