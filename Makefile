@@ -137,19 +137,14 @@ bench-e2e-check:
 	cd bench && $(GO) vet . && $(GO) test . && $(GO) run anonmix/cmd/anonlint .
 
 # e2e-ab compares the end-to-end benchmark at BASE against the working tree
-# (scripts/e2e_ab.sh): PAIRS pairs of RUN_SECONDS-s bench/run.sh runs of
-# WORKLOAD at SEED, base and change alternating and the order swapped every
-# pair, then each side's median and quartiles and the change's win count per
-# metric. It fails if any run is not correct. TRACE=1 compares the
-# per-layer metrics of traced runs instead.
-SEED ?= 2
-PAIRS ?= 10
-RUN_SECONDS ?= 30
-TRACE ?= 0
+# (scripts/e2e_ab.sh): PAIRS pairs of bench/run.sh runs of WORKLOAD at SEED,
+# each as long as BENCHMARK.json's run_seconds, base and change alternating
+# and the order swapped every pair, then each side's median and quartiles
+# and the change's win count per metric. It fails if any run is not
+# correct. TRACE=1 compares the per-layer metrics of traced runs instead.
+# The script holds the defaults of SEED, PAIRS and TRACE.
 e2e-ab:
-	@if [ -z "$(BASE)" ] || [ -z "$(WORKLOAD)" ]; then \
-		echo "usage: make e2e-ab BASE=<rev> WORKLOAD=<w> [SEED=2] [PAIRS=10] [RUN_SECONDS=30] [TRACE=0]"; exit 2; fi
-	bash scripts/e2e_ab.sh "$(BASE)" "$(WORKLOAD)" "$(SEED)" "$(PAIRS)" "$(RUN_SECONDS)" "$(TRACE)"
+	bash scripts/e2e_ab.sh "$(BASE)" "$(WORKLOAD)" "$(SEED)" "$(PAIRS)" "$(TRACE)"
 
 # serve-smoke boots the anond daemon on an ephemeral port and exercises
 # the HTTP surface end to end over a real socket: every /v1 endpoint's

@@ -50,10 +50,11 @@ func faultNetConfig(nwCfg *simnet.Config, cfg *Config) {
 // checkUnexpectedDrops fails the run on drop causes fault injection does
 // not explain: loss and crash drops are the configured fault process, but
 // a bad hop, a forwarder error, or an absent node is a real defect that
-// must not hide behind the loss statistics. It reads the counts first, so
-// a run whose drops are all losses and crashes formats no sample.
+// must not hide behind the loss statistics. It reads the defect count
+// first, so a run whose drops are all losses and crashes formats no
+// sample.
 func checkUnexpectedDrops(nw *simnet.Network) error {
-	if nw.Metrics().Dropped == nw.DropCount(simnet.DropLoss)+nw.DropCount(simnet.DropCrash) {
+	if nw.DefectDrops() == 0 {
 		return nil
 	}
 	ds := nw.DropStats()

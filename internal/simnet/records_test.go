@@ -300,3 +300,41 @@ func TestRecordsOrderedAndRepeatable(t *testing.T) {
 		})
 	}
 }
+
+// TestTraceBesideInject reads the records of a settled phase while another
+// goroutine injects the next one, growing the record book past a chunk;
+// under -race it pins the lookups as safe beside Inject.
+func TestTraceBesideInject(t *testing.T) {
+	nw, err := simnet.New(simnet.Config{N: 64, Compromised: []trace.NodeID{1, 2, 3}, Shards: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Start()
+	defer nw.Close()
+	last := sendRoutes(t, nw, 64, 100, 4, 5)
+	const more = 600
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < more; i++ {
+			if _, err := nw.SendRoute(trace.NodeID(i%64), []trace.NodeID{1, 2}, nil); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for pass := 0; pass < 10; pass++ {
+		for id := trace.MessageID(1); id <= last; id++ {
+			if mt := nw.Trace(id); mt == nil || !mt.ReceiverSeen || nw.RetryTaps(id) != nil {
+				t.Fatalf("message %d of the settled phase: trace %+v", id, mt)
+			}
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	settle(t, nw)
+	if got := len(nw.Deliveries()); got != int(last)+more {
+		t.Fatalf("%d deliveries, want %d", got, int(last)+more)
+	}
+}

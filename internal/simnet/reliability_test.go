@@ -71,10 +71,9 @@ func TestSettleTerminatesUnderTotalLoss(t *testing.T) {
 					t.Fatalf("%v: drops %+v, %d handoffs; want %d loss drops", policy, st, len(failed), msgs)
 				}
 			}
-			if m := nw.Metrics(); m.Dropped != st.Total || nw.DropCount(DropLoss) != st.ByCause[DropLoss] ||
-				nw.DropCount(DropCrash) != 0 {
-				t.Fatalf("counts without samples: %d dropped, %d lost, %d crashed; stats %+v",
-					m.Dropped, nw.DropCount(DropLoss), nw.DropCount(DropCrash), st)
+			if m := nw.Metrics(); m.Dropped != st.Total || nw.DefectDrops() != 0 {
+				t.Fatalf("counts without samples: %d dropped, %d defects; stats %+v",
+					m.Dropped, nw.DefectDrops(), st)
 			}
 			if policy == faults.PolicyRetransmit {
 				// Every message burns its full per-link budget before the drop.
@@ -308,7 +307,7 @@ func TestLossyRunDeterministic(t *testing.T) {
 // TestLossDropsFormatLazily: a drop the fault process explains is kept as
 // its parts until DropStats or Dropped reads it. Direct sends lost on
 // their only link allocate nothing per message, and reading the counts
-// through Metrics and DropCount formats nothing either; the samples then
+// through Metrics and DefectDrops formats nothing either; the samples then
 // read as they always have.
 func TestLossDropsFormatLazily(t *testing.T) {
 	nw := reliabilityNet(t, Config{N: 8, LinkLoss: 1, Seed: 3})
@@ -324,12 +323,15 @@ func TestLossDropsFormatLazily(t *testing.T) {
 	if err := nw.Settle(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if nw.Metrics().Dropped != msgs || nw.DropCount(DropLoss) != msgs {
-		t.Fatalf("counted %d drops, %d losses", nw.Metrics().Dropped, nw.DropCount(DropLoss))
+	if nw.Metrics().Dropped != msgs || nw.DefectDrops() != 0 {
+		t.Fatalf("counted %d drops, %d defects", nw.Metrics().Dropped, nw.DefectDrops())
 	}
 	runtime.ReadMemStats(&after)
 	if allocs := after.Mallocs - before.Mallocs; allocs >= msgs/4 {
 		t.Errorf("%d allocations for %d lost messages: drops are formatted eagerly", allocs, msgs)
+	}
+	if st := nw.DropStats(); st.ByCause[DropLoss] != msgs {
+		t.Fatalf("drop accounting %+v, want %d losses", st, msgs)
 	}
 	drops := nw.Dropped()
 	if len(drops) != dropSampleCap {

@@ -33,6 +33,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"sort"
@@ -326,14 +327,6 @@ func (d *dropLog) add(s dropSample) {
 	d.next++
 }
 
-// count returns the number of drops, and of drops with the given cause,
-// without formatting any sample.
-func (d *dropLog) count(cause string) (total, ofCause uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.total, d.byCause[cause]
-}
-
 // snapshot copies the accumulated statistics.
 func (d *dropLog) snapshot() DropStats {
 	d.mu.Lock()
@@ -528,7 +521,8 @@ type msgRecord struct {
 
 // recordBook holds one record per issued message ID, record k for message
 // k+1, in fixed-size chunks that never move, so a packet can point at its
-// record. Inject grows it under Network.mu.
+// record. Inject grows it under Network.mu, and every read of the book
+// holds that lock too.
 type recordBook struct {
 	chunks []*[recordChunk]msgRecord
 	n      int
@@ -552,6 +546,17 @@ func (b *recordBook) get(id trace.MessageID) *msgRecord {
 	}
 	i := int(id - 1)
 	return &b.chunks[i/recordChunk][i%recordChunk]
+}
+
+// all yields every issued message's ID and record in message order.
+func (b *recordBook) all() iter.Seq2[trace.MessageID, *msgRecord] {
+	return func(yield func(trace.MessageID, *msgRecord) bool) {
+		for i := 0; i < b.n; i++ {
+			if !yield(trace.MessageID(i+1), &b.chunks[i/recordChunk][i%recordChunk]) {
+				return
+			}
+		}
+	}
 }
 
 // shard owns a partition of the node space: its inbox receives events for
@@ -1326,13 +1331,23 @@ func (nw *Network) WaitSettled(timeout time.Duration) error {
 	}
 }
 
+// record returns message id's record, or nil for an ID never issued. It
+// reads the book under mu, which Inject holds while it grows the book, so
+// a lookup may run beside an Inject; the record itself is complete only
+// once the message's packet has retired.
+func (nw *Network) record(id trace.MessageID) *msgRecord {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	return nw.records.get(id)
+}
+
 // Trace returns message id's trace: its compromised-node reports in time
 // order and, once delivered, the receiver's report. It is valid once the
 // network has settled (Settle or WaitSettled); until then the message's
 // shard may still be writing it. The trace belongs to the network and the
 // caller must not modify it. An ID the network never issued returns nil.
 func (nw *Network) Trace(id trace.MessageID) *trace.MessageTrace {
-	if r := nw.records.get(id); r != nil {
+	if r := nw.record(id); r != nil {
 		return &r.mt
 	}
 	return nil
@@ -1346,7 +1361,7 @@ func (nw *Network) Trace(id trace.MessageID) *trace.MessageTrace {
 // is valid once the network has settled (Settle or WaitSettled), and the
 // caller must not modify it. An ID the network never issued returns nil.
 func (nw *Network) RetryTaps(id trace.MessageID) []trace.Tuple {
-	if r := nw.records.get(id); r != nil {
+	if r := nw.record(id); r != nil {
 		return r.retries
 	}
 	return nil
@@ -1359,9 +1374,15 @@ func (nw *Network) RetryTaps(id trace.MessageID) []trace.Tuple {
 func (nw *Network) Tuples() []trace.Tuple {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	var out []trace.Tuple
-	for id := trace.MessageID(1); int(id) <= nw.records.n; id++ {
-		r := nw.records.get(id)
+	n := 0
+	for _, r := range nw.records.all() {
+		n += len(r.mt.Reports)
+		if r.mt.ReceiverSeen {
+			n++
+		}
+	}
+	out := make([]trace.Tuple, 0, n)
+	for id, r := range nw.records.all() {
 		out = append(out, r.mt.Reports...)
 		if r.mt.ReceiverSeen {
 			out = append(out, trace.Tuple{
@@ -1379,9 +1400,15 @@ func (nw *Network) Tuples() []trace.Tuple {
 func (nw *Network) Deliveries() []Delivery {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	var out []Delivery
-	for id := trace.MessageID(1); int(id) <= nw.records.n; id++ {
-		if r := nw.records.get(id); r.mt.ReceiverSeen {
+	n := 0
+	for _, r := range nw.records.all() {
+		if r.mt.ReceiverSeen {
+			n++
+		}
+	}
+	out := make([]Delivery, 0, n)
+	for id, r := range nw.records.all() {
+		if r.mt.ReceiverSeen {
 			out = append(out, Delivery{Msg: id, Pred: r.mt.ReceiverPred, Payload: r.payload, Time: r.time})
 		}
 	}
@@ -1406,11 +1433,14 @@ func (nw *Network) DropStats() DropStats {
 	return nw.drops.snapshot()
 }
 
-// DropCount returns the exact number of packets discarded with the given
-// cause (one of the Drop* constants), without formatting any sample.
-func (nw *Network) DropCount(cause string) uint64 {
-	_, n := nw.drops.count(cause)
-	return n
+// DefectDrops returns the exact number of packets discarded for a defect
+// (DropBadHop, DropForwarder or DropAbsent) rather than by the configured
+// fault process (DropLoss and DropCrash), without formatting any sample.
+func (nw *Network) DefectDrops() uint64 {
+	d := &nw.drops
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.total - d.byCause[DropLoss] - d.byCause[DropCrash]
 }
 
 // TakeFailed drains the reroute handoff list: messages retired
@@ -1430,7 +1460,9 @@ func (nw *Network) TakeFailed() []Failure {
 
 // Metrics returns a snapshot of the kernel counters.
 func (nw *Network) Metrics() Metrics {
-	dropped, _ := nw.drops.count("")
+	nw.drops.mu.Lock()
+	dropped := nw.drops.total
+	nw.drops.mu.Unlock()
 	return Metrics{
 		Shards:       len(nw.shards),
 		Events:       nw.events.Load(),

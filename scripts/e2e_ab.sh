@@ -2,8 +2,12 @@
 # Compares the end-to-end benchmark of a base revision against the working
 # tree by alternating runs of the two:
 #
-#   bash scripts/e2e_ab.sh <base-rev> <workload> [seed] [pairs] [seconds] [trace]
+#   bash scripts/e2e_ab.sh <base-rev> <workload> [seed] [pairs] [trace]
 #   make e2e-ab BASE=<rev> WORKLOAD=<w> SEED=<s> PAIRS=<n>
+#
+# An empty or missing seed, pairs or trace takes the default that usage
+# prints. Every run lasts BENCHMARK.json's run_seconds, so both sides run
+# as long as the benchmark does.
 #
 # The base side is an export of <base-rev> (git archive) in a temporary
 # directory, removed on exit; the change side is the working tree. Each
@@ -22,18 +26,21 @@
 set -euo pipefail
 
 usage() {
-	echo "usage: $0 <base-rev> <workload> [seed=2] [pairs=10] [seconds=30] [trace=0]" >&2
+	echo "usage: make e2e-ab BASE=<rev> WORKLOAD=<w> [SEED=2] [PAIRS=10] [TRACE=0]" >&2
+	echo "   or: $0 <base-rev> <workload> [seed] [pairs] [trace]" >&2
 	exit 2
 }
-[ $# -ge 2 ] || usage
-base=$1 workload=$2 seed=${3:-2} pairs=${4:-10} seconds=${5:-30} trace=${6:-0}
-for v in "$seed" "$pairs" "$seconds" "$trace"; do
+[ $# -ge 2 ] && [ -n "$1" ] && [ -n "$2" ] || usage
+base=$1 workload=$2 seed=${3:-2} pairs=${4:-10} trace=${5:-0}
+for v in "$seed" "$pairs" "$trace"; do
 	[[ $v =~ ^[0-9]+$ ]] || usage
 done
 [ "$pairs" -ge 1 ] || usage
 command -v jq >/dev/null || { echo "$0: needs jq" >&2; exit 2; }
 
 root=$(git rev-parse --show-toplevel)
+seconds=$(jq -r .run_seconds "$root/BENCHMARK.json")
+[[ $seconds =~ ^[0-9]+$ ]] || { echo "$0: no run_seconds in BENCHMARK.json" >&2; exit 2; }
 rev=$(git -C "$root" rev-parse --verify --quiet "$base^{commit}") || { echo "$0: no commit $base" >&2; exit 2; }
 work=$(mktemp -d "${TMPDIR:-/tmp}/e2e-ab.XXXXXX")
 trap 'rm -rf "$work"' EXIT
