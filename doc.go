@@ -334,14 +334,16 @@
 //     walk the sampled path once against the compromised bitset, count
 //     the class's shape (compromised hops, one-node and wider junctions,
 //     tail gap, witnesses), and look it up in the analyst's shape-keyed
-//     statistics table, with no trace, Class or validation in between and
-//     zero heap traffic once the table is warm; the sampled sessions of
-//     dynamic populations fold the same way, in each phase's dense node
-//     space. The trace route (SynthesizeInto, then ClassifyScratch through
-//     adversary.Scratch and ObserveScratch) still serves every analysis
-//     that starts from reports: the testbed's collected traces and the
-//     partial traces of failed deliveries. FuzzPathObservation holds the
-//     path route to it bit for bit. The multi-round degradation benchmark
+//     statistics table, with no trace in between and zero heap traffic
+//     once the table is warm; the sampled sessions of dynamic populations
+//     fold the same way, in each phase's dense node space. The trace
+//     route (EntropyScratch, ObserveScratch and FoldObservation through
+//     an adversary.Scratch) serves every analysis that starts from
+//     reports, the testbed's collected traces and the partial traces of
+//     failed deliveries: one classifier reads a trace into the same
+//     counts, which the same table lookup and fold step take, and no
+//     events.Class is built on either route. FuzzPathObservation holds
+//     the two routes to the same bits. The multi-round degradation benchmark
 //     dropped from ~93ms / 57MB / 366k allocations per op to ~21ms / 15kB
 //     / ~120 allocations, and BenchmarkDegradationRounds fails if the
 //     per-op allocation count regresses past 1% of the old baseline.

@@ -25,7 +25,6 @@ import (
 	"math"
 	"slices"
 
-	"anonmix/internal/entropy"
 	"anonmix/internal/trace"
 )
 
@@ -264,20 +263,12 @@ func (acc *Accumulator) outNow(g trace.NodeID) bool {
 	return acc.analyst.Compromised(d)
 }
 
-// Observe folds one message trace into the running posterior. Because the
-// per-round prior is uniform, multiplying round posteriors (adding logs)
-// yields the correct joint posterior up to normalization. It is
-// ObserveScratch with a throwaway Scratch.
-func (acc *Accumulator) Observe(mt *trace.MessageTrace) error {
-	var sc Scratch
-	return acc.ObserveScratch(mt, &sc)
-}
-
 // Rounds returns the number of observations folded in.
 func (acc *Accumulator) Rounds() int { return acc.rounds }
 
 // Posterior returns the normalized joint posterior over the union's
-// nodes.
+// nodes: the per-node view a test compares with a dense reference fold.
+// A session's per-round query is SnapshotFast, which materializes nothing.
 func (acc *Accumulator) Posterior() ([]float64, error) {
 	if acc.rounds == 0 {
 		return nil, ErrNoObservations
@@ -309,39 +300,6 @@ func (acc *Accumulator) Posterior() ([]float64, error) {
 		out[i] /= sum
 	}
 	return out, nil
-}
-
-// Entropy returns the Shannon entropy (bits) of the joint posterior —
-// the sender's remaining anonymity after Rounds messages.
-func (acc *Accumulator) Entropy() (float64, error) {
-	p, err := acc.Posterior()
-	if err != nil {
-		return 0, err
-	}
-	return entropy.Bits(p), nil
-}
-
-// Top returns the argmax node of the joint posterior and its probability.
-func (acc *Accumulator) Top() (trace.NodeID, float64, error) {
-	_, top, mass, err := acc.Snapshot()
-	return top, mass, err
-}
-
-// Snapshot returns the joint posterior's entropy, argmax node, and argmax
-// mass in one pass — the per-round query of a degradation session, which
-// would otherwise normalize the posterior twice (Entropy + Top).
-func (acc *Accumulator) Snapshot() (h float64, top trace.NodeID, mass float64, err error) {
-	p, err := acc.Posterior()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	best, arg := -1.0, 0
-	for i, v := range p {
-		if v > best {
-			best, arg = v, i
-		}
-	}
-	return entropy.Bits(p), trace.NodeID(arg), best, nil
 }
 
 // logValue returns union node g's current joint log value.

@@ -7,6 +7,7 @@ import (
 
 	"anonmix/internal/adversary"
 	"anonmix/internal/dist"
+	"anonmix/internal/entropy"
 	"anonmix/internal/events"
 	"anonmix/internal/montecarlo"
 	"anonmix/internal/pathsel"
@@ -42,22 +43,17 @@ func TestAccumulatorEmpty(t *testing.T) {
 	if _, err := acc.Posterior(); !errors.Is(err, adversary.ErrNoObservations) {
 		t.Errorf("empty posterior err = %v", err)
 	}
-	if _, _, _, err := acc.Snapshot(); !errors.Is(err, adversary.ErrNoObservations) {
+	if _, _, _, err := acc.SnapshotFast(); !errors.Is(err, adversary.ErrNoObservations) {
 		t.Errorf("empty snapshot err = %v", err)
-	}
-	if _, err := acc.Entropy(); !errors.Is(err, adversary.ErrNoObservations) {
-		t.Errorf("empty entropy err = %v", err)
-	}
-	if _, _, err := acc.Top(); !errors.Is(err, adversary.ErrNoObservations) {
-		t.Errorf("empty top err = %v", err)
 	}
 	if acc.Rounds() != 0 {
 		t.Errorf("rounds = %d", acc.Rounds())
 	}
 }
 
-// TestSnapshotMatchesEntropyAndTop: Snapshot is the fused fast path of
-// Entropy + Top and must return exactly their values.
+// TestSnapshotMatchesEntropyAndTop: SnapshotFast, which materializes
+// nothing, returns the entropy, argmax and argmax mass of the normalized
+// joint posterior vector, up to the order its sums associate in.
 func TestSnapshotMatchesEntropyAndTop(t *testing.T) {
 	const n = 12
 	compromised := []trace.NodeID{1, 5}
@@ -77,28 +73,32 @@ func TestSnapshotMatchesEntropyAndTop(t *testing.T) {
 	}
 	rng := stats.NewRand(9)
 	sender := trace.NodeID(7)
+	var sc adversary.Scratch
 	for r := 0; r < 25; r++ {
 		path, err := sel.SelectPath(rng, sender)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mt := montecarlo.Synthesize(trace.MessageID(r+1), sender, path, a.Compromised)
-		if err := acc.Observe(mt); err != nil {
+		if err := acc.ObserveScratch(mt, &sc); err != nil {
 			t.Fatal(err)
 		}
-		h, top, mass, err := acc.Snapshot()
+		h, top, mass, err := acc.SnapshotFast()
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantH, err := acc.Entropy()
+		p, err := acc.Posterior()
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantTop, wantMass, err := acc.Top()
-		if err != nil {
-			t.Fatal(err)
+		wantTop := 0
+		for i, v := range p {
+			if v > p[wantTop] {
+				wantTop = i
+			}
 		}
-		if h != wantH || top != wantTop || mass != wantMass {
+		wantH, wantMass := entropy.Bits(p), p[wantTop]
+		if math.Abs(h-wantH) > 1e-9 || top != trace.NodeID(wantTop) || math.Abs(mass-wantMass) > 1e-9 {
 			t.Fatalf("round %d: snapshot (%v, %v, %v) != (%v, %v, %v)",
 				r+1, h, top, mass, wantH, wantTop, wantMass)
 		}
@@ -143,10 +143,10 @@ func TestFoldObservation(t *testing.T) {
 	}
 	var sc adversary.Scratch
 	sender := trace.NodeID(6)
-	if err := acc.Observe(montecarlo.Synthesize(1, sender, []trace.NodeID{8, 3, 5}, a.Compromised)); err != nil {
+	if err := acc.ObserveScratch(montecarlo.Synthesize(1, sender, []trace.NodeID{8, 3, 5}, a.Compromised), &sc); err != nil {
 		t.Fatal(err)
 	}
-	h0, err := acc.Entropy()
+	h0, _, _, err := acc.SnapshotFast()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFoldObservation(t *testing.T) {
 	if err := acc.FoldObservation(aU, empty, &sc); err != nil {
 		t.Fatal(err)
 	}
-	h1, err := acc.Entropy()
+	h1, _, _, err := acc.SnapshotFast()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,20 @@
 // Package adversary implements the passive global adversary of the paper's
-// threat model (§4). It consumes the tuple reports collected from
-// compromised nodes (package trace), reconstructs the observable structure
-// of each message's rerouting path — runs of adjacent compromised nodes,
-// one-node junctions, and the tail gap to the receiver — and applies the
-// exact Bayesian engine (package events) to produce the posterior
-// probability that each node is the true sender (the paper's Formula 3).
+// threat model (§4). It reads each message into the shape of its
+// observation class — the compromised hops, the one-node and wider
+// junctions between their runs, and the tail gap to the receiver — either
+// from the tuple reports its compromised nodes filed (package trace; the
+// trace route, scratch.go) or straight from its rerouting path when a
+// sampling backend knows it (the path route, path.go). The exact Bayesian
+// engine's statistics table (package events) serves the posterior
+// probability that each node is the true sender (the paper's Formula 3)
+// from that shape, and the Accumulator multiplies those posteriors across
+// the rounds of a session.
 package adversary
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"anonmix/internal/dist"
@@ -54,9 +59,9 @@ func NewAnalyst(e *events.Engine, d dist.Length, compromised []trace.NodeID) (*A
 		return nil, fmt.Errorf("%w: nil engine", ErrBadConfig)
 	}
 	if e.Mode() != events.InferenceStandard {
-		// Classify reconstructs the standard flag-based classes; pairing
-		// it with a stronger-inference engine would understate what that
-		// adversary knows.
+		// The classifiers reconstruct the standard flag-based classes;
+		// pairing them with a stronger-inference engine would understate
+		// what that adversary knows.
 		return nil, fmt.Errorf("%w: analyst requires the standard inference mode, engine uses %v",
 			ErrBadConfig, e.Mode())
 	}
@@ -89,129 +94,26 @@ func NewAnalyst(e *events.Engine, d dist.Length, compromised []trace.NodeID) (*A
 	return a, nil
 }
 
-// Observation is the adversary's reconstructed view of one message.
-type Observation struct {
-	// Class is the structural signature fed to the Bayesian engine.
-	Class events.Class
-	// Candidate is the node carrying the posterior spike: the predecessor
-	// of the first observed run, or the receiver's predecessor when no
-	// compromised node was on the path.
-	Candidate trace.NodeID
-	// Witnessed is the set of uncompromised nodes whose identities the
-	// adversary observed (junction and tail witnesses, the receiver's
-	// predecessor) — excluded from the slab, except the Candidate itself.
-	Witnessed map[trace.NodeID]bool
-	// Identified marks outright deanonymization: the first observed
+// view is what the adversary reads off one message, by either route: the
+// shape of its observation class — compromised hops, one-node and wider
+// junctions between their runs, and the tail — which is all its statistics
+// depend on, the number of distinct honest identities it witnessed, the
+// spike candidate, and whether the sender is identified outright. The
+// witnessed identities themselves go to a Scratch.
+type view struct {
+	k, one, wide int // compromised hops, one-node and wider junctions
+	tail         events.TailFlag
+	witnesses    int // distinct honest witnessed identities, the candidate included
+	// candidate carries the posterior spike: the predecessor of the first
+	// observed run, or the receiver's predecessor when no compromised node
+	// was on the path.
+	candidate trace.NodeID
+	// identified marks outright deanonymization: the first observed
 	// predecessor is one of the adversary's own nodes that filed no relay
 	// report for this message, so it must be the originator (on a simple
 	// path a compromised *relay* would have reported). This is how the
 	// paper's local-eavesdropper case surfaces in the trace stream.
-	Identified bool
-}
-
-// Classify reconstructs the observable class of a message trace. With a
-// compromised receiver (the paper's default) traces missing the receiver
-// report are rejected; with an uncompromised-receiver engine the receiver
-// fields of the trace are ignored — the adversary does not have them — and
-// the tail is classified from run-successor adjacency alone
-// (events.TailUnobserved).
-func (a *Analyst) Classify(mt *trace.MessageTrace) (Observation, error) {
-	if mt == nil {
-		return Observation{}, fmt.Errorf("%w: nil trace", ErrCorruptTrace)
-	}
-	receiver := a.engine.ReceiverCompromised()
-	if receiver && !mt.ReceiverSeen {
-		return Observation{}, trace.ErrNoReceiverReport
-	}
-	obs := Observation{Witnessed: make(map[trace.NodeID]bool)}
-	if len(mt.Reports) == 0 {
-		if !receiver {
-			// No compromised node on the path and no receiver report: the
-			// adversary observes nothing. The posterior is uniform over
-			// the uncompromised nodes (the empty class of the
-			// uncompromised-receiver engine); there is no candidate.
-			obs.Candidate = trace.Receiver
-			return obs, nil
-		}
-		obs.Candidate = mt.ReceiverPred
-		obs.Witnessed[mt.ReceiverPred] = true
-		if a.Compromised(mt.ReceiverPred) {
-			// A compromised relay would have reported; a silent
-			// compromised predecessor must be the sender (direct send by
-			// one of the adversary's own nodes).
-			obs.Identified = true
-		}
-		return obs, nil
-	}
-
-	seen := make(map[trace.NodeID]bool, len(mt.Reports))
-	var runs []int
-	var gaps []events.GapFlag
-	for i, r := range mt.Reports {
-		if !a.Compromised(r.Observer) {
-			return Observation{}, fmt.Errorf("%w: report from unknown agent %v", ErrCorruptTrace, r.Observer)
-		}
-		if seen[r.Observer] {
-			return Observation{}, fmt.Errorf("%w: node %v observed twice (cyclic route?)", ErrModelMismatch, r.Observer)
-		}
-		seen[r.Observer] = true
-		if i == 0 {
-			obs.Candidate = r.Pred
-			runs = append(runs, 1)
-			continue
-		}
-		prev := mt.Reports[i-1]
-		switch {
-		case prev.Succ == r.Observer:
-			// Adjacent compromised nodes: the run continues. Cross-check
-			// the complementary pointer.
-			if r.Pred != prev.Observer {
-				return Observation{}, fmt.Errorf("%w: run linkage broken between %v and %v",
-					ErrCorruptTrace, prev.Observer, r.Observer)
-			}
-			runs[len(runs)-1]++
-		case prev.Succ == r.Pred:
-			// One uncompromised witness bridges the runs.
-			runs = append(runs, 1)
-			gaps = append(gaps, events.GapOne)
-			obs.Witnessed[r.Pred] = true
-		default:
-			// At least two hidden nodes: both endpoints witnessed.
-			runs = append(runs, 1)
-			gaps = append(gaps, events.GapWide)
-			obs.Witnessed[prev.Succ] = true
-			obs.Witnessed[r.Pred] = true
-		}
-	}
-	last := mt.Reports[len(mt.Reports)-1]
-	var tail events.TailFlag
-	switch {
-	case last.Succ == trace.Receiver:
-		tail = events.TailZero
-	case !receiver:
-		// Without the receiver's report only "last run forwarded straight
-		// to the receiver" (TailZero above) is distinguishable; any other
-		// tail collapses into TailUnobserved, with the run's successor as
-		// its single witnessed identity.
-		tail = events.TailUnobserved
-		obs.Witnessed[last.Succ] = true
-	case last.Succ == mt.ReceiverPred:
-		tail = events.TailOne
-		obs.Witnessed[last.Succ] = true
-	default:
-		tail = events.TailWide
-		obs.Witnessed[last.Succ] = true
-		obs.Witnessed[mt.ReceiverPred] = true
-	}
-	obs.Witnessed[obs.Candidate] = true
-	obs.Class = events.Class{Runs: runs, Gaps: gaps, Tail: tail}
-	if a.Compromised(obs.Candidate) {
-		// The predecessor of the first run is one of the adversary's own
-		// nodes yet it filed no relay report for this message: it must be
-		// the originator (local-eavesdropper case).
-		obs.Identified = true
-	}
-	return obs, nil
+	identified bool
 }
 
 // Posterior is the adversary's belief about the sender of one message.
@@ -225,100 +127,53 @@ type Posterior struct {
 	Alpha float64
 	// Candidate is the spike carrier.
 	Candidate trace.NodeID
-	// Class is the structural signature used for inference.
-	Class events.Class
 }
 
-// Posterior runs the full inference pipeline for one message trace.
+// Posterior runs the full inference pipeline for one message trace and
+// materializes the N-entry posterior vector. EntropyScratch returns its H
+// in O(reports) without the vector.
 func (a *Analyst) Posterior(mt *trace.MessageTrace) (Posterior, error) {
-	obs, err := a.Classify(mt)
+	var sc Scratch
+	v, err := a.classify(mt, &sc)
 	if err != nil {
 		return Posterior{}, err
 	}
 	n := a.engine.N()
-	if obs.Identified {
-		post := Posterior{
-			P:         make([]float64, n),
-			Alpha:     1,
-			Candidate: obs.Candidate,
-			Class:     obs.Class,
-		}
-		post.P[obs.Candidate] = 1
+	post := Posterior{P: make([]float64, n), Candidate: v.candidate}
+	if v.identified {
+		post.Alpha = 1
+		post.P[v.candidate] = 1
 		return post, nil
 	}
-	st, err := a.stats.StatsFor(obs.Class)
+	alpha, rest, _, err := a.stats.ShapeStats(v.k, v.one, v.wide, v.tail)
 	if err != nil {
 		return Posterior{}, err
 	}
 	// Slab candidates: nodes that are neither compromised, nor witnessed,
 	// nor the spike candidate.
 	var slab []trace.NodeID
-	for v := 0; v < n; v++ {
-		id := trace.NodeID(v)
-		if a.Compromised(id) || obs.Witnessed[id] || id == obs.Candidate {
+	for i := 0; i < n; i++ {
+		id := trace.NodeID(i)
+		if a.Compromised(id) || id == v.candidate || slices.Contains(sc.witnessed, id) {
 			continue
 		}
 		slab = append(slab, id)
 	}
-	if len(slab) != st.Rest {
-		return Posterior{}, fmt.Errorf("%w: %d slab candidates reconstructed, engine expects %d",
-			ErrCorruptTrace, len(slab), st.Rest)
+	if len(slab) != rest {
+		return Posterior{}, slabMismatch(len(slab), rest)
 	}
-	post := Posterior{
-		P:         make([]float64, n),
-		Alpha:     st.Alpha,
-		Candidate: obs.Candidate,
-		Class:     obs.Class,
-	}
-	if int(obs.Candidate) >= 0 && int(obs.Candidate) < n {
-		post.P[obs.Candidate] = st.Alpha
+	post.Alpha = alpha
+	if int(v.candidate) >= 0 && int(v.candidate) < n {
+		post.P[v.candidate] = alpha
 	}
 	if len(slab) > 0 {
-		share := (1 - st.Alpha) / float64(len(slab))
+		share := (1 - alpha) / float64(len(slab))
 		for _, id := range slab {
 			post.P[id] = share
 		}
 	}
 	post.H = entropy.Bits(post.P)
 	return post, nil
-}
-
-// Entropy returns the posterior entropy (bits) of one message trace
-// without materializing the N-entry posterior vector: it classifies the
-// trace, looks up the class statistics, and cross-checks the slab count
-// arithmetically. Cost is O(reports) rather than O(N), which is what makes
-// adversarial analysis of million-node testbed runs affordable. The value
-// equals Posterior(mt).H up to floating-point association order.
-func (a *Analyst) Entropy(mt *trace.MessageTrace) (float64, error) {
-	obs, err := a.Classify(mt)
-	if err != nil {
-		return 0, err
-	}
-	if obs.Identified {
-		return 0, nil
-	}
-	st, err := a.stats.StatsFor(obs.Class)
-	if err != nil {
-		return 0, err
-	}
-	// Witnessed holds the observed identities (the candidate included),
-	// which together with the compromised set are exactly the nodes
-	// Posterior excludes from the slab — so the expected slab size follows
-	// by counting. A partial trace's lost-link target can itself be
-	// compromised, so only honest witnesses shrink the slab further. The
-	// bitset is indexed inline: a call inside a map range would make the
-	// loop order-sensitive to anonlint's detrand.
-	w := 0
-	for id := range obs.Witnessed {
-		if i := uint(id) / 64; i >= uint(len(a.compBits)) || a.compBits[i]&(1<<(uint(id)%64)) == 0 {
-			w++
-		}
-	}
-	if rest := a.engine.N() - a.engine.C() - w; rest != st.Rest {
-		return 0, fmt.Errorf("%w: %d slab candidates reconstructed, engine expects %d",
-			ErrCorruptTrace, rest, st.Rest)
-	}
-	return st.H, nil
 }
 
 // AnalyzeAll collates a raw tuple stream (as collected from a live network

@@ -84,122 +84,77 @@ func TestNewAnalystRejectsEngineInvalidLength(t *testing.T) {
 	}
 }
 
-func TestClassifyStructures(t *testing.T) {
-	// System of 12 nodes, compromised {0,1,2}. Sender 5.
-	a := analyst(t, 12, []trace.NodeID{0, 1, 2}, uniform(t, 0, 9))
-	cases := []struct {
-		name      string
-		path      []trace.NodeID
-		wantClass string
-		wantCand  trace.NodeID
-	}{
-		{"empty", []trace.NodeID{7, 8}, "[none]", 8},
-		{"direct send", nil, "[none]", 5},
-		{"tail zero", []trace.NodeID{7, 0}, "[1]-t0", 7},
-		{"tail one", []trace.NodeID{0, 7}, "[1]-t1", 5},
-		{"tail wide", []trace.NodeID{0, 7, 8}, "[1]-t2+", 5},
-		{"run of two", []trace.NodeID{7, 0, 1, 8}, "[2]-t1", 7},
-		{"gap one", []trace.NodeID{0, 7, 1, 8}, "[1]-1-[1]-t1", 5},
-		{"gap wide", []trace.NodeID{0, 7, 8, 1}, "[1]-2+-[1]-t0", 5},
-		{"all three", []trace.NodeID{0, 1, 2}, "[3]-t0", 5},
-		{"full structure", []trace.NodeID{6, 0, 7, 1, 2, 8, 9}, "[1]-1-[2]-t2+", 6},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			obs, err := a.Classify(synth(5, c.path, 0, 1, 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := obs.Class.String(); got != c.wantClass {
-				t.Errorf("class = %s, want %s (path %v)", got, c.wantClass, c.path)
-			}
-			if obs.Candidate != c.wantCand {
-				t.Errorf("candidate = %v, want %v", obs.Candidate, c.wantCand)
-			}
-		})
-	}
-}
-
+// TestClassifyErrors: traces the simple-path model cannot produce fail
+// EntropyScratch and Posterior alike, with the classifier's sentinels.
 func TestClassifyErrors(t *testing.T) {
 	a := analyst(t, 12, []trace.NodeID{0, 1}, uniform(t, 0, 9))
-	if _, err := a.Classify(nil); !errors.Is(err, adversary.ErrCorruptTrace) {
-		t.Errorf("nil trace err = %v", err)
+	var sc adversary.Scratch
+	check := func(name string, mt *trace.MessageTrace, want error) {
+		t.Helper()
+		if _, err := a.EntropyScratch(mt, &sc); !errors.Is(err, want) {
+			t.Errorf("%s: EntropyScratch err = %v, want %v", name, err, want)
+		}
+		if _, err := a.Posterior(mt); !errors.Is(err, want) {
+			t.Errorf("%s: Posterior err = %v, want %v", name, err, want)
+		}
 	}
-	if _, err := a.Classify(&trace.MessageTrace{}); !errors.Is(err, trace.ErrNoReceiverReport) {
-		t.Errorf("no receiver err = %v", err)
-	}
+	check("nil trace", nil, adversary.ErrCorruptTrace)
+	check("no receiver", &trace.MessageTrace{}, trace.ErrNoReceiverReport)
 	// Report from a node the analyst does not control.
-	mt := &trace.MessageTrace{ReceiverSeen: true, ReceiverPred: 5,
-		Reports: []trace.Tuple{{Time: 1, Observer: 9, Pred: 3, Succ: 5}}}
-	if _, err := a.Classify(mt); !errors.Is(err, adversary.ErrCorruptTrace) {
-		t.Errorf("foreign agent err = %v", err)
-	}
+	check("foreign agent", &trace.MessageTrace{ReceiverSeen: true, ReceiverPred: 5,
+		Reports: []trace.Tuple{{Time: 1, Observer: 9, Pred: 3, Succ: 5}}}, adversary.ErrCorruptTrace)
 	// Cyclic route: same observer twice.
-	mt = &trace.MessageTrace{ReceiverSeen: true, ReceiverPred: 5, Reports: []trace.Tuple{
+	check("cycle", &trace.MessageTrace{ReceiverSeen: true, ReceiverPred: 5, Reports: []trace.Tuple{
 		{Time: 1, Observer: 0, Pred: 3, Succ: 4},
 		{Time: 2, Observer: 0, Pred: 4, Succ: 5},
-	}}
-	if _, err := a.Classify(mt); !errors.Is(err, adversary.ErrModelMismatch) {
-		t.Errorf("cycle err = %v", err)
-	}
+	}}, adversary.ErrModelMismatch)
 	// Broken run linkage: succ says adjacent but pred disagrees.
-	mt = &trace.MessageTrace{ReceiverSeen: true, ReceiverPred: 5, Reports: []trace.Tuple{
+	check("broken linkage", &trace.MessageTrace{ReceiverSeen: true, ReceiverPred: 5, Reports: []trace.Tuple{
 		{Time: 1, Observer: 0, Pred: 3, Succ: 1},
 		{Time: 2, Observer: 1, Pred: 4, Succ: 5},
-	}}
-	if _, err := a.Classify(mt); !errors.Is(err, adversary.ErrCorruptTrace) {
-		t.Errorf("broken linkage err = %v", err)
-	}
+	}}, adversary.ErrCorruptTrace)
 }
 
 // TestIdentifiedObservations: a compromised node that originates a message
 // betrays itself — either the receiver's predecessor is a silent
 // compromised node (direct send) or the first run's predecessor is one of
-// the adversary's own nodes.
+// the adversary's own nodes. The posterior is then a point mass on it, and
+// the entropy is zero.
 func TestIdentifiedObservations(t *testing.T) {
 	a := analyst(t, 12, []trace.NodeID{0, 1}, uniform(t, 0, 6))
+	var sc adversary.Scratch
+	identified := func(name string, mt *trace.MessageTrace, sender trace.NodeID) {
+		t.Helper()
+		post, err := a.Posterior(mt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if post.Candidate != sender || post.P[sender] != 1 || post.H != 0 || post.Alpha != 1 {
+			t.Errorf("%s: posterior = %+v", name, post)
+		}
+		if h, err := a.EntropyScratch(mt, &sc); err != nil || h != 0 {
+			t.Errorf("%s: EntropyScratch = %v, %v", name, h, err)
+		}
+	}
 	// Direct send by compromised node 0: receiver reports pred 0, no
 	// relay reports.
-	mt := &trace.MessageTrace{ReceiverSeen: true, ReceiverPred: 0}
-	obs, err := a.Classify(mt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !obs.Identified || obs.Candidate != 0 {
-		t.Errorf("direct compromised send: %+v", obs)
-	}
-	post, err := a.Posterior(mt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if post.P[0] != 1 || post.H != 0 || post.Alpha != 1 {
-		t.Errorf("posterior = %+v", post)
-	}
+	identified("direct compromised send", &trace.MessageTrace{ReceiverSeen: true, ReceiverPred: 0}, 0)
 	// Compromised node 0 sends via compromised first hop 1: node 1's
 	// report names 0 as predecessor, but 0 filed no relay report.
-	mt2 := montecarlo.Synthesize(2, 0, []trace.NodeID{1, 7}, a.Compromised)
-	obs2, err := a.Classify(mt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !obs2.Identified || obs2.Candidate != 0 {
-		t.Errorf("compromised origin via compromised hop: %+v", obs2)
-	}
-	post2, err := a.Posterior(mt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if post2.P[0] != 1 || post2.H != 0 {
-		t.Errorf("posterior = %+v", post2)
-	}
+	identified("compromised origin via compromised hop",
+		montecarlo.Synthesize(2, 0, []trace.NodeID{1, 7}, a.Compromised), 0)
 	// Honest traces must never be marked identified.
 	mt3 := montecarlo.Synthesize(3, 5, []trace.NodeID{1, 7}, a.Compromised)
-	obs3, err := a.Classify(mt3)
+	post, err := a.Posterior(mt3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs3.Identified {
-		t.Errorf("honest trace marked identified: %+v", obs3)
+	h, err := a.EntropyScratch(mt3, &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if post.Candidate != 5 || post.Alpha >= 1 || post.H <= 0 || h <= 0 {
+		t.Errorf("honest trace identified: posterior %+v, EntropyScratch %v", post, h)
 	}
 }
 

@@ -2,52 +2,37 @@ package adversary
 
 // The path route: the sampling backends know each message's rerouting
 // path, so they need not write the trace the compromised nodes would file
-// and walk it back into a Class. One pass over the path against the
-// compromised bitset counts what ClassifyScratch would reconstruct from
-// that trace — the compromised hops, the one-node and wider junctions
-// between their runs, the tail gap, and the witnessed identities — and
-// the statistics table serves the class's shape from those counts. Every
-// sampled session folds this way, in the dense node space of the
-// accumulator's selected phase. The trace route stays for everything that
-// starts from reports: the testbed's collected traces and the partial
-// traces of failed deliveries.
+// and read it back. One pass over the path against the compromised bitset
+// counts the view the trace route (scratch.go) would read from that trace
+// — the compromised hops, the one-node and wider junctions between their
+// runs, the tail gap, and the witnessed identities — and the statistics
+// table serves the class's shape from those counts, as it does for the
+// trace route. Every sampled session folds this way, in the dense node
+// space of the accumulator's selected phase.
 
 import (
-	"fmt"
-
 	"anonmix/internal/events"
 	"anonmix/internal/trace"
 )
 
-// pathView is ClassifyScratch's view of the trace a path would produce,
-// counted from the path itself.
-type pathView struct {
-	k, one, wide int // compromised hops, one-node and wider junctions
-	tail         events.TailFlag
-	witnesses    int // witnessed identities, the candidate included
-	candidate    trace.NodeID
-	identified   bool
-}
-
 // witness counts id as witnessed and, when sc is non-nil, appends it to
 // sc.witnessed.
-func (v *pathView) witness(sc *Scratch, id trace.NodeID) {
+func (v *view) witness(sc *Scratch, id trace.NodeID) {
 	v.witnesses++
 	if sc != nil {
 		sc.witnessed = append(sc.witnessed, id)
 	}
 }
 
-// walkPath classifies the message sender sends over path in one pass.
-// The path must be simple and must not contain the sender; the witnesses
-// are then distinct, and it yields the candidate, identification, counts
-// and witnesses that ClassifyScratch yields for the path's synthesized
-// trace. IDs outside [0, N) count as honest, as Compromised reports them.
-// When sc is non-nil the witnesses are appended to sc.witnessed in
-// ClassifyScratch's order — junction witnesses along the path, then tail
-// witnesses, then the candidate — which the fold's elimination order
-// depends on.
-func (a *Analyst) walkPath(sender trace.NodeID, path []trace.NodeID, sc *Scratch) (v pathView) {
+// walkPath reads the view of the message sender sends over path in one
+// pass. The path must be simple and must not contain the sender; the
+// witnesses are then distinct and, unless the view is identified, honest,
+// and it yields the view classify yields for the path's synthesized trace.
+// IDs outside [0, N) count as honest, as Compromised reports them. When sc
+// is non-nil the witnesses are appended to sc.witnessed in classify's
+// order — junction witnesses along the path, then tail witnesses, then
+// the candidate — which the fold's elimination order depends on.
+func (a *Analyst) walkPath(sender trace.NodeID, path []trace.NodeID, sc *Scratch) (v view) {
 	if sc != nil {
 		sc.witnessed = sc.witnessed[:0]
 	}
@@ -110,8 +95,8 @@ func (a *Analyst) walkPath(sender trace.NodeID, path []trace.NodeID, sc *Scratch
 }
 
 // PathEntropy is EntropyScratch for the trace that sender's message over
-// path would produce, computed from the path without building the trace
-// or its Class. The path must be simple and must not contain the sender:
+// path would produce, computed from the path without building the trace.
+// The path must be simple and must not contain the sender:
 // pathsel guarantees both for Simple strategies, and the scenario layer's
 // Monte-Carlo drivers refuse Complicated ones. On such
 // a path the result and the error class are EntropyScratch's bit for bit,
@@ -128,29 +113,18 @@ func (a *Analyst) PathEntropy(sender trace.NodeID, path []trace.NodeID) (float64
 		return 0, err
 	}
 	if r := a.engine.N() - a.engine.C() - v.witnesses; r != rest {
-		return 0, fmt.Errorf("%w: %d slab candidates reconstructed, engine expects %d",
-			ErrCorruptTrace, r, rest)
+		return 0, slabMismatch(r, rest)
 	}
 	return h, nil
 }
 
 // ObservePath is ObserveScratch for the trace that sender's message over
-// path would produce, folded from the path without building the trace or
-// its Class; sender and path are in the selected phase's dense node
-// space, and sc holds the witnessed identities. Its contract is
-// PathEntropy's: on a simple path without the sender the accumulator ends
-// in the state ObserveScratch would leave, bit for bit, and on error it is
-// unchanged.
+// path would produce, folded from the path without building the trace;
+// sender and path are in the selected phase's dense node space, and sc
+// holds the witnessed identities. Its contract is PathEntropy's: on a
+// simple path without the sender the accumulator ends in the state
+// ObserveScratch would leave, bit for bit, and on error it is unchanged.
 func (acc *Accumulator) ObservePath(sender trace.NodeID, path []trace.NodeID, sc *Scratch) error {
-	a := acc.analyst
-	v := a.walkPath(sender, path, sc)
-	if v.identified {
-		acc.identify(acc.union(v.candidate))
-		return nil
-	}
-	alpha, rest, _, err := a.stats.ShapeStats(v.k, v.one, v.wide, v.tail)
-	if err != nil {
-		return err
-	}
-	return acc.fold(a, v.candidate, sc.witnessed, alpha, rest)
+	v := acc.analyst.walkPath(sender, path, sc)
+	return acc.fold(acc.analyst, &v, sc)
 }

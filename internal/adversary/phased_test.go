@@ -8,30 +8,9 @@ import (
 	"anonmix/internal/adversary"
 	"anonmix/internal/dist"
 	"anonmix/internal/events"
+	"anonmix/internal/montecarlo"
 	"anonmix/internal/trace"
 )
-
-// synthesize builds the trace of a concrete path (a local copy of
-// montecarlo.Synthesize, which would import-cycle through scenario).
-func synthesize(msg trace.MessageID, sender trace.NodeID, path []trace.NodeID,
-	compromised func(trace.NodeID) bool) *trace.MessageTrace {
-	mt := &trace.MessageTrace{Msg: msg, ReceiverSeen: true}
-	prev := sender
-	for i, hop := range path {
-		if compromised(hop) {
-			succ := trace.Receiver
-			if i+1 < len(path) {
-				succ = path[i+1]
-			}
-			mt.Reports = append(mt.Reports, trace.Tuple{
-				Time: uint64(i + 1), Observer: hop, Msg: msg, Pred: prev, Succ: succ,
-			})
-		}
-		prev = hop
-	}
-	mt.ReceiverPred = prev
-	return mt
-}
 
 // TestPhasedMatchesStatic: with a static population — one phase, or two
 // phases under the same analyst, whose live lists spell the identity out
@@ -56,6 +35,7 @@ func TestPhasedMatchesStatic(t *testing.T) {
 		identity[i] = trace.NodeID(i)
 	}
 	paths := [][]trace.NodeID{{3, 2, 8}, {7, 1}, {4}, {2, 9, 7, 6}}
+	var sc adversary.Scratch
 	for _, phases := range []int{1, 2} {
 		static, err := adversary.NewAccumulator(analyst)
 		if err != nil {
@@ -73,11 +53,11 @@ func TestPhasedMatchesStatic(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			mt := synthesize(trace.MessageID(r+1), 5, path, analyst.Compromised)
-			if err := static.Observe(mt); err != nil {
+			mt := montecarlo.Synthesize(trace.MessageID(r+1), 5, path, analyst.Compromised)
+			if err := static.ObserveScratch(mt, &sc); err != nil {
 				t.Fatal(err)
 			}
-			if err := phased.Observe(mt); err != nil {
+			if err := phased.ObserveScratch(mt, &sc); err != nil {
 				t.Fatal(err)
 			}
 			hs, topS, massS, err := static.SnapshotFast()
@@ -127,7 +107,8 @@ func TestPhasedEliminatesAbsentMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Round 1 in phase A: dense sender 0, path through honest nodes only.
-	if err := acc.Observe(synthesize(1, 0, []trace.NodeID{2, 3}, analystA.Compromised)); err != nil {
+	var sc adversary.Scratch
+	if err := acc.ObserveScratch(montecarlo.Synthesize(1, 0, []trace.NodeID{2, 3}, analystA.Compromised), &sc); err != nil {
 		t.Fatal(err)
 	}
 	post, err := acc.Posterior()
@@ -141,7 +122,7 @@ func TestPhasedEliminatesAbsentMembers(t *testing.T) {
 	if err := acc.SetPhase(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := acc.Observe(synthesize(2, 0, []trace.NodeID{2, 3}, analystB.Compromised)); err != nil {
+	if err := acc.ObserveScratch(montecarlo.Synthesize(2, 0, []trace.NodeID{2, 3}, analystB.Compromised), &sc); err != nil {
 		t.Fatal(err)
 	}
 	post, err = acc.Posterior()
@@ -210,7 +191,8 @@ func TestPhasedValidation(t *testing.T) {
 	if err := acc.SetPhase(1); !errors.Is(err, adversary.ErrBadConfig) {
 		t.Errorf("phase 1 before a round of phase 0: err = %v", err)
 	}
-	if err := acc.Observe(synthesize(1, 0, []trace.NodeID{2}, a.Compromised)); err != nil {
+	var sc adversary.Scratch
+	if err := acc.ObserveScratch(montecarlo.Synthesize(1, 0, []trace.NodeID{2}, a.Compromised), &sc); err != nil {
 		t.Fatal(err)
 	}
 	if err := acc.SetPhase(2); !errors.Is(err, adversary.ErrBadConfig) {
@@ -251,7 +233,6 @@ func TestPhasedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sc adversary.Scratch
 	partial := &trace.MessageTrace{Msg: 1}
 	if err := acc.FoldObservation(aU, partial, &sc); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,9 @@
 package adversary_test
 
-// Tests of the uncompromised-receiver adversary and the O(1) Entropy fast
-// path: classification must ignore receiver fields, collapse tails into
-// TailUnobserved, and Entropy must agree with the full Posterior.
+// Tests of the uncompromised-receiver adversary and the O(reports)
+// EntropyScratch, which must agree with the full Posterior. The
+// classification of receiver fields and collapsed tails is checked in
+// package (classify_test.go).
 
 import (
 	"math"
@@ -49,78 +50,13 @@ func TestUncompromisedReceiverEmptyTrace(t *testing.T) {
 			t.Errorf("node %d mass %v", id, p)
 		}
 	}
-	h, err := a.Entropy(&trace.MessageTrace{})
+	var sc adversary.Scratch
+	h, err := a.EntropyScratch(&trace.MessageTrace{}, &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(h-post.H) > 1e-12 {
-		t.Errorf("Entropy = %v, Posterior.H = %v", h, post.H)
-	}
-}
-
-func TestUncompromisedReceiverTailCollapse(t *testing.T) {
-	comp := []trace.NodeID{0, 1}
-	a := uncompAnalyst(t, 12, comp)
-
-	// Path 5 → 0 → 7 → R: node 0 reports (pred 5, succ 7); the receiver
-	// stays silent, so the tail is unobservable (could be one hop or many).
-	mt := synth(5, []trace.NodeID{0, 7}, comp...)
-	mt.ReceiverSeen = false // the network's receiver tap is not available
-	obs, err := a.Classify(mt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obs.Class.Tail != events.TailUnobserved {
-		t.Errorf("tail = %v, want TailUnobserved", obs.Class.Tail)
-	}
-	if !obs.Witnessed[7] || !obs.Witnessed[5] {
-		t.Errorf("witnessed = %v, want {5, 7}", obs.Witnessed)
-	}
-
-	// Path 5 → 0 → R: the run's successor IS the receiver — observable.
-	mt = synth(2, []trace.NodeID{0}, comp...)
-	mt.ReceiverSeen = false
-	obs, err = a.Classify(mt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obs.Class.Tail != events.TailZero {
-		t.Errorf("tail = %v, want TailZero", obs.Class.Tail)
-	}
-}
-
-// TestUncompromisedReceiverIgnoresReceiverFields: the same trace with and
-// without receiver fields must classify identically — the adversary does
-// not have the receiver's report even when the testbed recorded one.
-func TestUncompromisedReceiverIgnoresReceiverFields(t *testing.T) {
-	comp := []trace.NodeID{0, 1}
-	a := uncompAnalyst(t, 12, comp)
-	with := synth(5, []trace.NodeID{0, 7, 9}, comp...) // ReceiverSeen = true
-	without := synth(5, []trace.NodeID{0, 7, 9}, comp...)
-	without.ReceiverSeen = false
-	without.ReceiverPred = 0
-
-	o1, err := a.Classify(with)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, err := a.Classify(without)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o1.Class.String() != o2.Class.String() || o1.Candidate != o2.Candidate {
-		t.Errorf("classifications diverge: %+v vs %+v", o1, o2)
-	}
-	h1, err := a.Entropy(with)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := a.Posterior(without)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(h1-p2.H) > 1e-12 {
-		t.Errorf("Entropy %v != Posterior.H %v", h1, p2.H)
+		t.Errorf("EntropyScratch = %v, Posterior.H = %v", h, post.H)
 	}
 }
 
@@ -140,18 +76,19 @@ func TestEntropyMatchesPosterior(t *testing.T) {
 		{9, 10, 11},
 		{2, 7, 9, 5},
 	}
+	var sc adversary.Scratch
 	for _, p := range paths {
 		mt := synth(4, p, comp...)
 		post, err := a.Posterior(mt)
 		if err != nil {
 			t.Fatalf("path %v: %v", p, err)
 		}
-		h, err := a.Entropy(mt)
+		h, err := a.EntropyScratch(mt, &sc)
 		if err != nil {
 			t.Fatalf("path %v: %v", p, err)
 		}
 		if math.Abs(h-post.H) > 1e-9 {
-			t.Errorf("path %v: Entropy %v, Posterior.H %v", p, h, post.H)
+			t.Errorf("path %v: EntropyScratch %v, Posterior.H %v", p, h, post.H)
 		}
 	}
 }

@@ -1,17 +1,19 @@
 package adversary
 
-// The zero-allocation analysis fast path. Classify and Posterior allocate
-// a map, two class slices, and an N-vector per message — fine for
-// one-off queries, ruinous inside the estimators' trial loops, which fold
-// tens of thousands of rounds per benchmark op. The Scratch arena plus the
-// *Scratch methods below compute the same classification, the same
-// log-posterior fold, and the same snapshot quantities into reusable
-// buffers. Each worker goroutine owns one Scratch; none of this is safe
-// for concurrent use.
+// The trace route: everything that starts from reports — the testbed's
+// collected traces and the partial traces of failed deliveries — reads
+// them here into the view the path route (path.go) counts straight from a
+// path, and looks the class's shape up in the analyst's statistics table
+// like it. Both routes fold through one step, Accumulator.fold, into
+// reusable buffers: the Scratch below holds the witnessed identities and
+// the observers seen so far, so the steady state allocates nothing. Each
+// worker goroutine owns one Scratch; none of this is safe for concurrent
+// use.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"anonmix/internal/events"
 	"anonmix/internal/trace"
@@ -19,166 +21,156 @@ import (
 
 // Scratch holds the reusable buffers of one worker's analysis loop.
 type Scratch struct {
+	// witnessed lists the distinct identities the last view witnessed, in
+	// the order the fold eliminates them.
 	witnessed []trace.NodeID
-	runs      []int
-	gaps      []events.GapFlag
 	observers []trace.NodeID
 }
 
-// ObservationView is the scratch-backed equivalent of Observation: the
-// Witnessed set is a deduplicated slice and, like the Class slices, points
-// into the Scratch — valid only until the next *Scratch call.
-type ObservationView struct {
-	// Class is the structural signature fed to the Bayesian engine.
-	Class events.Class
-	// Candidate is the node carrying the posterior spike.
-	Candidate trace.NodeID
-	// Witnessed lists the distinct observed uncompromised identities
-	// (candidate included), matching the key set of Observation.Witnessed.
-	Witnessed []trace.NodeID
-	// Identified marks outright deanonymization.
-	Identified bool
-}
-
-// witnessedHas reports membership in the deduplicated witnessed slice; the
-// set is at most a few entries (junction and tail witnesses), so a linear
-// scan beats any hashed structure.
-func (sc *Scratch) witnessedHas(id trace.NodeID) bool {
-	for _, w := range sc.witnessed {
-		if w == id {
-			return true
-		}
-	}
-	return false
-}
-
+// addWitness appends id to the witnessed list unless it is already there;
+// the list is at most a few entries (junction and tail witnesses), so a
+// linear scan beats any hashed structure.
 func (sc *Scratch) addWitness(id trace.NodeID) {
-	if !sc.witnessedHas(id) {
+	if !slices.Contains(sc.witnessed, id) {
 		sc.witnessed = append(sc.witnessed, id)
 	}
 }
 
-// ClassifyScratch is Classify without allocation: same validation, same
-// class reconstruction, same witness set (as a slice), into sc's buffers.
-func (a *Analyst) ClassifyScratch(mt *trace.MessageTrace, sc *Scratch) (ObservationView, error) {
+// classify reads one message trace into its view, with the distinct
+// witnesses in sc.witnessed in walkPath's order — junction witnesses in
+// report order, then tail witnesses, then the candidate — which the
+// fold's elimination order depends on. With a compromised receiver (the
+// paper's default) traces missing the receiver report are rejected; with
+// an uncompromised-receiver engine the receiver fields of the trace are
+// ignored — the adversary does not have them — and the tail is classified
+// from run-successor adjacency alone (events.TailUnobserved).
+func (a *Analyst) classify(mt *trace.MessageTrace, sc *Scratch) (view, error) {
 	if mt == nil {
-		return ObservationView{}, fmt.Errorf("%w: nil trace", ErrCorruptTrace)
+		return view{}, fmt.Errorf("%w: nil trace", ErrCorruptTrace)
 	}
 	receiver := a.engine.ReceiverCompromised()
 	if receiver && !mt.ReceiverSeen {
-		return ObservationView{}, trace.ErrNoReceiverReport
+		return view{}, trace.ErrNoReceiverReport
 	}
 	sc.witnessed = sc.witnessed[:0]
-	sc.runs = sc.runs[:0]
-	sc.gaps = sc.gaps[:0]
 	sc.observers = sc.observers[:0]
-	var obs ObservationView
+	var v view
 	if len(mt.Reports) == 0 {
 		if !receiver {
-			obs.Candidate = trace.Receiver
-			return obs, nil
+			// No compromised node on the path and no receiver report: the
+			// adversary observes nothing. The posterior is uniform over
+			// the uncompromised nodes (the empty class of the
+			// uncompromised-receiver engine); there is no candidate.
+			v.candidate = trace.Receiver
+			return v, nil
 		}
-		obs.Candidate = mt.ReceiverPred
+		// A compromised relay would have reported; a silent compromised
+		// predecessor must be the sender (direct send by one of the
+		// adversary's own nodes).
+		v.candidate = mt.ReceiverPred
 		sc.addWitness(mt.ReceiverPred)
-		obs.Witnessed = sc.witnessed
-		obs.Identified = a.Compromised(mt.ReceiverPred)
-		return obs, nil
-	}
-
-	for i := range mt.Reports {
-		r := &mt.Reports[i]
-		if !a.Compromised(r.Observer) {
-			return ObservationView{}, fmt.Errorf("%w: report from unknown agent %v", ErrCorruptTrace, r.Observer)
-		}
-		for _, o := range sc.observers {
-			if o == r.Observer {
-				return ObservationView{}, fmt.Errorf("%w: node %v observed twice (cyclic route?)", ErrModelMismatch, r.Observer)
+	} else {
+		for i := range mt.Reports {
+			r := &mt.Reports[i]
+			if !a.Compromised(r.Observer) {
+				return view{}, fmt.Errorf("%w: report from unknown agent %v", ErrCorruptTrace, r.Observer)
+			}
+			if slices.Contains(sc.observers, r.Observer) {
+				return view{}, fmt.Errorf("%w: node %v observed twice (cyclic route?)", ErrModelMismatch, r.Observer)
+			}
+			sc.observers = append(sc.observers, r.Observer)
+			v.k++
+			if i == 0 {
+				v.candidate = r.Pred
+				continue
+			}
+			prev := &mt.Reports[i-1]
+			switch {
+			case prev.Succ == r.Observer:
+				// Adjacent compromised nodes: the run continues.
+				// Cross-check the complementary pointer.
+				if r.Pred != prev.Observer {
+					return view{}, fmt.Errorf("%w: run linkage broken between %v and %v",
+						ErrCorruptTrace, prev.Observer, r.Observer)
+				}
+			case prev.Succ == r.Pred:
+				// One uncompromised witness bridges the runs.
+				v.one++
+				sc.addWitness(r.Pred)
+			default:
+				// At least two hidden nodes: both endpoints witnessed.
+				v.wide++
+				sc.addWitness(prev.Succ)
+				sc.addWitness(r.Pred)
 			}
 		}
-		sc.observers = append(sc.observers, r.Observer)
-		if i == 0 {
-			obs.Candidate = r.Pred
-			sc.runs = append(sc.runs, 1)
-			continue
-		}
-		prev := &mt.Reports[i-1]
+		last := &mt.Reports[len(mt.Reports)-1]
 		switch {
-		case prev.Succ == r.Observer:
-			if r.Pred != prev.Observer {
-				return ObservationView{}, fmt.Errorf("%w: run linkage broken between %v and %v",
-					ErrCorruptTrace, prev.Observer, r.Observer)
-			}
-			sc.runs[len(sc.runs)-1]++
-		case prev.Succ == r.Pred:
-			sc.runs = append(sc.runs, 1)
-			sc.gaps = append(sc.gaps, events.GapOne)
-			sc.addWitness(r.Pred)
+		case last.Succ == trace.Receiver:
+			v.tail = events.TailZero
+		case !receiver:
+			// Without the receiver's report only "last run forwarded
+			// straight to the receiver" (TailZero above) is
+			// distinguishable; any other tail collapses into
+			// TailUnobserved, with the run's successor as its single
+			// witnessed identity.
+			v.tail = events.TailUnobserved
+			sc.addWitness(last.Succ)
+		case last.Succ == mt.ReceiverPred:
+			v.tail = events.TailOne
+			sc.addWitness(last.Succ)
 		default:
-			sc.runs = append(sc.runs, 1)
-			sc.gaps = append(sc.gaps, events.GapWide)
-			sc.addWitness(prev.Succ)
-			sc.addWitness(r.Pred)
+			v.tail = events.TailWide
+			sc.addWitness(last.Succ)
+			sc.addWitness(mt.ReceiverPred)
+		}
+		sc.addWitness(v.candidate)
+	}
+	// Only honest witnesses shrink the slab beyond the adversary's own
+	// nodes. A complete trace never witnesses a compromised node (it would
+	// have filed a report), but a partial trace's lost-link target can be
+	// compromised: the transmitter names the node it was sending toward
+	// when the message was dropped. Posterior's set-difference slab
+	// handles the overlap implicitly; the arithmetic cross-checks of the
+	// slab count discount it here.
+	for _, id := range sc.witnessed {
+		if !a.Compromised(id) {
+			v.witnesses++
 		}
 	}
-	last := &mt.Reports[len(mt.Reports)-1]
-	var tail events.TailFlag
-	switch {
-	case last.Succ == trace.Receiver:
-		tail = events.TailZero
-	case !receiver:
-		tail = events.TailUnobserved
-		sc.addWitness(last.Succ)
-	case last.Succ == mt.ReceiverPred:
-		tail = events.TailOne
-		sc.addWitness(last.Succ)
-	default:
-		tail = events.TailWide
-		sc.addWitness(last.Succ)
-		sc.addWitness(mt.ReceiverPred)
-	}
-	sc.addWitness(obs.Candidate)
-	obs.Witnessed = sc.witnessed
-	obs.Class = events.Class{Runs: sc.runs, Gaps: sc.gaps, Tail: tail}
-	obs.Identified = a.Compromised(obs.Candidate)
-	return obs, nil
+	v.identified = a.Compromised(v.candidate)
+	return v, nil
 }
 
-// EntropyScratch is Entropy without allocation: the O(reports) single-shot
-// entropy of one message trace, via sc's buffers.
+// EntropyScratch returns the posterior entropy (bits) of one message trace
+// without materializing the N-entry posterior vector: it classifies the
+// trace into sc's buffers, looks its shape up, and cross-checks the slab
+// count against the honest witnesses arithmetically. Cost is O(reports)
+// rather than O(N), which is what makes adversarial analysis of
+// million-node testbed runs affordable. The value equals Posterior(mt).H
+// up to floating-point association order.
 func (a *Analyst) EntropyScratch(mt *trace.MessageTrace, sc *Scratch) (float64, error) {
-	obs, err := a.ClassifyScratch(mt, sc)
+	v, err := a.classify(mt, sc)
 	if err != nil {
 		return 0, err
 	}
-	if obs.Identified {
+	if v.identified {
 		return 0, nil
 	}
-	st, err := a.stats.StatsFor(obs.Class)
+	_, rest, h, err := a.stats.ShapeStats(v.k, v.one, v.wide, v.tail)
 	if err != nil {
 		return 0, err
 	}
-	if rest := a.engine.N() - a.engine.C() - a.honestWitnessed(obs.Witnessed); rest != st.Rest {
-		return 0, fmt.Errorf("%w: %d slab candidates reconstructed, engine expects %d",
-			ErrCorruptTrace, rest, st.Rest)
+	if r := a.engine.N() - a.engine.C() - v.witnesses; r != rest {
+		return 0, slabMismatch(r, rest)
 	}
-	return st.H, nil
+	return h, nil
 }
 
-// honestWitnessed counts the witnessed identities outside the compromised
-// set — the ones that shrink the slab beyond the adversary's own nodes. A
-// complete trace never witnesses a compromised node (it would have filed a
-// report), but a partial trace's lost-link target can be compromised: the
-// transmitter names the node it was sending toward when the message was
-// dropped. Posterior's set-difference slab construction handles the overlap
-// implicitly; the arithmetic cross-checks must discount it explicitly.
-func (a *Analyst) honestWitnessed(witnessed []trace.NodeID) int {
-	w := 0
-	for _, id := range witnessed {
-		if !a.Compromised(id) {
-			w++
-		}
-	}
-	return w
+// slabMismatch reports a view whose witnesses leave r slab nodes where the
+// class's statistics expect rest.
+func slabMismatch(r, rest int) error {
+	return fmt.Errorf("%w: %d slab candidates reconstructed, engine expects %d", ErrCorruptTrace, r, rest)
 }
 
 // Reset rewinds the accumulator to the uniform prior, in phase 0, so
@@ -248,38 +240,40 @@ func (acc *Accumulator) sharesCompromised(a *Analyst) bool {
 	return true
 }
 
-// foldObservation classifies mt under analyst a and folds the resulting
-// spike/slab posterior into the joint log-posterior.
+// foldObservation classifies mt under analyst a and folds its view.
 func (acc *Accumulator) foldObservation(a *Analyst, mt *trace.MessageTrace, sc *Scratch) error {
-	obs, err := a.ClassifyScratch(mt, sc)
+	v, err := a.classify(mt, sc)
 	if err != nil {
 		return err
 	}
-	if obs.Identified {
-		acc.identify(acc.union(obs.Candidate))
-		return nil
-	}
-	st, err := a.stats.StatsFor(obs.Class)
-	if err != nil {
-		return err
-	}
-	return acc.fold(a, obs.Candidate, obs.Witnessed, st.Alpha, st.Rest)
+	return acc.fold(a, &v, sc)
 }
 
-// fold folds one round's spike/slab posterior under analyst a — mass
-// alpha on candidate, the rest shared by rest slab nodes, in the selected
-// phase's dense space — in the order the dense fold applied it: every
+// fold is the one fold step of both routes: it folds view v of one
+// message under analyst a, with v's witnesses in sc.witnessed, into the
+// joint log-posterior. An identifying view keeps only its candidate.
+// Otherwise the shape's statistics give a spike/slab posterior — mass α
+// on the candidate, the rest shared by the slab, in the selected phase's
+// dense space — which folds in the order the dense fold applied it: every
 // node adds the slab share, then the nodes absent or compromised in the
 // phase and the witnessed nodes drop to −∞, then the candidate takes its
-// old value plus log α. The witnesses are eliminated in list order. It
-// first cross-checks rest against the witnesses and leaves the
-// accumulator unchanged when they disagree.
-func (acc *Accumulator) fold(a *Analyst, candidate trace.NodeID, witnessed []trace.NodeID, alpha float64, rest int) error {
-	n := a.engine.N()
-	if r := n - a.engine.C() - a.honestWitnessed(witnessed); r != rest {
-		return fmt.Errorf("%w: %d slab candidates reconstructed, engine expects %d",
-			ErrCorruptTrace, r, rest)
+// old value plus log α. The witnesses are eliminated in list order. The
+// slab count is cross-checked against v's honest witnesses first; on any
+// error the accumulator is unchanged.
+func (acc *Accumulator) fold(a *Analyst, v *view, sc *Scratch) error {
+	if v.identified {
+		acc.identify(acc.union(v.candidate))
+		return nil
 	}
+	alpha, rest, _, err := a.stats.ShapeStats(v.k, v.one, v.wide, v.tail)
+	if err != nil {
+		return err
+	}
+	n := a.engine.N()
+	if r := n - a.engine.C() - v.witnesses; r != rest {
+		return slabMismatch(r, rest)
+	}
+	candidate := v.candidate
 	candInRange := int(candidate) >= 0 && int(candidate) < n
 	var cand trace.NodeID
 	var candOld float64
@@ -295,7 +289,7 @@ func (acc *Accumulator) fold(a *Analyst, candidate trace.NodeID, witnessed []tra
 	}
 	acc.addAll(logShare)
 	acc.enter()
-	for _, w := range witnessed {
+	for _, w := range sc.witnessed {
 		if w != candidate && int(w) >= 0 && int(w) < n {
 			acc.kill(acc.union(w))
 		}
@@ -317,8 +311,8 @@ func (acc *Accumulator) fold(a *Analyst, candidate trace.NodeID, witnessed []tra
 // m = max log-posterior, S = Σ exp(lᵢ−m), and W = Σ exp(lᵢ−m)·(lᵢ−m), the
 // entropy is (ln S − W/S)/ln 2 and the argmax mass is 1/S; the slab's
 // share of both sums is one term times its node count. The argmax is the
-// lowest-index node of maximal value, as in Snapshot; the values agree
-// with Snapshot up to floating-point association order.
+// lowest-index node of maximal value; the values agree with the entropy,
+// argmax and mass of Posterior up to floating-point association order.
 func (acc *Accumulator) SnapshotFast() (h float64, top trace.NodeID, mass float64, err error) {
 	if acc.rounds == 0 {
 		return 0, 0, 0, ErrNoObservations

@@ -62,48 +62,15 @@ func (f *scratchFixture) nextTrace(t *testing.T, msg trace.MessageID) (*trace.Me
 	return montecarlo.Synthesize(msg, sender, path, f.analyst.Compromised), sender
 }
 
-// TestClassifyScratchEquivalence: over hundreds of random traces the
-// scratch classifier reproduces Classify field for field — class
-// signature, candidate, witnessed set, identification flag.
-func TestClassifyScratchEquivalence(t *testing.T) {
-	f := newScratchFixture(t, 14, []trace.NodeID{0, 1, 5}, 31)
-	var sc adversary.Scratch
-	for i := 0; i < 500; i++ {
-		mt, _ := f.nextTrace(t, trace.MessageID(i+1))
-		want, err := f.analyst.Classify(mt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := f.analyst.ClassifyScratch(mt, &sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Class.String() != want.Class.String() {
-			t.Fatalf("trace %d: class %q vs %q", i, got.Class, want.Class)
-		}
-		if got.Candidate != want.Candidate || got.Identified != want.Identified {
-			t.Fatalf("trace %d: candidate/identified (%v,%v) vs (%v,%v)",
-				i, got.Candidate, got.Identified, want.Candidate, want.Identified)
-		}
-		if len(got.Witnessed) != len(want.Witnessed) {
-			t.Fatalf("trace %d: witnessed %v vs %v", i, got.Witnessed, want.Witnessed)
-		}
-		for _, w := range got.Witnessed {
-			if !want.Witnessed[w] {
-				t.Fatalf("trace %d: scratch witnessed %v, map did not", i, w)
-			}
-		}
-	}
-}
-
-// TestEntropyScratchEquivalence: the scratch single-shot entropy matches
-// Entropy exactly (both read the same memoized engine statistics).
+// TestEntropyScratchEquivalence: over hundreds of random traces the
+// O(reports) single-shot entropy matches the entropy of the materialized
+// posterior vector, whose sum associates differently.
 func TestEntropyScratchEquivalence(t *testing.T) {
 	f := newScratchFixture(t, 14, []trace.NodeID{0, 1, 5}, 32)
 	var sc adversary.Scratch
 	for i := 0; i < 300; i++ {
 		mt, _ := f.nextTrace(t, trace.MessageID(i+1))
-		want, err := f.analyst.Entropy(mt)
+		post, err := f.analyst.Posterior(mt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,8 +78,8 @@ func TestEntropyScratchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Fatalf("trace %d: entropy %v vs %v", i, got, want)
+		if math.Abs(got-post.H) > 1e-12 {
+			t.Fatalf("trace %d: entropy %v vs Posterior.H %v", i, got, post.H)
 		}
 	}
 }

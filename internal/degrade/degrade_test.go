@@ -51,11 +51,8 @@ func TestAccumulatorValidation(t *testing.T) {
 	if _, err := acc.Posterior(); !errors.Is(err, adversary.ErrNoObservations) {
 		t.Errorf("empty posterior err = %v", err)
 	}
-	if _, err := acc.Entropy(); !errors.Is(err, adversary.ErrNoObservations) {
-		t.Errorf("empty entropy err = %v", err)
-	}
-	if _, _, err := acc.Top(); !errors.Is(err, adversary.ErrNoObservations) {
-		t.Errorf("empty top err = %v", err)
+	if _, _, _, err := acc.SnapshotFast(); !errors.Is(err, adversary.ErrNoObservations) {
+		t.Errorf("empty snapshot err = %v", err)
 	}
 	if acc.Rounds() != 0 {
 		t.Errorf("rounds = %d", acc.Rounds())
@@ -85,16 +82,17 @@ func TestAccumulatorConcentratesOnSender(t *testing.T) {
 	sender := trace.NodeID(8)
 	var lastH = math.Inf(1)
 	var sawDrop bool
+	var sc adversary.Scratch
 	for r := 0; r < 200; r++ {
 		path, err := sel.SelectPath(rng, sender)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mt := montecarlo.Synthesize(trace.MessageID(r+1), sender, path, a.Compromised)
-		if err := acc.Observe(mt); err != nil {
+		if err := acc.ObserveScratch(mt, &sc); err != nil {
 			t.Fatal(err)
 		}
-		h, err := acc.Entropy()
+		h, _, _, err := acc.SnapshotFast()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +111,7 @@ func TestAccumulatorConcentratesOnSender(t *testing.T) {
 	if !sawDrop {
 		t.Error("entropy never decreased over 200 rounds")
 	}
-	top, mass, err := acc.Top()
+	_, top, mass, err := acc.SnapshotFast()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,6 @@ var (
 	// ErrInference reports an engine option (inference mode, receiver
 	// assumption) the backend cannot honor.
 	ErrInference = errors.New("inference model not supported by this backend")
-	// ErrScale reports a configuration whose size the backend cannot
-	// handle (e.g. exhaustive enumeration far beyond its class-space cap).
-	ErrScale = errors.New("configuration too large for this backend")
 	// ErrFaults reports a fault-plan element (retry policy, crash
 	// schedule) the backend cannot execute.
 	ErrFaults = errors.New("fault plan not executable on this backend")

@@ -23,11 +23,8 @@ import (
 	"anonmix/internal/scenario/capability"
 )
 
-type exactBackend struct{}
-
-func (exactBackend) Kind() BackendKind { return BackendExact }
-
-func (exactBackend) Run(cfg Config) (Result, error) {
+// runExact runs a normalized config on the exact backend.
+func runExact(cfg Config) (Result, error) {
 	if !analyticProtocol(cfg.Protocol) {
 		return Result{}, capability.Unsupported(string(BackendExact),
 			capability.ErrProtocol, cfg.Protocol.String())
@@ -170,5 +167,3 @@ func runExactTimeline(cfg Config, deliveryRate float64) (Result, error) {
 	}
 	return res, nil
 }
-
-func init() { Register(exactBackend{}) }

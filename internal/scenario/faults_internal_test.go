@@ -55,7 +55,8 @@ func TestFoldDegradedSkipsUnusablePartials(t *testing.T) {
 	}
 	isComp := func(id trace.NodeID) bool { return id < 2 }
 	mt := montecarlo.Synthesize(7, 5, []trace.NodeID{1, 8}, isComp)
-	plain, err := analyst.Entropy(mt)
+	var sc adversary.Scratch
+	plain, err := analyst.EntropyScratch(mt, &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,6 @@ func TestFoldDegradedSkipsUnusablePartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sc adversary.Scratch
 	h, err := foldDegraded(acc, analystU, mt, []*trace.MessageTrace{nil, junk}, &sc)
 	if err != nil {
 		t.Fatal(err)

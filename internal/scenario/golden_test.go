@@ -11,9 +11,6 @@ package scenario_test
 //   - Result.Elapsed, Kernel.Goroutines and Kernel.EventsPerSec read the
 //     wall clock or the process's goroutine count.
 //   - Kernel.Shards follows GOMAXPROCS.
-//   - Kernel.BatchFlushes: repeated runs of one static mix config have
-//     read different threshold-mix flush counts while every other field
-//     repeated. The cause is unverified.
 
 import (
 	"flag"
@@ -39,7 +36,6 @@ var update = flag.Bool("update", false, "regenerate testdata/results.golden")
 var goldenExcluded = map[string]bool{
 	"Elapsed":             true,
 	"Kernel.Shards":       true,
-	"Kernel.BatchFlushes": true,
 	"Kernel.Goroutines":   true,
 	"Kernel.EventsPerSec": true,
 }

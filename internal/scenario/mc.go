@@ -38,11 +38,8 @@ import (
 	"anonmix/internal/trace"
 )
 
-type mcBackend struct{}
-
-func (mcBackend) Kind() BackendKind { return BackendMonteCarlo }
-
-func (mcBackend) Run(cfg Config) (Result, error) {
+// runMonteCarlo runs a normalized config on the Monte-Carlo backend.
+func runMonteCarlo(cfg Config) (Result, error) {
 	if !analyticProtocol(cfg.Protocol) {
 		return Result{}, capability.Unsupported(string(BackendMonteCarlo),
 			capability.ErrProtocol, cfg.Protocol.String())
@@ -499,5 +496,3 @@ func (ar *trialArena) degradedEntropy(sender trace.NodeID, path []trace.NodeID,
 	h, _, _, err := ar.acc.SnapshotFast()
 	return h, err
 }
-
-func init() { Register(mcBackend{}) }

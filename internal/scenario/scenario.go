@@ -12,9 +12,9 @@
 //	        Workload:  scenario.Workload{Messages: 5000, Seed: 1},
 //	})
 //
-// Three backends ship registered: the exact counted-bucket engine
-// (BackendExact), the sampling estimator (BackendMonteCarlo), and the
-// sharded discrete-event testbed (BackendTestbed). All three compute the
+// Run dispatches to one of three backends: the exact counted-bucket
+// engine (BackendExact), the sampling estimator (BackendMonteCarlo), and
+// the sharded discrete-event testbed (BackendTestbed). All three compute the
 // same quantity — the anonymity degree H*(S) of Guan et al. (ICDCS 2002)
 // — so any scenario a backend can express must agree with the others
 // within sampling error; the cross-backend agreement test in this package
@@ -32,9 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"anonmix/internal/dist"
@@ -48,7 +46,7 @@ import (
 // ErrBadConfig reports an inconsistent scenario configuration.
 var ErrBadConfig = errors.New("scenario: invalid configuration")
 
-// ErrUnknownBackend reports a backend kind no registry entry claims.
+// ErrUnknownBackend reports a backend kind other than the built-in ones.
 var ErrUnknownBackend = errors.New("scenario: unknown backend")
 
 // ErrCanceled reports a run aborted by RunContext's context. Returned
@@ -56,10 +54,10 @@ var ErrUnknownBackend = errors.New("scenario: unknown backend")
 // errors.Is matches either vocabulary.
 var ErrCanceled = errors.New("scenario: run canceled")
 
-// BackendKind names a registered backend.
+// BackendKind names a backend.
 type BackendKind string
 
-// The built-in backends.
+// The backends.
 const (
 	// BackendExact is the closed-form counted-bucket engine (package
 	// events): exact H*(S), no sampling error, simple paths only.
@@ -73,6 +71,9 @@ const (
 	BackendTestbed BackendKind = "testbed"
 )
 
+// backendNames lists the backend kinds in error messages.
+const backendNames = "exact, mc, testbed"
+
 // ParseBackend resolves a backend name; it accepts the canonical kinds
 // plus the aliases "montecarlo" and "sim".
 func ParseBackend(s string) (BackendKind, error) {
@@ -84,7 +85,7 @@ func ParseBackend(s string) (BackendKind, error) {
 	case "testbed", "sim":
 		return BackendTestbed, nil
 	default:
-		return "", fmt.Errorf("%w: %q (known: %s)", ErrUnknownBackend, s, backendNames())
+		return "", fmt.Errorf("%w: %q (known: %s)", ErrUnknownBackend, s, backendNames)
 	}
 }
 
@@ -510,72 +511,33 @@ type Result struct {
 	Crowds *CrowdsReport
 }
 
-// Backend executes scenarios. Implementations receive a normalized config:
-// Strategy resolved from its spec, Adversary validated with Count set (an
-// explicit Compromised list copied, a count left a count, whose identities
-// Adversary.nodes builds for the layers that use them), and Backend set to
-// their own kind.
-type Backend interface {
-	// Kind names the backend.
-	Kind() BackendKind
-	// Run executes the scenario or returns a *capability.Error.
-	Run(cfg Config) (Result, error)
-}
-
-var (
-	backendMu sync.RWMutex
-	backends  = map[BackendKind]Backend{}
-)
-
-// Register adds a backend to the registry (later registrations replace
-// earlier ones of the same kind).
-func Register(b Backend) {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	backends[b.Kind()] = b
-}
-
-// Backends lists the registered backend kinds, sorted.
-func Backends() []BackendKind {
-	backendMu.RLock()
-	defer backendMu.RUnlock()
-	out := make([]BackendKind, 0, len(backends))
-	for k := range backends {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func backendNames() string {
-	kinds := Backends()
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		names[i] = string(k)
-	}
-	return strings.Join(names, ", ")
-}
-
 // Run normalizes the configuration and dispatches it to its backend. This
 // is the single entry point every CLI routes through: switching backend,
 // strategy, protocol, or threat model is a field change, not a different
-// code path.
+// code path. A backend (runExact, runMonteCarlo, runTestbed) receives the
+// normalized config: Strategy resolved from its spec, Adversary validated
+// with Count set, and Backend set to its own kind.
 func Run(cfg Config) (Result, error) {
 	norm, err := normalize(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	backendMu.RLock()
-	b, ok := backends[norm.Backend]
-	backendMu.RUnlock()
-	if !ok {
-		return Result{}, fmt.Errorf("%w: %q (known: %s)", ErrUnknownBackend, norm.Backend, backendNames())
+	var run func(Config) (Result, error)
+	switch norm.Backend {
+	case BackendExact:
+		run = runExact
+	case BackendMonteCarlo:
+		run = runMonteCarlo
+	case BackendTestbed:
+		run = runTestbed
+	default:
+		return Result{}, fmt.Errorf("%w: %q (known: %s)", ErrUnknownBackend, norm.Backend, backendNames)
 	}
 	if err := norm.checkCanceled(); err != nil {
 		return Result{}, err
 	}
 	start := time.Now() //anonlint:allow detrand(wall-clock metrics only, never flows into Result)
-	res, err := b.Run(norm)
+	res, err := run(norm)
 	if err != nil {
 		return Result{}, wrapCanceled(&norm, err)
 	}

@@ -406,10 +406,6 @@ func TestParseHelpers(t *testing.T) {
 	if _, err := scenario.ParseProtocol("pigeon"); err == nil {
 		t.Error("bad protocol accepted")
 	}
-	kinds := scenario.Backends()
-	if len(kinds) != 3 {
-		t.Errorf("backends = %v", kinds)
-	}
 }
 
 // TestEngineShared: the process-wide engine cache returns the same engine

@@ -47,11 +47,8 @@ const defaultMixBatch = 8
 // settleTimeout bounds how long a testbed run may take to drain.
 const settleTimeout = 5 * time.Minute
 
-type testbedBackend struct{}
-
-func (testbedBackend) Kind() BackendKind { return BackendTestbed }
-
-func (testbedBackend) Run(cfg Config) (Result, error) {
+// runTestbed runs a normalized config on the testbed backend.
+func runTestbed(cfg Config) (Result, error) {
 	if cfg.Protocol == ProtocolCrowds {
 		if len(cfg.phases) > 0 {
 			// The jondo substrate's predecessor statistics assume a fixed
@@ -807,5 +804,3 @@ func kernelStats(nw *simnet.Network, goroutines int, elapsed time.Duration) *Ker
 	}
 	return k
 }
-
-func init() { Register(testbedBackend{}) }

@@ -7,6 +7,7 @@ package simnet_test
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -374,6 +375,58 @@ func TestBatchingSurvivesSlowInjection(t *testing.T) {
 	if m := nw.Metrics(); m.BatchFlushes > messages/4*2 {
 		t.Errorf("batch flushes = %d, want ≤ %d (mix degenerated to per-packet flushing)",
 			m.BatchFlushes, messages/4*2)
+	}
+}
+
+// TestMixBatchesIgnoreInjectionPace: on one shard, which batch a packet
+// joins is a function of the seed and the traffic, not of how far the
+// shard got through its inbox while injection was still running. The same
+// 500 messages, injected straight through or with a pause after every 5th
+// or 20th injection that lets the kernel catch up, must make the same
+// number of flushes and leave the same reports at the same times.
+func TestMixBatchesIgnoreInjectionPace(t *testing.T) {
+	run := func(pauseEvery int) (uint64, []trace.Tuple) {
+		nw, err := simnet.New(simnet.Config{
+			N:              18,
+			Compromised:    []trace.NodeID{1, 2, 3},
+			BatchThreshold: 8,
+			MaxHopDelay:    3,
+			Shards:         1,
+			Seed:           11,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw.Start()
+		defer nw.Close()
+		route := make([]trace.NodeID, 0, 5)
+		for i := range 500 {
+			// Fixed simple routes of 1 to 5 hops over nodes 1–17.
+			route = route[:0]
+			for j := range 1 + i%5 {
+				route = append(route, trace.NodeID(1+(i+3*j)%17))
+			}
+			if _, err := nw.SendRoute(0, route, nil); err != nil {
+				t.Fatal(err)
+			}
+			if pauseEvery > 0 && (i+1)%pauseEvery == 0 {
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
+		if err := nw.WaitSettled(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		return nw.Metrics().BatchFlushes, nw.Tuples()
+	}
+	flushes, tuples := run(0)
+	for _, every := range []int{5, 20} {
+		f, tp := run(every)
+		if f != flushes {
+			t.Errorf("pause after every %d injections: %d flushes, straight through %d", every, f, flushes)
+		}
+		if !slices.Equal(tp, tuples) {
+			t.Errorf("pause after every %d injections: reports differ from the straight run", every)
+		}
 	}
 }
 

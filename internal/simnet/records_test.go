@@ -145,11 +145,10 @@ var recordCases = []recordCase{
 		},
 	},
 	{
-		// A batch that fills while injection continues takes its members
-		// in the order the shard drains its inbox, which depends on timing.
 		// Here no node ever holds 16 packets, so every batch flushes on
-		// quiescence and the run repeats; the taps still carry each
-		// batch's common release time.
+		// quiescence; the taps still carry each batch's common release
+		// time. Batches that fill while injection continues are pinned by
+		// TestMixBatchesIgnoreInjectionPace.
 		name: "threshold-mix",
 		cfg: func(*testing.T) simnet.Config {
 			return simnet.Config{N: 12, Compromised: []trace.NodeID{1, 2, 3},

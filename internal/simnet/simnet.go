@@ -15,9 +15,11 @@
 // order, because every hop decision (churn, crash, loss, jitter, taps) is
 // a pure function of the event's logical time, and a message's reports
 // land in its own record in hop order, which is time order, so no event
-// has to wait for an older one. A per-shard heap keyed by (time, seq)
-// orders events only for threshold mixes, where a batch's composition is
-// the order packets reach the mix. Memory and goroutine count therefore
+// has to wait for an older one. A per-shard heap keyed by (time, message
+// ID) orders events only for threshold mixes, where a batch's composition
+// is the order packets reach the mix; a mix shard holds back the events
+// at or past the injection clock until injection ends, so its batches do
+// not depend on the pace of injection. Memory and goroutine count therefore
 // scale with the number of in-flight messages, not with N, which makes
 // million-node systems with sparse traffic cheap.
 //
@@ -207,8 +209,8 @@ type Config struct {
 	// shuffles. Per-hop delays (and hence every plain/onion run) are
 	// reproducible for a fixed seed under any shard count; threshold-mix
 	// *batch composition* additionally depends on event arrival order,
-	// which is scheduling-dependent when Shards > 1 — pin Shards to 1 for
-	// bit-reproducible mix experiments.
+	// which is scheduling-dependent when Shards > 1 — pin Shards to 1, and
+	// inject from one goroutine, for bit-reproducible mix experiments.
 	Seed int64
 	// Shards is the number of event-kernel shards (worker goroutines).
 	// Defaults to pool.Workers().
@@ -418,24 +420,24 @@ func (s *boolSched) set(t uint64, v bool) {
 }
 
 // event is one kernel work item: a packet arriving at a node at a logical
-// time. The packet stays in the network's arena, so an event is 32 bytes
-// however large the packet. seq breaks heap ties so a mix shard's
-// processing order is stable.
+// time. The packet stays in the network's arena, so an event is 24 bytes
+// however large the packet.
 type event struct {
 	time uint64
-	seq  uint64
 	node trace.NodeID
 	pkt  *Packet
 }
 
-// eventHeap is a binary min-heap on (time, seq).
+// eventHeap is a binary min-heap on (time, message ID). A message has one
+// event in flight, so that is a total order, and a mix shard's processing
+// order does not depend on when events reached its inbox.
 type eventHeap []event
 
 func (h eventHeap) less(i, j int) bool {
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
 	}
-	return h[i].seq < h[j].seq
+	return h[i].pkt.Msg < h[j].pkt.Msg
 }
 
 func (h *eventHeap) push(ev event) {
@@ -568,7 +570,6 @@ type shard struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	inbox   []event
-	seq     uint64
 	stop    bool
 	flushed bool // a quiescence flush has been requested
 
@@ -897,8 +898,6 @@ func (nw *Network) schedule(ev event) {
 	nw.pending.Add(1)
 	s := nw.shardFor(ev.node)
 	s.mu.Lock()
-	s.seq++
-	ev.seq = s.seq
 	s.inbox = append(s.inbox, ev)
 	s.cond.Signal()
 	s.mu.Unlock()
@@ -943,24 +942,34 @@ func (nw *Network) runShard(s *shard) {
 
 // runMixShard is the shard main loop of a threshold-mix network. A batch's
 // composition is the order packets reach the mix, so batches must fill in
-// arrival-time order: the shard orders its events in a (time, seq) heap and
-// pops one per turn, so that a processed event's successors are merged into
-// the heap before the next pop. On a single shard that makes processing
-// order globally nondecreasing in logical time (every successor's time
-// exceeds its parent's), which is the mix model. Only this goroutine
-// touches the heap.
+// arrival-time order: the shard orders its events in a (time, message ID)
+// heap and pops one per turn, so that a processed event's successors are
+// merged into the heap before the next pop. While injection runs, it pops
+// only events below the injection clock, read under the shard lock before
+// the inbox is taken: every message injected before that reading, by the
+// one goroutine that injects, has its first event in the inbox by then,
+// and a later one starts at or after the clock. On a single shard, which
+// is how the testbed runs mixes, processing order is therefore the
+// (time, message ID) order whatever the pace of injection, and the
+// batches, their flushes and every report are a function of the seed.
+// Only this goroutine touches the heap.
 func (nw *Network) runMixShard(s *shard) {
 	var work []event
 	var h eventHeap
+	// ready reports whether the heap's first event may be processed.
+	ready := func() bool {
+		return len(h) > 0 && (nw.draining.Load() || h[0].time < nw.injTime.Load())
+	}
 	for {
 		s.mu.Lock()
-		for !s.stop && !s.flushed && len(s.inbox) == 0 && len(h) == 0 {
+		for !s.stop && !s.flushed && len(s.inbox) == 0 && !ready() {
 			s.cond.Wait()
 		}
 		if s.stop && len(s.inbox) == 0 && len(h) == 0 {
 			s.mu.Unlock()
 			return
 		}
+		draining, clock := nw.draining.Load(), nw.injTime.Load()
 		flush := s.flushed
 		s.flushed = false
 		work, s.inbox = s.inbox, work[:0]
@@ -970,7 +979,7 @@ func (nw *Network) runMixShard(s *shard) {
 		}
 		clear(work)
 		var ev event
-		popped := len(h) > 0
+		popped := len(h) > 0 && (draining || h[0].time < clock)
 		if popped {
 			ev = h.pop()
 		}
@@ -1018,14 +1027,21 @@ func (nw *Network) requestFlush() {
 	}
 }
 
-// drain marks the end of injection and arms the quiescence flush. The
-// draining store and the pending check cross the eventDone decrement from
-// the other side, so whichever of the two observes the quiescent state
-// fires the flush — it cannot be lost between them.
+// drain marks the end of injection, wakes the mix shards to process the
+// events they held back for the injection clock, and arms the quiescence
+// flush. The draining store and the pending check cross the eventDone
+// decrement from the other side, so whichever of the two observes the
+// quiescent state fires the flush — it cannot be lost between them.
 func (nw *Network) drain() {
 	nw.draining.Store(true)
 	if nw.pending.Load() == 0 && nw.buffered.Load() > 0 {
 		nw.requestFlush()
+		return
+	}
+	for _, s := range nw.shards {
+		s.mu.Lock()
+		s.cond.Signal()
+		s.mu.Unlock()
 	}
 }
 
