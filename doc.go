@@ -18,11 +18,13 @@
 //
 //   - internal/scenario — the unification seam. A Config declares a run
 //     (population N, adversary, strategy, protocol substrate, workload);
-//     scenario.Run(cfg) executes it on any registered Backend: "exact"
+//     scenario.Run(cfg) executes it on one of three backends: "exact"
 //     (closed form), "mc" (sampling estimator), or "testbed" (discrete-
-//     event network simulation). Backends refuse what they cannot express
-//     with a shared capability error type (internal/scenario/capability),
-//     so callers switch backends on errors.Is instead of string-matching.
+//     event network simulation). Run decides what the backends share in
+//     one place: it refuses what the chosen backend cannot express from
+//     one table, with a scenario.CapabilityError, so callers switch
+//     backends on errors.Is instead of string-matching; and it derives
+//     MaxH, Normalized and CI95 from what the backend measured.
 //     The scenario layer also owns the process-wide engine cache; a
 //     cross-backend agreement test pins exact == Monte-Carlo == testbed
 //     within sampling error across strategies and receiver modes.

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"anonmix/internal/scenario"
-	"anonmix/internal/scenario/capability"
 )
 
 // TestCode pins the shared exit-code contract: 0 success, 2 for
@@ -25,7 +24,7 @@ func TestCode(t *testing.T) {
 		{"unknown backend", fmt.Errorf("%w: %q", scenario.ErrUnknownBackend, "x"), 2},
 		{"flag error", Usage(errors.New("flag provided but not defined: -x")), 2},
 		{"help", flag.ErrHelp, 2},
-		{"capability", capability.Unsupported("exact", capability.ErrProtocol, "crowds"), 1},
+		{"capability", &scenario.CapabilityError{Backend: "exact", Reason: scenario.ErrProtocol, Detail: "crowds"}, 1},
 		{"runtime", errors.New("kernel fault"), 1},
 	}
 	for _, tc := range cases {

@@ -18,7 +18,6 @@ import (
 	"anonmix/internal/optimize"
 	"anonmix/internal/pathsel"
 	"anonmix/internal/scenario"
-	"anonmix/internal/scenario/capability"
 	"anonmix/internal/theory"
 	"anonmix/internal/trace"
 )
@@ -83,7 +82,7 @@ func TestAnonymityDegreeRejectsComplicated(t *testing.T) {
 		Strategy:  cr,
 		Adversary: scenario.Adversary{Count: 1},
 	})
-	if !errors.Is(err, capability.ErrComplicatedPaths) {
+	if !errors.Is(err, scenario.ErrComplicatedPaths) {
 		t.Errorf("err = %v, want ErrComplicatedPaths", err)
 	}
 	if err := (pathsel.Strategy{}).Validate(100); !errors.Is(err, pathsel.ErrBadStrategy) {
@@ -259,7 +258,7 @@ func TestCompareStrategiesEstimatesComplicated(t *testing.T) {
 		Strategy:  cr,
 		Adversary: scenario.Adversary{Count: 2},
 	})
-	if !errors.Is(err, capability.ErrComplicatedPaths) {
+	if !errors.Is(err, scenario.ErrComplicatedPaths) {
 		t.Errorf("err = %v", err)
 	}
 	rows := rank(t, e, []pathsel.Strategy{cr, pathsel.Freedom()}, []trace.NodeID{3, 9}, 4000)

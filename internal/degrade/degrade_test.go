@@ -18,7 +18,6 @@ import (
 	"anonmix/internal/montecarlo"
 	"anonmix/internal/pathsel"
 	"anonmix/internal/scenario"
-	"anonmix/internal/scenario/capability"
 	"anonmix/internal/stats"
 	"anonmix/internal/trace"
 )
@@ -170,7 +169,7 @@ func TestRunValidation(t *testing.T) {
 		{"cyclic strategy", func(c *scenario.Config) {
 			c.Protocol = scenario.ProtocolOnion
 			c.Strategy = crowdsStrat
-		}, capability.ErrComplicatedPaths},
+		}, scenario.ErrComplicatedPaths},
 	}
 	for _, tc := range cases {
 		cfg := base

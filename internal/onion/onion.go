@@ -114,64 +114,6 @@ func Build(kr *KeyRing, route []trace.NodeID, payload []byte, rand io.Reader) ([
 	return blob, nil
 }
 
-// BuildPadded is Build with Chaum-style fixed-length payloads: the payload
-// is padded with random bytes to exactly cell bytes inside the innermost
-// layer (the true length travels inside the authenticated header, so the
-// exit node recovers the exact payload). All onions over routes of equal
-// length are therefore byte-identical in size regardless of payload,
-// removing the payload-length side channel. Each layer still adds a
-// constant 56-byte header, so the on-wire size reveals the *remaining* hop
-// count; hiding that requires per-hop re-padding, which the paper's threat
-// model does not demand (the adversary is granted the path-length
-// distribution outright).
-func BuildPadded(kr *KeyRing, route []trace.NodeID, payload []byte, cell int, rand io.Reader) ([]byte, error) {
-	if cell < len(payload) {
-		return nil, fmt.Errorf("%w: payload %d bytes exceeds cell %d", ErrBadRoute, len(payload), cell)
-	}
-	padded := make([]byte, cell)
-	n := copy(padded, payload)
-	if _, err := io.ReadFull(rand, padded[n:]); err != nil {
-		return nil, fmt.Errorf("onion: drawing padding: %w", err)
-	}
-	if len(route) == 0 {
-		// Direct delivery carries the padded cell; the receiver-side
-		// length header is not available without a layer, so the true
-		// payload must fill the cell.
-		if n != cell {
-			return nil, fmt.Errorf("%w: direct padded sends need payload == cell", ErrBadRoute)
-		}
-		return padded, nil
-	}
-	// Seal the exit layer with the true length, then the remaining layers.
-	key, err := kr.Key(route[len(route)-1])
-	if err != nil {
-		return nil, err
-	}
-	blob, err := sealWithLen(key, trace.Receiver, padded, n, rand)
-	if err != nil {
-		return nil, err
-	}
-	next := route[len(route)-1]
-	for i := len(route) - 2; i >= 0; i-- {
-		key, err := kr.Key(route[i])
-		if err != nil {
-			return nil, err
-		}
-		blob, err = seal(key, next, blob, rand)
-		if err != nil {
-			return nil, err
-		}
-		next = route[i]
-	}
-	return blob, nil
-}
-
-// PaddedSize returns the on-wire size of a BuildPadded onion over a route
-// of the given length.
-func PaddedSize(routeLen, cell int) int {
-	return cell + routeLen*(ivSize+macSize+headerLen)
-}
-
 // Peel removes the outermost layer with the given node's key, returning
 // the next hop (trace.Receiver when this node is the exit) and the inner
 // blob (the payload at the exit).
@@ -183,21 +125,12 @@ func Peel(kr *KeyRing, self trace.NodeID, blob []byte) (trace.NodeID, []byte, er
 	return open(key, blob)
 }
 
-// seal encrypts (next, inner) under key with a fresh IV and prepends
-// IV ‖ HMAC(iv ‖ ciphertext).
+// seal encrypts the header (next, len(inner)) and inner under key with a
+// fresh IV and prepends IV ‖ HMAC(iv ‖ ciphertext).
 func seal(key []byte, next trace.NodeID, inner []byte, rand io.Reader) ([]byte, error) {
-	return sealWithLen(key, next, inner, len(inner), rand)
-}
-
-// sealWithLen seals a layer whose carried bytes may exceed the true inner
-// length (trailing padding); open strips the padding via the length field.
-func sealWithLen(key []byte, next trace.NodeID, inner []byte, trueLen int, rand io.Reader) ([]byte, error) {
-	if trueLen < 0 || trueLen > len(inner) {
-		return nil, fmt.Errorf("%w: inner length %d of %d", ErrBadRoute, trueLen, len(inner))
-	}
 	plain := make([]byte, headerLen+len(inner))
 	binary.BigEndian.PutUint32(plain[0:4], uint32(int32(next)))
-	binary.BigEndian.PutUint32(plain[4:8], uint32(trueLen))
+	binary.BigEndian.PutUint32(plain[4:8], uint32(len(inner)))
 	copy(plain[headerLen:], inner)
 
 	iv := make([]byte, ivSize)
@@ -223,7 +156,8 @@ func sealWithLen(key []byte, next trace.NodeID, inner []byte, trueLen int, rand 
 	return out, nil
 }
 
-// open verifies and decrypts one layer.
+// open verifies and decrypts one layer. Blobs come from outside, so it
+// checks the header's inner length against the bytes it carries.
 func open(key, blob []byte) (trace.NodeID, []byte, error) {
 	if len(blob) < ivSize+macSize+headerLen {
 		return 0, nil, ErrTruncated

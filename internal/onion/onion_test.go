@@ -232,3 +232,43 @@ func TestOnionOverTestbed(t *testing.T) {
 		t.Errorf("compromised tap = %+v", r)
 	}
 }
+
+// FuzzBuildPeel exercises the codec with arbitrary payloads and route
+// shapes.
+func FuzzBuildPeel(f *testing.F) {
+	f.Add([]byte("seed"), uint8(3))
+	f.Add([]byte{}, uint8(0))
+	f.Add(bytes.Repeat([]byte{0xFF}, 1024), uint8(7))
+	kr, err := onion.NewKeyRing([]byte("fuzz ring"), 8)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, routeLen uint8) {
+		l := int(routeLen) % 8
+		route := make([]trace.NodeID, l)
+		for i := range route {
+			route[i] = trace.NodeID((i * 3) % 8)
+		}
+		blob, err := onion.Build(kr, route, payload, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, hop := range route {
+			next, inner, err := onion.Peel(kr, hop, blob)
+			if err != nil {
+				t.Fatalf("hop %d: %v", i, err)
+			}
+			if i == len(route)-1 {
+				if next != trace.Receiver {
+					t.Fatalf("exit next = %v", next)
+				}
+			} else if next != route[i+1] {
+				t.Fatalf("hop %d: next %v, want %v", i, next, route[i+1])
+			}
+			blob = inner
+		}
+		if !bytes.Equal(blob, payload) && !(len(blob) == 0 && len(payload) == 0) {
+			t.Fatalf("payload mismatch: %d vs %d bytes", len(blob), len(payload))
+		}
+	})
+}

@@ -7,10 +7,8 @@ package pathsel
 //
 //	name[:arg1,arg2,...]
 //
-// with the arguments parsed by the named entry. The built-in entries cover
-// every preset of §2 of the paper plus the parametric families; packages
-// can Register additional entries (e.g. an optimizer that materializes its
-// output distribution under a name).
+// with the arguments parsed by the named entry. The entries cover every
+// preset of §2 of the paper plus the parametric families.
 
 import (
 	"errors"
@@ -30,18 +28,16 @@ var ErrUnknownStrategy = fmt.Errorf("%w: unknown strategy name", ErrBadStrategy)
 // explicitly; the default keeps short specs like "crowds:0.75" usable.
 const DefaultGeometricMax = 20
 
-// Parser builds a strategy from the comma-separated argument list of a
-// spec (already split from the name; empty when the spec had no colon).
-type Parser func(args []string) (Strategy, error)
-
 // Entry describes one registered strategy family.
 type Entry struct {
 	// Name is the spec prefix, lower-case ("crowds", "uniform").
 	Name string
 	// Usage documents the argument list ("crowds:pf[,maxLen]").
 	Usage string
-	// Parse builds the strategy.
-	Parse Parser
+	// Parse builds the strategy from the comma-separated argument list of
+	// a spec (already split from the name; empty when the spec had no
+	// colon).
+	Parse func(args []string) (Strategy, error)
 }
 
 // Bounds of the parsed-spec memo. Specs can come from clients (anond
@@ -55,33 +51,16 @@ const (
 )
 
 var (
-	regMu    sync.RWMutex
+	// registry maps an entry's name to the entry. init fills it, and it is
+	// read-only after, so readers take no lock.
 	registry = map[string]Entry{}
-	// memo maps a spec string to its successful parse. regGen counts
-	// Register calls, so a parse that raced one is not memoized.
+	// memo maps a spec string to its successful parse, under memoMu.
+	memoMu sync.RWMutex
 	memo   = map[string]Strategy{}
-	regGen uint64
 )
-
-// Register adds (or replaces) a registry entry. The name is matched
-// case-insensitively at lookup. It clears the parsed-spec memo, so a
-// memoized spec resolves through the new entry.
-func Register(e Entry) error {
-	if e.Name == "" || e.Parse == nil {
-		return fmt.Errorf("%w: registry entry needs a name and a parser", ErrBadStrategy)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[strings.ToLower(e.Name)] = e
-	clear(memo)
-	regGen++
-	return nil
-}
 
 // Specs lists the registered entries sorted by name, for -help output.
 func Specs() []Entry {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	out := make([]Entry, 0, len(registry))
 	for _, e := range registry {
 		out = append(out, e)
@@ -97,10 +76,9 @@ func Specs() []Entry {
 // the strategy its first parse built; failed specs are parsed again on
 // every call.
 func Lookup(spec string) (Strategy, error) {
-	regMu.RLock()
+	memoMu.RLock()
 	s, ok := memo[spec]
-	gen := regGen
-	regMu.RUnlock()
+	memoMu.RUnlock()
 	if ok {
 		return s, nil
 	}
@@ -108,14 +86,12 @@ func Lookup(spec string) (Strategy, error) {
 	if err != nil || len(spec) > maxMemoSpecLen {
 		return s, err
 	}
-	regMu.Lock()
-	if gen == regGen {
-		if len(memo) >= maxMemoSpecs {
-			clear(memo)
-		}
-		memo[strings.Clone(spec)] = s
+	memoMu.Lock()
+	if len(memo) >= maxMemoSpecs {
+		clear(memo)
 	}
-	regMu.Unlock()
+	memo[strings.Clone(spec)] = s
+	memoMu.Unlock()
 	return s, nil
 }
 
@@ -129,10 +105,7 @@ func parse(spec string) (Strategy, error) {
 		}
 		name = name[:i]
 	}
-	name = strings.ToLower(strings.TrimSpace(name))
-	regMu.RLock()
-	e, ok := registry[name]
-	regMu.RUnlock()
+	e, ok := registry[strings.ToLower(strings.TrimSpace(name))]
 	if !ok {
 		return Strategy{}, fmt.Errorf("%w: %q (known: %s)", ErrUnknownStrategy, spec, knownNames())
 	}
@@ -207,8 +180,8 @@ func argGeometric(args []string) (pf float64, maxLen int, err error) {
 	return pf, maxLen, nil
 }
 
-// noArgs wraps a preset constructor as a Parser rejecting arguments.
-func noArgs(name string, f func() Strategy) Parser {
+// noArgs wraps a preset constructor as a parser rejecting arguments.
+func noArgs(name string, f func() Strategy) func([]string) (Strategy, error) {
 	return func(args []string) (Strategy, error) {
 		if len(args) != 0 {
 			return Strategy{}, fmt.Errorf("%w: %s takes no arguments", ErrBadStrategy, name)
@@ -267,8 +240,6 @@ func init() {
 			return Hordes(pf, maxLen)
 		}},
 	} {
-		if err := Register(e); err != nil {
-			panic(err)
-		}
+		registry[e.Name] = e
 	}
 }

@@ -85,41 +85,17 @@ func TestLookupErrors(t *testing.T) {
 	}
 }
 
-func TestRegisterCustomEntry(t *testing.T) {
-	err := Register(Entry{Name: "testonly", Usage: "testonly", Parse: func([]string) (Strategy, error) {
-		return FixedLength(2)
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Lookup("testonly"); err != nil {
-		t.Error(err)
-	}
-	found := false
-	for _, e := range Specs() {
-		if e.Name == "testonly" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("registered entry missing from Specs")
-	}
-	if err := Register(Entry{}); err == nil {
-		t.Error("empty entry accepted")
-	}
-}
-
 // memoLen reads the parsed-spec memo's size under its lock.
 func memoLen() int {
-	regMu.RLock()
-	defer regMu.RUnlock()
+	memoMu.RLock()
+	defer memoMu.RUnlock()
 	return len(memo)
 }
 
 // memoized reports whether spec has a memoized parse.
 func memoized(spec string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
+	memoMu.RLock()
+	defer memoMu.RUnlock()
 	_, ok := memo[spec]
 	return ok
 }
@@ -146,35 +122,6 @@ func TestLookupMemoRepeats(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _, _ = Lookup("uniform:2,9") }); allocs != 0 {
 		t.Errorf("memoized Lookup made %v allocations, want 0", allocs)
-	}
-}
-
-// TestLookupMemoRegister pins that Register invalidates the memo: a
-// memoized spec resolves through the replacing entry.
-func TestLookupMemoRegister(t *testing.T) {
-	register := func(l int) {
-		t.Helper()
-		err := Register(Entry{Name: "memotest", Usage: "memotest", Parse: func([]string) (Strategy, error) {
-			return FixedLength(l)
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	register(2)
-	s, err := Lookup("memotest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name != "F(2)" {
-		t.Fatalf("first entry parsed to %v", s)
-	}
-	register(3)
-	if s, err = Lookup("memotest"); err != nil {
-		t.Fatal(err)
-	}
-	if s.Name != "F(3)" {
-		t.Errorf("after Register replaced the entry, Lookup returned %v, want F(3)", s)
 	}
 }
 
@@ -221,9 +168,9 @@ func TestLookupMemoBound(t *testing.T) {
 	}
 }
 
-// TestLookupMemoConcurrent runs Lookups against concurrent Registers;
-// under -race it checks the memo's locking. Every Lookup of a built-in
-// spec returns its own parse.
+// TestLookupMemoConcurrent runs concurrent Lookups that fill and read
+// the memo; under -race it checks the memo's locking. Every Lookup
+// returns its own spec's parse.
 func TestLookupMemoConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := range 4 {
@@ -244,19 +191,6 @@ func TestLookupMemoConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for range 50 {
-			err := Register(Entry{Name: "memorace", Usage: "memorace", Parse: func([]string) (Strategy, error) {
-				return FixedLength(1)
-			}})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
 	wg.Wait()
 }
 

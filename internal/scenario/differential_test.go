@@ -21,7 +21,6 @@ import (
 	"anonmix/internal/faults"
 	"anonmix/internal/pathsel"
 	"anonmix/internal/scenario"
-	"anonmix/internal/scenario/capability"
 	"anonmix/internal/trace"
 )
 
@@ -174,7 +173,7 @@ func classify(err error) errClass {
 	case errors.Is(err, scenario.ErrBadConfig) || errors.Is(err, pathsel.ErrBadStrategy):
 		return errConfig
 	default:
-		var capErr *capability.Error
+		var capErr *scenario.CapabilityError
 		if errors.As(err, &capErr) {
 			return errCapability
 		}

@@ -8,7 +8,6 @@ import (
 
 	"anonmix/internal/faults"
 	"anonmix/internal/pathsel"
-	"anonmix/internal/scenario/capability"
 )
 
 // TestClassify pins the class of every error family a Run caller can
@@ -24,9 +23,9 @@ func TestClassify(t *testing.T) {
 		{"unknown backend", fmt.Errorf("%w: %q", ErrUnknownBackend, "x"), ClassBadConfig},
 		{"strategy", fmt.Errorf("%w: empty spec", pathsel.ErrBadStrategy), ClassBadConfig},
 		{"fault plan", fmt.Errorf("%w: loss", faults.ErrBadPlan), ClassBadConfig},
-		{"capability", capability.Unsupported("exact", capability.ErrProtocol, "crowds"), ClassCapability},
+		{"capability", &CapabilityError{Backend: "exact", Reason: ErrProtocol, Detail: "crowds"}, ClassCapability},
 		{"wrapped capability", fmt.Errorf("phase 2: %w",
-			capability.Unsupported("mc", capability.ErrFaults, "crash")), ClassCapability},
+			&CapabilityError{Backend: "mc", Reason: ErrFaults, Detail: "crash"}), ClassCapability},
 		{"canceled", context.Canceled, ClassCanceled},
 		{"wrapped canceled", fmt.Errorf("%w: %w", ErrCanceled, context.Canceled), ClassCanceled},
 		{"deadline", fmt.Errorf("slow: %w", context.DeadlineExceeded), ClassCanceled},

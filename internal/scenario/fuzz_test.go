@@ -14,7 +14,6 @@ import (
 
 	"anonmix/internal/pathsel"
 	"anonmix/internal/scenario"
-	"anonmix/internal/scenario/capability"
 	"anonmix/internal/trace"
 )
 
@@ -43,7 +42,7 @@ func allowedRunError(err error) bool {
 		errors.Is(err, scenario.ErrUnknownBackend) {
 		return true
 	}
-	var capErr *capability.Error
+	var capErr *scenario.CapabilityError
 	return errors.As(err, &capErr)
 }
 

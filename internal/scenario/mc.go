@@ -28,35 +28,16 @@ import (
 	"sync/atomic"
 
 	"anonmix/internal/adversary"
-	"anonmix/internal/entropy"
 	"anonmix/internal/faults"
 	"anonmix/internal/montecarlo"
 	"anonmix/internal/pathsel"
 	"anonmix/internal/pool"
-	"anonmix/internal/scenario/capability"
 	"anonmix/internal/stats"
 	"anonmix/internal/trace"
 )
 
 // runMonteCarlo runs a normalized config on the Monte-Carlo backend.
 func runMonteCarlo(cfg Config) (Result, error) {
-	if !analyticProtocol(cfg.Protocol) {
-		return Result{}, capability.Unsupported(string(BackendMonteCarlo),
-			capability.ErrProtocol, cfg.Protocol.String())
-	}
-	if cfg.Faults != nil && len(cfg.Faults.Crashes) > 0 {
-		// Crash outages are timing phenomena of the event kernel; the
-		// timing-free sampler has no clock to schedule them on.
-		return Result{}, capability.Unsupported(string(BackendMonteCarlo),
-			capability.ErrFaults, "crash schedules are testbed-only")
-	}
-	if err := sampledInference(cfg, "montecarlo"); err != nil {
-		return Result{}, err
-	}
-	if cfg.Strategy.Kind != pathsel.Simple {
-		// The path route classifies simple paths only.
-		return Result{}, capability.Unsupported("montecarlo", capability.ErrComplicatedPaths, cfg.Strategy.Name)
-	}
 	workers := cfg.Workload.Workers
 	if workers <= 0 {
 		workers = pool.Workers()
@@ -132,9 +113,6 @@ func runBatches[P any](cfg *Config, n, workers int, progress func(done int),
 func runTrials(cfg Config, workers int) (Result, error) {
 	static := len(cfg.phases) == 0
 	res := Result{Estimated: true}
-	if !static {
-		res.MaxH = timelineMaxH(cfg.phases)
-	}
 	weights := timelineWeights(cfg.phases)
 	total := cfg.Workload.Messages
 	var variance float64
@@ -163,8 +141,6 @@ func runTrials(cfg Config, workers int) (Result, error) {
 			return Result{}, err
 		}
 		if static {
-			pr.MaxH = entropy.Max(cfg.N)
-			pr.Normalized = entropy.Normalized(pr.H, cfg.N)
 			return pr, nil
 		}
 		w := weights[i]
@@ -182,8 +158,6 @@ func runTrials(cfg Config, workers int) (Result, error) {
 		cfg.emitProgress(done, total, &er)
 	}
 	res.StdErr = math.Sqrt(variance)
-	res.CI95 = 1.96 * res.StdErr
-	res.Normalized = res.H / res.MaxH
 	return res, nil
 }
 
@@ -291,7 +265,6 @@ func samplePhase(cfg *Config, ph []members, seed int64, trials, workers int, pro
 	if delivered > 0 {
 		res.H = tally.sum.Mean()
 		res.StdErr = tally.sum.StdErr()
-		res.CI95 = tally.sum.CI95()
 		res.HDegraded = res.H
 		if lossy {
 			res.HDegraded = tally.sumDeg.Mean()

@@ -11,16 +11,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"anonmix/internal/faults"
 	"anonmix/internal/scenario"
-	"anonmix/internal/scenario/capability"
 )
 
 func isUnsupported(err error) bool {
-	var capErr *capability.Error
+	var capErr *scenario.CapabilityError
 	return errors.As(err, &capErr)
 }
 
@@ -323,25 +323,39 @@ func TestRerouteDeliveryBound(t *testing.T) {
 
 // TestTotalLossTerminates: a network losing every packet still settles,
 // reports zero delivery, and H over (zero) delivered messages is zero —
-// on every backend that accepts the policy.
+// on every backend that accepts the policy, static or across a timeline,
+// whose bound and per-epoch results the backends report alike.
 func TestTotalLossTerminates(t *testing.T) {
+	timeline := []scenario.Epoch{{Messages: 100}, {Messages: 100, Join: 4}}
 	for _, pol := range []faults.Policy{faults.PolicyNone, faults.PolicyRetransmit, faults.PolicyReroute} {
 		t.Run(pol.String(), func(t *testing.T) {
-			for _, kind := range []scenario.BackendKind{
-				scenario.BackendExact, scenario.BackendMonteCarlo, scenario.BackendTestbed,
-			} {
-				cfg := lossyBase(10, 2, 200, 1.0, pol)
-				cfg.Backend = kind
-				res, err := scenario.Run(cfg)
-				if isUnsupported(err) {
-					continue // exact refuses retry policies
-				}
-				if err != nil {
-					t.Fatalf("%s: %v", kind, err)
-				}
-				if res.DeliveryRate != 0 || res.H != 0 || res.HDegraded != 0 {
-					t.Errorf("%s: delivery = %v, H = %v, HDegraded = %v, want all zero",
-						kind, res.DeliveryRate, res.H, res.HDegraded)
+			for _, tl := range [][]scenario.Epoch{nil, timeline} {
+				var ref *scenario.Result
+				for _, kind := range []scenario.BackendKind{
+					scenario.BackendExact, scenario.BackendMonteCarlo, scenario.BackendTestbed,
+				} {
+					cfg := lossyBase(10, 2, 200, 1.0, pol)
+					cfg.Backend = kind
+					if tl != nil {
+						cfg.Workload.Messages, cfg.Timeline = 0, tl
+					}
+					res, err := scenario.Run(cfg)
+					if isUnsupported(err) {
+						continue // exact refuses retry policies
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", kind, err)
+					}
+					if res.DeliveryRate != 0 || res.H != 0 || res.HDegraded != 0 {
+						t.Errorf("%s: delivery = %v, H = %v, HDegraded = %v, want all zero",
+							kind, res.DeliveryRate, res.H, res.HDegraded)
+					}
+					if ref == nil {
+						ref = &res
+					} else if res.MaxH != ref.MaxH || !reflect.DeepEqual(res.Epochs, ref.Epochs) {
+						t.Errorf("%s: MaxH %v, epochs %+v; %s: MaxH %v, epochs %+v",
+							kind, res.MaxH, res.Epochs, ref.Backend, ref.MaxH, ref.Epochs)
+					}
 				}
 			}
 		})

@@ -22,9 +22,10 @@
 //
 // When a backend cannot execute a scenario (the exact engine refuses
 // cyclic routes, analytic backends refuse wire protocols with their own
-// routing), it returns a *capability.Error instead of a per-package
-// ad-hoc failure, so callers can switch backends on errors.Is rather than
-// string-matching.
+// routing), Run refuses it with a *CapabilityError from one table, so
+// callers can switch backends on errors.Is rather than string-matching.
+// Run also derives what every backend's measurement implies — MaxH,
+// Normalized, and CI95 — in one place.
 package scenario
 
 import (
@@ -36,10 +37,10 @@ import (
 	"time"
 
 	"anonmix/internal/dist"
+	"anonmix/internal/entropy"
 	"anonmix/internal/events"
 	"anonmix/internal/faults"
 	"anonmix/internal/pathsel"
-	"anonmix/internal/scenario/capability"
 	"anonmix/internal/trace"
 )
 
@@ -323,9 +324,6 @@ type Config struct {
 	// Epochs carry either Messages (single-shot phases) or Rounds
 	// (persistent sessions degrading across phases), never a mix.
 	Timeline []Epoch
-	// EngineOptions are forwarded to the exact engine in addition to the
-	// options derived from Adversary (e.g. events.WithInference).
-	EngineOptions []events.Option
 	// Faults, when non-nil, injects deterministic delivery faults: per-link
 	// loss, per-node crash windows at virtual times, and extra hop jitter
 	// (see faults.Plan and faults.ParseFaults). All draws derive from
@@ -453,16 +451,18 @@ type Result struct {
 	Strategy pathsel.Strategy
 	// H is the anonymity degree in bits: exact, estimated, or empirical.
 	H float64
-	// StdErr and CI95 quantify sampling error (zero for exact).
+	// StdErr and CI95 quantify sampling error (zero for exact); CI95 is
+	// the normal-approximation half-width 1.96·StdErr.
 	StdErr float64
 	CI95   float64
 	// Estimated marks sampled results (Monte-Carlo, testbed).
 	Estimated bool
 	// Trials is the number of samples behind an estimate (0 for exact).
 	Trials int
-	// MaxH is log2(N), the upper bound.
+	// MaxH is log2(N), the upper bound; over a timeline, the
+	// traffic-weighted Σ w_e·log2(n_e) of its phases.
 	MaxH float64
-	// Normalized is H / log2(N).
+	// Normalized is H / MaxH.
 	Normalized float64
 	// CompromisedSenderShare is the fraction of trials with a compromised
 	// sender (identified outright; the C/N branch).
@@ -514,9 +514,12 @@ type Result struct {
 // Run normalizes the configuration and dispatches it to its backend. This
 // is the single entry point every CLI routes through: switching backend,
 // strategy, protocol, or threat model is a field change, not a different
-// code path. A backend (runExact, runMonteCarlo, runTestbed) receives the
-// normalized config: Strategy resolved from its spec, Adversary validated
-// with Count set, and Backend set to its own kind.
+// code path. Run decides what the backends share: it refuses what the
+// chosen backend cannot run (refusal), and it derives MaxH, Normalized
+// and CI95 from what the backend measured. A backend (runExact,
+// runMonteCarlo, runTestbed) receives the normalized config: Strategy
+// resolved from its spec, Adversary validated with Count set, and Backend
+// set to its own kind.
 func Run(cfg Config) (Result, error) {
 	norm, err := normalize(cfg)
 	if err != nil {
@@ -536,6 +539,9 @@ func Run(cfg Config) (Result, error) {
 	if err := norm.checkCanceled(); err != nil {
 		return Result{}, err
 	}
+	if err := refusal(&norm); err != nil {
+		return Result{}, err
+	}
 	start := time.Now() //anonlint:allow detrand(wall-clock metrics only, never flows into Result)
 	res, err := run(norm)
 	if err != nil {
@@ -544,6 +550,12 @@ func Run(cfg Config) (Result, error) {
 	res.Backend = norm.Backend
 	res.Strategy = norm.Strategy
 	res.Rounds = norm.Workload.Rounds
+	res.MaxH = entropy.Max(norm.N)
+	if len(norm.phases) > 0 {
+		res.MaxH = timelineMaxH(norm.phases)
+	}
+	res.Normalized = res.H / res.MaxH
+	res.CI95 = 1.96 * res.StdErr
 	if norm.Faults == nil {
 		// Lossless runs deliver everything in one attempt and leak nothing
 		// beyond the base observations.
@@ -718,32 +730,18 @@ func normalize(cfg Config) (Config, error) {
 	return cfg, nil
 }
 
-// engineOptions appends to opts the exact-engine options of a scenario:
-// those its Adversary derives, then EngineOptions.
-func (c *Config) engineOptions(opts []events.Option) []events.Option {
+// engine returns the shared exact engine of n nodes with count of them
+// compromised, under the engine options the scenario's Adversary derives
+// and then extra. The options gather in a stack buffer, so a resident
+// engine costs no allocation.
+func (c *Config) engine(n, count int, extra ...events.Option) (*events.Engine, error) {
+	var buf [3]events.Option
+	opts := buf[:0]
 	if c.Adversary.UncompromisedReceiver {
 		opts = append(opts, events.WithUncompromisedReceiver())
 	}
 	if c.Adversary.NoSenderSelfReport {
 		opts = append(opts, events.WithoutSenderSelfReport())
 	}
-	return append(opts, c.EngineOptions...)
+	return Engine(n, count, append(opts, extra...)...)
 }
-
-// engine returns the shared exact engine of n nodes with count of them
-// compromised, under the scenario's engine options and then extra. The
-// options gather in a stack buffer, so a resident engine costs no
-// allocation.
-func (c *Config) engine(n, count int, extra ...events.Option) (*events.Engine, error) {
-	var buf [4]events.Option
-	return Engine(n, count, append(c.engineOptions(buf[:0]), extra...)...)
-}
-
-// analyticProtocol reports whether the protocol's observable structure is
-// the simple-path model the analytic backends compute on.
-func analyticProtocol(p Protocol) bool {
-	return p == ProtocolPlain || p == ProtocolOnion
-}
-
-// Interface compliance for the capability error (documentation aid).
-var _ error = (*capability.Error)(nil)

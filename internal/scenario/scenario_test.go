@@ -2,12 +2,13 @@ package scenario_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
 
+	"anonmix/internal/faults"
 	"anonmix/internal/scenario"
-	"anonmix/internal/scenario/capability"
 	"anonmix/internal/trace"
 )
 
@@ -198,18 +199,14 @@ func TestCapabilityErrors(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s accepted a cyclic strategy", backend)
 		}
-		if !errors.Is(err, capability.ErrComplicatedPaths) {
-			t.Errorf("%s: err %v does not match capability.ErrComplicatedPaths", backend, err)
+		if !errors.Is(err, scenario.ErrComplicatedPaths) {
+			t.Errorf("%s: err %v does not match scenario.ErrComplicatedPaths", backend, err)
 		}
-		wantLabel := map[scenario.BackendKind]string{
-			scenario.BackendExact:      "exact",
-			scenario.BackendMonteCarlo: "montecarlo", // the sampler labels itself
-		}[backend]
-		var capErr *capability.Error
+		var capErr *scenario.CapabilityError
 		if !errors.As(err, &capErr) {
-			t.Errorf("%s: err %v is not a *capability.Error", backend, err)
-		} else if capErr.Backend != wantLabel {
-			t.Errorf("refusing backend = %q, want %q", capErr.Backend, wantLabel)
+			t.Errorf("%s: err %v is not a *scenario.CapabilityError", backend, err)
+		} else if capErr.Backend != string(backend) {
+			t.Errorf("refusing backend = %q, want %q", capErr.Backend, backend)
 		}
 	}
 
@@ -221,8 +218,76 @@ func TestCapabilityErrors(t *testing.T) {
 		Protocol:     scenario.ProtocolMix,
 		Adversary:    scenario.Adversary{Count: 1},
 	}
-	if _, err := scenario.Run(cfg); !errors.Is(err, capability.ErrProtocol) {
+	if _, err := scenario.Run(cfg); !errors.Is(err, scenario.ErrProtocol) {
 		t.Errorf("exact×mix err = %v", err)
+	}
+}
+
+// TestRefusalMatrix pins the capability table over every backend: each
+// scenario element a backend cannot run is refused with its sentinel, as
+// a *CapabilityError labelled with the backend the config asked for, and
+// every element it can run does run.
+func TestRefusalMatrix(t *testing.T) {
+	base := scenario.Config{
+		N:            12,
+		StrategySpec: "fixed:3",
+		Adversary:    scenario.Adversary{Count: 2},
+		Workload:     scenario.Workload{Messages: 40, Seed: 1},
+	}
+	exact, mc, testbed := scenario.BackendExact, scenario.BackendMonteCarlo, scenario.BackendTestbed
+	rows := []struct {
+		name string
+		mut  func(*scenario.Config)
+		// want maps each backend to its refusal sentinel, nil where it runs.
+		want map[scenario.BackendKind]error
+	}{
+		{"mix protocol", func(c *scenario.Config) { c.Protocol = scenario.ProtocolMix },
+			map[scenario.BackendKind]error{exact: scenario.ErrProtocol, mc: scenario.ErrProtocol}},
+		{"crowds protocol", func(c *scenario.Config) { c.Protocol, c.StrategySpec = scenario.ProtocolCrowds, "crowds:0.7" },
+			map[scenario.BackendKind]error{exact: scenario.ErrProtocol, mc: scenario.ErrProtocol}},
+		{"cyclic strategy", func(c *scenario.Config) { c.Protocol, c.StrategySpec = scenario.ProtocolOnion, "onionrouting2:0.6,6" },
+			map[scenario.BackendKind]error{exact: scenario.ErrComplicatedPaths, mc: scenario.ErrComplicatedPaths, testbed: scenario.ErrComplicatedPaths}},
+		{"no self-report", func(c *scenario.Config) { c.Adversary.NoSenderSelfReport = true },
+			map[scenario.BackendKind]error{mc: scenario.ErrInference, testbed: scenario.ErrInference}},
+		{"no self-report sessions", func(c *scenario.Config) { c.Adversary.NoSenderSelfReport, c.Workload.Rounds = true, 3 },
+			map[scenario.BackendKind]error{exact: scenario.ErrInference, mc: scenario.ErrInference, testbed: scenario.ErrInference}},
+		{"crash schedule", func(c *scenario.Config) {
+			c.Faults = &faults.Plan{Crashes: []faults.Crash{{Node: 5, At: 5, Recover: 20}}}
+		}, map[scenario.BackendKind]error{exact: scenario.ErrFaults, mc: scenario.ErrFaults}},
+		{"retry policy", func(c *scenario.Config) {
+			c.Faults = &faults.Plan{LinkLoss: 0.1}
+			c.Reliability = faults.Reliability{Policy: faults.PolicyRetransmit}
+		}, map[scenario.BackendKind]error{exact: scenario.ErrFaults}},
+		{"policy-none loss", func(c *scenario.Config) { c.Faults = &faults.Plan{LinkLoss: 0.1} }, nil},
+		{"crowds timeline", func(c *scenario.Config) {
+			c.Protocol, c.StrategySpec = scenario.ProtocolCrowds, "crowds:0.7"
+			c.Workload.Messages = 0
+			c.Timeline = []scenario.Epoch{{Messages: 20}, {Messages: 20, Join: 2}}
+		}, map[scenario.BackendKind]error{exact: scenario.ErrProtocol, mc: scenario.ErrProtocol, testbed: scenario.ErrProtocol}},
+	}
+	for _, row := range rows {
+		for _, backend := range []scenario.BackendKind{exact, mc, testbed} {
+			t.Run(fmt.Sprintf("%s/%s", row.name, backend), func(t *testing.T) {
+				cfg := base
+				cfg.Backend = backend
+				row.mut(&cfg)
+				_, err := scenario.Run(cfg)
+				want := row.want[backend]
+				if want == nil {
+					if err != nil {
+						t.Fatalf("refused: %v", err)
+					}
+					return
+				}
+				var capErr *scenario.CapabilityError
+				if !errors.Is(err, want) || !errors.As(err, &capErr) {
+					t.Fatalf("err = %v, want a *CapabilityError matching %v", err, want)
+				}
+				if capErr.Backend != string(backend) {
+					t.Errorf("refusal labelled %q, want %q", capErr.Backend, backend)
+				}
+			})
+		}
 	}
 }
 
@@ -449,8 +514,8 @@ func TestNoSelfReportIsExactOnly(t *testing.T) {
 	for _, kind := range []scenario.BackendKind{scenario.BackendMonteCarlo, scenario.BackendTestbed} {
 		cfg := base
 		cfg.Backend = kind
-		if _, err := scenario.Run(cfg); !errors.Is(err, capability.ErrInference) {
-			t.Errorf("%s: err = %v, want capability.ErrInference", kind, err)
+		if _, err := scenario.Run(cfg); !errors.Is(err, scenario.ErrInference) {
+			t.Errorf("%s: err = %v, want scenario.ErrInference", kind, err)
 		}
 	}
 }

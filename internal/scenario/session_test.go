@@ -16,9 +16,7 @@ import (
 	"reflect"
 	"testing"
 
-	"anonmix/internal/events"
 	"anonmix/internal/scenario"
-	"anonmix/internal/scenario/capability"
 	"anonmix/internal/trace"
 )
 
@@ -270,11 +268,8 @@ func TestMCDeanonymizedMatchesTestbed(t *testing.T) {
 }
 
 // TestSampledBackendsRefuseUnsupportedModels: a model the sampled analysis
-// cannot express — hop-count inference, or a cyclic strategy — is refused
-// by Monte-Carlo and the testbed with one capability error whatever the
-// workload's shape. The exact backend computes hop-count inference in
-// closed form for single messages, refuses it for sessions, and refuses
-// cyclic strategies everywhere.
+// cannot express — a cyclic strategy — is refused by every backend with
+// one capability error whatever the workload's shape.
 func TestSampledBackendsRefuseUnsupportedModels(t *testing.T) {
 	shapes := map[string]func(*scenario.Config){
 		"single-shot": func(c *scenario.Config) { c.Workload.Messages = 200 },
@@ -287,49 +282,20 @@ func TestSampledBackendsRefuseUnsupportedModels(t *testing.T) {
 			c.Timeline = []scenario.Epoch{{Rounds: 2}, {Rounds: 2, Join: 3}}
 		},
 	}
-	models := map[string]struct {
-		base      scenario.Config
-		sentinel  error
-		exactRuns func(shape string) bool
-	}{
-		"hop-count inference": {
-			base: scenario.Config{
-				N: 14, StrategySpec: "uniform:1,5", Adversary: scenario.Adversary{Count: 1},
-				EngineOptions: []events.Option{events.WithInference(events.InferenceHopCount)},
-			},
-			sentinel:  capability.ErrInference,
-			exactRuns: func(shape string) bool { return shape == "single-shot" || shape == "messages timeline" },
-		},
-		"cyclic strategy": {
-			base: scenario.Config{
-				N: 14, StrategySpec: "onionrouting2:0.6,6", Protocol: scenario.ProtocolOnion,
-				Adversary: scenario.Adversary{Count: 2},
-			},
-			sentinel:  capability.ErrComplicatedPaths,
-			exactRuns: func(string) bool { return false },
-		},
-	}
-	for model, m := range models {
-		for shape, mut := range shapes {
-			for _, backend := range []scenario.BackendKind{scenario.BackendExact, scenario.BackendMonteCarlo, scenario.BackendTestbed} {
-				t.Run(fmt.Sprintf("%s/%s/%s", model, shape, backend), func(t *testing.T) {
-					cfg := m.base
-					cfg.Backend = backend
-					cfg.Workload.Seed = 3
-					mut(&cfg)
-					_, err := scenario.Run(cfg)
-					if backend == scenario.BackendExact && m.exactRuns(shape) {
-						if err != nil {
-							t.Fatalf("exact refused: %v", err)
-						}
-						return
-					}
-					var capErr *capability.Error
-					if !errors.Is(err, m.sentinel) || !errors.As(err, &capErr) {
-						t.Fatalf("err = %v, want a capability error matching %v", err, m.sentinel)
-					}
-				})
-			}
+	for shape, mut := range shapes {
+		for _, backend := range []scenario.BackendKind{scenario.BackendExact, scenario.BackendMonteCarlo, scenario.BackendTestbed} {
+			t.Run(fmt.Sprintf("cyclic strategy/%s/%s", shape, backend), func(t *testing.T) {
+				cfg := scenario.Config{
+					N: 14, Backend: backend, StrategySpec: "onionrouting2:0.6,6", Protocol: scenario.ProtocolOnion,
+					Adversary: scenario.Adversary{Count: 2}, Workload: scenario.Workload{Seed: 3},
+				}
+				mut(&cfg)
+				_, err := scenario.Run(cfg)
+				var capErr *scenario.CapabilityError
+				if !errors.Is(err, scenario.ErrComplicatedPaths) || !errors.As(err, &capErr) {
+					t.Fatalf("err = %v, want a capability error matching %v", err, scenario.ErrComplicatedPaths)
+				}
+			})
 		}
 	}
 }

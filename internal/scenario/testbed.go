@@ -30,11 +30,9 @@ import (
 
 	"anonmix/internal/adversary"
 	"anonmix/internal/crowds"
-	"anonmix/internal/entropy"
 	"anonmix/internal/faults"
 	"anonmix/internal/onion"
 	"anonmix/internal/pathsel"
-	"anonmix/internal/scenario/capability"
 	"anonmix/internal/simnet"
 	"anonmix/internal/stats"
 	"anonmix/internal/trace"
@@ -50,21 +48,7 @@ const settleTimeout = 5 * time.Minute
 // runTestbed runs a normalized config on the testbed backend.
 func runTestbed(cfg Config) (Result, error) {
 	if cfg.Protocol == ProtocolCrowds {
-		if len(cfg.phases) > 0 {
-			// The jondo substrate's predecessor statistics assume a fixed
-			// crowd; dynamic membership needs the per-epoch closed forms
-			// first (see ROADMAP).
-			return Result{}, capability.Unsupported(string(BackendTestbed),
-				capability.ErrProtocol, "crowds substrate does not support dynamic populations yet")
-		}
 		return runCrowds(cfg)
-	}
-	if cfg.Strategy.Kind != pathsel.Simple {
-		return Result{}, capability.Unsupported(string(BackendTestbed),
-			capability.ErrComplicatedPaths, cfg.Strategy.Name+" (run it on the crowds substrate)")
-	}
-	if err := sampledInference(cfg, string(BackendTestbed)); err != nil {
-		return Result{}, err
 	}
 	return runRouted(cfg)
 }
@@ -477,20 +461,14 @@ func analyzeSingleShot(cfg *Config, ms []members, rps []routedPhase, nw *simnet.
 	res := Result{
 		Estimated:    true,
 		Trials:       sum.N(),
-		MaxH:         entropy.Max(cfg.N),
 		Deanonymized: deanonymized,
 		Epochs:       epochs,
-	}
-	if len(cfg.phases) > 0 {
-		res.MaxH = timelineMaxH(cfg.phases)
 	}
 	if sum.N() > 0 {
 		res.H = sum.Mean()
 		res.StdErr = sum.StdErr()
-		res.CI95 = sum.CI95()
 		res.CompromisedSenderShare = float64(compSenders) / float64(sum.N())
 	}
-	res.Normalized = res.H / res.MaxH
 	if cfg.Faults != nil {
 		res.DeliveryRate = float64(sum.N()) / float64(injected)
 		res.MeanAttempts = attemptsPerMessage(cfg, nw.Metrics().Retries, injected+reroutes, injected)
@@ -698,7 +676,6 @@ func runCrowds(cfg Config) (Result, error) {
 	res := Result{
 		Estimated:    true,
 		Trials:       sessions,
-		MaxH:         entropy.Max(n),
 		Deanonymized: deanonymized,
 		Kernel:       kernelStats(nw, goroutines, elapsed),
 		Crowds: &CrowdsReport{
@@ -717,7 +694,6 @@ func runCrowds(cfg Config) (Result, error) {
 		// (mean over sessions), like every other substrate.
 		res.H = sum.Mean()
 		res.StdErr = sum.StdErr()
-		res.CI95 = sum.CI95()
 		res.HRounds = hSums
 		if conf > 0 {
 			res.IdentifiedShare = float64(idCount) / float64(sessions)
@@ -730,7 +706,6 @@ func runCrowds(cfg Config) (Result, error) {
 		// quantity the paper's §2 survey quotes for Crowds.
 		res.H = hEvent
 	}
-	res.Normalized = entropy.Normalized(res.H, n)
 	return res, nil
 }
 

@@ -45,10 +45,7 @@ import (
 	"strings"
 
 	"anonmix/internal/adversary"
-	"anonmix/internal/entropy"
-	"anonmix/internal/events"
 	"anonmix/internal/pathsel"
-	"anonmix/internal/scenario/capability"
 	"anonmix/internal/stats"
 	"anonmix/internal/trace"
 )
@@ -108,13 +105,9 @@ func normalizeTimeline(cfg *Config) error {
 	if len(cfg.Timeline) == 0 {
 		return nil
 	}
-	var msgs, rounds int
-	for i, e := range cfg.Timeline {
-		if e.Messages < 0 || e.Rounds < 0 || e.Join < 0 || e.Leave < 0 || e.Compromise < 0 || e.Recover < 0 {
-			return fmt.Errorf("%w: epoch %d has a negative field (%+v)", ErrBadConfig, i, e)
-		}
-		msgs += e.Messages
-		rounds += e.Rounds
+	msgs, rounds, err := timelineBudgets(cfg.Timeline)
+	if err != nil {
+		return err
 	}
 	switch {
 	case msgs > 0 && rounds > 0:
@@ -182,6 +175,19 @@ func normalizeTimeline(cfg *Config) error {
 		}
 	}
 	return nil
+}
+
+// timelineBudgets rejects an epoch with a negative field and returns the
+// timeline's total Messages and Rounds budgets.
+func timelineBudgets(timeline []Epoch) (msgs, rounds int, err error) {
+	for i, e := range timeline {
+		if e.Messages < 0 || e.Rounds < 0 || e.Join < 0 || e.Leave < 0 || e.Compromise < 0 || e.Recover < 0 {
+			return 0, 0, fmt.Errorf("%w: epoch %d has a negative field (%+v)", ErrBadConfig, i, e)
+		}
+		msgs += e.Messages
+		rounds += e.Rounds
+	}
+	return msgs, rounds, nil
 }
 
 // schedulePhases is the one place a membership schedule is validated: it
@@ -385,33 +391,17 @@ func TimelineStates(n, c int, timeline []Epoch) ([]EpochState, error) {
 	if len(timeline) == 0 {
 		return nil, fmt.Errorf("%w: empty timeline", ErrBadConfig)
 	}
-	for i, e := range timeline {
-		if e.Messages < 0 || e.Rounds < 0 || e.Join < 0 || e.Leave < 0 || e.Compromise < 0 || e.Recover < 0 {
-			return nil, fmt.Errorf("%w: epoch %d has a negative field (%+v)", ErrBadConfig, i, e)
-		}
+	if _, _, err := timelineBudgets(timeline); err != nil {
+		return nil, err
 	}
 	phases, err := schedulePhases(n, c, timeline)
 	if err != nil {
 		return nil, err
 	}
+	weights := timelineWeights(phases)
 	out := make([]EpochState, len(phases))
-	var total float64
-	for i := range phases {
-		out[i] = EpochState{
-			Index:    i,
-			N:        phases[i].n,
-			C:        phases[i].c,
-			Messages: phases[i].epoch.Messages,
-			Rounds:   phases[i].epoch.Rounds,
-		}
-		total += float64(out[i].Messages + out[i].Rounds)
-	}
-	for i := range out {
-		if total > 0 {
-			out[i].Weight = float64(out[i].Messages+out[i].Rounds) / total
-		} else {
-			out[i].Weight = 1 / float64(len(out))
-		}
+	for i, p := range phases {
+		out[i] = EpochState{Index: i, N: p.n, C: p.c, Messages: p.epoch.Messages, Rounds: p.epoch.Rounds, Weight: weights[i]}
 	}
 	return out, nil
 }
@@ -469,7 +459,9 @@ func senderPool(ms []members) []trace.NodeID {
 }
 
 // timelineWeights returns each phase's share of the total traffic
-// (messages for single-shot timelines, rounds for degradation ones).
+// (messages for single-shot timelines, rounds for degradation ones), or
+// equal shares when no phase carries traffic (a pure population drift,
+// which only TimelineStates accepts).
 func timelineWeights(phases []phase) []float64 {
 	w := make([]float64, len(phases))
 	var total float64
@@ -478,7 +470,11 @@ func timelineWeights(phases []phase) []float64 {
 		total += w[i]
 	}
 	for i := range w {
-		w[i] /= total
+		if total > 0 {
+			w[i] /= total
+		} else {
+			w[i] = 1 / float64(len(w))
+		}
 	}
 	return w
 }
@@ -677,8 +673,8 @@ func ParseTimeline(s string) ([]Epoch, error) {
 
 // phasedMachinery builds the per-phase inference stack of a session or
 // timeline run — shared engine-cache engines, analysts over the dense
-// compromised sets, and dense-space selectors. Callers have refused the
-// inference models the sampled analysis cannot express (sampledInference).
+// compromised sets, and dense-space selectors. Run has refused the
+// inference models the sampled analysis cannot express (refusal).
 func phasedMachinery(cfg Config, ms []members) ([]*adversary.Analyst, []*pathsel.Selector, error) {
 	analysts := make([]*adversary.Analyst, len(ms))
 	sels := make([]*pathsel.Selector, len(ms))
@@ -696,28 +692,6 @@ func phasedMachinery(cfg Config, ms []members) ([]*adversary.Analyst, []*pathsel
 		}
 	}
 	return analysts, sels, nil
-}
-
-// sampledInference refuses, with the backend's capability error, the
-// inference models the sampled analysis cannot express: it classifies
-// the standard flag-based classes, and it identifies a compromised sender
-// outright (the local-eavesdropper branch). The exact backend's closed
-// forms cover both ablations.
-func sampledInference(cfg Config, backend string) error {
-	// The options alone select the model; any valid system resolves them.
-	s, err := events.Configure(2, 0, cfg.engineOptions(nil)...)
-	if err != nil {
-		return err
-	}
-	if s.Mode != events.InferenceStandard {
-		return capability.Unsupported(backend, capability.ErrInference,
-			s.Mode.String()+" inference is exact-only")
-	}
-	if !s.SelfReport {
-		return capability.Unsupported(backend, capability.ErrInference,
-			"no-sender-self-report ablation is exact-only")
-	}
-	return nil
 }
 
 // trafficPhases returns a copy of ms filtered to the phases that carry
@@ -796,8 +770,8 @@ func (ar *phasedArena) session(rng stats.Stream, sender trace.NodeID, conf float
 // the path route. Sessions are runBatches' items, each drawing from its
 // own counter-based stream, so the output is a pure function of (Seed,
 // Messages) alone; workers only bounds how many sessions run concurrently
-// (the exact backend passes 1, with identical results). Callers have
-// refused complicated strategies.
+// (the exact backend passes 1, with identical results). Run has refused
+// complicated strategies.
 func runPhasedRounds(cfg Config, workers int) (Result, error) {
 	phases := trafficPhases(cfg.members())
 	analysts, sels, err := phasedMachinery(cfg, phases)
@@ -901,9 +875,8 @@ func (t *sessionTally) merge(o *sessionTally) {
 }
 
 // result turns the tally into the run's Result: the blended curve and its
-// final-round summary, identification statistics when tracked, and the
-// parts that depend on the population's trajectory — the entropy bound,
-// the normalized degree, and a timeline's per-epoch curve.
+// final-round summary, identification statistics when tracked, and a
+// timeline's per-epoch curve.
 func (t *sessionTally) result(cfg Config) Result {
 	sessions := t.sum.N()
 	hRounds := make([]float64, cfg.Workload.Rounds)
@@ -913,19 +886,15 @@ func (t *sessionTally) result(cfg Config) Result {
 	res := Result{
 		H:                      t.sum.Mean(),
 		StdErr:                 t.sum.StdErr(),
-		CI95:                   t.sum.CI95(),
 		Estimated:              true,
 		Trials:                 sessions,
-		MaxH:                   entropy.Max(cfg.N),
 		CompromisedSenderShare: float64(t.compSender) / float64(sessions),
 		Deanonymized:           t.deanon,
 		HRounds:                hRounds,
 	}
 	if len(cfg.phases) > 0 {
-		res.MaxH = timelineMaxH(cfg.phases)
 		res.Epochs = epochResults(cfg.phases, sessions, hRounds)
 	}
-	res.Normalized = res.H / res.MaxH
 	if cfg.Workload.Confidence > 0 {
 		res.IdentifiedShare = float64(t.identified) / float64(sessions)
 		if t.identified > 0 {

@@ -8,7 +8,6 @@ import (
 
 	"anonmix/internal/faults"
 	"anonmix/internal/scenario"
-	"anonmix/internal/scenario/capability"
 	"anonmix/internal/trace"
 )
 
@@ -438,7 +437,7 @@ func TestTimelineCrowdsRefused(t *testing.T) {
 			Timeline:     []scenario.Epoch{{Messages: 100}, {Messages: 100, Join: 2}},
 		}
 		_, err := scenario.Run(cfg)
-		var capErr *capability.Error
+		var capErr *scenario.CapabilityError
 		if !errors.As(err, &capErr) {
 			t.Errorf("%s: err = %v, want a capability error", backend, err)
 		}

@@ -10,11 +10,14 @@
 # as long as the benchmark does.
 #
 # The base side is an export of <base-rev> (git archive) in a temporary
-# directory, removed on exit; the change side is the working tree. Each
-# side runs through its own bench/run.sh, so each builds from its own
-# sources into its own .bench_build/. Pair i runs base then change when i
-# is odd and change then base when it is even, so neither side always runs
-# first on a drifting machine.
+# directory; the change side is the working tree. On exit the export is
+# removed, and every run's output stays in that directory, whose path the
+# script prints: <side>-<pair>.txt, the run's whole output (with each
+# pass's steal share and calibration scale), and <side>-<pair>.json, its
+# result line. Each side runs through its own bench/run.sh, so each
+# builds from its own sources into its own .bench_build/. Pair i runs
+# base then change when i is odd and change then base when it is even,
+# so neither side always runs first on a drifting machine.
 #
 # It prints every run's correct flag and failed-op count and every metric
 # of the run, then, for each metric, each side's median and quartiles and
@@ -43,7 +46,7 @@ seconds=$(jq -r .run_seconds "$root/BENCHMARK.json")
 [[ $seconds =~ ^[0-9]+$ ]] || { echo "$0: no run_seconds in BENCHMARK.json" >&2; exit 2; }
 rev=$(git -C "$root" rev-parse --verify --quiet "$base^{commit}") || { echo "$0: no commit $base" >&2; exit 2; }
 work=$(mktemp -d "${TMPDIR:-/tmp}/e2e-ab.XXXXXX")
-trap 'rm -rf "$work"' EXIT
+trap 'rm -rf "$work/base"; echo "run outputs kept in $work" >&2' EXIT
 mkdir "$work/base"
 git -C "$root" archive "$rev" | tar -x -C "$work/base"
 echo "base   $rev (exported to $work/base)"
