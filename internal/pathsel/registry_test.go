@@ -80,8 +80,10 @@ func TestLookupErrors(t *testing.T) {
 			t.Errorf("%q: err %v not ErrBadStrategy", spec, err)
 		}
 	}
-	if _, err := Lookup("nope:1"); !errors.Is(err, ErrUnknownStrategy) {
-		t.Errorf("unknown name err = %v", err)
+	// An unknown name lists every entry, sorted (Specs).
+	const known = "known: anonymizer, crowds, fixed, freedom, hordes, lpwa, onionrouting1, onionrouting2, pipenet, remailer, uniform)"
+	if _, err := Lookup("nope:1"); !errors.Is(err, ErrUnknownStrategy) || !strings.HasSuffix(err.Error(), known) {
+		t.Errorf("unknown name err = %v, want ErrUnknownStrategy ending %q", err, known)
 	}
 }
 
