@@ -2,16 +2,20 @@ package onion_test
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"io"
 	"testing"
 	"time"
 
 	"anonmix/internal/onion"
 	"anonmix/internal/simnet"
+	"anonmix/internal/stats"
 	"anonmix/internal/trace"
 )
 
@@ -269,6 +273,152 @@ func FuzzBuildPeel(f *testing.F) {
 		}
 		if !bytes.Equal(blob, payload) && !(len(blob) == 0 && len(payload) == 0) {
 			t.Fatalf("payload mismatch: %d vs %d bytes", len(blob), len(payload))
+		}
+	})
+}
+
+// refLayers builds an onion the reference way, every layer from
+// aes.NewCipher, cipher.NewCTR and hmac.New: a layer is IV ‖
+// HMAC-SHA256(key, IV ‖ ct) ‖ ct, where ct is AES-256-CTR under the same
+// key of (next hop as a big-endian int32 ‖ inner length as a big-endian
+// uint32 ‖ inner), and the IVs come from ivs innermost layer first. It
+// returns every layer, outermost first, followed by the payload.
+func refLayers(t *testing.T, kr *onion.KeyRing, route []trace.NodeID, payload []byte, ivs io.Reader) [][]byte {
+	t.Helper()
+	layers := [][]byte{payload}
+	next := trace.Receiver
+	for i := len(route) - 1; i >= 0; i-- {
+		key, err := kr.Key(route[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner := layers[0]
+		plain := make([]byte, 8+len(inner))
+		binary.BigEndian.PutUint32(plain[0:4], uint32(int32(next)))
+		binary.BigEndian.PutUint32(plain[4:8], uint32(len(inner)))
+		copy(plain[8:], inner)
+		iv := make([]byte, aes.BlockSize)
+		if _, err := io.ReadFull(ivs, iv); err != nil {
+			t.Fatal(err)
+		}
+		block, err := aes.NewCipher(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := make([]byte, len(plain))
+		cipher.NewCTR(block, iv).XORKeyStream(ct, plain)
+		mac := hmac.New(sha256.New, key)
+		mac.Write(iv)
+		mac.Write(ct)
+		layer := append(append(iv, mac.Sum(nil)...), ct...)
+		layers = append([][]byte{layer}, layers...)
+		next = route[i]
+	}
+	return layers
+}
+
+// TestBuildKnownAnswer pins the onion bytes: over routes of 0 to 10 hops
+// and payloads of 0 to 300 bytes, Build's output equals the reference
+// layers byte for byte when both draw IVs from the same stream, and each
+// Peel returns the reference's next layer. Three IV streams take turns:
+// all 0xff, so the CTR counter wraps across both 64-bit halves after the
+// first block; a low half of 0xff, so it carries into the high half; and
+// seeded bytes, which pin the order IVs are drawn in.
+func TestBuildKnownAnswer(t *testing.T) {
+	const maxHops, maxPayload, n = 10, 300, 16
+	kr := ring(t, n)
+	streams := make([][]byte, 3)
+	streams[0] = bytes.Repeat([]byte{0xff}, maxHops*aes.BlockSize)
+	for i := 0; i < maxHops; i++ {
+		iv := make([]byte, aes.BlockSize)
+		iv[0], iv[7] = byte(i), 0x80
+		copy(iv[8:], bytes.Repeat([]byte{0xff}, 8))
+		streams[1] = append(streams[1], iv...)
+	}
+	streams[2] = make([]byte, maxHops*aes.BlockSize)
+	rng := stats.NewRand(41)
+	for i := range streams[2] {
+		streams[2][i] = byte(rng.Intn(256))
+	}
+	payload := make([]byte, maxPayload)
+	for i := range payload {
+		payload[i] = byte(i*7 + 3)
+	}
+	for hops := 0; hops <= maxHops; hops++ {
+		for size := 0; size <= maxPayload; size++ {
+			route := make([]trace.NodeID, hops)
+			for i := range route {
+				route[i] = trace.NodeID((size + 5*i) % n)
+			}
+			stream := streams[(hops+size)%len(streams)]
+			want := refLayers(t, kr, route, payload[:size], bytes.NewReader(stream))
+			ivs := bytes.NewReader(stream)
+			blob, err := onion.Build(kr, route, payload[:size], ivs)
+			if err != nil {
+				t.Fatalf("%d hops, %d bytes: %v", hops, size, err)
+			}
+			if !bytes.Equal(blob, want[0]) {
+				t.Fatalf("%d hops, %d bytes, IV stream %d: Build = %x, reference %x",
+					hops, size, (hops+size)%len(streams), blob, want[0])
+			}
+			if drawn := len(stream) - ivs.Len(); drawn != hops*aes.BlockSize {
+				t.Fatalf("%d hops: Build drew %d IV bytes", hops, drawn)
+			}
+			for i, hop := range route {
+				next, inner, err := onion.Peel(kr, hop, blob)
+				if err != nil {
+					t.Fatalf("%d hops, %d bytes, layer %d: %v", hops, size, i, err)
+				}
+				wantNext := trace.Receiver
+				if i+1 < hops {
+					wantNext = route[i+1]
+				}
+				if next != wantNext || !bytes.Equal(inner, want[i+1]) {
+					t.Fatalf("%d hops, %d bytes, layer %d: Peel = %v, %x; reference %v, %x",
+						hops, size, i, next, inner, wantNext, want[i+1])
+				}
+				blob = inner
+			}
+		}
+	}
+}
+
+// FuzzPeel hands Peel arbitrary bytes and node IDs. It must not panic, it
+// may fail only with ErrTruncated, ErrAuth or ErrBadRoute, and a blob it
+// rejects must be left byte for byte as it was.
+func FuzzPeel(f *testing.F) {
+	kr, err := onion.NewKeyRing([]byte("fuzz ring"), 8)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := onion.Build(kr, []trace.NodeID{3, 5}, []byte("seed"), bytes.NewReader(make([]byte, 32)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid, int64(3))
+	f.Add(valid, int64(5))
+	f.Add(valid[:len(valid)-1], int64(3))
+	f.Add(valid[:55], int64(3))
+	f.Add([]byte{}, int64(0))
+	f.Add(bytes.Repeat([]byte{0xff}, 64), int64(-1))
+	f.Add(valid, int64(8))
+	f.Fuzz(func(t *testing.T, blob []byte, self int64) {
+		work := bytes.Clone(blob)
+		next, inner, err := onion.Peel(kr, trace.NodeID(self), work)
+		if err != nil {
+			if !errors.Is(err, onion.ErrTruncated) && !errors.Is(err, onion.ErrAuth) && !errors.Is(err, onion.ErrBadRoute) {
+				t.Fatalf("Peel error %v is none of ErrTruncated, ErrAuth, ErrBadRoute", err)
+			}
+			if !bytes.Equal(work, blob) {
+				t.Fatalf("Peel rejected the blob (%v) and changed it", err)
+			}
+			return
+		}
+		if next != trace.Receiver && (next < 0 || int(next) >= kr.N()) {
+			t.Fatalf("Peel returned next hop %v", next)
+		}
+		if len(inner) > len(blob)-56 {
+			t.Fatalf("inner layer of %d bytes from a blob of %d", len(inner), len(blob))
 		}
 	})
 }

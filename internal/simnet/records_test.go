@@ -208,11 +208,16 @@ func recordCrowds(t *testing.T) *crowds.Forwarder {
 	return fwd
 }
 
-// runRecordCase runs c at the given GOMAXPROCS, checks its records, and
-// returns its snapshots.
-func runRecordCase(t *testing.T, c recordCase, procs int) ([]trace.Tuple, []simnet.Delivery) {
+// runRecordCase runs c at the given GOMAXPROCS, on the given number of
+// shards (0 keeps the case's own), checks its records, and returns its
+// snapshots.
+func runRecordCase(t *testing.T, c recordCase, procs, shards int) ([]trace.Tuple, []simnet.Delivery) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	nw, err := simnet.New(c.cfg(t))
+	cfg := c.cfg(t)
+	if shards > 0 {
+		cfg.Shards = shards
+	}
+	nw, err := simnet.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,13 +293,37 @@ func runRecordCase(t *testing.T, c recordCase, procs int) ([]trace.Tuple, []simn
 func TestRecordsOrderedAndRepeatable(t *testing.T) {
 	for _, c := range recordCases {
 		t.Run(c.name, func(t *testing.T) {
-			t1, d1 := runRecordCase(t, c, 1)
-			t4, d4 := runRecordCase(t, c, 4)
+			t1, d1 := runRecordCase(t, c, 1, 0)
+			t4, d4 := runRecordCase(t, c, 4, 0)
 			if !reflect.DeepEqual(t1, t4) {
 				t.Errorf("Tuples differ between GOMAXPROCS 1 and 4 (%d and %d tuples)", len(t1), len(t4))
 			}
 			if !reflect.DeepEqual(d1, d4) {
 				t.Errorf("Deliveries differ between GOMAXPROCS 1 and 4 (%d and %d deliveries)", len(d1), len(d4))
+			}
+		})
+	}
+}
+
+// TestRecordsIgnoreShardCount runs every substrate but the threshold mix,
+// whose batches are seeded on one shard, at Shards 1, 4 and 8 and requires
+// the same Tuples and Deliveries slices. On one shard every hop stays on
+// the shard that made it; on more, most hops are handed to another shard.
+func TestRecordsIgnoreShardCount(t *testing.T) {
+	for _, c := range recordCases {
+		if c.cfg(t).BatchThreshold > 0 {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			t1, d1 := runRecordCase(t, c, 4, 1)
+			for _, shards := range []int{4, 8} {
+				ts, ds := runRecordCase(t, c, 4, shards)
+				if !reflect.DeepEqual(t1, ts) {
+					t.Errorf("Tuples differ between 1 and %d shards (%d and %d tuples)", shards, len(t1), len(ts))
+				}
+				if !reflect.DeepEqual(d1, ds) {
+					t.Errorf("Deliveries differ between 1 and %d shards (%d and %d deliveries)", shards, len(d1), len(ds))
+				}
 			}
 		})
 	}
