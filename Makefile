@@ -6,7 +6,7 @@ DATE := $(shell date +%Y%m%d)
 # stack of PRs landing together) never clobbers an earlier measurement.
 SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo nogit)
 
-.PHONY: all build vet lint test race bench bench-smoke bench-compare bench-e2e-check e2e-ab cover fuzz-smoke serve-smoke profile clean
+.PHONY: all build vet lint test race race-kernel bench bench-smoke bench-compare bench-e2e-check e2e-ab cover fuzz-smoke serve-smoke profile clean
 
 all: build vet lint test
 
@@ -32,6 +32,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# race-kernel repeats the race detector over the testbed kernel and the
+# onion codec ten times: packets change hands between shard goroutines,
+# and onion layer states are shared between the injector and the shards,
+# so an unsynchronized handoff shows up only in some interleavings (see
+# TestConcurrentHandoffRewritesInPlace). CI runs exactly this target.
+race-kernel:
+	$(GO) test -race -count=10 ./internal/simnet ./internal/onion
 
 # SNAPSHOT picks a free BENCH_<date>_<sha>[...].json name: rerunning at
 # the committed baseline's own commit must never clobber the baseline
@@ -106,8 +114,9 @@ FUZZTIME = 10s
 # invocation, as the toolchain requires): the scenario configuration
 # surface, the CLI epoch syntax, the timeline schedule against its
 # map-based reference walk, the fault-plan syntax, the strategy registry,
-# the onion codec, the anonlint suppression parser, the spike/slab
-# accumulator against its dense reference fold, its phases against the
+# the onion codec, Peel on hostile blobs (no panic, only the codec's
+# errors, a rejected blob left unchanged), the anonlint suppression
+# parser, the spike/slab accumulator against its dense reference fold, its phases against the
 # dense phased fold over random churn schedules, the path route's entropy
 # and folds against the trace route's, the engine's shape-keyed class
 # statistics table against direct computation, Neighbor-derived engines
@@ -127,6 +136,7 @@ fuzz-smoke:
 	$(GO) test ./internal/faults -run '^$$' -fuzz '^FuzzParseFaults$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pathsel -run '^$$' -fuzz '^FuzzStrategyLookup$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/onion -run '^$$' -fuzz '^FuzzBuildPeel$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/onion -run '^$$' -fuzz '^FuzzPeel$$' -fuzztime $(FUZZTIME)
 
 # bench-e2e-check runs the end-to-end benchmark's own checks. bench/ is a
 # separate module (see bench/README.md), so the root targets above never

@@ -98,18 +98,24 @@
 //
 //   - internal/simnet — the testbed, built on a sharded discrete-event
 //     kernel: nodes are virtual, events ("packet arrives at node v at
-//     logical time t") are 32-byte pointers into a per-network packet
-//     arena, and one goroutine per shard (pool.Workers(), never per node)
-//     drains its inbox in arrival order. That order is safe because every
-//     hop decision is a pure function of the event's logical time, and
-//     each message's taps and delivery go into its own record, indexed by
-//     its serial ID, in hop order, which is time order: the analyst reads
-//     a message's reports by ID (Network.Trace), with no shared log, lock
-//     or sort. Only threshold mixes, whose batches must fill in
-//     arrival-time order, keep a per-shard (time, seq) heap.
-//     Forwarders rewrite a packet in place and must not keep it after
-//     Next returns; the kernel keeps a packet's slices until the message
-//     retires, then zeroes its slot. Goroutines and memory scale with
+//     logical time t") are 24-byte values, a time, a node and a pointer
+//     into a per-network packet arena, and one goroutine per shard
+//     (pool.Workers(), never per node) drains its inbox in arrival order.
+//     The hops a batch produces for the shard's own nodes make its next
+//     batch without a lock; those for another shard go to that shard's
+//     inbox in one locked append per batch. Arrival order is safe because
+//     every hop decision is a pure function of the event's logical time,
+//     and each message's taps and delivery go into its own record, indexed
+//     by its serial ID, in hop order, which is time order: the analyst
+//     reads a message's reports by ID (Network.Trace), with no shared log,
+//     lock or sort. Only threshold mixes, whose batches must fill in
+//     arrival-time order, keep a per-shard heap keyed on (time, message
+//     ID) and pass every hop through the inboxes. Inject takes the
+//     packet slot, the message's record and (SendRoute) a copy of its
+//     route from per-network chunks, so a message allocates nothing after
+//     Inject. Forwarders rewrite a packet in place and must not keep it
+//     after Next returns; the kernel keeps a packet's slices until the
+//     message retires, then zeroes its slot. Goroutines and memory scale with
 //     in-flight traffic, not with N, so a 1,000,000-node system runs a
 //     1,000-message workload in a few megabytes of heap and a handful of
 //     milliseconds. Per-hop delays are a pure function of (seed,

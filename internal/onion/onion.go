@@ -7,9 +7,14 @@
 // paper's threat model (§4).
 //
 // Layers use AES-256-CTR for confidentiality and HMAC-SHA256 for layer
-// integrity, both from the standard library. Key management is pre-shared:
-// a KeyRing derives per-node keys from a ring secret, standing in for the
-// public-key infrastructure real deployments use (see DESIGN.md §5).
+// integrity, built on the standard library's AES block and SHA-256. Key
+// management is pre-shared: a KeyRing derives per-node keys from a ring
+// secret, standing in for the public-key infrastructure real deployments
+// use (see DESIGN.md §5). Beside each key, the ring shares one immutable
+// layer state per node (the AES block and the HMAC pad states) between
+// the goroutine that builds onions and those that peel them. Build seals
+// every layer in place in one buffer, and Peel decrypts a layer in place
+// and returns a sub-slice of its input, so a layer allocates nothing.
 package onion
 
 import (
@@ -17,10 +22,15 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
+	"sync"
+	"sync/atomic"
 
 	"anonmix/internal/simnet"
 	"anonmix/internal/trace"
@@ -42,52 +52,172 @@ const (
 	macSize   = sha256.Size
 	ivSize    = aes.BlockSize
 	headerLen = 8 // next-hop int32 + inner length uint32
+	// overhead is the number of bytes one layer adds.
+	overhead = ivSize + macSize + headerLen
 )
 
 // KeyRing holds the symmetric key of every node, derived from a ring
 // secret. The adversary's compromised nodes hold their own keys only —
 // peeling someone else's layer fails authentication.
+//
+// Beside each key the ring keeps the node's layer state: the AES-256 block
+// and the HMAC-SHA256 states after the inner and outer pads. It is built on
+// the node's first layer and never changes after, so the goroutine that
+// builds onions and the shards that peel them share it without a lock.
+// That relies on the block crypto/aes returns being safe for concurrent
+// use, which its type (crypto/internal/fips140/aes.Block) documents though
+// cipher.Block does not; the race detector covers the sharing
+// (TestConcurrentBuildPeel).
 type KeyRing struct {
-	keys [][]byte
+	keys   []byte // node i's key is keys[i*keySize : (i+1)*keySize]
+	layers []atomic.Pointer[layerState]
+}
+
+// layerState is one node's immutable layer state.
+type layerState struct {
+	block cipher.Block
+	// inner and outer are SHA-256 states (AppendBinary) after absorbing
+	// the key XOR the HMAC inner and outer pads, held in states.
+	inner, outer []byte
+	states       [2 * stateSize]byte
 }
 
 // NewKeyRing derives n per-node keys from the given secret: node i's key
 // is HMAC-SHA256(secret, big-endian uint32(i)). One HMAC state, reset per
-// node, sums every key into one backing array; each key's capacity ends
-// at its own length, so no key reaches into the next.
+// node, sums every key into one backing array. Layer states are built on
+// first use, not here.
 func NewKeyRing(secret []byte, n int) (*KeyRing, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: %d nodes", ErrBadRoute, n)
 	}
-	kr := &KeyRing{keys: make([][]byte, n)}
-	backing := make([]byte, n*macSize)
+	kr := &KeyRing{keys: make([]byte, 0, n*keySize), layers: make([]atomic.Pointer[layerState], n)}
 	mac := hmac.New(sha256.New, secret)
 	var id [4]byte
-	for i := range kr.keys {
+	for i := 0; i < n; i++ {
 		mac.Reset()
 		binary.BigEndian.PutUint32(id[:], uint32(i))
 		mac.Write(id[:])
-		kr.keys[i] = mac.Sum(backing[i*macSize : i*macSize : (i+1)*macSize])
+		kr.keys = mac.Sum(kr.keys)
 	}
 	return kr, nil
 }
 
-// Key returns node id's key (the caller must not modify it).
+// Key returns node id's key (the caller must not modify it). Its capacity
+// ends at its length, so appending to it cannot reach the next key.
 func (kr *KeyRing) Key(id trace.NodeID) ([]byte, error) {
-	if int(id) < 0 || int(id) >= len(kr.keys) {
+	if int(id) < 0 || int(id) >= kr.N() {
 		return nil, fmt.Errorf("%w: no key for %v", ErrBadRoute, id)
 	}
-	return kr.keys[id], nil
+	i := int(id) * keySize
+	return kr.keys[i : i+keySize : i+keySize], nil
 }
 
 // N returns the number of keys in the ring.
-func (kr *KeyRing) N() int { return len(kr.keys) }
+func (kr *KeyRing) N() int { return len(kr.layers) }
+
+// layer returns node id's layer state, building it on first use with the
+// scratch s. Two goroutines may build it at once; both results are equal,
+// and the first one published wins.
+func (kr *KeyRing) layer(id trace.NodeID, s *scratch) (*layerState, error) {
+	key, err := kr.Key(id)
+	if err != nil {
+		return nil, err
+	}
+	slot := &kr.layers[id]
+	if ls := slot.Load(); ls != nil {
+		return ls, nil
+	}
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, fmt.Errorf("onion: cipher init: %w", err)
+	}
+	ls := &layerState{block: block}
+	ls.inner = s.padState(key, 0x36, ls.states[:0:stateSize])
+	ls.outer = s.padState(key, 0x5c, ls.states[stateSize:stateSize])
+	if !slot.CompareAndSwap(nil, ls) {
+		ls = slot.Load()
+	}
+	return ls, nil
+}
+
+// shaState is a SHA-256 hash whose state can be saved and restored, as
+// crypto/sha256 documents for the hashes it returns.
+type shaState interface {
+	hash.Hash
+	encoding.BinaryAppender
+	encoding.BinaryUnmarshaler
+}
+
+// stateSize is the length of a saved SHA-256 state.
+const stateSize = 108
+
+// scratch is the mutable state of one seal or open: a SHA-256 state that
+// the layer's pad states are loaded into, and the CTR counter and
+// keystream blocks. Scratches are pooled, so a layer allocates nothing.
+type scratch struct {
+	h       shaState
+	sum     [macSize]byte
+	ctr, ks [ivSize]byte
+	pad     [sha256.BlockSize]byte
+}
+
+var scratches = sync.Pool{New: func() any { return &scratch{h: sha256.New().(shaState)} }}
+
+// padState appends to dst the SHA-256 state after the first block HMAC
+// hashes: the key, zero-padded to the block size, XOR pad.
+func (s *scratch) padState(key []byte, pad byte, dst []byte) []byte {
+	clear(s.pad[:])
+	copy(s.pad[:], key)
+	for i := range s.pad {
+		s.pad[i] ^= pad
+	}
+	s.h.Reset()
+	s.h.Write(s.pad[:])
+	state, err := s.h.AppendBinary(dst)
+	if err != nil {
+		panic(err) // a SHA-256 state always saves
+	}
+	return state
+}
+
+// mac returns HMAC-SHA256(key, iv ‖ ct) in s.sum.
+func (ls *layerState) mac(s *scratch, iv, ct []byte) []byte {
+	if err := s.h.UnmarshalBinary(ls.inner); err != nil {
+		panic(err) // the state was saved by the same hash
+	}
+	s.h.Write(iv)
+	s.h.Write(ct)
+	inner := s.h.Sum(s.sum[:0])
+	if err := s.h.UnmarshalBinary(ls.outer); err != nil {
+		panic(err)
+	}
+	s.h.Write(inner)
+	return s.h.Sum(s.sum[:0])
+}
+
+// xorCTR XORs buf in place with the AES-CTR keystream from iv: block k of
+// the keystream encrypts iv + k, a 128-bit big-endian counter that wraps
+// around, as cipher.NewCTR counts.
+func (ls *layerState) xorCTR(s *scratch, iv, buf []byte) {
+	hi, lo := binary.BigEndian.Uint64(iv[:8]), binary.BigEndian.Uint64(iv[8:])
+	for len(buf) > 0 {
+		binary.BigEndian.PutUint64(s.ctr[:8], hi)
+		binary.BigEndian.PutUint64(s.ctr[8:], lo)
+		ls.block.Encrypt(s.ks[:], s.ctr[:])
+		n := subtle.XORBytes(buf, buf, s.ks[:])
+		buf = buf[n:]
+		if lo++; lo == 0 {
+			hi++
+		}
+	}
+}
 
 // Build wraps payload in one layer per route node, innermost first. The
 // first element of route peels first. Random IVs are drawn from rand
 // (pass a seeded reader for reproducible simulations, crypto/rand.Reader
-// otherwise). The first hop is route[0]; Build returns the blob to hand to
-// it.
+// otherwise), innermost layer first. The first hop is route[0]; Build
+// returns the blob to hand to it: len(payload) + 56·len(route) bytes,
+// every layer sealed in place in that one buffer.
 func Build(kr *KeyRing, route []trace.NodeID, payload []byte, rand io.Reader) ([]byte, error) {
 	if kr == nil {
 		return nil, fmt.Errorf("%w: nil key ring", ErrBadRoute)
@@ -97,16 +227,17 @@ func Build(kr *KeyRing, route []trace.NodeID, payload []byte, rand io.Reader) ([
 			return nil, fmt.Errorf("%w: hop %v", ErrBadRoute, hop)
 		}
 	}
-	// Innermost layer: deliver to the receiver.
-	blob := append([]byte(nil), payload...)
+	blob := make([]byte, overhead*len(route)+len(payload))
+	copy(blob[overhead*len(route):], payload)
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
 	next := trace.Receiver
 	for i := len(route) - 1; i >= 0; i-- {
-		key, err := kr.Key(route[i])
+		ls, err := kr.layer(route[i], s)
 		if err != nil {
 			return nil, err
 		}
-		blob, err = seal(key, next, blob, rand)
-		if err != nil {
+		if err := seal(ls, s, blob[i*overhead:], next, rand); err != nil {
 			return nil, err
 		}
 		next = route[i]
@@ -116,75 +247,57 @@ func Build(kr *KeyRing, route []trace.NodeID, payload []byte, rand io.Reader) ([
 
 // Peel removes the outermost layer with the given node's key, returning
 // the next hop (trace.Receiver when this node is the exit) and the inner
-// blob (the payload at the exit).
+// blob (the payload at the exit). It verifies the layer's tag, then
+// decrypts the layer in place, so the inner blob is a sub-slice of blob
+// and blob no longer holds the layer's ciphertext. A blob Peel rejects is
+// left as it was.
 func Peel(kr *KeyRing, self trace.NodeID, blob []byte) (trace.NodeID, []byte, error) {
-	key, err := kr.Key(self)
+	s := scratches.Get().(*scratch)
+	defer scratches.Put(s)
+	ls, err := kr.layer(self, s)
 	if err != nil {
 		return 0, nil, err
 	}
-	return open(key, blob)
+	return open(ls, s, blob)
 }
 
-// seal encrypts the header (next, len(inner)) and inner under key with a
-// fresh IV and prepends IV ‖ HMAC(iv ‖ ciphertext).
-func seal(key []byte, next trace.NodeID, inner []byte, rand io.Reader) ([]byte, error) {
-	plain := make([]byte, headerLen+len(inner))
-	binary.BigEndian.PutUint32(plain[0:4], uint32(int32(next)))
-	binary.BigEndian.PutUint32(plain[4:8], uint32(len(inner)))
-	copy(plain[headerLen:], inner)
-
-	iv := make([]byte, ivSize)
+// seal turns layer, which holds overhead free bytes followed by the inner
+// blob, into IV ‖ HMAC(iv ‖ ciphertext) ‖ ciphertext, where the ciphertext
+// encrypts the header (next, len(inner)) and the inner blob, drawing the
+// IV from rand.
+func seal(ls *layerState, s *scratch, layer []byte, next trace.NodeID, rand io.Reader) error {
+	iv, tag, ct := layer[:ivSize], layer[ivSize:ivSize+macSize], layer[ivSize+macSize:]
+	binary.BigEndian.PutUint32(ct[0:4], uint32(int32(next)))
+	binary.BigEndian.PutUint32(ct[4:8], uint32(len(ct)-headerLen))
 	if _, err := io.ReadFull(rand, iv); err != nil {
-		return nil, fmt.Errorf("onion: drawing IV: %w", err)
+		return fmt.Errorf("onion: drawing IV: %w", err)
 	}
-	block, err := aes.NewCipher(key[:keySize])
-	if err != nil {
-		return nil, fmt.Errorf("onion: cipher init: %w", err)
-	}
-	ct := make([]byte, len(plain))
-	cipher.NewCTR(block, iv).XORKeyStream(ct, plain)
-
-	mac := hmac.New(sha256.New, key)
-	mac.Write(iv)
-	mac.Write(ct)
-	tag := mac.Sum(nil)
-
-	out := make([]byte, 0, ivSize+macSize+len(ct))
-	out = append(out, iv...)
-	out = append(out, tag...)
-	out = append(out, ct...)
-	return out, nil
+	ls.xorCTR(s, iv, ct)
+	copy(tag, ls.mac(s, iv, ct))
+	return nil
 }
 
-// open verifies and decrypts one layer. Blobs come from outside, so it
-// checks the header's inner length against the bytes it carries.
-func open(key, blob []byte) (trace.NodeID, []byte, error) {
-	if len(blob) < ivSize+macSize+headerLen {
+// open verifies and decrypts one layer in place. Blobs come from outside,
+// so it decrypts a copy of the header first and checks its inner length
+// against the bytes the layer carries: a layer it rejects stays as it was.
+func open(ls *layerState, s *scratch, blob []byte) (trace.NodeID, []byte, error) {
+	if len(blob) < overhead {
 		return 0, nil, ErrTruncated
 	}
-	iv := blob[:ivSize]
-	tag := blob[ivSize : ivSize+macSize]
-	ct := blob[ivSize+macSize:]
-
-	mac := hmac.New(sha256.New, key)
-	mac.Write(iv)
-	mac.Write(ct)
-	if !hmac.Equal(tag, mac.Sum(nil)) {
+	iv, tag, ct := blob[:ivSize], blob[ivSize:ivSize+macSize], blob[ivSize+macSize:]
+	if !hmac.Equal(tag, ls.mac(s, iv, ct)) {
 		return 0, nil, ErrAuth
 	}
-	block, err := aes.NewCipher(key[:keySize])
-	if err != nil {
-		return 0, nil, fmt.Errorf("onion: cipher init: %w", err)
-	}
-	plain := make([]byte, len(ct))
-	cipher.NewCTR(block, iv).XORKeyStream(plain, ct)
-
-	next := trace.NodeID(int32(binary.BigEndian.Uint32(plain[0:4])))
-	innerLen := binary.BigEndian.Uint32(plain[4:8])
-	if int(innerLen) > len(plain)-headerLen {
+	var header [headerLen]byte
+	copy(header[:], ct)
+	ls.xorCTR(s, iv, header[:])
+	next := trace.NodeID(int32(binary.BigEndian.Uint32(header[0:4])))
+	innerLen := binary.BigEndian.Uint32(header[4:8])
+	if int(innerLen) > len(ct)-headerLen {
 		return 0, nil, ErrTruncated
 	}
-	return next, plain[headerLen : headerLen+int(innerLen)], nil
+	ls.xorCTR(s, iv, ct)
+	return next, ct[headerLen : headerLen+int(innerLen)], nil
 }
 
 // Forwarder peels one onion layer per hop on the simnet testbed.

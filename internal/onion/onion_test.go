@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"sync"
 	"testing"
 	"time"
 
@@ -235,6 +236,79 @@ func TestOnionOverTestbed(t *testing.T) {
 	if r.Observer != 4 || r.Pred != 2 || r.Succ != 7 {
 		t.Errorf("compromised tap = %+v", r)
 	}
+}
+
+// TestForwarderNextDoesNotAllocate: peeling a layer on the testbed
+// allocates nothing. Peel decrypts in place, and a node's layer state is
+// built once, on its first layer.
+func TestForwarderNextDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	const runs = 100
+	kr := ring(t, 8)
+	fwd, err := onion.NewForwarder(kr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	route := []trace.NodeID{1, 4, 6, 3, 0}
+	blobs := make([][]byte, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range blobs {
+		if blobs[i], err = onion.Build(kr, route, []byte("payload"), rand.Reader); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var pkt simnet.Packet
+	run := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		pkt = simnet.Packet{Onion: blobs[run]}
+		run++
+		for _, hop := range route {
+			if _, err := fwd.Next(hop, &pkt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Forwarder.Next: %v allocations per 5-hop onion, want 0", allocs)
+	}
+	if string(pkt.Payload) != "payload" {
+		t.Errorf("exit payload %q", pkt.Payload)
+	}
+}
+
+// TestConcurrentBuildPeel builds and peels onions over the same nodes from
+// four goroutines on a fresh ring, so the layer states are built, published
+// and used concurrently; run it under -race.
+func TestConcurrentBuildPeel(t *testing.T) {
+	kr := ring(t, 6)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				route := []trace.NodeID{trace.NodeID((g + i) % 6), trace.NodeID((g + 2*i + 1) % 6), trace.NodeID(i % 6)}
+				payload := []byte{byte(g), byte(i)}
+				blob, err := onion.Build(kr, route, payload, rand.Reader)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, hop := range route {
+					if _, blob, err = onion.Peel(kr, hop, blob); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if !bytes.Equal(blob, payload) {
+					t.Errorf("goroutine %d, onion %d: payload %x", g, i, blob)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // FuzzBuildPeel exercises the codec with arbitrary payloads and route

@@ -8,18 +8,23 @@
 // Nodes are *virtual*: the kernel spawns one goroutine per shard (default
 // pool.Workers()), never one per node, and keeps no per-node state unless
 // a node is actively holding traffic. Events — "packet arrives at node v
-// at logical time t" — are routed to the inbox of the shard owning the
-// destination node. An event carries only a pointer to its packet: Inject
-// copies the caller's packet once into a per-network arena, and every hop
-// after that moves the pointer. A shard processes its inbox in arrival
-// order, because every hop decision (churn, crash, loss, jitter, taps) is
-// a pure function of the event's logical time, and a message's reports
-// land in its own record in hop order, which is time order, so no event
-// has to wait for an older one. A per-shard heap keyed by (time, message
-// ID) orders events only for threshold mixes, where a batch's composition
-// is the order packets reach the mix; a mix shard holds back the events
-// at or past the injection clock until injection ends, so its batches do
-// not depend on the pace of injection. Memory and goroutine count therefore
+// at logical time t" — go to the shard owning the destination node. An
+// event carries only a pointer to its packet: Inject copies the caller's
+// packet once into a per-network arena (and SendRoute its route into a
+// per-network slab), and every hop after that moves the pointer. Inject
+// puts a message's first event in the owner's inbox under the shard lock.
+// A shard processes its inbox in batches, in arrival order: the events its
+// hops produce for its own nodes form its next batch, with no lock, and
+// those for other shards go to each one's inbox in one locked append per
+// batch. Arrival order is safe because every hop decision (churn, crash,
+// loss, jitter, taps) is a pure function of the event's logical time, and
+// a message's reports land in its own record in hop order, which is time
+// order, so no event has to wait for an older one. A per-shard heap keyed
+// by (time, message ID) orders events only for threshold mixes, where a
+// batch's composition is the order packets reach the mix; a mix shard
+// passes every event through the inboxes, and holds back the events at or
+// past the injection clock until injection ends, so its batches do not
+// depend on the pace of injection. Memory and goroutine count therefore
 // scale with the number of in-flight messages, not with N, which makes
 // million-node systems with sparse traffic cheap.
 //
@@ -502,6 +507,30 @@ func (a *packetArena) alloc() *Packet {
 	return &a.chunk[a.used-1]
 }
 
+// routeChunk is the number of route entries a network allocates at once.
+const routeChunk = 1024
+
+// routeSlab holds the plain routes SendRoute copies, in chunks that
+// Inject fills under Network.mu. Each copy's capacity ends at its length,
+// so a forwarder that reslices its route cannot reach the next message's.
+// A full chunk becomes garbage once no packet points into it.
+type routeSlab struct {
+	chunk []trace.NodeID
+}
+
+// copy returns a copy of route in the slab (nil for an empty route).
+func (s *routeSlab) copy(route []trace.NodeID) []trace.NodeID {
+	if len(route) == 0 {
+		return nil
+	}
+	if cap(s.chunk)-len(s.chunk) < len(route) {
+		s.chunk = make([]trace.NodeID, 0, max(routeChunk, len(route)))
+	}
+	i := len(s.chunk)
+	s.chunk = append(s.chunk, route...)
+	return s.chunk[i:len(s.chunk):len(s.chunk)]
+}
+
 // recordChunk is the number of message records a network allocates at
 // once.
 const recordChunk = 256
@@ -573,10 +602,19 @@ type shard struct {
 	stop    bool
 	flushed bool // a quiescence flush has been requested
 
+	// local holds the events this shard's hops produce for its own nodes,
+	// and out[i] those for shard i, until the end of runShard's batch;
+	// only the shard's goroutine touches them. A mix shard has neither and
+	// schedules through the inboxes.
+	local []event
+	out   [][]event
+
 	// batches maps node → held events, allocated lazily so an idle
-	// million-node system costs nothing. Only the owning shard touches a
-	// node's queue, outside the shard lock.
+	// million-node system costs nothing, and free holds flushed queues,
+	// emptied, for the next node that needs one. Only the owning shard
+	// touches them, outside the shard lock.
 	batches map[trace.NodeID][]event
+	free    [][]event
 	rng     *rand.Rand
 }
 
@@ -611,9 +649,11 @@ type Network struct {
 	shards  []*shard
 	shardWG sync.WaitGroup
 
-	// arena holds every in-flight packet and records one record per
-	// message; Inject allocates from both under mu.
+	// arena holds every in-flight packet, routes every plain route
+	// SendRoute copies, and records one record per message; Inject
+	// allocates from all three under mu.
 	arena   packetArena
+	routes  routeSlab
 	records recordBook
 
 	// pending counts events in inboxes and heaps; buffered counts packets
@@ -736,6 +776,8 @@ func New(cfg Config) (*Network, error) {
 		if cfg.BatchThreshold > 0 {
 			s.batches = make(map[trace.NodeID][]event)
 			s.rng = stats.Fork(cfg.Seed, int64(1_000_003+i))
+		} else {
+			s.out = make([][]event, cfg.Shards)
 		}
 		nw.shards[i] = s
 	}
@@ -903,14 +945,36 @@ func (nw *Network) schedule(ev event) {
 	s.mu.Unlock()
 }
 
+// forward passes on an event that a hop on shard s produced. A mix shard
+// schedules it through the owning shard's inbox; any other shard keeps it,
+// without a lock, in s.local when s owns its node and in the owner's
+// s.out queue otherwise, for runShard to run or hand off when the batch
+// ends.
+func (nw *Network) forward(s *shard, ev event) {
+	if s.out == nil {
+		nw.schedule(ev)
+		return
+	}
+	nw.pending.Add(1)
+	if d := nw.shardFor(ev.node); d == s {
+		s.local = append(s.local, ev)
+	} else {
+		s.out[d.id] = append(s.out[d.id], ev)
+	}
+}
+
 // runShard is the shard main loop: swap the inbox for the spare slice
 // under the lock, then process the events outside it, in arrival order.
-// Arrival order is safe because every hop decision (churn, crash, loss,
-// jitter, taps) is a pure function of the event's logical time, not of when
-// the shard reaches it, and each message's reports land in its own record
-// in hop order, which is time order; messages are independent, and
-// per-path causality is carried by the event times themselves. Threshold
-// mixes are the exception (runMixShard).
+// The successors of a batch's hops that land on this shard's own nodes
+// form the next batch, taken without the lock; those for other shards are
+// handed to each shard's inbox at the end of every batch (handOff), so the
+// shard never waits while it holds another shard's events. Arrival order
+// is safe because every hop decision (churn, crash, loss, jitter, taps) is
+// a pure function of the event's logical time, not of when the shard
+// reaches it, and each message's reports land in its own record in hop
+// order, which is time order; messages are independent, and per-path
+// causality is carried by the event times themselves. Threshold mixes are
+// the exception (runMixShard).
 func (nw *Network) runShard(s *shard) {
 	defer nw.shardWG.Done()
 	if nw.cfg.BatchThreshold > 0 {
@@ -929,14 +993,35 @@ func (nw *Network) runShard(s *shard) {
 		}
 		work, s.inbox = s.inbox, work[:0]
 		s.mu.Unlock()
-		for _, ev := range work {
-			nw.events.Add(1)
-			nw.hopAt(ev.node, ev.pkt, ev.time)
-			nw.eventDone()
+		for len(work) > 0 {
+			nw.events.Add(uint64(len(work)))
+			for _, ev := range work {
+				nw.hopAt(s, ev.node, ev.pkt, ev.time)
+				nw.eventDone()
+			}
+			// Clear the drained events so the spare's backing array does
+			// not pin arena chunks after a traffic burst.
+			clear(work)
+			work, s.local = s.local, work[:0]
+			nw.handOff(s)
 		}
-		// Clear the drained events so the spare's backing array does not pin
-		// arena chunks after a traffic burst.
-		clear(work)
+	}
+}
+
+// handOff appends the events s holds for each other shard to that shard's
+// inbox: one locked append and one Signal per shard with events.
+func (nw *Network) handOff(s *shard) {
+	for i, q := range s.out {
+		if len(q) == 0 {
+			continue
+		}
+		d := nw.shards[i]
+		d.mu.Lock()
+		d.inbox = append(d.inbox, q...)
+		d.cond.Signal()
+		d.mu.Unlock()
+		clear(q)
+		s.out[i] = q[:0]
 	}
 }
 
@@ -996,7 +1081,11 @@ func (nw *Network) runMixShard(s *shard) {
 // fills. Only the owning shard touches the queue, so no lock.
 func (nw *Network) mixArrive(s *shard, ev event) {
 	nw.events.Add(1)
-	q := append(s.batches[ev.node], ev)
+	q, held := s.batches[ev.node]
+	if !held {
+		q = s.queue(nw.cfg.BatchThreshold)
+	}
+	q = append(q, ev)
 	if len(q) >= nw.cfg.BatchThreshold {
 		delete(s.batches, ev.node)
 		nw.buffered.Add(int64(1 - len(q)))
@@ -1006,6 +1095,19 @@ func (nw *Network) mixArrive(s *shard, ev event) {
 		nw.buffered.Add(1)
 	}
 	nw.eventDone()
+}
+
+// queue returns an empty batch queue of the given capacity: a flushed
+// one when the shard holds one, a new one otherwise.
+func (s *shard) queue(threshold int) []event {
+	n := len(s.free)
+	if n == 0 {
+		return make([]event, 0, threshold)
+	}
+	q := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	return q
 }
 
 // eventDone retires one event and triggers the quiescence flush when the
@@ -1066,7 +1168,8 @@ func (nw *Network) flushShard(s *shard) {
 
 // flushBatch releases a batch: the packets leave in shuffled order with a
 // common release time (the batch's latest arrival), which is what unlinks
-// arrival from departure order in a threshold mix.
+// arrival from departure order in a threshold mix. The emptied queue goes
+// to the shard's free list.
 func (nw *Network) flushBatch(s *shard, q []event) {
 	nw.flushes.Add(1)
 	release := uint64(0)
@@ -1077,8 +1180,10 @@ func (nw *Network) flushBatch(s *shard, q []event) {
 	}
 	s.rng.Shuffle(len(q), func(i, j int) { q[i], q[j] = q[j], q[i] })
 	for _, ev := range q {
-		nw.hopAt(ev.node, ev.pkt, release)
+		nw.hopAt(s, ev.node, ev.pkt, release)
 	}
+	clear(q)
+	s.free = append(s.free, q[:0])
 }
 
 // hopAt executes the forwarding step of a packet at a node at logical time
@@ -1089,8 +1194,8 @@ func (nw *Network) flushBatch(s *shard, q []event) {
 // through here as well, so a crashing mix never leaks its held traffic.
 // The packet is mutated in place; once hopAt schedules, delivers or
 // retires it, the packet belongs to its next owner and hopAt reads it no
-// more. It runs on the goroutine of the shard that owns self.
-func (nw *Network) hopAt(self trace.NodeID, pkt *Packet, t uint64) {
+// more. It runs on the goroutine of s, the shard that owns self.
+func (nw *Network) hopAt(s *shard, self trace.NodeID, pkt *Packet, t uint64) {
 	if !nw.isLive(self, t) {
 		// The packet reached a node outside the live membership (left, or
 		// not yet joined) — the injector routed through a non-member.
@@ -1109,7 +1214,7 @@ func (nw *Network) hopAt(self trace.NodeID, pkt *Packet, t uint64) {
 			delay := faults.Backoff(nw.backoffBase, uint64(pkt.tries))
 			pkt.tries++
 			nw.retries.Add(1)
-			nw.schedule(event{time: t + delay, node: self, pkt: pkt})
+			nw.forward(s, event{time: t + delay, node: self, pkt: pkt})
 			return
 		}
 		nw.fail(pkt, self, t, DropCrash)
@@ -1144,7 +1249,7 @@ func (nw *Network) hopAt(self trace.NodeID, pkt *Packet, t uint64) {
 		nw.deliver(pkt, t2)
 		return
 	}
-	nw.schedule(event{time: t2, node: next, pkt: pkt})
+	nw.forward(s, event{time: t2, node: next, pkt: pkt})
 }
 
 // linkUp resolves the per-attempt loss draws for the transmission of pkt
@@ -1243,6 +1348,12 @@ func (nw *Network) hopJitter(msg trace.MessageID, hop uint64) uint64 {
 // packet value is copied into the kernel, but its slices are not: see
 // Packet.
 func (nw *Network) Inject(sender, first trace.NodeID, pkt Packet) (trace.MessageID, error) {
+	return nw.inject(sender, first, pkt, nil)
+}
+
+// inject is Inject; a non-empty route replaces pkt.Route with its copy in
+// the route slab.
+func (nw *Network) inject(sender, first trace.NodeID, pkt Packet, route []trace.NodeID) (trace.MessageID, error) {
 	if int(sender) < 0 || int(sender) >= nw.cfg.N {
 		return 0, fmt.Errorf("%w: sender %v", ErrBadConfig, sender)
 	}
@@ -1258,6 +1369,9 @@ func (nw *Network) Inject(sender, first trace.NodeID, pkt Packet) (trace.Message
 	}
 	nw.msgWG.Add(1)
 	p := nw.arena.alloc()
+	if len(route) > 0 {
+		pkt.Route = nw.routes.copy(route)
+	}
 	msg, rec := nw.records.issue()
 	nw.mu.Unlock()
 	t0 := nw.injTime.Add(1)
@@ -1288,15 +1402,14 @@ func (nw *Network) Inject(sender, first trace.NodeID, pkt Packet) (trace.Message
 }
 
 // SendRoute sends a payload along an explicit source route of intermediate
-// nodes (possibly empty for a direct send) using plain routing state.
+// nodes (possibly empty for a direct send) using plain routing state. The
+// route is copied into the network, so the caller may reuse its buffer
+// once SendRoute returns.
 func (nw *Network) SendRoute(sender trace.NodeID, route []trace.NodeID, payload []byte) (trace.MessageID, error) {
-	first := trace.Receiver
-	rest := []trace.NodeID(nil)
-	if len(route) > 0 {
-		first = route[0]
-		rest = append(rest, route[1:]...)
+	if len(route) == 0 {
+		return nw.inject(sender, trace.Receiver, Packet{Payload: payload}, nil)
 	}
-	return nw.Inject(sender, first, Packet{Route: rest, Payload: payload})
+	return nw.inject(sender, route[0], Packet{Payload: payload}, route[1:])
 }
 
 // AdvanceTime raises the injection clock to at least t, so every later
