@@ -278,8 +278,9 @@ func seal(ls *layerState, s *scratch, layer []byte, next trace.NodeID, rand io.R
 }
 
 // open verifies and decrypts one layer in place. Blobs come from outside,
-// so it decrypts a copy of the header first and checks its inner length
-// against the bytes the layer carries: a layer it rejects stays as it was.
+// so it checks the header's inner length against the bytes the layer
+// carries, and a layer it rejects stays as it was: one that fails that
+// check is encrypted again, as CTR is its own inverse.
 func open(ls *layerState, s *scratch, blob []byte) (trace.NodeID, []byte, error) {
 	if len(blob) < overhead {
 		return 0, nil, ErrTruncated
@@ -288,15 +289,13 @@ func open(ls *layerState, s *scratch, blob []byte) (trace.NodeID, []byte, error)
 	if !hmac.Equal(tag, ls.mac(s, iv, ct)) {
 		return 0, nil, ErrAuth
 	}
-	var header [headerLen]byte
-	copy(header[:], ct)
-	ls.xorCTR(s, iv, header[:])
-	next := trace.NodeID(int32(binary.BigEndian.Uint32(header[0:4])))
-	innerLen := binary.BigEndian.Uint32(header[4:8])
+	ls.xorCTR(s, iv, ct)
+	next := trace.NodeID(int32(binary.BigEndian.Uint32(ct[0:4])))
+	innerLen := binary.BigEndian.Uint32(ct[4:8])
 	if int(innerLen) > len(ct)-headerLen {
+		ls.xorCTR(s, iv, ct)
 		return 0, nil, ErrTruncated
 	}
-	ls.xorCTR(s, iv, ct)
 	return next, ct[headerLen : headerLen+int(innerLen)], nil
 }
 

@@ -457,6 +457,39 @@ func TestBuildKnownAnswer(t *testing.T) {
 	}
 }
 
+// TestPeelRejectsLongInnerLength: a layer whose tag verifies but whose
+// header claims more inner bytes than it carries fails with ErrTruncated,
+// and Peel leaves it as it was although it decrypted it to read the
+// header.
+func TestPeelRejectsLongInnerLength(t *testing.T) {
+	kr := ring(t, 4)
+	key, err := kr.Key(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := make([]byte, 8+5)
+	binary.BigEndian.PutUint32(plain[0:4], 3) // next hop: node 3
+	binary.BigEndian.PutUint32(plain[4:8], 6) // 6 inner bytes; 5 follow
+	iv := bytes.Repeat([]byte{0x5a}, aes.BlockSize)
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := make([]byte, len(plain))
+	cipher.NewCTR(block, iv).XORKeyStream(ct, plain)
+	mac := hmac.New(sha256.New, key)
+	mac.Write(iv)
+	mac.Write(ct)
+	blob := append(append(iv, mac.Sum(nil)...), ct...)
+	orig := bytes.Clone(blob)
+	if _, _, err := onion.Peel(kr, 2, blob); !errors.Is(err, onion.ErrTruncated) {
+		t.Fatalf("Peel err = %v, want ErrTruncated", err)
+	}
+	if !bytes.Equal(blob, orig) {
+		t.Fatal("Peel changed the layer it rejected")
+	}
+}
+
 // FuzzPeel hands Peel arbitrary bytes and node IDs. It must not panic, it
 // may fail only with ErrTruncated, ErrAuth or ErrBadRoute, and a blob it
 // rejects must be left byte for byte as it was.
