@@ -148,7 +148,8 @@ type shaState interface {
 	encoding.BinaryUnmarshaler
 }
 
-// stateSize is the length of a saved SHA-256 state.
+// stateSize is the length of a saved SHA-256 state, so a layer state
+// holds both of its own; were it too short, AppendBinary would allocate.
 const stateSize = 108
 
 // scratch is the mutable state of one seal or open: a SHA-256 state that
