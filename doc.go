@@ -112,10 +112,11 @@
 //     arrival-time order, keep a per-shard heap keyed on (time, message
 //     ID) and pass every hop through the inboxes. Inject takes the
 //     packet slot, the message's record and (SendRoute) a copy of its
-//     route from per-network chunks, so a message allocates nothing after
-//     Inject. Forwarders rewrite a packet in place and must not keep it
-//     after Next returns; the kernel keeps a packet's slices until the
-//     message retires, then zeroes its slot. Goroutines and memory scale with
+//     route from per-network chunks, so after Inject a message allocates
+//     only as its record's reports grow. Forwarders rewrite a packet in
+//     place and must not keep it after Next returns; the kernel keeps a
+//     packet's slices until the message retires, then zeroes its slot.
+//     Goroutines and memory scale with
 //     in-flight traffic, not with N, so a 1,000,000-node system runs a
 //     1,000-message workload in a few megabytes of heap and a handful of
 //     milliseconds. Per-hop delays are a pure function of (seed,

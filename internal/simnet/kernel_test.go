@@ -67,8 +67,8 @@ func TestMillionNodesSparseTraffic(t *testing.T) {
 	}
 }
 
-// TestHopsDoNotAllocate: a message allocates nothing after Inject, and
-// forwarding it costs no heap allocation. A first wave of plain 5-hop
+// TestHopsDoNotAllocate: a message on an untapped path allocates nothing
+// after Inject, and forwarding it costs no heap allocation. A first wave of plain 5-hop
 // messages grows the shards' event buffers to their working size, which
 // depends on the shard count. A second, equal wave must then allocate
 // fewer objects than a fifth of its messages — packets, route copies and
