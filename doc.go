@@ -111,8 +111,8 @@
 //     lock or sort. Only threshold mixes, whose batches must fill in
 //     arrival-time order, keep a per-shard heap keyed on (time, message
 //     ID) and pass every hop through the inboxes. Inject takes the
-//     packet slot, the message's record and (SendRoute) a copy of its
-//     route from per-network chunks, so after Inject a message allocates
+//     packet slot, the message's record and a copy of its plain route
+//     from per-network chunks, so after Inject a message allocates
 //     only as its record's reports grow. Forwarders rewrite a packet in
 //     place and must not keep it after Next returns; the kernel keeps a
 //     packet's slices until the message retires, then zeroes its slot.

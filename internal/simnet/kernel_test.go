@@ -67,13 +67,14 @@ func TestMillionNodesSparseTraffic(t *testing.T) {
 	}
 }
 
-// TestHopsDoNotAllocate: a message on an untapped path allocates nothing
-// after Inject, and forwarding it costs no heap allocation. A first wave of plain 5-hop
-// messages grows the shards' event buffers to their working size, which
-// depends on the shard count. A second, equal wave must then allocate
-// fewer objects than a fifth of its messages — packets, route copies and
-// records all come in chunks — and under 1 MB in all: each hop moves a
-// pointer into the packet arena, not the packet.
+// TestHopsDoNotAllocate: a message allocates nothing after Inject, and
+// forwarding it costs no heap allocation. Two equal waves of plain 5-hop
+// messages are counted, each under 1 MB in all: each hop moves a pointer
+// into the packet arena, not the packet. The first wave, on a fresh
+// network, also grows the shards' event buffers to their working size,
+// which depends on the shard count, and must allocate fewer objects than
+// it has hop events. The second must allocate fewer objects than a fifth
+// of its messages: packets, route copies and records all come in chunks.
 func TestHopsDoNotAllocate(t *testing.T) {
 	const n, messages, hops = 64, 1000, 5
 	nw, err := simnet.New(simnet.Config{N: n, Seed: 3})
@@ -83,7 +84,10 @@ func TestHopsDoNotAllocate(t *testing.T) {
 	nw.Start()
 	defer nw.Close()
 	route := make([]trace.NodeID, hops)
-	wave := func() {
+	for w, limit := range []uint64{messages * hops, messages / 5} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
 		for i := 0; i < messages; i++ {
 			for h := range route {
 				route[h] = trace.NodeID((i + 7*h + 1) % n)
@@ -95,22 +99,18 @@ func TestHopsDoNotAllocate(t *testing.T) {
 		if err := nw.Settle(time.Minute); err != nil {
 			t.Fatal(err)
 		}
-	}
-	wave()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	wave()
-	runtime.ReadMemStats(&after)
-	if events := nw.Metrics().Events; events != 2*messages*hops {
-		t.Fatalf("events = %d, want %d", events, 2*messages*hops)
-	}
-	if allocs := after.Mallocs - before.Mallocs; allocs >= messages/5 {
-		t.Errorf("%d allocations for %d messages of %d hops, want < %d: a message or a hop allocates",
-			allocs, messages, hops, messages/5)
-	}
-	if size := after.TotalAlloc - before.TotalAlloc; size >= 1<<20 {
-		t.Errorf("%d bytes allocated for %d messages of %d hops, want < 1 MB", size, messages, hops)
+		runtime.ReadMemStats(&after)
+		if events := nw.Metrics().Events; events != uint64(w+1)*messages*hops {
+			t.Fatalf("wave %d: events = %d, want %d", w+1, events, (w+1)*messages*hops)
+		}
+		if allocs := after.Mallocs - before.Mallocs; allocs >= limit {
+			t.Errorf("wave %d: %d allocations for %d messages of %d hops, want < %d: a message or a hop allocates",
+				w+1, allocs, messages, hops, limit)
+		}
+		if size := after.TotalAlloc - before.TotalAlloc; size >= 1<<20 {
+			t.Errorf("wave %d: %d bytes allocated for %d messages of %d hops, want < 1 MB",
+				w+1, size, messages, hops)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@
 // a node is actively holding traffic. Events — "packet arrives at node v
 // at logical time t" — go to the shard owning the destination node. An
 // event carries only a pointer to its packet: Inject copies the caller's
-// packet once into a per-network arena (and SendRoute its route into a
+// packet once into a per-network arena (and its plain route into a
 // per-network slab), and every hop after that moves the pointer. Inject
 // puts a message's first event in the owner's inbox under the shard lock.
 // A shard processes its inbox in batches, in arrival order: the events its
@@ -70,10 +70,10 @@ var (
 )
 
 // Packet is a message in flight. Forwarders consume routing state (Route
-// or Onion) as the packet moves. Inject copies the Packet value into the
-// kernel, but the kernel keeps its slices (Route, Onion, Payload) until the
-// message retires, and forwarders may rewrite them in place, so the caller
-// must not touch them while the message is in flight.
+// or Onion) as the packet moves. Inject copies the Packet value and its
+// Route into the kernel, but the kernel keeps its Onion and Payload slices
+// until the message retires, and forwarders may rewrite them in place, so
+// the caller must not touch them while the message is in flight.
 type Packet struct {
 	// Msg correlates the packet across hops.
 	Msg trace.MessageID
@@ -510,10 +510,10 @@ func (a *packetArena) alloc() *Packet {
 // routeChunk is the number of route entries a network allocates at once.
 const routeChunk = 1024
 
-// routeSlab holds the plain routes SendRoute copies, in chunks that
-// Inject fills under Network.mu. Each copy's capacity ends at its length,
-// so a forwarder that reslices its route cannot reach the next message's.
-// A full chunk becomes garbage once no packet points into it.
+// routeSlab holds the copies Inject makes of packets' plain routes, in
+// chunks that it fills under Network.mu. Each copy's capacity ends at its
+// length, so a forwarder that reslices its route cannot reach the next
+// message's. A full chunk becomes garbage once no packet points into it.
 type routeSlab struct {
 	chunk []trace.NodeID
 }
@@ -649,9 +649,9 @@ type Network struct {
 	shards  []*shard
 	shardWG sync.WaitGroup
 
-	// arena holds every in-flight packet, routes every plain route
-	// SendRoute copies, and records one record per message; Inject
-	// allocates from all three under mu.
+	// arena holds every in-flight packet, routes a copy of every plain
+	// route, and records one record per message; Inject allocates from
+	// all three under mu.
 	arena   packetArena
 	routes  routeSlab
 	records recordBook
@@ -1345,15 +1345,9 @@ func (nw *Network) hopJitter(msg trace.MessageID, hop uint64) uint64 {
 // hop, so the link-layer predecessor seen by the first intermediate is the
 // sender — exactly the paper's model. The message ID is returned: IDs are
 // serial, starting at 1, and each one names the message's record. The
-// packet value is copied into the kernel, but its slices are not: see
-// Packet.
+// packet value is copied into the kernel, and so is its Route slice, into
+// a per-network slab; its Onion and Payload slices are not: see Packet.
 func (nw *Network) Inject(sender, first trace.NodeID, pkt Packet) (trace.MessageID, error) {
-	return nw.inject(sender, first, pkt, nil)
-}
-
-// inject is Inject; a non-empty route replaces pkt.Route with its copy in
-// the route slab.
-func (nw *Network) inject(sender, first trace.NodeID, pkt Packet, route []trace.NodeID) (trace.MessageID, error) {
 	if int(sender) < 0 || int(sender) >= nw.cfg.N {
 		return 0, fmt.Errorf("%w: sender %v", ErrBadConfig, sender)
 	}
@@ -1369,9 +1363,7 @@ func (nw *Network) inject(sender, first trace.NodeID, pkt Packet, route []trace.
 	}
 	nw.msgWG.Add(1)
 	p := nw.arena.alloc()
-	if len(route) > 0 {
-		pkt.Route = nw.routes.copy(route)
-	}
+	pkt.Route = nw.routes.copy(pkt.Route)
 	msg, rec := nw.records.issue()
 	nw.mu.Unlock()
 	t0 := nw.injTime.Add(1)
@@ -1407,9 +1399,9 @@ func (nw *Network) inject(sender, first trace.NodeID, pkt Packet, route []trace.
 // once SendRoute returns.
 func (nw *Network) SendRoute(sender trace.NodeID, route []trace.NodeID, payload []byte) (trace.MessageID, error) {
 	if len(route) == 0 {
-		return nw.inject(sender, trace.Receiver, Packet{Payload: payload}, nil)
+		return nw.Inject(sender, trace.Receiver, Packet{Payload: payload})
 	}
-	return nw.inject(sender, route[0], Packet{Payload: payload}, route[1:])
+	return nw.Inject(sender, route[0], Packet{Route: route[1:], Payload: payload})
 }
 
 // AdvanceTime raises the injection clock to at least t, so every later
