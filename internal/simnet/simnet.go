@@ -981,7 +981,11 @@ func (nw *Network) runShard(s *shard) {
 		nw.runMixShard(s)
 		return
 	}
-	var work []event
+	// work trades buffers with the inbox and spare with s.local, never
+	// across the pairs, so each buffer grows only to the largest batch of
+	// its own role; a buffer passed between roles would keep growing as
+	// the batch sizes of each role reach it in turn.
+	var work, spare []event
 	for {
 		s.mu.Lock()
 		for !s.stop && len(s.inbox) == 0 {
@@ -993,19 +997,26 @@ func (nw *Network) runShard(s *shard) {
 		}
 		work, s.inbox = s.inbox, work[:0]
 		s.mu.Unlock()
-		for len(work) > 0 {
-			nw.events.Add(uint64(len(work)))
-			for _, ev := range work {
-				nw.hopAt(s, ev.node, ev.pkt, ev.time)
-				nw.eventDone()
-			}
-			// Clear the drained events so the spare's backing array does
-			// not pin arena chunks after a traffic burst.
-			clear(work)
-			work, s.local = s.local, work[:0]
-			nw.handOff(s)
+		nw.runBatch(s, work)
+		for len(s.local) > 0 {
+			spare, s.local = s.local, spare[:0]
+			nw.runBatch(s, spare)
 		}
 	}
+}
+
+// runBatch runs a batch of shard s's events, then hands the events its
+// hops produced for other shards to their inboxes. It clears the drained
+// batch, so a buffer's backing array does not pin arena chunks after a
+// traffic burst.
+func (nw *Network) runBatch(s *shard, batch []event) {
+	nw.events.Add(uint64(len(batch)))
+	for _, ev := range batch {
+		nw.hopAt(s, ev.node, ev.pkt, ev.time)
+		nw.eventDone()
+	}
+	clear(batch)
+	nw.handOff(s)
 }
 
 // handOff appends the events s holds for each other shard to that shard's
