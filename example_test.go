@@ -79,12 +79,19 @@ func Example_quickstart() {
 	}
 	fmt.Printf("Optimal strategy at mean 10: H*(S) = %.6f bits (+%.6f over F(10))\n",
 		best.H, best.H-hf)
-	lo, hi := best.Dist.Support()
-	for l := lo; l <= hi; l++ {
-		if p := best.Dist.PMF(l); p > 1e-6 {
-			fmt.Printf("  P(l = %3d) = %.6f\n", l, p)
-		}
+	for l := range 3 {
+		fmt.Printf("  P(l = %d) = %.6f\n", l, best.Dist.PMF(l))
 	}
+	// Past l = 2 the optimum fixes only the mass and its mean: the optima
+	// form a flat face, and which atoms carry that mass depends on the
+	// solver's path. Four decimals keep the print off the last digits.
+	var mass, moment float64
+	for l := 3; l < n; l++ {
+		mass += best.Dist.PMF(l)
+		moment += float64(l) * best.Dist.PMF(l)
+	}
+	fmt.Printf("  P(l ≥ 3) = %.4f with mean %.4f there; any split of it with that mean is optimal\n",
+		mass, moment/mass)
 	// Output:
 	// System: N=100 nodes, C=1 compromised, max anonymity log2(N) = 6.6439 bits
 	//
@@ -103,12 +110,10 @@ func Example_quickstart() {
 	//
 	// Variable vs fixed at mean 10: U(1,19) = 6.526587 > F(10) = 6.523671
 	// Optimal strategy at mean 10: H*(S) = 6.540373 bits (+0.016702 over F(10))
-	//   P(l =   0) = 0.009295
-	//   P(l =   1) = 0.095866
-	//   P(l =   2) = 0.088134
-	//   P(l =   4) = 0.167205
-	//   P(l =  13) = 0.630830
-	//   P(l =  99) = 0.008669
+	//   P(l = 0) = 0.009295
+	//   P(l = 1) = 0.095866
+	//   P(l = 2) = 0.088134
+	//   P(l ≥ 3) = 0.8067 with mean 12.0588 there; any split of it with that mean is optimal
 }
 
 // Example_optimalDeployment sweeps the latency budget (the expected path

@@ -105,6 +105,82 @@ func (c corpusTimeline) problem(tb testing.TB) TimelineProblem {
 	return p
 }
 
+// corpusProblems builds the corpus's static and timeline problems.
+func corpusProblems(tb testing.TB) ([]Problem, []TimelineProblem) {
+	tb.Helper()
+	static := make([]Problem, len(corpus))
+	for i, c := range corpus {
+		static[i] = c.problem(tb)
+	}
+	timelines := make([]TimelineProblem, len(timelineCorpus))
+	for i, c := range timelineCorpus {
+		timelines[i] = c.problem(tb)
+	}
+	return static, timelines
+}
+
+// solveCorpus solves every problem once and returns the line searches'
+// evaluations of φ' and the solver iterations, summed over every solve.
+func solveCorpus(tb testing.TB, static []Problem, timelines []TimelineProblem) (evals, iters int) {
+	tb.Helper()
+	for _, p := range static {
+		res, err := Maximize(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		evals += res.evals
+		iters += res.Iterations
+	}
+	for _, p := range timelines {
+		res, err := MaximizeTimeline(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, r := range append(res.PerEpoch, res.Joint) {
+			evals += r.evals
+			iters += r.Iterations
+		}
+	}
+	return evals, iters
+}
+
+// TestLineSearchEvaluations bounds the line search's cost over the corpus.
+// Its guarded Newton on φ' took 3,091 evaluations of φ' in 216 solver
+// iterations: a guard that compared each Newton step with the last one
+// bisected after a short first step, and a stop below φ'’s rounding floor
+// bisected converged brackets. The corpus must now take at most 80% of
+// those evaluations, and within 5% of those iterations, the same on every
+// run.
+func TestLineSearchEvaluations(t *testing.T) {
+	const beforeEvals, beforeIters = 3091, 216
+	static, timelines := corpusProblems(t)
+	evals, iters := solveCorpus(t, static, timelines)
+	if again, againIters := solveCorpus(t, static, timelines); again != evals || againIters != iters {
+		t.Errorf("counts do not repeat: %d evaluations in %d iterations, then %d in %d", evals, iters, again, againIters)
+	}
+	if 5*evals > 4*beforeEvals {
+		t.Errorf("%d evaluations of φ', over 80%% of %d", evals, beforeEvals)
+	}
+	if d := iters - beforeIters; 20*max(d, -d) > beforeIters {
+		t.Errorf("%d iterations, over 5%% from %d", iters, beforeIters)
+	}
+}
+
+// BenchmarkMaximizeCorpus solves the corpus, engines built beforehand, and
+// reports its evaluations of φ' and solver iterations per pass.
+func BenchmarkMaximizeCorpus(b *testing.B) {
+	static, timelines := corpusProblems(b)
+	var evals, iters int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, it := solveCorpus(b, static, timelines)
+		evals += e
+		iters += it
+	}
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+	b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+}
+
 // TestMaximizeRecordedOptima pins the corpus's optima: every solve
 // converges, and its H stays within 1e-9 bits, the certified gap, of the
 // value recorded before the line search changed. A solver change may move

@@ -91,6 +91,8 @@ type Result struct {
 	// Converged reports Gap ≤ 1e-9 bits. A solve stopped by the
 	// iteration cap first reports false, together with its Gap.
 	Converged bool
+	// evals counts the line searches' evaluations of φ'.
+	evals int
 }
 
 // gapTolerance is the certified gap, in bits, at which a solve stops.
@@ -168,23 +170,34 @@ func newEvaluator(e *events.Engine, lo, hi int, scale float64) (evaluator, error
 // less than 1e-10.
 const tiny = 1e-12
 
-// entropyTerms returns the class entropy f(α) and its first two
-// derivatives, from a = α and q = 1 − α each computed without cancellation,
-// for an entry with the given Rest, FullPosition and UniformOverAll.
-func entropyTerms(rest int, fullPosition, uniformOverAll bool, a, q float64) (f, fp, fpp float64) {
+// entropyTerms returns the class entropy f(α) and its derivative f'(α),
+// from a = α and q = 1 − α each computed without cancellation, for an
+// entry with the given Rest, FullPosition and UniformOverAll. The general
+// case takes two natural logs, f = −(a·ln a + q·ln(q/Rest))/ln 2 and
+// f' = (ln(q/Rest) − ln a)/ln 2.
+func entropyTerms(rest int, fullPosition, uniformOverAll bool, a, q float64) (f, fp float64) {
 	switch {
 	case uniformOverAll:
-		return math.Log2(float64(rest)), 0, 0
+		return math.Log2(float64(rest)), 0
 	case rest <= 0:
-		return 0, 0, 0
+		return 0, 0
 	case fullPosition:
 		lg := math.Log2(float64(rest))
-		return q * lg, -lg, 0
+		return q * lg, -lg
 	default:
 		a, q = max(a, tiny), max(q, tiny)
-		r := float64(rest)
-		return -a*math.Log2(a) - q*math.Log2(q/r), math.Log2(q / (r * a)), -1 / (math.Ln2 * a * q)
+		la, lq := math.Log(a), math.Log(q/float64(rest))
+		return -(a*la + q*lq) * math.Log2E, (lq - la) * math.Log2E
 	}
+}
+
+// curvature returns f″(α) for the same entry, which takes no log:
+// −1/(ln 2·a·q) in the general case, 0 where f is linear or constant.
+func curvature(rest int, fullPosition, uniformOverAll bool, a, q float64) float64 {
+	if uniformOverAll || fullPosition || rest <= 0 {
+		return 0
+	}
+	return -1 / (math.Ln2 * max(a, tiny) * max(q, tiny))
 }
 
 // vertex is a feasible extreme point: mass w at index i, 1−w at index j.
@@ -207,6 +220,7 @@ type solver struct {
 	act         []int     // indices where d may be nonzero
 	b           []bucket  // per-bucket sums at p and their rates along d
 	kkt, rhs, u []float64
+	evals       int // calls of slope
 }
 
 // bucket holds one bucket's P, P0 and Q = P − P0 at p and rates along d.
@@ -251,6 +265,7 @@ func (p Problem) solve(ev evaluator, start []float64, cfg config) (Result, error
 		res.Iterations++
 	}
 	res.Converged = res.Gap <= gapTolerance
+	res.evals = s.evals
 	d, err := dist.NewPMF(p.Lo, s.p)
 	if err != nil {
 		return Result{}, fmt.Errorf("optimize: result failed validation: %w", err)
@@ -320,14 +335,14 @@ func (s *solver) valueGrad() float64 {
 			// An unreached class: mass at l alone adds Count·W·f(W0/W).
 			for i, w := range cw.W {
 				if w > 0 {
-					f, _, _ := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, cw.W0[i]/w, (w-cw.W0[i])/w)
+					f, _ := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, cw.W0[i]/w, (w-cw.W0[i])/w)
 					s.g[i] += cw.Count * w * f
 				}
 			}
 			continue
 		}
 		alpha := sp0 / sp
-		f, fp, _ := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, alpha, sq/sp)
+		f, fp := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, alpha, sq/sp)
 		h += cw.Count * sp * f
 		for i, w := range cw.W {
 			s.g[i] += cw.Count * (f*w + fp*(cw.W0[i]-alpha*w))
@@ -422,8 +437,7 @@ func (s *solver) newton() bool {
 			continue
 		}
 		alpha := s.b[b].p0 / sp
-		_, _, fpp := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, alpha, s.b[b].q/sp)
-		c := -cw.Count * fpp / sp
+		c := -cw.Count * curvature(cw.Rest, cw.FullPosition, cw.UniformOverAll, alpha, s.b[b].q/sp) / sp
 		if c == 0 || math.IsInf(c, 0) {
 			continue
 		}
@@ -509,11 +523,23 @@ func solveDense(a, b []float64, m int) {
 }
 
 // search ends a step: a ratio test bounds t by the first atom d drives to
-// zero, and an exact line search (safeguarded Newton on φ') maximizes the
-// concave φ(t) = H*(p + t·d) on [0, tmax]. It reports whether p moved. A
-// bucket with P = 0 at an end of the segment (brought in, or emptied) has
-// the constant α = dP0/dP along it, so its slope is the constant
-// Count·dP·f(dP0/dP) — the limit, not zero, at the emptied end.
+// zero, and an exact line search maximizes the concave φ(t) = H*(p + t·d)
+// on [0, tmax]. It reports whether p moved. A bucket with P = 0 at an end
+// of the segment (brought in, or emptied) has the constant α = dP0/dP
+// along it, so its slope is the constant Count·dP·f(dP0/dP) — the limit,
+// not zero, at the emptied end.
+//
+// The line search brackets the root of φ' and takes Newton steps while
+// they land inside the bracket, bisecting otherwise; only the bracket
+// guards Newton, so a short first step never holds back the later ones.
+// From t > 0 a Newton step is taken in ln t, t·exp(−φ'/(φ″·t)): where a
+// light atom holds a bucket near P = 0 at t = 0, φ' runs like −ln t, and
+// φ″(0), up to 1e11 times φ″ at the root, makes plain Newton creep up on
+// the root. Likewise a bracket spanning more than a factor 4 is split at
+// its geometric mean. The search stops on a Newton step shorter than
+// 1e-10·t, however rounding places it in the bracket; on a |φ'| below its
+// rounding floor, where the direction is flat and the sign of φ' is
+// noise; or on a bisection step shorter than 1e-13·t.
 func (s *solver) search() bool {
 	tmax := math.Inf(1)
 	for _, i := range s.act {
@@ -538,32 +564,47 @@ func (s *solver) search() bool {
 			}
 		}
 		if dp != 0 && (s.b[b].p == 0 || emptied) {
-			f, _, _ := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, dp0/dp, dq/dp)
+			f, _ := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, dp0/dp, dq/dp)
 			base += cw.Count * dp * f
 			dp, dp0, dq = 0, 0, 0
 		}
 		s.b[b].dp, s.b[b].dp0, s.b[b].dq = dp, dp0, dq
 	}
 	t := tmax
-	if end, _ := s.slope(base, tmax); end < 0 {
-		d1, d2 := s.slope(base, 0)
+	if end, _, _ := s.slope(base, tmax); end < 0 {
+		d1, d2, _ := s.slope(base, 0)
 		if !(d1 > 0) {
 			return false
 		}
-		// φ' > 0 at lo, < 0 at hi: Newton steps while they stay inside and
-		// shrink as fast as bisection would, bisection otherwise.
-		lo, hi, dx := 0.0, tmax, tmax
+		// φ' > 0 at lo, ≤ 0 at hi, and t is one of the two.
+		lo, hi := 0.0, tmax
 		t = 0
 		for range 200 {
-			next := t - d1/d2
-			if !(d2 < 0) || !(next > lo && next < hi) || math.Abs(2*d1) > math.Abs(dx*d2) {
-				next = (lo + hi) / 2
+			step := -d1 / d2
+			if t > 0 {
+				step = t * math.Expm1(step/t)
 			}
-			dx, t = math.Abs(next-t), next
+			if t > 0 && d2 < 0 && math.Abs(step) <= 1e-10*t {
+				t += step
+				break
+			}
+			next := t + step
+			if !(d2 < 0 && next > lo && next < hi) {
+				next = (lo + hi) / 2
+				if lo > 0 && hi > 4*lo {
+					next = math.Sqrt(lo * hi)
+				}
+			}
+			dx := math.Abs(next - t)
+			t = next
 			if dx <= 1e-13*t {
 				break
 			}
-			if d1, d2 = s.slope(base, t); d1 > 0 {
+			var floor float64
+			if d1, d2, floor = s.slope(base, t); math.Abs(d1) <= floor {
+				break
+			}
+			if d1 > 0 {
 				lo = t
 			} else {
 				hi = t
@@ -576,28 +617,34 @@ func (s *solver) search() bool {
 	return t > 0
 }
 
-// slope returns φ'(t) and φ″(t): base, the constant slope of the buckets
-// empty at an end of the segment, plus the others' terms.
-func (s *solver) slope(base, t float64) (d1, d2 float64) {
-	d1 = base
+// slope returns φ'(t), φ″(t) and φ'’s rounding floor: base, the constant
+// slope of the buckets empty at an end of the segment, plus the others'
+// terms, and 1e-14 times the sum of the terms' magnitudes, below which
+// the sign of φ' is rounding noise.
+func (s *solver) slope(base, t float64) (d1, d2, floor float64) {
+	s.evals++
+	d1, floor = base, math.Abs(base)
 	for i := range s.ev {
 		cw, b := &s.ev[i], &s.b[i]
 		if b.dp == 0 && b.dp0 == 0 {
 			continue
 		}
-		sp := b.p + t*b.dp
-		if sp <= 0 { // a bucket rounding empties just short of tmax
-			f, _, _ := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, b.dp0/b.dp, b.dq/b.dp)
-			d1 += cw.Count * b.dp * f
-			continue
+		var term float64
+		if sp := b.p + t*b.dp; sp > 0 {
+			alpha := (b.p0 + t*b.dp0) / sp
+			q := (b.q + t*b.dq) / sp
+			f, fp := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, alpha, q)
+			v := b.dp0 - alpha*b.dp
+			term = cw.Count * (f*b.dp + fp*v)
+			d2 += cw.Count * curvature(cw.Rest, cw.FullPosition, cw.UniformOverAll, alpha, q) * v * v / sp
+		} else { // a bucket rounding empties just short of tmax
+			f, _ := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, b.dp0/b.dp, b.dq/b.dp)
+			term = cw.Count * b.dp * f
 		}
-		alpha := (b.p0 + t*b.dp0) / sp
-		f, fp, fpp := entropyTerms(cw.Rest, cw.FullPosition, cw.UniformOverAll, alpha, (b.q+t*b.dq)/sp)
-		v := b.dp0 - alpha*b.dp
-		d1 += cw.Count * (f*b.dp + fp*v)
-		d2 += cw.Count * fpp * v * v / sp
+		d1 += term
+		floor += math.Abs(term)
 	}
-	return d1, d2
+	return d1, d2, 1e-14 * floor
 }
 
 // BestUniform performs the §6.4 parametric optimization (Formula 19): among

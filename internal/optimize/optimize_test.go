@@ -363,16 +363,24 @@ func TestMaximizeCertificate(t *testing.T) {
 	}
 }
 
-// FuzzMaximizeCertificate: random small problems in every receiver and
-// inference mode must all converge to the certificate certify checks.
+// FuzzMaximizeCertificate: random problems in every receiver and inference
+// mode must all converge to the certificate certify checks. N is drawn
+// log-spread over [4, 2·10⁵] and C log-spread over [1, N/2] (C = 1 under
+// hop-count inference), so the many-bucket problems of large systems,
+// where a light atom's singular start shows in the line search, are
+// reached as often as small ones. The first seeds decode to (N, C) =
+// (24, 2), (37, 5), (16, 1) and (7, 1); the last two to (100006, 50003)
+// and (200000, 1000).
 func FuzzMaximizeCertificate(f *testing.F) {
-	f.Add(uint8(20), uint8(1), uint8(0), uint8(8), uint16(0), uint8(0))
-	f.Add(uint8(33), uint8(4), uint8(1), uint8(11), uint16(20000), uint8(1))
-	f.Add(uint8(12), uint8(2), uint8(2), uint8(6), uint16(65535), uint8(2))
-	f.Add(uint8(40), uint8(5), uint8(0), uint8(12), uint16(9000), uint8(3))
-	f.Fuzz(func(t *testing.T, n, c, lo, span uint8, mean uint16, mode uint8) {
-		nn := 4 + int(n)%37
-		cc := 1 + int(c)%min(5, nn-2)
+	f.Add(uint16(10853), uint16(18281), uint8(0), uint8(8), uint16(0), uint8(0))
+	f.Add(uint16(13474), uint16(36492), uint8(1), uint8(11), uint16(20000), uint8(1))
+	f.Add(uint16(8397), uint16(0), uint8(2), uint8(6), uint16(65535), uint8(2))
+	f.Add(uint16(3390), uint16(0), uint8(0), uint8(12), uint16(9000), uint8(3))
+	f.Add(uint16(61337), uint16(65535), uint8(1), uint8(9), uint16(30000), uint8(0))
+	f.Add(uint16(65535), uint16(39321), uint8(1), uint8(11), uint16(0), uint8(9))
+	f.Fuzz(func(t *testing.T, n, c uint16, lo, span uint8, mean uint16, mode uint8) {
+		nn := int(math.Round(4 * math.Pow(5e4, float64(n)/math.MaxUint16)))
+		cc := int(math.Round(math.Pow(float64(nn/2), float64(c)/math.MaxUint16)))
 		var opts []events.Option
 		switch mode % 5 {
 		case 1:
@@ -401,4 +409,55 @@ func FuzzMaximizeCertificate(f *testing.F) {
 		}
 		certify(t, p, res)
 	})
+}
+
+// TestQuickstartOptimumFace pins what the quickstart problem (N = 100,
+// C = 1, mean 10 on [0, 99]) determines of its optimum. The optima form a
+// flat face: H, P(0), P(1), P(2) and the mass and mean on l ≥ 3 are fixed,
+// but any split of that mass with that mean scores the same H, so a
+// change to the solver's path may move the atoms past l = 2 and nothing
+// else. The values were recorded with the solver's first line search.
+func TestQuickstartOptimumFace(t *testing.T) {
+	e := engine(t, 100, 1)
+	res, err := Maximize(Problem{Engine: e, Lo: 0, Hi: 99, Mean: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mass, moment float64
+	for l := 3; l <= 99; l++ {
+		mass += res.Dist.PMF(l)
+		moment += float64(l) * res.Dist.PMF(l)
+	}
+	mean := moment / mass
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"H", res.H, 6.5403729546},
+		{"P(0)", res.Dist.PMF(0), 0.0092950568},
+		{"P(1)", res.Dist.PMF(1), 0.0958661914},
+		{"P(2)", res.Dist.PMF(2), 0.0881342431},
+		{"P(l ≥ 3)", mass, 0.8067045087},
+		{"mean on l ≥ 3", mean, 12.0587714804},
+	} {
+		if math.Abs(c.got-c.want) > 1e-7 {
+			t.Errorf("%s = %.10f, want %.10f", c.name, c.got, c.want)
+		}
+	}
+	for _, split := range [][2]int{{3, 99}, {4, 13}, {12, 13}, {5, 50}, {10, 20}} {
+		a, b := float64(split[0]), float64(split[1])
+		m := make([]float64, 100)
+		for l := range 3 {
+			m[l] = res.Dist.PMF(l)
+		}
+		m[split[0]] = mass * (b - mean) / (b - a)
+		m[split[1]] = mass * (mean - a) / (b - a)
+		h, err := e.AnonymityDegree(dist.PMF{Lo: 0, Mass: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(h-res.H) > 1e-12 {
+			t.Errorf("l ≥ 3 mass on %v: H %.17g, optimum %.17g", split, h, res.H)
+		}
+	}
 }
