@@ -313,7 +313,13 @@
 //     Frank–Wolfe steps that bring atoms in, and an exact line search
 //     ending each. H*(S) is concave in the length pmf, so the Frank–Wolfe
 //     gap certifies the optimum; a solve stops at a gap of 1e-9 bits and
-//     reports it (Result.Gap, anond's gap_bits). optimize.MaximizeTimeline
+//     reports it (Result.Gap, anond's gap_bits). The line search is
+//     Newton's method on φ' in ln t, guarded only by its bracket, and it
+//     stops at φ'’s rounding floor; each evaluation takes two natural logs
+//     per bucket. Over 24 static and 3 timeline problems shaped like the
+//     design loop's, it takes 1,566 evaluations of φ' where a search that
+//     bisected converged brackets took 3,091, in the same 216 solver
+//     iterations (TestLineSearchEvaluations). optimize.MaximizeTimeline
 //     lifts the problem to dynamic populations: per-epoch re-optimization,
 //     each epoch starting from the previous optimum, plus a joint solve
 //     maximizing the traffic-weighted blend Σ w_e·H*_e under one

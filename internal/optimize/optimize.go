@@ -21,7 +21,10 @@
 //     Result.Gap. Each iteration takes a Newton step on the face of the
 //     current support or, once that face is solved, a Frank–Wolfe step that
 //     brings atoms in; an exact line search and a ratio test that drops
-//     atoms at zero end every step, so no step ever projects.
+//     atoms at zero end every step, so no step ever projects. The line
+//     search takes Newton steps in ln t that only its bracket guards and
+//     stops at φ'’s rounding floor; each evaluation of φ' takes two
+//     natural logs per bucket.
 //   - BestUniform: exhaustive search within the uniform family U(a, 2m−a)
 //     at a fixed mean m — the parametric optimization of §6.4, Formula (19).
 //   - BestTwoPoint: exhaustive search over the two-atom vertices at a fixed
