@@ -47,24 +47,17 @@ var corpus = []corpusProblem{
 	{200000, 33932, 12, free, true, 12.424821222671243},
 }
 
-// corpusEngine builds the engine of an (n, c) system whose receiver is
-// compromised or honest.
-func corpusEngine(tb testing.TB, n, c int, honest bool) *events.Engine {
-	tb.Helper()
-	var opts []events.Option
+// receiver returns the engine options of a compromised or honest receiver.
+func receiver(honest bool) []events.Option {
 	if honest {
-		opts = append(opts, events.WithUncompromisedReceiver())
+		return []events.Option{events.WithUncompromisedReceiver()}
 	}
-	e, err := events.New(n, c, opts...)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return e
+	return nil
 }
 
 func (c corpusProblem) problem(tb testing.TB) Problem {
 	tb.Helper()
-	return Problem{Engine: corpusEngine(tb, c.n, c.c, c.honest), Lo: 1, Hi: c.hi, Mean: c.mean}
+	return Problem{Engine: engine(tb, c.n, c.c, receiver(c.honest)...), Lo: 1, Hi: c.hi, Mean: c.mean}
 }
 
 // corpusTimeline is a drifting population shaped like the design loop's
@@ -91,16 +84,9 @@ var timelineCorpus = []corpusTimeline{
 
 func (c corpusTimeline) problem(tb testing.TB) TimelineProblem {
 	tb.Helper()
-	e := corpusEngine(tb, c.n, c.c, c.honest)
 	p := TimelineProblem{Lo: 1, Hi: c.hi, Mean: c.mean}
-	for i, w := range c.weights {
-		if i > 0 {
-			var err error
-			if e, err = e.Neighbor(c.steps[i-1][0], c.steps[i-1][1]); err != nil {
-				tb.Fatal(err)
-			}
-		}
-		p.Epochs = append(p.Epochs, EpochProblem{Engine: e, Weight: w})
+	for i, e := range timelineEngines(tb, c.n, c.c, c.steps, receiver(c.honest)...) {
+		p.Epochs = append(p.Epochs, EpochProblem{Engine: e, Weight: c.weights[i]})
 	}
 	return p
 }

@@ -9,11 +9,11 @@ import (
 	"anonmix/internal/events"
 )
 
-func engine(t *testing.T, n, c int) *events.Engine {
-	t.Helper()
-	e, err := events.New(n, c)
+func engine(tb testing.TB, n, c int, opts ...events.Option) *events.Engine {
+	tb.Helper()
+	e, err := events.New(n, c, opts...)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return e
 }

@@ -10,16 +10,14 @@ import (
 
 // timelineEngines builds a drifting (N, C) trajectory as one engine
 // family, the way scenario's delta cache would hand it to the solver.
-func timelineEngines(t *testing.T, n, c int, steps [][2]int) []*events.Engine {
-	t.Helper()
-	e, err := events.New(n, c)
-	if err != nil {
-		t.Fatal(err)
-	}
+func timelineEngines(tb testing.TB, n, c int, steps [][2]int, opts ...events.Option) []*events.Engine {
+	tb.Helper()
+	e := engine(tb, n, c, opts...)
 	out := []*events.Engine{e}
 	for _, s := range steps {
+		var err error
 		if e, err = e.Neighbor(s[0], s[1]); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		out = append(out, e)
 	}
