@@ -20,7 +20,6 @@ import (
 	"anonmix/internal/events"
 	"anonmix/internal/faults"
 	"anonmix/internal/figures"
-	"anonmix/internal/mixbatch"
 	"anonmix/internal/montecarlo"
 	"anonmix/internal/onion"
 	"anonmix/internal/optimize"
@@ -321,6 +320,10 @@ func BenchmarkTestbedAgreement(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sp, err := sel.NewSampler()
+	if err != nil {
+		b.Fatal(err)
+	}
 	var delta float64
 	for i := 0; i < b.N; i++ {
 		nw, err := simnet.New(simnet.Config{N: n, Compromised: compromised})
@@ -328,11 +331,11 @@ func BenchmarkTestbedAgreement(b *testing.B) {
 			b.Fatal(err)
 		}
 		nw.Start()
-		rng := stats.NewRand(int64(i) + 1)
 		senders := make(map[trace.MessageID]trace.NodeID, trials)
 		for t := 0; t < trials; t++ {
+			rng := stats.NewStream(int64(i)+1, int64(t))
 			sender := trace.NodeID(rng.Intn(n))
-			path, err := sel.SelectPath(rng, sender)
+			path, err := sp.SelectPath(&rng, sender)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -779,20 +782,6 @@ func BenchmarkCrowdsDegradation(b *testing.B) {
 		share = res.Crowds.TopCountIdentifiedShare
 	}
 	b.ReportMetric(share, "identified_share_100r")
-}
-
-// BenchmarkPoolMixLinkage measures the pool-mix departure-round entropy
-// simulation.
-func BenchmarkPoolMixLinkage(b *testing.B) {
-	var h float64
-	for i := 0; i < b.N; i++ {
-		res, err := mixbatch.SimulatePoolLinkage(8, 4, 100, 20, int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		h = res.DepartureRoundEntropy
-	}
-	b.ReportMetric(h, "departure_entropy_bits")
 }
 
 // BenchmarkPosterior measures one adversary inference (classification +

@@ -79,7 +79,9 @@
 //   - internal/optimize — the §5.4 optimal-distribution solvers
 //   - internal/dist, internal/pathsel — length distributions & strategies;
 //     pathsel.Lookup resolves name-addressable specs ("crowds:0.75,20",
-//     "uniform:0,10") from a registry shared by every CLI
+//     "uniform:0,10") from a registry shared by every CLI, and every
+//     backend draws its paths through one pathsel.Sampler per worker on
+//     counter-based stats.Streams
 //   - internal/adversary, internal/trace, internal/montecarlo — the threat
 //     model pipeline and the synthesis of the traces it analyzes
 //   - internal/figures — regenerates every figure of the paper's §6, plus
@@ -132,10 +134,11 @@
 //     any shard interleaving, per-churned-node state only — never O(N)),
 //     and Settle/AdvanceTime let a driver place traffic phases on
 //     disjoint time windows with the transitions on the boundaries.
-//   - internal/onion, internal/crowds, internal/mixbatch — protocol
-//     substrates plugged into the kernel through the Forwarder interface
-//     (layered encryption, coin-flip jondo routing, batch linkage
-//     analysis).
+//   - internal/onion, internal/crowds — protocol substrates plugged into
+//     the kernel through the Forwarder interface (layered encryption,
+//     coin-flip jondo routing). The §2 Chaum mix is the kernel's own
+//     threshold-mix stage (simnet.Config.BatchThreshold, which
+//     scenario.ProtocolMix sets).
 //
 // # Reliability
 //

@@ -10,7 +10,6 @@ import (
 	"anonmix/internal/dist"
 	"anonmix/internal/entropy"
 	"anonmix/internal/events"
-	"anonmix/internal/mixbatch"
 	"anonmix/internal/onion"
 	"anonmix/internal/optimize"
 	"anonmix/internal/pathsel"
@@ -437,11 +436,12 @@ func Example_longTerm() {
 
 // Example_eVoting is the paper's §1 e-voting scenario ("a cast vote
 // should not be traceable back to the voter"): ballots travel through a
-// rerouting network whose exit is a threshold mix, and the election
-// authority (the receiver) is assumed hostile. The example sizes the
-// path-length strategy so the system keeps a target anonymity degree as
-// more relays are compromised, then runs one ballot round end to end on
-// the testbed with onion-encrypted ballots.
+// rerouting network of relays, and the election authority (the receiver)
+// is assumed hostile. The example sizes the path-length strategy so the
+// system keeps a target anonymity degree as more relays are compromised,
+// then runs one ballot round end to end on the testbed with
+// onion-encrypted ballots, drawing each voter's identity, path and ballot
+// from one stream of its own.
 func Example_eVoting() {
 	const (
 		nodes       = 60  // precinct relay nodes
@@ -503,8 +503,8 @@ func Example_eVoting() {
 	fmt.Printf("\nDesign point c=%d: optimal strategy achieves %.4f bits → %s the %.1f-bit target\n\n",
 		designC, design.H, verdict, targetBits)
 
-	// 3. Run one ballot round on the testbed: onion-encrypted ballots,
-	//    three compromised relays, exit mix batching before the authority.
+	// 3. Run one ballot round on the testbed: onion-encrypted ballots and
+	//    three compromised relays.
 	kr, err := onion.NewKeyRing([]byte("evoting example ring"), nodes)
 	if err != nil {
 		panic(err)
@@ -529,10 +529,14 @@ func Example_eVoting() {
 	if err != nil {
 		panic(err)
 	}
-	rng := stats.NewRand(2026)
+	sp, err := sel.NewSampler()
+	if err != nil {
+		panic(err)
+	}
 	for v := 0; v < voters; v++ {
+		rng := stats.NewStream(2026, int64(v))
 		voter := trace.NodeID(rng.Intn(nodes))
-		path, err := sel.SelectPath(rng, voter)
+		path, err := sp.SelectPath(&rng, voter)
 		if err != nil {
 			panic(err)
 		}
@@ -556,23 +560,7 @@ func Example_eVoting() {
 		panic(err)
 	}
 
-	// 4. The authority-side threshold mix decorrelates arrival order.
-	mix, err := mixbatch.NewThreshold(10, 7)
-	if err != nil {
-		panic(err)
-	}
-	var published int
-	for _, d := range nw.Deliveries() {
-		batch, err := mix.Add(mixbatch.Item{Msg: d.Msg, Payload: d.Payload})
-		if err != nil {
-			panic(err)
-		}
-		published += len(batch)
-	}
-	published += len(mix.Flush())
-
-	fmt.Printf("Ballot round: %d ballots delivered, %d published via threshold mix\n",
-		len(nw.Deliveries()), published)
+	fmt.Printf("Ballot round: %d ballots delivered\n", len(nw.Deliveries()))
 	fmt.Printf("Adversary collected %d relay observations from %d compromised relays\n",
 		len(nw.Tuples())-len(nw.Deliveries()), len(compromised))
 	fmt.Println("\nConclusion: the optimized variable-length strategy sustains the")
@@ -588,8 +576,8 @@ func Example_eVoting() {
 	//
 	// Design point c=3: optimal strategy achieves 5.4365 bits → MEETS the 5.0-bit target
 	//
-	// Ballot round: 40 ballots delivered, 40 published via threshold mix
-	// Adversary collected 29 relay observations from 3 compromised relays
+	// Ballot round: 40 ballots delivered
+	// Adversary collected 19 relay observations from 3 compromised relays
 	//
 	// Conclusion: the optimized variable-length strategy sustains the
 	// anonymity target at the design compromise level, where the fixed-

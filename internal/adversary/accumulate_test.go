@@ -71,11 +71,15 @@ func TestSnapshotMatchesEntropyAndTop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := stats.NewRand(9)
+	sp, err := sel.NewSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
 	sender := trace.NodeID(7)
 	var sc adversary.Scratch
 	for r := 0; r < 25; r++ {
-		path, err := sel.SelectPath(rng, sender)
+		rng := stats.NewStream(9, int64(r))
+		path, err := sp.SelectPath(&rng, sender)
 		if err != nil {
 			t.Fatal(err)
 		}

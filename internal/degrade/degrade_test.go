@@ -77,13 +77,17 @@ func TestAccumulatorConcentratesOnSender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := stats.NewRand(3)
+	sp, err := sel.NewSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
 	sender := trace.NodeID(8)
 	var lastH = math.Inf(1)
 	var sawDrop bool
 	var sc adversary.Scratch
 	for r := 0; r < 200; r++ {
-		path, err := sel.SelectPath(rng, sender)
+		rng := stats.NewStream(3, int64(r))
+		path, err := sp.SelectPath(&rng, sender)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,6 +37,10 @@ func TestOnionFullStackAnonymityDegree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp, err := sel.NewSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
 	engine, err := events.New(n, len(compromised))
 	if err != nil {
 		t.Fatal(err)
@@ -57,11 +61,11 @@ func TestOnionFullStackAnonymityDegree(t *testing.T) {
 	nw.Start()
 	defer nw.Close()
 
-	rng := stats.NewRand(99)
 	senders := make(map[trace.MessageID]trace.NodeID, trials)
 	for i := 0; i < trials; i++ {
+		rng := stats.NewStream(99, int64(i))
 		sender := trace.NodeID(rng.Intn(n))
-		path, err := sel.SelectPath(rng, sender)
+		path, err := sp.SelectPath(&rng, sender)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,8 +88,8 @@ func TestOnionFullStackAnonymityDegree(t *testing.T) {
 	if err := nw.WaitSettled(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if drops := nw.Dropped(); len(drops) != 0 {
-		t.Fatalf("drops: %v", drops)
+	if st := nw.DropStats(); st.Total != 0 {
+		t.Fatalf("%d drops: %v", st.Total, st.Samples)
 	}
 	// Every message decrypted correctly at the exit.
 	for _, d := range nw.Deliveries() {

@@ -223,7 +223,7 @@ func TestOnionOverTestbed(t *testing.T) {
 	}
 	dels := nw.Deliveries()
 	if len(dels) != 1 {
-		t.Fatalf("%d deliveries (drops: %v)", len(dels), nw.Dropped())
+		t.Fatalf("%d deliveries (drops: %v)", len(dels), nw.DropStats().Samples)
 	}
 	if dels[0].Msg != id || string(dels[0].Payload) != "top secret" || dels[0].Pred != 7 {
 		t.Errorf("delivery = %+v", dels[0])

@@ -3,7 +3,7 @@ package pathsel_test
 // Fuzz target for the strategy registry, mirroring onion.FuzzBuildPeel:
 // arbitrary specs must never panic Lookup, a repeated Lookup must answer
 // as the first did, every rejection must carry the ErrBadStrategy
-// identity, and a resolved strategy must survive the selector pipeline.
+// identity, and a resolved strategy must survive the sampler pipeline.
 
 import (
 	"errors"
@@ -73,8 +73,12 @@ func FuzzStrategyLookup(f *testing.F) {
 		if err != nil {
 			t.Fatalf("NewSelector of valid %q: %v", spec, err)
 		}
-		rng := stats.NewRand(1)
-		path, err := sel.SelectPath(rng, 3)
+		sp, err := sel.NewSampler()
+		if err != nil {
+			t.Fatalf("NewSampler of valid %q: %v", spec, err)
+		}
+		rng := stats.NewStream(1, 0)
+		path, err := sp.SelectPath(&rng, 3)
 		if err != nil {
 			t.Fatalf("SelectPath of valid %q: %v", spec, err)
 		}

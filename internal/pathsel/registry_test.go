@@ -209,10 +209,14 @@ func TestSparsePathFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := stats.NewRand(42)
+	sp, err := sel.NewSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for trial := 0; trial < 200; trial++ {
+		rng := stats.NewStream(42, int64(trial))
 		sender := trace.NodeID(rng.Intn(n))
-		path, err := sel.SelectPath(rng, sender)
+		path, err := sp.SelectPath(&rng, sender)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,10 +65,11 @@ func (sp *Sampler) SampleLength(rng *stats.Stream) int {
 	return sp.alias.Draw(col, rng.Float64())
 }
 
-// SelectPath draws a rerouting path exactly as Selector.SelectPath does —
-// same distribution, same route shapes — but into the sampler's reused
-// buffer. The result is valid until the next SelectPath call; callers that
-// retain paths must copy.
+// SelectPath implements Figure 2: it draws a length, then the ordered
+// intermediate nodes of a message from the given sender, into the
+// sampler's reused buffer. The path never contains the receiver; a simple
+// path holds no repeats and never the sender. The result is valid until
+// the next SelectPath call; callers that retain paths must copy.
 func (sp *Sampler) SelectPath(rng *stats.Stream, sender trace.NodeID) ([]trace.NodeID, error) {
 	s := sp.sel
 	if int(sender) < 0 || int(sender) >= s.n {
@@ -81,9 +82,11 @@ func (sp *Sampler) SelectPath(rng *stats.Stream, sender trace.NodeID) ([]trace.N
 	return sp.simple(rng, sender, l), nil
 }
 
-// simple mirrors Selector.simplePath: rejection sampling against the
-// open-addressed set when sparse, a partial Fisher–Yates over the reused
-// pool when dense. Each next hop is uniform over the not-yet-used nodes.
+// simple samples l distinct intermediates uniformly from the n−1 nodes
+// other than the sender. Sparse draws (l·16 ≤ n) reject repeats against
+// the open-addressed set, so a draw is O(l) at any n; dense draws run a
+// partial Fisher–Yates over the reused pool. Both make each next hop
+// uniform over the not-yet-used nodes.
 func (sp *Sampler) simple(rng *stats.Stream, sender trace.NodeID, l int) []trace.NodeID {
 	s := sp.sel
 	sp.path = sp.path[:0]
@@ -129,7 +132,9 @@ func (sp *Sampler) simple(rng *stats.Stream, sender trace.NodeID, l int) []trace
 	return sp.path
 }
 
-// complicated mirrors Selector.complicatedPath hop for hop.
+// complicated picks each hop uniformly among all nodes except the one
+// currently holding the message, so cycles, and returns through the
+// sender, are possible: the Crowds and Onion Routing II route shape.
 func (sp *Sampler) complicated(rng *stats.Stream, sender trace.NodeID, l int) []trace.NodeID {
 	s := sp.sel
 	sp.path = sp.path[:0]

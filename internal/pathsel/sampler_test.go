@@ -1,6 +1,7 @@
 package pathsel
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -12,78 +13,77 @@ import (
 	"anonmix/internal/trace"
 )
 
-// leakyPMF is an adversarial distribution for the inverse-CDF tail
-// regression: its mass sums to 0.9 (far outside dist.Validate's tolerance,
-// so it can only enter a Selector built as an in-package literal) and its
-// top support atom carries zero mass. A u drawn in [0.9, 1) falls off the
-// CDF table, and the pre-fix clamp-to-hi behavior would return the
-// zero-mass length 4.
-type leakyPMF struct{}
-
-func (leakyPMF) Support() (int, int) { return 1, 4 }
-func (leakyPMF) PMF(l int) float64 {
-	switch l {
-	case 1:
-		return 0.5
-	case 2:
-		return 0.4
-	}
-	return 0
-}
-func (leakyPMF) Mean() float64  { return 1.3 }
-func (leakyPMF) String() string { return "leaky" }
-
-// TestSampleLengthTailClamp is satellite (a)'s regression: when the CDF
-// sums short of a draw, SampleLength must clamp to the last length with
-// positive mass, never to a zero-mass atom at the support's end.
-func TestSampleLengthTailClamp(t *testing.T) {
-	sel := &Selector{n: 50, strategy: Strategy{Name: "leaky", Length: leakyPMF{}, Kind: Simple}}
-	rng := stats.NewRand(1)
-	sawTail := false
-	for i := 0; i < 2000; i++ {
-		l := sel.SampleLength(rng)
-		if (leakyPMF{}).PMF(l) == 0 {
-			t.Fatalf("draw %d: length %d has zero mass", i, l)
-		}
-		if l == 2 {
-			sawTail = true
-		}
-	}
-	if !sawTail {
-		t.Error("no draw reached the last positive atom")
-	}
-}
-
-// TestSamplerLengthAgreesWithPMF: chi-square agreement between the alias
-// sampler's length draws and the source distribution, for a distribution
-// with interior structure. 6 degrees of freedom; 1e-3 quantile ~22.5.
+// TestSamplerLengthAgreesWithPMF: the alias sampler's length draws stay
+// inside the support and agree with the source distribution, by a
+// chi-square over its atoms (those expected fewer than five times pooled
+// into one bin) held to the 1e-3 upper quantile of its dof, and by the
+// sample mean, within four standard errors of the wanted mean. The Crowds
+// input is the truncated geometric of Formula (12), whose mean length at
+// pf = 0.5 is 2.
 func TestSamplerLengthAgreesWithPMF(t *testing.T) {
-	strat, err := UniformLength(1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := NewSelector(40, strat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := sel.NewSampler()
-	if err != nil {
-		t.Fatal(err)
-	}
 	const draws = 140000
-	rng := stats.NewStream(3, 0)
-	counts := make(map[int]int)
-	for i := 0; i < draws; i++ {
-		counts[sp.SampleLength(&rng)]++
-	}
-	var chi2 float64
-	for l := 1; l <= 7; l++ {
-		exp := draws / 7.0
-		d := float64(counts[l]) - exp
-		chi2 += d * d / exp
-	}
-	if chi2 > 22.5 {
-		t.Errorf("chi-square = %v over %v", chi2, counts)
+	for i, c := range []struct {
+		n     int
+		spec  string
+		mean  float64
+		dof   int
+		bound float64 // χ²_dof upper 1e-3 quantile
+	}{
+		{40, "uniform:1,7", 4, 6, 22.46},
+		{20, "uniform:2,5", 3.5, 3, 16.27},
+		{25, "crowds:0.5,40", 2, 14, 36.12}, // atoms 1..14, then one pooled bin
+	} {
+		t.Run(fmt.Sprintf("n=%d/%s", c.n, c.spec), func(t *testing.T) {
+			strat, err := Lookup(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel, err := NewSelector(c.n, strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp, err := sel.NewSampler()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := strat.Length.Support()
+			counts := make([]int, hi+1)
+			var sum stats.Summary
+			rng := stats.NewStream(3, int64(i))
+			for range draws {
+				l := sp.SampleLength(&rng)
+				if l < lo || l > hi {
+					t.Fatalf("length %d outside support [%d,%d]", l, lo, hi)
+				}
+				counts[l]++
+				sum.Add(float64(l))
+			}
+			var chi2, poolObs, poolExp float64
+			bins := 0
+			for l := lo; l <= hi; l++ {
+				obs, exp := float64(counts[l]), draws*strat.Length.PMF(l)
+				if exp < 5 {
+					poolObs, poolExp = poolObs+obs, poolExp+exp
+					continue
+				}
+				chi2 += (obs - exp) * (obs - exp) / exp
+				bins++
+			}
+			if poolExp > 0 {
+				chi2 += (poolObs - poolExp) * (poolObs - poolExp) / poolExp
+				bins++
+			}
+			if bins-1 != c.dof {
+				t.Fatalf("%d bins, want %d dof", bins, c.dof)
+			}
+			t.Logf("χ² = %.1f over %d dof (bound %.2f), mean %.4f ± %.4f", chi2, c.dof, c.bound, sum.Mean(), sum.StdErr())
+			if chi2 > c.bound {
+				t.Errorf("chi-square = %.1f over %d dof exceeds %.2f: %v", chi2, c.dof, c.bound, counts)
+			}
+			if math.Abs(sum.Mean()-c.mean) > 4*sum.StdErr() {
+				t.Errorf("mean length = %v ± %v, want %v", sum.Mean(), sum.StdErr(), c.mean)
+			}
+		})
 	}
 }
 
@@ -132,8 +132,9 @@ func TestSamplerDrawCounts(t *testing.T) {
 }
 
 // TestSamplerPathProperties: both route shapes produce well-formed paths
-// in both the sparse (rejection) and dense (Fisher–Yates) regimes, and
-// the returned slice is the sampler's reused buffer.
+// in both the sparse (rejection) and dense (Fisher–Yates) regimes. A
+// complicated path never forwards to its current holder, and over the
+// draws some path revisits a node and some passes back through the sender.
 func TestSamplerPathProperties(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -145,6 +146,7 @@ func TestSamplerPathProperties(t *testing.T) {
 		{"simple sparse", 200, 1, 6, Simple},    // l*16 <= n: rejection set
 		{"simple dense", 12, 4, 9, Simple},      // Fisher–Yates pool
 		{"simple boundary", 8, 7, 7, Simple},    // l = n-1: every other node
+		{"simple from zero", 30, 0, 20, Simple}, // empty paths and both regimes
 		{"complicated", 15, 1, 10, Complicated}, // cycles allowed
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,6 +164,7 @@ func TestSamplerPathProperties(t *testing.T) {
 			}
 			rng := stats.NewStream(9, 0)
 			const sender = trace.NodeID(2)
+			var sawRepeat, sawSender bool
 			for i := 0; i < 3000; i++ {
 				path, err := sp.SelectPath(&rng, sender)
 				if err != nil {
@@ -183,23 +186,30 @@ func TestSamplerPathProperties(t *testing.T) {
 						if seen[v] {
 							t.Fatalf("simple path repeats node %d", v)
 						}
-						seen[v] = true
 					} else if v == prev {
 						t.Fatalf("complicated path forwarded to the current holder %d", v)
 					}
+					sawRepeat = sawRepeat || seen[v]
+					sawSender = sawSender || v == sender
+					seen[v] = true
 					prev = v
 				}
+			}
+			if tc.kind == Complicated && !sawRepeat {
+				t.Error("complicated paths never revisited a node in 3000 draws")
+			}
+			if tc.kind == Complicated && !sawSender {
+				t.Error("complicated paths never passed back through the sender")
 			}
 		})
 	}
 }
 
-// TestSamplerMatchesSelectorDistribution: the sampler and the classic
-// selector draw hop marginals from the same distribution — checked on the
-// first-hop frequencies of a sparse simple strategy, which exercises the
-// open-addressed rejection set against the map-based original. Each node
-// other than the sender should appear first with probability 1/(n-1);
-// 18 dof, 1e-3 quantile ~42.3.
+// TestSamplerMatchesSelectorDistribution: the sampler draws the first hop
+// of a sparse simple strategy, which exercises the open-addressed
+// rejection set, from the distribution its Selector defines: each node
+// other than the sender with probability 1/(n-1). 18 dof, 1e-3 quantile
+// ~42.3.
 func TestSamplerMatchesSelectorDistribution(t *testing.T) {
 	const n, draws = 20, 190000
 	strat, err := UniformLength(1, 1)
@@ -215,40 +225,26 @@ func TestSamplerMatchesSelectorDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	const sender = trace.NodeID(0)
-	for _, src := range []string{"sampler", "selector"} {
-		counts := make([]int, n)
-		switch src {
-		case "sampler":
-			rng := stats.NewStream(21, 0)
-			for i := 0; i < draws; i++ {
-				path, err := sp.SelectPath(&rng, sender)
-				if err != nil {
-					t.Fatal(err)
-				}
-				counts[path[0]]++
-			}
-		case "selector":
-			rng := stats.NewRand(21)
-			for i := 0; i < draws; i++ {
-				path, err := sel.SelectPath(rng, sender)
-				if err != nil {
-					t.Fatal(err)
-				}
-				counts[path[0]]++
-			}
+	counts := make([]int, n)
+	rng := stats.NewStream(21, 0)
+	for i := 0; i < draws; i++ {
+		path, err := sp.SelectPath(&rng, sender)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if counts[sender] != 0 {
-			t.Fatalf("%s: sender drawn as first hop", src)
-		}
-		exp := float64(draws) / float64(n-1)
-		var chi2 float64
-		for v := 1; v < n; v++ {
-			d := float64(counts[v]) - exp
-			chi2 += d * d / exp
-		}
-		if chi2 > 42.3 {
-			t.Errorf("%s: first-hop chi-square = %v", src, chi2)
-		}
+		counts[path[0]]++
+	}
+	if counts[sender] != 0 {
+		t.Fatal("sender drawn as first hop")
+	}
+	exp := float64(draws) / float64(n-1)
+	var chi2 float64
+	for v := 1; v < n; v++ {
+		d := float64(counts[v]) - exp
+		chi2 += d * d / exp
+	}
+	if chi2 > 42.3 {
+		t.Errorf("first-hop chi-square = %v", chi2)
 	}
 }
 
@@ -277,7 +273,8 @@ func TestSamplerPositionHistogram(t *testing.T) {
 		n    int
 		spec string
 	}{
-		{12, "fixed:9"},       // dense: l·16 > n
+		{10, "fixed:1"},       // one hop, dense: l·16 > n
+		{12, "fixed:9"},       // dense
 		{40, "uniform:20,39"}, // dense, up to every other node
 		{200, "uniform:1,12"}, // sparse: l·16 ≤ n
 	} {
@@ -429,7 +426,8 @@ func TestSamplerBufferReuse(t *testing.T) {
 	}
 }
 
-// TestSamplerRejectsBadSender mirrors the selector's bounds check.
+// TestSamplerRejectsBadSender: a sender outside the system, the receiver
+// included, fails with ErrBadSender.
 func TestSamplerRejectsBadSender(t *testing.T) {
 	strat, err := FixedLength(2)
 	if err != nil {
@@ -444,9 +442,9 @@ func TestSamplerRejectsBadSender(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := stats.NewStream(1, 0)
-	for _, s := range []trace.NodeID{trace.NodeID(-1), 10, 99} {
-		if _, err := sp.SelectPath(&rng, s); err == nil {
-			t.Errorf("sender %d accepted", s)
+	for _, s := range []trace.NodeID{trace.Receiver, 10, 99} {
+		if _, err := sp.SelectPath(&rng, s); !errors.Is(err, ErrBadSender) {
+			t.Errorf("sender %d: err = %v", s, err)
 		}
 	}
 }

@@ -169,9 +169,8 @@ func TestChurnMembershipGates(t *testing.T) {
 	if err := nw.Settle(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	drops := nw.Dropped()
-	if len(drops) != 1 || !errors.Is(drops[0], ErrAbsent) {
-		t.Fatalf("drops = %v, want one ErrAbsent", drops)
+	if st := nw.DropStats(); st.Total != 1 || !errors.Is(st.Samples[0], ErrAbsent) {
+		t.Fatalf("%d drops %v, want one ErrAbsent", st.Total, st.Samples)
 	}
 
 	// After the boundary the joiner works and the leaver is gone.
@@ -185,8 +184,8 @@ func TestChurnMembershipGates(t *testing.T) {
 	if err := nw.Settle(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if drops := nw.Dropped(); len(drops) != 2 || !errors.Is(drops[1], ErrAbsent) {
-		t.Fatalf("drops after leave = %v, want a second ErrAbsent", drops)
+	if st := nw.DropStats(); st.Total != 2 || !errors.Is(st.Samples[1], ErrAbsent) {
+		t.Fatalf("%d drops after leave %v, want a second ErrAbsent", st.Total, st.Samples)
 	}
 }
 

@@ -225,7 +225,7 @@ func TestConcurrentHandoffRewritesInPlace(t *testing.T) {
 	}
 	dels := nw.Deliveries()
 	if len(dels) != len(all) || len(all) != injectors*perInject {
-		t.Fatalf("%d deliveries of %d messages, drops %v", len(dels), len(all), nw.Dropped())
+		t.Fatalf("%d deliveries of %d messages, drops %v", len(dels), len(all), nw.DropStats().Samples)
 	}
 	for _, d := range dels {
 		if !bytes.Equal(d.Payload, all[d.Msg]) {

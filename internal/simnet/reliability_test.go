@@ -330,10 +330,11 @@ func TestLossDropsFormatLazily(t *testing.T) {
 	if allocs := after.Mallocs - before.Mallocs; allocs >= msgs/4 {
 		t.Errorf("%d allocations for %d lost messages: drops are formatted eagerly", allocs, msgs)
 	}
-	if st := nw.DropStats(); st.ByCause[DropLoss] != msgs {
+	st := nw.DropStats()
+	if st.ByCause[DropLoss] != msgs {
 		t.Fatalf("drop accounting %+v, want %d losses", st, msgs)
 	}
-	drops := nw.Dropped()
+	drops := st.Samples
 	if len(drops) != dropSampleCap {
 		t.Fatalf("%d samples", len(drops))
 	}
@@ -344,10 +345,9 @@ func TestLossDropsFormatLazily(t *testing.T) {
 	}
 }
 
-// TestDropStatsBounded is the scale pin for the satellite bugfix: a run
+// TestDropStatsBounded is the scale pin for the bounded drop log: a run
 // that drops a hundred thousand packets must retain only the bounded
-// sample ring plus exact counters, and the compatible Dropped() view must
-// stay small while DropStats counts exactly.
+// sample ring plus exact counters, and DropStats must count exactly.
 func TestDropStatsBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test")
@@ -369,9 +369,6 @@ func TestDropStatsBounded(t *testing.T) {
 	}
 	if len(st.Samples) != dropSampleCap {
 		t.Fatalf("sample ring holds %d, want %d", len(st.Samples), dropSampleCap)
-	}
-	if got := len(nw.Dropped()); got != dropSampleCap {
-		t.Fatalf("Dropped() view holds %d, want %d", got, dropSampleCap)
 	}
 	if nw.Metrics().Dropped != msgs {
 		t.Fatalf("Metrics.Dropped = %d", nw.Metrics().Dropped)

@@ -293,9 +293,9 @@ type DropStats struct {
 }
 
 // dropSample is one sampled drop, kept as its parts: a loss or crash drop
-// is formatted into an error only when DropStats or Dropped reads it. A
-// defect drop (absent node, forwarder error, bad hop) carries its wrapped
-// error, so errors.Is still finds the sentinel.
+// is formatted into an error only when DropStats reads it. A defect drop
+// (absent node, forwarder error, bad hop) carries its wrapped error, so
+// errors.Is still finds the sentinel.
 type dropSample struct {
 	msg   trace.MessageID
 	at    trace.NodeID
@@ -1547,20 +1547,10 @@ func (nw *Network) Deliveries() []Delivery {
 	return out
 }
 
-// Dropped returns sampled errors of discarded packets (up to
-// dropSampleCap recent examples, oldest first). It remains the quick
-// "anything wrong?" view — empty exactly when no packet was dropped — but
-// the exact accounting lives in DropStats, which is bounded no matter how
-// many packets a million-node lossy run discards. Loss and crash samples
-// are formatted here, not when the packet drops.
-func (nw *Network) Dropped() []error {
-	nw.drops.mu.Lock()
-	defer nw.drops.mu.Unlock()
-	return nw.drops.samplesLocked()
-}
-
 // DropStats returns the bounded drop accounting: exact totals by cause
-// plus the sampled example ring, formatted on this call.
+// plus the sampled example ring, up to dropSampleCap recent drops, oldest
+// first. Loss and crash samples are formatted on this call, not when the
+// packet drops.
 func (nw *Network) DropStats() DropStats {
 	return nw.drops.snapshot()
 }

@@ -138,8 +138,8 @@ func TestDroppedPackets(t *testing.T) {
 	if err := nw.WaitSettled(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if len(nw.Dropped()) != 1 {
-		t.Errorf("dropped = %v", nw.Dropped())
+	if st := nw.DropStats(); st.Total != 1 {
+		t.Errorf("%d drops: %v", st.Total, st.Samples)
 	}
 	if len(nw.Deliveries()) != 0 {
 		t.Errorf("deliveries = %v", nw.Deliveries())
@@ -166,9 +166,8 @@ func TestBadHopDropped(t *testing.T) {
 	if err := nw.WaitSettled(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	drops := nw.Dropped()
-	if len(drops) != 1 || !errors.Is(drops[0], simnet.ErrBadHop) {
-		t.Errorf("dropped = %v", drops)
+	if st := nw.DropStats(); st.Total != 1 || !errors.Is(st.Samples[0], simnet.ErrBadHop) {
+		t.Errorf("%d drops: %v", st.Total, st.Samples)
 	}
 }
 
@@ -266,6 +265,10 @@ func TestEndToEndAnonymityDegree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp, err := sel.NewSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
 	engine, err := events.New(n, len(compromised))
 	if err != nil {
 		t.Fatal(err)
@@ -282,11 +285,11 @@ func TestEndToEndAnonymityDegree(t *testing.T) {
 	nw.Start()
 	defer nw.Close()
 
-	rng := stats.NewRand(2024)
 	senders := make(map[trace.MessageID]trace.NodeID, trials)
 	for i := 0; i < trials; i++ {
+		rng := stats.NewStream(2024, int64(i))
 		sender := trace.NodeID(rng.Intn(n))
-		path, err := sel.SelectPath(rng, sender)
+		path, err := sp.SelectPath(&rng, sender)
 		if err != nil {
 			t.Fatal(err)
 		}
