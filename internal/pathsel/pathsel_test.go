@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"anonmix/internal/dist"
+	"anonmix/internal/stats"
+	"anonmix/internal/trace"
 )
 
 func TestPresets(t *testing.T) {
@@ -94,6 +96,54 @@ func TestNewSelectorValidation(t *testing.T) {
 	}
 	if _, err := NewSelector(50, OnionRoutingI()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestComplicatedPathAllowsCycles: a Crowds path never forwards to its
+// current holder, but over the draws some path revisits a node and some
+// passes back through the sender.
+func TestComplicatedPathAllowsCycles(t *testing.T) {
+	strat, err := Crowds(0.9, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := NewSelector(6, strat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := sel.NewSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewStream(5, 0)
+	const sender = trace.NodeID(2)
+	var sawRepeat, sawSender bool
+	for i := 0; i < 3000; i++ {
+		path, err := sp.SelectPath(&rng, sender)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[trace.NodeID]bool)
+		prev := sender
+		for _, v := range path {
+			if v == prev {
+				t.Fatalf("immediate self-loop at %v: %v", v, path)
+			}
+			if seen[v] {
+				sawRepeat = true
+			}
+			if v == sender {
+				sawSender = true
+			}
+			seen[v] = true
+			prev = v
+		}
+	}
+	if !sawRepeat {
+		t.Error("complicated paths never revisited a node in 3000 trials")
+	}
+	if !sawSender {
+		t.Error("complicated paths never passed back through the sender")
 	}
 }
 
